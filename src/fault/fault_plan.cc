@@ -192,16 +192,6 @@ std::string FormatFaultSpec(const FaultSpec& spec) {
   return out;
 }
 
-void FaultCounters::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("fault.correctable_read_errors").Set(correctable_read_errors);
-  m.GetCounter("fault.uncorrectable_read_errors")
-      .Set(uncorrectable_read_errors);
-  m.GetCounter("fault.program_failures").Set(program_failures);
-  m.GetCounter("fault.read_retry_steps").Set(read_retry_steps);
-  m.GetCounter("fault.scheduled_fired").Set(scheduled_fired);
-  m.GetCounter("fault.wear_boosted_ops").Set(wear_boosted_ops);
-}
-
 FaultPlan::FaultPlan(FaultSpec spec)
     : spec_(std::move(spec)),
       armed_(spec_.scheduled.size(), 1),

@@ -130,9 +130,24 @@ struct FaultCounters {
   std::uint64_t scheduled_fired = 0;
   std::uint64_t wear_boosted_ops = 0;  // ops whose rates were wear-raised
 
-  /// Exports under the "fault." prefix (shared Describe protocol).
-  void Describe(telemetry::MetricsRegistry& m) const;
+  /// Every counter under the "fault." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<FaultCounters> kFields[] = {
+      {"fault.correctable_read_errors",
+       &FaultCounters::correctable_read_errors},
+      {"fault.uncorrectable_read_errors",
+       &FaultCounters::uncorrectable_read_errors},
+      {"fault.program_failures", &FaultCounters::program_failures},
+      {"fault.read_retry_steps", &FaultCounters::read_retry_steps},
+      {"fault.scheduled_fired", &FaultCounters::scheduled_fired},
+      {"fault.wear_boosted_ops", &FaultCounters::wear_boosted_ops},
+  };
+
+  void Describe(telemetry::MetricsRegistry& m) const {
+    telemetry::SetFields(*this, m);
+  }
 };
+static_assert(telemetry::ListsEveryFieldOnce<FaultCounters>());
 
 /// Verdict for one page read.
 struct ReadVerdict {

@@ -11,37 +11,6 @@ using nvme::Status;
 using sim::Time;
 using telemetry::Layer;
 
-void ConvCounters::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("conv.reads").Set(reads);
-  m.GetCounter("conv.writes").Set(writes);
-  m.GetCounter("conv.deallocates").Set(deallocates);
-  m.GetCounter("conv.units_trimmed").Set(units_trimmed);
-  m.GetCounter("conv.bytes_read").Set(bytes_read);
-  m.GetCounter("conv.bytes_written").Set(bytes_written);
-  m.GetCounter("conv.host_units_programmed").Set(host_units_programmed);
-  m.GetCounter("conv.gc_invocations").Set(gc_invocations);
-  m.GetCounter("conv.gc_units_migrated").Set(gc_units_migrated);
-  m.GetCounter("conv.gc_blocks_erased").Set(gc_blocks_erased);
-  m.GetCounter("conv.host_rejects").Set(host_rejects);
-  m.GetCounter("conv.media_errors").Set(media_errors);
-  m.GetCounter("conv.read_faults").Set(read_faults);
-  m.GetCounter("conv.write_faults").Set(write_faults);
-  m.GetCounter("conv.retired_blocks").Set(retired_blocks);
-  m.GetCounter("conv.program_retries").Set(program_retries);
-  m.GetCounter("conv.flushes").Set(flushes);
-  m.GetCounter("conv.journal_syncs").Set(journal_syncs);
-  m.GetCounter("conv.checkpoints").Set(checkpoints);
-  m.GetCounter("conv.journal_units_written").Set(journal_units_written);
-  m.GetCounter("conv.crashes").Set(crashes);
-  m.GetCounter("conv.recoveries").Set(recoveries);
-  m.GetCounter("conv.crash_lost_units").Set(crash_lost_units);
-  m.GetCounter("conv.journal_reverted_entries").Set(journal_reverted_entries);
-  m.GetCounter("conv.recovery_replay_entries").Set(recovery_replay_entries);
-  m.GetCounter("conv.recovery_ns_total").Set(recovery_ns_total);
-  m.GetCounter("conv.reset_drops").Set(reset_drops);
-  m.GetGauge("conv.write_amplification").Set(WriteAmplification());
-}
-
 void ConvDevice::AttachTelemetry(telemetry::Telemetry* t) {
   telem_ = t;
   flash_->AttachTelemetry(t);

@@ -76,10 +76,45 @@ struct ConvCounters {
                            static_cast<double>(host_units_programmed);
   }
 
-  /// Exports every counter into the registry under the "conv." prefix
-  /// (the shared Describe protocol; see telemetry/metrics.h).
-  void Describe(telemetry::MetricsRegistry& m) const;
+  /// Every counter under the "conv." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<ConvCounters> kFields[] = {
+      {"conv.reads", &ConvCounters::reads},
+      {"conv.writes", &ConvCounters::writes},
+      {"conv.deallocates", &ConvCounters::deallocates},
+      {"conv.units_trimmed", &ConvCounters::units_trimmed},
+      {"conv.bytes_read", &ConvCounters::bytes_read},
+      {"conv.bytes_written", &ConvCounters::bytes_written},
+      {"conv.host_units_programmed", &ConvCounters::host_units_programmed},
+      {"conv.gc_invocations", &ConvCounters::gc_invocations},
+      {"conv.gc_units_migrated", &ConvCounters::gc_units_migrated},
+      {"conv.gc_blocks_erased", &ConvCounters::gc_blocks_erased},
+      {"conv.host_rejects", &ConvCounters::host_rejects},
+      {"conv.media_errors", &ConvCounters::media_errors},
+      {"conv.read_faults", &ConvCounters::read_faults},
+      {"conv.write_faults", &ConvCounters::write_faults},
+      {"conv.retired_blocks", &ConvCounters::retired_blocks},
+      {"conv.program_retries", &ConvCounters::program_retries},
+      {"conv.flushes", &ConvCounters::flushes},
+      {"conv.journal_syncs", &ConvCounters::journal_syncs},
+      {"conv.checkpoints", &ConvCounters::checkpoints},
+      {"conv.journal_units_written", &ConvCounters::journal_units_written},
+      {"conv.crashes", &ConvCounters::crashes},
+      {"conv.recoveries", &ConvCounters::recoveries},
+      {"conv.crash_lost_units", &ConvCounters::crash_lost_units},
+      {"conv.journal_reverted_entries",
+       &ConvCounters::journal_reverted_entries},
+      {"conv.recovery_replay_entries", &ConvCounters::recovery_replay_entries},
+      {"conv.recovery_ns_total", &ConvCounters::recovery_ns_total},
+      {"conv.reset_drops", &ConvCounters::reset_drops},
+  };
+
+  void Describe(telemetry::MetricsRegistry& m) const {
+    telemetry::SetFields(*this, m);
+    m.GetGauge("conv.write_amplification").Set(WriteAmplification());
+  }
 };
+static_assert(telemetry::ListsEveryFieldOnce<ConvCounters>());
 
 class ConvDevice : public nvme::Controller {
  public:

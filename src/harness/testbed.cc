@@ -15,99 +15,6 @@ namespace zstor {
 
 namespace {
 
-/// Field-wise sum of every device's command counters, for the aggregated
-/// snapshot of a striped testbed.
-zns::ZnsCounters SumCounters(const std::vector<zns::ZnsDevice*>& devs) {
-  zns::ZnsCounters t;
-  for (const auto* d : devs) {
-    const zns::ZnsCounters& c = d->counters();
-    t.reads += c.reads;
-    t.flushes += c.flushes;
-    t.zone_reports += c.zone_reports;
-    t.zones_worn_offline += c.zones_worn_offline;
-    t.writes += c.writes;
-    t.appends += c.appends;
-    t.explicit_opens += c.explicit_opens;
-    t.implicit_opens += c.implicit_opens;
-    t.implicit_open_evictions += c.implicit_open_evictions;
-    t.closes += c.closes;
-    t.finishes += c.finishes;
-    t.resets += c.resets;
-    t.bytes_written += c.bytes_written;
-    t.bytes_read += c.bytes_read;
-    t.host_rejects += c.host_rejects;
-    t.media_errors += c.media_errors;
-    t.read_faults += c.read_faults;
-    t.write_faults += c.write_faults;
-    t.retired_blocks += c.retired_blocks;
-    t.zones_degraded_readonly += c.zones_degraded_readonly;
-    t.zones_failed_offline += c.zones_failed_offline;
-    t.spare_blocks_used += c.spare_blocks_used;
-    t.zone_transitions += c.zone_transitions;
-    t.crashes += c.crashes;
-    t.recoveries += c.recoveries;
-    t.torn_pages += c.torn_pages;
-    t.crash_lost_bytes += c.crash_lost_bytes;
-    t.recovery_zone_scans += c.recovery_zone_scans;
-    t.recovery_ns_total += c.recovery_ns_total;
-    t.reset_drops += c.reset_drops;
-  }
-  return t;
-}
-
-nand::FlashCounters SumFlashCounters(const std::vector<zns::ZnsDevice*>& devs) {
-  nand::FlashCounters t;
-  for (auto* d : devs) {
-    if (d->flash() == nullptr) continue;
-    const nand::FlashCounters& c = d->flash()->counters();
-    t.page_reads += c.page_reads;
-    t.page_programs += c.page_programs;
-    t.block_erases += c.block_erases;
-    t.bytes_read += c.bytes_read;
-    t.bytes_programmed += c.bytes_programmed;
-    t.read_retries += c.read_retries;
-    t.read_errors += c.read_errors;
-    t.program_failures += c.program_failures;
-    t.blocks_retired += c.blocks_retired;
-    t.recovery_probes += c.recovery_probes;
-    t.crash_discarded_pages += c.crash_discarded_pages;
-  }
-  return t;
-}
-
-/// Adds `b`'s activity into `a` (the SMART union of a striped set).
-void AccumulateSmart(nvme::SmartLog& a, const nvme::SmartLog& b) {
-  a.host_reads += b.host_reads;
-  a.host_writes += b.host_writes;
-  a.bytes_read += b.bytes_read;
-  a.bytes_written += b.bytes_written;
-  a.host_rejects += b.host_rejects;
-  a.media_errors += b.media_errors;
-  a.read_faults += b.read_faults;
-  a.write_faults += b.write_faults;
-  a.retired_blocks += b.retired_blocks;
-  a.spare_blocks_used += b.spare_blocks_used;
-  a.spare_blocks_total += b.spare_blocks_total;
-  a.media_read_retries += b.media_read_retries;
-  a.media_page_reads += b.media_page_reads;
-  a.media_page_programs += b.media_page_programs;
-  a.media_block_erases += b.media_block_erases;
-  a.media_bytes_read += b.media_bytes_read;
-  a.media_bytes_programmed += b.media_bytes_programmed;
-  a.zone_resets += b.zone_resets;
-  a.zone_finishes += b.zone_finishes;
-  a.zone_explicit_opens += b.zone_explicit_opens;
-  a.zone_implicit_opens += b.zone_implicit_opens;
-  a.zone_closes += b.zone_closes;
-  a.zone_transitions += b.zone_transitions;
-  a.zones_worn_offline += b.zones_worn_offline;
-  a.zones_degraded_readonly += b.zones_degraded_readonly;
-  a.zones_failed_offline += b.zones_failed_offline;
-  a.gc_invocations += b.gc_invocations;
-  a.gc_units_migrated += b.gc_units_migrated;
-  a.gc_blocks_erased += b.gc_blocks_erased;
-}
-
 /// Raw pointers to every counter-bearing layer. The layers are all
 /// heap-allocated, so these stay valid across Testbed moves — which is
 /// why the sampler's refresh closure captures a copy of this struct and
@@ -129,10 +36,18 @@ struct LayerPtrs {
 void DescribeLayers(const LayerPtrs& l, telemetry::MetricsRegistry& m,
                     bool per_lane) {
   if (!l.zns.empty()) {
-    // One device exports its counters directly; a striped set exports the
-    // field-wise sums (still under the usual "zns."/"nand." names).
-    SumCounters(l.zns).Describe(m);
-    SumFlashCounters(l.zns).Describe(m);
+    // A striped set exports the field-wise sums of its devices (still
+    // under the usual "zns."/"nand." names).
+    zns::ZnsCounters sum;
+    nand::FlashCounters flash;
+    for (zns::ZnsDevice* d : l.zns) {
+      telemetry::AddFields(sum, d->counters());
+      if (d->flash() != nullptr) {
+        telemetry::AddFields(flash, d->flash()->counters());
+      }
+    }
+    sum.Describe(m);
+    flash.Describe(m);
     if (per_lane && l.zns.size() > 1) {
       for (std::size_t d = 0; d < l.zns.size(); ++d) {
         const zns::ZnsCounters& c = l.zns[d]->counters();
@@ -152,23 +67,6 @@ void DescribeLayers(const LayerPtrs& l, telemetry::MetricsRegistry& m,
   if (l.striped != nullptr) l.striped->stats().Describe(m);
   if (l.faults != nullptr) l.faults->counters().Describe(m);
   if (l.resilient != nullptr) l.resilient->stats().Describe(m);
-}
-
-/// Field-wise sum of the parallel engine's per-device fault plans, for
-/// the aggregated "fault." export (classic mode shares one plan instead).
-fault::FaultCounters SumFaultCounters(
-    const std::vector<std::unique_ptr<fault::FaultPlan>>& plans) {
-  fault::FaultCounters t;
-  for (const auto& p : plans) {
-    const fault::FaultCounters& c = p->counters();
-    t.correctable_read_errors += c.correctable_read_errors;
-    t.uncorrectable_read_errors += c.uncorrectable_read_errors;
-    t.program_failures += c.program_failures;
-    t.read_retry_steps += c.read_retry_steps;
-    t.scheduled_fired += c.scheduled_fired;
-    t.wear_boosted_ops += c.wear_boosted_ops;
-  }
-  return t;
 }
 
 /// Decides which lane each worker of `spec` runs in under the parallel
@@ -354,15 +252,9 @@ workload::JobResult Testbed::JoinSharded(
 hostif::StripeStats Testbed::CombinedStripeStats() const {
   hostif::StripeStats s = striped_->stats();
   for (std::size_t d = 0; d < lane_views_.size(); ++d) {
-    const hostif::LaneStats& v = lane_views_[d]->stats();
-    hostif::LaneStats& l = s.lanes[d];
-    l.issued += v.issued;
-    l.completed += v.completed;
-    l.errors += v.errors;
-    l.in_flight += v.in_flight;
-    // An upper bound, not the true joint high-water mark: proxied and
-    // sharded traffic peak independently per lane.
-    l.max_in_flight += v.max_in_flight;
+    // The summed max_in_flight is an upper bound, not the true joint
+    // high-water mark: proxied and sharded traffic peak independently.
+    telemetry::AddFields(s.lanes[d], lane_views_[d]->stats());
     s.boundary_rejects += lane_views_[d]->boundary_rejects();
   }
   return s;
@@ -391,7 +283,13 @@ telemetry::Snapshot Testbed::TakeSnapshot() {
     // the fault sum). Lane registries themselves merge only at Finish —
     // merging here would double-count when Finish later re-merges.
     CombinedStripeStats().Describe(m);
-    if (!lane_faults_.empty()) SumFaultCounters(lane_faults_).Describe(m);
+    if (!lane_faults_.empty()) {
+      fault::FaultCounters sum;
+      for (const auto& p : lane_faults_) {
+        telemetry::AddFields(sum, p->counters());
+      }
+      sum.Describe(m);
+    }
   }
   return m.TakeSnapshot();
 }
@@ -400,7 +298,7 @@ nvme::SmartLog Testbed::Smart() const {
   if (zns_devs_.empty()) return conv_->GetSmartLog();
   nvme::SmartLog agg = zns_devs_.front()->GetSmartLog();
   for (std::size_t d = 1; d < zns_devs_.size(); ++d) {
-    AccumulateSmart(agg, zns_devs_[d]->GetSmartLog());
+    telemetry::AddFields(agg, zns_devs_[d]->GetSmartLog());
   }
   // ZNS write amplification is identically 1.0 per device, so the union
   // keeps device 0's value; recompute anyway in case a future model

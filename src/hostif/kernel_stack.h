@@ -37,15 +37,20 @@ struct SchedulerStats {
                      static_cast<double>(staged_writes);
   }
 
-  /// Exports scheduler counters under the "sched." prefix (the shared
-  /// Describe protocol; see telemetry/metrics.h).
+  /// Every counter under the "sched." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<SchedulerStats> kFields[] = {
+      {"sched.staged_writes", &SchedulerStats::staged_writes},
+      {"sched.dispatched_writes", &SchedulerStats::dispatched_writes},
+      {"sched.merged_writes", &SchedulerStats::merged_writes},
+  };
+
   void Describe(telemetry::MetricsRegistry& m) const {
-    m.GetCounter("sched.staged_writes").Set(staged_writes);
-    m.GetCounter("sched.dispatched_writes").Set(dispatched_writes);
-    m.GetCounter("sched.merged_writes").Set(merged_writes);
+    telemetry::SetFields(*this, m);
     m.GetGauge("sched.merged_fraction").Set(MergedFraction());
   }
 };
+static_assert(telemetry::ListsEveryFieldOnce<SchedulerStats>());
 
 class KernelStack : public Stack {
  public:

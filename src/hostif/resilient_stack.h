@@ -26,8 +26,8 @@
 //     re-issue would be wrong twice over: if the append actually landed
 //     before the cut, retrying duplicates it. The stack therefore keeps a
 //     per-zone expected-write-pointer cache (valid under the one
-//     in-flight-append-per-zone discipline zobj and the bench harness
-//     follow) and, before retrying, re-reads the zone's recovered write
+//     in-flight-append-per-zone discipline the crash benches follow)
+//     and, before retrying, re-reads the zone's recovered write
 //     pointer: if it already advanced past the append, the attempt is
 //     settled as a success at the remembered LBA (`replayed_dupes`)
 //     instead of being re-driven.
@@ -104,20 +104,25 @@ struct ResilienceStats {
   std::uint64_t device_resets_seen = 0;  // kDeviceReset completions observed
   std::uint64_t replayed_dupes = 0;   // appends settled by wp re-validation
 
-  /// Exports every counter into the registry under the "hostif." prefix
-  /// (the shared Describe protocol; see telemetry/metrics.h).
+  /// Every counter under the "hostif." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<ResilienceStats> kFields[] = {
+      {"hostif.commands", &ResilienceStats::commands},
+      {"hostif.attempts", &ResilienceStats::attempts},
+      {"hostif.retries", &ResilienceStats::retries},
+      {"hostif.timeouts", &ResilienceStats::timeouts},
+      {"hostif.recovered", &ResilienceStats::recovered},
+      {"hostif.terminal_errors", &ResilienceStats::terminal_errors},
+      {"hostif.retries_exhausted", &ResilienceStats::retries_exhausted},
+      {"hostif.device_resets_seen", &ResilienceStats::device_resets_seen},
+      {"hostif.replayed_dupes", &ResilienceStats::replayed_dupes},
+  };
+
   void Describe(telemetry::MetricsRegistry& m) const {
-    m.GetCounter("hostif.commands").Set(commands);
-    m.GetCounter("hostif.attempts").Set(attempts);
-    m.GetCounter("hostif.retries").Set(retries);
-    m.GetCounter("hostif.timeouts").Set(timeouts);
-    m.GetCounter("hostif.recovered").Set(recovered);
-    m.GetCounter("hostif.terminal_errors").Set(terminal_errors);
-    m.GetCounter("hostif.retries_exhausted").Set(retries_exhausted);
-    m.GetCounter("hostif.device_resets_seen").Set(device_resets_seen);
-    m.GetCounter("hostif.replayed_dupes").Set(replayed_dupes);
+    telemetry::SetFields(*this, m);
   }
 };
+static_assert(telemetry::ListsEveryFieldOnce<ResilienceStats>());
 
 namespace detail {
 
@@ -310,7 +315,7 @@ class ResilientStack : public Stack {
   /// zone's write pointer. Returns the landing LBA if the lost append is
   /// provably durable (wp advanced exactly past it), nullopt otherwise.
   /// Sound only while the caller keeps at most one append in flight per
-  /// zone — the discipline zobj and the crash benches follow.
+  /// zone — the discipline the crash benches follow.
   sim::Task<std::optional<nvme::Lba>> TryAppendReplay(nvme::Command cmd) {
     const nvme::NamespaceInfo& ni = inner_.info();
     if (!ni.zoned || ni.zone_size_lbas == 0) co_return std::nullopt;

@@ -57,7 +57,18 @@ struct LaneStats {
   std::uint64_t errors = 0;        // completions with !ok()
   std::uint64_t in_flight = 0;     // instantaneous
   std::uint64_t max_in_flight = 0; // high-water mark
+
+  /// The field table (telemetry/metrics.h). Names are suffixes: each
+  /// lane exports under its own "stripe.devN." prefix.
+  static constexpr telemetry::CounterField<LaneStats> kFields[] = {
+      {"issued", &LaneStats::issued},
+      {"completed", &LaneStats::completed},
+      {"errors", &LaneStats::errors},
+      {"in_flight", &LaneStats::in_flight},
+      {"max_in_flight", &LaneStats::max_in_flight},
+  };
 };
+static_assert(telemetry::ListsEveryFieldOnce<LaneStats>());
 
 struct StripeStats {
   std::vector<LaneStats> lanes;
@@ -71,10 +82,11 @@ struct StripeStats {
     m.GetCounter("stripe.boundary_rejects").Set(boundary_rejects);
     for (std::size_t d = 0; d < lanes.size(); ++d) {
       const std::string p = "stripe.dev" + std::to_string(d) + ".";
-      m.GetCounter(p + "issued").Set(lanes[d].issued);
-      m.GetCounter(p + "completed").Set(lanes[d].completed);
-      m.GetCounter(p + "errors").Set(lanes[d].errors);
-      m.GetCounter(p + "max_in_flight").Set(lanes[d].max_in_flight);
+      for (const auto& f : LaneStats::kFields) {
+        // Instantaneous, so zero whenever a run has drained: not exported.
+        if (f.member == &LaneStats::in_flight) continue;
+        m.GetCounter(p + f.name).Set(lanes[d].*f.member);
+      }
     }
   }
 };

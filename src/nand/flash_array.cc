@@ -4,20 +4,6 @@ namespace zstor::nand {
 
 using telemetry::Layer;
 
-void FlashCounters::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("nand.page_reads").Set(page_reads);
-  m.GetCounter("nand.page_programs").Set(page_programs);
-  m.GetCounter("nand.block_erases").Set(block_erases);
-  m.GetCounter("nand.bytes_read").Set(bytes_read);
-  m.GetCounter("nand.bytes_programmed").Set(bytes_programmed);
-  m.GetCounter("nand.read_retries").Set(read_retries);
-  m.GetCounter("nand.read_errors").Set(read_errors);
-  m.GetCounter("nand.program_failures").Set(program_failures);
-  m.GetCounter("nand.blocks_retired").Set(blocks_retired);
-  m.GetCounter("nand.recovery_probes").Set(recovery_probes);
-  m.GetCounter("nand.crash_discarded_pages").Set(crash_discarded_pages);
-}
-
 FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
                        const Timing& timing)
     : sim_(s), geo_(geo), timing_(timing), rng_(timing.noise_seed) {

@@ -49,10 +49,27 @@ struct FlashCounters {
   std::uint64_t recovery_probes = 0;    // ProbePage scans
   std::uint64_t crash_discarded_pages = 0;  // tail pages dropped at boot
 
-  /// Exports every counter into the registry under the "nand." prefix
-  /// (the shared Describe protocol; see telemetry/metrics.h).
-  void Describe(telemetry::MetricsRegistry& m) const;
+  /// Every counter under the "nand." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<FlashCounters> kFields[] = {
+      {"nand.page_reads", &FlashCounters::page_reads},
+      {"nand.page_programs", &FlashCounters::page_programs},
+      {"nand.block_erases", &FlashCounters::block_erases},
+      {"nand.bytes_read", &FlashCounters::bytes_read},
+      {"nand.bytes_programmed", &FlashCounters::bytes_programmed},
+      {"nand.read_retries", &FlashCounters::read_retries},
+      {"nand.read_errors", &FlashCounters::read_errors},
+      {"nand.program_failures", &FlashCounters::program_failures},
+      {"nand.blocks_retired", &FlashCounters::blocks_retired},
+      {"nand.recovery_probes", &FlashCounters::recovery_probes},
+      {"nand.crash_discarded_pages", &FlashCounters::crash_discarded_pages},
+  };
+
+  void Describe(telemetry::MetricsRegistry& m) const {
+    telemetry::SetFields(*this, m);
+  }
 };
+static_assert(telemetry::ListsEveryFieldOnce<FlashCounters>());
 
 /// Per-die service accounting, fed by the die-held portion of each cell
 /// operation. busy_ns / sim.now() is that die's utilization — the raw

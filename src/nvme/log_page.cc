@@ -26,35 +26,7 @@ void Field(std::string& out, const char* key, std::uint64_t v,
 std::string SmartLog::ToJson() const {
   std::string out = "{\"device\":";
   AppendJsonString(out, device);
-  Field(out, "host_reads", host_reads);
-  Field(out, "host_writes", host_writes);
-  Field(out, "bytes_read", bytes_read);
-  Field(out, "bytes_written", bytes_written);
-  Field(out, "host_rejects", host_rejects);
-  Field(out, "media_errors", media_errors);
-  Field(out, "read_faults", read_faults);
-  Field(out, "write_faults", write_faults);
-  Field(out, "retired_blocks", retired_blocks);
-  Field(out, "spare_blocks_used", spare_blocks_used);
-  Field(out, "spare_blocks_total", spare_blocks_total);
-  Field(out, "media_read_retries", media_read_retries);
-  Field(out, "media_page_reads", media_page_reads);
-  Field(out, "media_page_programs", media_page_programs);
-  Field(out, "media_block_erases", media_block_erases);
-  Field(out, "media_bytes_read", media_bytes_read);
-  Field(out, "media_bytes_programmed", media_bytes_programmed);
-  Field(out, "zone_resets", zone_resets);
-  Field(out, "zone_finishes", zone_finishes);
-  Field(out, "zone_explicit_opens", zone_explicit_opens);
-  Field(out, "zone_implicit_opens", zone_implicit_opens);
-  Field(out, "zone_closes", zone_closes);
-  Field(out, "zone_transitions", zone_transitions);
-  Field(out, "zones_worn_offline", zones_worn_offline);
-  Field(out, "zones_degraded_readonly", zones_degraded_readonly);
-  Field(out, "zones_failed_offline", zones_failed_offline);
-  Field(out, "gc_invocations", gc_invocations);
-  Field(out, "gc_units_migrated", gc_units_migrated);
-  Field(out, "gc_blocks_erased", gc_blocks_erased);
+  for (const auto& f : kFields) Field(out, f.name, this->*f.member);
   Field(out, "write_amplification", write_amplification);
   out += "}";
   return out;

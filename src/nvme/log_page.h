@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/metrics.h"
+
 namespace zstor::nvme {
 
 /// SMART-like device health/activity log. One struct serves both device
@@ -73,8 +75,45 @@ struct SmartLog {
   /// NAND programs per host write; exactly 1.0 for ZNS (no device GC).
   double write_amplification = 1.0;
 
+  /// Every integer field, named by its JSON key (the field-table protocol
+  /// of telemetry/metrics.h). Drives ToJson() and the summed SMART page
+  /// of a striped testbed.
+  static constexpr telemetry::CounterField<SmartLog> kFields[] = {
+      {"host_reads", &SmartLog::host_reads},
+      {"host_writes", &SmartLog::host_writes},
+      {"bytes_read", &SmartLog::bytes_read},
+      {"bytes_written", &SmartLog::bytes_written},
+      {"host_rejects", &SmartLog::host_rejects},
+      {"media_errors", &SmartLog::media_errors},
+      {"read_faults", &SmartLog::read_faults},
+      {"write_faults", &SmartLog::write_faults},
+      {"retired_blocks", &SmartLog::retired_blocks},
+      {"spare_blocks_used", &SmartLog::spare_blocks_used},
+      {"spare_blocks_total", &SmartLog::spare_blocks_total},
+      {"media_read_retries", &SmartLog::media_read_retries},
+      {"media_page_reads", &SmartLog::media_page_reads},
+      {"media_page_programs", &SmartLog::media_page_programs},
+      {"media_block_erases", &SmartLog::media_block_erases},
+      {"media_bytes_read", &SmartLog::media_bytes_read},
+      {"media_bytes_programmed", &SmartLog::media_bytes_programmed},
+      {"zone_resets", &SmartLog::zone_resets},
+      {"zone_finishes", &SmartLog::zone_finishes},
+      {"zone_explicit_opens", &SmartLog::zone_explicit_opens},
+      {"zone_implicit_opens", &SmartLog::zone_implicit_opens},
+      {"zone_closes", &SmartLog::zone_closes},
+      {"zone_transitions", &SmartLog::zone_transitions},
+      {"zones_worn_offline", &SmartLog::zones_worn_offline},
+      {"zones_degraded_readonly", &SmartLog::zones_degraded_readonly},
+      {"zones_failed_offline", &SmartLog::zones_failed_offline},
+      {"gc_invocations", &SmartLog::gc_invocations},
+      {"gc_units_migrated", &SmartLog::gc_units_migrated},
+      {"gc_blocks_erased", &SmartLog::gc_blocks_erased},
+  };
+
   std::string ToJson() const;
 };
+static_assert(telemetry::ListsEveryFieldOnce<SmartLog>(sizeof(std::string) +
+                                                       sizeof(double)));
 
 /// One zone's row in the Zone Report log.
 struct ZoneReportEntry {

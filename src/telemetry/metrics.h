@@ -3,11 +3,25 @@
 // run can be summarized as a single JSON snapshot. Layers either register
 // live instruments (hot-path increments) or batch-export their internal
 // counter structs at snapshot time via a `Describe(MetricsRegistry&)`
-// method — ZnsCounters, ftl::ConvCounters, nand::FlashCounters and
-// workload::JobResult all speak that one protocol.
+// method.
+//
+// Counter structs made of plain uint64 fields describe themselves once,
+// in a field table: `static constexpr CounterField<T> kFields[]` pairs
+// each member with its full metric name ("zns.reads"). SetFields()
+// exports a struct through its table, AddFields() sums two structs field
+// by field (the cross-device totals of a striped testbed), and
+// ListsEveryFieldOnce() is the compile-time guard placed next to every
+// table. Derived gauges (write amplification, merged fraction) stay
+// hand-written after the table export. Structs using the protocol:
+// zns::ZnsCounters, ftl::ConvCounters, nand::FlashCounters,
+// fault::FaultCounters, hostif::ResilienceStats, hostif::SchedulerStats,
+// hostif::LaneStats (whose names are per-lane suffixes), zkv::KvStats
+// and nvme::SmartLog (whose names are its JSON keys).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -97,5 +111,43 @@ struct MetricsRegistry::Snapshot {
 };
 
 using Snapshot = MetricsRegistry::Snapshot;
+
+/// One row of a counters struct's field table.
+template <typename T>
+struct CounterField {
+  const char* name;  // full metric name, e.g. "zns.reads"
+  std::uint64_t T::*member;
+};
+
+/// Sets every field of `s` into `m` as a counter under its table name.
+template <typename T>
+void SetFields(const T& s, MetricsRegistry& m) {
+  for (const CounterField<T>& f : T::kFields) {
+    m.GetCounter(f.name).Set(s.*f.member);
+  }
+}
+
+/// Adds every field of `b` into `a`.
+template <typename T>
+void AddFields(T& a, const T& b) {
+  for (const CounterField<T>& f : T::kFields) a.*f.member += b.*f.member;
+}
+
+/// True when T::kFields lists each of T's uint64 members exactly once:
+/// no member repeats, and the rows account for all of sizeof(T) except
+/// `other_bytes` (members deliberately left out of the table).
+template <typename T>
+constexpr bool ListsEveryFieldOnce(std::size_t other_bytes = 0) {
+  const auto& f = T::kFields;
+  if (std::size(f) * sizeof(std::uint64_t) + other_bytes != sizeof(T)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < std::size(f); ++i) {
+    for (std::size_t j = i + 1; j < std::size(f); ++j) {
+      if (f[i].member == f[j].member) return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace zstor::telemetry

@@ -8,17 +8,6 @@
 
 namespace zstor::workload {
 
-void YcsbResult::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("ycsb.ops").Add(ops);
-  m.GetCounter("ycsb.reads").Add(reads);
-  m.GetCounter("ycsb.updates").Add(updates);
-  m.GetCounter("ycsb.rmws").Add(rmws);
-  m.GetCounter("ycsb.not_found").Add(not_found);
-  m.GetCounter("ycsb.errors").Add(errors);
-  m.GetHistogram("ycsb.read_latency_ns").Merge(read_latency);
-  m.GetHistogram("ycsb.update_latency_ns").Merge(update_latency);
-}
-
 YcsbRunner::YcsbRunner(sim::Simulator& s, KvBackend& kv, YcsbSpec spec)
     : sim_(s), kv_(kv), spec_(spec) {
   ZSTOR_CHECK(spec_.record_count > 0);

@@ -25,7 +25,6 @@
 #include "sim/stats.h"
 #include "sim/sync.h"
 #include "sim/task.h"
-#include "telemetry/metrics.h"
 
 namespace zstor::workload {
 
@@ -80,7 +79,6 @@ struct YcsbResult {
     if (span == 0) return 0.0;
     return static_cast<double>(ops) / (static_cast<double>(span) / 1e6);
   }
-  void Describe(telemetry::MetricsRegistry& m) const;
 };
 
 class YcsbRunner {

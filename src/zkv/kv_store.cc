@@ -18,37 +18,6 @@ namespace {
 constexpr std::uint64_t kWalHeaderBytes = 24;
 }  // namespace
 
-void KvStats::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("kv.puts").Add(puts);
-  m.GetCounter("kv.gets").Add(gets);
-  m.GetCounter("kv.deletes").Add(deletes);
-  m.GetCounter("kv.found").Add(found);
-  m.GetCounter("kv.missing").Add(missing);
-  m.GetCounter("kv.user_bytes").Add(user_bytes);
-  m.GetCounter("kv.wal_appends").Add(wal_appends);
-  m.GetCounter("kv.wal_bytes").Add(wal_bytes);
-  m.GetCounter("kv.wal_resets").Add(wal_resets);
-  m.GetCounter("kv.memtable_rotations").Add(memtable_rotations);
-  m.GetCounter("kv.flushes").Add(flushes);
-  m.GetCounter("kv.flush_bytes").Add(flush_bytes);
-  m.GetCounter("kv.tables_written").Add(tables_written);
-  m.GetCounter("kv.tables_deleted").Add(tables_deleted);
-  m.GetCounter("kv.compactions").Add(compactions);
-  m.GetCounter("kv.compact_bytes_read").Add(compact_bytes_read);
-  m.GetCounter("kv.compact_bytes_written").Add(compact_bytes_written);
-  m.GetCounter("kv.gc_passes").Add(gc_passes);
-  m.GetCounter("kv.gc_relocated_bytes").Add(gc_relocated_bytes);
-  m.GetCounter("kv.zone_resets").Add(zone_resets);
-  m.GetCounter("kv.write_stall_ns").Add(write_stall_ns);
-  m.GetCounter("kv.read_ios").Add(read_ios);
-  m.GetCounter("kv.read_tag_mismatches").Add(read_tag_mismatches);
-  m.GetCounter("kv.crash_recoveries").Add(crash_recoveries);
-  m.GetCounter("kv.wal_replayed").Add(wal_replayed);
-  m.GetCounter("kv.wal_lost").Add(wal_lost);
-  m.GetCounter("kv.tables_dropped").Add(tables_dropped);
-  m.GetGauge("kv.write_amplification").Set(WriteAmplification());
-}
-
 KvStore::KvStore(sim::Simulator& s, hostif::Stack& stack, Options opt)
     : sim_(s),
       stack_(stack),

@@ -61,8 +61,6 @@
 namespace zstor::zkv {
 
 /// Everything the engine counts, exported via Describe() as kv.* metrics.
-/// All fields are uint64 so the sizeof drift guard in the coverage test
-/// can prove Describe() never silently drops one.
 struct KvStats {
   // Foreground operations.
   std::uint64_t puts = 0;
@@ -109,8 +107,44 @@ struct KvStats {
            static_cast<double>(user_bytes);
   }
 
-  void Describe(telemetry::MetricsRegistry& m) const;
+  /// Every counter under the "kv." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<KvStats> kFields[] = {
+      {"kv.puts", &KvStats::puts},
+      {"kv.gets", &KvStats::gets},
+      {"kv.deletes", &KvStats::deletes},
+      {"kv.found", &KvStats::found},
+      {"kv.missing", &KvStats::missing},
+      {"kv.user_bytes", &KvStats::user_bytes},
+      {"kv.wal_appends", &KvStats::wal_appends},
+      {"kv.wal_bytes", &KvStats::wal_bytes},
+      {"kv.wal_resets", &KvStats::wal_resets},
+      {"kv.memtable_rotations", &KvStats::memtable_rotations},
+      {"kv.flushes", &KvStats::flushes},
+      {"kv.flush_bytes", &KvStats::flush_bytes},
+      {"kv.tables_written", &KvStats::tables_written},
+      {"kv.tables_deleted", &KvStats::tables_deleted},
+      {"kv.compactions", &KvStats::compactions},
+      {"kv.compact_bytes_read", &KvStats::compact_bytes_read},
+      {"kv.compact_bytes_written", &KvStats::compact_bytes_written},
+      {"kv.gc_passes", &KvStats::gc_passes},
+      {"kv.gc_relocated_bytes", &KvStats::gc_relocated_bytes},
+      {"kv.zone_resets", &KvStats::zone_resets},
+      {"kv.write_stall_ns", &KvStats::write_stall_ns},
+      {"kv.read_ios", &KvStats::read_ios},
+      {"kv.read_tag_mismatches", &KvStats::read_tag_mismatches},
+      {"kv.crash_recoveries", &KvStats::crash_recoveries},
+      {"kv.wal_replayed", &KvStats::wal_replayed},
+      {"kv.wal_lost", &KvStats::wal_lost},
+      {"kv.tables_dropped", &KvStats::tables_dropped},
+  };
+
+  void Describe(telemetry::MetricsRegistry& m) const {
+    telemetry::SetFields(*this, m);
+    m.GetGauge("kv.write_amplification").Set(WriteAmplification());
+  }
 };
+static_assert(telemetry::ListsEveryFieldOnce<KvStats>());
 
 /// Per-level shape and write-amplification accounting.
 struct LevelStats {

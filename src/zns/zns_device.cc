@@ -14,39 +14,6 @@ using nvme::ZoneAction;
 using sim::Time;
 using telemetry::Layer;
 
-void ZnsCounters::Describe(telemetry::MetricsRegistry& m) const {
-  m.GetCounter("zns.reads").Set(reads);
-  m.GetCounter("zns.writes").Set(writes);
-  m.GetCounter("zns.appends").Set(appends);
-  m.GetCounter("zns.flushes").Set(flushes);
-  m.GetCounter("zns.zone_reports").Set(zone_reports);
-  m.GetCounter("zns.zones_worn_offline").Set(zones_worn_offline);
-  m.GetCounter("zns.explicit_opens").Set(explicit_opens);
-  m.GetCounter("zns.implicit_opens").Set(implicit_opens);
-  m.GetCounter("zns.implicit_open_evictions").Set(implicit_open_evictions);
-  m.GetCounter("zns.closes").Set(closes);
-  m.GetCounter("zns.finishes").Set(finishes);
-  m.GetCounter("zns.resets").Set(resets);
-  m.GetCounter("zns.bytes_written").Set(bytes_written);
-  m.GetCounter("zns.bytes_read").Set(bytes_read);
-  m.GetCounter("zns.host_rejects").Set(host_rejects);
-  m.GetCounter("zns.media_errors").Set(media_errors);
-  m.GetCounter("zns.read_faults").Set(read_faults);
-  m.GetCounter("zns.write_faults").Set(write_faults);
-  m.GetCounter("zns.retired_blocks").Set(retired_blocks);
-  m.GetCounter("zns.zones_degraded_readonly").Set(zones_degraded_readonly);
-  m.GetCounter("zns.zones_failed_offline").Set(zones_failed_offline);
-  m.GetCounter("zns.spare_blocks_used").Set(spare_blocks_used);
-  m.GetCounter("zns.zone_transitions").Set(zone_transitions);
-  m.GetCounter("zns.crashes").Set(crashes);
-  m.GetCounter("zns.recoveries").Set(recoveries);
-  m.GetCounter("zns.torn_pages").Set(torn_pages);
-  m.GetCounter("zns.crash_lost_bytes").Set(crash_lost_bytes);
-  m.GetCounter("zns.recovery_zone_scans").Set(recovery_zone_scans);
-  m.GetCounter("zns.recovery_ns_total").Set(recovery_ns_total);
-  m.GetCounter("zns.reset_drops").Set(reset_drops);
-}
-
 ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
                      std::uint32_t lba_bytes)
     : sim_(s),

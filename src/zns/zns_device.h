@@ -81,10 +81,46 @@ struct ZnsCounters {
   std::uint64_t recovery_ns_total = 0;    // summed power-loss->ready spans
   std::uint64_t reset_drops = 0;  // commands failed with kDeviceReset
 
-  /// Exports every counter into the registry under the "zns." prefix
-  /// (the shared Describe protocol; see telemetry/metrics.h).
-  void Describe(telemetry::MetricsRegistry& m) const;
+  /// Every counter under the "zns." prefix (the field-table protocol;
+  /// see telemetry/metrics.h).
+  static constexpr telemetry::CounterField<ZnsCounters> kFields[] = {
+      {"zns.reads", &ZnsCounters::reads},
+      {"zns.flushes", &ZnsCounters::flushes},
+      {"zns.zone_reports", &ZnsCounters::zone_reports},
+      {"zns.zones_worn_offline", &ZnsCounters::zones_worn_offline},
+      {"zns.writes", &ZnsCounters::writes},
+      {"zns.appends", &ZnsCounters::appends},
+      {"zns.explicit_opens", &ZnsCounters::explicit_opens},
+      {"zns.implicit_opens", &ZnsCounters::implicit_opens},
+      {"zns.implicit_open_evictions", &ZnsCounters::implicit_open_evictions},
+      {"zns.closes", &ZnsCounters::closes},
+      {"zns.finishes", &ZnsCounters::finishes},
+      {"zns.resets", &ZnsCounters::resets},
+      {"zns.bytes_written", &ZnsCounters::bytes_written},
+      {"zns.bytes_read", &ZnsCounters::bytes_read},
+      {"zns.host_rejects", &ZnsCounters::host_rejects},
+      {"zns.media_errors", &ZnsCounters::media_errors},
+      {"zns.read_faults", &ZnsCounters::read_faults},
+      {"zns.write_faults", &ZnsCounters::write_faults},
+      {"zns.retired_blocks", &ZnsCounters::retired_blocks},
+      {"zns.zones_degraded_readonly", &ZnsCounters::zones_degraded_readonly},
+      {"zns.zones_failed_offline", &ZnsCounters::zones_failed_offline},
+      {"zns.spare_blocks_used", &ZnsCounters::spare_blocks_used},
+      {"zns.zone_transitions", &ZnsCounters::zone_transitions},
+      {"zns.crashes", &ZnsCounters::crashes},
+      {"zns.recoveries", &ZnsCounters::recoveries},
+      {"zns.torn_pages", &ZnsCounters::torn_pages},
+      {"zns.crash_lost_bytes", &ZnsCounters::crash_lost_bytes},
+      {"zns.recovery_zone_scans", &ZnsCounters::recovery_zone_scans},
+      {"zns.recovery_ns_total", &ZnsCounters::recovery_ns_total},
+      {"zns.reset_drops", &ZnsCounters::reset_drops},
+  };
+
+  void Describe(telemetry::MetricsRegistry& m) const {
+    telemetry::SetFields(*this, m);
+  }
 };
+static_assert(telemetry::ListsEveryFieldOnce<ZnsCounters>());
 
 class ZnsDevice : public nvme::Controller {
  public:

@@ -1,9 +1,11 @@
 // Multi-device Testbed tests: WithDevices wiring, FillZones routing
 // through the stripe map, and the aggregated log pages (SMART summed,
-// zone report in logical order, die utilization concatenated).
+// zone report in logical order, die utilization concatenated), and the
+// summed zns.*/nand.* metrics on both engines.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "harness/testbed.h"
 #include "nvme/log_page.h"
@@ -88,7 +90,79 @@ TEST(TestbedMultiDev, SmartSumsCountersAcrossDevices) {
   EXPECT_EQ(smart.device, "zns");
   EXPECT_EQ(smart.host_writes, appends);
   EXPECT_EQ(smart.bytes_written, bytes);
+  for (const auto& f : nvme::SmartLog::kFields) {
+    std::uint64_t sum = 0;
+    for (std::size_t d = 0; d < 2; ++d) {
+      sum += tb.zns(d)->GetSmartLog().*f.member;
+    }
+    EXPECT_EQ(smart.*f.member, sum) << f.name;
+  }
 }
+
+/// Expects every T field's metric in `snap` to equal the sum of that
+/// field over `ndev` devices, where `get(d)` is device d's T.
+template <typename T, typename Get>
+void ExpectSnapshotSums(const telemetry::Snapshot& snap, std::size_t ndev,
+                        Get get) {
+  for (const auto& f : T::kFields) {
+    std::uint64_t sum = 0;
+    for (std::size_t d = 0; d < ndev; ++d) sum += get(d).*f.member;
+    const telemetry::Snapshot::Metric* m = snap.Find(f.name);
+    ASSERT_NE(m, nullptr) << f.name;
+    EXPECT_EQ(m->value, static_cast<double>(sum)) << f.name;
+  }
+}
+
+/// Parameter: WithSimThreads value (0 = classic engine, 1 = lane engine).
+class TestbedMultiDevSnapshot : public ::testing::TestWithParam<int> {};
+
+TEST_P(TestbedMultiDevSnapshot, SumsEveryDeviceAndNandCounter) {
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(QuietTiny())
+                   .WithDevices(2)
+                   .WithSimThreads(GetParam())
+                   .WithTelemetry({})
+                   .Build();
+  ASSERT_EQ(tb.parallel_sim() != nullptr, GetParam() > 0);
+  // Appends that wrap full zones through resets, then reads of filled
+  // zones, so device and NAND counters of both kinds move.
+  workload::JobSpec w;
+  w.op = nvme::Opcode::kAppend;
+  w.zones = tb.ZoneList(0, 4);
+  w.workers = 4;
+  w.partition_zones = true;  // one zone per worker, two per device
+  w.request_bytes = 64 * 1024;
+  w.on_full = workload::JobSpec::OnFull::kReset;
+  w.duration = sim::Milliseconds(100);
+  ASSERT_EQ(tb.RunJob(w).errors, 0u);
+  tb.FillZones(4, 4);
+  workload::JobSpec r;
+  r.op = nvme::Opcode::kRead;
+  r.random = true;
+  r.zones = tb.ZoneList(4, 4);
+  r.queue_depth = 4;
+  r.duration = sim::Milliseconds(10);
+  ASSERT_EQ(tb.RunJob(r).errors, 0u);
+
+  const telemetry::Snapshot snap = tb.TakeSnapshot();
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_GT(tb.zns(d)->counters().appends, 0u) << "d=" << d;
+    EXPECT_GT(tb.zns(d)->counters().reads, 0u) << "d=" << d;
+  }
+  EXPECT_GT(snap.Find("zns.resets")->value, 0.0);
+  EXPECT_GT(snap.Find("nand.page_programs")->value, 0.0);
+  ExpectSnapshotSums<zns::ZnsCounters>(
+      snap, 2, [&](std::size_t d) { return tb.zns(d)->counters(); });
+  ExpectSnapshotSums<nand::FlashCounters>(
+      snap, 2, [&](std::size_t d) { return tb.zns(d)->flash()->counters(); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, TestbedMultiDevSnapshot,
+                         ::testing::Values(0, 1),
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return p.param == 0 ? std::string("classic")
+                                               : std::string("lanes1");
+                         });
 
 TEST(TestbedMultiDev, ZoneReportIsInLogicalOrderWithSummedBudgets) {
   Testbed tb = MakeBed(3);

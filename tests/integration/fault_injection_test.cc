@@ -1,18 +1,15 @@
 // End-to-end fault injection: the full degradation lifecycle driven
 // through the public NVMe command path (Testbed -> host stack -> device),
-// host-side retries recovering transient read errors, the object store
-// rerouting writes around degraded zones, and the log pages reflecting
-// all of it.
+// host-side retries recovering transient read errors, and the log pages
+// reflecting all of it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "fault/fault_plan.h"
 #include "harness/testbed.h"
 #include "hostif/resilient_stack.h"
 #include "nvme/log_page.h"
-#include "zobj/zone_object_store.h"
 
 namespace zstor {
 namespace {
@@ -164,63 +161,6 @@ TEST(FaultInjection, HostRetriesRecoverATransientReadError) {
   EXPECT_EQ(smart.read_faults, 1u);
   EXPECT_EQ(tb.faults()->counters().uncorrectable_read_errors, 1u);
   EXPECT_EQ(tb.faults()->counters().scheduled_fired, 1u);
-}
-
-TEST(FaultInjection, ObjectStoreReroutesWritesAroundDegradedZones) {
-  // Plenty of spares, one scheduled program failure: the store's active
-  // zone degrades to ReadOnly mid-stream and the store must reroute the
-  // affected append to a fresh zone without surfacing an error — and the
-  // degraded zone's extents must stay readable.
-  zns::ZnsProfile p = QuietTiny();
-  p.spare_blocks = 8;
-  fault::FaultSpec spec;
-  spec.enabled = true;
-  spec.scheduled.push_back({.at = 0,
-                            .kind = fault::FaultKind::kProgramFail,
-                            .die = fault::kAnySite,
-                            .block = fault::kAnySite});
-  Testbed tb = TestbedBuilder()
-                   .WithZnsProfile(p)
-                   .WithFaults(spec)
-                   .Build();
-
-  zobj::ZoneObjectStore store(
-      tb.sim(), tb.stack(),
-      {.first_zone = 0, .zone_count = 8, .compact_free_low = 2});
-
-  // 48 x 64 KiB objects (~3 MiB): enough traffic that the failed program
-  // surfaces (as a write fault on a later append) while writes continue.
-  constexpr std::uint64_t kObjects = 48;
-  std::vector<Status> results(kObjects, Status::kInvalidOpcode);
-  auto driver = [&]() -> sim::Task<> {
-    for (std::uint64_t k = 0; k < kObjects; ++k) {
-      results[k] = co_await store.Put(k, 64 * 1024);
-    }
-  };
-  auto t = driver();
-  tb.sim().Run();
-
-  // Every Put succeeded despite the media fault...
-  for (std::uint64_t k = 0; k < kObjects; ++k) {
-    EXPECT_EQ(results[k], Status::kSuccess) << "object " << k;
-  }
-  // ...because the store reacted to the degradation, not the caller.
-  EXPECT_GE(store.stats().zones_degraded, 1u);
-  EXPECT_GE(store.stats().write_reroutes, 1u);
-  EXPECT_GE(tb.zns()->counters().zones_degraded_readonly, 1u);
-
-  // Everything written is still readable (ReadOnly zones serve reads).
-  std::vector<Status> reads(kObjects, Status::kInvalidOpcode);
-  auto reader = [&]() -> sim::Task<> {
-    for (std::uint64_t k = 0; k < kObjects; ++k) {
-      reads[k] = co_await store.Get(k);
-    }
-  };
-  auto rt = reader();
-  tb.sim().Run();
-  for (std::uint64_t k = 0; k < kObjects; ++k) {
-    EXPECT_EQ(reads[k], Status::kSuccess) << "object " << k;
-  }
 }
 
 TEST(FaultInjection, DisabledFaultsLeaveTheTestbedUnwrapped) {

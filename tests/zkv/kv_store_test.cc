@@ -26,8 +26,8 @@ struct Fixture {
     p.io_sigma = 0;
     p.reset.sigma = 0;
     p.finish.sigma = 0;
-    // The store holds more zones active than zobj: two WAL segments plus
-    // hot/cold/relocation data zones.
+    // The store holds several zones active at once: two WAL segments
+    // plus hot/cold/relocation data zones.
     p.max_open_zones = 8;
     p.max_active_zones = 10;
     return p;

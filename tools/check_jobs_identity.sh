@@ -4,10 +4,13 @@
 #  1. ParallelSweep (harness/parallel.h): a figure bench must produce
 #     byte-identical stdout and --json output for any --jobs value.
 #  2. The parallel discrete-event engine (sim/parallel_sim.h): a bench
-#     must produce byte-identical --json, --trace and --timeline output
-#     for every --sim-threads value >= 1 (N=1 runs the same bounded
-#     window schedule serially). Single-device benches pass trivially —
-#     they use the classic engine regardless of the flag.
+#     must produce byte-identical --json, --trace, --timeline, --metrics
+#     and --logpages output for every --sim-threads value >= 1 (N=1 runs
+#     the same bounded window schedule serially). The last two pin the
+#     cross-device aggregates: summed device/NAND/fault counters, the
+#     merged stripe stats and the summed SMART page. Single-device
+#     benches pass trivially — they use the classic engine regardless of
+#     the flag.
 #
 # Usage:
 #
@@ -61,13 +64,14 @@ for n in 1 2 4; do
   # shellcheck disable=SC2086
   "$bench" $extra --sim-threads="$n" \
     --json="$tmpdir/st$n.json" --trace="$tmpdir/st$n.trace" \
-    --timeline="$tmpdir/st$n.timeline" > "$tmpdir/st$n.txt"
+    --timeline="$tmpdir/st$n.timeline" --metrics="$tmpdir/st$n.metrics" \
+    --logpages="$tmpdir/st$n.logpages" > "$tmpdir/st$n.txt"
   normalize_json "$tmpdir/st$n.json" "$tmpdir/st$n.json.norm"
   if [ -z "$first" ]; then
     first="$n"
     continue
   fi
-  for out in json.norm trace timeline txt; do
+  for out in json.norm trace timeline metrics logpages txt; do
     if ! cmp -s "$tmpdir/st$first.$out" "$tmpdir/st$n.$out"; then
       echo "FAIL: $out differs between --sim-threads=$first and --sim-threads=$n" >&2
       fail=1
