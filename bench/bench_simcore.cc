@@ -4,8 +4,8 @@
 //
 // Besides the google-benchmark reporters, a self-timed counter section
 // measures events/sec and heap allocations/event for the hot loops
-// (event scheduling, coroutine ping-pong, cross-lane handoff) and
-// records them into the
+// (event scheduling, coroutine ping-pong, task spawn, cross-lane
+// handoff) and records them into the
 // shared --json output, so `--json=BENCH_simcore.json` yields a
 // machine-readable regression baseline (see tools/validate_results.py).
 #include <benchmark/benchmark.h>
@@ -193,8 +193,8 @@ BENCHMARK(BM_ZnsWritePath);
 // Complements the google-benchmark numbers above with the figures the
 // engine's performance model cares about (DESIGN.md §1, §12): events
 // per wall second and heap allocations per event, on the
-// pure-scheduling loop, the coroutine resume loop and the cross-lane
-// handoff loop. Recorded into the shared --json
+// pure-scheduling loop, the coroutine resume loop, the task spawn loop
+// and the cross-lane handoff loop. Recorded into the shared --json
 // results document as `simcore_events_per_sec` /
 // `simcore_allocs_per_event`.
 
@@ -254,6 +254,47 @@ CounterResult MeasureCoroutinePingPong(double min_seconds) {
   return out;
 }
 
+sim::Task<> SpawnedShort(sim::Simulator& s) { co_await s.Delay(1); }
+
+struct Padding {
+  char bytes[256];
+};
+sim::Task<> SpawnedPadded(sim::Simulator& s, Padding pad) {
+  co_await s.Delay(1);
+  benchmark::DoNotOptimize(pad);
+}
+
+// Spawn + complete: each round spawns 1000 one-event tasks of two frame
+// sizes into one simulator and runs them. After a warm-up round every
+// frame comes from the recycled-frame pool (task.h), so a regression to
+// per-spawn heap allocation shows up in allocs/event.
+CounterResult MeasureSpawn(double min_seconds) {
+  CounterResult out;
+  sim::Simulator s;
+  auto round = [&s] {
+    for (int i = 0; i < 500; ++i) {
+      sim::Spawn(SpawnedShort(s));
+      sim::Spawn(SpawnedPadded(s, Padding{}));
+    }
+    s.Run();
+  };
+  round();
+  std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  auto t0 = std::chrono::steady_clock::now();
+  double elapsed = 0;
+  do {
+    round();
+    out.events += 1000;
+    elapsed = SecondsSince(t0);
+  } while (elapsed < min_seconds);
+  std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  out.events_per_sec = static_cast<double>(out.events) / elapsed;
+  out.allocs_per_event =
+      static_cast<double>(allocs) / static_cast<double>(out.events);
+  return out;
+}
+
 // Serial-windowed lane handoff: cross-lane messages per wall second
 // through the parallel engine's mailbox + window machinery (threads=1,
 // so no barrier noise — this is the engine overhead itself).
@@ -294,6 +335,7 @@ CounterResult MeasureLaneHandoff(double min_seconds) {
 void RunCounterSection(double min_seconds) {
   CounterResult sched = MeasureEventScheduling(min_seconds);
   CounterResult ping = MeasureCoroutinePingPong(min_seconds);
+  CounterResult spawn = MeasureSpawn(min_seconds);
   CounterResult handoff = MeasureLaneHandoff(min_seconds);
 
   auto& results = zstor::harness::Results();
@@ -306,11 +348,13 @@ void RunCounterSection(double min_seconds) {
   results.Series("simcore_events_per_sec", "events/s")
       .AddLabeled("event_scheduling", 0, sched.events_per_sec)
       .AddLabeled("coroutine_pingpong", 1, ping.events_per_sec)
-      .AddLabeled("lane_handoff", 2, handoff.events_per_sec);
+      .AddLabeled("lane_handoff", 2, handoff.events_per_sec)
+      .AddLabeled("spawn", 3, spawn.events_per_sec);
   results.Series("simcore_allocs_per_event", "allocs/event")
       .AddLabeled("event_scheduling", 0, sched.allocs_per_event)
       .AddLabeled("coroutine_pingpong", 1, ping.allocs_per_event)
-      .AddLabeled("lane_handoff", 2, handoff.allocs_per_event);
+      .AddLabeled("lane_handoff", 2, handoff.allocs_per_event)
+      .AddLabeled("spawn", 3, spawn.allocs_per_event);
 
   zstor::harness::Banner("Simulator counters (self-timed)");
   zstor::harness::Table t(
@@ -327,6 +371,10 @@ void RunCounterSection(double min_seconds) {
             zstor::harness::Fmt(handoff.events_per_sec / 1e6, 2) + "M",
             zstor::harness::Fmt(handoff.allocs_per_event, 4),
             std::to_string(handoff.events)});
+  t.AddRow({"task spawn",
+            zstor::harness::Fmt(spawn.events_per_sec / 1e6, 2) + "M",
+            zstor::harness::Fmt(spawn.allocs_per_event, 4),
+            std::to_string(spawn.events)});
   t.Print();
 }
 

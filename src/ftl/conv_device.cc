@@ -1,6 +1,7 @@
 #include "ftl/conv_device.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace zstor::ftl {
 
@@ -94,6 +95,9 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
       profile_.logical_bytes() / profile_.map_unit_bytes;
   const std::uint64_t phys_units =
       profile_.physical_bytes() / profile_.map_unit_bytes;
+  ZSTOR_CHECK_MSG(phys_units <= kNoOrigin,
+                  "physical units must fit in 31 bits (l2p_ encoding)");
+  ZSTOR_CHECK(profile_.units_per_page() <= kMaxUnitsPerPage);
   l2p_.assign(logical_units, kUnmapped);
   p2l_.assign(phys_units, kUnmapped);
   blocks_.resize(profile_.nand_geometry.total_blocks());
@@ -156,7 +160,7 @@ void ConvDevice::SetValid(Block& b, std::uint32_t unit, bool v) {
 
 void ConvDevice::InvalidateUnit(std::uint32_t logical_unit) {
   std::uint32_t phys = l2p_[logical_unit];
-  if (phys == kUnmapped || phys == kInBuffer) return;
+  if (phys == kUnmapped || IsBuffered(phys)) return;
   std::uint32_t block_id = phys / units_per_block();
   std::uint32_t unit = phys % units_per_block();
   Block& b = blocks_[block_id];
@@ -263,7 +267,7 @@ std::uint32_t ConvDevice::PickVictim() {
 
 sim::Task<> ConvDevice::GcProgramPage(
     std::uint32_t block_id, std::uint32_t page,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> batch,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> batch,
     sim::WaitGroup* wg, std::uint64_t epoch) {
   for (;;) {
     const nand::MediaStatus st = co_await flash_->ProgramPage(
@@ -374,6 +378,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   // queued on its die at once (firmware pipelines GC reads). Units are
   // snapshotted at scan time; stale ones are dropped at remap.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> survivors;
+  survivors.reserve(vb.valid);
   {
     sim::WaitGroup rwg(sim_);
     for (std::uint32_t page = 0;
@@ -398,10 +403,6 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
     sim::WaitGroup pwg(sim_);
     std::uint32_t open = kUnmapped;
     for (std::size_t i = 0; i < survivors.size(); i += upp) {
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> batch(
-          survivors.begin() + static_cast<std::ptrdiff_t>(i),
-          survivors.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(i + upp, survivors.size())));
       if (open == kUnmapped ||
           blocks_[open].write_ptr_units == units_per_block()) {
         if (open != kUnmapped) ReturnGcOpenBlock(open);
@@ -412,7 +413,11 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
       ob.write_ptr_units += upp;
       ob.inflight++;
       pwg.Add();
-      sim::Spawn(GcProgramPage(open, page, std::move(batch), &pwg, epoch0));
+      sim::Spawn(GcProgramPage(
+          open, page,
+          std::span(survivors).subspan(
+              i, std::min<std::size_t>(upp, survivors.size() - i)),
+          &pwg, epoch0));
     }
     if (open != kUnmapped) ReturnGcOpenBlock(open);
     co_await pwg.Wait();
@@ -549,7 +554,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   std::vector<std::uint64_t> pages;  // phys page ids
   for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
     std::uint32_t phys = l2p_[cmd.slba + i];
-    if (phys == kUnmapped || phys == kInBuffer) continue;
+    if (phys == kUnmapped || IsBuffered(phys)) continue;
     std::uint64_t page_id = phys / profile_.units_per_page();
     if (std::find(pages.begin(), pages.end(), page_id) == pages.end()) {
       pages.push_back(page_id);
@@ -642,16 +647,19 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
       // Crashed before any state mutation: fail clean, nothing admitted.
       co_return Completion{.status = Status::kDeviceReset};
     }
-    // Overwrites invalidate the previous physical locations now. The
-    // pre-buffer mapping is remembered so a power loss before the
-    // buffered data reaches flash can roll each unit back to its last
-    // durable copy (emplace: a double-buffered unit keeps the *original*
-    // durable phys, not the intermediate kInBuffer).
+    // Overwrites invalidate the previous physical locations now. Each
+    // unit's last durable copy rides in its l2p_ entry as the rollback
+    // origin for a power loss before the buffered data reaches flash (a
+    // double-buffered unit keeps its *original* durable origin), and the
+    // origin's p2l_ slot points back so a GC erase can find it.
     for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
       std::uint32_t u = static_cast<std::uint32_t>(cmd.slba + i);
-      if (l2p_[u] != kInBuffer) buffered_old_.emplace(u, l2p_[u]);
-      InvalidateUnit(u);
-      l2p_[u] = kInBuffer;
+      if (!IsBuffered(l2p_[u])) {
+        const std::uint32_t origin = l2p_[u];
+        InvalidateUnit(u);
+        l2p_[u] = BufferedWithOrigin(origin);
+        if (origin != kUnmapped) p2l_[origin] = u;
+      }
       if (cmd.payload_tag != 0) pending_tags_[u] = cmd.payload_tag + i;
     }
   }
@@ -703,13 +711,9 @@ sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
       // journal entry syncs. For an in-buffer unit, the delta supersedes
       // the buffered write, so its rollback origin transfers into the
       // journal entry and the buffered state is forgotten.
-      if (l2p_[u] == kInBuffer) {
-        auto it = buffered_old_.find(u);
-        std::uint32_t origin = it != buffered_old_.end() ? it->second
-                                                         : kUnmapped;
-        if (it != buffered_old_.end()) buffered_old_.erase(it);
+      if (IsBuffered(l2p_[u])) {
         pending_tags_.erase(u);
-        JournalAppend(u, origin, kUnmapped);
+        JournalAppend(u, OriginOf(l2p_[u]), kUnmapped);
       } else {
         JournalAppend(u, l2p_[u], kUnmapped);
       }
@@ -739,12 +743,9 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
-  if (!pending_units_.empty()) {
-    std::vector<std::uint32_t> batch(pending_units_.begin(),
-                                     pending_units_.end());
-    pending_units_.clear();
+  if (pending_units_.count != 0) {
     inflight_programs_.Add();
-    sim::Spawn(ProgramHostPage(std::move(batch), epoch0));
+    sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
   }
   co_await inflight_programs_.Wait();
   if (power_epoch_ != epoch0) {
@@ -765,19 +766,14 @@ sim::Task<> ConvDevice::AdmitUnit(std::uint32_t logical_unit,
     buffer_slots_.Release();
     co_return;
   }
-  pending_units_.push_back(logical_unit);
-  if (pending_units_.size() >= profile_.units_per_page()) {
-    std::vector<std::uint32_t> batch(
-        pending_units_.begin(),
-        pending_units_.begin() + profile_.units_per_page());
-    pending_units_.erase(pending_units_.begin(),
-                         pending_units_.begin() + profile_.units_per_page());
+  pending_units_.unit[pending_units_.count++] = logical_unit;
+  if (pending_units_.count == profile_.units_per_page()) {
     inflight_programs_.Add();
-    sim::Spawn(ProgramHostPage(std::move(batch), epoch));
+    sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch));
   }
 }
 
-sim::Task<> ConvDevice::ProgramHostPage(std::vector<std::uint32_t> units,
+sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
                                         std::uint64_t epoch) {
   const std::uint32_t dies = profile_.nand_geometry.total_dies();
   const std::uint32_t stream = next_die_rr_++ % dies;
@@ -839,22 +835,18 @@ sim::Task<> ConvDevice::ProgramHostPage(std::vector<std::uint32_t> units,
     counters_.program_retries++;
   }
   if (stale) {
-    for (std::size_t i = 0; i < units.size(); ++i) buffer_slots_.Release();
+    for (std::uint32_t i = 0; i < units.count; ++i) buffer_slots_.Release();
     inflight_programs_.Done();
     co_return;
   }
   std::uint32_t base = page * profile_.units_per_page();
-  for (std::uint32_t i = 0; i < units.size(); ++i) {
-    std::uint32_t u = units[i];
+  for (std::uint32_t i = 0; i < units.count; ++i) {
+    std::uint32_t u = units.unit[i];
     // Map only if this unit is still waiting on this buffered write (the
     // host may have overwritten it again while it sat in the buffer).
-    if (l2p_[u] == kInBuffer) {
+    if (IsBuffered(l2p_[u])) {
       std::uint32_t phys = PhysUnit(block_id, base + i);
-      std::uint32_t origin = kUnmapped;
-      if (auto it = buffered_old_.find(u); it != buffered_old_.end()) {
-        origin = it->second;
-        buffered_old_.erase(it);
-      }
+      const std::uint32_t origin = OriginOf(l2p_[u]);
       MapUnit(u, phys);
       JournalAppend(u, origin, phys);
       if (auto it = pending_tags_.find(u); it != pending_tags_.end()) {
@@ -899,13 +891,16 @@ void ConvDevice::SyncJournal() {
 }
 
 void ConvDevice::ForgetBufferedOldInBlock(std::uint32_t block_id) {
-  const std::uint32_t lo = block_id * units_per_block();
-  const std::uint32_t hi = lo + units_per_block();
-  for (auto& [u, phys] : buffered_old_) {
-    if (phys != kUnmapped && phys != kInBuffer && phys >= lo && phys < hi) {
-      // The pre-buffer copy is about to be erased: if power fails before
-      // the buffered rewrite lands, this unit has no durable copy left.
-      phys = kUnmapped;
+  const std::uint32_t lo = PhysUnit(block_id, 0);
+  for (std::uint32_t phys = lo; phys < lo + units_per_block(); ++phys) {
+    const std::uint32_t u = p2l_[phys];
+    if (u == kUnmapped) continue;
+    p2l_[phys] = kUnmapped;
+    // The pre-buffer copy is about to be erased: if power fails before
+    // the buffered rewrite lands, this unit has no durable copy left.
+    // (A stale back-pointer fails the check: that unit moved on.)
+    if (l2p_[u] == BufferedWithOrigin(phys)) {
+      l2p_[u] = BufferedWithOrigin(kUnmapped);
     }
   }
 }
@@ -918,7 +913,7 @@ void ConvDevice::CommitTag(std::uint32_t phys_unit, std::uint64_t tag) {
 std::uint64_t ConvDevice::TagOfLogical(std::uint32_t logical_unit) const {
   const std::uint32_t phys = l2p_[logical_unit];
   if (phys == kUnmapped) return 0;
-  if (phys == kInBuffer) {
+  if (IsBuffered(phys)) {
     auto it = pending_tags_.find(logical_unit);
     return it != pending_tags_.end() ? it->second : 0;
   }
@@ -958,29 +953,31 @@ sim::Task<> ConvDevice::CrashNow() {
   co_await inflight_programs_.Wait();
 
   // --- volatile-state loss ------------------------------------------
-  // 1. Buffered (unflushed) host writes: each kInBuffer unit reverts to
-  //    its last durable pre-write mapping (or to unmapped if GC erased
-  //    that copy while the rewrite sat in the buffer).
+  // 1. Buffered (unflushed) host writes: each buffered unit reverts to
+  //    the origin carried in its l2p_ entry — its last durable pre-write
+  //    mapping, or unmapped if it had none or GC erased that copy while
+  //    the rewrite sat in the buffer. Units restore independently, so
+  //    one pass in logical order is as good as any.
   std::uint64_t lost = 0;
-  for (const auto& [u, origin] : buffered_old_) {
-    if (l2p_[u] != kInBuffer) continue;
+  for (std::uint32_t u = 0; u < l2p_.size(); ++u) {
+    if (!IsBuffered(l2p_[u])) continue;
     ++lost;
+    const std::uint32_t origin = OriginOf(l2p_[u]);
     if (origin == kUnmapped) {
       l2p_[u] = kUnmapped;
     } else {
       MapUnit(u, origin);  // re-validates the old physical copy
     }
   }
-  buffered_old_.clear();
   pending_tags_.clear();
   counters_.crash_lost_units += lost;
-  for (std::size_t i = 0; i < pending_units_.size(); ++i) {
+  for (std::uint32_t i = 0; i < pending_units_.count; ++i) {
     buffer_slots_.Release();
   }
-  pending_units_.clear();
+  pending_units_ = {};
   // 2. Unsynced journal tail: mapping deltas that never reached flash
   //    unwind in reverse, restoring the pre-delta chain (this runs after
-  //    the buffered restore so a unit's kInBuffer -> P1 -> P0 history
+  //    the buffered restore so a unit's buffered -> P1 -> P0 history
   //    unwinds link by link).
   for (auto it = journal_tail_.rbegin(); it != journal_tail_.rend(); ++it) {
     ZSTOR_CHECK_MSG(l2p_[it->unit] == it->new_phys,

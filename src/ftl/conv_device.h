@@ -9,9 +9,11 @@
 // collapses read/write throughput in the paper's Fig. 6.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -162,7 +164,26 @@ class ConvDevice : public nvme::Controller {
 
  private:
   static constexpr std::uint32_t kUnmapped = ~0u;
-  static constexpr std::uint32_t kInBuffer = ~0u - 1;
+  // A unit in the volatile write buffer maps to kBuffered | origin, where
+  // origin is its last durable physical unit (what a power loss rolls it
+  // back to), or kNoOrigin when it has none. Physical units fit in 31
+  // bits, so no buffered value collides with a physical unit or kUnmapped.
+  static constexpr std::uint32_t kBuffered = 1u << 31;
+  static constexpr std::uint32_t kNoOrigin = kBuffered - 2;
+  static bool IsBuffered(std::uint32_t l2p) {
+    return l2p != kUnmapped && (l2p & kBuffered) != 0;
+  }
+  /// The l2p_ value of a buffered unit whose rollback target is `origin`
+  /// (a physical unit or kUnmapped); OriginOf inverts it.
+  static std::uint32_t BufferedWithOrigin(std::uint32_t origin) {
+    return kBuffered | (origin == kUnmapped ? kNoOrigin : origin);
+  }
+  static std::uint32_t OriginOf(std::uint32_t l2p) {
+    const std::uint32_t origin = l2p & ~kBuffered;
+    return origin == kNoOrigin ? kUnmapped : origin;
+  }
+  /// Host programs carry at most this many units per NAND page.
+  static constexpr std::uint32_t kMaxUnitsPerPage = 16;
 
   struct Block {
     std::uint32_t valid = 0;          // live units in this block
@@ -197,9 +218,6 @@ class ConvDevice : public nvme::Controller {
   bool TestValid(const Block& b, std::uint32_t unit) const;
   void SetValid(Block& b, std::uint32_t unit, bool v);
 
-  /// Takes the next free block on a die (or any die); kUnmapped if none.
-  std::uint32_t TakeFreeBlock(std::uint32_t preferred_die);
-
   /// Builds the free-block pool and GC reserve once the (optional)
   /// prefill has claimed its blocks. Runs lazily before the first I/O.
   void FinalizeLayout();
@@ -219,11 +237,15 @@ class ConvDevice : public nvme::Controller {
   /// `epoch` is the power epoch of the issuing command; admission after a
   /// crash is a no-op (the command is failing with kDeviceReset anyway).
   sim::Task<> AdmitUnit(std::uint32_t logical_unit, std::uint64_t epoch);
+  /// One NAND page worth of buffered logical units, carried by value.
+  struct PageUnits {
+    std::array<std::uint32_t, kMaxUnitsPerPage> unit;
+    std::uint32_t count = 0;
+  };
   /// Programs one NAND page holding `units` pending logical units. A
   /// stale-epoch completion releases its resources without mapping —
   /// the crash already rolled those units back.
-  sim::Task<> ProgramHostPage(std::vector<std::uint32_t> units,
-                              std::uint64_t epoch);
+  sim::Task<> ProgramHostPage(PageUnits units, std::uint64_t epoch);
 
   // ---- mapping journal & crash path (DESIGN.md §11) -------------------
   struct JournalEntry {
@@ -237,8 +259,9 @@ class ConvDevice : public nvme::Controller {
   /// Makes all pending deltas durable, charging journal (and possibly
   /// checkpoint) write-amplification units.
   void SyncJournal();
-  /// Drops stale pre-buffer references into a block about to be erased —
-  /// once erased, the old copy cannot back a crash rollback.
+  /// Drops buffered units' rollback origins inside a block about to be
+  /// erased (found through their p2l_ back-pointers) — once erased, the
+  /// old copy cannot back a crash rollback.
   void ForgetBufferedOldInBlock(std::uint32_t block_id);
   sim::Task<> CrashDriver(std::vector<sim::Time> at);
 
@@ -267,9 +290,11 @@ class ConvDevice : public nvme::Controller {
   /// see it again; its valid units stay mapped and readable). Returns
   /// true if the block was newly retired.
   bool RetireBlock(std::uint32_t block_id);
+  /// Programs one page's slice of the survivors. The vector lives in the
+  /// MigrateAndErase frame, which joins `wg` before it exits.
   sim::Task<> GcProgramPage(
       std::uint32_t block_id, std::uint32_t page,
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> batch,
+      std::span<const std::pair<std::uint32_t, std::uint32_t>> batch,
       sim::WaitGroup* wg, std::uint64_t epoch);
 
   sim::Time Noise(sim::Time t);
@@ -292,7 +317,9 @@ class ConvDevice : public nvme::Controller {
   sim::Rng rng_;
 
   std::vector<std::uint32_t> l2p_;   // logical unit -> phys unit/sentinel
-  std::vector<std::uint32_t> p2l_;   // phys unit -> logical unit/kUnmapped
+  /// phys unit -> logical unit, or kUnmapped. An invalid unit that is a
+  /// buffered unit's rollback origin points back at that logical unit.
+  std::vector<std::uint32_t> p2l_;
   std::vector<Block> blocks_;        // by block id
   std::vector<std::deque<std::uint32_t>> free_blocks_;  // per die
   std::unique_ptr<sim::Semaphore> free_sem_;  // counts the host pool
@@ -302,7 +329,7 @@ class ConvDevice : public nvme::Controller {
   bool layout_done_ = false;
 
   /// Host write packing: units waiting to fill the next NAND page.
-  std::vector<std::uint32_t> pending_units_;
+  PageUnits pending_units_;
   std::uint32_t next_die_rr_ = 0;  // round-robin allocation stream
   /// One allocation stream per die index; the stream's current block may
   /// physically live on another die when the preferred die has no free
@@ -323,9 +350,6 @@ class ConvDevice : public nvme::Controller {
   /// Synced entries since the last checkpoint — the recovery replay tail.
   std::uint64_t journal_entries_since_checkpoint_ = 0;
   std::uint32_t journal_syncs_since_checkpoint_ = 0;
-  /// Pre-write mapping of every unit currently in the volatile buffer
-  /// (l2p == kInBuffer): what a power loss rolls the unit back to.
-  std::unordered_map<std::uint32_t, std::uint32_t> buffered_old_;
   /// Payload tags for buffered units, keyed by logical unit.
   std::unordered_map<std::uint32_t, std::uint64_t> pending_tags_;
   /// Payload tags by physical unit; empty until the first tagged write.

@@ -19,22 +19,95 @@
 // Simulator::Run()). Never call a capturing lambda coroutine as a temporary
 // and never declare one inside the loop that spawns it. Coroutine function
 // PARAMETERS are copied into the frame and are always safe.
+//
+// FRAME RECYCLING: every frame up to kMaxPooledFrame bytes comes from a
+// per-thread free list (16-byte size classes) instead of the global heap,
+// so steady-state spawning allocates nothing. A frame freed on another
+// thread joins that thread's list; each thread's cached frames go back
+// to the heap when it exits. Under AddressSanitizer the pool compiles
+// out so use-after-free of a frame is still caught.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <new>
 #include <optional>
 #include <utility>
 
 #include "sim/check.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ZSTOR_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ZSTOR_FRAME_POOL 0
+#endif
+#endif
+#ifndef ZSTOR_FRAME_POOL
+#define ZSTOR_FRAME_POOL 1
+#endif
 
 namespace zstor::sim {
 
 template <typename T>
 class Task;
 
+/// Whether coroutine frames are recycled (false under AddressSanitizer).
+inline constexpr bool kFramePoolEnabled = ZSTOR_FRAME_POOL != 0;
+
 namespace detail {
 
+inline constexpr std::size_t kFrameGranule = 16;
+inline constexpr std::size_t kMaxPooledFrame = 2048;
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+
+/// One thread's frame cache. Trivially destructible, so it stays valid
+/// for the whole life of the thread, after the exit drain included.
+struct FrameCache {
+  FreeFrame* free[kMaxPooledFrame / kFrameGranule];
+  enum : unsigned char { kCold, kLive, kClosed } state;
+};
+inline thread_local constinit FrameCache t_frame_cache{};
+
+/// Registers this thread's exit drain (the cache goes kLive); false once
+/// the thread is exiting and its cache is closed.
+bool ArmFrameCache() noexcept;
+
+inline void* AllocateFrame(std::size_t n) {
+  if (n > kMaxPooledFrame) return ::operator new(n);
+  const std::size_t c = (n - 1) / kFrameGranule;
+  FrameCache& fc = t_frame_cache;
+  if (FreeFrame* f = fc.free[c]) {
+    fc.free[c] = f->next;
+    return f;
+  }
+  return ::operator new((c + 1) * kFrameGranule);
+}
+
+inline void DeallocateFrame(void* p, std::size_t n) noexcept {
+  FrameCache& fc = t_frame_cache;
+  if (n > kMaxPooledFrame ||
+      (fc.state != FrameCache::kLive && !ArmFrameCache())) {
+    ::operator delete(p);
+    return;
+  }
+  const std::size_t c = (n - 1) / kFrameGranule;
+  FreeFrame* f = ::new (p) FreeFrame{fc.free[c]};
+  fc.free[c] = f;
+}
+
 struct PromiseBase {
+#if ZSTOR_FRAME_POOL
+  static void* operator new(std::size_t n) { return AllocateFrame(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    DeallocateFrame(p, n);
+  }
+#endif
+
+
   std::coroutine_handle<> continuation{};
   bool detached = false;
   bool done = false;

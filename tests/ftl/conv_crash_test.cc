@@ -18,6 +18,7 @@ using nvme::Status;
 
 constexpr std::uint64_t kTagA = 0x0A00;
 constexpr std::uint64_t kTagB = 0x0B00;
+constexpr std::uint64_t kTagC = 0x0C00;
 
 struct Fixture {
   explicit Fixture(ConvProfile p = TinyConvProfile())
@@ -144,6 +145,75 @@ TEST(ConvCrash, BufferedWritesThatNeverProgrammedAreLost) {
     EXPECT_EQ(rd.payload_tags[i], kTagA + i)
         << "LBA " << i << " must hold the flushed version";
   }
+}
+
+/// Flushes version A of LBA 0 into the first host block and version C of
+/// LBA 1 elsewhere, leaves a sub-page overwrite B of both in the buffer,
+/// then dispatches B's page and cuts power while that program is in
+/// flight. A's block holds no other live data by then, only a stale
+/// back-pointer to LBA 1 (whose version A it held). With `gc_erases_a`,
+/// the free-block acquisition for B's page crosses the GC watermark, and
+/// GC erases A's block before the crash. Returns the tags of LBAs 0-1.
+ConvCounters CrashWithBufferedOverwrite(bool gc_erases_a,
+                                        nvme::Completion* lbas) {
+  ConvProfile p = TinyConvProfile();
+  const std::uint32_t reserve = 2 * p.gc_workers + 2;
+  // Writing 2 x 64 pages fills 8 blocks, four streams x 16 pages each.
+  const auto free_before_b = static_cast<std::uint32_t>(
+      p.nand_geometry.total_blocks() - reserve - 8);
+  if (gc_erases_a) {
+    p.gc_low_blocks = free_before_b;  // the next acquisition starts GC
+    p.gc_high_blocks = free_before_b + 2;
+  }
+  Fixture f(p);
+  const std::uint32_t upp = Upp(f);
+  const std::uint32_t span = 64 * upp;
+  EXPECT_EQ(upp, 4u);
+  // Version A of LBAs [0, span): LBAs 0-1 land in page 0 of stream 0's
+  // block. Version C of [1, span] leaves LBA 0 its only live unit.
+  EXPECT_TRUE(f.Write(0, span, kTagA).ok());
+  EXPECT_TRUE(f.Write(1, span, kTagC).ok());
+  EXPECT_TRUE(f.Run({.opcode = Opcode::kFlush}).ok());
+  EXPECT_EQ(f.dev.free_blocks(), free_before_b);
+  EXPECT_TRUE(f.Write(0, 2, kTagB).ok());  // B: buffered, origins A and C
+  EXPECT_EQ(f.dev.counters().gc_invocations, 0u);
+  auto body = [&]() -> sim::Task<> {
+    // Completes B's page: its program takes a fresh block and is in
+    // flight when the power fails.
+    nvme::Completion c = co_await f.dev.Execute(
+        {.opcode = Opcode::kWrite, .slba = 2 * span, .nlb = upp - 2});
+    EXPECT_TRUE(c.ok());
+    co_await f.dev.CrashNow();
+  };
+  auto t = body();
+  f.sim.Run();
+  *lbas = f.ReadTags(0, 2);
+  return f.dev.counters();
+}
+
+TEST(ConvCrash, BufferedOverwriteOfAnErasedBlockIsLost) {
+  nvme::Completion rd;
+  const ConvCounters c = CrashWithBufferedOverwrite(true, &rd);
+  EXPECT_GE(c.gc_invocations, 1u);
+  // B's page (B plus two fresh units) never reached flash, and GC erased
+  // LBA 0's copy A while B sat in the buffer: nothing to roll back to.
+  // LBA 1's stale back-pointer into the erased block forgets nothing.
+  EXPECT_EQ(c.crash_lost_units, 4u);
+  ASSERT_TRUE(rd.ok());
+  ASSERT_EQ(rd.payload_tags.size(), 2u);
+  EXPECT_EQ(rd.payload_tags[0], 0u);
+  EXPECT_EQ(rd.payload_tags[1], kTagC);
+}
+
+TEST(ConvCrash, BufferedOverwriteWithoutGcRollsBackToTheFlushedVersion) {
+  nvme::Completion rd;
+  const ConvCounters c = CrashWithBufferedOverwrite(false, &rd);
+  EXPECT_EQ(c.gc_invocations, 0u);
+  EXPECT_EQ(c.crash_lost_units, 4u);
+  ASSERT_TRUE(rd.ok());
+  ASSERT_EQ(rd.payload_tags.size(), 2u);
+  EXPECT_EQ(rd.payload_tags[0], kTagA);
+  EXPECT_EQ(rd.payload_tags[1], kTagC);
 }
 
 TEST(ConvCrash, CheckpointBoundsTheReplayTail) {

@@ -1,6 +1,8 @@
 // Runtime half of EventFn's performance contract (event_fn.h): once the
 // simulator's containers are warm, the coroutine-resume path and the
-// small-lambda scheduling path perform ZERO heap allocations per event.
+// small-lambda scheduling path perform ZERO heap allocations per event,
+// and (task.h) neither does spawning a task once its frame size has been
+// recycled.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -96,6 +98,35 @@ TEST(AllocCount, ZeroDelayReadyRingPathIsAllocationFree) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(count, 32);
   EXPECT_EQ(delta, 0u) << "ready-ring path allocated";
+}
+
+Task<> ShortTask(Simulator& s) { co_await s.Delay(1); }
+
+struct Padding {
+  char bytes[256];
+};
+// The by-value parameter lives in the frame: a second frame size class.
+Task<> PaddedTask(Simulator& s, Padding pad) {
+  co_await s.Delay(1);
+  (void)pad;
+}
+
+TEST(AllocCount, SpawnedTasksRecycleFrames) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  auto round = [&s] {
+    for (int i = 0; i < 500; ++i) {
+      Spawn(ShortTask(s));
+      Spawn(PaddedTask(s, Padding{}));
+    }
+    s.Run();
+  };
+  round();  // warm-up: fills this thread's free lists and the event heap
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round();  // 1000 spawn + complete round trips, two frame sizes
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delta, 0u) << "spawning a task allocated its frame";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "sim/simulator.h"
 
 namespace zstor::sim {
@@ -120,6 +123,27 @@ TEST(Task, ManyConcurrentDetachedTasksInterleaveByTime) {
   s.Run();
   EXPECT_EQ(done, 1000);
   EXPECT_EQ(s.now(), 1000u);
+}
+
+TEST(TaskFrames, FreedOnAnotherThread) {
+  // Allocated here, completed and freed on a worker (the lane engine's
+  // pattern): the frame joins the worker's cache, drained at its exit.
+  Simulator s;
+  int out = 0;
+  Spawn(Sleeper(s, 10, out));
+  std::thread([&s] { s.Run(); }).join();
+  EXPECT_EQ(out, 42);
+
+  // And the reverse: allocated on a worker, freed here.
+  std::vector<Task<int>> tasks;
+  std::thread([&tasks] {
+    for (int i = 0; i < 64; ++i) tasks.push_back(Immediate());
+  }).join();
+  for (const Task<int>& t : tasks) EXPECT_TRUE(t.Done());
+  tasks.clear();
+  int again = 0;
+  auto t = AwaitsImmediate(again);  // may reuse a frame freed just above
+  EXPECT_EQ(again, 3);
 }
 
 TEST(TaskDeathTest, DestroyingARunningTaskAborts) {

@@ -29,9 +29,9 @@ POINT_NULLABLE_FIELDS = ("mean_ns", "p50_ns", "p95_ns", "p99_ns")
 # present, with strictly positive events/sec.
 SIMCORE_REQUIRED_SERIES = {
     "simcore_events_per_sec":
-        ("event_scheduling", "coroutine_pingpong", "lane_handoff"),
+        ("event_scheduling", "coroutine_pingpong", "lane_handoff", "spawn"),
     "simcore_allocs_per_event":
-        ("event_scheduling", "coroutine_pingpong", "lane_handoff"),
+        ("event_scheduling", "coroutine_pingpong", "lane_handoff", "spawn"),
 }
 SIMCORE_REQUIRED_CONFIG = (
     "counter_min_time_s",
