@@ -18,13 +18,12 @@
 #include "zns/profile.h"
 
 using namespace zstor;
-using harness::StackKind;
 using nvme::Opcode;
 
 namespace {
 
 struct Param {
-  StackKind kind;
+  StackChoice kind;
   std::uint32_t lba;
 };
 
@@ -45,8 +44,8 @@ int main(int argc, char** argv) {
   // builds its own testbed), then record serially in index order so the
   // output is identical for any job count.
   std::vector<Param> params;
-  for (StackKind kind : {StackKind::kSpdk, StackKind::kKernelNone,
-                         StackKind::kKernelMq}) {
+  for (StackChoice kind : {StackChoice::kSpdk, StackChoice::kKernelNone,
+                           StackChoice::kKernelMq}) {
     for (std::uint32_t lba : {512u, 4096u}) params.push_back({kind, lba});
   }
   std::vector<Measured> sweep =
@@ -71,13 +70,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < params.size(); ++i) {
       const Param& p = params[i];
       const Measured& m = sweep[i];
-      std::string label = std::string(harness::ToString(p.kind)) + "/" +
+      std::string label = std::string(ToString(p.kind)) + "/" +
                           (p.lba == 512 ? "512B" : "4KiB");
       results.Series("fig2a_write_latency", "us")
           .AddLabeled(label, p.lba, m.write_lba);
       results.Series("fig2a_append_latency", "us")
           .AddLabeled(label, p.lba, m.append_lba);
-      t.AddRow({harness::ToString(p.kind), p.lba == 512 ? "512B" : "4KiB",
+      t.AddRow({ToString(p.kind), p.lba == 512 ? "512B" : "4KiB",
                 harness::FmtUs(m.write_lba), harness::FmtUs(m.append_lba)});
     }
     t.Print();
@@ -94,13 +93,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < params.size(); ++i) {
       const Param& p = params[i];
       const Measured& m = sweep[i];
-      std::string label = std::string(harness::ToString(p.kind)) + "/" +
+      std::string label = std::string(ToString(p.kind)) + "/" +
                           (p.lba == 512 ? "512B" : "4KiB");
       results.Series("fig2b_write4k_latency", "us")
           .AddLabeled(label, p.lba, m.write_4k);
       results.Series("fig2b_append8k_latency", "us")
           .AddLabeled(label, p.lba, m.append_8k);
-      t.AddRow({harness::ToString(p.kind), p.lba == 512 ? "512B" : "4KiB",
+      t.AddRow({ToString(p.kind), p.lba == 512 ? "512B" : "4KiB",
                 harness::FmtUs(m.write_4k), harness::FmtUs(m.append_8k)});
     }
     t.Print();

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       [&] { append = harness::ResetInterference(profile, Opcode::kAppend); },
       [&] {
         write_alone = harness::Qd1LatencyUs(
-            profile, harness::StackKind::kSpdk, Opcode::kWrite, 4096, 4096);
+            profile, StackChoice::kSpdk, Opcode::kWrite, 4096, 4096);
       },
   });
 

@@ -11,7 +11,7 @@
 //  5. Compaction interference    -> Obs. 11 at the app layer: a
 //                                   throttled compaction window craters
 //                                   foreground throughput; with
-//                                   --timeline, zmon attributes the dip
+//                                   --timeline, ztrace attributes the dip
 //                                   to the open `kv.compact` window
 //  6. Mid-compaction power loss  -> WAL replay + tag re-verification:
 //                                   zero silent corruption or the bench
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
     std::printf(
         "  a rate-limited compactor holds L0 at the stall limit, so the\n"
         "  foreground parks inside every `kv.compact` window — with\n"
-        "  --timeline, zmon --require-dip attributes the throughput dip\n");
+        "  --timeline, ztrace --require-dip attributes the throughput dip\n");
   }
 
   harness::Banner("KV sweep 6 — power loss mid-compaction, WAL replay");

@@ -22,7 +22,6 @@
 #include "zns/profile.h"
 
 using namespace zstor;
-using harness::StackKind;
 using nvme::Opcode;
 
 namespace {
@@ -43,9 +42,9 @@ Probe RunProbes(const zns::ZnsProfile& p) {
   double w64 = harness::Qd1Kiops(p, Opcode::kWrite, 65536);
   out.obs3_reqsize = w4 > 1.25 * w64;
 
-  double wl = harness::Qd1LatencyUs(p, StackKind::kSpdk, Opcode::kWrite,
+  double wl = harness::Qd1LatencyUs(p, StackChoice::kSpdk, Opcode::kWrite,
                                     4096, 4096);
-  double al = harness::Qd1LatencyUs(p, StackKind::kSpdk, Opcode::kAppend,
+  double al = harness::Qd1LatencyUs(p, StackChoice::kSpdk, Opcode::kAppend,
                                     4096, 4096);
   out.obs4_append_slower = al > 1.10 * wl;
 

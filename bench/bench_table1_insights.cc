@@ -10,7 +10,6 @@
 #include "zns/profile.h"
 
 using namespace zstor;
-using harness::StackKind;
 using nvme::Opcode;
 
 int main(int argc, char** argv) {
@@ -27,11 +26,11 @@ int main(int argc, char** argv) {
   harness::GcExperimentResult conv, zns;
   harness::ParallelTasks({
       [&] {
-        w = harness::Qd1LatencyUs(profile, StackKind::kSpdk, Opcode::kWrite,
+        w = harness::Qd1LatencyUs(profile, StackChoice::kSpdk, Opcode::kWrite,
                                   4096, 4096);
       },
       [&] {
-        a = harness::Qd1LatencyUs(profile, StackKind::kSpdk, Opcode::kAppend,
+        a = harness::Qd1LatencyUs(profile, StackChoice::kSpdk, Opcode::kAppend,
                                   8192, 4096);
       },
       [&] {

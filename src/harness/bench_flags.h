@@ -18,7 +18,7 @@
 //   --timeline=FILE  append every testbed's timeline records to FILE
 //                    (JSONL: periodic metric samples, zone state
 //                    changes, die-busy and GC/reset/fault windows;
-//                    schema in DESIGN.md §10 — analyze with tools/zmon)
+//                    schema in DESIGN.md §10 — analyze with tools/ztrace)
 //   --sample-interval=DUR
 //                    virtual-time cadence of the timeline's periodic
 //                    samples (suffix ns/us/ms/s; a bare number means

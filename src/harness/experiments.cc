@@ -20,7 +20,7 @@ namespace {
 /// One experiment's worth of simulated hardware + host stack. Telemetry
 /// rides along automatically when the bench was started with --trace /
 /// --metrics (see bench_flags.h).
-Testbed MakeBench(const zns::ZnsProfile& profile, StackKind kind,
+Testbed MakeBench(const zns::ZnsProfile& profile, StackChoice kind,
                   const char* label, std::uint32_t lba_bytes = 4096) {
   return TestbedBuilder()
       .WithZnsProfile(profile)
@@ -32,7 +32,7 @@ Testbed MakeBench(const zns::ZnsProfile& profile, StackKind kind,
 
 }  // namespace
 
-double Qd1LatencyUs(const zns::ZnsProfile& profile, StackKind kind,
+double Qd1LatencyUs(const zns::ZnsProfile& profile, StackChoice kind,
                     Opcode op, std::uint64_t request_bytes,
                     std::uint32_t lba_bytes, int ops) {
   Testbed b = MakeBench(profile, kind, "qd1-latency", lba_bytes);
@@ -60,7 +60,7 @@ double Qd1Kiops(const zns::ZnsProfile& profile, Opcode op,
   // Synchronous requests: throughput is the inverse of latency (§III-C) —
   // but measured at steady state. Large requests outrun the NAND drain
   // until the write-back buffer fills, so warm past the buffer first.
-  Testbed b = MakeBench(profile, StackKind::kSpdk, "qd1-kiops");
+  Testbed b = MakeBench(profile, StackChoice::kSpdk, "qd1-kiops");
   zns::ZnsDevice& dev = *b.zns();
   const std::uint32_t nlb = static_cast<std::uint32_t>(request_bytes / 4096);
   const std::uint64_t cap_lbas = dev.info().zone_cap_lbas;
@@ -111,8 +111,8 @@ double Qd1Kiops(const zns::ZnsProfile& profile, Opcode op,
 workload::JobResult IntraZone(const zns::ZnsProfile& profile, Opcode op,
                               std::uint64_t request_bytes, std::uint32_t qd,
                               double* merged_fraction) {
-  StackKind kind =
-      op == Opcode::kWrite ? StackKind::kKernelMq : StackKind::kSpdk;
+  StackChoice kind =
+      op == Opcode::kWrite ? StackChoice::kKernelMq : StackChoice::kSpdk;
   Testbed b = MakeBench(profile, kind, "intra-zone");
   JobSpec spec;
   spec.op = op;
@@ -148,7 +148,7 @@ workload::JobResult IntraZone(const zns::ZnsProfile& profile, Opcode op,
 workload::JobResult InterZone(const zns::ZnsProfile& profile, Opcode op,
                               std::uint64_t request_bytes,
                               std::uint32_t zones) {
-  Testbed b = MakeBench(profile, StackKind::kSpdk, "inter-zone");
+  Testbed b = MakeBench(profile, StackChoice::kSpdk, "inter-zone");
   JobSpec spec;
   spec.op = op;
   spec.request_bytes = request_bytes;
@@ -177,7 +177,7 @@ OpenCloseCosts MeasureOpenClose(const zns::ZnsProfile& profile) {
   OpenCloseCosts out;
   const int kZones = 10;
   {  // explicit open + close
-    Testbed b = MakeBench(profile, StackKind::kSpdk, "open-close");
+    Testbed b = MakeBench(profile, StackChoice::kSpdk, "open-close");
     sim::Welford open_us, close_us;
     auto body = [&]() -> sim::Task<> {
       for (std::uint32_t z = 0; z < kZones; ++z) {
@@ -202,7 +202,7 @@ OpenCloseCosts MeasureOpenClose(const zns::ZnsProfile& profile) {
     out.close_us = close_us.mean() / 1000.0;
   }
   {  // implicit-open penalty: first vs second write/append on fresh zones
-    Testbed b = MakeBench(profile, StackKind::kSpdk, "implicit-open");
+    Testbed b = MakeBench(profile, StackChoice::kSpdk, "implicit-open");
     sim::Welford first_w, second_w, first_a, second_a;
     auto body = [&]() -> sim::Task<> {
       auto reset = [&](std::uint32_t z) -> sim::Task<> {
@@ -246,7 +246,7 @@ OpenCloseCosts MeasureOpenClose(const zns::ZnsProfile& profile) {
 
 double ResetLatencyMs(const zns::ZnsProfile& profile, double occupancy,
                       bool finish_first, int zones_per_point) {
-  Testbed b = MakeBench(profile, StackKind::kSpdk, "reset-latency");
+  Testbed b = MakeBench(profile, StackChoice::kSpdk, "reset-latency");
   std::uint64_t cap = profile.zone_cap_bytes;
   auto bytes = static_cast<std::uint64_t>(
       occupancy * static_cast<double>(cap));
@@ -283,7 +283,7 @@ double ResetLatencyMs(const zns::ZnsProfile& profile, double occupancy,
 
 double FinishLatencyMs(const zns::ZnsProfile& profile, double occupancy,
                        int zones_per_point) {
-  Testbed b = MakeBench(profile, StackKind::kSpdk, "finish-latency");
+  Testbed b = MakeBench(profile, StackChoice::kSpdk, "finish-latency");
   std::uint64_t cap = profile.zone_cap_bytes;
   auto bytes = static_cast<std::uint64_t>(
       occupancy * static_cast<double>(cap));
@@ -318,7 +318,7 @@ double FinishLatencyMs(const zns::ZnsProfile& profile, double occupancy,
 ResetInterferenceResult ResetInterference(const zns::ZnsProfile& profile,
                                           Opcode op,
                                           std::uint32_t reset_zones) {
-  Testbed b = MakeBench(profile, StackKind::kSpdk, "reset-interference");
+  Testbed b = MakeBench(profile, StackChoice::kSpdk, "reset-interference");
   // First half of the device: full zones to reset. Second half: I/O.
   b.FillZones(0, reset_zones);
   std::uint32_t io_zone = profile.num_zones / 2;

@@ -17,17 +17,11 @@
 
 namespace zstor::harness {
 
-/// Historical name for the stack selector, now shared with the Testbed
-/// facade (see testbed.h).
-using StackKind = StackChoice;
-
-inline const char* ToString(StackKind k) { return zstor::ToString(k); }
-
 /// QD=1 single-op latency through a host stack (Fig. 2). Returns the mean
 /// latency in microseconds over `ops` back-to-back operations (the first
 /// operation per zone is excluded: it pays the one-time implicit-open
 /// cost, which Obs. 9 measures separately).
-double Qd1LatencyUs(const zns::ZnsProfile& profile, StackKind stack,
+double Qd1LatencyUs(const zns::ZnsProfile& profile, StackChoice stack,
                     nvme::Opcode op, std::uint64_t request_bytes,
                     std::uint32_t lba_bytes, int ops = 200);
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "harness/bench_flags.h"
@@ -192,18 +190,7 @@ std::vector<workload::JobResult> Testbed::RunJobs(
 
 workload::JobResult Testbed::RunSharded(const workload::JobSpec& spec) {
   std::vector<std::unique_ptr<workload::Job>> parts = StartSharded(spec);
-  const auto t0 = std::chrono::steady_clock::now();
   psim_->Run(static_cast<unsigned>(sim_threads_));
-  if (std::getenv("ZSTOR_PSIM_DEBUG") != nullptr) {
-    std::chrono::duration<double, std::milli> ms =
-        std::chrono::steady_clock::now() - t0;
-    std::fprintf(stderr,
-                 "psim: parts=%zu windows=%llu messages=%llu run_ms=%.1f\n",
-                 parts.size(),
-                 static_cast<unsigned long long>(psim_->windows()),
-                 static_cast<unsigned long long>(psim_->messages()),
-                 ms.count());
-  }
   return JoinSharded(parts);
 }
 
@@ -290,6 +277,10 @@ telemetry::Snapshot Testbed::TakeSnapshot() {
       }
       sum.Describe(m);
     }
+    // Engine shape: windows and cross-lane messages are fixed by the
+    // window plan, so they are identical for every --sim-threads value.
+    m.GetCounter("psim.windows").Set(psim_->windows());
+    m.GetCounter("psim.messages").Set(psim_->messages());
   }
   return m.TakeSnapshot();
 }

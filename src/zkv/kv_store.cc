@@ -333,7 +333,7 @@ sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
       // runs outside it so appends to one zone overlap (R2).
       auto g = co_await alloc_lock_.Acquire();
       while (open_zone_[ci] < 0) {
-        open_zone_[ci] = static_cast<std::int64_t>(co_await TakeOpenZone(cls));
+        open_zone_[ci] = static_cast<std::int64_t>(co_await TakeOpenZone());
       }
       ZoneInfo& zi = zones_[ZoneIndex(static_cast<std::uint32_t>(
           open_zone_[ci]))];
@@ -377,8 +377,7 @@ sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
   co_return Extent{0, 0, 0, tag_base};
 }
 
-sim::Task<std::uint32_t> KvStore::TakeOpenZone(ZoneClass cls) {
-  (void)cls;
+sim::Task<std::uint32_t> KvStore::TakeOpenZone() {
   if (free_zones_.empty()) {
     co_await ReclaimZones(/*need_free=*/true);
   }

@@ -362,7 +362,7 @@ class KvStore : public workload::KvBackend {
   /// (lbas == 0 reports failure).
   sim::Task<Extent> AppendChunk(ZoneClass cls, std::uint32_t lbas,
                                 std::uint64_t tag_base);
-  sim::Task<std::uint32_t> TakeOpenZone(ZoneClass cls);  // under alloc lock
+  sim::Task<std::uint32_t> TakeOpenZone();  // under alloc lock
   sim::Task<> ResetZone(std::uint32_t zone);
   void MaybeScheduleReclaim();
   sim::Task<> ReclaimJob(bool need_free);

@@ -1426,7 +1426,7 @@ sim::Task<> ZnsDevice::CrashNow() {
                 static_cast<std::int64_t>(lost));
   }
   if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
-    // Zero-length marker at the cut plus the full outage window — zmon
+    // Zero-length marker at the cut plus the full outage window — ztrace
     // attributes the throughput dip to the latter.
     tl->Window(crash_time, 0, telem_->timeline_label(), lane_,
                "crash.power_loss",

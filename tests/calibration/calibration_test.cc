@@ -19,33 +19,33 @@ using zns::Zn540Profile;
 // ---- Observations #1, #2, #4: QD1 latencies (Fig. 2) -----------------
 
 TEST(Calibration, Obs2_SpdkWrite4kIs11_36us) {
-  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                            Opcode::kWrite, 4096, 4096),
               11.36, 0.6);
 }
 
 TEST(Calibration, Obs2_KernelNoneWrite4kIs12_62us) {
-  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackKind::kKernelNone,
+  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackChoice::kKernelNone,
                            Opcode::kWrite, 4096, 4096),
               12.62, 0.7);
 }
 
 TEST(Calibration, Obs2_MqDeadlineWrite4kIs14_47us) {
-  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackKind::kKernelMq,
+  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackChoice::kKernelMq,
                            Opcode::kWrite, 4096, 4096),
               14.47, 0.8);
 }
 
 TEST(Calibration, Obs4_SpdkAppend8kIs14_02us) {
-  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  EXPECT_NEAR(Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                            Opcode::kAppend, 8192, 4096),
               14.02, 1.4);  // paper 14.02; model ~15.2 (within 10%)
 }
 
 TEST(Calibration, Obs4_WriteBeatsAppendByUpTo23Percent) {
-  double w = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk, Opcode::kWrite,
+  double w = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk, Opcode::kWrite,
                           4096, 4096);
-  double a = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double a = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                           Opcode::kAppend, 8192, 4096);
   double gap = (a - w) / a;
   EXPECT_GT(gap, 0.15);
@@ -53,15 +53,15 @@ TEST(Calibration, Obs4_WriteBeatsAppendByUpTo23Percent) {
 }
 
 TEST(Calibration, Obs1_512FormatUpToTwiceAsSlow) {
-  double w4 = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double w4 = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                            Opcode::kWrite, 4096, 4096);
-  double w512 = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double w512 = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                              Opcode::kWrite, 512, 512);
   EXPECT_GT(w512 / w4, 1.5);
   EXPECT_LT(w512 / w4, 2.2);
-  double a4 = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double a4 = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                            Opcode::kAppend, 4096, 4096);
-  double a512 = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double a512 = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                              Opcode::kAppend, 512, 512);
   EXPECT_GT(a512 / a4, 1.3);
 }
@@ -259,7 +259,7 @@ TEST(Calibration, Obs13_ConcurrentIoInflatesResetP95) {
 TEST(Calibration, Obs12_ResetsDoNotDisturbIoLatency) {
   // I/O mean latency with concurrent resets vs the same workload alone.
   auto with_resets = ResetInterference(Zn540Profile(), Opcode::kWrite);
-  double baseline_us = Qd1LatencyUs(Zn540Profile(), StackKind::kSpdk,
+  double baseline_us = Qd1LatencyUs(Zn540Profile(), StackChoice::kSpdk,
                                     Opcode::kWrite, 4096, 4096);
   EXPECT_NEAR(with_resets.io_mean_us, baseline_us, 0.10 * baseline_us);
 }

@@ -191,6 +191,7 @@ TEST(TestbedParallel, ProxiedReadsActuallyUseTheMailboxes) {
   TestbedBuilder b;
   Testbed tb = b.WithZnsProfile(QuietTiny())
                    .WithDevices(2)
+                   .WithTelemetry({.ring_capacity = 1})
                    .WithSimThreads(2)
                    .Build();
   tb.FillZones(0, 4);
@@ -200,6 +201,14 @@ TEST(TestbedParallel, ProxiedReadsActuallyUseTheMailboxes) {
   // Every proxied command is one kRequest plus one kReply.
   EXPECT_GE(tb.parallel_sim()->messages(), 2 * r.ops);
   EXPECT_GT(tb.parallel_sim()->windows(), 1u);
+  // Snapshots (--metrics) carry the same engine shape.
+  telemetry::Snapshot snap = tb.TakeSnapshot();
+  ASSERT_NE(snap.Find("psim.messages"), nullptr);
+  ASSERT_NE(snap.Find("psim.windows"), nullptr);
+  EXPECT_EQ(snap.Find("psim.messages")->value,
+            static_cast<double>(tb.parallel_sim()->messages()));
+  EXPECT_EQ(snap.Find("psim.windows")->value,
+            static_cast<double>(tb.parallel_sim()->windows()));
 }
 
 TEST(TestbedParallel, CrashInjectionMatchesSingleThreadedReference) {

@@ -1,5 +1,5 @@
 // Pins the metric names every counters struct exports through its
-// Describe(): zmon, the timeline baselines and the committed result files
+// Describe(): ztrace, the timeline baselines and the committed result files
 // read these names, so a rename must fail here. That each field table
 // lists every struct member once is checked at compile time, next to
 // the table (telemetry::ListsEveryFieldOnce).

@@ -1,19 +1,34 @@
-// zmon timeline-analysis tests: golden parsing of the DESIGN.md §10
+// ztrace timeline-analysis tests: golden parsing of the DESIGN.md §10
 // record types, interval-row derivation, throughput-dip attribution, and
-// tolerance of mixed/foreign record streams.
+// the timeline half of the Chrome export. (The Zmon* suites keep the name
+// of the standalone timeline tool this code came from.)
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "zmon/timeline_analysis.h"
+#include "ztrace/analysis.h"
+#include "ztrace/json_value.h"
 
-namespace zstor::zmon {
+namespace zstor::ztrace {
 namespace {
 
 LoadResult Load(const std::string& text) {
   std::istringstream in(text);
-  return LoadTimeline(in);
+  return LoadJsonl(in);
+}
+
+/// Parses a Chrome export; fails the test if it is not valid JSON.
+std::vector<JsonValue> ChromeEvents(const std::string& json) {
+  std::optional<JsonValue> doc = JsonValue::Parse(json);
+  EXPECT_TRUE(doc.has_value()) << "chrome export is not valid JSON";
+  if (!doc.has_value()) return {};
+  const JsonValue* events = doc->Find("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->is_array());
+  return events == nullptr ? std::vector<JsonValue>{} : events->array();
 }
 
 // A two-interval run: full-speed first interval, then a GC-ridden one at
@@ -31,7 +46,7 @@ const char kGolden[] =
 TEST(ZmonLoad, ParsesAllRecordTypesGroupedByTestbed) {
   LoadResult r = Load(kGolden);
   EXPECT_EQ(r.bad_lines, 0u);
-  EXPECT_EQ(r.skipped_records, 0u);
+  EXPECT_TRUE(r.records.empty());
   ASSERT_EQ(r.tbs.size(), 1u);
   const TbTimeline& tl = r.tbs[0];
   EXPECT_EQ(tl.tb, "run");
@@ -51,16 +66,17 @@ TEST(ZmonLoad, ParsesAllRecordTypesGroupedByTestbed) {
 }
 
 TEST(ZmonLoad, SkipsForeignRecordsInsteadOfFailing) {
-  // A mixed file: trace spans (no "type") and a future record type must
-  // not break loading — mirror of ztrace's skip policy.
+  // A mixed file: a trace span (no "type") is kept as a span; a future
+  // record type and a garbage line are skipped without breaking loading.
   LoadResult r = Load(
       "{\"ts\":5,\"dur\":2,\"layer\":\"nand\",\"name\":\"die.service\"}\n"
       "{\"type\":\"hologram\",\"t\":1,\"tb\":\"x\"}\n"
       "not json at all\n"
       "{\"type\":\"zone_state\",\"t\":1,\"tb\":\"x\",\"lane\":0,"
       "\"zone\":1,\"from\":\"Empty\",\"to\":\"Full\"}\n");
-  EXPECT_EQ(r.skipped_records, 2u);
-  EXPECT_EQ(r.bad_lines, 1u);
+  EXPECT_EQ(r.bad_lines, 2u);
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].name, "die.service");
   // Only the real zone_state record creates a testbed group.
   ASSERT_EQ(r.tbs.size(), 1u);
   EXPECT_EQ(r.tbs[0].zone_events.size(), 1u);
@@ -107,16 +123,81 @@ TEST(ZmonDips, ShortRunsAndIdleTailsAreNotDips) {
 
 TEST(ZmonChrome, ExportCarriesCounterTracksAndWindows) {
   LoadResult r = Load(kGolden);
-  std::vector<IntervalRow> rows = BuildIntervals(r.tbs[0], 4);
-  std::string json = ToChromeTrace(r.tbs[0], rows);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("throughput_MiBps"), std::string::npos);
-  EXPECT_NE(json.find("queue_depth"), std::string::npos);
-  EXPECT_NE(json.find("die_util"), std::string::npos);
-  EXPECT_NE(json.find("\"gc.migrate\""), std::string::npos);
-  // Chrome's ph "X" complete event with microsecond times.
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  std::size_t throughput = 0, qd = 0, util = 0, windows = 0;
+  for (const JsonValue& e : ChromeEvents(ToChromeTrace(r))) {
+    const std::string name = e.StringOr("name", "");
+    const std::string ph = e.StringOr("ph", "");
+    if (ph == "C") {
+      EXPECT_EQ(e.NumberOr("pid", 0), 2.0);  // the testbed's own pid
+      throughput += name == "throughput_MiBps";
+      qd += name == "queue_depth";
+      util += name == "die_util";
+    } else if (ph == "X") {
+      // Chrome's complete event with microsecond times.
+      EXPECT_EQ(name, "gc.migrate");
+      EXPECT_EQ(e.NumberOr("ts", 0), 110000.0);
+      EXPECT_EQ(e.NumberOr("dur", 0), 80000.0);
+      ++windows;
+    }
+  }
+  // One counter event per track per interval.
+  EXPECT_EQ(throughput, 4u);
+  EXPECT_EQ(qd, 4u);
+  EXPECT_EQ(util, 4u);
+  EXPECT_EQ(windows, 1u);
+}
+
+TEST(ChromeExport, HostileWindowKindsRoundTrip) {
+  // Kinds are free-form strings: quotes and backslashes must be escaped
+  // and long kinds kept whole, on the span and on its track name.
+  const std::string nasty = "a\"b\\c";
+  const std::string long_kind(300, 'k');
+  LoadResult r;
+  r.tbs.push_back(TbTimeline{.tb = "t\"b"});
+  r.tbs[0].windows.push_back({.t = 1000, .dur = 10, .kind = nasty});
+  r.tbs[0].windows.push_back({.t = 2000, .dur = 10, .kind = long_kind});
+  std::vector<std::string> spans, tracks;
+  std::string process;
+  for (const JsonValue& e : ChromeEvents(ToChromeTrace(r))) {
+    const std::string name = e.StringOr("name", "");
+    const JsonValue* args = e.Find("args");
+    if (name == "thread_name") {
+      tracks.push_back(args->StringOr("name", ""));
+    } else if (name == "process_name") {
+      process = args->StringOr("name", "");
+    } else if (e.StringOr("ph", "") == "X") {
+      spans.push_back(name);
+    }
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{nasty, long_kind}));
+  EXPECT_EQ(tracks, (std::vector<std::string>{nasty, long_kind}));
+  EXPECT_EQ(process, "tb t\"b");
+}
+
+TEST(ChromeExport, OneDocumentCarriesSpansAndEveryTestbed) {
+  LoadResult r = Load(
+      std::string(kGolden) +
+      "{\"ts\":0,\"dur\":10,\"cmd\":1,\"layer\":\"host\","
+      "\"name\":\"host.submit\"}\n"
+      "{\"type\":\"window\",\"t\":5,\"tb\":\"other\",\"dur\":1,"
+      "\"lane\":0,\"kind\":\"zone.reset\"}\n");
+  ASSERT_EQ(r.tbs.size(), 2u);
+  std::map<double, std::string> process_names;
+  std::size_t span_events = 0;
+  for (const JsonValue& e : ChromeEvents(ToChromeTrace(r))) {
+    if (e.StringOr("name", "") == "process_name") {
+      process_names[e.NumberOr("pid", 0)] =
+          e.Find("args")->StringOr("name", "");
+    }
+    if (e.StringOr("cat", "") == "host") {
+      EXPECT_EQ(e.NumberOr("pid", 0), 1.0);
+      ++span_events;
+    }
+  }
+  EXPECT_EQ(span_events, 1u);
+  EXPECT_EQ(process_names,
+            (std::map<double, std::string>{{2, "tb run"}, {3, "tb other"}}));
 }
 
 }  // namespace
-}  // namespace zstor::zmon
+}  // namespace zstor::ztrace

@@ -1,4 +1,4 @@
-// ztrace analysis-library tests: the JSON parser, the trace loader, and
+// ztrace span-analysis tests: the JSON parser, the JSONL loader, and
 // the round-trip property the tool is built on — a traced QD1 run's
 // per-command span sum must reproduce the latency the application saw
 // (the span-tiling invariant of telemetry/trace.h), and the Chrome
@@ -78,8 +78,8 @@ TEST(LoadJsonl, SkipsBadLinesAndKeepsGoodOnes) {
 
 TEST(LoadJsonl, SkipsTimelineRecordsInMixedFiles) {
   // A file carrying both --trace spans and --timeline records (same
-  // shared path): typed records are counted and skipped, not mis-parsed
-  // as zero-duration trace spans.
+  // shared path): typed records go to their testbed's timeline, never
+  // mis-parsed as zero-duration trace spans.
   std::istringstream in(
       "{\"ts\":10,\"dur\":5,\"cmd\":1,\"layer\":\"host\","
       "\"name\":\"host.submit\"}\n"
@@ -89,9 +89,40 @@ TEST(LoadJsonl, SkipsTimelineRecordsInMixedFiles) {
       "\"zone\":1,\"from\":\"Empty\",\"to\":\"Full\"}\n");
   LoadResult r = LoadJsonl(in);
   EXPECT_EQ(r.bad_lines, 0u);
-  EXPECT_EQ(r.skipped_records, 2u);
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0].name, "host.submit");
+  ASSERT_EQ(r.tbs.size(), 1u);
+  EXPECT_EQ(r.tbs[0].samples.size(), 1u);
+  EXPECT_EQ(r.tbs[0].zone_events.size(), 1u);
+}
+
+TEST(LoadJsonl, MixedFileYieldsSpansAndTimelines) {
+  // One file carrying --trace spans and --timeline records: one pass
+  // returns both, typed records are never mis-parsed as zero-duration
+  // spans, and only garbage or an unknown record type is a bad line.
+  std::istringstream in(
+      "{\"ts\":10,\"dur\":5,\"cmd\":1,\"layer\":\"host\","
+      "\"name\":\"host.submit\"}\n"
+      "{\"type\":\"sample\",\"t\":100,\"tb\":\"x\",\"interval_ns\":100,"
+      "\"counters\":{},\"gauges\":{},\"hist\":{}}\n"
+      "{\"type\":\"hologram\",\"t\":1,\"tb\":\"y\"}\n"
+      "not json at all\n"
+      "{\"type\":\"zone_state\",\"t\":5,\"tb\":\"x\",\"lane\":0,"
+      "\"zone\":1,\"from\":\"Empty\",\"to\":\"Full\"}\n"
+      "{\"type\":\"window\",\"t\":7,\"tb\":\"z\",\"dur\":3,\"lane\":0,"
+      "\"kind\":\"gc.erase\"}\n");
+  LoadResult r = LoadJsonl(in);
+  EXPECT_EQ(r.bad_lines, 2u);
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].name, "host.submit");
+  // Only known record types create testbed groups, in first-seen order.
+  ASSERT_EQ(r.tbs.size(), 2u);
+  EXPECT_EQ(r.tbs[0].tb, "x");
+  EXPECT_EQ(r.tbs[0].samples.size(), 1u);
+  EXPECT_EQ(r.tbs[0].zone_events.size(), 1u);
+  EXPECT_EQ(r.tbs[1].tb, "z");
+  ASSERT_EQ(r.tbs[1].windows.size(), 1u);
+  EXPECT_EQ(r.tbs[1].windows[0].end(), 10u);
 }
 
 // ---- synthetic analysis ----------------------------------------------
@@ -309,7 +340,7 @@ TEST(RoundTrip, ChromeExportIsValidJson) {
   auto recs = SyntheticTwoCommands();
   auto cmds = GroupByCommand(recs);
   QdTimeline qd = ComputeQueueDepth(cmds);
-  std::string json = ToChromeTrace(recs, &qd);
+  std::string json = ToChromeTrace(LoadResult{.records = recs}, &qd);
   auto v = JsonValue::Parse(json);
   ASSERT_TRUE(v.has_value()) << "chrome export is not valid JSON";
   const JsonValue* events = v->Find("traceEvents");

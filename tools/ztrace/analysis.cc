@@ -4,7 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -34,6 +35,26 @@ double SortedQuantile(const std::vector<std::uint64_t>& sorted, double q) {
   return static_cast<double>(sorted[rank - 1]);
 }
 
+std::uint64_t U64(const JsonValue& v, std::string_view key) {
+  return static_cast<std::uint64_t>(v.NumberOr(key, 0));
+}
+
+TbTimeline& TbFor(LoadResult& out, const std::string& tb) {
+  for (auto& t : out.tbs) {
+    if (t.tb == tb) return t;
+  }
+  out.tbs.push_back(TbTimeline{});
+  out.tbs.back().tb = tb;
+  return out.tbs.back();
+}
+
+void ParseNumberMap(const JsonValue* obj, std::map<std::string, double>* out) {
+  if (obj == nullptr || !obj->is_object()) return;
+  for (const auto& [k, v] : obj->object()) {
+    if (v.is_number()) (*out)[k] = v.number();
+  }
+}
+
 }  // namespace
 
 LoadResult LoadJsonl(std::istream& in) {
@@ -46,21 +67,74 @@ LoadResult LoadJsonl(std::istream& in) {
       ++out.bad_lines;
       continue;
     }
-    if (v->Find("type") != nullptr) {
-      // A typed record from another stream (timeline samples, zone/die
-      // state changes) — not a trace span; skip, don't fail.
-      ++out.skipped_records;
+    const JsonValue* type = v->Find("type");
+    if (type == nullptr) {
+      TraceRecord r;
+      r.ts = U64(*v, "ts");
+      r.dur = U64(*v, "dur");
+      r.cmd = U64(*v, "cmd");
+      r.layer = v->StringOr("layer", "");
+      r.name = v->StringOr("name", "");
+      r.a = static_cast<std::int64_t>(v->NumberOr("a", 0));
+      r.b = static_cast<std::int64_t>(v->NumberOr("b", 0));
+      out.records.push_back(std::move(r));
       continue;
     }
-    TraceRecord r;
-    r.ts = static_cast<std::uint64_t>(v->NumberOr("ts", 0));
-    r.dur = static_cast<std::uint64_t>(v->NumberOr("dur", 0));
-    r.cmd = static_cast<std::uint64_t>(v->NumberOr("cmd", 0));
-    r.layer = v->StringOr("layer", "");
-    r.name = v->StringOr("name", "");
-    r.a = static_cast<std::int64_t>(v->NumberOr("a", 0));
-    r.b = static_cast<std::int64_t>(v->NumberOr("b", 0));
-    out.records.push_back(std::move(r));
+    const std::string& kind = type->string();
+    if (kind != "sample" && kind != "zone_state" && kind != "die_busy" &&
+        kind != "window") {
+      ++out.bad_lines;
+      continue;
+    }
+    TbTimeline& tb = TbFor(out, v->StringOr("tb", ""));
+    if (kind == "sample") {
+      Sample s;
+      s.t = U64(*v, "t");
+      s.interval_ns = U64(*v, "interval_ns");
+      ParseNumberMap(v->Find("counters"), &s.counters);
+      ParseNumberMap(v->Find("gauges"), &s.gauges);
+      if (const JsonValue* h = v->Find("hist");
+          h != nullptr && h->is_object()) {
+        for (const auto& [name, hv] : h->object()) {
+          if (!hv.is_object()) continue;
+          Sample::Hist hs;
+          hs.count = U64(hv, "count");
+          hs.mean_ns = hv.NumberOr("mean_ns", 0);
+          hs.p50_ns = hv.NumberOr("p50_ns", 0);
+          hs.p95_ns = hv.NumberOr("p95_ns", 0);
+          hs.p99_ns = hv.NumberOr("p99_ns", 0);
+          hs.max_ns = hv.NumberOr("max_ns", 0);
+          s.hists[name] = hs;
+        }
+      }
+      tb.samples.push_back(std::move(s));
+    } else if (kind == "zone_state") {
+      ZoneEvent e;
+      e.t = U64(*v, "t");
+      e.lane = static_cast<std::uint32_t>(U64(*v, "lane"));
+      e.zone = static_cast<std::uint32_t>(U64(*v, "zone"));
+      e.from = v->StringOr("from", "");
+      e.to = v->StringOr("to", "");
+      tb.zone_events.push_back(std::move(e));
+    } else if (kind == "die_busy") {
+      DieBusy d;
+      d.t = U64(*v, "t");
+      d.dur = U64(*v, "dur");
+      d.lane = static_cast<std::uint32_t>(U64(*v, "lane"));
+      d.die = static_cast<std::uint32_t>(U64(*v, "die"));
+      d.ops = U64(*v, "ops");
+      d.busy_ns = U64(*v, "busy_ns");
+      tb.die_busy.push_back(d);
+    } else {
+      Window w;
+      w.t = U64(*v, "t");
+      w.dur = U64(*v, "dur");
+      w.lane = static_cast<std::uint32_t>(U64(*v, "lane"));
+      w.kind = v->StringOr("kind", "");
+      w.a = static_cast<std::int64_t>(v->NumberOr("a", 0));
+      w.b = static_cast<std::int64_t>(v->NumberOr("b", 0));
+      tb.windows.push_back(std::move(w));
+    }
   }
   return out;
 }
@@ -252,8 +326,7 @@ QdTimeline ComputeQueueDepth(const std::vector<CommandTrace>& cmds) {
   return out;
 }
 
-std::string ToChromeTrace(const std::vector<TraceRecord>& recs,
-                          const QdTimeline* qd) {
+std::string ToChromeTrace(const LoadResult& loaded, const QdTimeline* qd) {
   using telemetry::AppendJsonNumber;
   using telemetry::AppendJsonString;
   // One track (tid) per layer, in pipeline order, so Perfetto lays the
@@ -269,70 +342,104 @@ std::string ToChromeTrace(const std::vector<TraceRecord>& recs,
   };
 
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
-  for (const TraceRecord& r : recs) {
-    if (!first) out += ",";
-    first = false;
+  const char* sep = "";
+  char buf[128];
+  // Appends one event. Trace-event ts/dur are microseconds; only complete
+  // ("X") events carry a dur, and only spans a category.
+  auto emit = [&](std::string_view name, char ph, int pid, int tid,
+                  std::uint64_t ts_ns, std::uint64_t dur_ns,
+                  std::initializer_list<std::pair<const char*, double>> args,
+                  std::string_view cat = {}) {
+    out += sep;
+    sep = ",";
     out += "{\"name\":";
-    AppendJsonString(out, r.name);
-    out += ",\"cat\":";
-    AppendJsonString(out, r.layer);
-    // Durations below: trace-event ts/dur are microseconds (double).
-    if (r.dur > 0) {
-      out += ",\"ph\":\"X\"";
-    } else {
-      out += ",\"ph\":\"i\",\"s\":\"t\"";
-    }
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f",
-                  static_cast<double>(r.ts) / 1000.0);
+    AppendJsonString(out, name);
+    std::snprintf(buf, sizeof buf,
+                  ",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f", ph, pid,
+                  tid, static_cast<double>(ts_ns) / 1000.0);
     out += buf;
-    if (r.dur > 0) {
+    if (ph == 'X') {
       std::snprintf(buf, sizeof buf, ",\"dur\":%.3f",
-                    static_cast<double>(r.dur) / 1000.0);
+                    static_cast<double>(dur_ns) / 1000.0);
       out += buf;
     }
-    std::snprintf(buf, sizeof buf, ",\"pid\":1,\"tid\":%d",
-                  tid_of(r.layer));
-    out += buf;
-    out += ",\"args\":{\"cmd\":";
-    AppendJsonNumber(out, static_cast<double>(r.cmd));
-    out += ",\"a\":";
-    AppendJsonNumber(out, static_cast<double>(r.a));
-    out += ",\"b\":";
-    AppendJsonNumber(out, static_cast<double>(r.b));
+    if (ph == 'i') out += ",\"s\":\"t\"";
+    if (!cat.empty()) {
+      out += ",\"cat\":";
+      AppendJsonString(out, cat);
+    }
+    out += ",\"args\":{";
+    const char* arg_sep = "";
+    for (const auto& [key, v] : args) {
+      out += arg_sep;
+      arg_sep = ",";
+      AppendJsonString(out, key);
+      out += ':';
+      AppendJsonNumber(out, v);
+    }
     out += "}}";
+  };
+  // Names a pid (tid 0: process_name) or one of its tracks (thread_name).
+  auto name_track = [&](int pid, int tid, std::string_view name) {
+    out += sep;
+    sep = ",";
+    std::snprintf(buf, sizeof buf,
+                  "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
+                  "\"args\":{\"name\":",
+                  tid == 0 ? "process_name" : "thread_name", pid, tid);
+    out += buf;
+    AppendJsonString(out, name);
+    out += "}}";
+  };
+
+  // pid 1: the span trace and its queue-depth counter track.
+  for (const TraceRecord& r : loaded.records) {
+    emit(r.name, r.dur > 0 ? 'X' : 'i', 1, tid_of(r.layer), r.ts, r.dur,
+         {{"cmd", static_cast<double>(r.cmd)},
+          {"a", static_cast<double>(r.a)},
+          {"b", static_cast<double>(r.b)}},
+         r.layer);
   }
   if (qd != nullptr) {
     for (const QdPoint& p : qd->points) {
-      if (!first) out += ",";
-      first = false;
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(p.ts) / 1000.0);
-      out += "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":";
-      out += buf;
-      out += ",\"pid\":1,\"args\":{\"qd\":";
-      AppendJsonNumber(out, static_cast<double>(p.qd));
-      out += "}}";
+      emit("queue depth", 'C', 1, 0, p.ts, 0,
+           {{"qd", static_cast<double>(p.qd)}});
     }
   }
-  // Track names, so the per-layer tids read as layer names in the UI.
-  for (std::size_t i = 0; i < std::size(kLayerOrder); ++i) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof buf, "%d", static_cast<int>(i) + 1);
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    out += buf;
-    out += ",\"args\":{\"name\":";
-    AppendJsonString(out, kLayerOrder[i]);
-    out += "}}";
+  if (!loaded.records.empty()) {
+    for (std::size_t i = 0; i < std::size(kLayerOrder); ++i) {
+      name_track(1, static_cast<int>(i) + 1, kLayerOrder[i]);
+    }
+  }
+
+  // pid 2, 3, ...: one per testbed, with counter tracks sampled at each
+  // interval's start and one span track per background-window kind.
+  int pid = 1;
+  for (const TbTimeline& tl : loaded.tbs) {
+    name_track(++pid, 0, "tb " + tl.tb);
+    for (const IntervalRow& r : BuildIntervals(tl)) {
+      emit("throughput_MiBps", 'C', pid, 0, r.begin, 0,
+           {{"write", r.write_mibps}, {"read", r.read_mibps}});
+      emit("queue_depth", 'C', pid, 0, r.begin, 0, {{"qd", r.qd}});
+      emit("die_util", 'C', pid, 0, r.begin, 0, {{"util", r.die_util}});
+    }
+    std::vector<std::string> kinds;  // track tid = index + 1
+    for (const Window& w : tl.windows) {
+      auto it = std::find(kinds.begin(), kinds.end(), w.kind);
+      const int tid = static_cast<int>(it - kinds.begin()) + 1;
+      if (it == kinds.end()) kinds.push_back(w.kind);
+      emit(w.kind, 'X', pid, tid, w.t, w.dur,
+           {{"a", static_cast<double>(w.a)}, {"b", static_cast<double>(w.b)}});
+    }
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      name_track(pid, static_cast<int>(i) + 1, kinds[i]);
+    }
   }
   out += "]}";
   return out;
 }
 
-bool WriteChromeTrace(const std::string& path,
-                      const std::vector<TraceRecord>& recs,
+bool WriteChromeTrace(const std::string& path, const LoadResult& loaded,
                       const QdTimeline* qd) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -340,7 +447,7 @@ bool WriteChromeTrace(const std::string& path,
                  path.c_str());
     return false;
   }
-  std::string json = ToChromeTrace(recs, qd);
+  std::string json = ToChromeTrace(loaded, qd);
   std::fwrite(json.data(), 1, json.size(), f);
   std::fputc('\n', f);
   std::fclose(f);

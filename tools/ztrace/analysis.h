@@ -1,23 +1,32 @@
-// Trace analysis behind the ztrace CLI: loads the JSONL span traces the
-// simulator emits (telemetry::JsonlFileSink; schema in DESIGN.md §7) and
-// answers the questions the paper's figures keep asking —
+// Analysis behind the ztrace CLI: loads the JSONL the simulator emits —
+// span traces (--trace, telemetry::JsonlFileSink; DESIGN.md §7) and
+// telemetry timelines (--timeline, telemetry::TimelineWriter; §10), alone
+// or mixed in one file — and answers the questions the paper's figures
+// keep asking —
 //
 //   * per-stage latency breakdown: where does command time go between
 //     submit, queueing, FCP, post/DMA, write buffer, NAND, GC?
 //   * tail attribution: for each op class, which stage dominates the
 //     commands at and beyond p95/p99?
 //   * queue-depth timeline: how many commands were in flight over time?
-//   * Chrome trace-event export: load the whole run into Perfetto /
-//     chrome://tracing for visual inspection.
+//   * per-interval device activity: throughput, IOPS, QD, die
+//     utilization and zone transitions per timeline sample interval;
+//   * throughput-dip attribution: intervals below a fraction of the run's
+//     median, annotated with the GC / zone-reset / media-error windows
+//     that overlap them;
+//   * Chrome trace-event export: the whole run — spans, queue depth and
+//     every testbed's counter tracks and background windows — in one
+//     document for Perfetto / chrome://tracing.
 //
-// Everything here is plain post-processing over TraceRecord vectors, so
-// tests drive it directly against in-memory traces.
+// Everything here is plain post-processing over parsed record vectors,
+// so tests drive it directly against in-memory traces.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace zstor::ztrace {
@@ -37,17 +46,84 @@ struct TraceRecord {
   std::uint64_t end() const { return ts + dur; }
 };
 
-struct LoadResult {
-  std::vector<TraceRecord> records;
-  std::size_t bad_lines = 0;  // lines that failed to parse (skipped)
-  /// Well-formed JSON objects that are not trace records — they carry a
-  /// "type" member, the timeline-record discriminator (DESIGN.md §10).
-  /// Skipped so a file mixing --trace and --timeline streams still loads;
-  /// point tools/zmon at it for the timeline half.
-  std::size_t skipped_records = 0;
+// ---- timeline records ---------------------------------------------------
+
+/// One "sample" record: counter deltas, gauge levels and interval
+/// histogram stats for the sample interval ending at `t`.
+struct Sample {
+  std::uint64_t t = 0;
+  std::uint64_t interval_ns = 0;
+  std::map<std::string, double> counters;  // deltas over the interval
+  std::map<std::string, double> gauges;
+  struct Hist {
+    std::uint64_t count = 0;
+    double mean_ns = 0, p50_ns = 0, p95_ns = 0, p99_ns = 0, max_ns = 0;
+  };
+  std::map<std::string, Hist> hists;
+
+  std::uint64_t begin() const { return t - interval_ns; }
 };
 
-/// Parses JSONL trace lines from a stream; blank lines are ignored.
+/// One "zone_state" record: a zone's lifecycle transition.
+struct ZoneEvent {
+  std::uint64_t t = 0;
+  std::uint32_t lane = 0;
+  std::uint32_t zone = 0;
+  std::string from;
+  std::string to;
+};
+
+/// One "die_busy" record: a coalesced window in which a die serviced
+/// back-to-back media ops. busy_ns is the exact sum of service time (the
+/// window itself may span short idle gaps the writer merged).
+struct DieBusy {
+  std::uint64_t t = 0;
+  std::uint64_t dur = 0;
+  std::uint32_t lane = 0;
+  std::uint32_t die = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t busy_ns = 0;
+
+  std::uint64_t end() const { return t + dur; }
+};
+
+/// One "window" record: a named background activity (gc.migrate,
+/// gc.erase, zone.reset, media.error, recovery.*, kv.*).
+struct Window {
+  std::uint64_t t = 0;
+  std::uint64_t dur = 0;
+  std::uint32_t lane = 0;
+  std::string kind;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+
+  std::uint64_t end() const { return t + dur; }
+};
+
+/// All timeline records of one testbed (one "tb" label), in file order.
+struct TbTimeline {
+  std::string tb;
+  std::vector<Sample> samples;
+  std::vector<ZoneEvent> zone_events;
+  std::vector<DieBusy> die_busy;
+  std::vector<Window> windows;
+};
+
+// ---- loader --------------------------------------------------------------
+
+/// Everything one JSONL file holds. A line without a "type" member is a
+/// trace span; a typed line is a timeline record (DESIGN.md §10).
+struct LoadResult {
+  std::vector<TraceRecord> records;  // trace spans, in file order
+  /// Per-testbed timelines, ordered by first appearance in the file.
+  std::vector<TbTimeline> tbs;
+  /// Lines skipped: unparsable, not a JSON object, or a record "type"
+  /// this reader does not know (e.g. from a newer writer).
+  std::size_t bad_lines = 0;
+};
+
+/// Parses JSONL trace and timeline lines from a stream in one pass;
+/// blank lines are ignored.
 LoadResult LoadJsonl(std::istream& in);
 /// Opens `path` and LoadJsonl()s it. Empty result if unopenable.
 LoadResult LoadJsonlFile(const std::string& path);
@@ -175,18 +251,73 @@ struct QdTimeline {
 /// Commands in flight over time, from each command's [begin, end) window.
 QdTimeline ComputeQueueDepth(const std::vector<CommandTrace>& cmds);
 
+// ---- per-interval activity ---------------------------------------------
+
+/// One sample interval's activity, derived from a Sample plus the
+/// windows/events overlapping [begin, end).
+struct IntervalRow {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  double write_mibps = 0;  // zns.bytes_written + conv.bytes_written
+  double read_mibps = 0;   // zns.bytes_read + conv.bytes_read
+  double iops = 0;         // qp.completions delta / interval
+  double qd = 0;           // qp.inflight gauge at sample time
+  double die_util = 0;     // mean busy fraction across dies (0..1)
+  std::uint32_t zone_transitions = 0;
+  /// Overlap of background windows with this interval, ns per kind.
+  std::map<std::string, std::uint64_t> window_ns;
+
+  double interval_ns() const { return static_cast<double>(end - begin); }
+  std::uint64_t overlap(const std::string& kind) const {
+    auto it = window_ns.find(kind);
+    return it == window_ns.end() ? 0 : it->second;
+  }
+};
+
+/// Builds per-interval rows from one testbed's timeline. `num_dies` for
+/// the utilization denominator is inferred (distinct lane/die pairs) when
+/// 0.
+std::vector<IntervalRow> BuildIntervals(const TbTimeline& tl,
+                                        std::uint32_t num_dies = 0);
+
+// ---- throughput-dip attribution ----------------------------------------
+
+/// One below-threshold throughput interval and what overlapped it.
+struct Dip {
+  IntervalRow row;
+  double throughput_mibps = 0;  // write + read
+  double median_mibps = 0;      // run median the threshold derives from
+  /// Background-window overlap inside the dip, largest first.
+  std::vector<std::pair<std::string, std::uint64_t>> causes;
+
+  /// The dominant overlapping window kind ("" when nothing overlapped —
+  /// an unexplained dip).
+  std::string dominant() const {
+    return causes.empty() ? std::string() : causes.front().first;
+  }
+};
+
+/// Finds intervals whose total throughput is below `threshold_frac` of
+/// the run's median (computed over intervals with any throughput) and
+/// attributes each to the background windows overlapping it. Warm-up and
+/// idle intervals (zero throughput and no window overlap) are ignored.
+std::vector<Dip> FindDips(const std::vector<IntervalRow>& rows,
+                          double threshold_frac = 0.7);
+
 // ---- Chrome trace-event export -----------------------------------------
 
-/// Renders records as a Chrome trace-event JSON document (loadable in
-/// Perfetto / chrome://tracing): complete events per span on one track
-/// per layer, plus a queue-depth counter track when `qd` is non-null.
-std::string ToChromeTrace(const std::vector<TraceRecord>& recs,
+/// Renders a loaded file as one Chrome trace-event JSON document
+/// (loadable in Perfetto / chrome://tracing). Spans become complete
+/// events on pid 1, one track per layer, plus a queue-depth counter track
+/// when `qd` is non-null. Each testbed gets its own pid carrying
+/// throughput / QD / die-utilization counter tracks and one span track
+/// per background-window kind.
+std::string ToChromeTrace(const LoadResult& loaded,
                           const QdTimeline* qd = nullptr);
 
 /// Writes ToChromeTrace() to `path`; false (warning on stderr) if
 /// unopenable.
-bool WriteChromeTrace(const std::string& path,
-                      const std::vector<TraceRecord>& recs,
+bool WriteChromeTrace(const std::string& path, const LoadResult& loaded,
                       const QdTimeline* qd = nullptr);
 
 }  // namespace zstor::ztrace
