@@ -15,7 +15,7 @@
 #include "harness/gc_experiment.h"
 #include "harness/parallel.h"
 #include "harness/table.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "zns/zns_device.h"
 

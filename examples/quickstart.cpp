@@ -18,7 +18,7 @@ int main() {
   //    calibrated to the WD Ultrastar DC ZN540 the paper characterizes
   //    (904 zones of 1077 MiB capacity, max 14 open/active), and a host
   //    stack — SpdkStack here, the low-latency polled path; see
-  //    hostif/kernel_stack.h for the io_uring + mq-deadline model.
+  //    hostif/host_stack.h for the io_uring + mq-deadline model.
   //    Telemetry keeps the last 512 trace events in memory.
   Testbed tb = TestbedBuilder()
                    .WithZnsProfile(zns::Zn540Profile())

@@ -472,19 +472,8 @@ TestbedBuilder& TestbedBuilder::WithStack(StackChoice s) {
   return *this;
 }
 
-TestbedBuilder& TestbedBuilder::WithStackOptions(
-    const hostif::StackOptions& opts) {
-  stack_opts_ = opts;
-  return *this;
-}
-
 TestbedBuilder& TestbedBuilder::WithLbaBytes(std::uint32_t lba_bytes) {
   lba_bytes_ = lba_bytes;
-  return *this;
-}
-
-TestbedBuilder& TestbedBuilder::WithQueueDepth(std::uint32_t qp_depth) {
-  stack_opts_.qp_depth = qp_depth;
   return *this;
 }
 
@@ -600,8 +589,7 @@ Testbed TestbedBuilder::Build() {
     proxies.reserve(num_devices_);
     for (std::uint32_t d = 0; d < num_devices_; ++d) {
       tb.lane_stacks_.push_back(
-          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d], stack_opts_)
-              .stack);
+          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d]).stack);
       proxies.push_back(std::make_unique<hostif::MailboxStack>(
           *tb.psim_, /*host_lane=*/0, /*dev_lane=*/1 + d,
           *tb.lane_stacks_.back()));
@@ -619,8 +607,7 @@ Testbed TestbedBuilder::Build() {
     std::vector<std::unique_ptr<hostif::Stack>> lanes;
     lanes.reserve(tb.zns_devs_.size());
     for (auto& dev : tb.zns_devs_) {
-      lanes.push_back(
-          hostif::MakeStack(stack_, *tb.sim_, *dev, stack_opts_).stack);
+      lanes.push_back(hostif::MakeStack(stack_, *tb.sim_, *dev).stack);
     }
     auto striped =
         std::make_unique<hostif::StripedStack>(*tb.sim_, std::move(lanes));
@@ -628,7 +615,7 @@ Testbed TestbedBuilder::Build() {
     tb.stack_ = std::move(striped);
   } else {
     hostif::MadeStack made =
-        hostif::MakeStack(stack_, *tb.sim_, tb.controller(), stack_opts_);
+        hostif::MakeStack(stack_, *tb.sim_, tb.controller());
     tb.kernel_ = made.kernel;
     tb.stack_ = std::move(made.stack);
   }

@@ -40,7 +40,7 @@
 
 #include "fault/fault_plan.h"
 #include "ftl/conv_device.h"
-#include "hostif/kernel_stack.h"
+#include "hostif/host_stack.h"
 #include "hostif/lane_stacks.h"
 #include "hostif/resilient_stack.h"
 #include "hostif/stack.h"
@@ -272,14 +272,8 @@ class TestbedBuilder {
   /// with WithConvProfile.
   TestbedBuilder& WithDevices(std::uint32_t n);
   TestbedBuilder& WithStack(StackChoice s);
-  /// Host-stack construction options (per-device queue depth, host costs,
-  /// scheduler tuning). Applied to every lane in a multi-device testbed.
-  TestbedBuilder& WithStackOptions(const hostif::StackOptions& opts);
   /// Namespace LBA format (ZNS only; the conventional model is 4 KiB).
   TestbedBuilder& WithLbaBytes(std::uint32_t lba_bytes);
-  /// Queue-pair depth (device-visible in-flight bound, per device);
-  /// shorthand for the StackOptions field.
-  TestbedBuilder& WithQueueDepth(std::uint32_t qp_depth);
   /// Explicitly enables telemetry with this config (otherwise Build()
   /// consults the BenchEnv --trace/--metrics flags).
   TestbedBuilder& WithTelemetry(TelemetryConfig cfg);
@@ -312,7 +306,6 @@ class TestbedBuilder {
   std::optional<ftl::ConvProfile> conv_profile_;
   std::uint32_t num_devices_ = 1;
   StackChoice stack_ = StackChoice::kSpdk;
-  hostif::StackOptions stack_opts_;
   std::uint32_t lba_bytes_ = 4096;
   std::optional<TelemetryConfig> telem_cfg_;
   std::optional<fault::FaultSpec> fault_spec_;

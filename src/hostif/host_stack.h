@@ -1,5 +1,20 @@
-// Kernel-like stack (io_uring with SQ polling) with an optional
-// mq-deadline scheduler.
+// The host stack: one Submit path for every StackChoice.
+//
+// The paper's stacks (§III-A, plus the psync path of its storage-API
+// references [14], [82]) differ only in a constant per-command host cost
+// and in whether an I/O scheduler sits in front of the queue pair
+// (Obs. 2). So one class implements the path and each kind only picks
+// its calibrated costs and a scheduler:
+//
+//   * SpdkStack — polled userspace queue pairs, no scheduler, lowest
+//     overhead. Calibrated so a 4 KiB write lands at the paper's
+//     11.36 us (device-internal 10.35 us + ~1.01 us host). One in-flight
+//     write per zone is the caller's problem.
+//   * KernelStack — io_uring with submission-queue polling, with either
+//     no scheduler or mq-deadline.
+//   * PsyncStack — blocking pread/pwrite, the slowest option: each
+//     operation pays a full syscall round trip and the kernel block
+//     layer, so concurrency needs more workers.
 //
 // mq-deadline semantics for zoned writes (as in the Linux block layer):
 // writes to a zone are staged per zone, contiguous staged writes are
@@ -12,8 +27,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hostif/stack.h"
@@ -52,37 +67,15 @@ struct SchedulerStats {
 };
 static_assert(telemetry::ListsEveryFieldOnce<SchedulerStats>());
 
-class KernelStack : public Stack {
+class HostStack : public Stack {
  public:
-  static constexpr HostCosts kDefaultCosts = {
-      .submit = sim::Microseconds(1.2), .complete = sim::Microseconds(1.07)};
-
-  KernelStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
-              std::uint32_t qp_depth = 4096, HostCosts costs = kDefaultCosts,
-              sim::Time scheduler_cost = sim::Microseconds(1.85),
-              std::uint64_t max_merge_bytes = 128 * 1024)
-      : sim_(s),
-        ctrl_(ctrl),
-        qp_(s, ctrl, qp_depth),
-        sched_(sched),
-        costs_(costs),
-        scheduler_cost_(scheduler_cost),
-        max_merge_bytes_(max_merge_bytes) {}
-
-  KernelStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
-              const StackOptions& o)
-      : KernelStack(s, ctrl, sched, o.qp_depth,
-                    o.costs.value_or(kDefaultCosts), o.scheduler_cost,
-                    o.max_merge_bytes) {
-    if (o.telemetry != nullptr) AttachTelemetry(o.telemetry);
-  }
-
   sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
     telemetry::Tracer* tr = trace();
     if (tr != nullptr && cmd.trace_id == 0) {
       cmd.trace_id = tr->NextId();
     }
     sim::Time start = sim_.now();
+    // Syscall entry / SQ write (and the scheduler) on the way down...
     sim::Time overhead =
         costs_.submit +
         (sched_ == Scheduler::kMqDeadline ? scheduler_cost_ : 0);
@@ -92,22 +85,8 @@ class KernelStack : public Stack {
                "host.submit", static_cast<std::int64_t>(cmd.opcode),
                static_cast<std::int64_t>(cmd.nlb));
     }
-    nvme::TimedCompletion tc;
-    if (sched_ == Scheduler::kMqDeadline &&
-        cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
-      sim::Time staged_at = sim_.now();
-      tc.completion = co_await StageZonedWrite(cmd);
-      tc.trace_id = cmd.trace_id;
-      if (tr != nullptr) {
-        // The whole scheduler round trip: staging, possibly merging into a
-        // neighbor's request, device service of the dispatched batch.
-        tr->Span(staged_at, sim_.now(), cmd.trace_id,
-                 telemetry::Layer::kHost, "sched.wait",
-                 static_cast<std::int64_t>(ZoneOf(cmd.slba)));
-      }
-    } else {
-      tc = co_await qp_.Issue(cmd);
-    }
+    nvme::TimedCompletion tc = co_await Issue(cmd);
+    // ...and the completion path (interrupt or poll) on the way up.
     sim::Time device_done = sim_.now();
     co_await sim_.Delay(costs_.complete);
     tc.submitted = start;
@@ -121,12 +100,24 @@ class KernelStack : public Stack {
   }
 
   const nvme::NamespaceInfo& info() const override { return ctrl_.info(); }
-  const SchedulerStats& scheduler_stats() const { return sched_stats_; }
 
   void AttachTelemetry(telemetry::Telemetry* t) override {
     telem_ = t;
     qp_.AttachTelemetry(t);
   }
+
+ protected:
+  HostStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
+            HostCosts costs, const StackOptions& o)
+      : sim_(s),
+        ctrl_(ctrl),
+        qp_(s, ctrl, o.qp_depth),
+        sched_(sched),
+        costs_(costs),
+        scheduler_cost_(o.scheduler_cost),
+        max_merge_bytes_(o.max_merge_bytes) {}
+
+  const SchedulerStats& scheduler_stats() const { return sched_stats_; }
 
  private:
   /// One staged write. Owned by the coroutine frame of the waiter in
@@ -149,14 +140,36 @@ class KernelStack : public Stack {
     return static_cast<std::uint32_t>(lba / info().zone_size_lbas);
   }
 
-  sim::Task<nvme::Completion> StageZonedWrite(nvme::Command cmd) {
+  /// The device round trip: through mq-deadline's staging for zoned
+  /// writes, straight to the queue pair otherwise. Returning the started
+  /// task lets Submit initialise its completion in place (the per-command
+  /// move-assignment measurably slowed SPDK-only runs); writing the choice
+  /// as ?: between two co_awaits instead makes GCC destroy the awaited
+  /// temporaries twice.
+  sim::Task<nvme::TimedCompletion> Issue(const nvme::Command& cmd) {
+    if (sched_ == Scheduler::kMqDeadline &&
+        cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
+      return StageZonedWrite(cmd);
+    }
+    return qp_.Issue(cmd);
+  }
+
+  sim::Task<nvme::TimedCompletion> StageZonedWrite(nvme::Command cmd) {
     std::uint32_t zid = ZoneOf(cmd.slba);
+    sim::Time staged_at = sim_.now();
     Request req(sim_, cmd);  // lives in this coroutine frame
     zones_[zid].staged.push_back(&req);
     sched_stats_.staged_writes++;
     MaybeDispatch(zid);
     co_await req.done.Wait();
-    co_return req.completion;
+    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+      // The whole scheduler round trip: staging, possibly merging into a
+      // neighbor's request, device service of the dispatched batch.
+      tr->Span(staged_at, sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
+               "sched.wait", static_cast<std::int64_t>(zid));
+    }
+    co_return nvme::TimedCompletion{.completion = std::move(req.completion),
+                                    .trace_id = cmd.trace_id};
   }
 
   void MaybeDispatch(std::uint32_t zid) {
@@ -221,6 +234,38 @@ class KernelStack : public Stack {
   std::uint64_t max_merge_bytes_;
   std::unordered_map<std::uint32_t, ZoneQueue> zones_;
   SchedulerStats sched_stats_;
+};
+
+class SpdkStack final : public HostStack {
+ public:
+  static constexpr HostCosts kDefaultCosts = {
+      .submit = sim::Microseconds(0.6), .complete = sim::Microseconds(0.41)};
+
+  SpdkStack(sim::Simulator& s, nvme::Controller& ctrl,
+            const StackOptions& o = {})
+      : HostStack(s, ctrl, Scheduler::kNone, kDefaultCosts, o) {}
+};
+
+class KernelStack final : public HostStack {
+ public:
+  static constexpr HostCosts kDefaultCosts = {
+      .submit = sim::Microseconds(1.2), .complete = sim::Microseconds(1.07)};
+
+  KernelStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
+              const StackOptions& o = {})
+      : HostStack(s, ctrl, sched, kDefaultCosts, o) {}
+
+  using HostStack::scheduler_stats;
+};
+
+class PsyncStack final : public HostStack {
+ public:
+  static constexpr HostCosts kDefaultCosts = {
+      .submit = sim::Microseconds(2.6), .complete = sim::Microseconds(2.3)};
+
+  PsyncStack(sim::Simulator& s, nvme::Controller& ctrl,
+             const StackOptions& o = {})
+      : HostStack(s, ctrl, Scheduler::kNone, kDefaultCosts, o) {}
 };
 
 }  // namespace zstor::hostif

@@ -21,11 +21,11 @@
 //    that device's lane and needs no cross-lane traffic at all; the
 //    view presents the *logical* (striped) namespace geometry so specs,
 //    zone slices and RNG streams are identical to the classic run, and
-//    translates logical↔device LBAs with the same StripeMap arithmetic
-//    StripedStack uses.
+//    routes each command through StripedStack's own router
+//    (detail::RouteOne in striped_stack.h): the same boundary reject,
+//    "stripe.route" instant, LaneStats and append LBA translation.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -125,46 +125,15 @@ class StripeLaneView : public Stack {
                     "broadcast/gather commands must run on the coordinator");
     telemetry::Tracer* tr = trace();
     if (tr != nullptr && cmd.trace_id == 0) cmd.trace_id = tr->NextId();
-    const std::uint32_t lz = map_.LogicalZoneOf(cmd.slba);
-    const nvme::Lba offset = cmd.slba - nvme::Lba{lz} * map_.zone_size_lbas;
-    nvme::TimedCompletion tc;
-    if (offset + cmd.nlb > map_.zone_size_lbas) {
-      // Same host-side rejection as StripedStack::RouteOne: the tail
-      // would land on a different device.
-      ++boundary_rejects_;
-      tc.completion.status = nvme::Status::kZoneBoundaryError;
-      tc.trace_id = cmd.trace_id;
-      tc.submitted = sim_.now();
-      tc.completed = sim_.now();
-      co_return tc;
-    }
-    ZSTOR_CHECK_MSG(map_.DeviceOf(lz) == dev_,
-                    "sharded worker routed to the wrong device lane");
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
-                  "stripe.route", static_cast<std::int64_t>(dev_),
-                  static_cast<std::int64_t>(lz));
-    }
-    nvme::Command routed = cmd;
-    routed.slba = map_.ToDeviceLba(cmd.slba);
-    stats_.issued++;
-    stats_.in_flight++;
-    stats_.max_in_flight = std::max(stats_.max_in_flight, stats_.in_flight);
-    tc = co_await target_.Submit(routed);
-    stats_.in_flight--;
-    stats_.completed++;
-    if (!tc.completion.ok()) stats_.errors++;
-    if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
-      tc.completion.result_lba = ToLogicalLba(tc.completion.result_lba);
-    }
-    co_return tc;
+    return detail::RouteOne(
+        sim_, map_, tr, &boundary_rejects_, cmd, [this](std::uint32_t d) {
+          ZSTOR_CHECK_MSG(d == dev_,
+                          "sharded worker routed to the wrong device lane");
+          return detail::LaneRef{&target_, &stats_};
+        });
   }
 
   const nvme::NamespaceInfo& info() const override { return info_; }
-
-  nvme::Lba ToLogicalLba(nvme::Lba device_lba) const {
-    return map_.ToLogicalLba(dev_, device_lba);
-  }
 
   /// Per-lane traffic seen by this view. NOT exported into any metrics
   /// registry here — the Testbed folds view stats into the coordinator

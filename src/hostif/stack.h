@@ -1,16 +1,14 @@
 // Host storage stacks: the software between the benchmark and the device.
 //
-// The paper uses two stacks (§III-A) and shows their costs matter:
-//   * SPDK — polled userspace queue pairs, no scheduler, lowest overhead
-//     (Obs. 2). One in-flight write per zone is the caller's problem.
-//   * Linux kernel (io_uring, submission-queue polling) with either no
-//     scheduler or mq-deadline. mq-deadline buffers writes per zone,
-//     merges contiguous ones and dispatches them serially — the mechanism
-//     behind Obs. 7's 293 KIOPS intra-zone write throughput.
+// The Stack interface is what every layer above the device speaks: the
+// host stack proper (host_stack.h — one Submit path, whose kinds SPDK,
+// kernel io_uring with or without mq-deadline, and psync differ only in
+// host costs and scheduler; §III-A, Obs. 2) and the proxies stacked on
+// it (ResilientStack, StripedStack, and the parallel engine's lane
+// adapters).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "nvme/queue_pair.h"
 #include "nvme/types.h"
@@ -41,23 +39,17 @@ constexpr const char* ToString(StackChoice k) {
   return "?";
 }
 
-/// Everything a concrete stack's constructor used to take positionally,
-/// collapsed into one options struct shared by all stacks (and by the
-/// MakeStack factory in stack_factory.h). Defaults reproduce each stack's
-/// calibrated behavior.
+/// Construction options shared by every host stack kind (and by the
+/// MakeStack factory in stack_factory.h). Defaults reproduce each kind's
+/// calibrated behavior; the host costs themselves are fixed per kind
+/// (e.g. SpdkStack::kDefaultCosts).
 struct StackOptions {
   /// Queue-pair depth: the device-visible in-flight bound, per device.
   std::uint32_t qp_depth = 4096;
-  /// Per-command host costs; unset = the stack kind's calibrated default
-  /// (e.g. SpdkStack::kDefaultCosts).
-  std::optional<HostCosts> costs;
   /// mq-deadline only: per-command scheduler cost and the block layer's
   /// maximum merged-request size.
   sim::Time scheduler_cost = sim::Microseconds(1.85);
   std::uint64_t max_merge_bytes = 128 * 1024;
-  /// Attached to the stack (and its queue pair) on construction when
-  /// non-null; equivalent to calling AttachTelemetry afterwards.
-  telemetry::Telemetry* telemetry = nullptr;
 };
 
 /// A host I/O stack. Latency reported by TimedCompletion spans host

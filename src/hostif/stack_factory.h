@@ -1,10 +1,8 @@
-// MakeStack: the one place a StackChoice becomes a concrete host stack.
+// MakeStack: the one place a StackChoice becomes a host stack.
 //
-// Before this factory existed, the switch over StackChoice was duplicated
-// in the Testbed builder, the integration tests, and anything else that
-// wanted "a stack of kind K" — each copy repeating the same constructor
-// plumbing. Callers now say what they want (a choice + options) instead of
-// how to build it:
+// Every choice is the same HostStack (host_stack.h) with the kind's
+// calibrated costs and scheduler; callers say what they want (a choice +
+// options) instead of how to build it:
 //
 //   auto made = hostif::MakeStack(StackChoice::kKernelMq, sim, dev,
 //                                 {.qp_depth = 64});
@@ -13,16 +11,14 @@
 
 #include <memory>
 
-#include "hostif/kernel_stack.h"
-#include "hostif/psync_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "hostif/stack.h"
 #include "nvme/controller.h"
 #include "sim/simulator.h"
 
 namespace zstor::hostif {
 
-/// A freshly built stack plus its concrete-typed side doors. `kernel` is
+/// A freshly built stack plus its concrete-typed side door. `kernel` is
 /// non-null for the kernel choices (scheduler stats live there).
 struct MadeStack {
   std::unique_ptr<Stack> stack;
@@ -40,16 +36,13 @@ inline MadeStack MakeStack(StackChoice choice, sim::Simulator& sim,
     case StackChoice::kPsync:
       out.stack = std::make_unique<PsyncStack>(sim, ctrl, opts);
       break;
-    case StackChoice::kKernelNone: {
-      auto k = std::make_unique<KernelStack>(sim, ctrl, Scheduler::kNone,
-                                             opts);
-      out.kernel = k.get();
-      out.stack = std::move(k);
-      break;
-    }
+    case StackChoice::kKernelNone:
     case StackChoice::kKernelMq: {
-      auto k = std::make_unique<KernelStack>(sim, ctrl,
-                                             Scheduler::kMqDeadline, opts);
+      auto k = std::make_unique<KernelStack>(
+          sim, ctrl,
+          choice == StackChoice::kKernelMq ? Scheduler::kMqDeadline
+                                           : Scheduler::kNone,
+          opts);
       out.kernel = k.get();
       out.stack = std::move(k);
       break;

@@ -1,9 +1,10 @@
 // The zone-granular RAID-0 address map shared by every striping layer.
 //
-// StripedStack (the classic single-simulator scale-out), MailboxStack
-// and StripeLaneView (the parallel-engine split of the same namespace)
-// must all agree on how logical zones land on devices — extracting the
-// arithmetic into one value type keeps them provably consistent:
+// StripedStack and the parallel engine's StripeLaneView route through
+// one router (detail::RouteOne in striped_stack.h) over this map, and the
+// Testbed shards workers and fills zones by it, so all agree on how
+// logical zones land on devices (MailboxStack only forwards commands
+// StripedStack has already routed):
 //
 //   logical zone z  ->  device z % N, device zone z / N
 #pragma once

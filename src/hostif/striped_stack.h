@@ -16,8 +16,9 @@
 // zone, just relocated.
 //
 // Cross-device semantics:
-//   * I/O and per-zone management commands route to exactly one lane;
-//     an I/O crossing a logical zone boundary is rejected host-side with
+//   * I/O and per-zone management commands route to exactly one lane
+//     (detail::RouteOne, the router StripeLaneView shares); an I/O
+//     crossing a logical zone boundary is rejected host-side with
 //     kZoneBoundaryError (it would otherwise silently span devices).
 //   * Flush and select_all zone management broadcast to every lane and
 //     complete when the slowest lane does; the first non-success status
@@ -103,6 +104,60 @@ inline sim::Task<> RunBroadcastLane(Stack* lane, nvme::Command cmd,
   wg->Done();
 }
 
+/// One device's stack and its traffic counters, as the router sees them.
+struct LaneRef {
+  Stack* stack;
+  LaneStats* stats;
+};
+
+/// The one routing path of the striping layers, shared by StripedStack
+/// and the parallel engine's StripeLaneView: an I/O or per-zone
+/// management command lands on exactly one device. An I/O crossing a
+/// logical zone boundary is rejected host-side — in a single-device
+/// namespace it would reach the controller and fail there; striped, its
+/// tail would land on a different device. `lane_of(d)` resolves device d
+/// to a LaneRef. An append's result LBA is translated back into the
+/// logical address space.
+template <class LaneOf>
+sim::Task<nvme::TimedCompletion> RouteOne(sim::Simulator& sim,
+                                          const StripeMap& map,
+                                          telemetry::Tracer* tr,
+                                          std::uint64_t* boundary_rejects,
+                                          nvme::Command cmd, LaneOf lane_of) {
+  const std::uint32_t lz = map.LogicalZoneOf(cmd.slba);
+  const nvme::Lba offset = cmd.slba - nvme::Lba{lz} * map.zone_size_lbas;
+  nvme::TimedCompletion tc;
+  if (offset + cmd.nlb > map.zone_size_lbas) {
+    ++*boundary_rejects;
+    tc.completion.status = nvme::Status::kZoneBoundaryError;
+    tc.trace_id = cmd.trace_id;
+    tc.submitted = sim.now();
+    tc.completed = sim.now();
+    co_return tc;
+  }
+  const std::uint32_t d = map.DeviceOf(lz);
+  const LaneRef lane = lane_of(d);
+  if (tr != nullptr) {
+    tr->Instant(sim.now(), cmd.trace_id, telemetry::Layer::kHost,
+                "stripe.route", static_cast<std::int64_t>(d),
+                static_cast<std::int64_t>(lz));
+  }
+  nvme::Command routed = cmd;
+  routed.slba = map.ToDeviceLba(cmd.slba);
+  LaneStats& ls = *lane.stats;
+  ls.issued++;
+  ls.in_flight++;
+  ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
+  tc = co_await lane.stack->Submit(routed);
+  ls.in_flight--;
+  ls.completed++;
+  if (!tc.completion.ok()) ls.errors++;
+  if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
+    tc.completion.result_lba = map.ToLogicalLba(d, tc.completion.result_lba);
+  }
+  co_return tc;
+}
+
 }  // namespace detail
 
 class StripedStack : public Stack {
@@ -164,66 +219,17 @@ class StripedStack : public Stack {
   const Stack& lane(std::size_t d) const { return *lanes_[d]; }
   const StripeStats& stats() const { return stats_; }
 
-  // --- the address map (stripe_map.h), exposed for tests and the
-  // Testbed; the parallel engine's StripeLaneView shares the same math.
-
+  /// The address map (stripe_map.h), shared with StripeLaneView.
   const StripeMap& map() const { return map_; }
-  std::uint32_t LogicalZoneOf(nvme::Lba lba) const {
-    return map_.LogicalZoneOf(lba);
-  }
-  /// Device index serving logical zone `lz`.
-  std::uint32_t DeviceOf(std::uint32_t lz) const { return map_.DeviceOf(lz); }
-  /// The zone index `lz` maps to on its device.
-  std::uint32_t DeviceZoneOf(std::uint32_t lz) const {
-    return map_.DeviceZoneOf(lz);
-  }
-  /// Logical LBA -> LBA in DeviceOf(zone)'s address space.
-  nvme::Lba ToDeviceLba(nvme::Lba logical) const {
-    return map_.ToDeviceLba(logical);
-  }
-  /// Device-space LBA on device `d` -> logical LBA (inverse of the above;
-  /// used to translate append result LBAs and report entries back).
-  nvme::Lba ToLogicalLba(std::uint32_t d, nvme::Lba device_lba) const {
-    return map_.ToLogicalLba(d, device_lba);
-  }
 
  private:
   sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
                                             telemetry::Tracer* tr) {
-    const std::uint32_t lz = LogicalZoneOf(cmd.slba);
-    const nvme::Lba offset = cmd.slba - nvme::Lba{lz} * info_.zone_size_lbas;
-    nvme::TimedCompletion tc;
-    if (offset + cmd.nlb > info_.zone_size_lbas) {
-      // In a single-device namespace this I/O would reach the controller
-      // and fail there; striped, the tail would land on a different
-      // device, so reject before any lane sees it.
-      stats_.boundary_rejects++;
-      tc.completion.status = nvme::Status::kZoneBoundaryError;
-      tc.trace_id = cmd.trace_id;
-      tc.submitted = sim_.now();
-      tc.completed = sim_.now();
-      co_return tc;
-    }
-    const std::uint32_t d = DeviceOf(lz);
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
-                  "stripe.route", static_cast<std::int64_t>(d),
-                  static_cast<std::int64_t>(lz));
-    }
-    nvme::Command routed = cmd;
-    routed.slba = ToDeviceLba(cmd.slba);
-    LaneStats& ls = stats_.lanes[d];
-    ls.issued++;
-    ls.in_flight++;
-    ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
-    tc = co_await lanes_[d]->Submit(routed);
-    ls.in_flight--;
-    ls.completed++;
-    if (!tc.completion.ok()) ls.errors++;
-    if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
-      tc.completion.result_lba = ToLogicalLba(d, tc.completion.result_lba);
-    }
-    co_return tc;
+    return detail::RouteOne(
+        sim_, map_, tr, &stats_.boundary_rejects, cmd,
+        [this](std::uint32_t d) {
+          return detail::LaneRef{lanes_[d].get(), &stats_.lanes[d]};
+        });
   }
 
   /// Fans `cmd` out to every lane, joins on the slowest, surfaces the
@@ -287,14 +293,14 @@ class StripedStack : public Stack {
       }
     }
     if (tc.completion.ok()) {
-      const std::uint32_t first_lz = LogicalZoneOf(cmd.slba);
+      const std::uint32_t first_lz = map_.LogicalZoneOf(cmd.slba);
       for (std::uint32_t lz = first_lz; lz < info_.num_zones; ++lz) {
         if (cmd.report_max != 0 &&
             tc.completion.report.size() >= cmd.report_max) {
           break;
         }
-        const std::uint32_t d = DeviceOf(lz);
-        const std::uint32_t dz = DeviceZoneOf(lz);
+        const std::uint32_t d = map_.DeviceOf(lz);
+        const std::uint32_t dz = map_.DeviceZoneOf(lz);
         ZSTOR_CHECK(dz < legs[d].completion.report.size());
         nvme::ZoneDescriptor desc = legs[d].completion.report[dz];
         const nvme::Lba dev_zslba = desc.zslba;

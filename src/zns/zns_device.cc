@@ -528,10 +528,8 @@ sim::Task<Completion> ZnsDevice::Execute(const Command& cmd) {
       c = co_await DoRead(cmd);
       break;
     case Opcode::kWrite:
-      c = co_await DoWrite(cmd);
-      break;
     case Opcode::kAppend:
-      c = co_await DoAppend(cmd);
+      c = co_await DoWrite(cmd);
       break;
     case Opcode::kZoneMgmtSend:
       c = co_await DoZoneMgmt(cmd);
@@ -661,102 +659,16 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
 }
 
 sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
-  if (Status st = ValidateIoRange(cmd, /*is_write=*/true);
+  // Write and Zone Append share this path; they differ in how the target
+  // offset is validated (a write must sit at the write pointer, an append
+  // names the zone by its ZSLBA and takes whatever the pointer is), in
+  // their FCP and post-processing costs, and in append's result LBA.
+  const bool append = cmd.opcode == Opcode::kAppend;
+  if (Status st = ValidateIoRange(cmd, /*is_write=*/!append);
       st != Status::kSuccess) {
     co_return Completion{.status = st};
   }
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
-  const std::uint32_t zone = ZoneOfLba(cmd.slba);
-  InflightGuard io_guard(*this);
-  const std::uint64_t epoch0 = power_epoch_;
-  telemetry::Tracer* tr = trace();
-  bool first_io = false;
-  std::uint64_t end_off;
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait",
-               static_cast<std::int64_t>(zone));
-    }
-    co_await sim_.Delay(
-        Noise(FcpIoCost(Opcode::kWrite, bytes, cmd.nlb, cmd.slba)));
-    if (tr != nullptr) {
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(zone),
-               static_cast<std::int64_t>(bytes));
-    }
-    if (power_epoch_ != epoch0) {
-      // Power cut before the command reached the zone state machine:
-      // nothing of it survives, not even buffered bytes.
-      co_return Completion{.status = Status::kDeviceReset};
-    }
-    Zone& z = zones_[zone];
-    if (z.write_fault_pending) {
-      // Report the earlier program failure once; subsequent writes see
-      // the zone's degraded state instead.
-      z.write_fault_pending = false;
-      co_return Completion{.status = Status::kWriteFault};
-    }
-    if (ZoneDataOffsetBytes(cmd.slba) != z.wp_bytes &&
-        z.state != ZoneState::kFull) {
-      co_return Completion{.status = Status::kZoneInvalidWrite};
-    }
-    if (Status st = EnsureOpenForIo(zone, first_io);
-        st != Status::kSuccess) {
-      co_return Completion{.status = st};
-    }
-    std::uint64_t off = z.wp_bytes;
-    z.wp_bytes += bytes;
-    end_off = z.wp_bytes;
-    if (cmd.payload_tag != 0) StoreTags(zone, off, cmd.nlb, cmd.payload_tag);
-    if (z.wp_bytes == profile_.zone_cap_bytes) {
-      TransitionToFullLocked(zone, /*via_finish=*/false);
-    }
-  }
-  sim::Time post_begin = sim_.now();
-  Time post = profile_.post.write_fixed +
-              static_cast<Time>(profile_.post.dma_ns_per_byte *
-                                static_cast<double>(bytes));
-  if (first_io) post += profile_.open_close.implicit_first_write_extra;
-  co_await sim_.Delay(Noise(post));
-  sim::Time admit_begin = sim_.now();
-  if (tr != nullptr) {
-    tr->Span(post_begin, admit_begin, cmd.trace_id, Layer::kPost, "post",
-             static_cast<std::int64_t>(bytes), first_io ? 1 : 0);
-  }
-  if (power_epoch_ != epoch0) {
-    // Power cut after the wp advanced but before the ack: the crash
-    // rolled the zone back; the host must treat the write as not-done.
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (flash_) {
-    co_await AdmitPrograms(zone, end_off, epoch0);
-  } else {
-    zones_[zone].programmed_bytes = end_off;
-  }
-  if (tr != nullptr) {
-    // Non-zero only when the write-back buffer is full and admission has
-    // to wait for the NAND drain (the Obs. 9 throttling mechanism).
-    tr->Span(admit_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
-             "buffer.admit", static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  counters_.writes++;
-  counters_.bytes_written += bytes;
-  co_return Completion{.status = Status::kSuccess};
-}
-
-sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
-  if (Status st = ValidateIoRange(cmd, /*is_write=*/false);
-      st != Status::kSuccess) {
-    co_return Completion{.status = st};
-  }
-  if (cmd.slba != ZoneStartLba(ZoneOfLba(cmd.slba))) {
+  if (append && cmd.slba != ZoneStartLba(ZoneOfLba(cmd.slba))) {
     co_return Completion{.status = Status::kInvalidField};  // needs ZSLBA
   }
   const std::uint64_t bytes =
@@ -777,23 +689,31 @@ sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
                static_cast<std::int64_t>(zone));
     }
     co_await sim_.Delay(
-        Noise(FcpIoCost(Opcode::kAppend, bytes, cmd.nlb, cmd.slba)));
+        Noise(FcpIoCost(cmd.opcode, bytes, cmd.nlb, cmd.slba)));
     if (tr != nullptr) {
       tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
                static_cast<std::int64_t>(zone),
                static_cast<std::int64_t>(bytes));
     }
     if (power_epoch_ != epoch0) {
+      // Power cut before the command reached the zone state machine:
+      // nothing of it survives, not even buffered bytes.
       co_return Completion{.status = Status::kDeviceReset};
     }
     Zone& z = zones_[zone];
     if (z.write_fault_pending) {
+      // Report the earlier program failure once; subsequent writes see
+      // the zone's degraded state instead.
       z.write_fault_pending = false;
       co_return Completion{.status = Status::kWriteFault};
     }
-    if (z.wp_bytes + bytes > profile_.zone_cap_bytes &&
-        z.state != ZoneState::kFull) {
-      co_return Completion{.status = Status::kZoneBoundaryError};
+    if (z.state != ZoneState::kFull) {
+      if (append && z.wp_bytes + bytes > profile_.zone_cap_bytes) {
+        co_return Completion{.status = Status::kZoneBoundaryError};
+      }
+      if (!append && ZoneDataOffsetBytes(cmd.slba) != z.wp_bytes) {
+        co_return Completion{.status = Status::kZoneInvalidWrite};
+      }
     }
     if (Status st = EnsureOpenForIo(zone, first_io);
         st != Status::kSuccess) {
@@ -813,10 +733,13 @@ sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
   Time post = profile_.post.write_fixed +
               static_cast<Time>(profile_.post.dma_ns_per_byte *
                                 static_cast<double>(bytes));
-  if (bytes < profile_.post.substripe_threshold_bytes) {
+  if (append && bytes < profile_.post.substripe_threshold_bytes) {
     post += profile_.post.append_substripe_extra;
   }
-  if (first_io) post += profile_.open_close.implicit_first_append_extra;
+  if (first_io) {
+    post += append ? profile_.open_close.implicit_first_append_extra
+                   : profile_.open_close.implicit_first_write_extra;
+  }
   co_await sim_.Delay(Noise(post));
   sim::Time admit_begin = sim_.now();
   if (tr != nullptr) {
@@ -824,6 +747,8 @@ sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
              static_cast<std::int64_t>(bytes), first_io ? 1 : 0);
   }
   if (power_epoch_ != epoch0) {
+    // Power cut after the wp advanced but before the ack: the crash
+    // rolled the zone back; the host must treat the command as not-done.
     co_return Completion{.status = Status::kDeviceReset};
   }
   if (flash_) {
@@ -833,17 +758,19 @@ sim::Task<Completion> ZnsDevice::DoAppend(Command cmd) {
         std::max(zones_[zone].programmed_bytes, end_off);
   }
   if (tr != nullptr) {
+    // Non-zero only when the write-back buffer is full and admission has
+    // to wait for the NAND drain (the Obs. 9 throttling mechanism).
     tr->Span(admit_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
              "buffer.admit", static_cast<std::int64_t>(zone));
   }
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
-  counters_.appends++;
+  (append ? counters_.appends : counters_.writes)++;
   counters_.bytes_written += bytes;
-  co_return Completion{
-      .status = Status::kSuccess,
-      .result_lba = ZoneStartLba(zone) + assigned_off / lba_bytes_};
+  Completion c{.status = Status::kSuccess};
+  if (append) c.result_lba = ZoneStartLba(zone) + assigned_off / lba_bytes_;
+  co_return c;
 }
 
 sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {

@@ -207,8 +207,8 @@ class ZnsDevice : public nvme::Controller {
   // Command handlers. `tid` is the command's telemetry trace id (0 when
   // tracing is off or the caller didn't thread one through).
   sim::Task<nvme::Completion> DoRead(nvme::Command cmd);
+  /// Write and Zone Append (one path; they branch only where they differ).
   sim::Task<nvme::Completion> DoWrite(nvme::Command cmd);
-  sim::Task<nvme::Completion> DoAppend(nvme::Command cmd);
   sim::Task<nvme::Completion> DoZoneMgmt(nvme::Command cmd);
   sim::Task<nvme::Completion> DoOpen(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoClose(std::uint32_t zone, std::uint64_t tid);

@@ -7,7 +7,7 @@
 #include <cstdint>
 
 #include "ftl/conv_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 
 namespace zstor::ftl {

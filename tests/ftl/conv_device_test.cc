@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ftl/conv_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 #include "workload/runner.h"
 

@@ -7,7 +7,7 @@
 #include "ftl/conv_device.h"
 #include "sim/task.h"
 #include "workload/runner.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "ztrace/json_value.h"
 
 namespace zstor::ftl {

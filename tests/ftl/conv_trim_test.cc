@@ -4,7 +4,7 @@
 
 #include "ftl/conv_device.h"
 #include "zns/zns_device.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/task.h"
 #include "workload/runner.h"
 

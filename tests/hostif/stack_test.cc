@@ -4,8 +4,8 @@
 
 #include <vector>
 
-#include "hostif/kernel_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
+#include "hostif/stack_factory.h"
 #include "sim/task.h"
 #include "zns/zns_device.h"
 
@@ -97,6 +97,47 @@ TEST(KernelStack, SpdkIsTheFastestStack) {
   EXPECT_LT(knone, kmq);
 }
 
+/// One row per StackChoice: the QD1 4 KiB write latency on a noise-free
+/// ZN540, in ns. Every kind runs the same HostStack::Submit, so the rows
+/// differ exactly by the kind's host costs (plus mq-deadline's scheduler
+/// cost): Obs. 2's 11.36 / 12.62 / 14.47 us, and psync's 3.89 us more
+/// syscall overhead than SPDK.
+struct KindRow {
+  StackChoice choice;
+  Time write_4k_ns;
+  bool kernel;
+};
+
+class EveryStackKind : public ::testing::TestWithParam<KindRow> {};
+
+TEST_P(EveryStackKind, MakeStackPinsTheWrite4kLatency) {
+  const KindRow& row = GetParam();
+  sim::Simulator s;
+  zns::ZnsDevice dev(s, QuietZn540());
+  MadeStack made = MakeStack(row.choice, s, dev);
+  EXPECT_EQ(made.kernel != nullptr, row.kernel);
+  if (made.kernel != nullptr) {
+    EXPECT_EQ(made.kernel, static_cast<Stack*>(made.stack.get()));
+  }
+  EXPECT_EQ(MeasureSecondWrite(s, *made.stack), row.write_4k_ns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllChoices, EveryStackKind,
+    ::testing::Values(KindRow{StackChoice::kSpdk, 11360, false},
+                      KindRow{StackChoice::kKernelNone, 12620, true},
+                      KindRow{StackChoice::kKernelMq, 14470, true},
+                      KindRow{StackChoice::kPsync, 15250, false}),
+    [](const ::testing::TestParamInfo<KindRow>& p) {
+      switch (p.param.choice) {
+        case StackChoice::kSpdk: return std::string("spdk");
+        case StackChoice::kKernelNone: return std::string("kernel_none");
+        case StackChoice::kKernelMq: return std::string("kernel_mq");
+        case StackChoice::kPsync: return std::string("psync");
+      }
+      return std::string("unknown");
+    });
+
 TEST(KernelStack, MqDeadlineMergesContiguousZoneWrites) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
@@ -122,11 +163,8 @@ TEST(KernelStack, MqDeadlineMergesContiguousZoneWrites) {
 TEST(KernelStack, MergeRespectsMaxRequestSize) {
   sim::Simulator s;
   zns::ZnsDevice dev(s, Quiet());
-  KernelStack stack(s, dev, Scheduler::kMqDeadline, 4096,
-                    HostCosts{.submit = sim::Microseconds(1.2),
-                              .complete = sim::Microseconds(1.07)},
-                    sim::Microseconds(1.85),
-                    /*max_merge_bytes=*/16 * 1024);
+  KernelStack stack(s, dev, Scheduler::kMqDeadline,
+                    {.max_merge_bytes = 16 * 1024});
   // Block the zone with a first in-flight write, then stage 16 more.
   auto w = [&](nvme::Lba slba) -> sim::Task<> {
     (void)co_await stack.Submit(

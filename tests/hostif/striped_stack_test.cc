@@ -73,10 +73,11 @@ TEST(StripedStack, AddressMapIsAnExhaustiveBijection) {
   for (std::size_t n : {1u, 2u, 3u, 4u}) {
     Rig r(n);
     const std::uint64_t zsz = r.stack->info().zone_size_lbas;
+    const StripeMap& map = r.stack->map();
     std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
     for (std::uint32_t lz = 0; lz < r.stack->info().num_zones; ++lz) {
-      const std::uint32_t d = r.stack->DeviceOf(lz);
-      const std::uint32_t dz = r.stack->DeviceZoneOf(lz);
+      const std::uint32_t d = map.DeviceOf(lz);
+      const std::uint32_t dz = map.DeviceZoneOf(lz);
       ASSERT_LT(d, n);
       ASSERT_LT(dz, r.devs[d]->info().num_zones);
       EXPECT_TRUE(seen.insert({d, dz}).second)
@@ -85,10 +86,10 @@ TEST(StripedStack, AddressMapIsAnExhaustiveBijection) {
       // mid-zone, and the last LBA of the zone.
       for (std::uint64_t off : {std::uint64_t{0}, zsz / 2, zsz - 1}) {
         const nvme::Lba logical = nvme::Lba{lz} * zsz + off;
-        const nvme::Lba device_lba = r.stack->ToDeviceLba(logical);
+        const nvme::Lba device_lba = map.ToDeviceLba(logical);
         EXPECT_EQ(device_lba, nvme::Lba{dz} * zsz + off);
-        EXPECT_EQ(r.stack->ToLogicalLba(d, device_lba), logical);
-        EXPECT_EQ(r.stack->LogicalZoneOf(logical), lz);
+        EXPECT_EQ(map.ToLogicalLba(d, device_lba), logical);
+        EXPECT_EQ(map.LogicalZoneOf(logical), lz);
       }
     }
     // Every (device, device-zone) slot is hit exactly once.

@@ -127,6 +127,34 @@ TEST(FaultInjection, DegradationLifecycleThroughThePublicCommandPath) {
   EXPECT_EQ(tb.faults()->counters().program_failures, 2u);
 }
 
+TEST(FaultInjection, AppendAfterAFailedProgramReportsTheFaultOnce) {
+  // The append branch of the device's shared write path: a zone whose
+  // buffered data was lost to a failed program reports kWriteFault to
+  // exactly one append, then its ReadOnly state to every later one.
+  zns::ZnsProfile p = QuietTiny();
+  p.spare_blocks = 1;
+  fault::FaultSpec spec;
+  spec.enabled = true;
+  spec.program_fail_rate = 1.0;
+  spec.seed = 7;
+  Testbed tb = TestbedBuilder().WithZnsProfile(p).WithFaults(spec).Build();
+  zns::ZnsDevice& dev = *tb.zns();
+  const nvme::Command append = {.opcode = nvme::Opcode::kAppend,
+                                .slba = dev.ZoneStartLba(0),
+                                .nlb = 4};
+
+  const nvme::Completion first = RunCmd(tb, append);
+  EXPECT_TRUE(first.ok());
+  EXPECT_EQ(first.result_lba, dev.ZoneStartLba(0));
+  EXPECT_EQ(dev.GetZoneState(0), ZoneState::kReadOnly);
+
+  EXPECT_EQ(RunCmd(tb, append).status, Status::kWriteFault);
+  EXPECT_EQ(RunCmd(tb, append).status, Status::kZoneIsReadOnly);
+  EXPECT_EQ(RunCmd(tb, append).status, Status::kZoneIsReadOnly);
+  EXPECT_EQ(tb.Smart().write_faults, 1u);
+  EXPECT_EQ(dev.counters().appends, 1u);
+}
+
 TEST(FaultInjection, HostRetriesRecoverATransientReadError) {
   // One scheduled uncorrectable read error: the first NAND read after t=0
   // fails, the host retries, and the retry succeeds — the caller never

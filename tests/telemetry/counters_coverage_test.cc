@@ -11,7 +11,7 @@
 
 #include "fault/fault_plan.h"
 #include "ftl/conv_device.h"
-#include "hostif/kernel_stack.h"
+#include "hostif/host_stack.h"
 #include "hostif/resilient_stack.h"
 #include "nand/flash_array.h"
 #include "telemetry/metrics.h"

@@ -5,9 +5,7 @@
 #include <map>
 
 #include "ftl/conv_device.h"
-#include "hostif/kernel_stack.h"
-#include "hostif/psync_stack.h"
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "workload/zipf.h"
 #include "zns/zns_device.h"

@@ -2,7 +2,7 @@
 // statistics windows — on the Tiny device so they run instantly.
 #include <gtest/gtest.h>
 
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "workload/runner.h"
 #include "zns/zns_device.h"
 

@@ -5,8 +5,8 @@
 
 #include <cstdint>
 
+#include "hostif/host_stack.h"
 #include "hostif/resilient_stack.h"
-#include "hostif/spdk_stack.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 #include "zkv/kv_store.h"

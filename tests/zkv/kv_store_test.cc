@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "hostif/spdk_stack.h"
+#include "hostif/host_stack.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 #include "workload/zipf.h"

@@ -19,9 +19,8 @@
 # Extra bench arguments (e.g. --devices=4 for bench_multidev) can be
 # passed via the ZID_BENCH_ARGS environment variable.
 #
-# The JSON results carry a "wall_ms" self-timing meta field that is real
-# elapsed time, not simulation output — it is normalized away before
-# comparison everywhere.
+# The JSON results carry self-timed meta (wall_ms: real elapsed time, not
+# simulation output); normalize_json.sh drops it before comparison.
 #
 # Exit 0 when all outputs match byte-for-byte, 1 otherwise.
 set -eu
@@ -31,12 +30,12 @@ jobs_a="${2:-1}"
 jobs_b="${3:-4}"
 extra="${ZID_BENCH_ARGS:-}"
 
+tools="$(dirname "$0")"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# Strips self-timed wall-clock meta (varies run to run by construction).
 normalize_json() {
-  sed -e 's/"wall_ms":[0-9.eE+-]*/"wall_ms":0/g' "$1" > "$2"
+  "$tools/normalize_json.sh" "$1" > "$2"
 }
 
 fail=0

@@ -33,13 +33,10 @@ series is itself a regression). Exit 0 = within tolerance, 1 = regression
 or malformed input, 2 = usage error.
 
 --preset NAME prepends a named built-in rule set (combinable with
-explicit --tol rules, which take precedence by order):
+explicit --tol rules, which take precedence by order). Deterministic
+virtual-time results need no tolerance: the committed goldens in
+results/golden/ pin them byte for byte (tools/check_golden.sh).
 
-    crash   bench_crash gates: silent corruption stays zero, recovery
-            latency and journal replay/WA stay within drift bounds.
-    kv      bench_kv gates: the placement WA ratio keeps its floor,
-            crash recovery stays corruption-free, throughput and read
-            tails stay within drift bounds.
     multidev-speedup
             compares a --sim-threads=N run against a --sim-threads=1
             baseline of the same bench: wall time must drop >= 60%
@@ -51,32 +48,6 @@ import sys
 # Built-in tolerance rule sets (--preset). Order matters: earlier rules
 # win, and explicit --tol rules are prepended ahead of any preset.
 PRESETS = {
-    "crash": (
-        # Any silent corruption is a hard failure (baseline is zero, so
-        # any positive current value is an infinite relative increase).
-        "*silent_corruptions*=0.01:up",
-        # Recovery outages are latency promises in both directions: a
-        # longer outage regresses the host, a shorter one means the
-        # recovery model stopped charging its work.
-        "*recovery_ms*=0.25:both",
-        # The journal-interval tradeoff must keep its shape.
-        "conv_wa_vs_journal_interval=0.15:up",
-        "conv_replay_entries_vs_journal_interval=0.5:both",
-        "zns_verified_mib_*=0.25:down",
-    ),
-    # zkv acceptance (DESIGN.md §13): placement keeps reducing write
-    # amplification, crash recovery stays corruption-free, and the
-    # deterministic virtual-time throughput/latency numbers hold shape.
-    "kv": (
-        "kv_crash_silent_corruptions=0.01:up",
-        "kv_wa_placement_ratio=0.10:down",
-        "kv_wa_placement=0.15:up",
-        "kv_ycsb_kiops=0.25:down",
-        "kv_value_size_kiops=0.25:down",
-        "kv_skew_kiops=0.25:down",
-        "kv_interference_read_p99_us=0.5:up",
-        "kv_crash_recovery_ms=0.5:both",
-    ),
     # Parallel-engine acceptance (DESIGN.md §12): the same bench run with
     # --sim-threads=N on >= 4 cores must finish in at most 40% of the
     # --sim-threads=1 wall time. Virtual-time series are byte-identical
