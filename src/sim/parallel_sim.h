@@ -69,9 +69,6 @@ enum class MsgKind : std::uint8_t {
 
 class ParallelSimulator {
  public:
-  /// Sentinel for "no bound": an unbounded window horizon.
-  static constexpr Time kNever = ~Time{0};
-
   ParallelSimulator(std::uint32_t num_lanes, Time lookahead);
   ParallelSimulator(const ParallelSimulator&) = delete;
   ParallelSimulator& operator=(const ParallelSimulator&) = delete;

@@ -119,6 +119,7 @@ class Simulator {
 
   /// Runs events until none remain. Returns the number processed.
   std::uint64_t Run() {
+    bound_ = kNever;
     std::uint64_t n = 0;
     while (ready_count_ != 0 || heap_size_ != 0) {
       Step();
@@ -130,6 +131,7 @@ class Simulator {
   /// Runs events with timestamp <= `until` (boundary inclusive), then
   /// sets now() = until. Returns the number of events processed.
   std::uint64_t RunUntil(Time until) {
+    bound_ = until;
     std::uint64_t n = 0;
     while ((ready_count_ != 0 && now_ <= until) ||
            (heap_size_ != 0 && KeyTime(keys_[0]) <= until)) {
@@ -150,6 +152,21 @@ class Simulator {
   Time next_event_time() const {
     ZSTOR_CHECK(!idle());
     return ready_count_ != 0 ? now_ : KeyTime(keys_[0]);
+  }
+
+  /// The latest instant up to which nothing but the caller's own next
+  /// wake can run: now() when a same-time event is pending, otherwise the
+  /// earliest timed event, capped by the bound of the current RunUntil
+  /// (kNever under Run()). Events scheduled from outside the run — by
+  /// code between RunUntil calls, or by the lane mailboxes
+  /// (parallel_sim.h) — land at or after that bound. So an event that
+  /// reschedules itself no later than quiet_until() keeps every other
+  /// event's (time, seq) order, as if it had woken at each instant in
+  /// between (DESIGN.md §1.1).
+  Time quiet_until() const {
+    if (ready_count_ != 0) return now_;
+    Time next = heap_size_ != 0 ? KeyTime(keys_[0]) : kNever;
+    return next < bound_ ? next : bound_;
   }
 
  private:
@@ -310,6 +327,7 @@ class Simulator {
   }
 
   Time now_ = 0;
+  Time bound_ = kNever;  // of the Run/RunUntil in progress (or last run)
   std::uint64_t next_seq_ = 0;
   std::unique_ptr<unsigned char[]> key_mem_;
   std::unique_ptr<unsigned char[]> fn_mem_;

@@ -15,6 +15,8 @@ inline constexpr Time kNanosecond = 1;
 inline constexpr Time kMicrosecond = 1'000;
 inline constexpr Time kMillisecond = 1'000'000;
 inline constexpr Time kSecond = 1'000'000'000;
+/// "No bound": a time after every event (unbounded horizons, empty heaps).
+inline constexpr Time kNever = ~Time{0};
 
 constexpr Time Nanoseconds(double n) { return static_cast<Time>(n); }
 constexpr Time Microseconds(double us) {

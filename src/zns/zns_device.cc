@@ -1013,6 +1013,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
     }
   } else {
     const Time slice = std::max<Time>(profile_.reset.slice, 1);
+    bool resumed = false;  // the first slice may run inside the caller's event
     while (work > 0) {
       if (DeviceIsIoQuiet()) {
         sim::Time b = sim_.now();
@@ -1027,7 +1028,23 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
       {
         sim::Time b = sim_.now();
         auto g = co_await fcp_.Acquire(kPrioBackground);
+        if (resumed && io_seen_ && fcp_.total_queued() == 0) {
+          // Hold whole slices up to the next instant anything else can
+          // run: no boundary before it could hand the FCP over or flip
+          // DeviceIsIoQuiet(), so one wake replays them all exactly
+          // (DESIGN.md §3, item 5). With no I/O in flight, stop at the
+          // first boundary at or after the 1 ms quiet mark.
+          Time until = sim_.quiet_until();
+          if (io_inflight_ == 0) {
+            until = std::min(until,
+                             last_io_time_ + sim::Milliseconds(1) + slice - 1);
+          }
+          Time room = until > sim_.now() ? until - sim_.now() : 0;
+          this_slice =
+              std::max(this_slice, std::min(work, room) / slice * slice);
+        }
         co_await sim_.Delay(this_slice);
+        resumed = true;
         if (tr != nullptr) {
           // Includes the background-priority FCP wait: the stretch that
           // concurrent I/O imposes on the reset (Obs. 13).

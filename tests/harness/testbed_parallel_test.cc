@@ -211,6 +211,99 @@ TEST(TestbedParallel, ProxiedReadsActuallyUseTheMailboxes) {
             static_cast<double>(tb.parallel_sim()->windows()));
 }
 
+/// Resets beside appends: a reset job walks full zones on every device
+/// while an append job keeps every device busy, so the resets run in
+/// background slices that fold up to each window horizon (DESIGN.md §3,
+/// item 5). The resets shard, one worker per device; each append worker
+/// writes zones on both devices, so the appends run on the coordinator
+/// and reach the folding device lanes through the mailboxes. The appends
+/// are rate-limited, so a device lane often owes no reply and its window
+/// horizon comes from the coordinator: the appends then land inside
+/// what would otherwise be one long fold.
+struct ResetOutcome {
+  std::vector<workload::JobResult> results;  // resets, appends
+  std::vector<zns::ZnsCounters> counters;
+  std::string timeline;
+  std::uint64_t windows = 0;  // lane engine only
+};
+
+ResetOutcome RunResetsBesideAppends(int sim_threads) {
+  constexpr std::uint32_t kDevs = 2;
+  ResetOutcome out;
+  TelemetryConfig cfg;
+  cfg.timeline_capture = &out.timeline;
+  cfg.sample_interval = sim::Milliseconds(2);
+  zns::ZnsProfile p = QuietTiny();
+  p.reset.coef = sim::Milliseconds(1);  // 3.5 ms per full zone
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(p)
+                   .WithDevices(kDevs)
+                   .WithStack(StackChoice::kSpdk)
+                   .WithTelemetry(cfg)
+                   .WithLabel("par")
+                   .WithSimThreads(sim_threads)
+                   .Build();
+  tb.FillZones(0, 2 * kDevs);
+  workload::JobSpec resets;
+  resets.op = nvme::Opcode::kZoneMgmtSend;
+  resets.zone_action = nvme::ZoneAction::kReset;
+  resets.workers = kDevs;
+  resets.partition_zones = true;
+  // Logical zone z lives on device z % kDevs: give each worker the two
+  // full zones of its own device.
+  for (std::uint32_t d = 0; d < kDevs; ++d) {
+    for (std::uint32_t k = 0; k < 2; ++k) resets.zones.push_back(k * kDevs + d);
+  }
+  resets.duration = sim::Milliseconds(30);  // ends when zones run out
+  workload::JobSpec appends = ShardableAppendSpec(tb, kDevs);
+  appends.zones = tb.ZoneList(2 * kDevs, 3 * kDevs);
+  appends.duration = sim::Milliseconds(12);
+  appends.rate_bytes_per_sec = 4096.0 * 20000;  // one append per 50 us
+  out.results = tb.RunJobs({resets, appends});
+  if (tb.parallel_sim() != nullptr) out.windows = tb.parallel_sim()->windows();
+  for (std::uint32_t d = 0; d < kDevs; ++d) {
+    out.counters.push_back(tb.zns(d)->counters());
+  }
+  tb.Finish();
+  return out;
+}
+
+TEST(TestbedParallel, ResetsBesideAppendsMatchOnEveryEngine) {
+  ResetOutcome ref = RunResetsBesideAppends(1);
+  ASSERT_EQ(ref.results.size(), 2u);
+  EXPECT_EQ(ref.results[0].ops, 4u);  // every full zone was reset
+  EXPECT_EQ(ref.results[0].errors, 0u);
+  EXPECT_EQ(ref.results[1].ops, 439u);
+  EXPECT_EQ(ref.results[1].errors, 0u);
+  EXPECT_GT(ref.windows, 1u);
+  ResetOutcome two = RunResetsBesideAppends(2);
+  for (std::size_t j = 0; j < 2; ++j) {
+    ExpectSameOutcome({ref.results[j], ref.counters, ref.timeline},
+                      {two.results[j], two.counters, two.timeline},
+                      j == 0 ? "threads=2 resets" : "threads=2 appends");
+  }
+  // A coordinator command pays one interconnect hop each way on the
+  // lanes (lane_stacks.h) and none on the classic engine, so each engine
+  // is pinned to its own exact figures: a fold that moved any event
+  // would move them.
+  ResetOutcome classic = RunResetsBesideAppends(0);
+  ASSERT_EQ(classic.results.size(), 2u);
+  EXPECT_EQ(classic.results[0].ops, 4u);
+  EXPECT_EQ(classic.results[1].ops, 439u);
+  EXPECT_EQ(ref.results[0].latency.mean_ns(), 3641139.0);
+  EXPECT_EQ(classic.results[0].latency.mean_ns(), 3644777.5);
+  EXPECT_EQ(ref.results[0].latency.max_ns(), 3789050.0);
+  EXPECT_EQ(classic.results[0].latency.max_ns(), 3789050.0);
+  EXPECT_DOUBLE_EQ(ref.results[1].latency.mean_ns(), 16617.612756264243);
+  EXPECT_DOUBLE_EQ(classic.results[1].latency.mean_ns(), 16116.560364464702);
+  EXPECT_EQ(ref.results[1].latency.max_ns(), 24050.0);
+  EXPECT_EQ(classic.results[1].latency.max_ns(), 23550.0);
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(classic.counters[d].resets, ref.counters[d].resets);
+    EXPECT_EQ(classic.counters[d].appends, ref.counters[d].appends);
+  }
+}
+
 TEST(TestbedParallel, CrashInjectionMatchesSingleThreadedReference) {
   // Power losses mid-append plus uncorrectable read noise: the retry
   // layer pins jobs to the coordinator, the per-device crash drivers

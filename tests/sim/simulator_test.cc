@@ -127,6 +127,44 @@ TEST(Simulator, RunUntilFiresEventExactlyAtBoundary) {
   EXPECT_EQ(s.now(), 20u);
 }
 
+TEST(Simulator, QuietUntilIsNowWhileASameTimeEventIsReady) {
+  Simulator s;
+  Time seen = 0;
+  s.ScheduleAt(40, [] {});
+  s.ScheduleIn(10, [&] {
+    s.ScheduleIn(0, [] {});  // ready at now: it may run before any wake
+    seen = s.quiet_until();
+  });
+  s.Run();
+  EXPECT_EQ(seen, 10u);
+}
+
+TEST(Simulator, QuietUntilIsTheHeapMinimumUnderRun) {
+  Simulator s;
+  Time with_next = 0;
+  Time alone = 0;
+  s.ScheduleAt(10, [&] { with_next = s.quiet_until(); });
+  s.ScheduleAt(70, [&] { alone = s.quiet_until(); });
+  s.Run();
+  EXPECT_EQ(with_next, 70u);
+  EXPECT_EQ(alone, kNever);  // nothing pending and no RunUntil bound
+}
+
+TEST(Simulator, QuietUntilIsCappedByTheRunUntilBound) {
+  Simulator s;
+  std::vector<Time> seen;
+  s.ScheduleAt(10, [&] { seen.push_back(s.quiet_until()); });
+  s.ScheduleAt(500, [&] { seen.push_back(s.quiet_until()); });
+  s.ScheduleAt(900, [] {});
+  s.RunUntil(100);  // the heap minimum (500) lies past the bound
+  s.RunUntil(600);  // now the heap minimum (900) does
+  s.ScheduleAt(650, [&] { seen.push_back(s.quiet_until()); });
+  s.Run();          // the bound is lifted again
+  EXPECT_EQ(seen, (std::vector<Time>{100, 600, 900}));
+  // Outside an event, too: after Run() nothing bounds an empty heap.
+  EXPECT_EQ(s.quiet_until(), kNever);
+}
+
 TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
   Simulator s;
   s.ScheduleIn(100, [&] {
