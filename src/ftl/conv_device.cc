@@ -108,7 +108,7 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
   host_open_block_.assign(profile_.nand_geometry.total_dies(), kUnmapped);
   die_alloc_.reserve(profile_.nand_geometry.total_dies());
   for (std::uint32_t d = 0; d < profile_.nand_geometry.total_dies(); ++d) {
-    die_alloc_.push_back(std::make_unique<sim::FifoResource>(s, 1));
+    die_alloc_.push_back(std::make_unique<sim::Semaphore>(s, 1));
   }
 
   info_.format.lba_bytes = profile_.lba_bytes;
@@ -786,7 +786,7 @@ sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
       // atomic with respect to other programs on the same stream. (The
       // stream's block usually lives on the same-numbered die but may
       // come from another die under pressure.)
-      auto g = co_await die_alloc_[stream]->Acquire();
+      auto g = co_await die_alloc_[stream]->Hold();
       if (power_epoch_ != epoch) {
         stale = true;  // crashed while queued behind the allocator
       } else {

@@ -335,7 +335,7 @@ class ConvDevice : public nvme::Controller {
   /// physically live on another die when the preferred die has no free
   /// blocks.
   std::vector<std::uint32_t> host_open_block_;
-  std::vector<std::unique_ptr<sim::FifoResource>> die_alloc_;
+  std::vector<std::unique_ptr<sim::Semaphore>> die_alloc_;
 
   std::uint32_t gc_running_ = 0;
   bool gc_target_active_ = false;

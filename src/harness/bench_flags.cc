@@ -99,8 +99,8 @@ void BenchEnv::Finish() {
   finished_ = true;
   if (wall_start_set_) {
     // Self-timed real elapsed ms since InitBench: the raw material for
-    // the multi-device speedup gate (tools/compare_results.py indexes
-    // "meta.wall_ms"). Identity checks normalize this field away.
+    // CI's multi-device speedup gate, which compares "meta.wall_ms" of a
+    // --sim-threads=1 and a =4 run. Identity checks normalize it away.
     std::chrono::duration<double, std::milli> wall =
         std::chrono::steady_clock::now() - wall_start_;
     results_.SetMeta("wall_ms", wall.count());

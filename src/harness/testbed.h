@@ -288,11 +288,12 @@ class TestbedBuilder {
   /// (retries, backoff, per-attempt timeout).
   TestbedBuilder& WithRetryPolicy(const hostif::RetryPolicy& policy);
   /// Runs the simulation on the parallel per-device-lane engine with n
-  /// worker threads (n >= 1; n = 1 executes the identical window
-  /// schedule serially, so output is byte-identical for every n).
-  /// Overrides the --sim-threads flag, which otherwise applies. Only
-  /// effective on multi-device ZNS testbeds; single-device and
-  /// conventional testbeds always use the classic engine.
+  /// worker threads (n = 1 executes the identical window schedule
+  /// serially, so output is byte-identical for every n >= 1). n = 0
+  /// forces the classic engine. Overrides the --sim-threads flag, which
+  /// otherwise applies. Only effective on multi-device ZNS testbeds;
+  /// single-device and conventional testbeds always use the classic
+  /// engine.
   TestbedBuilder& WithSimThreads(int n);
   /// The virtual-time host<->device interconnect hop charged to each
   /// cross-lane message under the parallel engine — also the engine's

@@ -10,11 +10,11 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
   geo_.Validate();
   dies_.reserve(geo_.total_dies());
   for (std::uint32_t d = 0; d < geo_.total_dies(); ++d) {
-    dies_.push_back(std::make_unique<sim::FifoResource>(s, 1));
+    dies_.push_back(std::make_unique<sim::Semaphore>(s, 1));
   }
   channels_.reserve(geo_.channels);
   for (std::uint32_t c = 0; c < geo_.channels; ++c) {
-    channels_.push_back(std::make_unique<sim::FifoResource>(s, 1));
+    channels_.push_back(std::make_unique<sim::Semaphore>(s, 1));
   }
   blocks_.resize(geo_.total_dies() * static_cast<std::size_t>(geo_.blocks_per_die));
   die_stats_.resize(geo_.total_dies());
@@ -89,7 +89,7 @@ sim::Task<MediaStatus> FlashArray::ReadPage(PageAddr addr,
   }
   sim::Time t0 = sim_.now();
   {
-    auto die = co_await dies_[addr.die]->Acquire();
+    auto die = co_await dies_[addr.die]->Hold();
     sim::Time svc_begin = sim_.now();
     sim::Time t_read = NoisyRead();
     if (verdict.retry_steps > 0) {
@@ -123,7 +123,7 @@ sim::Task<MediaStatus> FlashArray::ReadPage(PageAddr addr,
     co_return MediaStatus::kReadError;
   }
   {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Acquire();
+    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Hold();
     // Bus time scales with the fraction of the page transferred.
     sim::Time xfer = timing_.bus_xfer_page * bytes / geo_.page_bytes;
     co_await sim_.Delay(xfer);
@@ -159,11 +159,11 @@ sim::Task<MediaStatus> FlashArray::ProgramPage(PageAddr addr) {
   telemetry::Tracer* tr = trace();
   sim::Time t0 = sim_.now();
   {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Acquire();
+    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Hold();
     co_await sim_.Delay(timing_.bus_xfer_page);
   }
   {
-    auto die = co_await dies_[addr.die]->Acquire();
+    auto die = co_await dies_[addr.die]->Hold();
     sim::Time svc_begin = sim_.now();
     sim::Time t_prog = NoisyProgram();
     co_await sim_.Delay(t_prog);
@@ -197,7 +197,7 @@ sim::Task<bool> FlashArray::ProbePage(PageAddr addr) {
   ZSTOR_CHECK(addr.page < geo_.pages_per_block);
   sim::Time t0 = sim_.now();
   {
-    auto die = co_await dies_[addr.die]->Acquire();
+    auto die = co_await dies_[addr.die]->Hold();
     sim::Time svc_begin = sim_.now();
     co_await sim_.Delay(timing_.read_page);
     die_stats_[addr.die].reads++;
@@ -228,7 +228,7 @@ sim::Task<> FlashArray::EraseBlock(std::uint32_t die, std::uint32_t block) {
   telemetry::Tracer* tr = trace();
   sim::Time t0 = sim_.now();
   {
-    auto g = co_await dies_[die]->Acquire();
+    auto g = co_await dies_[die]->Hold();
     sim::Time svc_begin = sim_.now();
     co_await sim_.Delay(timing_.erase_block);
     die_stats_[die].erases++;
@@ -300,7 +300,7 @@ bool FlashArray::BlockRetired(std::uint32_t die, std::uint32_t block) const {
 std::size_t FlashArray::DieQueueDepth(std::uint32_t die) const {
   ZSTOR_CHECK(die < geo_.total_dies());
   const auto& r = *dies_[die];
-  return (r.free_slots() == 0 ? 1 : 0) + r.queue_length();
+  return (r.available() == 0 ? 1 : 0) + r.waiting();
 }
 
 double FlashArray::PeakProgramBandwidth() const {

@@ -18,9 +18,9 @@
 
 #include "fault/fault_plan.h"
 #include "nand/geometry.h"
-#include "sim/resource.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "telemetry/telemetry.h"
 
@@ -219,8 +219,8 @@ class FlashArray {
   Geometry geo_;
   Timing timing_;
   sim::Rng rng_;
-  std::vector<std::unique_ptr<sim::FifoResource>> dies_;
-  std::vector<std::unique_ptr<sim::FifoResource>> channels_;
+  std::vector<std::unique_ptr<sim::Semaphore>> dies_;
+  std::vector<std::unique_ptr<sim::Semaphore>> channels_;
   std::vector<BlockState> blocks_;  // [die * blocks_per_die + block]
   std::vector<DieStats> die_stats_;
   FlashCounters counters_;

@@ -1,90 +1,23 @@
-// Served resources: the building blocks for device-internal contention.
+// Served resources with priority: the building block for device-internal
+// contention that is not first come, first served.
 //
-// FifoResource models a server pool (e.g. a NAND die, a DMA engine) with a
-// fixed number of slots and FIFO admission. PriorityResource adds strict
-// priority classes — the ZNS firmware command processor uses it so that
-// host I/O commands always bypass queued background (reset) work, which is
-// the mechanism behind the paper's Observations 12 and 13.
+// A FIFO server pool (a NAND die, a channel) is a Semaphore held through
+// a SlotGuard (sync.h). PriorityResource adds strict priority classes —
+// the ZNS firmware command processor uses it so that host I/O commands
+// always bypass queued background (reset) work, which is the mechanism
+// behind the paper's Observations 12 and 13.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 
 namespace zstor::sim {
-
-/// RAII slot ownership for resources. Releases on destruction.
-template <typename R>
-class [[nodiscard]] SlotGuard {
- public:
-  SlotGuard() = default;
-  explicit SlotGuard(R* r) : res_(r) {}
-  SlotGuard(SlotGuard&& o) noexcept : res_(std::exchange(o.res_, nullptr)) {}
-  SlotGuard& operator=(SlotGuard&& o) noexcept {
-    Release();
-    res_ = std::exchange(o.res_, nullptr);
-    return *this;
-  }
-  SlotGuard(const SlotGuard&) = delete;
-  SlotGuard& operator=(const SlotGuard&) = delete;
-  ~SlotGuard() { Release(); }
-
-  void Release() {
-    if (res_ != nullptr) std::exchange(res_, nullptr)->Release();
-  }
-
- private:
-  R* res_ = nullptr;
-};
-
-/// Multi-slot server with FIFO admission.
-class FifoResource {
- public:
-  using Guard = SlotGuard<FifoResource>;
-
-  FifoResource(Simulator& s, std::uint32_t slots) : sim_(s), free_(slots) {
-    ZSTOR_CHECK(slots > 0);
-  }
-  FifoResource(const FifoResource&) = delete;
-  FifoResource& operator=(const FifoResource&) = delete;
-
-  struct Awaiter {
-    FifoResource& r;
-    bool await_ready() {
-      if (r.free_ == 0) return false;
-      --r.free_;
-      return true;
-    }
-    void await_suspend(std::coroutine_handle<> h) { r.waiters_.push_back(h); }
-    Guard await_resume() { return Guard{&r}; }
-  };
-
-  /// Suspends until a slot is free; the returned guard holds the slot.
-  Awaiter Acquire() { return Awaiter{*this}; }
-
-  void Release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_.ResumeSoon(h);  // slot transfers to the waiter
-    } else {
-      ++free_;
-    }
-  }
-
-  std::uint32_t free_slots() const { return free_; }
-  std::size_t queue_length() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  std::uint32_t free_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
 
 /// Multi-slot server with strict priority classes (0 = highest). Within a
 /// class, admission is FIFO. A freed slot always goes to the highest

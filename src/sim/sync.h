@@ -19,9 +19,36 @@
 
 namespace zstor::sim {
 
-/// Counting semaphore.
+/// RAII slot ownership for resources. Releases on destruction.
+template <typename R>
+class [[nodiscard]] SlotGuard {
+ public:
+  SlotGuard() = default;
+  explicit SlotGuard(R* r) : res_(r) {}
+  SlotGuard(SlotGuard&& o) noexcept : res_(std::exchange(o.res_, nullptr)) {}
+  SlotGuard& operator=(SlotGuard&& o) noexcept {
+    Release();
+    res_ = std::exchange(o.res_, nullptr);
+    return *this;
+  }
+  SlotGuard(const SlotGuard&) = delete;
+  SlotGuard& operator=(const SlotGuard&) = delete;
+  ~SlotGuard() { Release(); }
+
+  void Release() {
+    if (res_ != nullptr) std::exchange(res_, nullptr)->Release();
+  }
+
+ private:
+  R* res_ = nullptr;
+};
+
+/// Counting semaphore with FIFO admission. Held through Hold()'s guard,
+/// it is a multi-slot server pool (a NAND die, a channel, a lock).
 class Semaphore {
  public:
+  using Guard = SlotGuard<Semaphore>;
+
   Semaphore(Simulator& s, std::uint64_t initial)
       : sim_(s), count_(initial) {}
   Semaphore(const Semaphore&) = delete;
@@ -42,6 +69,12 @@ class Semaphore {
 
   /// Suspends until one unit is available, then takes it.
   Awaiter Acquire() { return Awaiter{*this}; }
+
+  struct GuardAwaiter : Awaiter {
+    Guard await_resume() { return Guard{&sem}; }
+  };
+  /// Acquire(), with the unit held by the returned guard.
+  GuardAwaiter Hold() { return GuardAwaiter{{*this}}; }
 
   /// Returns one unit, waking the longest-waiting acquirer if any.
   void Release() {

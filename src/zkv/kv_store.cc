@@ -331,7 +331,7 @@ sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
     {
       // Reserve capacity under the allocator lock; the append itself
       // runs outside it so appends to one zone overlap (R2).
-      auto g = co_await alloc_lock_.Acquire();
+      auto g = co_await alloc_lock_.Hold();
       while (open_zone_[ci] < 0) {
         open_zone_[ci] = static_cast<std::int64_t>(co_await TakeOpenZone());
       }
@@ -434,7 +434,7 @@ sim::Task<> KvStore::ReclaimJob(bool need_free) {
 }
 
 sim::Task<> KvStore::ReclaimZones(bool need_free) {
-  auto g = co_await gc_lock_.Acquire();
+  auto g = co_await gc_lock_.Hold();
   const sim::Time t0 = sim_.now();
   std::uint64_t relocated0 = stats_.gc_relocated_bytes;
   std::uint64_t resets0 = stats_.zone_resets;
@@ -688,7 +688,7 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
   // Read every input extent at iterator granularity, one at a time (the
   // background depth stays low so foreground reads keep their slots).
   {
-    auto io = co_await compact_io_.Acquire();
+    auto io = co_await compact_io_.Hold();
     for (const TablePtr& t : job.inputs) {
       for (const Extent& e : t->extents) {
         std::uint32_t off = 0;

@@ -49,7 +49,6 @@
 
 #include "hostif/stack.h"
 #include "nvme/types.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/sync.h"
@@ -428,9 +427,9 @@ class KvStore : public workload::KvBackend {
   std::deque<std::uint32_t> free_zones_;   // logical zone numbers
   std::int64_t open_zone_[2] = {-1, -1};   // per class; -1 = none
   std::int64_t reloc_zone_ = -1;           // GC's private output zone
-  sim::FifoResource alloc_lock_;           // capacity reservation + rotation
-  sim::FifoResource gc_lock_;              // one reclaim pass at a time
-  sim::FifoResource compact_io_;           // background I/O depth = 1
+  sim::Semaphore alloc_lock_;           // capacity reservation + rotation
+  sim::Semaphore gc_lock_;              // one reclaim pass at a time
+  sim::Semaphore compact_io_;           // background I/O depth = 1
 
   // Background workers.
   bool stopping_ = false;

@@ -6,7 +6,7 @@
 
 #include "nvme/controller.h"
 #include "nvme/types.h"
-#include "sim/resource.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace zstor::nvme {
@@ -27,7 +27,7 @@ class FixedLatencyController : public Controller {
   sim::Task<Completion> Execute(const Command& cmd) override {
     ++executed_;
     if (serialize_) {
-      auto g = co_await server_.Acquire();
+      auto g = co_await server_.Hold();
       co_await sim_.Delay(service_);
     } else {
       co_await sim_.Delay(service_);
@@ -44,7 +44,7 @@ class FixedLatencyController : public Controller {
  private:
   sim::Simulator& sim_;
   sim::Time service_;
-  sim::FifoResource server_;
+  sim::Semaphore server_;
   bool serialize_;
   NamespaceInfo info_;
   int executed_ = 0;

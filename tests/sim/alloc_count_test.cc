@@ -1,8 +1,9 @@
 // Runtime half of EventFn's performance contract (event_fn.h): once the
 // simulator's containers are warm, the coroutine-resume path and the
 // small-lambda scheduling path perform ZERO heap allocations per event,
-// and (task.h) neither does spawning a task once its frame size has been
-// recycled.
+// (task.h) neither does spawning a task once its frame size has been
+// recycled, and (parallel_sim.h) neither does a cross-lane message once
+// the mailboxes have grown.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -127,6 +129,37 @@ TEST(AllocCount, SpawnedTasksRecycleFrames) {
   std::uint64_t delta =
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(delta, 0u) << "spawning a task allocated its frame";
+}
+
+// A request/reply ping-pong between two lanes: every round trip crosses
+// a mailbox twice and closes two conservative-sync windows.
+TEST(AllocCount, LaneHandoffIsAllocationFree) {
+  ParallelSimulator ps(2, 250);
+  ps.SetSpontaneous(0, true);
+  struct PingPong {
+    ParallelSimulator* ps;
+    int remaining;
+    void Send() {
+      if (remaining-- == 0) return;
+      ps->Post(0, 1, ps->lane(0).now() + 250, MsgKind::kRequest,
+               EventFn([this] {
+                 ps->Post(1, 0, ps->lane(1).now() + 250, MsgKind::kReply,
+                          EventFn([this] { Send(); }));
+               }));
+    }
+  } pp{&ps, 1};
+  auto round = [&](int trips) {
+    pp.remaining = trips;
+    ps.lane(0).ScheduleIn(1, [&pp] { pp.Send(); });
+    ps.Run(1);
+  };
+  round(1);  // warm-up: grows the mailboxes, drain staging and heaps
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(500);
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(ps.messages(), 2u * (1 + 500));  // every round trip ran
+  EXPECT_EQ(delta, 0u) << "cross-lane handoff allocated";
 }
 
 }  // namespace

@@ -9,14 +9,15 @@
 namespace zstor::sim {
 namespace {
 
-// A single-slot FIFO resource serializes its users: with N users each
-// holding the slot for S ns, user i finishes at (i+1)*S.
+// A FIFO resource (a NAND die, a channel, a lock) is a Semaphore held
+// through Hold()'s guard. A single-slot one serializes its users: with N
+// users each holding the slot for S ns, user i finishes at (i+1)*S.
 TEST(FifoResource, SingleSlotSerializesUsers) {
   Simulator s;
-  FifoResource r(s, 1);
+  Semaphore r(s, 1);
   std::vector<Time> finish;
   auto user = [&]() -> Task<> {
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
     co_await s.Delay(100);
     finish.push_back(s.now());
   };
@@ -28,10 +29,10 @@ TEST(FifoResource, SingleSlotSerializesUsers) {
 
 TEST(FifoResource, MultiSlotAllowsParallelism) {
   Simulator s;
-  FifoResource r(s, 3);
+  Semaphore r(s, 3);
   std::vector<Time> finish;
   auto user = [&]() -> Task<> {
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
     co_await s.Delay(100);
     finish.push_back(s.now());
   };
@@ -44,17 +45,17 @@ TEST(FifoResource, MultiSlotAllowsParallelism) {
 
 TEST(FifoResource, GuardReleaseAllowsEarlyHandoff) {
   Simulator s;
-  FifoResource r(s, 1);
+  Semaphore r(s, 1);
   Time second_started = 0;
   auto first = [&]() -> Task<> {
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
     co_await s.Delay(50);
     g.Release();          // give up the slot early
     co_await s.Delay(50);  // keep running without the slot
   };
   auto second = [&]() -> Task<> {
     co_await s.Delay(1);
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
     second_started = s.now();
   };
   Spawn(first());
@@ -65,24 +66,24 @@ TEST(FifoResource, GuardReleaseAllowsEarlyHandoff) {
 
 TEST(FifoResource, QueueLengthReflectsWaiters) {
   Simulator s;
-  FifoResource r(s, 1);
+  Semaphore r(s, 1);
   auto holder = [&]() -> Task<> {
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
     co_await s.Delay(100);
   };
   auto waiter = [&]() -> Task<> {
     co_await s.Delay(1);
-    auto g = co_await r.Acquire();
+    auto g = co_await r.Hold();
   };
   Spawn(holder());
   Spawn(waiter());
   Spawn(waiter());
   s.RunUntil(10);
-  EXPECT_EQ(r.free_slots(), 0u);
-  EXPECT_EQ(r.queue_length(), 2u);
+  EXPECT_EQ(r.available(), 0u);
+  EXPECT_EQ(r.waiting(), 2u);
   s.Run();
-  EXPECT_EQ(r.free_slots(), 1u);
-  EXPECT_EQ(r.queue_length(), 0u);
+  EXPECT_EQ(r.available(), 1u);
+  EXPECT_EQ(r.waiting(), 0u);
 }
 
 // The key property for the ZNS firmware model: low-priority (background)

@@ -24,22 +24,6 @@ import sys
 POINT_NUMBER_FIELDS = ("x", "value")
 POINT_NULLABLE_FIELDS = ("mean_ns", "p50_ns", "p95_ns", "p99_ns")
 
-# bench_simcore's --json doubles as the engine's perf-regression
-# baseline (EXPERIMENTS.md): these series/labels and config keys must be
-# present, with strictly positive events/sec.
-SIMCORE_REQUIRED_SERIES = {
-    "simcore_events_per_sec":
-        ("event_scheduling", "coroutine_pingpong", "lane_handoff", "spawn"),
-    "simcore_allocs_per_event":
-        ("event_scheduling", "coroutine_pingpong", "lane_handoff", "spawn"),
-}
-SIMCORE_REQUIRED_CONFIG = (
-    "counter_min_time_s",
-    "seed_event_scheduling_meps",
-    "seed_coroutine_pingpong_meps",
-    "seed_lane_handoff_meps",
-)
-
 # bench_multidev's --json carries the multi-device scaling acceptance
 # numbers: the striped stack must scale appends near-linearly with the
 # device count at fixed per-device queue depth, and each throughput point
@@ -187,8 +171,9 @@ def validate_document(path, doc, errors):
     meta = doc.get("meta")
     if meta is not None:
         # Environment facts (wall_ms etc.), never experiment data: numbers
-        # and strings only. compare_results.py indexes these as
-        # "meta.<key>" points.
+        # and strings only. CI's multi-device speedup gate reads
+        # meta.wall_ms; tools/normalize_json.sh strips meta before a
+        # byte-for-byte diff.
         if not isinstance(meta, dict):
             fail(path, "'meta' must be an object", errors)
         else:
@@ -219,43 +204,12 @@ def validate_document(path, doc, errors):
             continue
         for j, p in enumerate(points):
             validate_point(path, i, j, p, errors, schema_version)
-    if doc.get("bench") == "bench_simcore":
-        validate_simcore(path, doc, errors)
     if doc.get("bench") == "bench_multidev":
         validate_multidev(path, doc, errors)
     if doc.get("bench") == "bench_crash":
         validate_crash(path, doc, errors)
     if doc.get("bench") == "bench_kv":
         validate_kv(path, doc, errors)
-
-
-def validate_simcore(path, doc, errors):
-    """bench_simcore documents carry the engine perf baseline."""
-    config = doc.get("config")
-    if isinstance(config, dict):
-        for key in SIMCORE_REQUIRED_CONFIG:
-            if key not in config:
-                fail(path, f"simcore: missing config['{key}']", errors)
-    by_name = {s.get("name"): s for s in doc.get("series", [])
-               if isinstance(s, dict)}
-    for name, labels in SIMCORE_REQUIRED_SERIES.items():
-        s = by_name.get(name)
-        if s is None:
-            fail(path, f"simcore: missing series '{name}'", errors)
-            continue
-        points = {p.get("label"): p for p in s.get("points", [])
-                  if isinstance(p, dict)}
-        for label in labels:
-            p = points.get(label)
-            if p is None:
-                fail(path, f"simcore: series '{name}' missing point "
-                           f"'{label}'", errors)
-                continue
-            v = p.get("value")
-            if name == "simcore_events_per_sec" and \
-                    isinstance(v, (int, float)) and v <= 0:
-                fail(path, f"simcore: {name}/{label} must be > 0, got {v!r}",
-                     errors)
 
 
 def validate_multidev(path, doc, errors):
