@@ -148,7 +148,6 @@ class ConvDevice : public nvme::Controller {
   sim::Time last_recovery_ns() const { return last_recovery_ns_; }
   nand::FlashArray& flash() { return *flash_; }
   std::uint32_t free_blocks() const { return free_total_; }
-  bool gc_active() const { return gc_running_ > 0; }
 
   // ---- log pages (nvme/log_page.h) ------------------------------------
   // Free introspection: no virtual time, no counter side effects.

@@ -1,8 +1,10 @@
 #include "harness/bench_flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "telemetry/json.h"
 
@@ -24,8 +26,23 @@ std::string Basename(const char* argv0) {
   return slash != nullptr ? slash + 1 : argv0;
 }
 
+/// Parses a non-negative decimal int. Returns false on garbage, a sign,
+/// or a value that does not fit an int.
+bool ParseCount(const char* s, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  long n = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || n < 0 ||
+      n > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(n);
+  return true;
+}
+
 /// Parses "100ms" / "2s" / "500us" / "1500ns"; a bare number means
-/// milliseconds. Returns false on garbage or a non-positive duration.
+/// milliseconds. Returns false on garbage or a duration that is not
+/// positive or does not fit sim::Time.
 bool ParseDuration(const char* s, sim::Time* out) {
   char* end = nullptr;
   double v = std::strtod(s, &end);
@@ -42,7 +59,13 @@ bool ParseDuration(const char* s, sim::Time* out) {
   } else {
     return false;
   }
-  *out = static_cast<sim::Time>(v * scale);
+  // Time's max rounds up to 2^64 as a double, so `<` keeps the cast
+  // defined; the negated test also rejects NaN.
+  const double ns = v * scale;
+  if (!(ns < static_cast<double>(std::numeric_limits<sim::Time>::max()))) {
+    return false;
+  }
+  *out = static_cast<sim::Time>(ns);
   return *out > 0;
 }
 
@@ -193,21 +216,15 @@ void InitBench(int& argc, char** argv) {
         std::exit(2);
       }
     } else if (const char* jb = MatchFlag(argv[i], "--jobs")) {
-      char* end = nullptr;
-      long n = std::strtol(jb, &end, 10);
-      if (end == jb || *end != '\0' || n < 0) {
+      if (!ParseCount(jb, &env.jobs_)) {
         std::fprintf(stderr, "error: bad --jobs value: %s\n", jb);
         std::exit(2);
       }
-      env.jobs_ = static_cast<int>(n);
     } else if (const char* st = MatchFlag(argv[i], "--sim-threads")) {
-      char* end = nullptr;
-      long n = std::strtol(st, &end, 10);
-      if (end == st || *end != '\0' || n < 0) {
+      if (!ParseCount(st, &env.sim_threads_)) {
         std::fprintf(stderr, "error: bad --sim-threads value: %s\n", st);
         std::exit(2);
       }
-      env.sim_threads_ = static_cast<int>(n);
     } else {
       argv[out++] = argv[i];
     }

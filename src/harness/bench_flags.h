@@ -105,8 +105,6 @@ class BenchEnv {
   int sim_threads_requested() const { return sim_threads_; }
   /// The shared JSONL sink (opened lazily); null when --trace is absent.
   telemetry::TraceSink* shared_sink();
-  const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& json_path() const { return json_path_; }
 
   /// The process-wide result document (also via harness::Results()).
   ResultWriter& results() { return results_; }

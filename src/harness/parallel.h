@@ -5,8 +5,9 @@
 // sizes, zone counts, ...). The points are independent by construction —
 // each one builds its own Simulator + Testbed and seeds its own RNG — so
 // they can run on worker threads. The determinism rules that keep
-// `--json` byte-identical for every `--jobs=N` (tested by
-// tests/harness/jobs_identity_test.sh):
+// `--json` byte-identical for every `--jobs=N` (checked by
+// tools/check_jobs_identity.sh, which the `<bench>_jobs_identity` ctests
+// run):
 //
 //  1. Workers only COMPUTE. fn(i) returns a plain result struct; it must
 //     not touch the process-wide ResultWriter, tables, or stdout. (The

@@ -39,20 +39,6 @@ void Table::Print() const {
   std::printf("\n");
 }
 
-std::string Table::Csv() const {
-  auto join = [](const std::vector<std::string>& row) {
-    std::string out;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ",";
-      out += row[i];
-    }
-    return out + "\n";
-  };
-  std::string out = join(headers_);
-  for (const auto& row : rows_) out += join(row);
-  return out;
-}
-
 std::string Fmt(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
@@ -66,22 +52,6 @@ std::string FmtMibps(double mibps) { return Fmt(mibps, 1) + "MiB/s"; }
 
 void Banner(const std::string& title) {
   std::printf("\n== %s ==\n\n", title.c_str());
-}
-
-Table SnapshotTable(const telemetry::Snapshot& snap) {
-  Table t({"metric", "kind", "value", "mean", "p50", "p95", "p99"});
-  auto us = [](double ns) { return FmtUs(ns / 1000.0); };
-  for (const auto& m : snap.metrics) {
-    if (m.kind == "histogram") {
-      t.AddRow({m.name, m.kind, Fmt(m.value, 0), us(m.mean), us(m.p50),
-                us(m.p95), us(m.p99)});
-    } else {
-      t.AddRow({m.name, m.kind,
-                m.kind == "counter" ? Fmt(m.value, 0) : Fmt(m.value, 3), "",
-                "", "", ""});
-    }
-  }
-  return t;
 }
 
 }  // namespace zstor::harness

@@ -1,13 +1,11 @@
 // Fixed-width table printing for bench binaries: every bench prints the
 // paper's rows/series with a "paper=" reference column so measured vs
-// published values line up visually, plus optional CSV output.
+// published values line up visually.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include "telemetry/metrics.h"
 
 namespace zstor::harness {
 
@@ -18,8 +16,6 @@ class Table {
   Table& AddRow(std::vector<std::string> cells);
   /// Prints with column alignment to stdout.
   void Print() const;
-  /// Comma-separated form (for piping into plotting scripts).
-  std::string Csv() const;
 
  private:
   std::vector<std::string> headers_;
@@ -35,11 +31,5 @@ std::string FmtMibps(double mibps);
 
 /// Prints a section banner ("== Figure 2a — ... ==").
 void Banner(const std::string& title);
-
-/// Renders a telemetry snapshot as a table: one row per metric, with the
-/// histogram columns (mean/p50/p95/p99, in us) filled only for histogram
-/// metrics. The same path telemetry JSON export uses, so table and
-/// --metrics output always agree.
-Table SnapshotTable(const telemetry::Snapshot& snap);
 
 }  // namespace zstor::harness

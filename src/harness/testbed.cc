@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <utility>
 
 #include "harness/bench_flags.h"
@@ -112,6 +111,11 @@ std::vector<std::vector<std::uint32_t>> PlanShards(
   }
   return plan;
 }
+
+/// The virtual-time host<->device interconnect hop charged to each
+/// cross-lane message under the parallel engine — also the engine's
+/// conservative-synchronization lookahead.
+constexpr sim::Time kInterconnectHop = 250;  // ns
 
 std::uint64_t NextParallelEpoch() {
   static std::atomic<std::uint64_t> epoch{0};
@@ -358,18 +362,6 @@ std::string Testbed::LogPagesJson() const {
   return out;
 }
 
-bool Testbed::WriteLogPages(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot open logpages file %s\n",
-                 path.c_str());
-    return false;
-  }
-  std::fprintf(f, "%s\n", LogPagesJson().c_str());
-  std::fclose(f);
-  return true;
-}
-
 void Testbed::MergeLaneTelemetry() {
   if (lanes_merged_ || telem_ == nullptr || psim_ == nullptr) return;
   lanes_merged_ = true;
@@ -413,39 +405,22 @@ void Testbed::Finish() {
     harness::BenchEnv::Get().AddLogPages(label_, LogPagesJson());
   }
   telemetry::Snapshot snap = TakeSnapshot();
-  if (!metrics_path_.empty()) {
-    std::FILE* f = std::fopen(metrics_path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot open metrics file %s\n",
-                   metrics_path_.c_str());
-    } else {
-      std::fprintf(f, "%s\n", snap.ToJson().c_str());
-      std::fclose(f);
-    }
-  }
   if (report_to_env_) {
     harness::BenchEnv::Get().AddSnapshot(label_, std::move(snap));
   }
-  if (psim_ != nullptr) {
-    // Replay buffered lane telemetry into the real sinks in fixed lane
-    // order (coordinator, then devices) — byte-identical output for any
-    // worker-thread count.
-    if (final_sink_ != nullptr) {
-      if (coord_shard_ != nullptr) coord_shard_->ReplayInto(*final_sink_);
-      for (telemetry::ShardSink* sh : lane_shards_) {
-        if (sh != nullptr) sh->ReplayInto(*final_sink_);
-      }
-      final_sink_->Flush();
+  // Replay buffered lane telemetry into the real outputs in fixed lane
+  // order (coordinator, then devices) — byte-identical output for any
+  // worker-thread count.
+  if (final_sink_ != nullptr) {
+    for (auto& lane : lane_captures_) lane->trace.ReplayInto(*final_sink_);
+    final_sink_->Flush();
+  }
+  if (final_timeline_ != nullptr) {
+    for (auto& lane : lane_captures_) {
+      final_timeline_->AppendRaw(lane->timeline);
+      lane->timeline.clear();
     }
-    if (final_timeline_ != nullptr) {
-      for (auto& cap : lane_tl_captures_) {
-        if (cap != nullptr) {
-          final_timeline_->AppendRaw(*cap);
-          cap->clear();
-        }
-      }
-      final_timeline_->Flush();
-    }
+    final_timeline_->Flush();
   }
   telem_->Flush();
 }
@@ -506,12 +481,6 @@ TestbedBuilder& TestbedBuilder::WithSimThreads(int n) {
   return *this;
 }
 
-TestbedBuilder& TestbedBuilder::WithLookahead(sim::Time hop) {
-  ZSTOR_CHECK_MSG(hop > 0, "interconnect lookahead must be positive");
-  lookahead_ = hop;
-  return *this;
-}
-
 Testbed TestbedBuilder::Build() {
   ZSTOR_CHECK_MSG(num_devices_ >= 1, "WithDevices needs n >= 1");
   ZSTOR_CHECK_MSG(num_devices_ == 1 || !conv_profile_.has_value(),
@@ -526,7 +495,7 @@ Testbed TestbedBuilder::Build() {
   Testbed tb;
   if (parallel) {
     tb.psim_ = std::make_unique<sim::ParallelSimulator>(num_devices_ + 1,
-                                                        lookahead_);
+                                                        kInterconnectHop);
     // Only the coordinator originates work between messages (workload
     // workers, rate limiters, retry timers); device lanes react.
     tb.psim_->SetSpontaneous(0, true);
@@ -638,35 +607,23 @@ Testbed TestbedBuilder::Build() {
   if (telem_cfg_.has_value()) {
     tb.telem_ = std::make_unique<telemetry::Telemetry>();
     if (telem_cfg_->ring_capacity > 0) {
-      auto ring =
+      tb.ring_ =
           std::make_unique<telemetry::RingBufferSink>(telem_cfg_->ring_capacity);
-      tb.ring_ = ring.get();
-      tb.telem_->SetSink(std::move(ring));
-    } else if (!telem_cfg_->trace_path.empty()) {
-      tb.telem_->SetSink(
-          std::make_unique<telemetry::JsonlFileSink>(telem_cfg_->trace_path));
+      tb.telem_->SetSink(tb.ring_.get());
     }
-    tb.metrics_path_ = telem_cfg_->metrics_path;
     sample_interval = telem_cfg_->sample_interval;
-    if (telem_cfg_->timeline_capture != nullptr ||
-        !telem_cfg_->timeline_path.empty()) {
-      auto writer =
-          telem_cfg_->timeline_capture != nullptr
-              ? std::make_unique<telemetry::TimelineWriter>(
-                    telem_cfg_->timeline_capture)
-              : std::make_unique<telemetry::TimelineWriter>(
-                    telem_cfg_->timeline_path);
-      writer->set_die_merge_gap_ns(
+    if (telem_cfg_->timeline_capture != nullptr) {
+      tb.capture_ = std::make_unique<telemetry::TimelineWriter>(
+          telem_cfg_->timeline_capture);
+      tb.capture_->set_die_merge_gap_ns(
           telemetry::TimelineWriter::DefaultMergeGap(sample_interval));
-      tb.telem_->SetTimeline(std::move(writer));
+      tb.telem_->SetTimeline(tb.capture_.get());
     }
   } else if (env.telemetry_requested()) {
     tb.telem_ = std::make_unique<telemetry::Telemetry>();
-    if (telemetry::TraceSink* sink = env.shared_sink(); sink != nullptr) {
-      tb.telem_->SetExternalSink(sink);
-    }
+    tb.telem_->SetSink(env.shared_sink());
     if (env.timeline_requested()) {
-      tb.telem_->SetExternalTimeline(env.shared_timeline());
+      tb.telem_->SetTimeline(env.shared_timeline());
       sample_interval = env.sample_interval();
     }
     tb.report_to_env_ = true;
@@ -687,40 +644,26 @@ Testbed TestbedBuilder::Build() {
       // order. Trace ids get per-lane namespaces so ids allocated
       // concurrently never collide — and never depend on interleaving.
       const std::uint64_t ns_base = (NextParallelEpoch() & 0xFFFFull) << 48;
+      tb.final_sink_ = tb.telem_->tracer().sink();
+      tb.final_timeline_ = tb.telem_->timeline();
+      auto capture_lane = [&tb](telemetry::Telemetry& t) {
+        auto& lane = tb.lane_captures_.emplace_back(
+            std::make_unique<Testbed::LaneCapture>());
+        if (tb.final_sink_ != nullptr) t.SetSink(&lane->trace);
+        if (tb.final_timeline_ != nullptr) {
+          lane->writer.set_die_merge_gap_ns(
+              tb.final_timeline_->die_merge_gap_ns());
+          t.SetTimeline(&lane->writer);
+        }
+      };
       tb.telem_->tracer().SetIdNamespace(ns_base | (1ull << 40));
-      if (tb.telem_->tracer().sink() != nullptr) {
-        tb.final_sink_ = tb.telem_->tracer().sink();
-        tb.final_sink_owned_ = tb.telem_->TakeOwnedSink();
-        auto shard = std::make_unique<telemetry::ShardSink>();
-        tb.coord_shard_ = shard.get();
-        tb.telem_->SetSink(std::move(shard));
-      }
-      if (tb.telem_->timeline() != nullptr) {
-        tb.final_timeline_ = tb.telem_->timeline();
-        tb.final_timeline_owned_ = tb.telem_->TakeOwnedTimeline();
-        tb.lane_tl_captures_.push_back(std::make_unique<std::string>());
-        auto w = std::make_unique<telemetry::TimelineWriter>(
-            tb.lane_tl_captures_.back().get());
-        w->set_die_merge_gap_ns(tb.final_timeline_->die_merge_gap_ns());
-        tb.telem_->SetTimeline(std::move(w));
-      }
+      capture_lane(*tb.telem_);
       for (std::uint32_t d = 0; d < num_devices_; ++d) {
         auto lt = std::make_unique<telemetry::Telemetry>();
         lt->tracer().SetIdNamespace(ns_base | ((2ull + d) << 40));
         lt->set_timeline_label(tb.telem_->timeline_label() + "/lane" +
                                std::to_string(d));
-        if (tb.final_sink_ != nullptr) {
-          auto shard = std::make_unique<telemetry::ShardSink>();
-          tb.lane_shards_.push_back(shard.get());
-          lt->SetSink(std::move(shard));
-        }
-        if (tb.final_timeline_ != nullptr) {
-          tb.lane_tl_captures_.push_back(std::make_unique<std::string>());
-          auto w = std::make_unique<telemetry::TimelineWriter>(
-              tb.lane_tl_captures_.back().get());
-          w->set_die_merge_gap_ns(tb.final_timeline_->die_merge_gap_ns());
-          lt->SetTimeline(std::move(w));
-        }
+        capture_lane(*lt);
         tb.lane_telems_.push_back(std::move(lt));
       }
       for (std::uint32_t d = 0; d < num_devices_; ++d) {

@@ -6,10 +6,11 @@
 //   auto tb = zstor::TestbedBuilder()
 //                 .WithZnsProfile(zns::Zn540Profile())
 //                 .WithStack(zstor::StackChoice::kSpdk)
-//                 .WithTelemetry({.trace_path = "run.jsonl"})
+//                 .WithTelemetry({.ring_capacity = 4096})
 //                 .Build();
 //   auto r = tb.RunJob(spec);        // described into tb's metrics
-//   tb.Finish();                     // flush trace, write metrics JSON
+//   tb.Finish();                     // final snapshot; tb.ring() keeps
+//                                    // the last 4096 trace events
 //
 // Multi-device: .WithDevices(n) builds n identical ZNS devices, each with
 // its own host-stack lane, striped into one logical namespace by
@@ -20,7 +21,8 @@
 // process-wide BenchEnv (see bench_flags.h): a bench invoked with
 // --trace=FILE / --metrics=FILE gets tracing on every testbed it builds,
 // all sharing one JSONL sink, with per-testbed metrics snapshots written
-// at exit.
+// at exit. BenchEnv owns every output file; a Testbed only ever captures
+// in memory (TelemetryConfig).
 //
 // Parallel engine: .WithSimThreads(n) (or the --sim-threads=N flag) runs
 // a multi-device ZNS testbed on sim::ParallelSimulator — lane 0 hosts
@@ -64,21 +66,15 @@ namespace zstor {
 using StackChoice = hostif::StackChoice;
 using hostif::ToString;
 
-/// How a testbed's telemetry is surfaced. All fields optional; an
+/// In-memory telemetry capture for one testbed. All fields optional; an
 /// all-default config still enables metrics collection (no trace sink).
+/// Files are harness::BenchEnv's job (--trace, --timeline, --metrics).
 struct TelemetryConfig {
-  /// Append trace events to this JSONL file ("" = no file sink).
-  std::string trace_path;
-  /// Keep the last N events in an in-memory ring instead (tests and
-  /// post-hoc inspection). Takes precedence over trace_path.
+  /// Keep the last N trace events in an in-memory ring (0 = no tracing).
   std::size_t ring_capacity = 0;
-  /// Write a metrics-snapshot JSON object here on Finish().
-  std::string metrics_path;
-  /// Append timeline records (DESIGN.md §10) to this JSONL file and run
-  /// a telemetry::MetricSampler at `sample_interval` ("" = no timeline).
-  std::string timeline_path;
-  /// Capture timeline records into this string instead of a file (tests;
-  /// takes precedence over timeline_path). Non-owning.
+  /// Capture timeline records (DESIGN.md §10) into this string and run a
+  /// telemetry::MetricSampler at `sample_interval` (null = no timeline).
+  /// Non-owning.
   std::string* timeline_capture = nullptr;
   /// Virtual-time cadence of the timeline's periodic metric samples.
   sim::Time sample_interval = sim::Milliseconds(100);
@@ -127,28 +123,18 @@ class Testbed {
   telemetry::MetricSampler* sampler() { return sampler_.get(); }
   /// The injected fault plan; null when faults are disabled. Under the
   /// parallel engine faults are per-device plans instead (a shared plan's
-  /// RNG would race across lanes) — this stays null; see lane_faults().
+  /// RNG would race across lanes) — this stays null.
   fault::FaultPlan* faults() { return faults_.get(); }
-  /// Device d's private fault plan (parallel mode with faults enabled;
-  /// null otherwise).
-  fault::FaultPlan* lane_faults(std::size_t d) {
-    return d < lane_faults_.size() ? lane_faults_[d].get() : nullptr;
-  }
   /// Device d's lane-side view of the logical namespace (parallel mode
   /// only; null otherwise). Sharded workload workers submit here.
   hostif::StripeLaneView* lane_view(std::size_t d) {
     return d < lane_views_.size() ? lane_views_[d].get() : nullptr;
   }
-  /// Device d's lane-local telemetry bundle (parallel mode with
-  /// telemetry; null otherwise).
-  telemetry::Telemetry* lane_telemetry(std::size_t d) {
-    return d < lane_telems_.size() ? lane_telems_[d].get() : nullptr;
-  }
   /// The host retry layer; null unless faults or WithRetryPolicy enabled
   /// it. When non-null, stack() IS this wrapper.
   hostif::ResilientStack* resilient() { return resilient_; }
   /// Null unless TelemetryConfig::ring_capacity was set.
-  telemetry::RingBufferSink* ring() { return ring_; }
+  telemetry::RingBufferSink* ring() { return ring_.get(); }
 
   // ---- experiment conveniences ---------------------------------------
   /// DebugFillZone over logical zones [first, first+count) (ZNS testbeds
@@ -189,11 +175,10 @@ class Testbed {
   /// All of the device's log pages as one JSON object:
   /// {"smart": ..., "die_util": ..., "zone_report": ...?}.
   std::string LogPagesJson() const;
-  /// Writes LogPagesJson() to `path` (+ newline); false if unopenable.
-  bool WriteLogPages(const std::string& path) const;
 
-  /// Idempotent teardown: snapshot + metrics-file write (or hand-off to
-  /// the BenchEnv collector) and trace flush. Called by the destructor.
+  /// Idempotent teardown: final snapshot (handed to the BenchEnv
+  /// collector under bench flags), lane replay and trace flush. Called by
+  /// the destructor.
   void Finish();
 
  private:
@@ -205,16 +190,25 @@ class Testbed {
   // built over them, stacks outlive the views built over *them*.
   std::unique_ptr<sim::Simulator> sim_;  // null under the parallel engine
   std::unique_ptr<sim::ParallelSimulator> psim_;  // null in classic mode
-  /// In parallel mode, the real (file/ring/shared) sink and timeline
-  /// that lane shards replay into at Finish; the bundles themselves hold
-  /// per-lane ShardSinks / capture writers during the run.
-  std::unique_ptr<telemetry::TraceSink> final_sink_owned_;
-  std::unique_ptr<telemetry::TimelineWriter> final_timeline_owned_;
+  /// One lane's private telemetry buffer under the parallel engine: the
+  /// lane's bundle points at `trace` / `writer` during the run, and Finish
+  /// replays them into final_sink_ / final_timeline_.
+  struct LaneCapture {
+    telemetry::ShardSink trace;
+    std::string timeline;
+    telemetry::TimelineWriter writer{&timeline};
+  };
+  // The in-memory captures this testbed creates (TelemetryConfig); the
+  // bundles below only point at them, or at BenchEnv's files. All are
+  // heap-allocated so the pointers survive Testbed moves.
+  std::unique_ptr<telemetry::RingBufferSink> ring_;
+  std::unique_ptr<telemetry::TimelineWriter> capture_;
+  /// Parallel mode: [0] = coordinator, [1 + d] = device d.
+  std::vector<std::unique_ptr<LaneCapture>> lane_captures_;
+  /// Parallel mode: the ring or BenchEnv sink/writer the lane captures
+  /// replay into at Finish, in lane order.
   telemetry::TraceSink* final_sink_ = nullptr;
   telemetry::TimelineWriter* final_timeline_ = nullptr;
-  /// Capture targets for the per-lane timeline writers (heap-allocated so
-  /// the writers' pointers survive Testbed moves). [0] = coordinator.
-  std::vector<std::unique_ptr<std::string>> lane_tl_captures_;
   std::unique_ptr<telemetry::Telemetry> telem_;
   /// Per-device-lane telemetry bundles (parallel mode with telemetry).
   std::vector<std::unique_ptr<telemetry::Telemetry>> lane_telems_;
@@ -239,12 +233,7 @@ class Testbed {
   hostif::ResilientStack* resilient_ = nullptr;
   hostif::KernelStack* kernel_ = nullptr;
   hostif::StripedStack* striped_ = nullptr;  // owned via stack_/inner_stack_
-  telemetry::RingBufferSink* ring_ = nullptr;  // owned by telem_ (classic)
-                                               // or final_sink_owned_
-  telemetry::ShardSink* coord_shard_ = nullptr;      // owned by telem_
-  std::vector<telemetry::ShardSink*> lane_shards_;   // owned by lane_telems_
   std::string label_;
-  std::string metrics_path_;
   int sim_threads_ = 0;
   bool lanes_merged_ = false;
   bool report_to_env_ = false;
@@ -295,10 +284,6 @@ class TestbedBuilder {
   /// single-device and conventional testbeds always use the classic
   /// engine.
   TestbedBuilder& WithSimThreads(int n);
-  /// The virtual-time host<->device interconnect hop charged to each
-  /// cross-lane message under the parallel engine — also the engine's
-  /// conservative-synchronization lookahead. Default 250 ns.
-  TestbedBuilder& WithLookahead(sim::Time hop);
 
   Testbed Build();
 
@@ -312,7 +297,6 @@ class TestbedBuilder {
   std::optional<fault::FaultSpec> fault_spec_;
   std::optional<hostif::RetryPolicy> retry_policy_;
   std::optional<int> sim_threads_;
-  sim::Time lookahead_ = 250;  // ns
   std::string label_;
 };
 

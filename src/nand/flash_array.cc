@@ -297,12 +297,6 @@ bool FlashArray::BlockRetired(std::uint32_t die, std::uint32_t block) const {
   return Block(die, block).retired;
 }
 
-std::size_t FlashArray::DieQueueDepth(std::uint32_t die) const {
-  ZSTOR_CHECK(die < geo_.total_dies());
-  const auto& r = *dies_[die];
-  return (r.available() == 0 ? 1 : 0) + r.waiting();
-}
-
 double FlashArray::PeakProgramBandwidth() const {
   return static_cast<double>(geo_.total_dies()) * geo_.page_bytes /
          sim::ToSeconds(timing_.program_page);

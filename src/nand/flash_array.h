@@ -165,10 +165,6 @@ class FlashArray {
   bool MarkBlockRetired(std::uint32_t die, std::uint32_t block);
   bool BlockRetired(std::uint32_t die, std::uint32_t block) const;
 
-  /// Queue length (in-service + waiting) at a die; used by tests and by
-  /// utilization-aware policies.
-  std::size_t DieQueueDepth(std::uint32_t die) const;
-
   /// Per-die service accounting, indexed by die; size == total_dies().
   const std::vector<DieStats>& die_stats() const { return die_stats_; }
 

@@ -71,9 +71,6 @@ class PriorityResource {
   }
 
   std::uint32_t free_slots() const { return free_; }
-  std::size_t queue_length(std::uint32_t priority) const {
-    return waiters_[priority].size();
-  }
   std::size_t total_queued() const {
     std::size_t n = 0;
     for (const auto& q : waiters_) n += q.size();

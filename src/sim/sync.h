@@ -154,7 +154,6 @@ class OneShotEvent {
     void await_resume() const noexcept {}
   };
   Awaiter Wait() { return Awaiter{*this}; }
-  bool is_set() const { return set_; }
 
  private:
   Simulator& sim_;

@@ -4,7 +4,6 @@
 // emit — see DESIGN.md §7 for the architecture and overhead argument.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -24,22 +23,10 @@ class Telemetry {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Installs an owned sink (replacing any previous one).
-  void SetSink(std::unique_ptr<TraceSink> sink) {
-    owned_sink_ = std::move(sink);
-    tracer_.SetSink(owned_sink_.get());
-  }
-  /// Points the tracer at a sink owned elsewhere (e.g. a process-wide
-  /// JSONL file shared by several testbeds).
-  void SetExternalSink(TraceSink* sink) {
-    owned_sink_.reset();
-    tracer_.SetSink(sink);
-  }
-  /// Detaches and returns the owned sink (null when the sink is external
-  /// or absent). The tracer keeps pointing at the detached object, so the
-  /// caller must install a replacement next. The parallel Testbed uses
-  /// this to interpose a per-lane ShardSink in front of the real sink.
-  std::unique_ptr<TraceSink> TakeOwnedSink() { return std::move(owned_sink_); }
+  /// Points the tracer at `sink` (null disables tracing). The bundle
+  /// owns no output: harness::BenchEnv owns the --trace file, a Testbed
+  /// owns its ring and per-lane shards.
+  void SetSink(TraceSink* sink) { tracer_.SetSink(sink); }
 
   /// The timeline stream for state-change records (zone lifecycle, die
   /// busy windows, GC/reset/fault windows); null means "no timeline" and
@@ -50,22 +37,9 @@ class Telemetry {
   void set_timeline_label(std::string label) {
     timeline_label_ = std::move(label);
   }
-  void SetTimeline(std::unique_ptr<TimelineWriter> writer) {
-    owned_timeline_ = std::move(writer);
-    timeline_ = owned_timeline_.get();
-  }
-  /// Points at a writer owned elsewhere (the process-wide --timeline
-  /// file shared by every testbed a bench builds).
-  void SetExternalTimeline(TimelineWriter* writer) {
-    owned_timeline_.reset();
-    timeline_ = writer;
-  }
-  /// Detaches and returns the owned timeline writer (null when external
-  /// or absent); timeline() keeps pointing at the detached object until
-  /// the caller installs a replacement (same contract as TakeOwnedSink).
-  std::unique_ptr<TimelineWriter> TakeOwnedTimeline() {
-    return std::move(owned_timeline_);
-  }
+  /// Points at a timeline writer owned elsewhere (null = no timeline),
+  /// under the same ownership split as SetSink.
+  void SetTimeline(TimelineWriter* writer) { timeline_ = writer; }
 
   void Flush() {
     if (tracer_.sink() != nullptr) tracer_.sink()->Flush();
@@ -75,8 +49,6 @@ class Telemetry {
  private:
   Tracer tracer_;
   MetricsRegistry metrics_;
-  std::unique_ptr<TraceSink> owned_sink_;
-  std::unique_ptr<TimelineWriter> owned_timeline_;
   TimelineWriter* timeline_ = nullptr;
   std::string timeline_label_;
 };

@@ -105,7 +105,7 @@ class JsonlFileSink : public TraceSink {
 class Tracer {
  public:
   bool enabled() const { return sink_ != nullptr; }
-  /// Attaches a sink (non-owning; see Telemetry for the owning variant).
+  /// Attaches a sink (non-owning).
   void SetSink(TraceSink* sink) { sink_ = sink; }
   TraceSink* sink() const { return sink_; }
 

@@ -961,14 +961,6 @@ sim::Task<Status> KvStore::Get(std::uint64_t key, bool* found) {
   co_return st;
 }
 
-std::uint64_t KvStore::ApproxKeys() const {
-  std::uint64_t n = mem_.size() + (imm_ != nullptr ? imm_->size() : 0);
-  for (const auto& lvl : levels_) {
-    for (const TablePtr& t : lvl) n += t->entries.size();
-  }
-  return n;
-}
-
 sim::Task<> KvStore::Drain() {
   for (;;) {
     MaybeScheduleCompaction();

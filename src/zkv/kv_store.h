@@ -228,12 +228,6 @@ class KvStore : public workload::KvBackend {
 
   const KvStats& stats() const { return stats_; }
   const std::vector<LevelStats>& level_stats() const { return levels_stats_; }
-  /// Live key count across memtables and tables (upper bound: shadowed
-  /// versions counted once per table).
-  std::uint64_t ApproxKeys() const;
-  std::uint32_t free_zones() const {
-    return static_cast<std::uint32_t>(free_zones_.size());
-  }
 
  private:
   // ---- on-device layout ----------------------------------------------

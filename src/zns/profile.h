@@ -165,9 +165,6 @@ struct ZnsProfile {
   sim::Time recovery_per_zone = sim::Microseconds(2.0);
 
   // ---- derived --------------------------------------------------------
-  std::uint64_t stripe_unit_bytes() const {
-    return nand_geometry.page_bytes;
-  }
   std::uint64_t zone_cap_pages() const {
     return zone_cap_bytes / nand_geometry.page_bytes;
   }

@@ -42,7 +42,26 @@ struct RunOutcome {
   workload::JobResult result;
   std::vector<zns::ZnsCounters> counters;
   std::string timeline;
+  /// The trace the lanes replayed into the testbed's ring at Finish.
+  std::vector<telemetry::TraceEvent> trace;
 };
+
+/// Holds every event of the runs below without wrapping.
+constexpr std::size_t kRingEvents = 1 << 16;
+
+/// Command ids carry a per-testbed epoch in their top 16 bits, which
+/// differs between two testbeds in one process; the rest of the id is
+/// allocated per lane and must match.
+constexpr std::uint64_t kCmdIdMask = (1ull << 48) - 1;
+
+/// Copies the ring's events out of a finished testbed.
+std::vector<telemetry::TraceEvent> HarvestTrace(Testbed& tb) {
+  EXPECT_NE(tb.ring(), nullptr);
+  if (tb.ring() == nullptr) return {};
+  EXPECT_EQ(tb.ring()->dropped(), 0u);
+  EXPECT_GT(tb.ring()->total_events(), 0u);
+  return tb.ring()->Events();
+}
 
 /// One complete experiment at a given thread count: build, run, finish,
 /// harvest everything the determinism contract covers.
@@ -52,6 +71,7 @@ RunOutcome RunAt(int sim_threads, std::uint32_t ndev, SpecFn make_spec,
   RunOutcome out;
   TestbedBuilder b;
   TelemetryConfig cfg;
+  cfg.ring_capacity = kRingEvents;
   cfg.timeline_capture = &out.timeline;
   cfg.sample_interval = sim::Milliseconds(2);
   b.WithZnsProfile(QuietTiny())
@@ -67,6 +87,7 @@ RunOutcome RunAt(int sim_threads, std::uint32_t ndev, SpecFn make_spec,
     out.counters.push_back(tb.zns(d)->counters());
   }
   tb.Finish();
+  out.trace = HarvestTrace(tb);
   return out;
 }
 
@@ -96,6 +117,18 @@ void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b,
         << what << " d=" << d;
   }
   EXPECT_EQ(a.timeline, b.timeline) << what;  // byte-for-byte
+  ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    const telemetry::TraceEvent& x = a.trace[i];
+    const telemetry::TraceEvent& y = b.trace[i];
+    EXPECT_EQ(x.begin, y.begin) << what << " event " << i;
+    EXPECT_EQ(x.end, y.end) << what << " event " << i;
+    EXPECT_EQ(x.cmd & kCmdIdMask, y.cmd & kCmdIdMask) << what << " event " << i;
+    EXPECT_EQ(x.layer, y.layer) << what << " event " << i;
+    EXPECT_STREQ(x.name, y.name) << what << " event " << i;
+    EXPECT_EQ(x.a, y.a) << what << " event " << i;
+    EXPECT_EQ(x.b, y.b) << what << " event " << i;
+  }
 }
 
 TEST(TestbedParallel, WithSimThreadsBuildsParallelWiring) {
@@ -162,6 +195,7 @@ RunOutcome RunFilledAt(int sim_threads, std::uint32_t ndev,
   RunOutcome out;
   TestbedBuilder b;
   TelemetryConfig cfg;
+  cfg.ring_capacity = kRingEvents;
   cfg.timeline_capture = &out.timeline;
   cfg.sample_interval = sim::Milliseconds(2);
   Testbed tb = b.WithZnsProfile(QuietTiny())
@@ -176,6 +210,7 @@ RunOutcome RunFilledAt(int sim_threads, std::uint32_t ndev,
     out.counters.push_back(tb.zns(d)->counters());
   }
   tb.Finish();
+  out.trace = HarvestTrace(tb);
   return out;
 }
 

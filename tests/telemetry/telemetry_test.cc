@@ -142,16 +142,33 @@ TEST(MetricsRegistry, SnapshotFreezesSortedValues) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos) << json;
 }
 
-TEST(Telemetry, BundleOwnsSinkAndFlushes) {
-  Telemetry t;
-  EXPECT_FALSE(t.tracer().enabled());
-  auto ring = std::make_unique<RingBufferSink>(4);
-  RingBufferSink* raw = ring.get();
-  t.SetSink(std::move(ring));
-  EXPECT_TRUE(t.tracer().enabled());
-  t.tracer().Span(0, 5, 1, Layer::kHost, "host.submit");
-  EXPECT_EQ(raw->total_events(), 1u);
-  t.Flush();  // ring flush is a no-op; must not crash
+TEST(Telemetry, BundlePointsAtOutputsAndFlushes) {
+  RingBufferSink ring(4);
+  std::string cap;
+  TimelineWriter writer(&cap);
+  {
+    Telemetry t;
+    EXPECT_FALSE(t.tracer().enabled());
+    EXPECT_EQ(t.timeline(), nullptr);
+    t.SetSink(&ring);
+    t.SetTimeline(&writer);
+    EXPECT_TRUE(t.tracer().enabled());
+    EXPECT_EQ(t.timeline(), &writer);
+    t.tracer().Span(0, 5, 1, Layer::kHost, "host.submit");
+    EXPECT_EQ(ring.total_events(), 1u);
+    t.timeline()->Window(0, 5, "tb", 0, "zone.reset");
+    t.Flush();  // ring and capture flushes are no-ops; must not crash
+    t.SetSink(nullptr);
+    t.SetTimeline(nullptr);
+    EXPECT_FALSE(t.tracer().enabled());
+    EXPECT_EQ(t.timeline(), nullptr);
+    t.tracer().Span(5, 9, 1, Layer::kHost, "host.submit");
+    t.Flush();
+  }
+  // The bundle owned neither: both outlive it with what they received.
+  EXPECT_EQ(ring.total_events(), 1u);
+  EXPECT_EQ(writer.written(), 1u);
+  EXPECT_NE(cap.find("\"kind\":\"zone.reset\""), std::string::npos) << cap;
 }
 
 }  // namespace

@@ -235,6 +235,20 @@ std::string TempTracePath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// Ring large enough that the small runs below never wrap it.
+constexpr std::size_t kRingEvents = 1 << 16;
+
+/// Finishes `tb` and writes its captured events through the same JSONL
+/// sink --trace uses, so the loader reads what a bench trace file holds.
+void WriteRingAsJsonl(Testbed& tb, const std::string& path) {
+  tb.Finish();
+  ASSERT_NE(tb.ring(), nullptr);
+  ASSERT_EQ(tb.ring()->dropped(), 0u);
+  telemetry::JsonlFileSink sink(path);
+  ASSERT_TRUE(sink.ok());
+  for (const telemetry::TraceEvent& e : tb.ring()->Events()) sink.OnEvent(e);
+}
+
 TEST(RoundTrip, Qd1SpanSumsMatchMeasuredLatencies) {
   std::string path = TempTracePath("ztrace_roundtrip.jsonl");
   struct Done {
@@ -247,7 +261,7 @@ TEST(RoundTrip, Qd1SpanSumsMatchMeasuredLatencies) {
     Testbed tb = TestbedBuilder()
                      .WithZnsProfile(zns::TinyProfile())
                      .WithStack(StackChoice::kSpdk)
-                     .WithTelemetry({.trace_path = path})
+                     .WithTelemetry({.ring_capacity = kRingEvents})
                      .Build();
     auto body = [&]() -> sim::Task<> {
       for (int i = 0; i < 8; ++i) {
@@ -265,7 +279,7 @@ TEST(RoundTrip, Qd1SpanSumsMatchMeasuredLatencies) {
     };
     auto t = body();
     tb.sim().Run();
-    tb.Finish();  // flush the JSONL sink
+    ASSERT_NO_FATAL_FAILURE(WriteRingAsJsonl(tb, path));
   }
   ASSERT_EQ(done.size(), 12u);
 
@@ -305,7 +319,7 @@ TEST(RoundTrip, FaultedRunTracesItsRetryHistory) {
                      .WithFaults(spec)
                      .WithRetryPolicy({.max_attempts = 4,
                                        .backoff = sim::Microseconds(50)})
-                     .WithTelemetry({.trace_path = path})
+                     .WithTelemetry({.ring_capacity = kRingEvents})
                      .Build();
     auto body = [&]() -> sim::Task<> {
       auto w = co_await tb.stack().Submit(
@@ -319,7 +333,7 @@ TEST(RoundTrip, FaultedRunTracesItsRetryHistory) {
     };
     auto t = body();
     tb.sim().Run();
-    tb.Finish();
+    ASSERT_NO_FATAL_FAILURE(WriteRingAsJsonl(tb, path));
   }
 
   LoadResult loaded = LoadJsonlFile(path);

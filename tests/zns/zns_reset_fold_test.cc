@@ -40,7 +40,7 @@ ZnsProfile FoldProfile(Time work) {
 
 struct FoldFixture {
   explicit FoldFixture(Time work, bool saw_io = true) : h(FoldProfile(work)) {
-    telem.SetExternalSink(&spans);
+    telem.SetSink(&spans);
     h.dev.AttachTelemetry(&telem);
     for (std::uint32_t z : {kZoneA, kZoneB, kReadZone}) {
       h.dev.DebugFillZone(z, h.dev.profile().zone_cap_bytes);

@@ -18,12 +18,12 @@ using testing::QuietTiny;
 
 struct TimelineFixture {
   std::string cap;
+  telemetry::TimelineWriter writer{&cap};
   Harness h{QuietTiny()};
   telemetry::Telemetry telem;
 
   TimelineFixture() {
-    auto writer = std::make_unique<telemetry::TimelineWriter>(&cap);
-    telem.SetTimeline(std::move(writer));
+    telem.SetTimeline(&writer);
     telem.set_timeline_label("zns-test");
     h.dev.AttachTelemetry(&telem, /*lane=*/3);
   }
