@@ -11,9 +11,11 @@
 // baseline to measure the workload's virtual-time span, then places the
 // power losses at fixed fractions of it, so they land inside the write
 // phase regardless of profile or host-stack timing. Every point re-reads
-// every acknowledged LBA through the IntegrityVerifier ledger and the
-// bench exits nonzero on any silent corruption — this is the CI gate the
-// crash subsystem answers to.
+// every acknowledged LBA through the IntegrityVerifier ledger. The bench
+// exits nonzero on any silent corruption, on a ZNS recovery time that is
+// not positive exactly at the crashed points, on a conventional recovery
+// time that is not positive, or on a conventional write amplification
+// below 1 — this is the gate the crash subsystem answers to.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -222,6 +224,7 @@ int main(int argc, char** argv) {
   harness::InitBench(argc, argv);
   auto& results = harness::Results();
   bool integrity_ok = true;
+  bool recovery_ok = true;
 
   results.Config("retry_policy", "max_attempts=12,backoff_us=250,mult=2");
   results.Config("zns_zones_filled", std::to_string(kZones));
@@ -265,6 +268,10 @@ int main(int argc, char** argv) {
       results.Series("zns_replayed_dupes_vs_crashes", "appends")
           .AddLabeled(label, x, static_cast<double>(p.replayed_dupes));
       integrity_ok = integrity_ok && p.rep.ok();
+      // Recovery time is real exactly when crashes were injected.
+      recovery_ok = recovery_ok && (all_counts[i] == 0
+                                        ? p.recovery_ms_avg == 0
+                                        : p.recovery_ms_avg > 0);
       t.AddRow({label, harness::Fmt(p.recovery_ms_avg, 3) + " ms",
                 std::to_string(p.torn_pages),
                 harness::Fmt(p.crash_lost_mib, 2) + " MiB",
@@ -357,6 +364,8 @@ int main(int argc, char** argv) {
           .AddLabeled(label, x,
                       static_cast<double>(p.rep.silent_corruptions));
       integrity_ok = integrity_ok && p.rep.ok();
+      // Journal and checkpoint programs only ever add write amplification.
+      recovery_ok = recovery_ok && p.recovery_ms > 0 && p.write_amp >= 1.0;
       t.AddRow({label, harness::Fmt(p.recovery_ms, 3) + " ms",
                 std::to_string(p.replay_entries),
                 std::to_string(p.reverted_entries),
@@ -374,7 +383,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nintegrity: %s\n",
-              integrity_ok ? "PASS (no silent corruption, no read errors)"
-                           : "FAIL — silent corruption detected");
-  return integrity_ok ? 0 : 1;
+              !integrity_ok  ? "FAIL — silent corruption detected"
+              : !recovery_ok ? "FAIL — recovery time or conv WA out of range"
+                             : "PASS (no silent corruption, no read errors, "
+                               "recovery time > 0 exactly where crashes hit, "
+                               "conv WA >= 1)");
+  return integrity_ok && recovery_ok ? 0 : 1;
 }

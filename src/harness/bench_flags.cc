@@ -26,13 +26,13 @@ std::string Basename(const char* argv0) {
   return slash != nullptr ? slash + 1 : argv0;
 }
 
-/// Parses a non-negative decimal int. Returns false on garbage, a sign,
-/// or a value that does not fit an int.
-bool ParseCount(const char* s, int* out) {
+/// Parses a decimal int of at least `min`. Returns false on garbage, a
+/// sign, or a value below `min` or beyond an int.
+bool ParseCount(const char* s, int min, int* out) {
   char* end = nullptr;
   errno = 0;
   long n = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || n < 0 ||
+  if (end == s || *end != '\0' || errno == ERANGE || n < min ||
       n > std::numeric_limits<int>::max()) {
     return false;
   }
@@ -69,6 +69,29 @@ bool ParseDuration(const char* s, sim::Time* out) {
   return *out > 0;
 }
 
+/// Writes `[{"label": L, "<key>": V}, ...]`, one entry per line: the
+/// --metrics and --logpages documents. Labels are usually identifiers,
+/// but WithLabel() accepts anything, so they are escaped.
+void WriteLabeledArray(
+    const std::string& path, const char* key,
+    const std::vector<std::pair<std::string, std::string>>& entries) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "warning: cannot open %s file %s\n", key,
+                 path.c_str());
+    return;
+  }
+  std::fputs("[\n", f);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::fprintf(f, "  {\"label\": %s, \"%s\": %s}%s\n",
+                 telemetry::JsonQuoted(entries[i].first).c_str(), key,
+                 entries[i].second.c_str(),
+                 i + 1 < entries.size() ? "," : "");
+  }
+  std::fputs("]\n", f);
+  std::fclose(f);
+}
+
 }  // namespace
 
 BenchEnv& BenchEnv::Get() {
@@ -82,10 +105,6 @@ telemetry::TraceSink* BenchEnv::shared_sink() {
   if (trace_path_.empty()) return nullptr;
   if (sink_ == nullptr) {
     sink_ = std::make_unique<telemetry::JsonlFileSink>(trace_path_);
-    if (!sink_->ok()) {
-      std::fprintf(stderr, "warning: cannot open trace file %s\n",
-                   trace_path_.c_str());
-    }
   }
   return sink_.get();
 }
@@ -101,7 +120,7 @@ telemetry::TimelineWriter* BenchEnv::shared_timeline() {
 }
 
 void BenchEnv::AddSnapshot(std::string label, telemetry::Snapshot snap) {
-  snapshots_.emplace_back(std::move(label), std::move(snap));
+  metrics_.emplace_back(std::move(label), snap.ToJson());
 }
 
 void BenchEnv::AddLogPages(std::string label, std::string logpages_json) {
@@ -129,40 +148,10 @@ void BenchEnv::Finish() {
     results_.SetMeta("wall_ms", wall.count());
   }
   if (!metrics_path_.empty()) {
-    std::FILE* f = std::fopen(metrics_path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot open metrics file %s\n",
-                   metrics_path_.c_str());
-    } else {
-      std::fputs("[\n", f);
-      for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-        // Labels are usually identifiers, but WithLabel() accepts
-        // anything — escape.
-        std::fprintf(f, "  {\"label\": %s, \"metrics\": %s}%s\n",
-                     telemetry::JsonQuoted(snapshots_[i].first).c_str(),
-                     snapshots_[i].second.ToJson().c_str(),
-                     i + 1 < snapshots_.size() ? "," : "");
-      }
-      std::fputs("]\n", f);
-      std::fclose(f);
-    }
+    WriteLabeledArray(metrics_path_, "metrics", metrics_);
   }
   if (!logpages_path_.empty()) {
-    std::FILE* f = std::fopen(logpages_path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot open logpages file %s\n",
-                   logpages_path_.c_str());
-    } else {
-      std::fputs("[\n", f);
-      for (std::size_t i = 0; i < logpages_.size(); ++i) {
-        std::fprintf(f, "  {\"label\": %s, \"logpages\": %s}%s\n",
-                     telemetry::JsonQuoted(logpages_[i].first).c_str(),
-                     logpages_[i].second.c_str(),
-                     i + 1 < logpages_.size() ? "," : "");
-      }
-      std::fputs("]\n", f);
-      std::fclose(f);
-    }
+    WriteLabeledArray(logpages_path_, "logpages", logpages_);
   }
   if (!json_path_.empty()) {
     results_.WriteFile(json_path_);
@@ -173,17 +162,8 @@ void BenchEnv::Finish() {
 
 void FinishBench() { BenchEnv::Get().Finish(); }
 
-void InitBench(int& argc, char** argv) {
-  // Construct the singleton BEFORE registering the atexit hook: local
-  // statics are destroyed in reverse construction order interleaved with
-  // atexit handlers, so the hook must be the later registration or it
-  // would run against an already-destroyed BenchEnv.
+void InitBench(int argc, char** argv, std::initializer_list<CountFlag> own) {
   BenchEnv& env = BenchEnv::Get();
-  static bool registered = false;
-  if (!registered) {
-    registered = true;
-    std::atexit(FinishBench);
-  }
   if (!env.wall_start_set_) {
     env.wall_start_ = std::chrono::steady_clock::now();
     env.wall_start_set_ = true;
@@ -191,7 +171,6 @@ void InitBench(int& argc, char** argv) {
   if (env.results_.bench().empty() && argc > 0) {
     env.results_.set_bench(Basename(argv[0]));
   }
-  int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (const char* v = MatchFlag(argv[i], "--trace")) {
       env.trace_path_ = v;
@@ -216,21 +195,58 @@ void InitBench(int& argc, char** argv) {
         std::exit(2);
       }
     } else if (const char* jb = MatchFlag(argv[i], "--jobs")) {
-      if (!ParseCount(jb, &env.jobs_)) {
+      if (!ParseCount(jb, 0, &env.jobs_)) {
         std::fprintf(stderr, "error: bad --jobs value: %s\n", jb);
         std::exit(2);
       }
     } else if (const char* st = MatchFlag(argv[i], "--sim-threads")) {
-      if (!ParseCount(st, &env.sim_threads_)) {
+      if (!ParseCount(st, 0, &env.sim_threads_)) {
         std::fprintf(stderr, "error: bad --sim-threads value: %s\n", st);
         std::exit(2);
       }
     } else {
-      argv[out++] = argv[i];
+      bool known = false;
+      for (const CountFlag& f : own) {
+        const char* n = MatchFlag(argv[i], f.name);
+        if (n == nullptr) continue;
+        if (!ParseCount(n, 1, f.value)) {
+          std::fprintf(stderr, "error: bad %s value: %s\n", f.name, n);
+          std::exit(2);
+        }
+        known = true;
+        break;
+      }
+      if (!known) {
+        std::fprintf(stderr, "error: unknown argument: %s\n", argv[i]);
+        std::exit(2);
+      }
     }
   }
-  argc = out;
-  argv[argc] = nullptr;
+  // An output that cannot be opened fails like a bad flag value, before
+  // anything is simulated (the files are written again as the run goes
+  // and at exit).
+  for (const std::string* path :
+       {&env.trace_path_, &env.metrics_path_, &env.json_path_,
+        &env.logpages_path_, &env.timeline_path_}) {
+    if (path->empty()) continue;
+    std::FILE* f = std::fopen(path->c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "error: cannot open output file %s\n",
+                   path->c_str());
+      std::exit(2);
+    }
+    std::fclose(f);
+  }
+  // Registered after the checks above, so an exit 2 writes nothing, and
+  // after constructing the singleton: local statics are destroyed in
+  // reverse construction order interleaved with atexit handlers, so the
+  // hook must be the later registration or it would run against an
+  // already-destroyed BenchEnv.
+  static bool registered = false;
+  if (!registered) {
+    registered = true;
+    std::atexit(FinishBench);
+  }
 }
 
 }  // namespace zstor::harness

@@ -38,13 +38,16 @@
 //                    points fan out across jobs, devices across sim
 //                    threads within each point.
 //
-// and leaves the rest of argv untouched for the bench's own parsing.
+// plus any flag of the bench's own that it names. Every other argument,
+// a bad value, or an output file that cannot be opened ends the process
+// with exit code 2 before anything is simulated.
 // Testbeds built without an explicit TelemetryConfig pick these up
 // automatically (see testbed.h), so `bench_fig2_latency --trace=t.jsonl`
 // traces every experiment the bench runs with zero per-bench code.
 #pragma once
 
 #include <chrono>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,10 +60,20 @@
 
 namespace zstor::harness {
 
-/// Parses and removes the shared flags from argv; registers an atexit
-/// hook that flushes the shared sink and writes the output files. Safe to
-/// call once per process (subsequent calls only re-parse flags).
-void InitBench(int& argc, char** argv);
+/// A bench's own `--NAME=N` flag: N is a decimal count in [1, INT_MAX],
+/// stored in *value (left alone when the flag is absent).
+struct CountFlag {
+  const char* name;
+  int* value;
+};
+
+/// Parses the shared flags and the bench's `own` flags; exits 2 on any
+/// other argument, a bad value or an unwritable output file. Then
+/// registers an atexit hook that flushes the shared sink and writes the
+/// output files. Safe to call once per process (subsequent calls only
+/// re-parse flags).
+void InitBench(int argc, char** argv,
+               std::initializer_list<CountFlag> own = {});
 
 /// Flushes the shared trace sink and writes the output files. Idempotent;
 /// runs automatically at exit after InitBench().
@@ -127,7 +140,8 @@ class BenchEnv {
   void Finish();
 
  private:
-  friend void InitBench(int& argc, char** argv);
+  friend void InitBench(int argc, char** argv,
+                        std::initializer_list<CountFlag> own);
 
   std::string trace_path_;
   std::string metrics_path_;
@@ -142,7 +156,8 @@ class BenchEnv {
   bool wall_start_set_ = false;
   std::unique_ptr<telemetry::JsonlFileSink> sink_;
   std::unique_ptr<telemetry::TimelineWriter> timeline_;
-  std::vector<std::pair<std::string, telemetry::Snapshot>> snapshots_;
+  // (label, JSON object) per testbed, in Finish() order.
+  std::vector<std::pair<std::string, std::string>> metrics_;
   std::vector<std::pair<std::string, std::string>> logpages_;
   ResultWriter results_;
   std::map<std::string, int> timeline_label_uses_;

@@ -180,12 +180,6 @@ double TimeSeries::BinRate(std::size_t i) const {
   return bins_[i] / ToSeconds(bin_width_);
 }
 
-std::vector<double> TimeSeries::Rates() const {
-  std::vector<double> out(bins_.size());
-  for (std::size_t i = 0; i < bins_.size(); ++i) out[i] = BinRate(i);
-  return out;
-}
-
 Welford TimeSeries::RateMoments(std::size_t skip_bins) const {
   Welford w;
   for (std::size_t i = skip_bins; i < bins_.size(); ++i) w.Record(BinRate(i));

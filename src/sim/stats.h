@@ -51,7 +51,6 @@ class LatencyHistogram {
   double mean_ns() const { return moments_.mean(); }
   double min_ns() const { return moments_.min(); }
   double max_ns() const { return moments_.max(); }
-  double stddev_ns() const { return moments_.stddev(); }
 
   /// Latency (ns) at quantile q in [0,1], e.g. 0.95 for p95. Exact count
   /// ranks; value is the midpoint of the containing bucket (<=1.6% error).
@@ -122,9 +121,6 @@ class TimeSeries {
   double BinTotal(std::size_t i) const { return bins_[i]; }
   /// Recorded amount per second for bin i (e.g. bytes/s).
   double BinRate(std::size_t i) const;
-
-  /// Per-second rates for all complete-or-not bins.
-  std::vector<double> Rates() const;
 
   /// Adds another series bin-wise (bin widths must match). Bins are an
   /// order-insensitive sum, so merging per-shard series reproduces the

@@ -22,11 +22,14 @@ TEST(ResultWriter, EmitsTheDocumentedSchema) {
   w.Config("device", "zn540");
   w.Config("runtime_s", 2.0);
   w.Series("lat", "us").Add(4096, 13.2).AddLabeled("8KiB", 8192, 14.0);
+  w.SetMeta("wall_ms", 12.5);
 
   auto v = JsonValue::Parse(w.ToJson());
   ASSERT_TRUE(v.has_value()) << w.ToJson();
   EXPECT_EQ(v->StringOr("bench", ""), "my_bench");
   EXPECT_DOUBLE_EQ(v->NumberOr("schema_version", 0), 3.0);
+  ASSERT_NE(v->Find("meta"), nullptr);
+  EXPECT_DOUBLE_EQ(v->Find("meta")->NumberOr("wall_ms", 0), 12.5);
 
   const JsonValue* config = v->Find("config");
   ASSERT_NE(config, nullptr);

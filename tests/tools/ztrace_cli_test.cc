@@ -1,7 +1,7 @@
 // ztrace CLI tests: run the real binary as a process on small span and
-// timeline files and check its exit codes — 0 on success, 1 when a gate
-// or an output file fails, 2 on a usage error — and that a mixed file
-// gets both reports.
+// timeline files and check its exit codes — 0 on success, 1 when a gate,
+// an output file or an input line fails, 2 on a usage error — and that a
+// mixed file gets both reports.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -93,6 +93,12 @@ TEST(ZtraceCli, FailedGatesAndOutputsExitOne) {
   EXPECT_EQ(RunZtrace(timeline + " --chrome=" + TempPath("no/such/dir.json")),
             1);
   EXPECT_EQ(RunZtrace(TempPath("missing.jsonl")), 1);
+  std::string out;
+  EXPECT_EQ(RunZtrace(WriteInput("torn.jsonl",
+                                 std::string(kTimeline) + "{\"type\":\"sam\n"),
+                      &out),
+            1);
+  EXPECT_NE(out.find("Testbed run: 4 sample(s)"), std::string::npos) << out;
 }
 
 TEST(ZtraceCli, UsageErrorsExitTwo) {

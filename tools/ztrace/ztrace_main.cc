@@ -36,7 +36,8 @@ void PrintUsage() {
       "\n"
       "Analyzes the JSONL a bench binary writes with --trace=FILE (span\n"
       "trace, DESIGN.md section 7) and/or --timeline=FILE (telemetry\n"
-      "timeline, section 10); a file may mix both.\n"
+      "timeline, section 10); a file may mix both. Exits 1 when a gate\n"
+      "fails or a line of FILE is neither a span nor a timeline record.\n"
       "\n"
       "  --chrome=FILE    write one Chrome trace-event export of spans,\n"
       "                   queue depth and every testbed's counter tracks\n"
@@ -329,5 +330,7 @@ int main(int argc, char** argv) {
                  "background window\n");
     return 1;
   }
-  return 0;
+  // The reports above cover the readable lines; a file with any other
+  // line still fails.
+  return loaded.bad_lines > 0 ? 1 : 0;
 }
