@@ -26,10 +26,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "hostif/stack.h"
 #include "nvme/controller.h"
@@ -122,17 +120,20 @@ class HostStack : public Stack {
  private:
   /// One staged write. Owned by the coroutine frame of the waiter in
   /// StageZonedWrite — it outlives every queue/batch reference because the
-  /// waiter only returns after `done` fires.
+  /// waiter only returns after `done` fires. `next` chains it first into
+  /// its zone's staged queue, then into the batch it was merged into.
   struct Request {
     nvme::Command cmd;
     nvme::Completion completion;
     sim::OneShotEvent done;
+    Request* next = nullptr;
     explicit Request(sim::Simulator& s, nvme::Command c)
         : cmd(c), done(s) {}
   };
 
   struct ZoneQueue {
-    std::deque<Request*> staged;
+    Request* head = nullptr;  // staged, in arrival order
+    Request* tail = nullptr;
     bool in_flight = false;
   };
 
@@ -158,7 +159,9 @@ class HostStack : public Stack {
     std::uint32_t zid = ZoneOf(cmd.slba);
     sim::Time staged_at = sim_.now();
     Request req(sim_, cmd);  // lives in this coroutine frame
-    zones_[zid].staged.push_back(&req);
+    ZoneQueue& zq = zones_[zid];
+    (zq.tail != nullptr ? zq.tail->next : zq.head) = &req;
+    zq.tail = &req;
     sched_stats_.staged_writes++;
     MaybeDispatch(zid);
     co_await req.done.Wait();
@@ -174,52 +177,56 @@ class HostStack : public Stack {
 
   void MaybeDispatch(std::uint32_t zid) {
     ZoneQueue& zq = zones_[zid];
-    if (zq.in_flight || zq.staged.empty()) return;
+    if (zq.in_flight || zq.head == nullptr) return;
     // Merge the longest contiguous run from the head, bounded by the
-    // block layer's maximum request size.
-    std::vector<Request*> batch;
-    batch.push_back(zq.staged.front());
-    zq.staged.pop_front();
+    // block layer's maximum request size: the batch is that prefix of
+    // the staged chain, cut off behind its last request.
+    Request* first = zq.head;
+    Request* last = first;
     const std::uint32_t lba_bytes = info().format.lba_bytes;
-    nvme::Lba end = batch[0]->cmd.slba + batch[0]->cmd.nlb;
+    nvme::Lba end = first->cmd.slba + first->cmd.nlb;
     std::uint64_t bytes =
-        static_cast<std::uint64_t>(batch[0]->cmd.nlb) * lba_bytes;
-    while (!zq.staged.empty()) {
-      Request& next = *zq.staged.front();
+        static_cast<std::uint64_t>(first->cmd.nlb) * lba_bytes;
+    for (Request* next = last->next; next != nullptr; next = last->next) {
       std::uint64_t next_bytes =
-          static_cast<std::uint64_t>(next.cmd.nlb) * lba_bytes;
-      if (next.cmd.slba != end || bytes + next_bytes > max_merge_bytes_) {
+          static_cast<std::uint64_t>(next->cmd.nlb) * lba_bytes;
+      if (next->cmd.slba != end || bytes + next_bytes > max_merge_bytes_) {
         break;
       }
-      end += next.cmd.nlb;
+      end += next->cmd.nlb;
       bytes += next_bytes;
       sched_stats_.merged_writes++;
-      batch.push_back(zq.staged.front());
-      zq.staged.pop_front();
+      last = next;
     }
+    zq.head = std::exchange(last->next, nullptr);
+    if (zq.head == nullptr) zq.tail = nullptr;
     zq.in_flight = true;
     sched_stats_.dispatched_writes++;
-    sim::Spawn(DispatchBatch(zid, std::move(batch)));
+    sim::Spawn(DispatchBatch(zid, first));
   }
 
-  sim::Task<> DispatchBatch(std::uint32_t zid,
-                            std::vector<Request*> batch) {
-    nvme::Command merged = batch.front()->cmd;
+  sim::Task<> DispatchBatch(std::uint32_t zid, Request* batch) {
+    nvme::Command merged = batch->cmd;
     std::uint32_t nlb = 0;
-    for (const Request* r : batch) nlb += r->cmd.nlb;
+    std::int64_t requests = 0;
+    for (const Request* r = batch; r != nullptr; r = r->next) {
+      nlb += r->cmd.nlb;
+      ++requests;
+    }
     merged.nlb = nlb;
     if (telemetry::Tracer* tr = trace(); tr != nullptr) {
       // The merged request is a new device-visible command; give it its
       // own id so device spans aren't misattributed to the head write.
       merged.trace_id = tr->NextId();
       tr->Instant(sim_.now(), merged.trace_id, telemetry::Layer::kHost,
-                  "sched.dispatch", static_cast<std::int64_t>(zid),
-                  static_cast<std::int64_t>(batch.size()));
+                  "sched.dispatch", static_cast<std::int64_t>(zid), requests);
     }
     nvme::TimedCompletion tc = co_await qp_.Issue(merged);
-    for (Request* r : batch) {
+    for (Request* r = batch; r != nullptr;) {
+      Request* next = r->next;  // read before r's waiter can free it
       r->completion = tc.completion;
       r->done.Set();
+      r = next;
     }
     zones_[zid].in_flight = false;
     MaybeDispatch(zid);

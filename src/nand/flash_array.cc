@@ -16,7 +16,9 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
   for (std::uint32_t c = 0; c < geo_.channels; ++c) {
     channels_.push_back(std::make_unique<sim::Semaphore>(s, 1));
   }
-  blocks_.resize(geo_.total_dies() * static_cast<std::size_t>(geo_.blocks_per_die));
+  blocks_.reset(static_cast<BlockState*>(std::calloc(
+      geo_.total_blocks(), sizeof(BlockState))));
+  ZSTOR_CHECK(blocks_ != nullptr);
   die_stats_.resize(geo_.total_dies());
   die_windows_.resize(geo_.total_dies());
 }

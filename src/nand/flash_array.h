@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -177,6 +179,12 @@ class FlashArray {
     std::uint32_t pe_cycles = 0;
     bool retired = false;
   };
+  // All-zero bytes are every block's initial state (see blocks_).
+  static_assert(std::is_trivially_copyable_v<BlockState> &&
+                std::is_trivially_destructible_v<BlockState>);
+  struct FreeDeleter {
+    void operator()(void* p) const noexcept { std::free(p); }
+  };
 
   BlockState& Block(std::uint32_t die, std::uint32_t block);
   const BlockState& Block(std::uint32_t die, std::uint32_t block) const;
@@ -217,7 +225,10 @@ class FlashArray {
   sim::Rng rng_;
   std::vector<std::unique_ptr<sim::Semaphore>> dies_;
   std::vector<std::unique_ptr<sim::Semaphore>> channels_;
-  std::vector<BlockState> blocks_;  // [die * blocks_per_die + block]
+  /// [die * blocks_per_die + block], calloc'ed: a large table is
+  /// demand-zero memory, so no page of it costs a fault until a block on
+  /// it is touched (a ZN540's is 3 MiB, mostly never written).
+  std::unique_ptr<BlockState[], FreeDeleter> blocks_;
   std::vector<DieStats> die_stats_;
   FlashCounters counters_;
 };

@@ -8,10 +8,9 @@
 // behind the paper's Observations 12 and 13.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
@@ -25,17 +24,19 @@ namespace zstor::sim {
 class PriorityResource {
  public:
   using Guard = SlotGuard<PriorityResource>;
+  static constexpr std::uint32_t kMaxPriorityLevels = 4;
 
   PriorityResource(Simulator& s, std::uint32_t slots,
                    std::uint32_t priority_levels = 2)
-      : sim_(s), free_(slots), waiters_(priority_levels) {
+      : sim_(s), free_(slots), levels_(priority_levels) {
     ZSTOR_CHECK(slots > 0);
-    ZSTOR_CHECK(priority_levels > 0);
+    ZSTOR_CHECK(priority_levels > 0 && priority_levels <= kMaxPriorityLevels);
   }
   PriorityResource(const PriorityResource&) = delete;
   PriorityResource& operator=(const PriorityResource&) = delete;
 
-  struct Awaiter {
+  struct Awaiter : WaitNode {
+    Awaiter(PriorityResource& res, std::uint32_t p) : r(res), prio(p) {}
     PriorityResource& r;
     std::uint32_t prio;
     bool await_ready() {
@@ -47,23 +48,21 @@ class PriorityResource {
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      r.waiters_[prio].push_back(h);
+      r.waiters_[prio].Push(*this, h);
     }
     Guard await_resume() { return Guard{&r}; }
   };
 
   /// Suspends until a slot is granted to priority class `priority`.
   Awaiter Acquire(std::uint32_t priority) {
-    ZSTOR_CHECK(priority < waiters_.size());
+    ZSTOR_CHECK(priority < levels_);
     return Awaiter{*this, priority};
   }
 
   void Release() {
-    for (auto& q : waiters_) {
-      if (!q.empty()) {
-        auto h = q.front();
-        q.pop_front();
-        sim_.ResumeSoon(h);
+    for (std::uint32_t p = 0; p < levels_; ++p) {
+      if (!waiters_[p].empty()) {
+        waiters_[p].WakeOne(sim_);
         return;
       }
     }
@@ -71,16 +70,19 @@ class PriorityResource {
   }
 
   std::uint32_t free_slots() const { return free_; }
-  std::size_t total_queued() const {
-    std::size_t n = 0;
-    for (const auto& q : waiters_) n += q.size();
-    return n;
+  /// Whether any class has a waiter queued.
+  bool has_waiters() const {
+    for (std::uint32_t p = 0; p < levels_; ++p) {
+      if (!waiters_[p].empty()) return true;
+    }
+    return false;
   }
 
  private:
   Simulator& sim_;
   std::uint32_t free_;
-  std::vector<std::deque<std::coroutine_handle<>>> waiters_;
+  std::uint32_t levels_;
+  std::array<WaitList<>, kMaxPriorityLevels> waiters_;  // one per class
 };
 
 }  // namespace zstor::sim

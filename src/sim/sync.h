@@ -5,19 +5,84 @@
 // until another coroutine releases/pushes/signals. Waiters are resumed
 // through the event loop (ResumeSoon) so native stacks stay shallow and
 // wakeup order is deterministic FIFO.
+//
+// Every primitive keeps its waiters on one intrusive WaitList whose
+// nodes live inside the awaiters, and an awaiter lives in the suspended
+// coroutine's frame: constructing, waiting on, waking and destroying a
+// primitive allocates nothing (DESIGN.md §1.1).
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
 
 namespace zstor::sim {
+
+/// A suspended coroutine's place in a WaitList. Awaiters derive from it,
+/// so the node sits in the waiting coroutine's frame.
+struct WaitNode {
+  std::coroutine_handle<> handle;
+  WaitNode* next = nullptr;
+};
+
+/// Intrusive FIFO of suspended coroutines: the one wait queue of every
+/// primitive. `Node` is WaitNode, or an awaiter deriving from it that
+/// carries what its waker hands over (a popped item, a token count).
+template <typename Node = WaitNode>
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+
+  bool empty() const { return head_ == nullptr; }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const WaitNode* p = head_; p != nullptr; p = p->next) ++n;
+    return n;
+  }
+  Node& front() const { return static_cast<Node&>(*head_); }
+
+  /// Queues `n`, which stays put until it is woken: it lives in the
+  /// frame `h` suspends.
+  void Push(Node& n, std::coroutine_handle<> h) {
+    n.handle = h;
+    n.next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = &n;
+    tail_ = &n;
+  }
+
+  Node& PopFront() {
+    WaitNode* n = head_;
+    head_ = n->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    return static_cast<Node&>(*n);
+  }
+
+  /// Wakes the longest waiter through the event loop.
+  void WakeOne(Simulator& sim) { sim.ResumeSoon(PopFront().handle); }
+
+  /// Wakes every waiter in arrival order, leaving the list empty.
+  void WakeAll(Simulator& sim) {
+    WaitNode* n = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    while (n != nullptr) {
+      WaitNode* next = n->next;  // read before the waiter can run
+      sim.ResumeSoon(n->handle);
+      n = next;
+    }
+  }
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+};
 
 /// RAII slot ownership for resources. Releases on destruction.
 template <typename R>
@@ -54,7 +119,8 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  struct Awaiter {
+  struct Awaiter : WaitNode {
+    explicit Awaiter(Semaphore& s) : sem(s) {}
     Semaphore& sem;
     bool await_ready() {
       if (sem.count_ == 0) return false;
@@ -62,7 +128,7 @@ class Semaphore {
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      sem.waiters_.push_back(h);
+      sem.waiters_.Push(*this, h);
     }
     void await_resume() const noexcept {}
   };
@@ -71,17 +137,16 @@ class Semaphore {
   Awaiter Acquire() { return Awaiter{*this}; }
 
   struct GuardAwaiter : Awaiter {
+    using Awaiter::Awaiter;
     Guard await_resume() { return Guard{&sem}; }
   };
   /// Acquire(), with the unit held by the returned guard.
-  GuardAwaiter Hold() { return GuardAwaiter{{*this}}; }
+  GuardAwaiter Hold() { return GuardAwaiter{*this}; }
 
   /// Returns one unit, waking the longest-waiting acquirer if any.
   void Release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_.ResumeSoon(h);  // the released unit transfers to this waiter
+      waiters_.WakeOne(sim_);  // the released unit transfers to this waiter
     } else {
       ++count_;
     }
@@ -93,7 +158,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::uint64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList<> waiters_;
 };
 
 /// Wait for a group of processes to finish: Add() before spawning each,
@@ -108,17 +173,15 @@ class WaitGroup {
 
   void Done() {
     ZSTOR_CHECK(count_ > 0);
-    if (--count_ == 0) {
-      for (auto h : waiters_) sim_.ResumeSoon(h);
-      waiters_.clear();
-    }
+    if (--count_ == 0) waiters_.WakeAll(sim_);
   }
 
-  struct Awaiter {
+  struct Awaiter : WaitNode {
+    explicit Awaiter(WaitGroup& w) : wg(w) {}
     WaitGroup& wg;
     bool await_ready() const { return wg.count_ == 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      wg.waiters_.push_back(h);
+      wg.waiters_.Push(*this, h);
     }
     void await_resume() const noexcept {}
   };
@@ -129,7 +192,7 @@ class WaitGroup {
  private:
   Simulator& sim_;
   std::uint64_t count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList<> waiters_;
 };
 
 /// One-shot event: waiters suspend until Set() is called once. Waiting on
@@ -143,14 +206,14 @@ class OneShotEvent {
   void Set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_.ResumeSoon(h);
-    waiters_.clear();
+    waiters_.WakeAll(sim_);
   }
 
-  struct Awaiter {
+  struct Awaiter : WaitNode {
+    explicit Awaiter(OneShotEvent& ev) : e(ev) {}
     OneShotEvent& e;
     bool await_ready() const { return e.set_; }
-    void await_suspend(std::coroutine_handle<> h) { e.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) { e.waiters_.Push(*this, h); }
     void await_resume() const noexcept {}
   };
   Awaiter Wait() { return Awaiter{*this}; }
@@ -158,7 +221,32 @@ class OneShotEvent {
  private:
   Simulator& sim_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList<> waiters_;
+};
+
+/// Re-armable broadcast: Wait() always suspends, NotifyAll() wakes every
+/// coroutine waiting at that moment. A waiter re-checks its condition in
+/// a loop, as with a condition variable.
+class Condition {
+ public:
+  explicit Condition(Simulator& s) : sim_(s) {}
+  Condition(const Condition&) = delete;
+  Condition& operator=(const Condition&) = delete;
+
+  void NotifyAll() { waiters_.WakeAll(sim_); }
+
+  struct Awaiter : WaitNode {
+    explicit Awaiter(Condition& cond) : c(cond) {}
+    Condition& c;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { c.waiters_.Push(*this, h); }
+    void await_resume() const noexcept {}
+  };
+  Awaiter Wait() { return Awaiter{*this}; }
+
+ private:
+  Simulator& sim_;
+  WaitList<> waiters_;
 };
 
 /// Unbounded FIFO channel. Push never blocks; Pop suspends until an item
@@ -172,30 +260,36 @@ class Queue {
 
   void Push(T item) {
     if (!poppers_.empty()) {
-      PopAwaiter* p = poppers_.front();
-      poppers_.pop_front();
-      p->slot = std::move(item);
-      sim_.ResumeSoon(p->handle);
-    } else {
-      items_.push_back(std::move(item));
+      PopAwaiter& p = poppers_.PopFront();
+      p.slot = std::move(item);
+      sim_.ResumeSoon(p.handle);
+      return;
     }
+    // Before the buffer would grow, drop the popped prefix if it is at
+    // least half of it (amortized O(1) per item).
+    if (items_.size() == items_.capacity() && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(std::move(item));
   }
 
-  struct PopAwaiter {
+  struct PopAwaiter : WaitNode {
+    explicit PopAwaiter(Queue& queue) : q(queue) {}
     Queue& q;
     std::optional<T> slot;
-    std::coroutine_handle<> handle;
 
     bool await_ready() {
-      if (q.items_.empty()) return false;
-      slot = std::move(q.items_.front());
-      q.items_.pop_front();
+      if (q.empty()) return false;
+      slot = std::move(q.items_[q.head_++]);
+      if (q.head_ == q.items_.size()) {
+        q.items_.clear();
+        q.head_ = 0;
+      }
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      q.poppers_.push_back(this);
-    }
+    void await_suspend(std::coroutine_handle<> h) { q.poppers_.Push(*this, h); }
     T await_resume() {
       ZSTOR_CHECK(slot.has_value());
       return std::move(*slot);
@@ -203,15 +297,16 @@ class Queue {
   };
 
   /// Suspends until an item arrives, then yields it.
-  PopAwaiter Pop() { return PopAwaiter{*this, std::nullopt, nullptr}; }
+  PopAwaiter Pop() { return PopAwaiter{*this}; }
 
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
+  std::size_t size() const { return items_.size() - head_; }
+  bool empty() const { return size() == 0; }
 
  private:
   Simulator& sim_;
-  std::deque<T> items_;
-  std::deque<PopAwaiter*> poppers_;
+  std::vector<T> items_;  // items_[head_..] are queued
+  std::size_t head_ = 0;
+  WaitList<PopAwaiter> poppers_;
 };
 
 }  // namespace zstor::sim

@@ -5,10 +5,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace zstor::sim {
@@ -24,7 +24,9 @@ class TokenBucket {
   TokenBucket(const TokenBucket&) = delete;
   TokenBucket& operator=(const TokenBucket&) = delete;
 
-  struct Awaiter {
+  /// Queued with its token count: the pump reads `n` off the list.
+  struct Awaiter : WaitNode {
+    Awaiter(TokenBucket& bucket, double tokens) : b(bucket), n(tokens) {}
     TokenBucket& b;
     double n;
     bool await_ready() {
@@ -35,7 +37,7 @@ class TokenBucket {
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      b.waiters_.push_back({n, h});
+      b.waiters_.Push(*this, h);
       if (!b.pump_scheduled_) b.SchedulePump();
     }
     void await_resume() const noexcept {}
@@ -55,11 +57,6 @@ class TokenBucket {
   }
 
  private:
-  struct Waiter {
-    double n;
-    std::coroutine_handle<> h;
-  };
-
   void Refill() {
     Time now = sim_.now();
     if (now == last_) return;
@@ -70,7 +67,7 @@ class TokenBucket {
 
   void SchedulePump() {
     Refill();
-    const Waiter& w = waiters_.front();
+    const Awaiter& w = waiters_.front();
     double need = w.n > burst_ ? burst_ : w.n;  // cap at achievable level
     double deficit = need - level_;
     Time wait = deficit <= 0 ? 0 : Seconds(deficit / rate_) + 1;
@@ -82,14 +79,13 @@ class TokenBucket {
     pump_scheduled_ = false;
     Refill();
     while (!waiters_.empty()) {
-      Waiter& w = waiters_.front();
+      const Awaiter& w = waiters_.front();
       double need = w.n > burst_ ? burst_ : w.n;
       if (level_ < need) break;
       // Oversize requests (n > burst) leave the level negative: a debt that
       // delays later takers, preserving the long-run rate exactly.
       level_ -= w.n;
-      sim_.ResumeSoon(w.h);
-      waiters_.pop_front();
+      waiters_.WakeOne(sim_);
     }
     if (!waiters_.empty()) SchedulePump();
   }
@@ -100,7 +96,7 @@ class TokenBucket {
   double level_;
   Time last_ = 0;
   bool pump_scheduled_ = false;
-  std::deque<Waiter> waiters_;
+  WaitList<Awaiter> waiters_;
 };
 
 }  // namespace zstor::sim

@@ -295,27 +295,6 @@ class KvStore : public workload::KvBackend {
     bool open = false;            // currently an allocation target
   };
 
-  /// Re-armable broadcast signal (sim::OneShotEvent is one-shot; stalls
-  /// need notify-all-then-rearm).
-  struct Signal {
-    explicit Signal(sim::Simulator& s) : sim(s) {}
-    sim::Simulator& sim;
-    std::deque<std::coroutine_handle<>> waiters;
-    struct Awaiter {
-      Signal& sig;
-      bool await_ready() const { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sig.waiters.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    Awaiter Wait() { return Awaiter{*this}; }
-    void NotifyAll() {
-      for (auto h : waiters) sim.ResumeSoon(h);
-      waiters.clear();
-    }
-  };
-
   // ---- helpers ---------------------------------------------------------
   static bool IsZoneWriteFailure(nvme::Status s);
   nvme::Lba ZoneStartLba(std::uint32_t zone) const;
@@ -430,10 +409,10 @@ class KvStore : public workload::KvBackend {
   bool flush_busy_ = false;
   bool compact_busy_ = false;
   bool gc_busy_ = false;
-  Signal flush_done_;         // wakes memtable-rotation stalls
-  Signal compact_done_;       // wakes L0 stalls
-  Signal wal_quiet_;          // per-segment appends drained
-  Signal idle_;               // wakes Drain()
+  sim::Condition flush_done_;    // wakes memtable-rotation stalls
+  sim::Condition compact_done_;  // wakes L0 stalls
+  sim::Condition wal_quiet_;     // per-segment appends drained
+  sim::Condition idle_;          // wakes Drain()
   sim::WaitGroup workers_;
 
   KvStats stats_;

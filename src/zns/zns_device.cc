@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace zstor::zns {
 
@@ -266,7 +267,7 @@ nand::PageAddr ZnsDevice::AddrOfZonePage(std::uint32_t zone,
 }
 
 bool ZnsDevice::DeviceIsIoQuiet() const {
-  if (io_inflight_ != 0 || fcp_.total_queued() != 0 ||
+  if (io_inflight_ != 0 || fcp_.has_waiters() ||
       fcp_.free_slots() == 0) {
     return false;
   }
@@ -409,16 +410,18 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
 void ZnsDevice::NoteProgramSettled(std::uint32_t zone,
                                    std::uint64_t page_idx) {
   std::uint64_t& prefix = settled_prefix_pages_[zone];
-  std::set<std::uint64_t>& oo = settled_oo_pages_[zone];
+  std::vector<std::uint64_t>& oo = settled_oo_pages_[zone];  // descending
   if (page_idx == prefix) {
     ++prefix;
     // Drain any out-of-order completions the new prefix now reaches.
-    while (!oo.empty() && *oo.begin() == prefix) {
-      oo.erase(oo.begin());
+    while (!oo.empty() && oo.back() == prefix) {
+      oo.pop_back();
       ++prefix;
     }
   } else if (page_idx > prefix) {
-    oo.insert(page_idx);
+    oo.insert(std::upper_bound(oo.begin(), oo.end(), page_idx,
+                               std::greater<>()),
+              page_idx);
   }
   // page_idx < prefix is impossible: pages are admitted once, in order.
 }
@@ -1028,7 +1031,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
       {
         sim::Time b = sim_.now();
         auto g = co_await fcp_.Acquire(kPrioBackground);
-        if (resumed && io_seen_ && fcp_.total_queued() == 0) {
+        if (resumed && io_seen_ && !fcp_.has_waiters()) {
           // Hold whole slices up to the next instant anything else can
           // run: no boundary before it could hand the FCP over or flip
           // DeviceIsIoQuiet(), so one wake replays them all exactly

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "nand/flash_array.h"
@@ -302,11 +301,12 @@ class ZnsDevice : public nvme::Controller {
   std::vector<std::uint64_t> next_program_page_;
   /// Durable-prefix tracking per zone: the contiguous count of settled
   /// NAND programs from page 0 (what a power loss preserves), plus the
-  /// set of pages settled out of order beyond it (torn on a crash —
-  /// multi-die striping completes programs in die-queue order, not page
-  /// order).
+  /// pages settled out of order beyond it (torn on a crash — multi-die
+  /// striping completes programs in die-queue order, not page order).
+  /// Those are kept sorted descending, so the prefix drains them off the
+  /// back and a zone's vector keeps its capacity.
   std::vector<std::uint64_t> settled_prefix_pages_;
-  std::vector<std::set<std::uint64_t>> settled_oo_pages_;
+  std::vector<std::vector<std::uint64_t>> settled_oo_pages_;
   /// Per-zone payload tags, indexed by in-zone LBA; empty until the first
   /// tagged write touches the zone.
   std::vector<std::vector<std::uint64_t>> zone_tags_;

@@ -3,7 +3,9 @@
 // small-lambda scheduling path perform ZERO heap allocations per event,
 // (task.h) neither does spawning a task once its frame size has been
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
-// the mailboxes have grown.
+// the mailboxes have grown. Waiting allocates nothing either: not on any
+// sync.h/resource.h/token_bucket.h primitive, and not per command through
+// a warm mq-deadline stack and ZNS device.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -11,10 +13,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
+#include "hostif/host_stack.h"
 #include "sim/parallel_sim.h"
+#include "sim/resource.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
+#include "sim/token_bucket.h"
+#include "zns/zns_device.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -160,6 +168,132 @@ TEST(AllocCount, LaneHandoffIsAllocationFree) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(ps.messages(), 2u * (1 + 500));  // every round trip ran
   EXPECT_EQ(delta, 0u) << "cross-lane handoff allocated";
+}
+
+// Every waiting primitive; one round builds, waits on, wakes and
+// destroys all of them.
+struct Primitives {
+  explicit Primitives(Simulator& s)
+      : sem(s, 0), wg(s), ev(s), cond(s), q(s), pr(s, 1), tb(s, 1e9, 1) {}
+  Semaphore sem;
+  WaitGroup wg;
+  OneShotEvent ev;
+  Condition cond;
+  Queue<int> q;
+  PriorityResource pr;
+  TokenBucket tb;
+};
+
+Task<> WaitOnEach(Simulator& s, std::optional<Primitives>& p, int* passed) {
+  co_await s.Delay(1);  // the primitives are built meanwhile
+  co_await p->sem.Acquire();
+  co_await p->wg.Wait();
+  co_await p->ev.Wait();
+  co_await p->cond.Wait();
+  (void)co_await p->q.Pop();
+  {
+    auto g = co_await p->pr.Acquire(1);
+    co_await s.Delay(1);  // hold the slot: the next waiter queues
+  }
+  co_await p->tb.Take(2);  // over the burst: queues for the pump
+  ++*passed;
+}
+
+Task<> WakeEach(Simulator& s, std::optional<Primitives>& p, int waiters) {
+  co_await s.Delay(1);
+  p->wg.Add();
+  co_await s.Delay(10);
+  for (int i = 0; i < waiters; ++i) p->sem.Release();
+  co_await s.Delay(10);
+  p->wg.Done();
+  co_await s.Delay(10);
+  p->ev.Set();
+  co_await s.Delay(10);
+  p->cond.NotifyAll();
+  co_await s.Delay(10);
+  for (int i = 0; i < waiters; ++i) p->q.Push(i);
+}
+
+// The coroutine frames are made before the window (so this holds with the
+// frame pool compiled out too); the primitives live only inside it.
+TEST(AllocCount, WaitingOnEveryPrimitiveIsAllocationFree) {
+  Simulator s;
+  // Warm the ready ring and the timed heap past what the round needs.
+  s.ScheduleIn(1, [&] {
+    for (int i = 0; i < 64; ++i) {
+      s.ScheduleIn(0, [] {});
+      s.ScheduleIn(1 + i, [] {});
+    }
+  });
+  s.Run();
+
+  constexpr int kWaiters = 3;
+  std::optional<Primitives> p;
+  int passed = 0;
+  std::optional<Task<>> waiters[kWaiters];
+  for (auto& w : waiters) w.emplace(WaitOnEach(s, p, &passed));
+  Task<> waker = WakeEach(s, p, kWaiters);
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  p.emplace(s);
+  s.Run();
+  p.reset();
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(passed, kWaiters);
+  EXPECT_EQ(delta, 0u) << "a waiting primitive allocated";
+}
+
+// A warm kernel mq-deadline stack over a Tiny ZnsDevice: sequential
+// 4 KiB writes that the scheduler merges, and 64 KiB reads that span four
+// NAND pages (a WaitGroup join per read), allocate nothing per command.
+TEST(AllocCount, WarmMqDeadlineZnsCommandsAreAllocationFree) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  zns::ZnsDevice dev(s, zns::TinyProfile());
+  hostif::KernelStack stack(s, dev, hostif::Scheduler::kMqDeadline);
+  constexpr nvme::Lba kRoundLbas = 256;  // 1 MiB of 4 KiB writes
+  constexpr std::uint32_t kReadLbas = 16;
+  nvme::Lba next_write = 0;
+  std::uint64_t commands = 0;
+  std::uint64_t failed = 0;
+  auto writer = [&](nvme::Lba end) -> Task<> {
+    while (next_write < end) {
+      auto tc = co_await stack.Submit(
+          {.opcode = nvme::Opcode::kWrite, .slba = next_write++, .nlb = 1});
+      ++commands;
+      failed += tc.completion.ok() ? 0 : 1;
+    }
+  };
+  auto reader = [&](nvme::Lba first, int reads) -> Task<> {
+    for (int i = 0; i < reads; ++i) {
+      auto tc = co_await stack.Submit(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = first + (static_cast<nvme::Lba>(i) * kReadLbas) % kRoundLbas,
+           .nlb = kReadLbas});
+      ++commands;
+      failed += tc.completion.ok() ? 0 : 1;
+    }
+  };
+  // Round r writes [r, r + 1) MiB of zone 0 at QD 8 and, after the
+  // first, reads its first MiB at QD 2.
+  auto round = [&](int r) {
+    for (int i = 0; i < 8; ++i) Spawn(writer((r + 1) * kRoundLbas));
+    if (r > 0) {
+      for (int i = 0; i < 2; ++i) Spawn(reader(i * kReadLbas, 64));
+    }
+    s.Run();
+  };
+  round(0);
+  round(1);  // warm-up: frame sizes, zone state, scheduler and device
+  commands = 0;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(2);
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(commands, kRoundLbas + 2 * 64);
+  EXPECT_GT(stack.scheduler_stats().merged_writes, 0u);
+  EXPECT_EQ(delta, 0u) << "a warm mq-deadline command allocated";
 }
 
 }  // namespace

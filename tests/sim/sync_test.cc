@@ -103,6 +103,60 @@ TEST(WaitGroup, JoinsAllWorkers) {
   EXPECT_EQ(joined_at, 30u);
 }
 
+TEST(WaitGroup, BroadcastWakesWaitersInArrivalOrder) {
+  Simulator s;
+  WaitGroup wg(s);
+  wg.Add();
+  std::vector<int> order;
+  auto w = [&](int id) -> Task<> {
+    co_await s.Delay(static_cast<Time>(10 - id));  // arrive 3, 2, 1, 0
+    co_await wg.Wait();
+    order.push_back(id);
+  };
+  for (int i = 0; i < 4; ++i) Spawn(w(i));
+  s.ScheduleIn(100, [&] { wg.Done(); });
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(OneShotEvent, BroadcastWakesWaitersInArrivalOrder) {
+  Simulator s;
+  OneShotEvent ev(s);
+  std::vector<int> order;
+  auto w = [&](int id, Time arrive) -> Task<> {
+    co_await s.Delay(arrive);
+    co_await ev.Wait();
+    order.push_back(id);
+  };
+  Spawn(w(0, 5));
+  Spawn(w(1, 1));
+  Spawn(w(2, 3));
+  s.ScheduleIn(100, [&] { ev.Set(); });
+  Spawn(w(3, 200));  // already set: passes without suspending
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+}
+
+TEST(Condition, NotifyAllWakesCurrentWaitersAndRearms) {
+  Simulator s;
+  Condition cond(s);
+  std::vector<std::pair<int, Time>> woken;  // (waiter, time)
+  auto w = [&](int id, Time arrive) -> Task<> {
+    co_await s.Delay(arrive);
+    co_await cond.Wait();
+    woken.emplace_back(id, s.now());
+  };
+  Spawn(w(0, 3));
+  Spawn(w(1, 1));
+  Spawn(w(2, 2));
+  Spawn(w(3, 150));  // arrives after the first broadcast: waits again
+  s.ScheduleIn(100, [&] { cond.NotifyAll(); });
+  s.ScheduleIn(200, [&] { cond.NotifyAll(); });
+  s.Run();
+  EXPECT_EQ(woken, (std::vector<std::pair<int, Time>>{
+                       {1, 100}, {2, 100}, {0, 100}, {3, 200}}));
+}
+
 TEST(Queue, PopBlocksUntilPush) {
   Simulator s;
   Queue<int> q(s);
@@ -179,6 +233,27 @@ TEST(Queue, ProducerConsumerPipelineConservesItems) {
   s.Run();
   EXPECT_EQ(sum, static_cast<long>(kN) * (kN + 1) / 2);
   EXPECT_TRUE(q.empty());
+}
+
+// Pops interleaved with pushes walk the buffer's head forward; the buffer
+// reuses its popped prefix and keeps FIFO order across that compaction.
+TEST(Queue, InterleavedPushPopKeepsFifoOrder) {
+  Simulator s;
+  Queue<int> q(s);
+  std::vector<int> got;
+  int next = 0;
+  auto consumer = [&]() -> Task<> {
+    for (int round = 0; round < 50; ++round) {
+      for (int i = 0; i < 3; ++i) q.Push(next++);
+      for (int i = 0; i < 2; ++i) got.push_back(co_await q.Pop());
+    }
+    while (!q.empty()) got.push_back(co_await q.Pop());
+  };
+  Spawn(consumer());
+  s.Run();
+  std::vector<int> want(150);
+  for (int i = 0; i < 150; ++i) want[i] = i;
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

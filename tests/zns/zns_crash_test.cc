@@ -133,6 +133,36 @@ TEST(ZnsCrash, UnflushedTailIsDroppedAtPageGranularity) {
             wp_lbas == 0 ? ZoneState::kEmpty : ZoneState::kClosed);
 }
 
+// Pages settle out of order when a die is busy. Zone 1's page holds die 0,
+// so zone 0's page 0 queues behind it while pages 1-3 settle on the idle
+// dies; page 4 queues on die 0 behind page 0. When page 0 lands, the
+// prefix drains the pages settled beyond it, up to page 4. The crash comes
+// while page 4 is still programming, so exactly pages 5-7 are torn.
+TEST(ZnsCrash, OutOfOrderSettledPagesAreTornExactly) {
+  Harness h(QuietTiny());
+  ASSERT_EQ(h.dev.profile().nand_geometry.total_dies(), 4u);
+  const std::uint32_t upp = LbasPerPage(h);
+  std::uint64_t wp_lbas = 0;
+  auto body = [&]() -> sim::Task<> {
+    nvme::Completion c = co_await h.dev.Execute(TaggedAppend(h, 1, upp, kTag));
+    ZSTOR_CHECK(c.ok());
+    c = co_await h.dev.Execute(TaggedAppend(h, 0, 8 * upp, kTag));
+    ZSTOR_CHECK(c.ok());
+    co_await h.sim.Delay(sim::Microseconds(1100));
+    co_await h.dev.CrashNow();
+    wp_lbas = h.dev.ZoneWritePointerLba(0) - h.dev.ZoneStartLba(0);
+  };
+  auto t = body();
+  h.sim.Run();
+
+  const ZnsCounters& c = h.dev.counters();
+  EXPECT_EQ(c.torn_pages, 3u);  // pages 5, 6 and 7
+  EXPECT_EQ(wp_lbas, 4u * upp);  // the durable prefix: pages 0-3
+  EXPECT_EQ(c.crash_lost_bytes, 4u * upp * 4096u);
+  // Zone 1's one page settled first: nothing of it is lost.
+  EXPECT_EQ(h.dev.ZoneWritePointerLba(1), h.dev.ZoneStartLba(1) + upp);
+}
+
 TEST(ZnsCrash, PostRecoveryAppendsLandAtTheRecoveredWp) {
   Harness h(QuietTiny());
   const std::uint32_t upp = LbasPerPage(h);
