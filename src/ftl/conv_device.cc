@@ -218,7 +218,9 @@ void ConvDevice::ReleaseErasedBlock(std::uint32_t block_id) {
 // ------------------------------------------------------------------ GC
 
 void ConvDevice::MaybeWakeGc() {
-  if (!layout_done_) return;
+  // No GC while power is out: a pass launched during the outage would
+  // scan a victim that the rollback below re-validates units in.
+  if (!layout_done_ || crashed_) return;
   if (!gc_target_active_ && free_total_ < profile_.gc_low_blocks) {
     gc_target_active_ = true;
   }
@@ -1007,6 +1009,7 @@ sim::Task<> ConvDevice::CrashNow() {
   last_recovery_ns_ = sim_.now() - crash_time;
   counters_.recovery_ns_total += static_cast<std::uint64_t>(last_recovery_ns_);
   crashed_ = false;
+  MaybeWakeGc();  // resumes what the outage held back
   if (tr != nullptr) {
     tr->Instant(sim_.now(), /*cmd=*/0, Layer::kFtl, "recovery.done",
                 static_cast<std::int64_t>(journal_entries_since_checkpoint_),
