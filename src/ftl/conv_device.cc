@@ -110,6 +110,16 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
   for (std::uint32_t d = 0; d < profile_.nand_geometry.total_dies(); ++d) {
     die_alloc_.push_back(std::make_unique<sim::Semaphore>(s, 1));
   }
+  gc_workers_.resize(profile_.gc_workers);
+  for (GcWorker& w : gc_workers_) {
+    w.survivors.reserve(units_per_block());
+    w.ops.resize(profile_.nand_geometry.pages_per_block);
+    for (GcPageOp& op : w.ops) {
+      op.dev = this;
+      op.worker = &w;
+    }
+    gc_idle_workers_.push_back(&w);
+  }
 
   info_.format.lba_bytes = profile_.lba_bytes;
   info_.capacity_lbas = profile_.logical_bytes() / profile_.lba_bytes;
@@ -249,7 +259,7 @@ std::uint32_t ConvDevice::PickVictim() {
   // unless the host is actually blocked waiting for a free block, in
   // which case any reclaimable unit keeps the device live.
   bool host_starving = free_total_ == 0 ||
-                       (free_sem_ != nullptr && free_sem_->waiting() > 0);
+                       (free_sem_ != nullptr && free_sem_->has_waiters());
   std::uint32_t min_garbage =
       host_starving ? 1 : units_per_block() / 10;
   std::uint32_t best = kUnmapped;
@@ -267,52 +277,65 @@ std::uint32_t ConvDevice::PickVictim() {
   return best;
 }
 
-sim::Task<> ConvDevice::GcProgramPage(
-    std::uint32_t block_id, std::uint32_t page,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> batch,
-    sim::WaitGroup* wg, std::uint64_t epoch) {
-  for (;;) {
-    const nand::MediaStatus st = co_await flash_->ProgramPage(
-        {DieOfBlockId(block_id), BlockOfBlockId(block_id), page});
-    if (power_epoch_ != epoch) {
-      // Power loss mid-migration: skip the remap — the victim copy is
-      // still physically intact (the erase never runs on a stale pass)
-      // and the mapping rollback already points there.
-      blocks_[block_id].inflight--;
-      wg->Done();
-      co_return;
-    }
-    if (st == nand::MediaStatus::kOk) break;
+void ConvDevice::OnGcReadDone(nand::NandOp& op) {
+  static_cast<GcPageOp&>(op).worker->wg->Done();
+}
+
+void ConvDevice::OnGcProgramDone(nand::NandOp& op) {
+  auto& page = static_cast<GcPageOp&>(op);
+  page.dev->FinishGcProgram(page);
+}
+
+void ConvDevice::StartGcProgram(GcPageOp& op) {
+  op.addr = {DieOfBlockId(op.block_id), BlockOfBlockId(op.block_id),
+             op.addr.page};
+  if (!flash_->Start(op)) FinishGcProgram(op);  // failed on the spot
+}
+
+void ConvDevice::FinishGcProgram(GcPageOp& op) {
+  GcWorker& w = *op.worker;
+  if (power_epoch_ != w.epoch) {
+    // Power loss mid-migration: skip the remap — the victim copy is
+    // still physically intact (the erase never runs on a stale pass)
+    // and the mapping rollback already points there.
+    blocks_[op.block_id].inflight--;
+    w.wg->Done();
+    return;
+  }
+  const std::uint32_t upp = profile_.units_per_page();
+  if (op.status != nand::MediaStatus::kOk) {
     // Program failure: retire the output block and restage this batch
     // into a fresh GC block — survivors are still held in controller
     // memory, so GC heals the fault with no data loss.
-    blocks_[block_id].inflight--;
-    RetireBlock(block_id);
+    blocks_[op.block_id].inflight--;
+    RetireBlock(op.block_id);
     counters_.program_retries++;
-    const std::uint32_t upp = profile_.units_per_page();
-    block_id = TakeGcOpenBlock();
-    Block& ob = blocks_[block_id];
-    page = ob.write_ptr_units / upp;
+    op.block_id = TakeGcOpenBlock();
+    Block& ob = blocks_[op.block_id];
+    op.addr.page = ob.write_ptr_units / upp;
     ob.write_ptr_units += upp;
     ob.inflight++;
-    ReturnGcOpenBlock(block_id);
+    ReturnGcOpenBlock(op.block_id);
+    StartGcProgram(op);
+    return;
   }
-  std::uint32_t base = page * profile_.units_per_page();
-  std::uint32_t slot = 0;
-  for (auto [logical, old_phys] : batch) {
+  const std::uint32_t base = op.addr.page * upp;
+  const std::size_t end =
+      std::min<std::size_t>(op.first + upp, w.survivors.size());
+  for (std::size_t i = op.first; i < end; ++i) {
+    const auto [logical, old_phys] = w.survivors[i];
     // Skip units the host overwrote while we migrated them.
-    if (l2p_[logical] == old_phys) {
-      std::uint32_t phys = PhysUnit(block_id, base + slot);
-      MapUnit(logical, phys);
-      JournalAppend(logical, old_phys, phys);
-      // The payload tag travels with the data.
-      if (!tags_by_phys_.empty()) tags_by_phys_[phys] = tags_by_phys_[old_phys];
-      counters_.gc_units_migrated++;
-    }
-    ++slot;
+    if (l2p_[logical] != old_phys) continue;
+    const std::uint32_t phys =
+        PhysUnit(op.block_id, base + static_cast<std::uint32_t>(i - op.first));
+    MapUnit(logical, phys);
+    JournalAppend(logical, old_phys, phys);
+    // The payload tag travels with the data.
+    if (!tags_by_phys_.empty()) tags_by_phys_[phys] = tags_by_phys_[old_phys];
+    counters_.gc_units_migrated++;
   }
-  blocks_[block_id].inflight--;
-  wg->Done();
+  blocks_[op.block_id].inflight--;
+  w.wg->Done();
 }
 
 std::uint32_t ConvDevice::TakeGcOpenBlock() {
@@ -361,12 +384,6 @@ void ConvDevice::ReturnGcOpenBlock(std::uint32_t block_id) {
   }
 }
 
-sim::Task<> ConvDevice::ReadVictimPage(nand::PageAddr addr,
-                                       sim::WaitGroup* wg) {
-  co_await flash_->ReadPage(addr, profile_.nand_geometry.page_bytes);
-  wg->Done();
-}
-
 sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   Block& vb = blocks_[victim];
   const std::uint32_t die = DieOfBlockId(victim);
@@ -375,55 +392,65 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   sim::Time migrate_begin = sim_.now();
+  ZSTOR_CHECK(!gc_idle_workers_.empty());
+  GcWorker& w = *gc_idle_workers_.back();
+  gc_idle_workers_.pop_back();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& survivors =
+      w.survivors;
+  survivors.clear();
+  sim::WaitGroup wg(sim_);
+  w.wg = &wg;
+  w.epoch = epoch0;
 
   // Phase 1 — pipelined page reads: all valid pages of the victim are
-  // queued on its die at once (firmware pipelines GC reads). Units are
-  // snapshotted at scan time; stale ones are dropped at remap.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> survivors;
-  survivors.reserve(vb.valid);
-  {
-    sim::WaitGroup rwg(sim_);
-    for (std::uint32_t page = 0;
-         page < profile_.nand_geometry.pages_per_block; ++page) {
-      bool any = false;
-      for (std::uint32_t s = 0; s < upp; ++s) {
-        std::uint32_t unit = page * upp + s;
-        if (!TestValid(vb, unit)) continue;
-        std::uint32_t phys = PhysUnit(victim, unit);
-        survivors.emplace_back(p2l_[phys], phys);
-        any = true;
-      }
-      if (!any) continue;
-      rwg.Add();
-      sim::Spawn(ReadVictimPage({die, blk, page}, &rwg));
+  // queued on its die at once (firmware pipelines GC reads), as records
+  // from the worker's array. Units are snapshotted at scan time; stale
+  // ones are dropped at remap.
+  std::uint32_t n = 0;
+  for (std::uint32_t page = 0;
+       page < profile_.nand_geometry.pages_per_block; ++page) {
+    bool any = false;
+    for (std::uint32_t s = 0; s < upp; ++s) {
+      std::uint32_t unit = page * upp + s;
+      if (!TestValid(vb, unit)) continue;
+      std::uint32_t phys = PhysUnit(victim, unit);
+      survivors.emplace_back(p2l_[phys], phys);
+      any = true;
     }
-    co_await rwg.Wait();
+    if (!any) continue;
+    GcPageOp& op = w.ops[n++];
+    op.kind = nand::NandOp::Kind::kRead;
+    op.addr = {die, blk, page};
+    op.bytes = profile_.nand_geometry.page_bytes;
+    op.on_done = &OnGcReadDone;
+    wg.Add();
+    ZSTOR_CHECK(flash_->Start(op));  // a read always goes to the die
   }
+  co_await wg.Wait();
 
   // Phase 2 — parallel program-out: page batches fan out across dies.
-  {
-    sim::WaitGroup pwg(sim_);
-    std::uint32_t open = kUnmapped;
-    for (std::size_t i = 0; i < survivors.size(); i += upp) {
-      if (open == kUnmapped ||
-          blocks_[open].write_ptr_units == units_per_block()) {
-        if (open != kUnmapped) ReturnGcOpenBlock(open);
-        open = TakeGcOpenBlock();
-      }
-      Block& ob = blocks_[open];
-      std::uint32_t page = ob.write_ptr_units / upp;
-      ob.write_ptr_units += upp;
-      ob.inflight++;
-      pwg.Add();
-      sim::Spawn(GcProgramPage(
-          open, page,
-          std::span(survivors).subspan(
-              i, std::min<std::size_t>(upp, survivors.size() - i)),
-          &pwg, epoch0));
+  std::uint32_t open = kUnmapped;
+  n = 0;
+  for (std::size_t i = 0; i < survivors.size(); i += upp) {
+    if (open == kUnmapped ||
+        blocks_[open].write_ptr_units == units_per_block()) {
+      if (open != kUnmapped) ReturnGcOpenBlock(open);
+      open = TakeGcOpenBlock();
     }
-    if (open != kUnmapped) ReturnGcOpenBlock(open);
-    co_await pwg.Wait();
+    Block& ob = blocks_[open];
+    GcPageOp& op = w.ops[n++];
+    op.kind = nand::NandOp::Kind::kProgram;
+    op.addr.page = ob.write_ptr_units / upp;
+    op.block_id = open;
+    op.first = static_cast<std::uint32_t>(i);
+    op.on_done = &OnGcProgramDone;
+    ob.write_ptr_units += upp;
+    ob.inflight++;
+    wg.Add();
+    StartGcProgram(op);
   }
+  if (open != kUnmapped) ReturnGcOpenBlock(open);
+  co_await wg.Wait();
 
   if (power_epoch_ != epoch0) {
     // Power loss during migration: abort without erasing. Whatever was
@@ -431,6 +458,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
     // the victim's valid units are intact and it stays GC-eligible for
     // the next pass. Pages consumed in the output block are dead space.
     vb.gc_busy = false;
+    gc_idle_workers_.push_back(&w);
     --gc_running_;
     MaybeWakeGc();
     co_return;
@@ -475,6 +503,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   vb.gc_busy = false;
   counters_.gc_blocks_erased++;
   ReleaseErasedBlock(victim);
+  gc_idle_workers_.push_back(&w);
   --gc_running_;
   MaybeWakeGc();
 }
@@ -553,7 +582,9 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   }
   sim::Time nand_begin = sim_.now();
   // Fetch each mapped unit's physical page; distinct pages in parallel.
-  std::vector<std::uint64_t> pages;  // phys page ids
+  // Every page id is copied into its read before this frame suspends.
+  std::vector<std::uint64_t>& pages = read_pages_;
+  pages.clear();
   for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
     std::uint32_t phys = l2p_[cmd.slba + i];
     if (phys == kUnmapped || IsBuffered(phys)) continue;
@@ -675,9 +706,23 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
     tr->Span(post_begin, admit_begin, cmd.trace_id, Layer::kPost, "post",
              static_cast<std::int64_t>(bytes));
   }
+  // Admit unit by unit into the buffer; every full page goes to NAND.
   for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
     if (power_epoch_ != epoch0) break;  // crash rolled the rest back
-    co_await AdmitUnit(static_cast<std::uint32_t>(cmd.slba + i), epoch0);
+    co_await buffer_slots_.Acquire();
+    if (power_epoch_ != epoch0) {
+      // Crashed while waiting for a buffer slot: the write's buffered
+      // state was already rolled back, so admitting now would resurrect
+      // lost data. Give the slot straight back.
+      buffer_slots_.Release();
+      break;
+    }
+    pending_units_.unit[pending_units_.count++] =
+        static_cast<std::uint32_t>(cmd.slba + i);
+    if (pending_units_.count == profile_.units_per_page()) {
+      inflight_programs_.Add();
+      sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
+    }
   }
   if (tr != nullptr) {
     // Non-zero when the write-back buffer is full or the device stalls
@@ -756,23 +801,6 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   SyncJournal();
   counters_.flushes++;
   co_return Completion{.status = Status::kSuccess};
-}
-
-sim::Task<> ConvDevice::AdmitUnit(std::uint32_t logical_unit,
-                                  std::uint64_t epoch) {
-  co_await buffer_slots_.Acquire();
-  if (power_epoch_ != epoch) {
-    // Crashed while waiting for a buffer slot: the write's buffered state
-    // was already rolled back, so admitting now would resurrect lost
-    // data. Give the slot straight back.
-    buffer_slots_.Release();
-    co_return;
-  }
-  pending_units_.unit[pending_units_.count++] = logical_unit;
-  if (pending_units_.count == profile_.units_per_page()) {
-    inflight_programs_.Add();
-    sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch));
-  }
 }
 
 sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
@@ -946,7 +974,7 @@ sim::Task<> ConvDevice::CrashNow() {
   // quiesce below (GC aborts on power loss, so nothing will replenish the
   // pool): wake them so they can observe the crash and bail out.
   if (free_sem_ != nullptr) {
-    while (free_sem_->waiting() > 0) free_sem_->Release();
+    while (free_sem_->has_waiters()) free_sem_->Release();
   }
   // Drain in-flight page programs in simulated time. The stale power
   // epoch stops each one from mapping anything; draining (rather than

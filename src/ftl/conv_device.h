@@ -232,10 +232,6 @@ class ConvDevice : public nvme::Controller {
   /// fan-out read reports the command-level worst case through it.
   sim::Task<> ReadPhysPage(std::uint64_t page_id, sim::WaitGroup* wg,
                            nand::MediaStatus* failed);
-  /// Admits one logical unit into the buffer and schedules programs.
-  /// `epoch` is the power epoch of the issuing command; admission after a
-  /// crash is a no-op (the command is failing with kDeviceReset anyway).
-  sim::Task<> AdmitUnit(std::uint32_t logical_unit, std::uint64_t epoch);
   /// One NAND page worth of buffered logical units, carried by value.
   struct PageUnits {
     std::array<std::uint32_t, kMaxUnitsPerPage> unit;
@@ -284,17 +280,35 @@ class ConvDevice : public nvme::Controller {
   std::uint32_t TakeGcOpenBlock();
   void ReturnGcOpenBlock(std::uint32_t block_id);
   sim::Task<> MigrateAndErase(std::uint32_t victim);
-  sim::Task<> ReadVictimPage(nand::PageAddr addr, sim::WaitGroup* wg);
   /// Takes a retired block out of every allocation path (free pools never
   /// see it again; its valid units stay mapped and readable). Returns
   /// true if the block was newly retired.
   bool RetireBlock(std::uint32_t block_id);
-  /// Programs one page's slice of the survivors. The vector lives in the
-  /// MigrateAndErase frame, which joins `wg` before it exits.
-  sim::Task<> GcProgramPage(
-      std::uint32_t block_id, std::uint32_t page,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> batch,
-      sim::WaitGroup* wg, std::uint64_t epoch);
+
+  struct GcWorker;
+  /// One victim page of a GC migration in flight: the NAND op record and
+  /// what the migration does once it finishes (the completion hook).
+  struct GcPageOp : nand::NandOp {
+    ConvDevice* dev = nullptr;
+    GcWorker* worker = nullptr;
+    std::uint32_t block_id = 0;  // program: the output block
+    std::uint32_t first = 0;     // program: this page's survivors slice
+  };
+  /// What one MigrateAndErase pass reuses from victim to victim: the
+  /// snapshot of surviving units, (logical, old phys) pairs, and one op
+  /// record per victim page. There are gc_workers of them.
+  struct GcWorker {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> survivors;
+    std::vector<GcPageOp> ops;
+    sim::WaitGroup* wg = nullptr;  // the pass's join, in its frame
+    std::uint64_t epoch = 0;       // the pass's power epoch
+  };
+  static void OnGcReadDone(nand::NandOp& op);
+  static void OnGcProgramDone(nand::NandOp& op);
+  /// Programs one page's slice of the survivors, restaging it into a
+  /// fresh GC block on a program failure.
+  void StartGcProgram(GcPageOp& op);
+  void FinishGcProgram(GcPageOp& op);
 
   sim::Time Noise(sim::Time t);
   telemetry::Tracer* trace() const {
@@ -338,6 +352,11 @@ class ConvDevice : public nvme::Controller {
 
   std::uint32_t gc_running_ = 0;
   bool gc_target_active_ = false;
+  std::vector<GcWorker> gc_workers_;
+  std::vector<GcWorker*> gc_idle_workers_;
+  /// DoRead's distinct physical pages, rebuilt by each read before it
+  /// first suspends.
+  std::vector<std::uint64_t> read_pages_;
   ConvCounters counters_;
   sim::WaitGroup inflight_programs_;
 

@@ -8,14 +8,8 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
                        const Timing& timing)
     : sim_(s), geo_(geo), timing_(timing), rng_(timing.noise_seed) {
   geo_.Validate();
-  dies_.reserve(geo_.total_dies());
-  for (std::uint32_t d = 0; d < geo_.total_dies(); ++d) {
-    dies_.push_back(std::make_unique<sim::Semaphore>(s, 1));
-  }
-  channels_.reserve(geo_.channels);
-  for (std::uint32_t c = 0; c < geo_.channels; ++c) {
-    channels_.push_back(std::make_unique<sim::Semaphore>(s, 1));
-  }
+  dies_.resize(geo_.total_dies());
+  channels_.resize(geo_.channels);
   blocks_.reset(static_cast<BlockState*>(std::calloc(
       geo_.total_blocks(), sizeof(BlockState))));
   ZSTOR_CHECK(blocks_ != nullptr);
@@ -78,141 +72,230 @@ void FlashArray::CheckAddr(std::uint32_t die, std::uint32_t block) const {
   ZSTOR_CHECK(block < geo_.blocks_per_die);
 }
 
-sim::Task<MediaStatus> FlashArray::ReadPage(PageAddr addr,
-                                            std::uint32_t bytes) {
-  ZSTOR_CHECK(bytes > 0 && bytes <= geo_.page_bytes);
-  ZSTOR_CHECK_MSG(addr.page < Block(addr.die, addr.block).write_ptr,
-                  "read of an unprogrammed page");
-  telemetry::Tracer* tr = trace();
-  fault::ReadVerdict verdict;
-  if (faults_ != nullptr) {
-    verdict = faults_->OnRead(sim_.now(), addr.die, addr.block,
-                              Block(addr.die, addr.block).pe_cycles);
-  }
-  sim::Time t0 = sim_.now();
-  {
-    auto die = co_await dies_[addr.die]->Hold();
-    sim::Time svc_begin = sim_.now();
-    sim::Time t_read = NoisyRead();
-    if (verdict.retry_steps > 0) {
-      // Read-retry: the die re-senses with stepped voltages; every step
-      // costs a full extra sensing pass.
-      sim::Time t_retry = verdict.retry_steps *
-                          faults_->spec().read_retry_penalty;
-      if (tr != nullptr) {
-        tr->Span(sim_.now() + t_read, sim_.now() + t_read + t_retry,
-                 /*cmd=*/0, Layer::kNand, "die.read_retry",
-                 static_cast<std::int64_t>(addr.die),
-                 static_cast<std::int64_t>(verdict.retry_steps));
+// Each op is the state machine a coroutine op used to be: read = die
+// (tR) then channel (data out), program = channel (data in) then die
+// (tPROG), erase and probe = die only. The grant, timer and completion
+// of every step happen at the same point of the same event as the
+// coroutine's step did, so (time, seq) order and RNG draws are unchanged.
+
+bool FlashArray::Start(NandOp& op) {
+  const PageAddr addr = op.addr;
+  op.t0_ = sim_.now();
+  op.fault_ = false;
+  op.retry_steps_ = 0;
+  op.stage_ = NandOp::Stage::kDie;
+  switch (op.kind) {
+    case NandOp::Kind::kRead: {
+      ZSTOR_CHECK(op.bytes > 0 && op.bytes <= geo_.page_bytes);
+      const BlockState& blk = Block(addr.die, addr.block);
+      ZSTOR_CHECK_MSG(addr.page < blk.write_ptr,
+                      "read of an unprogrammed page");
+      if (faults_ != nullptr) {
+        const fault::ReadVerdict v =
+            faults_->OnRead(sim_.now(), addr.die, addr.block, blk.pe_cycles);
+        op.retry_steps_ = v.retry_steps;
+        op.fault_ = v.uncorrectable;
       }
-      t_read += t_retry;
+      break;
     }
-    co_await sim_.Delay(t_read);
-    die_stats_[addr.die].reads++;
-    die_stats_[addr.die].busy_ns += t_read;
-    NoteDieService(addr.die, svc_begin, sim_.now());
-  }
-  if (verdict.uncorrectable) {
-    // ECC exhausted: nothing to transfer to the host.
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
-                  static_cast<std::int64_t>(addr.die),
-                  static_cast<std::int64_t>(addr.block));
+    case NandOp::Kind::kProgram: {
+      BlockState& blk = Block(addr.die, addr.block);
+      ZSTOR_CHECK_MSG(addr.page == blk.write_ptr,
+                      "non-sequential program within a block");
+      ZSTOR_CHECK(addr.page < geo_.pages_per_block);
+      blk.write_ptr++;
+      if (blk.retired) {
+        // The slot is still consumed (queued follow-on programs must keep
+        // the sequential contract), but the die refuses the operation.
+        counters_.program_failures++;
+        op.status = MediaStatus::kProgramFail;
+        return false;
+      }
+      if (faults_ != nullptr) {
+        op.fault_ =
+            faults_->OnProgram(sim_.now(), addr.die, addr.block, blk.pe_cycles)
+                .fail;
+      }
+      op.stage_ = NandOp::Stage::kChannel;
+      break;
     }
-    EmitMediaError(addr.die, addr.block);
-    counters_.page_reads++;
-    counters_.read_errors++;
-    co_return MediaStatus::kReadError;
+    case NandOp::Kind::kErase:
+      ZSTOR_CHECK_MSG(!Block(addr.die, addr.block).retired,
+                      "erase of a retired block");
+      break;
+    case NandOp::Kind::kProbe:
+      ZSTOR_CHECK(addr.page < geo_.pages_per_block);
+      CheckAddr(addr.die, addr.block);
+      break;
   }
-  {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Hold();
+  Acquire(ServerOf(op), op);
+  return true;
+}
+
+void FlashArray::Acquire(Server& srv, NandOp& op) {
+  if (!srv.busy) {
+    srv.busy = true;
+    BeginService(op);
+    return;
+  }
+  op.next_ = nullptr;
+  (srv.tail != nullptr ? srv.tail->next_ : srv.head) = &op;
+  srv.tail = &op;
+}
+
+void FlashArray::Release(Server& srv) {
+  NandOp* op = srv.head;
+  if (op == nullptr) {
+    srv.busy = false;
+    return;
+  }
+  srv.head = op->next_;
+  if (srv.head == nullptr) srv.tail = nullptr;
+  sim_.ScheduleIn(0, [this, op] { BeginService(*op); });
+}
+
+void FlashArray::BeginService(NandOp& op) {
+  sim::Time t = 0;
+  if (op.stage_ == NandOp::Stage::kChannel) {
     // Bus time scales with the fraction of the page transferred.
-    sim::Time xfer = timing_.bus_xfer_page * bytes / geo_.page_bytes;
-    co_await sim_.Delay(xfer);
-  }
-  if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.read",
-             static_cast<std::int64_t>(addr.die),
-             static_cast<std::int64_t>(bytes));
-  }
-  counters_.page_reads++;
-  counters_.bytes_read += bytes;
-  if (verdict.retry_steps > 0) counters_.read_retries++;
-  co_return MediaStatus::kOk;
-}
-
-sim::Task<MediaStatus> FlashArray::ProgramPage(PageAddr addr) {
-  BlockState& blk = Block(addr.die, addr.block);
-  ZSTOR_CHECK_MSG(addr.page == blk.write_ptr,
-                  "non-sequential program within a block");
-  ZSTOR_CHECK(addr.page < geo_.pages_per_block);
-  blk.write_ptr++;
-  if (blk.retired) {
-    // The slot is still consumed (queued follow-on programs must keep the
-    // sequential contract), but the die refuses the operation outright.
-    counters_.program_failures++;
-    co_return MediaStatus::kProgramFail;
-  }
-  fault::ProgramVerdict verdict;
-  if (faults_ != nullptr) {
-    verdict = faults_->OnProgram(sim_.now(), addr.die, addr.block,
-                                 blk.pe_cycles);
-  }
-  telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto chan = co_await channels_[geo_.channel_of({addr.die})]->Hold();
-    co_await sim_.Delay(timing_.bus_xfer_page);
-  }
-  {
-    auto die = co_await dies_[addr.die]->Hold();
-    sim::Time svc_begin = sim_.now();
-    sim::Time t_prog = NoisyProgram();
-    co_await sim_.Delay(t_prog);
-    die_stats_[addr.die].programs++;
-    die_stats_[addr.die].busy_ns += t_prog;
-    NoteDieService(addr.die, svc_begin, sim_.now());
-  }
-  if (verdict.fail) {
-    // The program-verify pass failed after the full tPROG was spent.
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
-                  static_cast<std::int64_t>(addr.die),
-                  static_cast<std::int64_t>(addr.block));
+    t = op.kind == NandOp::Kind::kRead
+            ? timing_.bus_xfer_page * op.bytes / geo_.page_bytes
+            : timing_.bus_xfer_page;
+  } else {
+    op.svc_begin_ = sim_.now();
+    switch (op.kind) {
+      case NandOp::Kind::kRead:
+        t = NoisyRead();
+        if (op.retry_steps_ > 0) {
+          // Read-retry: the die re-senses with stepped voltages; every
+          // step costs a full extra sensing pass.
+          const sim::Time t_retry =
+              op.retry_steps_ * faults_->spec().read_retry_penalty;
+          if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+            tr->Span(sim_.now() + t, sim_.now() + t + t_retry, /*cmd=*/0,
+                     Layer::kNand, "die.read_retry",
+                     static_cast<std::int64_t>(op.addr.die),
+                     static_cast<std::int64_t>(op.retry_steps_));
+          }
+          t += t_retry;
+        }
+        break;
+      case NandOp::Kind::kProgram:
+        t = NoisyProgram();
+        break;
+      case NandOp::Kind::kErase:
+        t = timing_.erase_block;
+        break;
+      case NandOp::Kind::kProbe:
+        t = timing_.read_page;
+        break;
     }
-    EmitMediaError(addr.die, addr.block);
-    counters_.page_programs++;
-    counters_.program_failures++;
-    co_return MediaStatus::kProgramFail;
   }
-  if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.program",
-             static_cast<std::int64_t>(addr.die),
-             static_cast<std::int64_t>(geo_.page_bytes));
-  }
-  counters_.page_programs++;
-  counters_.bytes_programmed += geo_.page_bytes;
-  co_return MediaStatus::kOk;
+  NandOp* p = &op;
+  sim_.ScheduleIn(t, [this, p] { EndService(*p); });
 }
 
-sim::Task<bool> FlashArray::ProbePage(PageAddr addr) {
-  ZSTOR_CHECK(addr.page < geo_.pages_per_block);
-  sim::Time t0 = sim_.now();
-  {
-    auto die = co_await dies_[addr.die]->Hold();
-    sim::Time svc_begin = sim_.now();
-    co_await sim_.Delay(timing_.read_page);
-    die_stats_[addr.die].reads++;
-    die_stats_[addr.die].busy_ns += timing_.read_page;
-    NoteDieService(addr.die, svc_begin, sim_.now());
+void FlashArray::EndService(NandOp& op) {
+  if (op.stage_ == NandOp::Stage::kDie) {
+    EndDieService(op);
+    return;
+  }
+  Release(ServerOf(op));
+  if (op.kind == NandOp::Kind::kProgram) {
+    op.stage_ = NandOp::Stage::kDie;  // data is in: tPROG next
+    Acquire(ServerOf(op), op);
+    return;
   }
   if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.probe",
-             static_cast<std::int64_t>(addr.die),
-             static_cast<std::int64_t>(addr.page));
+    tr->Span(op.t0_, sim_.now(), /*cmd=*/0, Layer::kNand, "die.read",
+             static_cast<std::int64_t>(op.addr.die),
+             static_cast<std::int64_t>(op.bytes));
   }
-  counters_.recovery_probes++;
-  co_return addr.page < Block(addr.die, addr.block).write_ptr;
+  counters_.page_reads++;
+  counters_.bytes_read += op.bytes;
+  if (op.retry_steps_ > 0) counters_.read_retries++;
+  op.status = MediaStatus::kOk;
+  op.on_done(op);
+}
+
+void FlashArray::EndDieService(NandOp& op) {
+  const PageAddr addr = op.addr;
+  DieStats& ds = die_stats_[addr.die];
+  switch (op.kind) {
+    case NandOp::Kind::kRead:
+    case NandOp::Kind::kProbe:
+      ds.reads++;
+      break;
+    case NandOp::Kind::kProgram:
+      ds.programs++;
+      break;
+    case NandOp::Kind::kErase:
+      ds.erases++;
+      break;
+  }
+  ds.busy_ns += sim_.now() - op.svc_begin_;
+  NoteDieService(addr.die, op.svc_begin_, sim_.now());
+  Release(dies_[addr.die]);
+  telemetry::Tracer* tr = trace();
+  if (op.fault_) {
+    // ECC exhausted (nothing to transfer) or the program-verify pass
+    // failed after the full tPROG was spent.
+    if (tr != nullptr) {
+      tr->Instant(sim_.now(), /*cmd=*/0, Layer::kNand, "media.error",
+                  static_cast<std::int64_t>(addr.die),
+                  static_cast<std::int64_t>(addr.block));
+    }
+    EmitMediaError(addr.die, addr.block);
+    if (op.kind == NandOp::Kind::kRead) {
+      counters_.page_reads++;
+      counters_.read_errors++;
+      op.status = MediaStatus::kReadError;
+    } else {
+      counters_.page_programs++;
+      counters_.program_failures++;
+      op.status = MediaStatus::kProgramFail;
+    }
+    op.on_done(op);
+    return;
+  }
+  switch (op.kind) {
+    case NandOp::Kind::kRead:
+      op.stage_ = NandOp::Stage::kChannel;  // sensed: data out next
+      Acquire(ServerOf(op), op);
+      return;
+    case NandOp::Kind::kProgram:
+      if (tr != nullptr) {
+        tr->Span(op.t0_, sim_.now(), /*cmd=*/0, Layer::kNand, "die.program",
+                 static_cast<std::int64_t>(addr.die),
+                 static_cast<std::int64_t>(geo_.page_bytes));
+      }
+      counters_.page_programs++;
+      counters_.bytes_programmed += geo_.page_bytes;
+      op.status = MediaStatus::kOk;
+      break;
+    case NandOp::Kind::kErase: {
+      if (tr != nullptr) {
+        tr->Span(op.t0_, sim_.now(), /*cmd=*/0, Layer::kNand, "die.erase",
+                 static_cast<std::int64_t>(addr.die),
+                 static_cast<std::int64_t>(addr.block));
+      }
+      BlockState& blk = Block(addr.die, addr.block);
+      blk.write_ptr = 0;
+      blk.pe_cycles++;
+      counters_.block_erases++;
+      break;
+    }
+    case NandOp::Kind::kProbe:
+      if (tr != nullptr) {
+        tr->Span(op.t0_, sim_.now(), /*cmd=*/0, Layer::kNand, "die.probe",
+                 static_cast<std::int64_t>(addr.die),
+                 static_cast<std::int64_t>(addr.page));
+      }
+      counters_.recovery_probes++;
+      op.programmed = addr.page < Block(addr.die, addr.block).write_ptr;
+      break;
+  }
+  op.on_done(op);
 }
 
 void FlashArray::CrashDiscardTail(std::uint32_t die, std::uint32_t block,
@@ -222,29 +305,6 @@ void FlashArray::CrashDiscardTail(std::uint32_t die, std::uint32_t block,
   if (new_write_ptr >= blk.write_ptr) return;
   counters_.crash_discarded_pages += blk.write_ptr - new_write_ptr;
   blk.write_ptr = new_write_ptr;
-}
-
-sim::Task<> FlashArray::EraseBlock(std::uint32_t die, std::uint32_t block) {
-  BlockState& blk = Block(die, block);
-  ZSTOR_CHECK_MSG(!blk.retired, "erase of a retired block");
-  telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await dies_[die]->Hold();
-    sim::Time svc_begin = sim_.now();
-    co_await sim_.Delay(timing_.erase_block);
-    die_stats_[die].erases++;
-    die_stats_[die].busy_ns += timing_.erase_block;
-    NoteDieService(die, svc_begin, sim_.now());
-  }
-  if (tr != nullptr) {
-    tr->Span(t0, sim_.now(), /*cmd=*/0, Layer::kNand, "die.erase",
-             static_cast<std::int64_t>(die),
-             static_cast<std::int64_t>(block));
-  }
-  blk.write_ptr = 0;
-  blk.pe_cycles++;
-  counters_.block_erases++;
 }
 
 sim::Time FlashArray::NoisyRead() {

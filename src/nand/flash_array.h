@@ -12,6 +12,7 @@
 //   * a block must be erased before its pages can be re-programmed.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -22,8 +23,6 @@
 #include "nand/geometry.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "sim/sync.h"
-#include "sim/task.h"
 #include "telemetry/telemetry.h"
 
 namespace zstor::nand {
@@ -73,6 +72,39 @@ struct FlashCounters {
 };
 static_assert(telemetry::ListsEveryFieldOnce<FlashCounters>());
 
+/// One cell operation in flight, as a record instead of a coroutine
+/// frame. It lives in the issuer's memory (the awaiting coroutine's frame
+/// for ReadPage & co., a reused array for batched GC pages) and queues on
+/// dies and channels through an intrusive link, so issuing, queueing and
+/// finishing an op allocates, parks and resumes nothing of its own. It
+/// must stay put from FlashArray::Start until `on_done` runs.
+class NandOp {
+ public:
+  enum class Kind : std::uint8_t { kRead, kProgram, kErase, kProbe };
+
+  // Set by the issuer before Start.
+  Kind kind = Kind::kRead;
+  PageAddr addr;            // kErase ignores addr.page
+  std::uint32_t bytes = 0;  // kRead: bytes transferred (<= page size)
+  /// Runs once the op finishes, inline in the event that finished it
+  /// (not from Start). It may restart or discard the record.
+  void (*on_done)(NandOp&) = nullptr;
+
+  // The outcome, valid from on_done on.
+  MediaStatus status = MediaStatus::kOk;  // kRead, kProgram
+  bool programmed = false;                // kProbe: the page holds data
+
+ private:
+  friend class FlashArray;
+  enum class Stage : std::uint8_t { kDie, kChannel };
+  Stage stage_ = Stage::kDie;  // the server the op waits on or holds
+  bool fault_ = false;         // uncorrectable read / failed program
+  std::uint32_t retry_steps_ = 0;
+  sim::Time t0_ = 0;         // issue time (trace span start)
+  sim::Time svc_begin_ = 0;  // when the current die service began
+  NandOp* next_ = nullptr;   // FIFO link while queued
+};
+
 /// Per-die service accounting, fed by the die-held portion of each cell
 /// operation. busy_ns / sim.now() is that die's utilization — the raw
 /// material of the Die Utilization log page (nvme/log_page.h).
@@ -109,28 +141,76 @@ class FlashArray {
   /// timing is bit-identical to a build without fault support).
   void AttachFaultPlan(fault::FaultPlan* p) { faults_ = p; }
 
+  /// Starts `op` (kind, addr, bytes and on_done set). Every grant of a
+  /// die or channel is a zero-delay event and every service end a timer,
+  /// at the points a coroutine op would have suspended. Returns false when
+  /// the op finished on the spot (a program to a retired block); on_done
+  /// is then not called.
+  bool Start(NandOp& op);
+
+  /// The awaitable form of one op: the record sits in the awaiting
+  /// frame, starts when awaited and resumes the caller inline when done.
+  template <typename T>
+  class [[nodiscard]] Awaiter : public NandOp {
+   public:
+    Awaiter(FlashArray& fa, Kind k, PageAddr a, std::uint32_t b = 0)
+        : fa_(fa) {
+      kind = k;
+      addr = a;
+      bytes = b;
+      on_done = [](NandOp& op) { static_cast<Awaiter&>(op).caller_.resume(); };
+    }
+    Awaiter(const Awaiter&) = delete;
+    Awaiter& operator=(const Awaiter&) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) {
+      caller_ = h;
+      return fa_.Start(*this);
+    }
+    T await_resume() const noexcept {
+      if constexpr (std::is_same_v<T, MediaStatus>) {
+        return status;
+      } else if constexpr (std::is_same_v<T, bool>) {
+        return programmed;
+      }
+    }
+
+   private:
+    FlashArray& fa_;
+    std::coroutine_handle<> caller_;
+  };
+
   /// Reads `bytes` (<= page size) from a programmed page: occupies the die
   /// for tR (plus any read-retry voltage steps under an attached fault
   /// plan), then the channel for the data-out transfer. kReadError means
   /// ECC gave up after the full retry budget; no data is transferred.
-  sim::Task<MediaStatus> ReadPage(PageAddr addr, std::uint32_t bytes);
+  Awaiter<MediaStatus> ReadPage(PageAddr addr, std::uint32_t bytes) {
+    return {*this, NandOp::Kind::kRead, addr, bytes};
+  }
 
   /// Programs the next page of a block (addr.page must equal the block's
   /// write pointer): channel data-in transfer, then die busy for tPROG.
   /// A failing program still consumes the page slot (the write pointer
   /// advances) so queued follow-on programs keep the sequential contract;
   /// programs to a retired block fail immediately without die time.
-  sim::Task<MediaStatus> ProgramPage(PageAddr addr);
+  Awaiter<MediaStatus> ProgramPage(PageAddr addr) {
+    return {*this, NandOp::Kind::kProgram, addr};
+  }
 
   /// Erases a block: die busy for tBERS; resets the block write pointer.
-  sim::Task<> EraseBlock(std::uint32_t die, std::uint32_t block);
+  Awaiter<void> EraseBlock(std::uint32_t die, std::uint32_t block) {
+    return {*this, NandOp::Kind::kErase, PageAddr{die, block, 0}};
+  }
 
   /// Recovery probe: senses whether `addr` holds programmed data, costing
   /// a full tR of die time (no channel transfer — the controller only
   /// inspects the ECC/meta region). Unlike ReadPage it is legal on
   /// unprogrammed pages; write-pointer rediscovery scans after a power
   /// loss are built from these. Returns true if the page is programmed.
-  sim::Task<bool> ProbePage(PageAddr addr);
+  Awaiter<bool> ProbePage(PageAddr addr) {
+    return {*this, NandOp::Kind::kProbe, addr};
+  }
 
   /// Power-loss tail discard: drops pages [new_write_ptr, write_ptr) of a
   /// block — programs that were in flight (or torn) when power cut and
@@ -223,8 +303,31 @@ class FlashArray {
   Geometry geo_;
   Timing timing_;
   sim::Rng rng_;
-  std::vector<std::unique_ptr<sim::Semaphore>> dies_;
-  std::vector<std::unique_ptr<sim::Semaphore>> channels_;
+  /// A die or a channel: serves one op at a time, the rest wait in
+  /// arrival order.
+  struct Server {
+    bool busy = false;
+    NandOp* head = nullptr;
+    NandOp* tail = nullptr;
+  };
+  /// Serves `op` on `srv` now, or queues it until a Release hands over.
+  void Acquire(Server& srv, NandOp& op);
+  /// Frees `srv`, handing it to the longest waiter through a zero-delay
+  /// event (the grant a semaphore wake would have been).
+  void Release(Server& srv);
+  Server& ServerOf(const NandOp& op) {
+    return op.stage_ == NandOp::Stage::kDie
+               ? dies_[op.addr.die]
+               : channels_[geo_.channel_of({op.addr.die})];
+  }
+  /// The op holds its server: start the service timer.
+  void BeginService(NandOp& op);
+  /// The service timer fired: account, release, and move on.
+  void EndService(NandOp& op);
+  void EndDieService(NandOp& op);
+
+  std::vector<Server> dies_;
+  std::vector<Server> channels_;
   /// [die * blocks_per_die + block], calloc'ed: a large table is
   /// demand-zero memory, so no page of it costs a fault until a block on
   /// it is touched (a ZN540's is 3 MiB, mostly never written).

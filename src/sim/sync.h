@@ -153,6 +153,8 @@ class Semaphore {
   }
 
   std::uint64_t available() const { return count_; }
+  /// O(1); waiting() walks the list.
+  bool has_waiters() const { return !waiters_.empty(); }
   std::size_t waiting() const { return waiters_.size(); }
 
  private:
