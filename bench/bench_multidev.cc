@@ -183,10 +183,14 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {std::to_string(n)};
       for (std::size_t qi = 0; qi < qds.size(); ++qi) {
         const workload::JobResult& r = sweep[di * qds.size() + qi];
+        // Built by appends: GCC 12's -Wrestrict misfires on the
+        // operator+ chain at -O2.
+        std::string label = "n";
+        label += std::to_string(n);
+        label += "/qd";
+        label += std::to_string(qds[qi]);
         results.Series("multidev_qd_append_kiops", "KIOPS")
-            .AddLabeled("n" + std::to_string(n) + "/qd" +
-                            std::to_string(qds[qi]),
-                        qds[qi], r.Kiops());
+            .AddLabeled(label, qds[qi], r.Kiops());
         row.push_back(harness::FmtKiops(r.Kiops()));
       }
       t.AddRow(row);

@@ -104,7 +104,10 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
   for (auto& b : blocks_) {
     b.valid_bitmap.assign((units_per_block() + 63) / 64, 0);
   }
-  free_blocks_.resize(profile_.nand_geometry.total_dies());
+  free_blocks_.assign(profile_.nand_geometry.total_dies(),
+                      BlockFifo(profile_.nand_geometry.blocks_per_die));
+  gc_reserve_ = BlockFifo(blocks_.size());
+  gc_open_pool_ = BlockFifo(blocks_.size());
   host_open_block_.assign(profile_.nand_geometry.total_dies(), kUnmapped);
   die_alloc_.reserve(profile_.nand_geometry.total_dies());
   for (std::uint32_t d = 0; d < profile_.nand_geometry.total_dies(); ++d) {
@@ -1057,32 +1060,39 @@ sim::Task<> ConvDevice::CrashNow() {
 
 void ConvDevice::DebugPrefill() {
   ZSTOR_CHECK_MSG(!layout_done_, "DebugPrefill must precede all I/O");
-  const std::uint32_t dies = profile_.nand_geometry.total_dies();
+  // Logical page k (units [k*upp, (k+1)*upp)) lands on die k % dies, as
+  // that die's (k / dies)-th page: the host write stream's round-robin.
+  // Walk each die's blocks page by page; every touched block is sealed
+  // full so it is GC-eligible.
+  const nand::Geometry& g = profile_.nand_geometry;
+  const std::uint32_t dies = g.total_dies();
   const std::uint32_t upp = profile_.units_per_page();
   const std::uint64_t logical_units = l2p_.size();
-  for (std::uint64_t u = 0; u < logical_units; ++u) {
-    std::uint64_t page_seq = u / upp;
-    std::uint32_t die = static_cast<std::uint32_t>(page_seq % dies);
-    std::uint64_t on_die_page = page_seq / dies;
-    std::uint32_t blk = static_cast<std::uint32_t>(
-        on_die_page / profile_.nand_geometry.pages_per_block);
-    std::uint32_t page = static_cast<std::uint32_t>(
-        on_die_page % profile_.nand_geometry.pages_per_block);
-    ZSTOR_CHECK(blk < profile_.nand_geometry.blocks_per_die);
-    std::uint32_t block_id = BlockIdOf(die, blk);
-    Block& b = blocks_[block_id];
-    std::uint32_t unit = page * upp + static_cast<std::uint32_t>(u % upp);
-    std::uint32_t phys = PhysUnit(block_id, unit);
-    l2p_[u] = phys;
-    p2l_[phys] = static_cast<std::uint32_t>(u);
-    SetValid(b, unit, true);
-    b.valid++;
-    if (b.write_ptr_units < unit + 1) b.write_ptr_units = unit + 1;
-    flash_->DebugProgramRange(die, blk, page + 1);
-  }
-  // Round partially-written blocks up to "full" so they are GC-eligible.
-  for (auto& b : blocks_) {
-    if (b.write_ptr_units > 0) b.write_ptr_units = units_per_block();
+  const std::uint64_t logical_pages = (logical_units + upp - 1) / upp;
+  for (std::uint32_t die = 0; die < dies; ++die) {
+    std::uint64_t k = die;  // logical page of the die's next page
+    for (std::uint32_t blk = 0; k < logical_pages; ++blk) {
+      ZSTOR_CHECK(blk < g.blocks_per_die);
+      const std::uint32_t block_id = BlockIdOf(die, blk);
+      Block& b = blocks_[block_id];
+      std::uint32_t page = 0;
+      for (; page < g.pages_per_block && k < logical_pages;
+           ++page, k += dies) {
+        const std::uint64_t u0 = k * upp;
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(upp, logical_units - u0));
+        for (std::uint32_t s = 0; s < n; ++s) {
+          const std::uint32_t unit = page * upp + s;
+          const std::uint32_t phys = PhysUnit(block_id, unit);
+          l2p_[u0 + s] = phys;
+          p2l_[phys] = static_cast<std::uint32_t>(u0 + s);
+          SetValid(b, unit, true);
+        }
+        b.valid += n;
+      }
+      b.write_ptr_units = units_per_block();
+      flash_->DebugProgramRange(die, blk, page);
+    }
   }
   FinalizeLayout();
 }

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -162,6 +161,8 @@ class ConvDevice : public nvme::Controller {
   void DebugPrefill();
 
  private:
+  friend struct ConvDeviceInternals;  // tests/ftl/conv_prefill_test.cc
+
   static constexpr std::uint32_t kUnmapped = ~0u;
   // A unit in the volatile write buffer maps to kBuffered | origin, where
   // origin is its last durable physical unit (what a power loss rolls it
@@ -334,10 +335,35 @@ class ConvDevice : public nvme::Controller {
   /// buffered unit's rollback origin points back at that logical unit.
   std::vector<std::uint32_t> p2l_;
   std::vector<Block> blocks_;        // by block id
-  std::vector<std::deque<std::uint32_t>> free_blocks_;  // per die
+  /// FIFO of block ids on a ring sized once. A block sits in at most one
+  /// pool at a time, so a ring as large as its possible members never
+  /// fills, and cycling blocks allocates nothing (a std::deque frees and
+  /// reallocates a chunk every 128 ids).
+  class BlockFifo {
+   public:
+    explicit BlockFifo(std::size_t capacity = 0) : ring_(capacity) {}
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    std::uint32_t front() const { return ring_[head_]; }
+    void push_back(std::uint32_t id) {
+      ZSTOR_CHECK(size_ < ring_.size());
+      ring_[(head_ + size_++) % ring_.size()] = id;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) % ring_.size();
+      --size_;
+    }
+
+   private:
+    std::vector<std::uint32_t> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  std::vector<BlockFifo> free_blocks_;  // per die
   std::unique_ptr<sim::Semaphore> free_sem_;  // counts the host pool
-  std::deque<std::uint32_t> gc_reserve_;      // GC-private blocks
-  std::deque<std::uint32_t> gc_open_pool_;    // partial GC output blocks
+  BlockFifo gc_reserve_;    // GC-private blocks
+  BlockFifo gc_open_pool_;  // partial GC output blocks
   std::uint32_t free_total_ = 0;
   bool layout_done_ = false;
 

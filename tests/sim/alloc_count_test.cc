@@ -4,8 +4,9 @@
 // (task.h) neither does spawning a task once its frame size has been
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
 // the mailboxes have grown. Waiting allocates nothing either: not on any
-// sync.h/resource.h/token_bucket.h primitive, and not per command through
-// a warm mq-deadline stack and ZNS device.
+// sync.h/resource.h/token_bucket.h primitive, not per command through
+// a warm mq-deadline stack and ZNS device, and not per page of a
+// conventional FTL's GC migration or host I/O.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <new>
 #include <optional>
 
+#include "ftl/conv_device.h"
 #include "hostif/host_stack.h"
 #include "sim/parallel_sim.h"
 #include "sim/resource.h"
@@ -294,6 +296,82 @@ TEST(AllocCount, WarmMqDeadlineZnsCommandsAreAllocationFree) {
   EXPECT_EQ(commands, kRoundLbas + 2 * 64);
   EXPECT_GT(stack.scheduler_stats().merged_writes, 0u);
   EXPECT_EQ(delta, 0u) << "a warm mq-deadline command allocated";
+}
+
+// A warm Tiny ConvDevice under GC pressure: page writes and unit reads
+// while GC migrates victims (page reads, page programs, an erase each).
+// NAND ops are records in their callers' frames and a victim's pages are
+// records in reused per-worker arrays, so nothing here is per page. With
+// the frame pool every frame is recycled and the window allocates
+// nothing. Without it (ASan) each command may still make its own frames
+// (Execute, the opcode body, ProgramHostPage or ReadPhysPage, and
+// AcquireFreeBlock when a write opens a block) and each GC pass one
+// MigrateAndErase frame — but no migrated page adds any.
+TEST(AllocCount, WarmConvGcMigrationAndHostIoAllocateNothingPerPage) {
+  Simulator s;
+  ftl::ConvDevice dev(s, ftl::TinyConvProfile());
+  dev.DebugPrefill();
+  const std::uint32_t upp = dev.profile().units_per_page();
+  const nvme::Lba pages = dev.info().capacity_lbas / upp;
+  std::uint64_t commands = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t x = 1;  // LCG: a scattered overwrite pattern
+  auto next_page = [&] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<nvme::Lba>((x >> 33) % pages);
+  };
+  auto writer = [&](int n) -> Task<> {
+    for (int i = 0; i < n; ++i) {
+      const nvme::Completion c = co_await dev.Execute(
+          {.opcode = nvme::Opcode::kWrite, .slba = next_page() * upp,
+           .nlb = upp});
+      ++commands;
+      failed += c.ok() ? 0 : 1;
+    }
+  };
+  auto reader = [&](int n) -> Task<> {
+    for (int i = 0; i < n; ++i) {
+      const nvme::Completion c = co_await dev.Execute(
+          {.opcode = nvme::Opcode::kRead, .slba = next_page() * upp,
+           .nlb = 1});
+      ++commands;
+      failed += c.ok() ? 0 : 1;
+    }
+  };
+  // Four writers and two readers; `writes` page writes each.
+  auto round = [&](int writes) {
+    std::optional<Task<>> t[6];
+    for (int i = 0; i < 4; ++i) t[i].emplace(writer(writes));
+    for (int i = 4; i < 6; ++i) t[i].emplace(reader(writes / 2));
+    s.Run();
+  };
+  // Warm-up: the device overwrites itself several times over, so GC has
+  // run with every worker, and every frame size and container is warm.
+  for (int r = 0; r < 8; ++r) round(1024);
+  ASSERT_GT(dev.counters().gc_blocks_erased, 100u);
+  const ftl::ConvCounters c0 = dev.counters();
+  const std::uint64_t reads0 = dev.flash().counters().page_reads;
+  commands = 0;
+  failed = 0;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(64);
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t passes =
+      dev.counters().gc_invocations - c0.gc_invocations;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(commands, 4u * 64 + 2u * 32);
+  EXPECT_GT(dev.counters().gc_blocks_erased, c0.gc_blocks_erased);
+  const std::uint64_t migrated_pages =
+      (dev.counters().gc_units_migrated - c0.gc_units_migrated) / upp;
+  EXPECT_GT(migrated_pages, 4 * passes) << "passes migrated too little";
+  EXPECT_GT(dev.flash().counters().page_reads - reads0, migrated_pages);
+  EXPECT_LE(delta, 4 * commands + passes)
+      << "a GC migration allocated per page (" << migrated_pages
+      << " pages in " << passes << " passes)";
+  if (kFramePoolEnabled) {
+    EXPECT_EQ(delta, 0u) << "a warm conv command or GC pass allocated";
+  }
 }
 
 }  // namespace
