@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 

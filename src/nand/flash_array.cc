@@ -72,11 +72,11 @@ void FlashArray::CheckAddr(std::uint32_t die, std::uint32_t block) const {
   ZSTOR_CHECK(block < geo_.blocks_per_die);
 }
 
-// Each op is the state machine a coroutine op used to be: read = die
-// (tR) then channel (data out), program = channel (data in) then die
-// (tPROG), erase and probe = die only. The grant, timer and completion
-// of every step happen at the same point of the same event as the
-// coroutine's step did, so (time, seq) order and RNG draws are unchanged.
+// Each op is a small state machine: read = die (tR) then channel (data
+// out), program = channel (data in) then die (tPROG), erase and probe =
+// die only. A grant is a zero-delay event and a service end a timer,
+// pushed where a coroutine holding a sim::Semaphore would push them, and
+// the hook runs inline; the goldens depend on that (time, seq) order.
 
 bool FlashArray::Start(NandOp& op) {
   const PageAddr addr = op.addr;

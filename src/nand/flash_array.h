@@ -142,10 +142,9 @@ class FlashArray {
   void AttachFaultPlan(fault::FaultPlan* p) { faults_ = p; }
 
   /// Starts `op` (kind, addr, bytes and on_done set). Every grant of a
-  /// die or channel is a zero-delay event and every service end a timer,
-  /// at the points a coroutine op would have suspended. Returns false when
-  /// the op finished on the spot (a program to a retired block); on_done
-  /// is then not called.
+  /// busy die or channel is a zero-delay event and every service end a
+  /// timer (DESIGN.md §1.1). Returns false when the op finished on the
+  /// spot (a program to a retired block); on_done is then not called.
   bool Start(NandOp& op);
 
   /// The awaitable form of one op: the record sits in the awaiting

@@ -11,16 +11,22 @@
 // reads its flushed tag, a tag written since, or nothing (its buffered
 // rewrite's origin may have been erased by GC) — never an older tag.
 //
-// Each seed is its own test (ConvDifferential/Seeds.RandomSchedule/<seed>),
+// ConvDifferentialWithProgramFailures runs the same schedules with NAND
+// program failures injected, so host and GC programs retire blocks and
+// restage their pages mid-schedule.
+//
+// Each seed is its own test (Seeds/ConvDifferential.RandomSchedule/<seed>),
 // so a failure names the seed, and --gtest_filter replays it alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "ftl/conv_device.h"
 #include "sim/rng.h"
 #include "sim/task.h"
@@ -231,6 +237,21 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
     if (crash) VerifyAfterCrash(round);
   }
 
+  void RunSchedule() {
+    for (int round = 0; round < kRounds; ++round) {
+      Round(round);
+      if (HasFailure()) return;
+      if ((round + 1) % kVerifyEvery == 0) {
+        VerifyCurrent(round);
+        if (HasFailure()) return;
+      }
+    }
+    EXPECT_GT(dev_.counters().gc_blocks_erased, 0u)
+        << "seed " << GetParam() << ": the schedule never ran GC";
+    EXPECT_GT(dev_.counters().crashes, 0u)
+        << "seed " << GetParam() << ": the schedule never lost power";
+  }
+
   sim::Simulator sim_;
   ConvDevice dev_;
   FlatModel model_;
@@ -238,25 +259,34 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
   std::uint64_t next_tag_ = 1u << 20;
 };
 
-TEST_P(ConvDifferential, RandomSchedule) {
-  for (int round = 0; round < kRounds; ++round) {
-    Round(round);
-    if (HasFatalFailure() || HasNonfatalFailure()) return;
-    if ((round + 1) % kVerifyEvery == 0) {
-      VerifyCurrent(round);
-      if (HasFailure()) return;
-    }
+TEST_P(ConvDifferential, RandomSchedule) { RunSchedule(); }
+
+class ConvDifferentialWithProgramFailures : public ConvDifferential {
+ protected:
+  ConvDifferentialWithProgramFailures() {
+    fault::FaultSpec spec;
+    spec.enabled = true;
+    spec.program_fail_rate = 1e-3;
+    spec.seed = 0xFA11'0000ull + static_cast<std::uint64_t>(GetParam());
+    plan_ = std::make_unique<fault::FaultPlan>(spec);
+    dev_.AttachFaultPlan(plan_.get());
   }
-  EXPECT_GT(dev_.counters().gc_blocks_erased, 0u)
-      << "seed " << GetParam() << ": the schedule never ran GC";
-  EXPECT_GT(dev_.counters().crashes, 0u)
-      << "seed " << GetParam() << ": the schedule never lost power";
+  std::unique_ptr<fault::FaultPlan> plan_;
+};
+
+TEST_P(ConvDifferentialWithProgramFailures, RandomSchedule) {
+  RunSchedule();
+  EXPECT_GT(dev_.counters().retired_blocks, 0u)
+      << "seed " << GetParam() << ": no program failed";
 }
 
+std::string SeedName(const ::testing::TestParamInfo<int>& p) {
+  return std::to_string(p.param);
+}
 INSTANTIATE_TEST_SUITE_P(Seeds, ConvDifferential, ::testing::Range(1, 13),
-                         [](const ::testing::TestParamInfo<int>& p) {
-                           return std::to_string(p.param);
-                         });
+                         SeedName);
+INSTANTIATE_TEST_SUITE_P(Seeds, ConvDifferentialWithProgramFailures,
+                         ::testing::Range(1, 13), SeedName);
 
 }  // namespace
 }  // namespace zstor::ftl
