@@ -427,7 +427,8 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
     op.bytes = profile_.nand_geometry.page_bytes;
     op.on_done = &OnGcReadDone;
     wg.Add();
-    ZSTOR_CHECK(flash_->Start(op));  // a read always goes to the die
+    const bool pending = flash_->Start(op);
+    ZSTOR_CHECK(pending);  // only a program can finish on the spot
   }
   co_await wg.Wait();
 
