@@ -12,40 +12,8 @@ using nvme::Status;
 using sim::Time;
 using telemetry::Layer;
 
-void ConvDevice::AttachTelemetry(telemetry::Telemetry* t) {
-  telem_ = t;
-  flash_->AttachTelemetry(t);
-}
-
-void ConvDevice::AttachFaultPlan(fault::FaultPlan* p) {
-  faults_ = p;
-  flash_->AttachFaultPlan(p);
-  if (p != nullptr && p->enabled() && !p->spec().crashes.empty() &&
-      !crash_driver_armed_) {
-    crash_driver_armed_ = true;
-    sim::Spawn(CrashDriver(p->spec().crashes));
-  }
-}
-
 nvme::SmartLog ConvDevice::GetSmartLog() const {
-  nvme::SmartLog log;
-  log.device = "conv";
-  log.host_reads = counters_.reads;
-  log.host_writes = counters_.writes;
-  log.bytes_read = counters_.bytes_read;
-  log.bytes_written = counters_.bytes_written;
-  log.host_rejects = counters_.host_rejects;
-  log.media_errors = counters_.media_errors;
-  log.read_faults = counters_.read_faults;
-  log.write_faults = counters_.write_faults;
-  log.retired_blocks = counters_.retired_blocks;
-  const nand::FlashCounters& fc = flash_->counters();
-  log.media_read_retries = fc.read_retries;
-  log.media_page_reads = fc.page_reads;
-  log.media_page_programs = fc.page_programs;
-  log.media_block_erases = fc.block_erases;
-  log.media_bytes_read = fc.bytes_read;
-  log.media_bytes_programmed = fc.bytes_programmed;
+  nvme::SmartLog log = CoreSmartLog("conv");
   log.gc_invocations = counters_.gc_invocations;
   log.gc_units_migrated = counters_.gc_units_migrated;
   log.gc_blocks_erased = counters_.gc_blocks_erased;
@@ -53,35 +21,10 @@ nvme::SmartLog ConvDevice::GetSmartLog() const {
   return log;
 }
 
-nvme::DieUtilLog ConvDevice::GetDieUtilLog() const {
-  nvme::DieUtilLog log;
-  log.elapsed_ns = static_cast<std::uint64_t>(sim_.now());
-  const std::vector<nand::DieStats>& stats = flash_->die_stats();
-  log.dies.reserve(stats.size());
-  for (std::uint32_t d = 0; d < stats.size(); ++d) {
-    nvme::DieUtilEntry e;
-    e.die = d;
-    e.reads = stats[d].reads;
-    e.programs = stats[d].programs;
-    e.erases = stats[d].erases;
-    e.busy_ns = static_cast<std::uint64_t>(stats[d].busy_ns);
-    e.utilization = log.elapsed_ns == 0
-                        ? 0.0
-                        : static_cast<double>(e.busy_ns) /
-                              static_cast<double>(log.elapsed_ns);
-    log.dies.push_back(e);
-  }
-  return log;
-}
-
 ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
-    : sim_(s),
+    : ControllerCore(s, counters_, profile.write_buffer_bytes,
+                     profile.map_unit_bytes, profile.seed, profile.io_sigma),
       profile_(std::move(profile)),
-      fcp_(s, /*slots=*/1, /*priority_levels=*/2),
-      buffer_slots_(s, std::max<std::uint64_t>(
-                           1, profile_.write_buffer_bytes /
-                                  profile_.map_unit_bytes)),
-      rng_(profile_.seed),
       inflight_programs_(s) {
   profile_.nand_geometry.Validate();
   ZSTOR_CHECK_MSG(profile_.lba_bytes == profile_.map_unit_bytes,
@@ -514,49 +457,15 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
 
 // ------------------------------------------------------------ I/O paths
 
-Time ConvDevice::Noise(Time t) {
-  if (profile_.io_sigma == 0.0 || t == 0) return t;
-  return static_cast<Time>(static_cast<double>(t) *
-                           rng_.LogNormalNoise(profile_.io_sigma));
-}
-
-sim::Task<Completion> ConvDevice::Execute(const Command& cmd) {
-  if (!layout_done_) FinalizeLayout();
-  Completion c;
-  if (crashed_) {
-    // Power is out (or recovery is replaying the journal): fail fast and
-    // let the host re-drive once the controller answers again.
-    counters_.reset_drops++;
-    c.status = Status::kDeviceReset;
-    co_return c;
-  }
+std::optional<sim::Task<Completion>> ConvDevice::Dispatch(const Command& cmd) {
+  FinalizeLayout();
   switch (cmd.opcode) {
-    case Opcode::kRead:
-      c = co_await DoRead(cmd);
-      break;
-    case Opcode::kWrite:
-      c = co_await DoWrite(cmd);
-      break;
-    case Opcode::kDeallocate:
-      c = co_await DoDeallocate(cmd);
-      break;
-    case Opcode::kFlush:
-      c = co_await DoFlush(cmd);
-      break;
-    default:
-      c.status = Status::kInvalidOpcode;
-      break;
+    case Opcode::kRead: return DoRead(cmd);
+    case Opcode::kWrite: return DoWrite(cmd);
+    case Opcode::kDeallocate: return DoDeallocate(cmd);
+    case Opcode::kFlush: return DoFlush(cmd);
+    default: return std::nullopt;
   }
-  if (!c.ok()) {
-    if (c.status == Status::kDeviceReset) {
-      counters_.reset_drops++;  // lost to a power cut mid-flight
-    } else if (nvme::IsMediaError(c.status)) {
-      counters_.media_errors++;
-    } else {
-      counters_.host_rejects++;
-    }
-  }
-  co_return c;
 }
 
 sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
@@ -570,7 +479,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   telemetry::Tracer* tr = trace();
   sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(0);
+    auto g = co_await fcp_.Acquire(kPrioIo);
     sim::Time t1 = sim_.now();
     Time c = profile_.fcp.read;
     if (cmd.nlb > 1) c += profile_.fcp.per_extra_unit * (cmd.nlb - 1);
@@ -599,13 +508,15 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   }
   nand::MediaStatus media = nand::MediaStatus::kOk;
   if (pages.size() == 1) {
-    co_await ReadPhysPage(pages[0], nullptr, &media);
+    media = co_await flash_->ReadPage(AddrOfPhysPage(pages[0]),
+                                      profile_.map_unit_bytes);
   } else if (!pages.empty()) {
     sim::WaitGroup wg(sim_);
     for (std::uint64_t p : pages) {
       wg.Add();
       // &media outlives the spawned reads: wg.Wait() joins them below.
-      sim::Spawn(ReadPhysPage(p, &wg, &media));
+      sim::Spawn(FanOutRead(AddrOfPhysPage(p), profile_.map_unit_bytes, &wg,
+                            &media));
     }
     co_await wg.Wait();
   }
@@ -645,18 +556,12 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   co_return done;
 }
 
-sim::Task<> ConvDevice::ReadPhysPage(std::uint64_t page_id,
-                                     sim::WaitGroup* wg,
-                                     nand::MediaStatus* failed) {
-  std::uint32_t block_id = static_cast<std::uint32_t>(
+nand::PageAddr ConvDevice::AddrOfPhysPage(std::uint64_t page_id) const {
+  const auto block_id = static_cast<std::uint32_t>(
       page_id / profile_.nand_geometry.pages_per_block);
-  std::uint32_t page = static_cast<std::uint32_t>(
-      page_id % profile_.nand_geometry.pages_per_block);
-  const nand::MediaStatus st = co_await flash_->ReadPage(
-      {DieOfBlockId(block_id), BlockOfBlockId(block_id), page},
-      profile_.map_unit_bytes);
-  if (st != nand::MediaStatus::kOk && failed != nullptr) *failed = st;
-  if (wg != nullptr) wg->Done();
+  return {DieOfBlockId(block_id), BlockOfBlockId(block_id),
+          static_cast<std::uint32_t>(
+              page_id % profile_.nand_geometry.pages_per_block)};
 }
 
 sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
@@ -670,7 +575,7 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
   telemetry::Tracer* tr = trace();
   sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(0);
+    auto g = co_await fcp_.Acquire(kPrioIo);
     sim::Time t1 = sim_.now();
     Time c = profile_.fcp.write;
     if (cmd.nlb > 1) c += profile_.fcp.per_extra_unit * (cmd.nlb - 1);
@@ -749,7 +654,7 @@ sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
   }
   const std::uint64_t epoch0 = power_epoch_;
   {
-    auto g = co_await fcp_.Acquire(0);
+    auto g = co_await fcp_.Acquire(kPrioIo);
     co_await sim_.Delay(
         Noise(profile_.trim_fixed + profile_.trim_per_unit * cmd.nlb));
     if (power_epoch_ != epoch0) {
@@ -785,7 +690,7 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   telemetry::Tracer* tr = trace();
   sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(0);
+    auto g = co_await fcp_.Acquire(kPrioIo);
     co_await sim_.Delay(Noise(profile_.fcp.write));
     if (tr != nullptr) {
       tr->Span(t0, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service");
@@ -954,26 +859,9 @@ std::uint64_t ConvDevice::TagOfLogical(std::uint32_t logical_unit) const {
   return tags_by_phys_.empty() ? 0 : tags_by_phys_[phys];
 }
 
-sim::Task<> ConvDevice::CrashDriver(std::vector<sim::Time> at) {
-  for (sim::Time t : at) {
-    if (t > sim_.now()) co_await sim_.Delay(t - sim_.now());
-    if (crashed_) continue;  // landed inside the previous outage: coalesce
-    co_await CrashNow();
-  }
-}
-
 sim::Task<> ConvDevice::CrashNow() {
-  ZSTOR_CHECK_MSG(!crashed_, "nested crash");
-  if (!layout_done_) FinalizeLayout();
-  const sim::Time crash_time = sim_.now();
-  crashed_ = true;
-  ++power_epoch_;
-  counters_.crashes++;
-  telemetry::Tracer* tr = trace();
-  if (tr != nullptr) {
-    tr->Instant(crash_time, /*cmd=*/0, Layer::kFtl, "crash.power_loss",
-                static_cast<std::int64_t>(power_epoch_));
-  }
+  FinalizeLayout();
+  const sim::Time crash_time = EnterOutage(Layer::kFtl);
   // Host programs parked on the free-block semaphore would deadlock the
   // quiesce below (GC aborts on power loss, so nothing will replenish the
   // pool): wake them so they can observe the crash and bail out.
@@ -1037,24 +925,11 @@ sim::Task<> ConvDevice::CrashNow() {
                       profile_.recovery_per_entry *
                           journal_entries_since_checkpoint_);
   counters_.recovery_replay_entries += journal_entries_since_checkpoint_;
-  counters_.recoveries++;
-  last_recovery_ns_ = sim_.now() - crash_time;
-  counters_.recovery_ns_total += static_cast<std::uint64_t>(last_recovery_ns_);
-  crashed_ = false;
-  MaybeWakeGc();  // resumes what the outage held back
-  if (tr != nullptr) {
-    tr->Instant(sim_.now(), /*cmd=*/0, Layer::kFtl, "recovery.done",
+  LeaveOutage(crash_time);
+  MaybeWakeGc();  // resumes what the outage held back (emits gc.victim)
+  TraceRecovery(crash_time, Layer::kFtl, "recovery.replay",
                 static_cast<std::int64_t>(journal_entries_since_checkpoint_),
                 static_cast<std::int64_t>(lost));
-  }
-  if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
-    tl->Window(crash_time, 0, telem_->timeline_label(), /*lane=*/0,
-               "crash.power_loss", static_cast<std::int64_t>(power_epoch_));
-    tl->Window(crash_time, sim_.now() - crash_time, telem_->timeline_label(),
-               /*lane=*/0, "recovery.replay",
-               static_cast<std::int64_t>(journal_entries_since_checkpoint_),
-               static_cast<std::int64_t>(lost));
-  }
 }
 
 // ----------------------------------------------------------------- debug

@@ -1,5 +1,9 @@
 // ConvDevice: the conventional (page-mapped FTL) NVMe SSD model.
 //
+// Built on zns::ControllerCore, the controller skeleton it shares with
+// the ZNS model (FCP, write-buffer slots counted in mapping units, noise
+// RNG, NAND array, power-loss outage); this class is the mapping policy.
+//
 // Write path: FCP -> post stage -> write-back buffer; a drain process
 // packs 4 KiB mapping units into 16 KiB NAND pages and programs them
 // round-robin across dies. Overwrites invalidate the unit's old physical
@@ -12,59 +16,42 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "ftl/conv_profile.h"
 #include "nand/flash_array.h"
-#include "nvme/controller.h"
 #include "nvme/log_page.h"
 #include "nvme/types.h"
-#include "sim/resource.h"
-#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "telemetry/telemetry.h"
+#include "zns/controller_core.h"
 
 namespace zstor::ftl {
 
-struct ConvCounters {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
+struct ConvCounters : zns::DeviceCounters {
   std::uint64_t deallocates = 0;
   std::uint64_t units_trimmed = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
   std::uint64_t host_units_programmed = 0;
   std::uint64_t gc_invocations = 0;  // MigrateAndErase passes launched
   std::uint64_t gc_units_migrated = 0;
   std::uint64_t gc_blocks_erased = 0;
-  /// Commands rejected for host-side reasons (bad field/range).
-  std::uint64_t host_rejects = 0;
-  /// Commands completed with a media fault status (kMediaReadError...).
-  std::uint64_t media_errors = 0;
-  std::uint64_t read_faults = 0;     // uncorrectable NAND reads surfaced
-  std::uint64_t write_faults = 0;    // NAND program failures absorbed
-  std::uint64_t retired_blocks = 0;  // blocks taken out of service
   /// Page programs re-driven into a fresh block after a failure (host
   /// and GC paths; the FTL heals write faults transparently).
   std::uint64_t program_retries = 0;
-  std::uint64_t flushes = 0;
   // Mapping journal (DESIGN.md §11). Journal/checkpoint programs are
   // charged as write-amplification units only — metadata programs ride
   // idle die bandwidth, so non-crash timing is unchanged.
   std::uint64_t journal_syncs = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t journal_units_written = 0;  // journal + checkpoint units
-  // Power-loss crash/recovery (zero without injected crashes).
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
+  // Power-loss detail (zero without injected crashes).
   std::uint64_t crash_lost_units = 0;    // buffered units rolled back
   std::uint64_t journal_reverted_entries = 0;  // unsynced deltas undone
   std::uint64_t recovery_replay_entries = 0;   // journal tail replayed
-  std::uint64_t recovery_ns_total = 0;
-  std::uint64_t reset_drops = 0;  // commands failed with kDeviceReset
 
   /// Write amplification: NAND unit programs (host data + GC migration +
   /// mapping journal/checkpoints) per host unit write.
@@ -116,20 +103,9 @@ struct ConvCounters {
 };
 static_assert(telemetry::ListsEveryFieldOnce<ConvCounters>());
 
-class ConvDevice : public nvme::Controller {
+class ConvDevice : public zns::ControllerCore {
  public:
   ConvDevice(sim::Simulator& s, ConvProfile profile);
-
-  const nvme::NamespaceInfo& info() const override { return info_; }
-  sim::Task<nvme::Completion> Execute(const nvme::Command& cmd) override;
-
-  /// Enables FTL-side tracing/metrics (non-owning; null disables). Also
-  /// attaches the NAND array.
-  void AttachTelemetry(telemetry::Telemetry* t);
-
-  /// Injects media faults into the NAND backend (non-owning; null
-  /// disables) and arms any scheduled power losses (`crash=US`).
-  void AttachFaultPlan(fault::FaultPlan* p);
 
   /// Injects a power loss right now, then runs the modeled recovery.
   /// Loss semantics (DESIGN.md §11): buffered (un-programmed) host units
@@ -137,13 +113,10 @@ class ConvDevice : public nvme::Controller {
   /// reverted, in-flight commands complete with kDeviceReset, and the
   /// recovery replays the journal tail since the last checkpoint —
   /// recovery time scales with journal_sync_interval.
-  sim::Task<> CrashNow();
+  sim::Task<> CrashNow() override;
 
   const ConvProfile& profile() const { return profile_; }
   const ConvCounters& counters() const { return counters_; }
-  /// Bumped by every power loss; see ZnsDevice::power_epoch().
-  std::uint64_t power_epoch() const { return power_epoch_; }
-  sim::Time last_recovery_ns() const { return last_recovery_ns_; }
   nand::FlashArray& flash() { return *flash_; }
   std::uint32_t free_blocks() const { return free_total_; }
 
@@ -151,8 +124,6 @@ class ConvDevice : public nvme::Controller {
   // Free introspection: no virtual time, no counter side effects.
   /// SMART-like page: host + media activity, GC stats, write amplification.
   nvme::SmartLog GetSmartLog() const;
-  /// Per-die service counts and utilization.
-  nvme::DieUtilLog GetDieUtilLog() const;
 
   /// Maps the whole logical space sequentially without simulated I/O —
   /// the "precondition the drive" step every SSD GC experiment needs
@@ -217,6 +188,10 @@ class ConvDevice : public nvme::Controller {
   bool TestValid(const Block& b, std::uint32_t unit) const;
   void SetValid(Block& b, std::uint32_t unit, bool v);
 
+  /// Builds the layout on first use, then hands `cmd` to its handler.
+  std::optional<sim::Task<nvme::Completion>> Dispatch(
+      const nvme::Command& cmd) override;
+
   /// Builds the free-block pool and GC reserve once the (optional)
   /// prefill has claimed its blocks. Runs lazily before the first I/O.
   void FinalizeLayout();
@@ -228,10 +203,9 @@ class ConvDevice : public nvme::Controller {
   /// Durability barrier: drains the write buffer (padding any partial
   /// page out to NAND) and force-syncs the mapping journal.
   sim::Task<nvme::Completion> DoFlush(nvme::Command cmd);
-  /// `failed` (nullable) is set when the page read comes back bad — a
-  /// fan-out read reports the command-level worst case through it.
-  sim::Task<> ReadPhysPage(std::uint64_t page_id, sim::WaitGroup* wg,
-                           nand::MediaStatus* failed);
+  /// Where flat physical page `page_id` (block id * pages per block +
+  /// page) lives.
+  nand::PageAddr AddrOfPhysPage(std::uint64_t page_id) const;
   /// One NAND page worth of buffered logical units, carried by value.
   struct PageUnits {
     std::array<std::uint32_t, kMaxUnitsPerPage> unit;
@@ -258,7 +232,6 @@ class ConvDevice : public nvme::Controller {
   /// erased (found through their p2l_ back-pointers) — once erased, the
   /// old copy cannot back a crash rollback.
   void ForgetBufferedOldInBlock(std::uint32_t block_id);
-  sim::Task<> CrashDriver(std::vector<sim::Time> at);
 
   // Payload-tag store (integrity model; tag follows the data: committed
   // per physical unit at program time, copied by GC, reverted with the
@@ -310,24 +283,7 @@ class ConvDevice : public nvme::Controller {
   void StartGcProgram(GcPageOp& op);
   void FinishGcProgram(GcPageOp& op);
 
-  sim::Time Noise(sim::Time t);
-  telemetry::Tracer* trace() const {
-    return telem_ != nullptr ? &telem_->tracer() : nullptr;
-  }
-  /// Same guard for timeline records (GC activity windows). A conv
-  /// device is never striped, so its lane is always 0.
-  telemetry::TimelineWriter* timeline() const {
-    return telem_ != nullptr ? telem_->timeline() : nullptr;
-  }
-
-  telemetry::Telemetry* telem_ = nullptr;
-  sim::Simulator& sim_;
   ConvProfile profile_;
-  nvme::NamespaceInfo info_;
-  std::unique_ptr<nand::FlashArray> flash_;
-  sim::PriorityResource fcp_;
-  sim::Semaphore buffer_slots_;      // units of buffered host data
-  sim::Rng rng_;
 
   std::vector<std::uint32_t> l2p_;   // logical unit -> phys unit/sentinel
   /// phys unit -> logical unit, or kUnmapped. An invalid unit that is a
@@ -397,11 +353,6 @@ class ConvDevice : public nvme::Controller {
   std::unordered_map<std::uint32_t, std::uint64_t> pending_tags_;
   /// Payload tags by physical unit; empty until the first tagged write.
   std::vector<std::uint64_t> tags_by_phys_;
-  fault::FaultPlan* faults_ = nullptr;
-  bool crash_driver_armed_ = false;
-  bool crashed_ = false;
-  std::uint64_t power_epoch_ = 0;
-  sim::Time last_recovery_ns_ = 0;
 };
 
 }  // namespace zstor::ftl

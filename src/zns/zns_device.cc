@@ -17,14 +17,11 @@ using telemetry::Layer;
 
 ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
                      std::uint32_t lba_bytes)
-    : sim_(s),
+    : ControllerCore(s, counters_, profile.write_buffer_bytes,
+                     profile.nand_geometry.page_bytes, profile.seed,
+                     profile.io_sigma),
       profile_(std::move(profile)),
       lba_bytes_(lba_bytes),
-      fcp_(s, /*slots=*/1, /*priority_levels=*/2),
-      buffer_slots_(s, std::max<std::uint64_t>(
-                           1, profile_.write_buffer_bytes /
-                                  profile_.nand_geometry.page_bytes)),
-      rng_(profile_.seed),
       all_programs_(s) {
   ZSTOR_CHECK(lba_bytes_ > 0 && (lba_bytes_ & (lba_bytes_ - 1)) == 0);
   ZSTOR_CHECK(lba_bytes_ <= profile_.nand_geometry.page_bytes);
@@ -70,22 +67,6 @@ ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
   info_.max_active_zones = profile_.max_active_zones;
 }
 
-void ZnsDevice::AttachTelemetry(telemetry::Telemetry* t, std::uint32_t lane) {
-  telem_ = t;
-  lane_ = lane;
-  if (flash_) flash_->AttachTelemetry(t, lane);
-}
-
-void ZnsDevice::AttachFaultPlan(fault::FaultPlan* p) {
-  faults_ = p;
-  if (flash_) flash_->AttachFaultPlan(p);
-  if (p != nullptr && p->enabled() && !p->spec().crashes.empty() &&
-      !crash_driver_armed_) {
-    crash_driver_armed_ = true;
-    sim::Spawn(CrashDriver(p->spec().crashes));
-  }
-}
-
 // ---------------------------------------------------------------- helpers
 
 std::uint32_t ZnsDevice::ZoneOfLba(Lba lba) const {
@@ -116,28 +97,10 @@ std::uint64_t ZnsDevice::ZoneWrittenBytes(std::uint32_t zone) const {
 }
 
 nvme::SmartLog ZnsDevice::GetSmartLog() const {
-  nvme::SmartLog log;
-  log.device = "zns";
-  log.host_reads = counters_.reads;
-  log.host_writes = counters_.writes + counters_.appends;
-  log.bytes_read = counters_.bytes_read;
-  log.bytes_written = counters_.bytes_written;
-  log.host_rejects = counters_.host_rejects;
-  log.media_errors = counters_.media_errors;
-  log.read_faults = counters_.read_faults;
-  log.write_faults = counters_.write_faults;
-  log.retired_blocks = counters_.retired_blocks;
+  nvme::SmartLog log = CoreSmartLog("zns");
+  log.host_writes += counters_.appends;
   log.spare_blocks_used = counters_.spare_blocks_used;
   log.spare_blocks_total = profile_.spare_blocks;
-  if (flash_ != nullptr) {
-    const nand::FlashCounters& fc = flash_->counters();
-    log.media_page_reads = fc.page_reads;
-    log.media_page_programs = fc.page_programs;
-    log.media_block_erases = fc.block_erases;
-    log.media_bytes_read = fc.bytes_read;
-    log.media_bytes_programmed = fc.bytes_programmed;
-    log.media_read_retries = fc.read_retries;
-  }
   log.zone_resets = counters_.resets;
   log.zone_finishes = counters_.finishes;
   log.zone_explicit_opens = counters_.explicit_opens;
@@ -176,34 +139,6 @@ nvme::ZoneReportLog ZnsDevice::GetZoneReportLog() const {
     log.zones.push_back(std::move(e));
   }
   return log;
-}
-
-nvme::DieUtilLog ZnsDevice::GetDieUtilLog() const {
-  nvme::DieUtilLog log;
-  log.elapsed_ns = static_cast<std::uint64_t>(sim_.now());
-  if (flash_ == nullptr) return log;
-  const std::vector<nand::DieStats>& stats = flash_->die_stats();
-  log.dies.reserve(stats.size());
-  for (std::uint32_t d = 0; d < stats.size(); ++d) {
-    nvme::DieUtilEntry e;
-    e.die = d;
-    e.reads = stats[d].reads;
-    e.programs = stats[d].programs;
-    e.erases = stats[d].erases;
-    e.busy_ns = static_cast<std::uint64_t>(stats[d].busy_ns);
-    e.utilization = log.elapsed_ns == 0
-                        ? 0.0
-                        : static_cast<double>(e.busy_ns) /
-                              static_cast<double>(log.elapsed_ns);
-    log.dies.push_back(e);
-  }
-  return log;
-}
-
-Time ZnsDevice::Noise(Time t) {
-  if (profile_.io_sigma == 0.0 || t == 0) return t;
-  return static_cast<Time>(static_cast<double>(t) *
-                           rng_.LogNormalNoise(profile_.io_sigma));
 }
 
 Time ZnsDevice::FcpIoCost(Opcode op, std::uint64_t bytes, std::uint32_t nlb,
@@ -264,6 +199,33 @@ nand::PageAddr ZnsDevice::AddrOfZonePage(std::uint32_t zone,
       .die = die,
       .block = zone * profile_.blocks_per_zone_per_die() + block_in_zone,
       .page = static_cast<std::uint32_t>(on_die % g.pages_per_block)};
+}
+
+template <typename Fn>
+void ZnsDevice::ForEachZoneBlock(std::uint32_t zone, std::uint64_t pages,
+                                 Fn fn) const {
+  const nand::Geometry& geo = profile_.nand_geometry;
+  const std::uint32_t dies = geo.total_dies();
+  const std::uint32_t bpz = profile_.blocks_per_zone_per_die();
+  for (std::uint32_t die = 0; die < dies; ++die) {
+    const std::uint64_t on_die = pages / dies + (die < pages % dies ? 1 : 0);
+    for (std::uint32_t b = 0; b < bpz; ++b) {
+      const std::uint64_t lo =
+          static_cast<std::uint64_t>(b) * geo.pages_per_block;
+      fn(die, zone * bpz + b,
+         static_cast<std::uint32_t>(
+             on_die > lo ? std::min<std::uint64_t>(on_die - lo,
+                                                   geo.pages_per_block)
+                         : 0));
+    }
+  }
+}
+
+void ZnsDevice::MarkPagesProgrammed(std::uint32_t zone, std::uint64_t pages) {
+  ForEachZoneBlock(zone, pages, [&](std::uint32_t die, std::uint32_t block,
+                                    std::uint32_t n) {
+    if (n > 0) flash_->DebugProgramRange(die, block, n);
+  });
 }
 
 bool ZnsDevice::DeviceIsIoQuiet() const {
@@ -483,17 +445,6 @@ sim::Task<> ZnsDevice::AdmitPrograms(std::uint32_t zone,
   }
 }
 
-sim::Task<> ZnsDevice::ReadOneZonePage(std::uint32_t zone,
-                                       std::uint64_t page_idx,
-                                       std::uint32_t bytes,
-                                       sim::WaitGroup* wg,
-                                       nand::MediaStatus* failed) {
-  const nand::MediaStatus st =
-      co_await flash_->ReadPage(AddrOfZonePage(zone, page_idx), bytes);
-  if (st != nand::MediaStatus::kOk && failed != nullptr) *failed = st;
-  wg->Done();
-}
-
 // --------------------------------------------------------------- command
 
 nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
@@ -516,47 +467,16 @@ nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
   return Status::kSuccess;
 }
 
-sim::Task<Completion> ZnsDevice::Execute(const Command& cmd) {
-  Completion c;
-  if (crashed_) {
-    // Power is out (or recovery is still running): fail fast. The host
-    // sees the controller disappear and — via ResilientStack — re-drives
-    // once it answers again.
-    counters_.reset_drops++;
-    c.status = Status::kDeviceReset;
-    co_return c;
-  }
+std::optional<sim::Task<Completion>> ZnsDevice::Dispatch(const Command& cmd) {
   switch (cmd.opcode) {
-    case Opcode::kRead:
-      c = co_await DoRead(cmd);
-      break;
+    case Opcode::kRead: return DoRead(cmd);
     case Opcode::kWrite:
-    case Opcode::kAppend:
-      c = co_await DoWrite(cmd);
-      break;
-    case Opcode::kZoneMgmtSend:
-      c = co_await DoZoneMgmt(cmd);
-      break;
-    case Opcode::kZoneMgmtRecv:
-      c = co_await DoReportZones(cmd);
-      break;
-    case Opcode::kFlush:
-      c = co_await DoFlush(cmd.trace_id);
-      break;
-    default:
-      c.status = Status::kInvalidOpcode;
-      break;
+    case Opcode::kAppend: return DoWrite(cmd);
+    case Opcode::kZoneMgmtSend: return DoZoneMgmt(cmd);
+    case Opcode::kZoneMgmtRecv: return DoReportZones(cmd);
+    case Opcode::kFlush: return DoFlush(cmd.trace_id);
+    default: return std::nullopt;
   }
-  if (!c.ok()) {
-    if (c.status == Status::kDeviceReset) {
-      counters_.reset_drops++;  // lost to a power cut mid-flight
-    } else if (nvme::IsMediaError(c.status)) {
-      counters_.media_errors++;
-    } else {
-      counters_.host_rejects++;
-    }
-  }
-  co_return c;
 }
 
 sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
@@ -615,9 +535,9 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
           std::uint64_t p_lo = std::max(off, p * pb);
           std::uint64_t p_hi = std::min(end, (p + 1) * pb);
           wg.Add();
-          sim::Spawn(ReadOneZonePage(
-              zone, p, static_cast<std::uint32_t>(p_hi - p_lo), &wg,
-              &media));
+          sim::Spawn(FanOutRead(AddrOfZonePage(zone, p),
+                                static_cast<std::uint32_t>(p_hi - p_lo), &wg,
+                                &media));
         }
         co_await wg.Wait();
       }
@@ -950,20 +870,8 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   if (flash_) {
     // Mark the padded region programmed (the pad time above charged the
     // aggregate NAND cost; see DESIGN.md §6).
-    const nand::Geometry& geo = profile_.nand_geometry;
-    std::uint64_t total_pages = profile_.zone_cap_pages();
-    std::uint32_t dies = geo.total_dies();
-    for (std::uint32_t die = 0; die < dies; ++die) {
-      std::uint64_t on_die_pages = total_pages / dies +
-                                   (die < total_pages % dies ? 1 : 0);
-      std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-      for (std::uint32_t b = 0; b < bpz && on_die_pages > 0; ++b) {
-        std::uint32_t in_block = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            on_die_pages, geo.pages_per_block));
-        flash_->DebugProgramRange(die, zone * bpz + b, in_block);
-        on_die_pages -= in_block;
-      }
-    }
+    const std::uint64_t total_pages = profile_.zone_cap_pages();
+    MarkPagesProgrammed(zone, total_pages);
     next_program_page_[zone] = total_pages;
     settled_prefix_pages_[zone] = total_pages;
     settled_oo_pages_[zone].clear();
@@ -1066,13 +974,10 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   }
   // Metadata wiped; physical erases happen off the critical path.
   if (flash_) {
-    std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-    for (std::uint32_t die = 0; die < profile_.nand_geometry.total_dies();
-         ++die) {
-      for (std::uint32_t b = 0; b < bpz; ++b) {
-        flash_->DeferredEraseBlock(die, zone * bpz + b);
-      }
-    }
+    ForEachZoneBlock(zone, 0, [&](std::uint32_t die, std::uint32_t block,
+                                  std::uint32_t) {
+      flash_->DeferredEraseBlock(die, block);
+    });
   }
   z.wp_bytes = 0;
   z.programmed_bytes = 0;
@@ -1103,17 +1008,12 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
 
 bool ZnsDevice::ZoneWornOut(std::uint32_t zone) const {
   if (profile_.pe_cycle_limit == 0 || !flash_) return false;
-  std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-  for (std::uint32_t die = 0; die < profile_.nand_geometry.total_dies();
-       ++die) {
-    for (std::uint32_t b = 0; b < bpz; ++b) {
-      if (flash_->BlockPeCycles(die, zone * bpz + b) >=
-          profile_.pe_cycle_limit) {
-        return true;
-      }
-    }
-  }
-  return false;
+  bool worn = false;
+  ForEachZoneBlock(zone, 0, [&](std::uint32_t die, std::uint32_t block,
+                                std::uint32_t) {
+    worn = worn || flash_->BlockPeCycles(die, block) >= profile_.pe_cycle_limit;
+  });
+  return worn;
 }
 
 sim::Task<Completion> ZnsDevice::DoResetAll(std::uint64_t tid) {
@@ -1226,14 +1126,6 @@ void ZnsDevice::LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
   }
 }
 
-sim::Task<> ZnsDevice::CrashDriver(std::vector<sim::Time> at) {
-  for (sim::Time t : at) {
-    if (t > sim_.now()) co_await sim_.Delay(t - sim_.now());
-    if (crashed_) continue;  // landed inside the previous outage: coalesce
-    co_await CrashNow();
-  }
-}
-
 std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   Zone& z = zones_[zone];
   ZSTOR_CHECK(z.inflight_programs == 0);  // caller quiesced the drain
@@ -1254,22 +1146,10 @@ std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   const std::uint64_t lost = z.wp_bytes > durable ? z.wp_bytes - durable : 0;
   // Discard the NAND tail of every zone block down to the durable prefix
   // (prefix pages stripe round-robin across the dies).
-  const nand::Geometry& geo = profile_.nand_geometry;
-  const std::uint32_t dies = geo.total_dies();
-  const std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-  for (std::uint32_t die = 0; die < dies; ++die) {
-    std::uint64_t on_die = prefix / dies + (die < prefix % dies ? 1 : 0);
-    for (std::uint32_t b = 0; b < bpz; ++b) {
-      const std::uint64_t block_lo =
-          static_cast<std::uint64_t>(b) * geo.pages_per_block;
-      const std::uint32_t keep = static_cast<std::uint32_t>(
-          on_die > block_lo
-              ? std::min<std::uint64_t>(on_die - block_lo,
-                                        geo.pages_per_block)
-              : 0);
-      flash_->CrashDiscardTail(die, zone * bpz + b, keep);
-    }
-  }
+  ForEachZoneBlock(zone, prefix, [&](std::uint32_t die, std::uint32_t block,
+                                     std::uint32_t keep) {
+    flash_->CrashDiscardTail(die, block, keep);
+  });
   z.wp_bytes = durable;
   z.programmed_bytes = durable;
   next_program_page_[zone] = prefix;
@@ -1321,17 +1201,8 @@ sim::Task<std::uint64_t> ZnsDevice::ScanZoneWritePointer(
 }
 
 sim::Task<> ZnsDevice::CrashNow() {
-  ZSTOR_CHECK_MSG(!crashed_, "power loss during recovery");
-  const sim::Time crash_time = sim_.now();
-  crashed_ = true;
-  ++power_epoch_;
-  counters_.crashes++;
+  const sim::Time crash_time = EnterOutage(Layer::kZone);
   flush_fault_pending_ = false;  // pre-crash flush state is moot now
-  telemetry::Tracer* tr = trace();
-  if (tr != nullptr) {
-    tr->Instant(crash_time, /*cmd=*/0, Layer::kZone, "crash.power_loss",
-                static_cast<std::int64_t>(power_epoch_));
-  }
   // Let the in-flight program population drain in simulated time: the
   // stale power epoch stops each one from touching zone state, and the
   // drain interval is folded into the outage window (a real controller
@@ -1363,26 +1234,10 @@ sim::Task<> ZnsDevice::CrashNow() {
     }
   }
   counters_.recovery_zone_scans += scanned;
-  counters_.recoveries++;
-  last_recovery_ns_ = sim_.now() - crash_time;
-  counters_.recovery_ns_total += static_cast<std::uint64_t>(last_recovery_ns_);
-  crashed_ = false;
-  if (tr != nullptr) {
-    tr->Instant(sim_.now(), /*cmd=*/0, Layer::kZone, "recovery.done",
+  LeaveOutage(crash_time);
+  TraceRecovery(crash_time, Layer::kZone, "recovery.scan",
                 static_cast<std::int64_t>(scanned),
                 static_cast<std::int64_t>(lost));
-  }
-  if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
-    // Zero-length marker at the cut plus the full outage window — ztrace
-    // attributes the throughput dip to the latter.
-    tl->Window(crash_time, 0, telem_->timeline_label(), lane_,
-               "crash.power_loss",
-               static_cast<std::int64_t>(power_epoch_));
-    tl->Window(crash_time, sim_.now() - crash_time,
-               telem_->timeline_label(), lane_, "recovery.scan",
-               static_cast<std::int64_t>(scanned),
-               static_cast<std::int64_t>(lost));
-  }
 }
 
 // --------------------------------------------------------------- debug
@@ -1401,21 +1256,7 @@ void ZnsDevice::DebugFillZone(std::uint32_t zone, std::uint64_t bytes) {
   std::uint64_t pages = (bytes + pb - 1) / pb;
   next_program_page_[zone] = bytes / pb;
   settled_prefix_pages_[zone] = bytes / pb;
-  if (flash_) {
-    const nand::Geometry& geo = profile_.nand_geometry;
-    std::uint32_t dies = geo.total_dies();
-    std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-    for (std::uint32_t die = 0; die < dies; ++die) {
-      std::uint64_t on_die_pages =
-          pages / dies + (die < pages % dies ? 1 : 0);
-      for (std::uint32_t b = 0; b < bpz && on_die_pages > 0; ++b) {
-        std::uint32_t in_block = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            on_die_pages, geo.pages_per_block));
-        flash_->DebugProgramRange(die, zone * bpz + b, in_block);
-        on_die_pages -= in_block;
-      }
-    }
-  }
+  if (flash_) MarkPagesProgrammed(zone, pages);
   if (bytes == profile_.zone_cap_bytes) {
     SetZoneState(zone, ZoneState::kFull);
   } else {

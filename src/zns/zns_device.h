@@ -2,7 +2,10 @@
 //
 // Implements the NVMe ZNS command set (read, write, zone append, zone
 // management send: open/close/finish/reset) over the internal structure
-// described in profile.h:
+// described in profile.h. The controller skeleton it shares with
+// ftl::ConvDevice (FCP, buffer slots, noise RNG, NAND array, fault and
+// telemetry attach, power-loss outage) is ControllerCore; this class adds
+// the zone policy:
 //
 //   * a serialized firmware command processor (FCP) with strict priority —
 //     I/O commands above background reset work — whose per-op costs set
@@ -28,57 +31,37 @@
 #include <vector>
 
 #include "nand/flash_array.h"
-#include "nvme/controller.h"
 #include "nvme/log_page.h"
 #include "nvme/types.h"
-#include "sim/resource.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "telemetry/telemetry.h"
+#include "zns/controller_core.h"
 #include "zns/profile.h"
 #include "zns/zone.h"
 
 namespace zstor::zns {
 
-struct ZnsCounters {
-  std::uint64_t reads = 0;
-  std::uint64_t flushes = 0;
+struct ZnsCounters : DeviceCounters {
   std::uint64_t zone_reports = 0;
   std::uint64_t zones_worn_offline = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t appends = 0;
+  std::uint64_t appends = 0;  // bytes_written counts writes + appends
   std::uint64_t explicit_opens = 0;
   std::uint64_t implicit_opens = 0;
   std::uint64_t implicit_open_evictions = 0;
   std::uint64_t closes = 0;
   std::uint64_t finishes = 0;
   std::uint64_t resets = 0;
-  std::uint64_t bytes_written = 0;   // via write + append
-  std::uint64_t bytes_read = 0;
-  /// Commands rejected for host-side reasons (bad range, wrong state,
-  /// limits) — caller bugs, not device faults.
-  std::uint64_t host_rejects = 0;
-  /// Commands completed with a media/hardware fault status
-  /// (kMediaReadError / kWriteFault / kInternalError).
-  std::uint64_t media_errors = 0;
-  std::uint64_t read_faults = 0;     // uncorrectable NAND reads surfaced
-  std::uint64_t write_faults = 0;    // NAND program failures observed
-  std::uint64_t retired_blocks = 0;  // blocks taken out of service
   std::uint64_t zones_degraded_readonly = 0;
   std::uint64_t zones_failed_offline = 0;  // via spare exhaustion
   std::uint64_t spare_blocks_used = 0;
   std::uint64_t zone_transitions = 0;  // zone state-machine edges taken
-  // Power-loss crash/recovery (DESIGN.md §11; zero without injected
-  // crashes).
-  std::uint64_t crashes = 0;           // power losses endured
-  std::uint64_t recoveries = 0;        // recoveries completed
+  // Power-loss detail (DESIGN.md §11; zero without injected crashes).
   std::uint64_t torn_pages = 0;        // out-of-order settled pages dropped
   std::uint64_t crash_lost_bytes = 0;  // acked-but-volatile bytes dropped
   std::uint64_t recovery_zone_scans = 0;  // zones probed for their wp
-  std::uint64_t recovery_ns_total = 0;    // summed power-loss->ready spans
-  std::uint64_t reset_drops = 0;  // commands failed with kDeviceReset
 
   /// Every counter under the "zns." prefix (the field-table protocol;
   /// see telemetry/metrics.h).
@@ -121,35 +104,20 @@ struct ZnsCounters {
 };
 static_assert(telemetry::ListsEveryFieldOnce<ZnsCounters>());
 
-class ZnsDevice : public nvme::Controller {
+class ZnsDevice : public ControllerCore {
  public:
   /// `lba_bytes` selects the namespace LBA format (512 or 4096 in the
   /// paper's experiments; any power of two <= the NAND page works).
   ZnsDevice(sim::Simulator& s, ZnsProfile profile,
             std::uint32_t lba_bytes = 4096);
 
-  const nvme::NamespaceInfo& info() const override { return info_; }
-  sim::Task<nvme::Completion> Execute(const nvme::Command& cmd) override;
-
-  /// Enables device-side tracing/metrics (non-owning; null disables).
-  /// Also attaches the NAND array so die-level service is visible.
-  /// `lane` tags this device's timeline records in striped runs.
-  void AttachTelemetry(telemetry::Telemetry* t, std::uint32_t lane = 0);
-
-  /// Injects media faults into the NAND backend (non-owning; null
-  /// disables — no-op for profiles without a NAND backend) and arms any
-  /// scheduled power losses (`crash=US` in the fault grammar); those fire
-  /// even on an otherwise idle device.
-  void AttachFaultPlan(fault::FaultPlan* p);
-
   /// Injects a power loss right now, then runs the modeled recovery
   /// (controller boot + per-zone write-pointer rediscovery). Loss
   /// semantics (DESIGN.md §11): every write-buffer byte not yet settled
   /// on NAND is gone, out-of-order settled pages beyond the contiguous
   /// durable prefix are torn (discarded), and every in-flight command
-  /// completes with kDeviceReset. Completes when the device accepts
-  /// commands again; scheduled crashes funnel through here.
-  sim::Task<> CrashNow();
+  /// completes with kDeviceReset.
+  sim::Task<> CrashNow() override;
 
   // ---- introspection --------------------------------------------------
   const ZnsProfile& profile() const { return profile_; }
@@ -161,11 +129,6 @@ class ZnsDevice : public nvme::Controller {
   std::uint64_t ZoneWrittenBytes(std::uint32_t zone) const;
   std::uint32_t open_zone_count() const { return open_count_; }
   std::uint32_t active_zone_count() const { return active_count_; }
-  /// Bumped by every power loss; commands in flight across a bump complete
-  /// with kDeviceReset (their pre-crash progress was rolled back).
-  std::uint64_t power_epoch() const { return power_epoch_; }
-  /// Elapsed virtual time of the most recent power-loss -> ready span.
-  sim::Time last_recovery_ns() const { return last_recovery_ns_; }
   nvme::Lba ZoneStartLba(std::uint32_t zone) const;
   std::uint32_t ZoneOfLba(nvme::Lba lba) const;
   /// Null when the profile bypasses the NAND backend (FEMU-like).
@@ -178,9 +141,6 @@ class ZnsDevice : public nvme::Controller {
   nvme::SmartLog GetSmartLog() const;
   /// Per-zone state + occupancy, mirroring the zone state machine.
   nvme::ZoneReportLog GetZoneReportLog() const;
-  /// Per-die service counts and utilization; empty when the profile
-  /// bypasses the NAND backend.
-  nvme::DieUtilLog GetDieUtilLog() const;
   /// Free write-back buffer capacity in NAND pages (0 = writes are being
   /// throttled at the NAND drain rate).
   std::uint64_t buffer_free_pages() const { return buffer_slots_.available(); }
@@ -200,8 +160,8 @@ class ZnsDevice : public nvme::Controller {
   void DebugSetZoneState(std::uint32_t zone, ZoneState state);
 
  private:
-  static constexpr std::uint32_t kPrioIo = 0;
-  static constexpr std::uint32_t kPrioBackground = 1;
+  std::optional<sim::Task<nvme::Completion>> Dispatch(
+      const nvme::Command& cmd) override;
 
   // Command handlers. `tid` is the command's telemetry trace id (0 when
   // tracing is off or the caller didn't thread one through).
@@ -229,20 +189,21 @@ class ZnsDevice : public nvme::Controller {
   sim::Time FcpIoCost(nvme::Opcode op, std::uint64_t bytes,
                       std::uint32_t nlb, nvme::Lba slba) const;
   sim::Time ResetCost(const Zone& z, sim::Rng& rng) const;
-  sim::Time Noise(sim::Time t);
 
   // NAND path. `epoch` is the power epoch the program was admitted under;
   // a program completing after a crash (stale epoch) releases its
   // resources but must not touch zone state — the crash rolled it back.
   nand::PageAddr AddrOfZonePage(std::uint32_t zone,
                                 std::uint64_t page_idx) const;
+  /// Calls fn(die, block, n) for each of the zone's NAND blocks, die by
+  /// die, with n the number of the zone's first `pages` pages (striped
+  /// round-robin across the dies) that land in that block.
+  template <typename Fn>
+  void ForEachZoneBlock(std::uint32_t zone, std::uint64_t pages, Fn fn) const;
+  /// Marks the zone's first `pages` pages programmed with no simulated I/O.
+  void MarkPagesProgrammed(std::uint32_t zone, std::uint64_t pages);
   sim::Task<> ProgramZonePage(std::uint32_t zone, std::uint64_t page_idx,
                               std::uint64_t epoch);
-  /// `failed` (nullable) is set to the page's MediaStatus when not kOk —
-  /// a fan-out read reports the command-level worst case through it.
-  sim::Task<> ReadOneZonePage(std::uint32_t zone, std::uint64_t page_idx,
-                              std::uint32_t bytes, sim::WaitGroup* wg,
-                              nand::MediaStatus* failed);
   /// Retires the failed block, charges spare accounting, and degrades the
   /// owning zone (ReadOnly; Offline once spares are exhausted).
   void HandleProgramFailure(std::uint32_t zone, nand::PageAddr addr);
@@ -254,9 +215,6 @@ class ZnsDevice : public nvme::Controller {
                             std::uint64_t epoch);
 
   // Crash/recovery path (DESIGN.md §11).
-  /// Waits out the fault plan's scheduled crash times in order, firing
-  /// CrashNow() at each. Spawned once by AttachFaultPlan.
-  sim::Task<> CrashDriver(std::vector<sim::Time> at);
   /// Marks a settled (completed, pass or fail) program for durable-prefix
   /// tracking: extends the contiguous prefix or records an out-of-order
   /// page that a crash would tear.
@@ -284,17 +242,10 @@ class ZnsDevice : public nvme::Controller {
   nvme::Status ValidateIoRange(const nvme::Command& cmd, bool is_write) const;
   std::uint64_t ZoneDataOffsetBytes(nvme::Lba lba) const;
 
-  sim::Simulator& sim_;
   ZnsProfile profile_;
-  nvme::NamespaceInfo info_;
   std::uint32_t lba_bytes_;
   std::uint64_t zone_size_lbas_;
   std::uint64_t zone_cap_lbas_;
-
-  std::unique_ptr<nand::FlashArray> flash_;
-  sim::PriorityResource fcp_;
-  sim::Semaphore buffer_slots_;  // in NAND pages
-  sim::Rng rng_;
 
   std::vector<Zone> zones_;
   /// Next zone data page (stripe unit) to hand to the NAND drain.
@@ -333,25 +284,6 @@ class ZnsDevice : public nvme::Controller {
 
   bool DeviceIsIoQuiet() const;
 
-  /// The tracer to emit into, or nullptr when telemetry is disabled —
-  /// every emit site guards on this pointer and costs nothing otherwise.
-  telemetry::Tracer* trace() const {
-    return telem_ != nullptr ? &telem_->tracer() : nullptr;
-  }
-  /// Same guard for timeline records (zone lifecycle, reset windows).
-  telemetry::TimelineWriter* timeline() const {
-    return telem_ != nullptr ? telem_->timeline() : nullptr;
-  }
-
-  telemetry::Telemetry* telem_ = nullptr;
-  std::uint32_t lane_ = 0;
-  fault::FaultPlan* faults_ = nullptr;
-  bool crash_driver_armed_ = false;
-  /// True from power loss until recovery completes; Execute fast-fails
-  /// new commands with kDeviceReset meanwhile.
-  bool crashed_ = false;
-  std::uint64_t power_epoch_ = 0;
-  sim::Time last_recovery_ns_ = 0;
   /// Set by any program failure, cleared by the next flush: flush reports
   /// buffered-data loss even when the host never rewrites the zone.
   bool flush_fault_pending_ = false;
