@@ -295,14 +295,6 @@ nvme::SmartLog Testbed::Smart() const {
   for (std::size_t d = 1; d < zns_devs_.size(); ++d) {
     telemetry::AddFields(agg, zns_devs_[d]->GetSmartLog());
   }
-  // ZNS write amplification is identically 1.0 per device, so the union
-  // keeps device 0's value; recompute anyway in case a future model
-  // diverges.
-  if (agg.bytes_written > 0 && agg.media_bytes_programmed > 0) {
-    agg.write_amplification =
-        static_cast<double>(agg.media_bytes_programmed) /
-        static_cast<double>(agg.bytes_written);
-  }
   return agg;
 }
 

@@ -9,6 +9,7 @@
 
 #include "harness/testbed.h"
 #include "nvme/log_page.h"
+#include "sim/task.h"
 #include "zns/zns_device.h"
 
 namespace zstor {
@@ -90,6 +91,7 @@ TEST(TestbedMultiDev, SmartSumsCountersAcrossDevices) {
   EXPECT_EQ(smart.device, "zns");
   EXPECT_EQ(smart.host_writes, appends);
   EXPECT_EQ(smart.bytes_written, bytes);
+  EXPECT_EQ(smart.write_amplification, 1.0);
   for (const auto& f : nvme::SmartLog::kFields) {
     std::uint64_t sum = 0;
     for (std::size_t d = 0; d < 2; ++d) {
@@ -97,6 +99,28 @@ TEST(TestbedMultiDev, SmartSumsCountersAcrossDevices) {
     }
     EXPECT_EQ(smart.*f.member, sum) << f.name;
   }
+}
+
+TEST(TestbedMultiDev, SingleDeviceSmartKeepsZnsWriteAmplificationAtOne) {
+  // 24 KiB appended: one 16 KiB NAND page programmed and 8 KiB still in
+  // the write-back buffer. Media bytes over host bytes would read 2/3;
+  // ZNS never migrates data, so write amplification is exactly 1.
+  Testbed tb = MakeBed(1);
+  const std::uint32_t page_bytes =
+      tb.zns()->profile().nand_geometry.page_bytes;
+  auto body = [&]() -> sim::Task<> {
+    nvme::TimedCompletion tc = co_await tb.stack().Submit(
+        {.opcode = nvme::Opcode::kAppend,
+         .slba = tb.zns()->ZoneStartLba(0),
+         .nlb = 3 * page_bytes / 2 / tb.zns()->info().format.lba_bytes});
+    ZSTOR_CHECK(tc.completion.ok());
+  };
+  auto t = body();
+  tb.sim().Run();
+  nvme::SmartLog smart = tb.Smart();
+  ASSERT_EQ(smart.media_bytes_programmed, page_bytes);
+  ASSERT_EQ(smart.bytes_written, 3ull * page_bytes / 2);
+  EXPECT_EQ(smart.write_amplification, 1.0);
 }
 
 /// Expects every T field's metric in `snap` to equal the sum of that
