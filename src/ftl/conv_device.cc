@@ -653,10 +653,17 @@ sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
     co_return Completion{.status = Status::kLbaOutOfRange};
   }
   const std::uint64_t epoch0 = power_epoch_;
+  sim::Time t0 = sim_.now();
   {
     auto g = co_await fcp_.Acquire(kPrioIo);
+    sim::Time t1 = sim_.now();
     co_await sim_.Delay(
         Noise(profile_.trim_fixed + profile_.trim_per_unit * cmd.nlb));
+    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
+      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
+               static_cast<std::int64_t>(cmd.nlb));
+    }
     if (power_epoch_ != epoch0) {
       co_return Completion{.status = Status::kDeviceReset};
     }
@@ -691,19 +698,26 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   sim::Time t0 = sim_.now();
   {
     auto g = co_await fcp_.Acquire(kPrioIo);
+    sim::Time t1 = sim_.now();
     co_await sim_.Delay(Noise(profile_.fcp.write));
     if (tr != nullptr) {
-      tr->Span(t0, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service");
+      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
+      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service");
     }
   }
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
+  sim::Time drain_begin = sim_.now();
   if (pending_units_.count != 0) {
     inflight_programs_.Add();
     sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
   }
   co_await inflight_programs_.Wait();
+  if (tr != nullptr) {
+    tr->Span(drain_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
+             "buffer.drain");
+  }
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }

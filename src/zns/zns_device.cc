@@ -810,6 +810,10 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
                static_cast<std::int64_t>(zone));
     }
     co_await sim_.Delay(Noise(profile_.fcp.write));  // command admission
+    if (tr != nullptr) {
+      tr->Span(t1, sim_.now(), tid, Layer::kFcp, "fcp.service",
+               static_cast<std::int64_t>(zone));
+    }
     if (power_epoch_ != epoch0) {
       co_return Completion{.status = Status::kDeviceReset};
     }

@@ -84,6 +84,95 @@ TEST(TraceIntegration, ReadSpansIncludeNandServiceAndSumToLatency) {
   EXPECT_EQ(sum, latency);
 }
 
+// Every device command, one at a time: its spans must tile its latency,
+// summing to it with no gap and no overlap.
+struct Issued {
+  const char* what;
+  std::uint64_t trace_id;
+  sim::Time latency;
+};
+
+Issued Issue(Testbed& tb, const char* what, nvme::Command cmd) {
+  Issued out{what, 0, 0};
+  auto body = [&]() -> sim::Task<> {
+    auto tc = co_await tb.stack().Submit(cmd);
+    EXPECT_TRUE(tc.completion.ok()) << what;
+    out.trace_id = tc.trace_id;
+    out.latency = tc.latency();
+  };
+  auto t = body();
+  tb.sim().Run();
+  return out;
+}
+
+void ExpectSpansTileLatency(Testbed& tb, const std::vector<Issued>& cmds) {
+  EXPECT_EQ(tb.ring()->dropped(), 0u);
+  std::map<std::uint64_t, sim::Time> sum, first, last;
+  for (const TraceEvent& e : tb.ring()->Events()) {
+    if (e.cmd == 0) continue;
+    sum[e.cmd] += e.duration();
+    auto [lo, fresh] = first.try_emplace(e.cmd, e.begin);
+    if (!fresh && e.begin < lo->second) lo->second = e.begin;
+    if (e.end > last[e.cmd]) last[e.cmd] = e.end;
+  }
+  for (const Issued& c : cmds) {
+    ASSERT_NE(c.trace_id, 0u) << c.what;
+    EXPECT_EQ(sum[c.trace_id], c.latency) << c.what << ": spans leave a gap";
+    EXPECT_EQ(last[c.trace_id] - first[c.trace_id], c.latency)
+        << c.what << ": spans overlap or leave the command";
+  }
+}
+
+TEST(TraceIntegration, Qd1SpansTileEveryZnsCommand) {
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(zns::TinyProfile())
+                   .WithStack(StackChoice::kSpdk)
+                   .WithTelemetry({.ring_capacity = 1 << 16})
+                   .Build();
+  const zns::ZnsDevice& dev = *tb.zns();
+  auto mgmt = [&](std::uint32_t zone, nvme::ZoneAction action) {
+    return nvme::Command{.opcode = Opcode::kZoneMgmtSend,
+                         .slba = dev.ZoneStartLba(zone),
+                         .zone_action = action};
+  };
+  nvme::Command reset_all = mgmt(0, nvme::ZoneAction::kReset);
+  reset_all.select_all = true;
+  // 16 LBAs fill four NAND pages, so the read and flush reach the dies.
+  std::vector<Issued> cmds = {
+      Issue(tb, "write", {.opcode = Opcode::kWrite, .slba = 0, .nlb = 16}),
+      Issue(tb, "append", {.opcode = Opcode::kAppend, .slba = 0, .nlb = 16}),
+      Issue(tb, "flush", {.opcode = Opcode::kFlush}),
+      Issue(tb, "read", {.opcode = Opcode::kRead, .slba = 0, .nlb = 32}),
+      Issue(tb, "report", {.opcode = Opcode::kZoneMgmtRecv, .slba = 0}),
+      Issue(tb, "open", mgmt(1, nvme::ZoneAction::kOpen)),
+      Issue(tb, "close", mgmt(1, nvme::ZoneAction::kClose)),
+      Issue(tb, "finish", mgmt(0, nvme::ZoneAction::kFinish)),
+      Issue(tb, "reset", mgmt(0, nvme::ZoneAction::kReset)),
+      Issue(tb, "append to zone 2", {.opcode = Opcode::kAppend,
+                                     .slba = dev.ZoneStartLba(2),
+                                     .nlb = 4}),
+      Issue(tb, "reset all", reset_all),
+  };
+  ExpectSpansTileLatency(tb, cmds);
+}
+
+TEST(TraceIntegration, Qd1SpansTileEveryConvCommand) {
+  Testbed tb = TestbedBuilder()
+                   .WithConvProfile(ftl::TinyConvProfile())
+                   .WithStack(StackChoice::kSpdk)
+                   .WithTelemetry({.ring_capacity = 1 << 16})
+                   .Build();
+  // 6 units: one whole NAND page for the drain and a partial one for the
+  // flush to pad out.
+  std::vector<Issued> cmds = {
+      Issue(tb, "write", {.opcode = Opcode::kWrite, .slba = 0, .nlb = 6}),
+      Issue(tb, "flush", {.opcode = Opcode::kFlush}),
+      Issue(tb, "read", {.opcode = Opcode::kRead, .slba = 0, .nlb = 6}),
+      Issue(tb, "trim", {.opcode = Opcode::kDeallocate, .slba = 0, .nlb = 2}),
+  };
+  ExpectSpansTileLatency(tb, cmds);
+}
+
 TEST(TraceIntegration, SnapshotMatchesDeviceCounters) {
   Testbed tb = TracedZnsTestbed();
   auto body = [&]() -> sim::Task<> {
