@@ -24,8 +24,7 @@ nvme::SmartLog ConvDevice::GetSmartLog() const {
 ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
     : ControllerCore(s, counters_, profile.write_buffer_bytes,
                      profile.map_unit_bytes, profile.seed, profile.io_sigma),
-      profile_(std::move(profile)),
-      inflight_programs_(s) {
+      profile_(std::move(profile)) {
   profile_.nand_geometry.Validate();
   ZSTOR_CHECK_MSG(profile_.lba_bytes == profile_.map_unit_bytes,
                   "conventional model supports lba == map unit only");
@@ -629,7 +628,7 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
     pending_units_.unit[pending_units_.count++] =
         static_cast<std::uint32_t>(cmd.slba + i);
     if (pending_units_.count == profile_.units_per_page()) {
-      inflight_programs_.Add();
+      programs_.Add();
       sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
     }
   }
@@ -710,10 +709,10 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   }
   sim::Time drain_begin = sim_.now();
   if (pending_units_.count != 0) {
-    inflight_programs_.Add();
+    programs_.Add();
     sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
   }
-  co_await inflight_programs_.Wait();
+  co_await programs_.Wait();
   if (tr != nullptr) {
     tr->Span(drain_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
              "buffer.drain");
@@ -789,7 +788,7 @@ sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
   }
   if (stale) {
     for (std::uint32_t i = 0; i < units.count; ++i) buffer_slots_.Release();
-    inflight_programs_.Done();
+    programs_.Done();
     co_return;
   }
   std::uint32_t base = page * profile_.units_per_page();
@@ -810,7 +809,7 @@ sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
     buffer_slots_.Release();
     counters_.host_units_programmed++;
   }
-  inflight_programs_.Done();
+  programs_.Done();
 }
 
 // ------------------------------------- mapping journal & crash recovery
@@ -886,7 +885,7 @@ sim::Task<> ConvDevice::CrashNow() {
   // epoch stops each one from mapping anything; draining (rather than
   // tearing coroutines down) keeps buffer-slot and block accounting
   // exact, and the interval is folded into the outage window.
-  co_await inflight_programs_.Wait();
+  co_await programs_.Wait();
 
   // --- volatile-state loss ------------------------------------------
   // 1. Buffered (unflushed) host writes: each buffered unit reverts to

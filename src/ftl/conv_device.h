@@ -339,7 +339,6 @@ class ConvDevice : public zns::ControllerCore {
   /// first suspends.
   std::vector<std::uint64_t> read_pages_;
   ConvCounters counters_;
-  sim::WaitGroup inflight_programs_;
 
   // ---- mapping journal & crash state (DESIGN.md §11) ------------------
   /// Unsynced L2P deltas: reverted (in reverse) by a power loss, made

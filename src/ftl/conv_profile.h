@@ -2,9 +2,10 @@
 // Ultrastar DC SN640 stand-in used as the baseline in the paper's §III-F
 // garbage-collection interference experiment (Fig. 6).
 //
-// The device shares the ZNS model's internal structure (firmware command
-// processor, write-back buffer, NAND array) but replaces the zone state
-// machine with a page-mapped FTL: 4 KiB mapping units packed into 16 KiB
+// The device runs on the same controller as the ZNS model
+// (zns::ControllerCore: firmware command processor, write-back buffer,
+// NAND array, power-loss skeleton) but replaces the zone state machine
+// with a page-mapped FTL: 4 KiB mapping units packed into 16 KiB
 // NAND pages, greedy (min-valid) victim selection, and device-initiated
 // garbage collection — the defining difference from ZNS, where reclaim is
 // host-triggered (the whole point of Obs. 11).

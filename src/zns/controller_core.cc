@@ -17,6 +17,7 @@ ControllerCore::ControllerCore(sim::Simulator& s, DeviceCounters& counters,
     : sim_(s),
       fcp_(s, /*slots=*/1, /*priority_levels=*/2),
       buffer_slots_(s, std::max<std::uint64_t>(1, buffer_bytes / slot_bytes)),
+      programs_(s),
       rng_(seed),
       shared_(counters),
       io_sigma_(io_sigma) {}

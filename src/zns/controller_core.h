@@ -148,6 +148,9 @@ class ControllerCore : public nvme::Controller {
   std::unique_ptr<nand::FlashArray> flash_;  // null without a NAND backend
   sim::PriorityResource fcp_;
   sim::Semaphore buffer_slots_;
+  /// Joins every in-flight NAND program of buffered host data; flush and
+  /// power loss wait on it for the drain.
+  sim::WaitGroup programs_;
   sim::Rng rng_;
   telemetry::Telemetry* telem_ = nullptr;
   std::uint32_t lane_ = 0;

@@ -21,8 +21,7 @@ ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
                      profile.nand_geometry.page_bytes, profile.seed,
                      profile.io_sigma),
       profile_(std::move(profile)),
-      lba_bytes_(lba_bytes),
-      all_programs_(s) {
+      lba_bytes_(lba_bytes) {
   ZSTOR_CHECK(lba_bytes_ > 0 && (lba_bytes_ & (lba_bytes_ - 1)) == 0);
   ZSTOR_CHECK(lba_bytes_ <= profile_.nand_geometry.page_bytes);
   ZSTOR_CHECK(profile_.zone_size_bytes % lba_bytes_ == 0);
@@ -366,7 +365,7 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
   ZSTOR_CHECK(z.inflight_programs > 0);
   z.inflight_programs--;
   program_wg_[zone]->Done();
-  all_programs_.Done();
+  programs_.Done();
 }
 
 void ZnsDevice::NoteProgramSettled(std::uint32_t zone,
@@ -440,7 +439,7 @@ sim::Task<> ZnsDevice::AdmitPrograms(std::uint32_t zone,
     std::uint64_t p = next_program_page_[zone]++;
     zones_[zone].inflight_programs++;
     program_wg_[zone]->Add();
-    all_programs_.Add();
+    programs_.Add();
     sim::Spawn(ProgramZonePage(zone, p, epoch));
   }
 }
@@ -1087,7 +1086,7 @@ sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
   // Quiesce the NAND drain. Partial (sub-page) buffer contents stay in
   // the capacitor-backed buffer — they are already durable.
   sim::Time drain_begin = sim_.now();
-  co_await all_programs_.Wait();
+  co_await programs_.Wait();
   if (tr != nullptr) {
     tr->Span(drain_begin, sim_.now(), tid, Layer::kBuffer, "buffer.drain");
   }
@@ -1212,7 +1211,7 @@ sim::Task<> ZnsDevice::CrashNow() {
   // drain interval is folded into the outage window (a real controller
   // loses those programs instantly; draining keeps the buffer-slot and
   // wait-group accounting exact).
-  co_await all_programs_.Wait();
+  co_await programs_.Wait();
   std::uint64_t lost = 0;
   for (std::uint32_t z = 0; z < profile_.num_zones; ++z) {
     lost += CrashRollbackZone(z);

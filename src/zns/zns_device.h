@@ -263,8 +263,6 @@ class ZnsDevice : public ControllerCore {
   std::vector<std::vector<std::uint64_t>> zone_tags_;
   /// Joins in-flight NAND programs per zone (reset/finish quiesce on it).
   std::vector<std::unique_ptr<sim::WaitGroup>> program_wg_;
-  /// Joins ALL in-flight NAND programs (flush quiesces on it).
-  sim::WaitGroup all_programs_;
 
   /// RAII tracking of I/O commands currently executing. Reset work only
   /// takes its bulk fast-path when the device has been I/O-quiet for a
