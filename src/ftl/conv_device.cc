@@ -467,28 +467,24 @@ std::optional<sim::Task<Completion>> ConvDevice::Dispatch(const Command& cmd) {
   }
 }
 
+Status ConvDevice::ValidateIoRange(const Command& cmd) const {
+  if (cmd.nlb == 0) return Status::kInvalidField;
+  if (cmd.slba + cmd.nlb > info_.capacity_lbas) return Status::kLbaOutOfRange;
+  return Status::kSuccess;
+}
+
 sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
-  if (cmd.nlb == 0) co_return Completion{.status = Status::kInvalidField};
-  if (cmd.slba + cmd.nlb > info_.capacity_lbas) {
-    co_return Completion{.status = Status::kLbaOutOfRange};
+  if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * profile_.lba_bytes;
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    Time c = profile_.fcp.read;
-    if (cmd.nlb > 1) c += profile_.fcp.per_extra_unit * (cmd.nlb - 1);
-    co_await sim_.Delay(Noise(c));
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(bytes));
-    }
-  }
+  (co_await Fcp(
+       profile_.fcp.read + profile_.fcp.per_extra_unit * (cmd.nlb - 1),
+       {cmd.trace_id, 0, bytes}))
+      .Release();
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
@@ -564,26 +560,17 @@ nand::PageAddr ConvDevice::AddrOfPhysPage(std::uint64_t page_id) const {
 }
 
 sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
-  if (cmd.nlb == 0) co_return Completion{.status = Status::kInvalidField};
-  if (cmd.slba + cmd.nlb > info_.capacity_lbas) {
-    co_return Completion{.status = Status::kLbaOutOfRange};
+  if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * profile_.lba_bytes;
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    Time c = profile_.fcp.write;
-    if (cmd.nlb > 1) c += profile_.fcp.per_extra_unit * (cmd.nlb - 1);
-    co_await sim_.Delay(Noise(c));
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(bytes));
-    }
+    auto g = co_await Fcp(
+        profile_.fcp.write + profile_.fcp.per_extra_unit * (cmd.nlb - 1),
+        {cmd.trace_id, 0, bytes});
     if (power_epoch_ != epoch0) {
       // Crashed before any state mutation: fail clean, nothing admitted.
       co_return Completion{.status = Status::kDeviceReset};
@@ -647,22 +634,14 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
 }
 
 sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
-  if (cmd.nlb == 0) co_return Completion{.status = Status::kInvalidField};
-  if (cmd.slba + cmd.nlb > info_.capacity_lbas) {
-    co_return Completion{.status = Status::kLbaOutOfRange};
+  if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   const std::uint64_t epoch0 = power_epoch_;
-  sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    co_await sim_.Delay(
-        Noise(profile_.trim_fixed + profile_.trim_per_unit * cmd.nlb));
-    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(cmd.nlb));
-    }
+    auto g =
+        co_await Fcp(profile_.trim_fixed + profile_.trim_per_unit * cmd.nlb,
+                     {cmd.trace_id, 0, cmd.nlb});
     if (power_epoch_ != epoch0) {
       co_return Completion{.status = Status::kDeviceReset};
     }
@@ -694,16 +673,7 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   // power loss can no longer roll the flushed LBAs back.
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    co_await sim_.Delay(Noise(profile_.fcp.write));
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service");
-    }
-  }
+  (co_await Fcp(profile_.fcp.write, {cmd.trace_id})).Release();
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }

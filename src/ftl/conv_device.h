@@ -197,6 +197,9 @@ class ConvDevice : public zns::ControllerCore {
   void FinalizeLayout();
 
   // ---- data paths ------------------------------------------------------
+  /// The range check read, write and trim share: kInvalidField for no
+  /// LBAs, kLbaOutOfRange past the namespace, else kSuccess.
+  nvme::Status ValidateIoRange(const nvme::Command& cmd) const;
   sim::Task<nvme::Completion> DoRead(nvme::Command cmd);
   sim::Task<nvme::Completion> DoWrite(nvme::Command cmd);
   sim::Task<nvme::Completion> DoDeallocate(nvme::Command cmd);

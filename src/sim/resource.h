@@ -2,10 +2,10 @@
 // contention that is not first come, first served.
 //
 // A FIFO server pool (a NAND die, a channel) is a Semaphore held through
-// a SlotGuard (sync.h). PriorityResource adds strict priority classes —
-// the ZNS firmware command processor uses it so that host I/O commands
-// always bypass queued background (reset) work, which is the mechanism
-// behind the paper's Observations 12 and 13.
+// a SlotGuard (sync.h). PriorityResource is one server with two strict
+// priority classes — the firmware command processor (FCP) of both device
+// models, where host I/O commands always bypass queued background (reset)
+// work: the mechanism behind the paper's Observations 12 and 13.
 #pragma once
 
 #include <array>
@@ -18,71 +18,77 @@
 
 namespace zstor::sim {
 
-/// Multi-slot server with strict priority classes (0 = highest). Within a
-/// class, admission is FIFO. A freed slot always goes to the highest
-/// waiting class; there is no preemption of work already in service.
+/// One server with two strict priority classes (0 = high). Within a
+/// class, admission is FIFO. A released server always goes to the high
+/// class's longest waiter first; there is no preemption of work already
+/// in service.
 class PriorityResource {
  public:
   using Guard = SlotGuard<PriorityResource>;
-  static constexpr std::uint32_t kMaxPriorityLevels = 4;
 
-  PriorityResource(Simulator& s, std::uint32_t slots,
-                   std::uint32_t priority_levels = 2)
-      : sim_(s), free_(slots), levels_(priority_levels) {
-    ZSTOR_CHECK(slots > 0);
-    ZSTOR_CHECK(priority_levels > 0 && priority_levels <= kMaxPriorityLevels);
-  }
+  /// A queued request, living in the waiting coroutine's frame. The
+  /// release that hands it the server posts a zero-delay event that runs
+  /// `on_grant`: Acquire()'s awaiter resumes its coroutine there, and a
+  /// record awaiter (ControllerCore's FCP step) starts its service.
+  struct Waiter : WaitNode {
+    void (*on_grant)(Waiter&) = nullptr;
+  };
+
+  explicit PriorityResource(Simulator& s) : sim_(s) {}
   PriorityResource(const PriorityResource&) = delete;
   PriorityResource& operator=(const PriorityResource&) = delete;
 
-  struct Awaiter : WaitNode {
-    Awaiter(PriorityResource& res, std::uint32_t p) : r(res), prio(p) {}
-    PriorityResource& r;
-    std::uint32_t prio;
-    bool await_ready() {
-      if (r.free_ == 0) return false;
-      // A free slot with waiters pending can only happen transiently; slots
-      // are handed to waiters directly in Release(), so free_>0 implies no
-      // queue and we may take the slot immediately.
-      --r.free_;
+  /// Takes the idle server (true), or queues `w` in class `priority`
+  /// until a Release() grants it (false). `w.handle` names the coroutine
+  /// whose frame holds `w`.
+  bool Take(Waiter& w, std::uint32_t priority) {
+    ZSTOR_CHECK(priority < waiters_.size());
+    if (!busy_) {
+      busy_ = true;
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      r.waiters_[prio].Push(*this, h);
+    waiters_[priority].Push(w, w.handle);
+    return false;
+  }
+
+  struct Awaiter : Waiter {
+    Awaiter(PriorityResource& res, std::uint32_t p) : r(res), prio(p) {
+      on_grant = [](Waiter& w) { w.handle.resume(); };
+    }
+    PriorityResource& r;
+    std::uint32_t prio;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      return !r.Take(*this, prio);
     }
     Guard await_resume() { return Guard{&r}; }
   };
 
-  /// Suspends until a slot is granted to priority class `priority`.
-  Awaiter Acquire(std::uint32_t priority) {
-    ZSTOR_CHECK(priority < levels_);
-    return Awaiter{*this, priority};
-  }
+  /// Suspends until the server is granted to class `priority`.
+  Awaiter Acquire(std::uint32_t priority) { return Awaiter{*this, priority}; }
 
   void Release() {
-    for (std::uint32_t p = 0; p < levels_; ++p) {
-      if (!waiters_[p].empty()) {
-        waiters_[p].WakeOne(sim_);
+    for (WaitList<Waiter>& q : waiters_) {
+      if (!q.empty()) {
+        Waiter* w = &q.PopFront();
+        sim_.ScheduleIn(0, [w] { w->on_grant(*w); });
         return;
       }
     }
-    ++free_;
+    busy_ = false;
   }
 
-  std::uint32_t free_slots() const { return free_; }
-  /// Whether any class has a waiter queued.
+  bool busy() const { return busy_; }
+  /// Whether either class has a waiter queued.
   bool has_waiters() const {
-    for (std::uint32_t p = 0; p < levels_; ++p) {
-      if (!waiters_[p].empty()) return true;
-    }
-    return false;
+    return !waiters_[0].empty() || !waiters_[1].empty();
   }
 
  private:
   Simulator& sim_;
-  std::uint32_t free_;
-  std::uint32_t levels_;
-  std::array<WaitList<>, kMaxPriorityLevels> waiters_;  // one per class
+  bool busy_ = false;
+  std::array<WaitList<Waiter>, 2> waiters_;  // one per class
 };
 
 }  // namespace zstor::sim

@@ -68,7 +68,7 @@ JsonlFileSink::~JsonlFileSink() {
 namespace {
 
 /// True when a phase name needs no escaping — the overwhelmingly common
-/// case (static identifiers like "fcp.wait"), kept off the slow path.
+/// case (static identifiers like "nand.read"), kept off the slow path.
 bool PlainJsonString(const char* s) {
   for (; *s != '\0'; ++s) {
     unsigned char c = static_cast<unsigned char>(*s);

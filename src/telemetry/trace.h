@@ -3,7 +3,7 @@
 // Every layer (host stack, queue pair, FCP, write-back buffer, zone state
 // machine, NAND dies, FTL GC) emits TraceEvents into a Tracer. Each event
 // is either a *span* (begin < end: a phase of a command's lifetime, e.g.
-// "fcp.wait") or an *instant* (begin == end: a point occurrence, e.g. a
+// "nand.read") or an *instant* (begin == end: a point occurrence, e.g. a
 // zone state transition). Consecutive spans of one command tile the
 // interval from host submission to host completion, so summing a
 // command's span durations reproduces its application-observed latency —
@@ -41,7 +41,7 @@ struct TraceEvent {
   sim::Time end = 0;        // == begin for instantaneous events
   std::uint64_t cmd = 0;    // command trace id; 0 = not command-scoped
   Layer layer = Layer::kHost;
-  const char* name = "";    // static phase name, e.g. "fcp.wait"
+  const char* name = "";    // static phase name, e.g. "nand.read"
   std::int64_t a = 0;       // small payload: zone/die/block id, opcode...
   std::int64_t b = 0;       // second payload: bytes, state, status...
 

@@ -34,25 +34,21 @@ KvStore::KvStore(sim::Simulator& s, hostif::Stack& stack, Options opt)
   ZSTOR_CHECK(stack_.info().zoned);
   // Two WAL segments + hot open + cold open + one spare for reclaim.
   ZSTOR_CHECK(opt_.zone_count >= 5);
-  ZSTOR_CHECK(opt_.first_zone + opt_.zone_count <= stack_.info().num_zones);
-  ZSTOR_CHECK(opt_.max_levels >= 2);
+  ZSTOR_CHECK(opt_.zone_count <= stack_.info().num_zones);
   ZSTOR_CHECK(opt_.l0_compact_trigger >= 1);
   ZSTOR_CHECK(opt_.l0_stall_limit >= opt_.l0_compact_trigger);
-  ZSTOR_CHECK(opt_.max_append_lbas > 0);
-  ZSTOR_CHECK(opt_.compact_read_lbas > 0);
   ZSTOR_CHECK(opt_.free_zone_low >= 1);
   // A memtable's WAL must fit one log segment with slack (the WAL-full
   // check also rotates early, but the shape should be sane up front).
   ZSTOR_CHECK_MSG(opt_.memtable_bytes * 2 <= zone_cap_lbas() * lba_bytes_,
                   "memtable_bytes too large for one WAL segment");
   zones_.resize(opt_.zone_count - 2);
-  for (std::uint32_t z = opt_.first_zone + 2;
-       z < opt_.first_zone + opt_.zone_count; ++z) {
+  for (std::uint32_t z = 2; z < opt_.zone_count; ++z) {
     zones_[ZoneIndex(z)].zone = z;
     free_zones_.push_back(z);
   }
-  levels_.resize(opt_.max_levels);
-  levels_stats_.resize(opt_.max_levels);
+  levels_.resize(kMaxLevels);
+  levels_stats_.resize(kMaxLevels);
 }
 
 KvStore::~KvStore() { stopping_ = true; }
@@ -83,8 +79,8 @@ KvStore::ZoneClass KvStore::ClassForLevel(std::uint32_t level) const {
 }
 
 std::uint64_t KvStore::LevelTargetBytes(std::uint32_t level) const {
-  double target = static_cast<double>(opt_.level1_bytes);
-  for (std::uint32_t l = 1; l < level; ++l) target *= opt_.level_mult;
+  double target = static_cast<double>(kLevel1Bytes);
+  for (std::uint32_t l = 1; l < level; ++l) target *= kLevelMult;
   return static_cast<std::uint64_t>(target);
 }
 
@@ -176,7 +172,7 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
 sim::Task<Status> KvStore::WalAppend(WalRecord& rec) {
   auto tc = co_await stack_.Submit(
       {.opcode = Opcode::kAppend,
-       .slba = ZoneStartLba(opt_.first_zone + rec.segment),
+       .slba = ZoneStartLba(rec.segment),
        .nlb = rec.lbas,
        .payload_tag = rec.tag_base});
   if (!tc.completion.ok()) co_return tc.completion.status;
@@ -248,7 +244,7 @@ sim::Task<> KvStore::FlushJob() {
       for (int attempt = 0; attempt < 50; ++attempt) {
         auto rc = co_await stack_.Submit(
             {.opcode = Opcode::kZoneMgmtSend,
-             .slba = ZoneStartLba(opt_.first_zone + seg),
+             .slba = ZoneStartLba(seg),
              .zone_action = ZoneAction::kReset});
         if (rc.completion.ok()) break;
         ZSTOR_CHECK_MSG(attempt < 49, "WAL segment reset kept failing");
@@ -307,7 +303,7 @@ sim::Task<> KvStore::BuildTable(std::vector<TableEntry> entries,
   std::uint32_t off = 0;
   while (off < t->data_lbas) {
     const std::uint32_t chunk =
-        std::min<std::uint32_t>(opt_.max_append_lbas, t->data_lbas - off);
+        std::min<std::uint32_t>(kMaxAppendLbas, t->data_lbas - off);
     if (paced) co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
     Extent e = co_await AppendChunk(ClassForLevel(level), chunk, tag0 + off);
     if (e.lbas == 0) {
@@ -456,7 +452,7 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
     // sealed zone, then reset it. This is the relocation traffic
     // placement-off pays and placement-on mostly avoids.
     std::int64_t victim = -1;
-    double best = opt_.gc_garbage_min;
+    double best = kGcGarbageMin;
     for (std::size_t i = 0; i < zones_.size(); ++i) {
       const ZoneInfo& zi = zones_[i];
       // Any sealed, non-empty zone is a candidate (a partially-written
@@ -536,7 +532,7 @@ sim::Task<> KvStore::RelocateTablePart(TablePtr t, std::uint32_t victim) {
     std::uint32_t off = 0;
     while (off < e.lbas) {
       const std::uint32_t chunk =
-          std::min<std::uint32_t>(opt_.compact_read_lbas, e.lbas - off);
+          std::min<std::uint32_t>(kCompactReadLbas, e.lbas - off);
       co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/false, nullptr);
       co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
       off += chunk;
@@ -545,7 +541,7 @@ sim::Task<> KvStore::RelocateTablePart(TablePtr t, std::uint32_t victim) {
     const std::uint64_t tag0 = TakeTags(e.lbas);
     while (wrote < e.lbas) {
       const std::uint32_t chunk =
-          std::min<std::uint32_t>(opt_.max_append_lbas, e.lbas - wrote);
+          std::min<std::uint32_t>(kMaxAppendLbas, e.lbas - wrote);
       co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
       Extent ne = co_await RelocAppend(chunk, tag0 + wrote);
       ZSTOR_CHECK_MSG(ne.lbas > 0, "relocation append failed");
@@ -647,7 +643,7 @@ bool KvStore::PickCompaction(CompactionJob* job) {
   // Deeper levels: size-triggered, zone-garbage-aware victim choice —
   // prefer the table whose zones hold the most dead data, so compacting
   // it turns those zones resettable without relocation.
-  for (std::uint32_t l = 1; l + 1 < opt_.max_levels; ++l) {
+  for (std::uint32_t l = 1; l + 1 < kMaxLevels; ++l) {
     if (levels_stats_[l].bytes <= LevelTargetBytes(l)) continue;
     TablePtr victim;
     double best_score = -1.0;
@@ -694,7 +690,7 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
         std::uint32_t off = 0;
         while (off < e.lbas) {
           const std::uint32_t chunk =
-              std::min<std::uint32_t>(opt_.compact_read_lbas, e.lbas - off);
+              std::min<std::uint32_t>(kCompactReadLbas, e.lbas - off);
           co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/false,
                                    nullptr);
           co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
@@ -716,7 +712,7 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
             });
   std::vector<TableEntry> out;
   out.reserve(merged.size());
-  const bool drop_tombstones = out_level == opt_.max_levels - 1;
+  const bool drop_tombstones = out_level == kMaxLevels - 1;
   for (std::size_t i = 0; i < merged.size(); ++i) {
     if (i > 0 && merged[i].key == merged[i - 1].key) continue;
     if (merged[i].tombstone && drop_tombstones) continue;
@@ -731,9 +727,8 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
   while (i < out.size() && !failed) {
     std::vector<TableEntry> chunk;
     std::uint64_t chunk_bytes = 0;
-    while (i < out.size() && (chunk.empty() ||
-                              chunk_bytes + out[i].bytes <=
-                                  opt_.max_table_bytes)) {
+    while (i < out.size() &&
+           (chunk.empty() || chunk_bytes + out[i].bytes <= kMaxTableBytes)) {
       chunk_bytes += out[i].bytes;
       chunk.push_back(out[i]);
       ++i;
@@ -929,7 +924,7 @@ sim::Task<Status> KvStore::Get(std::uint64_t key, bool* found) {
     }
   }
   if (probes.empty()) {
-    for (std::uint32_t l = 1; l < opt_.max_levels; ++l) {
+    for (std::uint32_t l = 1; l < kMaxLevels; ++l) {
       const auto& lvl = levels_[l];
       auto it = std::upper_bound(lvl.begin(), lvl.end(), key,
                                  [](std::uint64_t k, const TablePtr& t) {
@@ -981,9 +976,8 @@ sim::Task<> KvStore::Drain() {
 
 sim::Task<std::vector<nvme::ZoneDescriptor>> KvStore::ReportZones() {
   for (int attempt = 0; attempt < 50; ++attempt) {
-    auto tc = co_await stack_.Submit({.opcode = Opcode::kZoneMgmtRecv,
-                                      .slba = ZoneStartLba(opt_.first_zone),
-                                      .report_max = opt_.zone_count});
+    auto tc = co_await stack_.Submit(
+        {.opcode = Opcode::kZoneMgmtRecv, .report_max = opt_.zone_count});
     if (tc.completion.ok()) co_return std::move(tc.completion.report);
     co_await sim_.Delay(sim::Microseconds(500));
   }
@@ -1007,9 +1001,6 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     wp[i] = d.write_pointer >= d.zslba ? d.write_pointer - d.zslba : 0;
     wp[i] = std::min<std::uint64_t>(wp[i], zone_cap_lbas());
   }
-  auto zone_wp = [&](std::uint32_t zone) {
-    return wp[zone - opt_.first_zone];
-  };
   // ---- SSTables: drop what was never durable, verify what was --------
   for (auto& lvl : levels_) {
     std::vector<TablePtr> keep;
@@ -1026,9 +1017,9 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
       for (const Extent& e : t->extents) {
         const nvme::Lba zstart = ZoneStartLba(e.zone);
         const std::uint64_t in_zone = e.lba - zstart;
-        if (in_zone + e.lbas > zone_wp(e.zone)) {
+        if (in_zone + e.lbas > wp[e.zone]) {
           const std::uint64_t lost =
-              in_zone + e.lbas - std::max(in_zone, zone_wp(e.zone));
+              in_zone + e.lbas - std::max(in_zone, wp[e.zone]);
           rep.silent_corruptions += lost;  // durable data must survive
           rep.lbas_checked += lost;
           torn = true;
@@ -1042,8 +1033,8 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
       for (const Extent& e : t->extents) {
         std::uint32_t off = 0;
         while (off < e.lbas) {
-          const std::uint32_t chunk = std::min<std::uint32_t>(
-              opt_.max_append_lbas, e.lbas - off);
+          const std::uint32_t chunk =
+              std::min<std::uint32_t>(kMaxAppendLbas, e.lbas - off);
           co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/true, &rep);
           off += chunk;
         }
@@ -1056,15 +1047,14 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   std::vector<const WalRecord*> replay;
   for (const WalRecord& r : wal_) {
     if (r.durable) continue;  // covered by a verified durable table
-    const std::uint64_t seg_wp = zone_wp(opt_.first_zone + r.segment);
+    const std::uint64_t seg_wp = wp[r.segment];
     if (!r.acked) {
       // The put itself failed; nothing was promised.
       rep.lost_unflushed += r.lbas;
       stats_.wal_lost++;
       continue;
     }
-    const std::uint64_t in_zone =
-        r.lba - ZoneStartLba(opt_.first_zone + r.segment);
+    const std::uint64_t in_zone = r.lba - ZoneStartLba(r.segment);
     if (in_zone + r.lbas > seg_wp) {
       // Wholly or partially beyond the durable prefix: an unflushed
       // write the crash legitimately dropped.
@@ -1072,7 +1062,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
       stats_.wal_lost++;
       continue;
     }
-    Extent e{opt_.first_zone + r.segment, r.lba, r.lbas, r.tag_base};
+    Extent e{r.segment, r.lba, r.lbas, r.tag_base};
     auto before = rep.silent_corruptions;
     co_await ReadExtentRange(e, 0, r.lbas, /*verify_tags=*/true, &rep);
     if (rep.silent_corruptions == before) replay.push_back(&r);
@@ -1092,7 +1082,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   // reservation accounting died with the power loss); live counts are
   // recomputed from the surviving tables.
   for (ZoneInfo& zi : zones_) {
-    zi.written_lbas = zone_wp(zi.zone);
+    zi.written_lbas = wp[zi.zone];
     zi.live_lbas = 0;
     zi.open = false;
   }
@@ -1139,14 +1129,14 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     mem_bytes_ = 0;
   }
   for (std::uint8_t seg = 0; seg < 2; ++seg) {
-    if (zone_wp(opt_.first_zone + seg) == 0) {
+    if (wp[seg] == 0) {
       wal_used_lbas_[seg] = 0;
       continue;
     }
     for (int attempt = 0; attempt < 50; ++attempt) {
       auto rc = co_await stack_.Submit(
           {.opcode = Opcode::kZoneMgmtSend,
-           .slba = ZoneStartLba(opt_.first_zone + seg),
+           .slba = ZoneStartLba(seg),
            .zone_action = ZoneAction::kReset});
       if (rc.completion.ok()) break;
       ZSTOR_CHECK_MSG(attempt < 49, "post-crash WAL reset kept failing");

@@ -158,9 +158,8 @@ struct LevelStats {
 class KvStore : public workload::KvBackend {
  public:
   struct Options {
-    /// Logical zone range owned by the store. Zones [first_zone,
-    /// first_zone+2) are the two WAL segments; the rest hold SSTables.
-    std::uint32_t first_zone = 0;
+    /// The store owns zones [0, zone_count). Zones 0 and 1 are the two
+    /// WAL segments; the rest hold SSTables.
     std::uint32_t zone_count = 12;
     /// Memtable rotation threshold (value bytes). Must fit a WAL
     /// segment: checked against zone capacity at construction.
@@ -168,17 +167,6 @@ class KvStore : public workload::KvBackend {
     /// L0 table count that triggers compaction / stalls writers.
     std::uint32_t l0_compact_trigger = 4;
     std::uint32_t l0_stall_limit = 8;
-    /// Leveled shape: level L >= 1 targets level1_bytes * mult^(L-1).
-    std::uint32_t max_levels = 4;
-    std::uint64_t level1_bytes = 1 << 20;
-    double level_mult = 4.0;
-    /// Largest SSTable a compaction emits before cutting a new one.
-    std::uint64_t max_table_bytes = 1 << 20;
-    /// Blocks per append command (R1: keep this large).
-    std::uint32_t max_append_lbas = 64;
-    /// Blocks per compaction read (table iteration granularity; small,
-    /// like an un-readahead LSM iterator).
-    std::uint32_t compact_read_lbas = 4;
     /// Background compaction+GC rate limit in MiB/s (0 = unthrottled).
     /// Real LSMs throttle background I/O to protect foreground tails;
     /// the interference bench uses it to stretch `kv.compact` windows.
@@ -187,10 +175,8 @@ class KvStore : public workload::KvBackend {
     /// the hot open zone, deeper levels to the cold one. Off = one
     /// shared open zone for everything (the placement-off baseline).
     bool lifetime_placement = true;
-    /// Reclaim when free zones drop below this; victims need at least
-    /// this garbage fraction before relocation is worth it.
+    /// Reclaim when free zones drop below this.
     std::uint32_t free_zone_low = 2;
-    double gc_garbage_min = 0.05;
     /// Returns the device's power epoch (fault::FaultPlan crashes bump
     /// it). Sampled at flush acknowledgment: a flush only certifies
     /// durability when the epoch did not change. Unset = no crashes.
@@ -230,6 +216,22 @@ class KvStore : public workload::KvBackend {
   const std::vector<LevelStats>& level_stats() const { return levels_stats_; }
 
  private:
+  // ---- fixed shape ---------------------------------------------------
+  /// Leveled shape: level L >= 1 targets kLevel1Bytes * kLevelMult^(L-1).
+  static constexpr std::uint32_t kMaxLevels = 4;
+  static constexpr std::uint64_t kLevel1Bytes = 1 << 20;
+  static constexpr double kLevelMult = 4.0;
+  /// Largest SSTable a compaction emits before cutting a new one.
+  static constexpr std::uint64_t kMaxTableBytes = 1 << 20;
+  /// Blocks per append command (R1: keep this large).
+  static constexpr std::uint32_t kMaxAppendLbas = 64;
+  /// Blocks per compaction read (table iteration granularity; small,
+  /// like an un-readahead LSM iterator).
+  static constexpr std::uint32_t kCompactReadLbas = 4;
+  /// Reclaim victims need at least this garbage fraction before
+  /// relocation is worth it.
+  static constexpr double kGcGarbageMin = 0.05;
+
   // ---- on-device layout ----------------------------------------------
   /// One contiguous appended run of an SSTable. `tag_base` tags the
   /// extent's first LBA; LBA i holds tag_base + i.
@@ -301,7 +303,7 @@ class KvStore : public workload::KvBackend {
   /// Index of a DATA zone in zones_ (zones_[0] is the first zone after
   /// the two WAL segments).
   std::uint32_t ZoneIndex(std::uint32_t zone) const {
-    return zone - opt_.first_zone - 2;
+    return zone - 2;
   }
   std::uint64_t zone_cap_lbas() const;
   std::uint64_t Epoch() const {

@@ -15,7 +15,7 @@ ControllerCore::ControllerCore(sim::Simulator& s, DeviceCounters& counters,
                                std::uint64_t slot_bytes, std::uint64_t seed,
                                double io_sigma)
     : sim_(s),
-      fcp_(s, /*slots=*/1, /*priority_levels=*/2),
+      fcp_(s),
       buffer_slots_(s, std::max<std::uint64_t>(1, buffer_bytes / slot_bytes)),
       programs_(s),
       rng_(seed),

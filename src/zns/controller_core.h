@@ -12,6 +12,7 @@
 // QEMU's hw/nvme makes between a zoned and a common NVM namespace.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -111,6 +112,67 @@ class ControllerCore : public nvme::Controller {
   /// `t` scaled by one lognormal draw (io_sigma); 0 and a quiet profile
   /// draw nothing.
   sim::Time Noise(sim::Time t);
+
+  /// What an FCP step traces for command `tid`: `fcp.wait` carrying
+  /// `zone`, then the service span `name` on `layer` carrying (a, b).
+  struct FcpTrace {
+    std::uint64_t tid = 0;
+    std::uint64_t zone = 0;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    const char* name = "fcp.service";
+    telemetry::Layer layer = telemetry::Layer::kFcp;
+  };
+
+  /// A command's turn on the FCP: a record in the awaiting frame, like
+  /// nand::NandOp, not a coroutine. It takes the FCP at I/O priority or
+  /// queues on it. The grant (inline when the FCP is idle, else the
+  /// release's zero-delay event) draws Noise(cost), traces `fcp.wait` and
+  /// starts the service timer. The handler resumes when the service
+  /// ends, traces the service span and gets the guard, still holding the
+  /// FCP.
+  class [[nodiscard]] FcpStep : public sim::PriorityResource::Waiter {
+   public:
+    FcpStep(ControllerCore& core, sim::Time cost, FcpTrace span)
+        : core_(core), cost_(cost), span_(span), t0_(core.sim_.now()) {
+      on_grant = &Grant;
+    }
+    FcpStep(const FcpStep&) = delete;
+    FcpStep& operator=(const FcpStep&) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      if (core_.fcp_.Take(*this, kPrioIo)) Grant(*this);
+    }
+    sim::PriorityResource::Guard await_resume() {
+      if (telemetry::Tracer* tr = core_.trace(); tr != nullptr) {
+        tr->Span(t1_, core_.sim_.now(), span_.tid, span_.layer, span_.name,
+                 static_cast<std::int64_t>(span_.a),
+                 static_cast<std::int64_t>(span_.b));
+      }
+      return sim::PriorityResource::Guard{&core_.fcp_};
+    }
+
+   private:
+    static void Grant(Waiter& w) {
+      auto& step = static_cast<FcpStep&>(w);
+      ControllerCore& core = step.core_;
+      step.t1_ = core.sim_.now();
+      if (telemetry::Tracer* tr = core.trace(); tr != nullptr) {
+        tr->Span(step.t0_, step.t1_, step.span_.tid, telemetry::Layer::kFcp,
+                 "fcp.wait", static_cast<std::int64_t>(step.span_.zone));
+      }
+      core.sim_.ResumeIn(core.Noise(step.cost_), step.handle);
+    }
+
+    ControllerCore& core_;
+    sim::Time cost_;
+    FcpTrace span_;
+    sim::Time t0_;      // asked for the FCP
+    sim::Time t1_ = 0;  // granted it
+  };
+  FcpStep Fcp(sim::Time cost, FcpTrace span) { return {*this, cost, span}; }
 
   /// One leg of a multi-page read: reads `bytes` of `addr`, reports a bad
   /// page through `failed` (the command-level worst case), then signals

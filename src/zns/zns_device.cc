@@ -228,10 +228,7 @@ void ZnsDevice::MarkPagesProgrammed(std::uint32_t zone, std::uint64_t pages) {
 }
 
 bool ZnsDevice::DeviceIsIoQuiet() const {
-  if (io_inflight_ != 0 || fcp_.has_waiters() ||
-      fcp_.free_slots() == 0) {
-    return false;
-  }
+  if (io_inflight_ != 0 || fcp_.busy()) return false;  // waiters imply busy
   if (!io_seen_) return true;
   // Quiet only if no I/O has touched the device for a full millisecond —
   // QD=1 submission gaps are microseconds, so ongoing workloads always
@@ -493,22 +490,9 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   InflightGuard io_guard(*this);
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
-  sim::Time t0 = sim_.now();
-  {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait",
-               static_cast<std::int64_t>(zone));
-    }
-    co_await sim_.Delay(
-        Noise(FcpIoCost(Opcode::kRead, bytes, cmd.nlb, cmd.slba)));
-    if (tr != nullptr) {
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(zone),
-               static_cast<std::int64_t>(bytes));
-    }
-  }
+  (co_await Fcp(FcpIoCost(Opcode::kRead, bytes, cmd.nlb, cmd.slba),
+                {cmd.trace_id, zone, zone, bytes}))
+      .Release();
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
@@ -602,21 +586,9 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   bool first_io = false;
   std::uint64_t assigned_off;
   std::uint64_t end_off;
-  sim::Time t0 = sim_.now();
   {
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    if (tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait",
-               static_cast<std::int64_t>(zone));
-    }
-    co_await sim_.Delay(
-        Noise(FcpIoCost(cmd.opcode, bytes, cmd.nlb, cmd.slba)));
-    if (tr != nullptr) {
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(zone),
-               static_cast<std::int64_t>(bytes));
-    }
+    auto g = co_await Fcp(FcpIoCost(cmd.opcode, bytes, cmd.nlb, cmd.slba),
+                          {cmd.trace_id, zone, zone, bytes});
     if (power_epoch_ != epoch0) {
       // Power cut before the command reached the zone state machine:
       // nothing of it survives, not even buffered bytes.
@@ -719,18 +691,10 @@ sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {
 sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
                                         std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
-  sim::Time t0 = sim_.now();
-  auto g = co_await fcp_.Acquire(kPrioIo);
-  sim::Time t1 = sim_.now();
-  co_await sim_.Delay(Noise(profile_.open_close.explicit_open));
+  auto g = co_await Fcp(profile_.open_close.explicit_open,
+                        {tid, zone, zone, 0, "zone.open", Layer::kZone});
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-    tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait",
-             static_cast<std::int64_t>(zone));
-    tr->Span(t1, sim_.now(), tid, Layer::kZone, "zone.open",
-             static_cast<std::int64_t>(zone));
   }
   Zone& z = zones_[zone];
   switch (z.state) {
@@ -765,18 +729,10 @@ sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
 sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
                                          std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
-  sim::Time t0 = sim_.now();
-  auto g = co_await fcp_.Acquire(kPrioIo);
-  sim::Time t1 = sim_.now();
-  co_await sim_.Delay(Noise(profile_.open_close.close));
+  auto g = co_await Fcp(profile_.open_close.close,
+                        {tid, zone, zone, 0, "zone.close", Layer::kZone});
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-    tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait",
-             static_cast<std::int64_t>(zone));
-    tr->Span(t1, sim_.now(), tid, Layer::kZone, "zone.close",
-             static_cast<std::int64_t>(zone));
   }
   Zone& z = zones_[zone];
   switch (z.state) {
@@ -801,18 +757,7 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   telemetry::Tracer* tr = trace();
   Zone& z = zones_[zone];
   {
-    sim::Time t0 = sim_.now();
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    if (tr != nullptr) {
-      tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait",
-               static_cast<std::int64_t>(zone));
-    }
-    co_await sim_.Delay(Noise(profile_.fcp.write));  // command admission
-    if (tr != nullptr) {
-      tr->Span(t1, sim_.now(), tid, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(zone));
-    }
+    auto g = co_await Fcp(profile_.fcp.write, {tid, zone, zone});  // admission
     if (power_epoch_ != epoch0) {
       co_return Completion{.status = Status::kDeviceReset};
     }
@@ -833,19 +778,9 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   // Quiesce in-flight NAND programs, then pad the remaining capacity.
   sim::Time quiesce_begin = sim_.now();
   co_await program_wg_[zone]->Wait();
-  if (tr != nullptr) {
-    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
-             static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
-    // An in-flight program failed while finish quiesced: the zone
-    // degraded under us — report the buffered-data loss instead of
-    // padding a zone that no longer accepts programs.
-    z.write_fault_pending = false;
-    co_return Completion{.status = Status::kWriteFault};
+  if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
+      st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   std::uint64_t remaining = profile_.zone_cap_bytes - z.wp_bytes;
   if (!profile_.finish.zero_cost) {
@@ -885,6 +820,24 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   co_return Completion{.status = Status::kSuccess};
 }
 
+Status ZnsDevice::Quiesced(std::uint32_t zone, std::uint64_t tid,
+                          Time quiesce_begin, std::uint64_t epoch0) {
+  if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
+             static_cast<std::int64_t>(zone));
+  }
+  if (power_epoch_ != epoch0) return Status::kDeviceReset;
+  Zone& z = zones_[zone];
+  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
+    // An in-flight program failed while the zone quiesced: it degraded
+    // under us, and a degraded zone takes neither a finish pad nor a
+    // reset. Report the buffered-data loss instead.
+    z.write_fault_pending = false;
+    return Status::kWriteFault;
+  }
+  return Status::kSuccess;
+}
+
 sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
                                          std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
@@ -896,18 +849,9 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   // Quiesce in-flight NAND programs for this zone first.
   sim::Time quiesce_begin = sim_.now();
   co_await program_wg_[zone]->Wait();
-  if (tr != nullptr) {
-    tr->Span(quiesce_begin, sim_.now(), tid, Layer::kZone, "zone.quiesce",
-             static_cast<std::int64_t>(zone));
-  }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
-  if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
-    // The zone degraded while the reset quiesced (an in-flight program
-    // failed): degraded zones are not resettable.
-    z.write_fault_pending = false;
-    co_return Completion{.status = Status::kWriteFault};
+  if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
+      st != Status::kSuccess) {
+    co_return Completion{.status = st};
   }
   // The unmap work runs on the FCP at background priority, in slices so
   // small that host I/O never noticeably waits behind one (Obs. 12),
@@ -1042,18 +986,9 @@ sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
     count = std::min(count, cmd.report_max);
   }
   const std::uint64_t epoch0 = power_epoch_;
-  {
-    sim::Time t0 = sim_.now();
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    co_await sim_.Delay(
-        Noise(profile_.report_fixed + profile_.report_per_zone * count));
-    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-      tr->Span(t0, t1, cmd.trace_id, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), cmd.trace_id, Layer::kFcp, "fcp.service",
-               static_cast<std::int64_t>(count));
-    }
-  }
+  (co_await Fcp(profile_.report_fixed + profile_.report_per_zone * count,
+                {cmd.trace_id, 0, count}))
+      .Release();
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
@@ -1073,16 +1008,7 @@ sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
 sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
-  {
-    sim::Time t0 = sim_.now();
-    auto g = co_await fcp_.Acquire(kPrioIo);
-    sim::Time t1 = sim_.now();
-    co_await sim_.Delay(Noise(profile_.fcp.write));
-    if (tr != nullptr) {
-      tr->Span(t0, t1, tid, Layer::kFcp, "fcp.wait");
-      tr->Span(t1, sim_.now(), tid, Layer::kFcp, "fcp.service");
-    }
-  }
+  (co_await Fcp(profile_.fcp.write, {tid})).Release();
   // Quiesce the NAND drain. Partial (sub-page) buffer contents stay in
   // the capacitor-backed buffer — they are already durable.
   sim::Time drain_begin = sim_.now();

@@ -174,6 +174,13 @@ class ZnsDevice : public ControllerCore {
   sim::Task<nvme::Completion> DoFinish(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoReset(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoResetAll(std::uint64_t tid);
+  /// Ends a finish's or reset's quiesce of the zone's NAND programs,
+  /// begun at `quiesce_begin` (the wait stays in the handler): traces
+  /// `zone.quiesce`, then returns kDeviceReset after a power loss,
+  /// kWriteFault when an in-flight program degraded the zone, else
+  /// kSuccess.
+  nvme::Status Quiesced(std::uint32_t zone, std::uint64_t tid,
+                        sim::Time quiesce_begin, std::uint64_t epoch0);
   sim::Task<nvme::Completion> DoReportZones(nvme::Command cmd);
   sim::Task<nvme::Completion> DoFlush(std::uint64_t tid);
   /// True when any of the zone's NAND blocks has exhausted its endurance.

@@ -176,7 +176,7 @@ TEST(AllocCount, LaneHandoffIsAllocationFree) {
 // destroys all of them.
 struct Primitives {
   explicit Primitives(Simulator& s)
-      : sem(s, 0), wg(s), ev(s), cond(s), q(s), pr(s, 1), tb(s, 1e9, 1) {}
+      : sem(s, 0), wg(s), ev(s), cond(s), q(s), pr(s), tb(s, 1e9, 1) {}
   Semaphore sem;
   WaitGroup wg;
   OneShotEvent ev;

@@ -90,7 +90,7 @@ TEST(FifoResource, QueueLengthReflectsWaiters) {
 // waiters only get the server when no high-priority work is queued.
 TEST(PriorityResource, HighPriorityBypassesQueuedBackgroundWork) {
   Simulator s;
-  PriorityResource r(s, 1, 2);
+  PriorityResource r(s);
   std::vector<char> order;
   auto bg = [&]() -> Task<> {
     co_await s.Delay(1);
@@ -119,7 +119,7 @@ TEST(PriorityResource, HighPriorityBypassesQueuedBackgroundWork) {
 
 TEST(PriorityResource, FifoWithinSamePriority) {
   Simulator s;
-  PriorityResource r(s, 1, 2);
+  PriorityResource r(s);
   std::vector<int> order;
   auto holder = [&]() -> Task<> {
     auto g = co_await r.Acquire(0);
@@ -138,7 +138,7 @@ TEST(PriorityResource, FifoWithinSamePriority) {
 
 TEST(PriorityResource, BackgroundRunsWhenNoForegroundPending) {
   Simulator s;
-  PriorityResource r(s, 1, 2);
+  PriorityResource r(s);
   Time bg_ran_at = 0;
   auto bg = [&]() -> Task<> {
     auto g = co_await r.Acquire(1);
@@ -153,7 +153,7 @@ TEST(PriorityResource, BackgroundRunsWhenNoForegroundPending) {
 // interleave: the foreground's extra wait is bounded by one slice.
 TEST(PriorityResource, SlicedBackgroundBoundsForegroundDelay) {
   Simulator s;
-  PriorityResource r(s, 1, 2);
+  PriorityResource r(s);
   constexpr Time kSlice = 5;
   bool bg_done = false;
   auto bg = [&]() -> Task<> {

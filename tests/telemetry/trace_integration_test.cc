@@ -3,6 +3,7 @@
 // run's metrics snapshot must agree with the device's own counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string_view>
 #include <vector>
@@ -171,6 +172,101 @@ TEST(TraceIntegration, Qd1SpansTileEveryConvCommand) {
       Issue(tb, "trim", {.opcode = Opcode::kDeallocate, .slba = 0, .nlb = 2}),
   };
   ExpectSpansTileLatency(tb, cmds);
+}
+
+// Contended FCP: all `cmds` in flight at once. Records must arrive in
+// end-time order (a span is emitted when it ends), each command's
+// fcp.wait must end where its FCP service span begins, and no two
+// services may overlap: the FCP serves one command at a time.
+void ExpectSerializedFcp(Testbed& tb, const std::vector<nvme::Command>& cmds) {
+  std::vector<std::uint64_t> ids;
+  auto submit = [&](nvme::Command cmd) -> sim::Task<> {
+    ids.push_back((co_await tb.stack().Submit(cmd)).trace_id);
+  };
+  for (const nvme::Command& c : cmds) sim::Spawn(submit(c));
+  tb.sim().Run();
+  ASSERT_EQ(ids.size(), cmds.size());
+  EXPECT_EQ(tb.ring()->dropped(), 0u);
+
+  const std::vector<TraceEvent> events = tb.ring()->Events();
+  std::map<std::uint64_t, std::vector<TraceEvent>> waits, services;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i > 0) {
+      EXPECT_GE(e.end, events[i - 1].end)
+          << "record " << i << " (" << e.name << ", cmd " << e.cmd
+          << ") ends before the one emitted ahead of it";
+    }
+    const std::string_view name = e.name;
+    if (name == "fcp.wait") waits[e.cmd].push_back(e);
+    if (name == "fcp.service" || name == "zone.open" || name == "zone.close") {
+      services[e.cmd].push_back(e);
+    }
+  }
+  std::vector<TraceEvent> served;
+  for (std::uint64_t id : ids) {
+    ASSERT_EQ(waits[id].size(), 1u) << "cmd " << id;
+    ASSERT_EQ(services[id].size(), 1u) << "cmd " << id;
+    EXPECT_EQ(waits[id][0].end, services[id][0].begin) << "cmd " << id;
+    served.push_back(services[id][0]);
+  }
+  std::sort(served.begin(), served.end(),
+            [](const TraceEvent& x, const TraceEvent& y) {
+              return x.begin < y.begin;
+            });
+  for (std::size_t i = 1; i < served.size(); ++i) {
+    EXPECT_GE(served[i].begin, served[i - 1].end)
+        << "cmds " << served[i - 1].cmd << " and " << served[i].cmd
+        << " hold the FCP at once";
+  }
+}
+
+TEST(TraceIntegration, ContendedFcpSerializesEveryZnsCommand) {
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(zns::TinyProfile())
+                   .WithStack(StackChoice::kSpdk)
+                   .WithTelemetry({.ring_capacity = 1 << 16})
+                   .Build();
+  const zns::ZnsDevice& dev = *tb.zns();
+  tb.zns()->DebugFillZone(15, dev.profile().zone_cap_bytes);
+  auto mgmt = [&](std::uint32_t zone, nvme::ZoneAction action) {
+    return nvme::Command{.opcode = Opcode::kZoneMgmtSend,
+                         .slba = dev.ZoneStartLba(zone),
+                         .zone_action = action};
+  };
+  std::vector<nvme::Command> cmds;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    cmds.push_back({.opcode = Opcode::kRead,
+                    .slba = dev.ZoneStartLba(15) + 16 * i,
+                    .nlb = 4});
+    cmds.push_back({.opcode = Opcode::kWrite, .slba = 4 * i, .nlb = 4});
+    cmds.push_back({.opcode = Opcode::kAppend,
+                    .slba = dev.ZoneStartLba(1),
+                    .nlb = 4});
+    cmds.push_back(mgmt(2, nvme::ZoneAction::kOpen));
+    cmds.push_back(mgmt(2, nvme::ZoneAction::kClose));
+    cmds.push_back(mgmt(1, nvme::ZoneAction::kFinish));
+    cmds.push_back({.opcode = Opcode::kZoneMgmtRecv, .slba = 0});
+    cmds.push_back({.opcode = Opcode::kFlush});
+  }
+  ExpectSerializedFcp(tb, cmds);
+}
+
+TEST(TraceIntegration, ContendedFcpSerializesEveryConvCommand) {
+  Testbed tb = TestbedBuilder()
+                   .WithConvProfile(ftl::TinyConvProfile())
+                   .WithStack(StackChoice::kSpdk)
+                   .WithTelemetry({.ring_capacity = 1 << 16})
+                   .Build();
+  std::vector<nvme::Command> cmds;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    cmds.push_back({.opcode = Opcode::kWrite, .slba = 8 * i, .nlb = 6});
+    cmds.push_back({.opcode = Opcode::kRead, .slba = 8 * i, .nlb = 6});
+    cmds.push_back(
+        {.opcode = Opcode::kDeallocate, .slba = 8 * i + 6, .nlb = 2});
+    cmds.push_back({.opcode = Opcode::kFlush});
+  }
+  ExpectSerializedFcp(tb, cmds);
 }
 
 TEST(TraceIntegration, SnapshotMatchesDeviceCounters) {

@@ -36,7 +36,7 @@ struct Fixture {
     return p;
   }
   static KvStore::Options Opts(zns::ZnsDevice& d) {
-    KvStore::Options o{.first_zone = 0, .zone_count = 14};
+    KvStore::Options o{.zone_count = 14};
     o.crash_epoch = [&d] { return d.power_epoch(); };
     return o;
   }

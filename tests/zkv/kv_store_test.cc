@@ -33,7 +33,7 @@ struct Fixture {
     return p;
   }
   static KvStore::Options DefaultOptions() {
-    return {.first_zone = 0, .zone_count = 14};
+    return {.zone_count = 14};
   }
 
   template <typename F>
