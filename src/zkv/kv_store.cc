@@ -153,8 +153,8 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
   WalRecord& r = wal_.back();
   // Insert into the memtable before awaiting the append so a concurrent
   // rotation moves this entry together with its generation's segment.
-  MemValue& mv = mem_[key];
-  if (r.seq >= mv.seq) mv = MemValue{bytes, r.seq, tombstone};
+  TableEntry& mv = mem_[key];
+  if (r.seq >= mv.seq) mv = TableEntry{key, bytes, r.seq, tombstone};
   mem_bytes_ += bytes + kWalHeaderBytes;
   if (tombstone) {
     stats_.deletes++;
@@ -216,7 +216,7 @@ sim::Task<> KvStore::FlushJob() {
     std::vector<TableEntry> entries;
     entries.reserve(imm_->size());
     for (const auto& [k, v] : *imm_) {
-      entries.push_back(TableEntry{k, v.bytes, v.seq, v.tombstone});
+      entries.push_back(v);
     }
     TablePtr t;
     co_await BuildTable(std::move(entries), 0, /*paced=*/false, &t);
@@ -491,6 +491,11 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
       co_await RelocateTablePart(t, vzone);
       t->compacting = false;
     }
+    if (compaction_deferred_) {
+      // A compaction waited for these claims (PickCompaction).
+      compaction_deferred_ = false;
+      MaybeScheduleCompaction();
+    }
     if (zones_[victim].live_lbas == 0) {
       co_await ResetZone(vzone);
     } else if (stats_.gc_relocated_bytes == reloc_before) {
@@ -618,27 +623,37 @@ sim::Task<> KvStore::CompactJob() {
   idle_.NotifyAll();
 }
 
+bool KvStore::OverlapClaimed(std::uint32_t level, std::uint64_t lo,
+                             std::uint64_t hi) const {
+  return std::any_of(levels_[level].begin(), levels_[level].end(),
+                     [&](const TablePtr& t) {
+                       return t->compacting && t->min_key <= hi &&
+                              t->max_key >= lo;
+                     });
+}
+
 bool KvStore::PickCompaction(CompactionJob* job) {
+  // A table reclaim has claimed stays where it is, so a job that would
+  // have to merge it waits: merging around it would leave an older L0
+  // version above the output, or two overlapping tables in one level.
   // L0 first: overlapping tables pile up and stall writers.
   if (levels_[0].size() >= opt_.l0_compact_trigger) {
-    job->from_level = 0;
     std::uint64_t lo = ~0ull, hi = 0;
     for (const TablePtr& t : levels_[0]) {
-      if (t->compacting) continue;
-      job->inputs.push_back(t);
       lo = std::min(lo, t->min_key);
       hi = std::max(hi, t->max_key);
     }
-    if (!job->inputs.empty()) {
+    if (OverlapClaimed(0, lo, hi) || OverlapClaimed(1, lo, hi)) {
+      compaction_deferred_ = true;
+    } else {
+      job->from_level = 0;
+      job->inputs = levels_[0];
       for (const TablePtr& t : levels_[1]) {
-        if (!t->compacting && t->min_key <= hi && t->max_key >= lo) {
-          job->inputs.push_back(t);
-        }
+        if (t->min_key <= hi && t->max_key >= lo) job->inputs.push_back(t);
       }
       for (const TablePtr& t : job->inputs) t->compacting = true;
       return true;
     }
-    job->inputs.clear();
   }
   // Deeper levels: size-triggered, zone-garbage-aware victim choice —
   // prefer the table whose zones hold the most dead data, so compacting
@@ -648,7 +663,10 @@ bool KvStore::PickCompaction(CompactionJob* job) {
     TablePtr victim;
     double best_score = -1.0;
     for (const TablePtr& t : levels_[l]) {
-      if (t->compacting) continue;
+      if (t->compacting || OverlapClaimed(l + 1, t->min_key, t->max_key)) {
+        compaction_deferred_ = true;
+        continue;
+      }
       std::uint64_t total = 0;
       double weighted = 0.0;
       for (const Extent& e : t->extents) {
@@ -666,8 +684,7 @@ bool KvStore::PickCompaction(CompactionJob* job) {
     job->from_level = l;
     job->inputs.push_back(victim);
     for (const TablePtr& t : levels_[l + 1]) {
-      if (!t->compacting && t->min_key <= victim->max_key &&
-          t->max_key >= victim->min_key) {
+      if (t->min_key <= victim->max_key && t->max_key >= victim->min_key) {
         job->inputs.push_back(t);
       }
     }
@@ -832,8 +849,8 @@ const KvStore::TableEntry* KvStore::FindInTable(const TablePtr& t,
 }
 
 sim::Task<Status> KvStore::ReadExtentRange(
-    const Extent& e, std::uint32_t lba_off, std::uint32_t lbas,
-    bool verify_tags, workload::IntegrityVerifier::Report* rep) {
+    Extent e, std::uint32_t lba_off, std::uint32_t lbas, bool verify_tags,
+    workload::IntegrityVerifier::Report* rep) {
   auto tc = co_await stack_.Submit(
       {.opcode = Opcode::kRead,
        .slba = e.lba + lba_off,
@@ -867,87 +884,79 @@ sim::Task<Status> KvStore::ReadExtentRange(
 }
 
 sim::Task<Status> KvStore::ReadEntry(const TablePtr& t, std::size_t idx) {
-  const std::uint32_t first = t->lba_off[idx];
+  // Read the entry's LBAs extent by extent (an entry may straddle an
+  // extent split). A relocation may replace t->extents while a read is
+  // in flight, so each read copies its extent and the next one is found
+  // again by position.
+  std::uint32_t at = t->lba_off[idx];
   std::uint32_t want = EntryLbas(t->entries[idx].bytes);
-  // Walk the extent list to the entry's position and read it (an entry
-  // may straddle an extent split).
-  std::uint32_t pos = 0;
   Status st = Status::kSuccess;
-  for (const Extent& e : t->extents) {
-    if (pos + e.lbas <= first) {
-      pos += e.lbas;
-      continue;
+  while (want > 0) {
+    std::uint32_t pos = 0;
+    std::size_t i = 0;
+    while (i < t->extents.size() && pos + t->extents[i].lbas <= at) {
+      pos += t->extents[i++].lbas;
     }
-    const std::uint32_t off = first > pos ? first - pos : 0;
+    if (i == t->extents.size()) break;
+    const Extent e = t->extents[i];
+    const std::uint32_t off = at - pos;
     const std::uint32_t take = std::min<std::uint32_t>(e.lbas - off, want);
     const bool verify = !t->dropped;
     Status s = co_await ReadExtentRange(e, off, take, verify, nullptr);
     if (s != Status::kSuccess) st = s;
     want -= take;
-    pos += e.lbas;
-    if (want == 0) break;
+    at += take;
   }
   co_return st;
+}
+
+const KvStore::TableEntry* KvStore::Lookup(std::uint64_t key,
+                                           TablePtr* table) const {
+  table->reset();
+  // Memtables first: no device I/O.
+  if (auto it = mem_.find(key); it != mem_.end()) return &it->second;
+  if (imm_ != nullptr) {
+    if (auto it = imm_->find(key); it != imm_->end()) return &it->second;
+  }
+  return LookupTables(key, table);
+}
+
+const KvStore::TableEntry* KvStore::LookupTables(std::uint64_t key,
+                                                 TablePtr* table) const {
+  // L0 newest-first (tables overlap), then one candidate per deeper
+  // level (tables are disjoint and sorted).
+  for (const TablePtr& t : levels_[0]) {
+    if (const TableEntry* e = FindInTable(t, key)) {
+      *table = t;
+      return e;
+    }
+  }
+  for (std::uint32_t l = 1; l < kMaxLevels; ++l) {
+    const auto& lvl = levels_[l];
+    auto it = std::upper_bound(lvl.begin(), lvl.end(), key,
+                               [](std::uint64_t k, const TablePtr& t) {
+                                 return k < t->min_key;
+                               });
+    if (it == lvl.begin()) continue;
+    if (const TableEntry* e = FindInTable(*(it - 1), key)) {
+      *table = *(it - 1);
+      return e;
+    }
+  }
+  return nullptr;
 }
 
 sim::Task<Status> KvStore::Get(std::uint64_t key, bool* found) {
   stats_.gets++;
   if (found != nullptr) *found = false;
-  // Memtables first: no device I/O.
-  if (auto it = mem_.find(key); it != mem_.end()) {
-    if (it->second.tombstone) {
-      stats_.missing++;
-    } else {
-      stats_.found++;
-      if (found != nullptr) *found = true;
-    }
-    co_return Status::kSuccess;
+  TablePtr t;
+  const TableEntry* e = Lookup(key, &t);
+  Status st = Status::kSuccess;
+  if (t != nullptr) {
+    const std::size_t idx = static_cast<std::size_t>(e - t->entries.data());
+    st = co_await ReadEntry(t, idx);
   }
-  if (imm_ != nullptr) {
-    if (auto it = imm_->find(key); it != imm_->end()) {
-      if (it->second.tombstone) {
-        stats_.missing++;
-      } else {
-        stats_.found++;
-        if (found != nullptr) *found = true;
-      }
-      co_return Status::kSuccess;
-    }
-  }
-  // L0 newest-first (tables overlap), then one candidate per deeper
-  // level (tables are disjoint and sorted).
-  std::vector<TablePtr> probes;
-  for (const TablePtr& t : levels_[0]) {
-    if (FindInTable(t, key) != nullptr) {
-      probes.push_back(t);
-      break;
-    }
-  }
-  if (probes.empty()) {
-    for (std::uint32_t l = 1; l < kMaxLevels; ++l) {
-      const auto& lvl = levels_[l];
-      auto it = std::upper_bound(lvl.begin(), lvl.end(), key,
-                                 [](std::uint64_t k, const TablePtr& t) {
-                                   return k < t->min_key;
-                                 });
-      if (it == lvl.begin()) continue;
-      const TablePtr& t = *(it - 1);
-      if (FindInTable(t, key) != nullptr) {
-        probes.push_back(t);
-        break;
-      }
-    }
-  }
-  if (probes.empty()) {
-    stats_.missing++;
-    co_return Status::kSuccess;
-  }
-  const TablePtr t = probes.front();
-  const TableEntry* e = FindInTable(t, key);
-  ZSTOR_CHECK(e != nullptr);
-  const std::size_t idx = static_cast<std::size_t>(e - t->entries.data());
-  const Status st = co_await ReadEntry(t, idx);
-  if (e->tombstone) {
+  if (e == nullptr || e->tombstone) {
     stats_.missing++;
   } else {
     stats_.found++;
@@ -1072,8 +1081,16 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   mem_bytes_ = 0;
   imm_.reset();
   for (const WalRecord* r : replay) {
-    MemValue& mv = mem_[r->key];
-    if (r->seq >= mv.seq) mv = MemValue{r->bytes, r->seq, r->tombstone};
+    // A surviving table may already hold this version or a newer one: a
+    // compaction can certify data whose own flush never did. Replaying
+    // the older record would shadow it from L0.
+    TablePtr holder;
+    const TableEntry* in_table = LookupTables(r->key, &holder);
+    if (in_table != nullptr && in_table->seq >= r->seq) continue;
+    TableEntry& mv = mem_[r->key];
+    if (r->seq >= mv.seq) {
+      mv = TableEntry{r->key, r->bytes, r->seq, r->tombstone};
+    }
     mem_bytes_ += r->bytes + kWalHeaderBytes;
     stats_.wal_replayed++;
   }
@@ -1103,9 +1120,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   if (!mem_.empty()) {
     std::vector<TableEntry> entries;
     entries.reserve(mem_.size());
-    for (const auto& [k, v] : *(&mem_)) {
-      entries.push_back(TableEntry{k, v.bytes, v.seq, v.tombstone});
-    }
+    for (const auto& [k, v] : mem_) entries.push_back(v);
     for (int attempt = 0;; ++attempt) {
       TablePtr t;
       co_await BuildTable(std::move(entries), 0, /*paced=*/false, &t);

@@ -216,6 +216,8 @@ class KvStore : public workload::KvBackend {
   const std::vector<LevelStats>& level_stats() const { return levels_stats_; }
 
  private:
+  friend struct KvStoreInternals;  // tests/zkv/kv_store_internals.h
+
   // ---- fixed shape ---------------------------------------------------
   /// Leveled shape: level L >= 1 targets kLevel1Bytes * kLevelMult^(L-1).
   static constexpr std::uint32_t kMaxLevels = 4;
@@ -267,12 +269,7 @@ class KvStore : public workload::KvBackend {
   };
   using TablePtr = std::shared_ptr<SsTable>;
 
-  struct MemValue {
-    std::uint64_t bytes = 0;
-    std::uint64_t seq = 0;
-    bool tombstone = false;
-  };
-  using Memtable = std::map<std::uint64_t, MemValue>;
+  using Memtable = std::map<std::uint64_t, TableEntry>;
 
   /// Host-side ledger of one WAL record (one put/delete).
   struct WalRecord {
@@ -352,6 +349,9 @@ class KvStore : public workload::KvBackend {
   void MaybeScheduleCompaction();
   sim::Task<> CompactJob();
   bool PickCompaction(CompactionJob* job);
+  /// True when a table of `level` overlapping [lo, hi] is claimed.
+  bool OverlapClaimed(std::uint32_t level, std::uint64_t lo,
+                      std::uint64_t hi) const;
   sim::Task<> RunCompaction(CompactionJob job);
   void InstallTable(TablePtr t, std::uint32_t level);
   void DropTable(const TablePtr& t);  // extents -> garbage, stats
@@ -359,10 +359,15 @@ class KvStore : public workload::KvBackend {
   /// when given (recovery classification) or the mismatch counter
   /// otherwise (foreground integrity checking).
   sim::Task<nvme::Status> ReadExtentRange(
-      const Extent& e, std::uint32_t lba_off, std::uint32_t lbas,
-      bool verify_tags, workload::IntegrityVerifier::Report* rep);
+      Extent e, std::uint32_t lba_off, std::uint32_t lbas, bool verify_tags,
+      workload::IntegrityVerifier::Report* rep);
 
   // ---- read path -------------------------------------------------------
+  /// The newest version of `key` Get resolves to (null: none). A hit in
+  /// an SSTable stores the table in *table, a memtable hit null.
+  const TableEntry* Lookup(std::uint64_t key, TablePtr* table) const;
+  /// Lookup's SSTable half (the memtables skipped).
+  const TableEntry* LookupTables(std::uint64_t key, TablePtr* table) const;
   sim::Task<nvme::Status> ReadEntry(const TablePtr& t, std::size_t idx);
   const TableEntry* FindInTable(const TablePtr& t, std::uint64_t key) const;
 
@@ -411,6 +416,7 @@ class KvStore : public workload::KvBackend {
   bool flush_busy_ = false;
   bool compact_busy_ = false;
   bool gc_busy_ = false;
+  bool compaction_deferred_ = false;  // a pick waited for reclaim claims
   sim::Condition flush_done_;    // wakes memtable-rotation stalls
   sim::Condition compact_done_;  // wakes L0 stalls
   sim::Condition wal_quiet_;     // per-segment appends drained

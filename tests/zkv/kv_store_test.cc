@@ -1,12 +1,15 @@
 // KvStore tests: LSM semantics (put/get/delete, overwrite, tombstones),
 // the flush/compaction pipeline under churn, lifetime placement's effect
-// on write amplification, open-zone discipline, and stats invariants.
+// on write amplification, open-zone discipline, stats invariants, and a
+// read that a relocation overtakes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "hostif/host_stack.h"
+#include "kv_store_internals.h"
 #include "sim/rng.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "workload/zipf.h"
 #include "zkv/kv_store.h"
@@ -270,6 +273,76 @@ TEST(KvStore, ReadsVerifyPayloadTags) {
   }
   EXPECT_GT(f.kv.stats().read_ios, 0u);
   EXPECT_EQ(f.kv.stats().read_tag_mismatches, 0u);
+}
+
+/// Parks the first read submitted after Arm() until Release().
+class GateStack final : public hostif::Stack {
+ public:
+  GateStack(sim::Simulator& s, hostif::Stack& inner)
+      : inner_(inner), open_(s) {}
+  sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
+    if (armed_ && cmd.opcode == nvme::Opcode::kRead) {
+      armed_ = false;
+      held_ = true;
+      co_await open_.Wait();
+      held_ = false;
+    }
+    co_return co_await inner_.Submit(cmd);
+  }
+  const nvme::NamespaceInfo& info() const override { return inner_.info(); }
+  void Arm() { armed_ = true; }
+  void Release() { open_.Set(); }
+  bool held() const { return held_; }
+
+ private:
+  hostif::Stack& inner_;
+  sim::OneShotEvent open_;
+  bool armed_ = false;
+  bool held_ = false;
+};
+
+// A Get parked on its device read while reclaim relocates the very
+// table it reads: the relocation replaces the table's extent list, and
+// the Get must finish on the location it resolved (still intact, the
+// victim zone is not reset yet) without touching the old list.
+TEST(KvStore, GetSurvivesRelocationOfItsTable) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  GateStack gate(sim, inner);
+  KvStore kv(sim, gate, Fixture::DefaultOptions());
+  using In = KvStoreInternals;
+  auto setup = [&]() -> sim::Task<> {
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      ZSTOR_CHECK(co_await kv.Put(k, 16 * 1024) == Status::kSuccess);
+    }
+    co_await kv.Drain();
+  };
+  auto s = setup();
+  sim.Run();
+  std::uint64_t key = 0;
+  std::uint32_t zone = 0;
+  while (!In::EntryZone(kv, key, &zone)) ASSERT_LT(++key, 40u);
+
+  gate.Arm();
+  bool found = false;
+  Status st = Status::kInternalError;
+  auto get = [&]() -> sim::Task<> { st = co_await kv.Get(key, &found); };
+  auto g = get();
+  sim.Run();
+  ASSERT_TRUE(gate.held());
+  const std::uint64_t relocated0 = kv.stats().gc_relocated_bytes;
+  auto r = In::RelocateTableOf(kv, key, zone);
+  sim.Run();
+  ASSERT_GT(kv.stats().gc_relocated_bytes, relocated0);
+  gate.Release();
+  sim.Run();
+  EXPECT_EQ(st, Status::kSuccess);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
+  std::uint32_t new_zone = 0;
+  ASSERT_TRUE(In::EntryZone(kv, key, &new_zone));
+  EXPECT_NE(new_zone, zone);
 }
 
 }  // namespace
