@@ -16,6 +16,14 @@ namespace {
 /// Host-side bytes of a WAL record besides the value (key, seq, length,
 /// CRC in a real engine). Padding rounds the record to whole LBAs.
 constexpr std::uint64_t kWalHeaderBytes = 24;
+
+/// The first of `entries` (sorted by key) whose key is not below `key`.
+template <typename Entries>
+auto LowerBound(Entries& entries, std::uint64_t key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& e, std::uint64_t k) { return e.key < k; });
+}
 }  // namespace
 
 KvStore::KvStore(sim::Simulator& s, hostif::Stack& stack, Options opt)
@@ -90,11 +98,11 @@ double KvStore::ZoneGarbage(const ZoneInfo& zi) const {
          static_cast<double>(zi.written_lbas);
 }
 
-sim::Task<> KvStore::Pace(std::uint64_t bytes) {
-  if (opt_.compact_rate_mibps <= 0.0) co_return;
+KvStore::PaceAwaiter KvStore::Pace(std::uint64_t bytes) const {
+  if (opt_.compact_rate_mibps <= 0.0) return {sim_, false, 0};
   const double ns =
       static_cast<double>(bytes) * 1e9 / (opt_.compact_rate_mibps * 1048576.0);
-  co_await sim_.Delay(static_cast<sim::Time>(ns));
+  return {sim_, true, static_cast<sim::Time>(ns)};
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +120,7 @@ sim::Task<Status> KvStore::Delete(std::uint64_t key) {
 sim::Task<> KvStore::StallForRoom() {
   const sim::Time t0 = sim_.now();
   for (;;) {
-    if (imm_ != nullptr && mem_bytes_ >= opt_.memtable_bytes) {
+    if (!imm_.entries.empty() && mem_bytes_ >= opt_.memtable_bytes) {
       co_await flush_done_.Wait();
       continue;
     }
@@ -134,10 +142,11 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
   // fits the active log segment.
   while (wal_used_lbas_[wal_segment_] + lbas > zone_cap_lbas()) {
     const sim::Time t0 = sim_.now();
-    while (imm_ != nullptr) co_await flush_done_.Wait();
+    while (!imm_.entries.empty()) co_await flush_done_.Wait();
     if (sim_.now() > t0) stats_.write_stall_ns += sim_.now() - t0;
     if (wal_used_lbas_[wal_segment_] + lbas <= zone_cap_lbas()) break;
-    ZSTOR_CHECK(!mem_.empty());  // a used segment implies memtable entries
+    // A used segment implies memtable entries.
+    ZSTOR_CHECK(!mem_.entries.empty());
     DoRotate();
   }
   WalRecord rec;
@@ -150,11 +159,9 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
   rec.tag_base = TakeTags(lbas);
   wal_used_lbas_[rec.segment] += lbas;
   wal_.push_back(rec);
-  WalRecord& r = wal_.back();
   // Insert into the memtable before awaiting the append so a concurrent
   // rotation moves this entry together with its generation's segment.
-  TableEntry& mv = mem_[key];
-  if (r.seq >= mv.seq) mv = TableEntry{key, bytes, r.seq, tombstone};
+  mem_.Upsert(TableEntry{key, bytes, rec.seq, tombstone});
   mem_bytes_ += bytes + kWalHeaderBytes;
   if (tombstone) {
     stats_.deletes++;
@@ -162,43 +169,58 @@ sim::Task<Status> KvStore::PutInternal(std::uint64_t key, std::uint64_t bytes,
     stats_.puts++;
     stats_.user_bytes += bytes;
   }
-  wal_pending_[r.segment]++;
-  const Status st = co_await WalAppend(r);
-  if (--wal_pending_[r.segment] == 0) wal_quiet_.NotifyAll();
+  wal_pending_[rec.segment]++;
+  auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
+                                    .slba = ZoneStartLba(rec.segment),
+                                    .nlb = rec.lbas,
+                                    .payload_tag = rec.tag_base});
+  if (tc.completion.ok()) {
+    // Other puts may have grown (moved) the ledger meanwhile.
+    if (WalRecord* r = FindWalRecord(rec.seq)) {
+      r->acked = true;
+      r->lba = tc.completion.result_lba;
+      r->epoch = Epoch();
+    }
+    stats_.wal_appends++;
+    stats_.wal_bytes += static_cast<std::uint64_t>(rec.lbas) * lba_bytes_;
+  }
+  if (--wal_pending_[rec.segment] == 0) wal_quiet_.NotifyAll();
   MaybeRotateMemtable();
-  co_return st;
+  co_return tc.completion.status;
 }
 
-sim::Task<Status> KvStore::WalAppend(WalRecord& rec) {
-  auto tc = co_await stack_.Submit(
-      {.opcode = Opcode::kAppend,
-       .slba = ZoneStartLba(rec.segment),
-       .nlb = rec.lbas,
-       .payload_tag = rec.tag_base});
-  if (!tc.completion.ok()) co_return tc.completion.status;
-  rec.acked = true;
-  rec.lba = tc.completion.result_lba;
-  rec.epoch = Epoch();
-  stats_.wal_appends++;
-  stats_.wal_bytes += static_cast<std::uint64_t>(rec.lbas) * lba_bytes_;
-  co_return Status::kSuccess;
+KvStore::WalRecord* KvStore::FindWalRecord(std::uint64_t seq) {
+  if (wal_.empty() || seq < wal_.front().seq) return nullptr;
+  const std::uint64_t i = seq - wal_.front().seq;
+  return i < wal_.size() ? &wal_[i] : nullptr;
+}
+
+const KvStore::TableEntry* KvStore::Memtable::Find(std::uint64_t key) const {
+  auto it = LowerBound(entries, key);
+  return it != entries.end() && it->key == key ? &*it : nullptr;
+}
+
+void KvStore::Memtable::Upsert(const TableEntry& e) {
+  auto it = LowerBound(entries, e.key);
+  if (it == entries.end() || it->key != e.key) {
+    entries.insert(it, e);
+  } else if (e.seq >= it->seq) {
+    *it = e;
+  }
 }
 
 void KvStore::MaybeRotateMemtable() {
-  if (imm_ != nullptr || mem_.empty()) return;
+  if (!imm_.entries.empty() || mem_.entries.empty()) return;
   if (mem_bytes_ < opt_.memtable_bytes) return;
   DoRotate();
 }
 
 void KvStore::DoRotate() {
-  ZSTOR_CHECK(imm_ == nullptr);
-  imm_ = std::make_unique<Memtable>(std::move(mem_));
-  mem_.clear();
+  ZSTOR_CHECK(imm_.entries.empty() && !mem_.entries.empty());
+  mem_.entries.swap(imm_.entries);
   mem_bytes_ = 0;
-  imm_first_seq_ = mem_first_seq_;
   imm_last_seq_ = next_seq_;
   imm_segment_ = wal_segment_;
-  mem_first_seq_ = next_seq_;
   wal_segment_ ^= 1;
   // The incoming segment was reset when ITS previous memtable flushed.
   ZSTOR_CHECK(wal_used_lbas_[wal_segment_] == 0);
@@ -211,15 +233,10 @@ void KvStore::DoRotate() {
 }
 
 sim::Task<> KvStore::FlushJob() {
-  while (imm_ != nullptr && !stopping_) {
+  while (!imm_.entries.empty() && !stopping_) {
     const sim::Time t0 = sim_.now();
-    std::vector<TableEntry> entries;
-    entries.reserve(imm_->size());
-    for (const auto& [k, v] : *imm_) {
-      entries.push_back(v);
-    }
-    TablePtr t;
-    co_await BuildTable(std::move(entries), 0, /*paced=*/false, &t);
+    SsTable* t = co_await BuildTable(imm_.entries.data(), imm_.entries.size(),
+                                     0, /*paced=*/false);
     if (t->write_failed) {
       // Appends outran the retry budget (a power outage in progress).
       // Drop the partial table and retry: the data is still in imm_ and
@@ -237,8 +254,9 @@ sim::Task<> KvStore::FlushJob() {
       // the SSTable; quiesce in-flight appends to the segment, then
       // reset it for the generation after next.
       const std::uint8_t seg = imm_segment_;
-      for (WalRecord& r : wal_) {
-        if (r.seq < imm_last_seq_) r.durable = true;
+      for (std::size_t i = 0; i < wal_.size() && wal_[i].seq < imm_last_seq_;
+           ++i) {
+        wal_[i].durable = true;
       }
       while (wal_pending_[seg] > 0) co_await wal_quiet_.Wait();
       for (int attempt = 0; attempt < 50; ++attempt) {
@@ -257,8 +275,7 @@ sim::Task<> KvStore::FlushJob() {
       }
     }
     InstallTable(t, 0);
-    imm_.reset();
-    imm_first_seq_ = 0;
+    imm_.entries.clear();
     stats_.flushes++;
     if (telem_ != nullptr) {
       telem_->tracer().Span(t0, sim_.now(), telemetry::Tracer::NextCmdId(),
@@ -282,20 +299,42 @@ sim::Task<> KvStore::FlushJob() {
 // SSTable construction and zone allocation.
 // ---------------------------------------------------------------------------
 
-sim::Task<> KvStore::BuildTable(std::vector<TableEntry> entries,
-                                std::uint32_t level, bool paced,
-                                TablePtr* out) {
-  auto t = std::make_shared<SsTable>();
+KvStore::SsTable* KvStore::NewTable() {
+  if (free_tables_.empty()) {
+    table_pool_.push_back(std::make_unique<SsTable>());
+    return table_pool_.back().get();
+  }
+  SsTable* t = free_tables_.back();
+  free_tables_.pop_back();
+  // Reset every field; the vectors keep their capacity.
+  std::vector<TableEntry> entries = std::move(t->entries);
+  std::vector<std::uint32_t> lba_off = std::move(t->lba_off);
+  std::vector<Extent> extents = std::move(t->extents);
+  *t = SsTable{};
+  t->entries = std::move(entries);
+  t->lba_off = std::move(lba_off);
+  t->extents = std::move(extents);
+  t->entries.clear();
+  t->lba_off.clear();
+  t->extents.clear();
+  return t;
+}
+
+sim::Task<KvStore::SsTable*> KvStore::BuildTable(const TableEntry* first,
+                                                 std::size_t n,
+                                                 std::uint32_t level,
+                                                 bool paced) {
+  ZSTOR_CHECK(n > 0);
+  SsTable* t = NewTable();
   t->id = next_table_id_++;
   t->level = level;
-  t->entries = std::move(entries);
-  t->lba_off.reserve(t->entries.size());
+  t->entries.assign(first, first + n);
+  t->lba_off.reserve(n);
   for (const TableEntry& e : t->entries) {
     t->lba_off.push_back(t->data_lbas);
     t->data_lbas += EntryLbas(e.bytes);
     t->data_bytes += e.bytes;
   }
-  ZSTOR_CHECK(!t->entries.empty());
   t->min_key = t->entries.front().key;
   t->max_key = t->entries.back().key;
   t->write_epoch = Epoch();
@@ -314,7 +353,7 @@ sim::Task<> KvStore::BuildTable(std::vector<TableEntry> entries,
     off += e.lbas;
   }
   stats_.tables_written++;
-  *out = std::move(t);
+  co_return t;
 }
 
 sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
@@ -473,13 +512,13 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
     // Tables claimed by a running compaction keep their extents pinned
     // (the compactor is reading them); claim the rest so compaction
     // can't drop a table out from under the relocation loop.
-    std::vector<TablePtr> holders;
-    for (auto& level : levels_) {
-      for (const TablePtr& t : level) {
+    reclaim_holders_.clear();
+    for (const auto& level : levels_) {
+      for (SsTable* t : level) {
         if (t->compacting) continue;
         for (const Extent& e : t->extents) {
           if (e.zone == vzone) {
-            holders.push_back(t);
+            reclaim_holders_.push_back(t);
             t->compacting = true;
             break;
           }
@@ -487,7 +526,7 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
       }
     }
     const std::uint64_t reloc_before = stats_.gc_relocated_bytes;
-    for (const TablePtr& t : holders) {
+    for (SsTable* t : reclaim_holders_) {
       co_await RelocateTablePart(t, vzone);
       t->compacting = false;
     }
@@ -524,12 +563,15 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
   }
 }
 
-sim::Task<> KvStore::RelocateTablePart(TablePtr t, std::uint32_t victim) {
+sim::Task<> KvStore::RelocateTablePart(SsTable* t, std::uint32_t victim) {
   if (t->dropped) co_return;
-  std::vector<Extent> rebuilt;
-  for (const Extent& e : t->extents) {
+  // The table is claimed, so only this loop changes its extents; Gets
+  // reading it re-find their position after each read.
+  reloc_extents_.clear();
+  for (std::size_t i = 0; i < t->extents.size(); ++i) {
+    const Extent e = t->extents[i];
     if (e.zone != victim) {
-      rebuilt.push_back(e);
+      reloc_extents_.push_back(e);
       continue;
     }
     // Read the live run, rewrite it into the relocation zone (chunked),
@@ -550,7 +592,7 @@ sim::Task<> KvStore::RelocateTablePart(TablePtr t, std::uint32_t victim) {
       co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
       Extent ne = co_await RelocAppend(chunk, tag0 + wrote);
       ZSTOR_CHECK_MSG(ne.lbas > 0, "relocation append failed");
-      rebuilt.push_back(ne);
+      reloc_extents_.push_back(ne);
       wrote += ne.lbas;
       stats_.gc_relocated_bytes +=
           static_cast<std::uint64_t>(ne.lbas) * lba_bytes_;
@@ -558,7 +600,7 @@ sim::Task<> KvStore::RelocateTablePart(TablePtr t, std::uint32_t victim) {
     ZoneInfo& vz = zones_[ZoneIndex(victim)];
     vz.live_lbas -= e.lbas;
   }
-  t->extents = std::move(rebuilt);
+  t->extents.swap(reloc_extents_);
 }
 
 sim::Task<KvStore::Extent> KvStore::RelocAppend(std::uint32_t lbas,
@@ -603,9 +645,7 @@ sim::Task<KvStore::Extent> KvStore::RelocAppend(std::uint32_t lbas,
 
 void KvStore::MaybeScheduleCompaction() {
   if (compact_busy_ || stopping_) return;
-  CompactionJob probe;
-  if (!PickCompaction(&probe)) return;
-  for (const TablePtr& t : probe.inputs) t->compacting = false;  // unclaim
+  if (!PickCompaction(nullptr)) return;
   compact_busy_ = true;
   workers_.Add();
   sim::Spawn(CompactJob());
@@ -613,9 +653,9 @@ void KvStore::MaybeScheduleCompaction() {
 
 sim::Task<> KvStore::CompactJob() {
   while (!stopping_) {
-    CompactionJob job;
-    if (!PickCompaction(&job)) break;
-    co_await RunCompaction(std::move(job));
+    compact_job_.inputs.clear();
+    if (!PickCompaction(&compact_job_)) break;
+    co_await RunCompaction();
     compact_done_.NotifyAll();
   }
   compact_busy_ = false;
@@ -626,7 +666,7 @@ sim::Task<> KvStore::CompactJob() {
 bool KvStore::OverlapClaimed(std::uint32_t level, std::uint64_t lo,
                              std::uint64_t hi) const {
   return std::any_of(levels_[level].begin(), levels_[level].end(),
-                     [&](const TablePtr& t) {
+                     [&](const SsTable* t) {
                        return t->compacting && t->min_key <= hi &&
                               t->max_key >= lo;
                      });
@@ -636,22 +676,24 @@ bool KvStore::PickCompaction(CompactionJob* job) {
   // A table reclaim has claimed stays where it is, so a job that would
   // have to merge it waits: merging around it would leave an older L0
   // version above the output, or two overlapping tables in one level.
+  bool blocked = false;
   // L0 first: overlapping tables pile up and stall writers.
   if (levels_[0].size() >= opt_.l0_compact_trigger) {
     std::uint64_t lo = ~0ull, hi = 0;
-    for (const TablePtr& t : levels_[0]) {
+    for (const SsTable* t : levels_[0]) {
       lo = std::min(lo, t->min_key);
       hi = std::max(hi, t->max_key);
     }
     if (OverlapClaimed(0, lo, hi) || OverlapClaimed(1, lo, hi)) {
-      compaction_deferred_ = true;
+      blocked = true;
     } else {
+      if (job == nullptr) return true;
       job->from_level = 0;
-      job->inputs = levels_[0];
-      for (const TablePtr& t : levels_[1]) {
+      job->inputs.assign(levels_[0].begin(), levels_[0].end());
+      for (SsTable* t : levels_[1]) {
         if (t->min_key <= hi && t->max_key >= lo) job->inputs.push_back(t);
       }
-      for (const TablePtr& t : job->inputs) t->compacting = true;
+      for (SsTable* t : job->inputs) t->compacting = true;
       return true;
     }
   }
@@ -660,13 +702,14 @@ bool KvStore::PickCompaction(CompactionJob* job) {
   // it turns those zones resettable without relocation.
   for (std::uint32_t l = 1; l + 1 < kMaxLevels; ++l) {
     if (levels_stats_[l].bytes <= LevelTargetBytes(l)) continue;
-    TablePtr victim;
+    SsTable* victim = nullptr;
     double best_score = -1.0;
-    for (const TablePtr& t : levels_[l]) {
+    for (SsTable* t : levels_[l]) {
       if (t->compacting || OverlapClaimed(l + 1, t->min_key, t->max_key)) {
-        compaction_deferred_ = true;
+        blocked = true;
         continue;
       }
+      if (job == nullptr) return true;
       std::uint64_t total = 0;
       double weighted = 0.0;
       for (const Extent& e : t->extents) {
@@ -683,18 +726,69 @@ bool KvStore::PickCompaction(CompactionJob* job) {
     if (victim == nullptr) continue;
     job->from_level = l;
     job->inputs.push_back(victim);
-    for (const TablePtr& t : levels_[l + 1]) {
+    for (SsTable* t : levels_[l + 1]) {
       if (t->min_key <= victim->max_key && t->max_key >= victim->min_key) {
         job->inputs.push_back(t);
       }
     }
-    for (const TablePtr& t : job->inputs) t->compacting = true;
+    for (SsTable* t : job->inputs) t->compacting = true;
     return true;
   }
+  // Reclaim reschedules a job that waited on its claims.
+  if (blocked) compaction_deferred_ = true;
   return false;
 }
 
-sim::Task<> KvStore::RunCompaction(CompactionJob job) {
+void KvStore::MergeInputs(bool drop_tombstones) {
+  // Each from_level input is one sorted run; the next level's inputs
+  // together form one more. Runs are few (the L0 tables plus one), so
+  // the merge scans their heads for the smallest (key ascending, then
+  // seq descending).
+  const std::vector<SsTable*>& in = compact_job_.inputs;
+  auto open = [&](std::size_t first, std::size_t last) {
+    const std::vector<TableEntry>& e = in[first]->entries;
+    merge_runs_.push_back(
+        MergeRun{e.data(), e.data() + e.size(), first + 1, last});
+  };
+  merge_runs_.clear();
+  std::size_t i = 0;
+  for (; i < in.size() && in[i]->level == compact_job_.from_level; ++i) {
+    open(i, i + 1);
+  }
+  if (i < in.size()) open(i, in.size());
+  merged_.clear();
+  bool have_last = false;
+  std::uint64_t last_key = 0;
+  while (!merge_runs_.empty()) {
+    MergeRun* best = &merge_runs_[0];
+    for (MergeRun& r : merge_runs_) {
+      if (r.cur->key < best->cur->key ||
+          (r.cur->key == best->cur->key && r.cur->seq > best->cur->seq)) {
+        best = &r;
+      }
+    }
+    const TableEntry& e = *best->cur;
+    // The first version of a key is its newest; a tombstone dropped at
+    // the last level still hides the older versions behind it.
+    if (!have_last || e.key != last_key) {
+      have_last = true;
+      last_key = e.key;
+      if (!(e.tombstone && drop_tombstones)) merged_.push_back(e);
+    }
+    if (++best->cur != best->end) continue;
+    if (best->next != best->last) {
+      const std::vector<TableEntry>& next = in[best->next++]->entries;
+      best->cur = next.data();
+      best->end = next.data() + next.size();
+    } else {
+      *best = merge_runs_.back();
+      merge_runs_.pop_back();
+    }
+  }
+}
+
+sim::Task<> KvStore::RunCompaction() {
+  const CompactionJob& job = compact_job_;
   const sim::Time t0 = sim_.now();
   const std::uint32_t out_level = job.from_level + 1;
   std::uint64_t bytes_read = 0;
@@ -702,7 +796,7 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
   // background depth stays low so foreground reads keep their slots).
   {
     auto io = co_await compact_io_.Hold();
-    for (const TablePtr& t : job.inputs) {
+    for (const SsTable* t : job.inputs) {
       for (const Extent& e : t->extents) {
         std::uint32_t off = 0;
         while (off < e.lbas) {
@@ -718,51 +812,35 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
     }
   }
   // Merge: newest sequence wins; tombstones fall out at the last level.
-  std::vector<TableEntry> merged;
-  for (const TablePtr& t : job.inputs) {
-    merged.insert(merged.end(), t->entries.begin(), t->entries.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const TableEntry& a, const TableEntry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.seq > b.seq;
-            });
-  std::vector<TableEntry> out;
-  out.reserve(merged.size());
-  const bool drop_tombstones = out_level == kMaxLevels - 1;
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (i > 0 && merged[i].key == merged[i - 1].key) continue;
-    if (merged[i].tombstone && drop_tombstones) continue;
-    out.push_back(merged[i]);
-  }
-  // Cut output tables and write them (paced appends to the out level's
-  // lifetime class).
-  std::vector<TablePtr> outputs;
+  MergeInputs(/*drop_tombstones=*/out_level == kMaxLevels - 1);
+  // Cut output tables straight from the merge buffer and write them
+  // (paced appends to the out level's lifetime class).
+  compact_outputs_.clear();
   bool failed = false;
   std::uint64_t bytes_written = 0;
   std::size_t i = 0;
-  while (i < out.size() && !failed) {
-    std::vector<TableEntry> chunk;
+  while (i < merged_.size()) {
+    std::size_t end = i;
     std::uint64_t chunk_bytes = 0;
-    while (i < out.size() &&
-           (chunk.empty() || chunk_bytes + out[i].bytes <= kMaxTableBytes)) {
-      chunk_bytes += out[i].bytes;
-      chunk.push_back(out[i]);
-      ++i;
+    while (end < merged_.size() &&
+           (end == i || chunk_bytes + merged_[end].bytes <= kMaxTableBytes)) {
+      chunk_bytes += merged_[end].bytes;
+      ++end;
     }
-    TablePtr t;
-    co_await BuildTable(std::move(chunk), out_level, /*paced=*/true, &t);
+    SsTable* t = co_await BuildTable(merged_.data() + i, end - i, out_level,
+                                     /*paced=*/true);
+    i = end;
     if (t->write_failed) {
       failed = true;
       DropTable(t);
       break;
     }
     bytes_written += static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
-    outputs.push_back(std::move(t));
+    compact_outputs_.push_back(t);
   }
   if (failed) {
-    for (const TablePtr& t : outputs) DropTable(t);
-    for (const TablePtr& t : job.inputs) t->compacting = false;
+    for (SsTable* t : compact_outputs_) DropTable(t);
+    for (SsTable* t : job.inputs) t->compacting = false;
     co_await sim_.Delay(sim::Microseconds(500));
     co_return;
   }
@@ -770,11 +848,11 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
   const std::uint64_t e0 = Epoch();
   auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
   const bool durable = fc.completion.ok() && Epoch() == e0;
-  for (const TablePtr& t : outputs) {
+  for (SsTable* t : compact_outputs_) {
     t->durable = durable && t->write_epoch == e0;
     InstallTable(t, out_level);
   }
-  for (const TablePtr& t : job.inputs) {
+  for (SsTable* t : job.inputs) {
     auto& lvl = levels_[t->level];
     lvl.erase(std::remove(lvl.begin(), lvl.end(), t), lvl.end());
     DropTable(t);
@@ -798,7 +876,7 @@ sim::Task<> KvStore::RunCompaction(CompactionJob job) {
   MaybeScheduleReclaim();
 }
 
-void KvStore::InstallTable(TablePtr t, std::uint32_t level) {
+void KvStore::InstallTable(SsTable* t, std::uint32_t level) {
   t->level = level;
   t->installed = true;
   if (level == 0) {
@@ -806,7 +884,7 @@ void KvStore::InstallTable(TablePtr t, std::uint32_t level) {
   } else {
     auto& lvl = levels_[level];
     auto pos = std::lower_bound(lvl.begin(), lvl.end(), t,
-                                [](const TablePtr& a, const TablePtr& b) {
+                                [](const SsTable* a, const SsTable* b) {
                                   return a->min_key < b->min_key;
                                 });
     lvl.insert(pos, t);
@@ -816,7 +894,7 @@ void KvStore::InstallTable(TablePtr t, std::uint32_t level) {
   levels_stats_[level].bytes_in += t->data_bytes;
 }
 
-void KvStore::DropTable(const TablePtr& t) {
+void KvStore::DropTable(SsTable* t) {
   if (t->dropped) return;
   t->dropped = true;
   for (const Extent& e : t->extents) {
@@ -831,19 +909,17 @@ void KvStore::DropTable(const TablePtr& t) {
     ls.bytes -= t->data_bytes;
     stats_.tables_deleted++;
   }
+  if (t->readers == 0) free_tables_.push_back(t);
 }
 
 // ---------------------------------------------------------------------------
 // Read path.
 // ---------------------------------------------------------------------------
 
-const KvStore::TableEntry* KvStore::FindInTable(const TablePtr& t,
-                                                std::uint64_t key) const {
+const KvStore::TableEntry* KvStore::FindInTable(const SsTable* t,
+                                                std::uint64_t key) {
   if (key < t->min_key || key > t->max_key) return nullptr;
-  auto it = std::lower_bound(t->entries.begin(), t->entries.end(), key,
-                             [](const TableEntry& e, std::uint64_t k) {
-                               return e.key < k;
-                             });
+  auto it = LowerBound(t->entries, key);
   if (it == t->entries.end() || it->key != key) return nullptr;
   return &*it;
 }
@@ -883,7 +959,7 @@ sim::Task<Status> KvStore::ReadExtentRange(
   co_return Status::kSuccess;
 }
 
-sim::Task<Status> KvStore::ReadEntry(const TablePtr& t, std::size_t idx) {
+sim::Task<Status> KvStore::ReadEntry(SsTable* t, std::size_t idx) {
   // Read the entry's LBAs extent by extent (an entry may straddle an
   // extent split). A relocation may replace t->extents while a read is
   // in flight, so each read copies its extent and the next one is found
@@ -911,21 +987,19 @@ sim::Task<Status> KvStore::ReadEntry(const TablePtr& t, std::size_t idx) {
 }
 
 const KvStore::TableEntry* KvStore::Lookup(std::uint64_t key,
-                                           TablePtr* table) const {
-  table->reset();
+                                           SsTable** table) const {
+  *table = nullptr;
   // Memtables first: no device I/O.
-  if (auto it = mem_.find(key); it != mem_.end()) return &it->second;
-  if (imm_ != nullptr) {
-    if (auto it = imm_->find(key); it != imm_->end()) return &it->second;
-  }
+  if (const TableEntry* e = mem_.Find(key)) return e;
+  if (const TableEntry* e = imm_.Find(key)) return e;
   return LookupTables(key, table);
 }
 
 const KvStore::TableEntry* KvStore::LookupTables(std::uint64_t key,
-                                                 TablePtr* table) const {
+                                                 SsTable** table) const {
   // L0 newest-first (tables overlap), then one candidate per deeper
   // level (tables are disjoint and sorted).
-  for (const TablePtr& t : levels_[0]) {
+  for (SsTable* t : levels_[0]) {
     if (const TableEntry* e = FindInTable(t, key)) {
       *table = t;
       return e;
@@ -934,7 +1008,7 @@ const KvStore::TableEntry* KvStore::LookupTables(std::uint64_t key,
   for (std::uint32_t l = 1; l < kMaxLevels; ++l) {
     const auto& lvl = levels_[l];
     auto it = std::upper_bound(lvl.begin(), lvl.end(), key,
-                               [](std::uint64_t k, const TablePtr& t) {
+                               [](std::uint64_t k, const SsTable* t) {
                                  return k < t->min_key;
                                });
     if (it == lvl.begin()) continue;
@@ -949,18 +1023,22 @@ const KvStore::TableEntry* KvStore::LookupTables(std::uint64_t key,
 sim::Task<Status> KvStore::Get(std::uint64_t key, bool* found) {
   stats_.gets++;
   if (found != nullptr) *found = false;
-  TablePtr t;
+  SsTable* t = nullptr;
   const TableEntry* e = Lookup(key, &t);
+  const bool live = e != nullptr && !e->tombstone;
   Status st = Status::kSuccess;
   if (t != nullptr) {
-    const std::size_t idx = static_cast<std::size_t>(e - t->entries.data());
-    st = co_await ReadEntry(t, idx);
+    // Pin the table: a compaction may drop it while the read is in
+    // flight, and a dropped table must not be reused under the read.
+    t->readers++;
+    st = co_await ReadEntry(t, static_cast<std::size_t>(e - t->entries.data()));
+    if (--t->readers == 0 && t->dropped) free_tables_.push_back(t);
   }
-  if (e == nullptr || e->tombstone) {
-    stats_.missing++;
-  } else {
+  if (live) {
     stats_.found++;
     if (found != nullptr) *found = true;
+  } else {
+    stats_.missing++;
   }
   co_return st;
 }
@@ -969,7 +1047,8 @@ sim::Task<> KvStore::Drain() {
   for (;;) {
     MaybeScheduleCompaction();
     MaybeScheduleReclaim();
-    if (!flush_busy_ && !compact_busy_ && !gc_busy_ && imm_ == nullptr) {
+    if (!flush_busy_ && !compact_busy_ && !gc_busy_ &&
+        imm_.entries.empty()) {
       break;
     }
     co_await idle_.Wait();
@@ -1012,8 +1091,9 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   }
   // ---- SSTables: drop what was never durable, verify what was --------
   for (auto& lvl : levels_) {
-    std::vector<TablePtr> keep;
-    for (const TablePtr& t : lvl) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < lvl.size(); ++i) {
+      SsTable* t = lvl[i];
       if (!t->durable) {
         // Un-certified table: the crash may have torn it. Its records
         // are still WAL-covered (checkpoint only follows durability),
@@ -1048,13 +1128,14 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
           off += chunk;
         }
       }
-      keep.push_back(t);
+      lvl[kept++] = t;
     }
-    lvl = std::move(keep);
+    lvl.resize(kept);
   }
   // ---- WAL: classify and replay --------------------------------------
   std::vector<const WalRecord*> replay;
-  for (const WalRecord& r : wal_) {
+  for (std::size_t i = 0; i < wal_.size(); ++i) {
+    const WalRecord& r = wal_[i];
     if (r.durable) continue;  // covered by a verified durable table
     const std::uint64_t seg_wp = wp[r.segment];
     if (!r.acked) {
@@ -1077,20 +1158,17 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     if (rep.silent_corruptions == before) replay.push_back(&r);
   }
   // Rebuild the memtable from the surviving records, newest seq wins.
-  mem_.clear();
+  mem_.entries.clear();
   mem_bytes_ = 0;
-  imm_.reset();
+  imm_.entries.clear();
   for (const WalRecord* r : replay) {
     // A surviving table may already hold this version or a newer one: a
     // compaction can certify data whose own flush never did. Replaying
     // the older record would shadow it from L0.
-    TablePtr holder;
+    SsTable* holder = nullptr;
     const TableEntry* in_table = LookupTables(r->key, &holder);
     if (in_table != nullptr && in_table->seq >= r->seq) continue;
-    TableEntry& mv = mem_[r->key];
-    if (r->seq >= mv.seq) {
-      mv = TableEntry{r->key, r->bytes, r->seq, r->tombstone};
-    }
+    mem_.Upsert(TableEntry{r->key, r->bytes, r->seq, r->tombstone});
     mem_bytes_ += r->bytes + kWalHeaderBytes;
     stats_.wal_replayed++;
   }
@@ -1104,7 +1182,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     zi.open = false;
   }
   for (const auto& lvl : levels_) {
-    for (const TablePtr& t : lvl) {
+    for (const SsTable* t : lvl) {
       for (const Extent& e : t->extents) {
         zones_[ZoneIndex(e.zone)].live_lbas += e.lbas;
       }
@@ -1117,13 +1195,11 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     if (zi.written_lbas == 0) free_zones_.push_back(zi.zone);
   }
   // ---- finish: flush the replayed memtable, restart the log ----------
-  if (!mem_.empty()) {
-    std::vector<TableEntry> entries;
-    entries.reserve(mem_.size());
-    for (const auto& [k, v] : mem_) entries.push_back(v);
+  if (!mem_.entries.empty()) {
     for (int attempt = 0;; ++attempt) {
-      TablePtr t;
-      co_await BuildTable(std::move(entries), 0, /*paced=*/false, &t);
+      SsTable* t = co_await BuildTable(mem_.entries.data(),
+                                       mem_.entries.size(), 0,
+                                       /*paced=*/false);
       if (!t->write_failed) {
         const std::uint64_t e0 = Epoch();
         auto fc = co_await stack_.Submit({.opcode = Opcode::kFlush});
@@ -1135,12 +1211,11 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
           break;
         }
       }
-      entries = t->entries;  // retry with the same contents
-      DropTable(t);
+      DropTable(t);  // retry with the same contents
       ZSTOR_CHECK_MSG(attempt < 50, "post-crash flush kept failing");
       co_await sim_.Delay(sim::Microseconds(500));
     }
-    mem_.clear();
+    mem_.entries.clear();
     mem_bytes_ = 0;
   }
   for (std::uint8_t seg = 0; seg < 2; ++seg) {
@@ -1162,8 +1237,6 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   }
   wal_.clear();
   wal_segment_ = 0;
-  mem_first_seq_ = next_seq_;
-  imm_first_seq_ = 0;
   if (telem_ != nullptr) {
     telem_->tracer().Span(t0, sim_.now(), telemetry::Tracer::NextCmdId(),
                           telemetry::Layer::kWorkload, "kv.recover",

@@ -40,10 +40,10 @@
 // silent corruption).
 #pragma once
 
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -56,6 +56,7 @@
 #include "telemetry/telemetry.h"
 #include "workload/verifier.h"
 #include "workload/ycsb.h"
+#include "zkv/ring.h"
 
 namespace zstor::zkv {
 
@@ -251,6 +252,9 @@ class KvStore : public workload::KvBackend {
     bool tombstone = false;
   };
 
+  /// SSTables live in a store-owned pool (NewTable) and are addressed by
+  /// raw pointer. A dropped table goes back to the pool, keeping its
+  /// vectors' capacity, once no suspended Get pins it (`readers`).
   struct SsTable {
     std::uint64_t id = 0;
     std::uint32_t level = 0;
@@ -264,12 +268,19 @@ class KvStore : public workload::KvBackend {
     bool installed = false;               // counted in a level's shape
     bool dropped = false;                 // removed (extents are garbage)
     bool write_failed = false;            // an append outran its retries
+    std::uint32_t readers = 0;            // Gets suspended on its entries
     std::uint64_t write_epoch = 0;        // power epoch when written
     std::uint64_t min_key = 0, max_key = 0;
   };
-  using TablePtr = std::shared_ptr<SsTable>;
 
-  using Memtable = std::map<std::uint64_t, TableEntry>;
+  /// One memtable generation: entries sorted by key, one per key (the
+  /// newest seq wins). mem_ and imm_ swap storage on rotation, so a warm
+  /// store reuses both arrays.
+  struct Memtable {
+    std::vector<TableEntry> entries;
+    const TableEntry* Find(std::uint64_t key) const;
+    void Upsert(const TableEntry& e);
+  };
 
   /// Host-side ledger of one WAL record (one put/delete).
   struct WalRecord {
@@ -315,19 +326,34 @@ class KvStore : public workload::KvBackend {
   ZoneClass ClassForLevel(std::uint32_t level) const;
   std::uint64_t LevelTargetBytes(std::uint32_t level) const;
   double ZoneGarbage(const ZoneInfo& zi) const;
-  /// Background-rate pacing (compact_rate_mibps) for `bytes` of I/O.
-  sim::Task<> Pace(std::uint64_t bytes);
+  /// Background-rate pacing (compact_rate_mibps) for `bytes` of I/O:
+  /// an awaitable delay, ready at once when unthrottled. Not a coroutine,
+  /// so the per-chunk call costs no frame.
+  struct PaceAwaiter {
+    sim::Simulator& sim;
+    bool paced;
+    sim::Time delay;
+    bool await_ready() const noexcept { return !paced; }
+    void await_suspend(std::coroutine_handle<> h) { sim.ResumeIn(delay, h); }
+    void await_resume() const noexcept {}
+  };
+  PaceAwaiter Pace(std::uint64_t bytes) const;
 
   // ---- write path ------------------------------------------------------
   sim::Task<nvme::Status> PutInternal(std::uint64_t key, std::uint64_t bytes,
                                       bool tombstone);
-  sim::Task<nvme::Status> WalAppend(WalRecord& rec);
+  /// The ledger record of `seq`, or null once a checkpoint retired it.
+  WalRecord* FindWalRecord(std::uint64_t seq);
   sim::Task<> StallForRoom();        // L0 / imm backpressure, counts stall ns
   void MaybeRotateMemtable();        // rotate when the memtable is full
   void DoRotate();                   // mem_ -> imm_, switch WAL segment
   sim::Task<> FlushJob();            // background: imm_ -> L0 SSTable
-  sim::Task<> BuildTable(std::vector<TableEntry> entries, std::uint32_t level,
-                         bool paced, TablePtr* out);
+  /// A pooled table, reset but for its vectors' capacity.
+  SsTable* NewTable();
+  /// Copies entries [first, first + n) (sorted by key) into a new table
+  /// before its first suspension, then appends the table's data.
+  sim::Task<SsTable*> BuildTable(const TableEntry* first, std::size_t n,
+                                 std::uint32_t level, bool paced);
   /// Reserves room in the class's open zone (rotating or reclaiming if
   /// needed) and appends one chunk. Returns the extent actually written
   /// (lbas == 0 reports failure).
@@ -338,23 +364,39 @@ class KvStore : public workload::KvBackend {
   void MaybeScheduleReclaim();
   sim::Task<> ReclaimJob(bool need_free);
   sim::Task<> ReclaimZones(bool need_free);   // GC pass (serialized)
-  sim::Task<> RelocateTablePart(TablePtr t, std::uint32_t victim);
+  sim::Task<> RelocateTablePart(SsTable* t, std::uint32_t victim);
   sim::Task<Extent> RelocAppend(std::uint32_t lbas, std::uint64_t tag_base);
 
   // ---- compaction ------------------------------------------------------
+  /// A merge cursor: the head entry of its current table, and the
+  /// compaction inputs [next, last) it walks after that table.
+  struct MergeRun {
+    const TableEntry* cur = nullptr;
+    const TableEntry* end = nullptr;
+    std::size_t next = 0, last = 0;
+  };
   struct CompactionJob {
     std::uint32_t from_level = 0;
-    std::vector<TablePtr> inputs;     // from `from_level` and from_level+1
+    /// The from_level tables (each one sorted run), then the overlapping
+    /// from_level + 1 tables (disjoint and in key order: one run).
+    std::vector<SsTable*> inputs;
   };
   void MaybeScheduleCompaction();
   sim::Task<> CompactJob();
+  /// Picks and claims the next job into *job; with a null job only says
+  /// whether one exists.
   bool PickCompaction(CompactionJob* job);
   /// True when a table of `level` overlapping [lo, hi] is claimed.
   bool OverlapClaimed(std::uint32_t level, std::uint64_t lo,
                       std::uint64_t hi) const;
-  sim::Task<> RunCompaction(CompactionJob job);
-  void InstallTable(TablePtr t, std::uint32_t level);
-  void DropTable(const TablePtr& t);  // extents -> garbage, stats
+  sim::Task<> RunCompaction();       // runs compact_job_
+  /// Merges compact_job_'s sorted runs into merged_: key ascending, the
+  /// newest seq of each key only, tombstones dropped at the last level.
+  void MergeInputs(bool drop_tombstones);
+  void InstallTable(SsTable* t, std::uint32_t level);
+  /// Extents -> garbage, stats; the table returns to the pool unless a
+  /// Get still reads it.
+  void DropTable(SsTable* t);
   /// One ranged read inside an extent. With verify_tags, tags feed `rep`
   /// when given (recovery classification) or the mismatch counter
   /// otherwise (foreground integrity checking).
@@ -365,11 +407,11 @@ class KvStore : public workload::KvBackend {
   // ---- read path -------------------------------------------------------
   /// The newest version of `key` Get resolves to (null: none). A hit in
   /// an SSTable stores the table in *table, a memtable hit null.
-  const TableEntry* Lookup(std::uint64_t key, TablePtr* table) const;
+  const TableEntry* Lookup(std::uint64_t key, SsTable** table) const;
   /// Lookup's SSTable half (the memtables skipped).
-  const TableEntry* LookupTables(std::uint64_t key, TablePtr* table) const;
-  sim::Task<nvme::Status> ReadEntry(const TablePtr& t, std::size_t idx);
-  const TableEntry* FindInTable(const TablePtr& t, std::uint64_t key) const;
+  const TableEntry* LookupTables(std::uint64_t key, SsTable** table) const;
+  sim::Task<nvme::Status> ReadEntry(SsTable* t, std::size_t idx);
+  static const TableEntry* FindInTable(const SsTable* t, std::uint64_t key);
 
   // ---- recovery --------------------------------------------------------
   sim::Task<std::vector<nvme::ZoneDescriptor>> ReportZones();
@@ -383,28 +425,28 @@ class KvStore : public workload::KvBackend {
   // LSM state.
   Memtable mem_;
   std::uint64_t mem_bytes_ = 0;
-  std::unique_ptr<Memtable> imm_;    // at most one immutable memtable
+  Memtable imm_;  // the immutable generation awaiting its flush, or empty
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_table_id_ = 1;
   std::uint64_t next_tag_ = 1;       // 0 = untagged on the wire
   /// levels_[0] newest-first, overlapping; levels_[1..] sorted by
   /// min_key, disjoint.
-  std::vector<std::vector<TablePtr>> levels_;
+  std::vector<std::vector<SsTable*>> levels_;
   std::vector<LevelStats> levels_stats_;
+  std::vector<std::unique_ptr<SsTable>> table_pool_;  // owns every table
+  std::vector<SsTable*> free_tables_;  // dropped and unread
 
   // WAL state.
   std::uint8_t wal_segment_ = 0;           // active segment (0/1)
   std::uint64_t wal_used_lbas_[2] = {0, 0};
   std::uint64_t wal_pending_[2] = {0, 0};  // appends in flight per segment
-  std::deque<WalRecord> wal_;              // ledger, seq order
-  std::uint64_t mem_first_seq_ = 1;        // lowest seq still in mem_
-  std::uint64_t imm_first_seq_ = 0;        // lowest seq in imm_ (0 = none)
+  Ring<WalRecord> wal_;                    // ledger, consecutive seqs
   std::uint64_t imm_last_seq_ = 0;         // one past imm_'s highest seq
   std::uint8_t imm_segment_ = 0;           // segment covering imm_
 
   // Zone state.
   std::vector<ZoneInfo> zones_;            // data zones, by index
-  std::deque<std::uint32_t> free_zones_;   // logical zone numbers
+  Ring<std::uint32_t> free_zones_;         // logical zone numbers
   std::int64_t open_zone_[2] = {-1, -1};   // per class; -1 = none
   std::int64_t reloc_zone_ = -1;           // GC's private output zone
   sim::Semaphore alloc_lock_;           // capacity reservation + rotation
@@ -422,6 +464,15 @@ class KvStore : public workload::KvBackend {
   sim::Condition wal_quiet_;     // per-segment appends drained
   sim::Condition idle_;          // wakes Drain()
   sim::WaitGroup workers_;
+
+  // Buffers the background jobs reuse (one compactor, one reclaim pass
+  // at a time).
+  CompactionJob compact_job_;
+  std::vector<MergeRun> merge_runs_;
+  std::vector<TableEntry> merged_;         // compaction output entries
+  std::vector<SsTable*> compact_outputs_;
+  std::vector<SsTable*> reclaim_holders_;
+  std::vector<Extent> reloc_extents_;
 
   KvStats stats_;
 };

@@ -6,7 +6,8 @@
 // the mailboxes have grown. Waiting allocates nothing either: not on any
 // sync.h/resource.h/token_bucket.h primitive, not per command through
 // a warm mq-deadline stack and ZNS device, and not per page of a
-// conventional FTL's GC migration or host I/O.
+// conventional FTL's GC migration or host I/O. A warm zkv store adds
+// nothing of its own per operation, flushes and compactions included.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/token_bucket.h"
+#include "workload/zipf.h"
+#include "zkv/kv_store.h"
 #include "zns/zns_device.h"
 
 namespace {
@@ -372,6 +375,97 @@ TEST(AllocCount, WarmConvGcMigrationAndHostIoAllocateNothingPerPage) {
   if (kFramePoolEnabled) {
     EXPECT_EQ(delta, 0u) << "a warm conv command or GC pass allocated";
   }
+}
+
+// Counts the reads that ask for payload-tag readback: the ZNS device
+// returns those tags in a fresh Completion::payload_tags vector, one
+// allocation per read that belongs to the device, not to the store.
+class TagReadCounter final : public hostif::Stack {
+ public:
+  explicit TagReadCounter(hostif::Stack& inner) : inner_(inner) {}
+  Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
+    if (cmd.opcode == nvme::Opcode::kRead && cmd.payload_tag != 0) ++reads;
+    co_return co_await inner_.Submit(cmd);
+  }
+  const nvme::NamespaceInfo& info() const override { return inner_.info(); }
+  std::uint64_t reads = 0;
+
+ private:
+  hostif::Stack& inner_;
+};
+
+// YCSB-A (half zipfian gets, half 4 KiB puts, four workers) through a
+// warm zkv store on a ZNS device. The memtables swap reused sorted
+// arrays, the WAL ledger and free-zone list are rings, tables come from
+// the store's pool and compaction merges into a store-owned buffer, so
+// the measured window (many flushes and compactions, zone resets too)
+// allocates exactly the device's tag vectors and nothing else.
+TEST(AllocCount, WarmKvStoreOpsFlushesAndCompactionsAllocateNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  zns::ZnsProfile p = zns::TinyProfile();
+  p.num_zones = 32;
+  p.max_open_zones = 8;
+  p.max_active_zones = 10;
+  p.nand_geometry.blocks_per_die = 96;
+  // No NAND backend: the array's per-zone bookkeeping keeps growing for
+  // a long while (WarmMqDeadlineZnsCommandsAreAllocationFree pins that
+  // path), and this window is about the store.
+  p.use_nand_backend = false;
+  zns::ZnsDevice dev(s, p);
+  hostif::SpdkStack spdk(s, dev);
+  TagReadCounter stack(spdk);
+  zkv::KvStore kv(s, stack,
+                  {.zone_count = 32,
+                   .memtable_bytes = 64 * 1024,
+                   .l0_compact_trigger = 2,
+                   .l0_stall_limit = 4});
+  constexpr std::uint64_t kRecords = 2048;
+  const workload::ZipfGenerator zipf(kRecords, 0.99);
+  std::uint64_t failed = 0;
+  auto key_of = [](std::uint64_t rank) { return rank * 0x9E3779B97F4A7C15ull; };
+  auto worker = [&](std::uint64_t seed, int ops) -> Task<> {
+    Rng rng(seed);
+    for (int i = 0; i < ops; ++i) {
+      const std::uint64_t key = key_of(zipf.Next(rng));
+      bool found = false;
+      const nvme::Status st = rng.UniformU64(2) == 0
+                                  ? co_await kv.Get(key, &found)
+                                  : co_await kv.Put(key, 4096);
+      failed += st == nvme::Status::kSuccess ? 0 : 1;
+    }
+  };
+  auto round = [&](std::uint64_t r, int ops) {
+    std::optional<Task<>> t[4];
+    for (std::uint64_t w = 0; w < 4; ++w) t[w].emplace(worker(r * 4 + w, ops));
+    s.Run();
+  };
+  auto load = [&]() -> Task<> {
+    for (std::uint64_t k = 0; k < kRecords; ++k) {
+      failed += co_await kv.Put(key_of(k), 4096) == nvme::Status::kSuccess
+                    ? 0
+                    : 1;
+    }
+  };
+  {
+    Task<> t = load();
+    s.Run();
+  }
+  for (std::uint64_t r = 0; r < 8; ++r) round(r, 2000);  // warm-up
+  const zkv::KvStats k0 = kv.stats();
+  const std::uint64_t reads0 = stack.reads;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(8, 1000);
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  const zkv::KvStats& k1 = kv.stats();
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(k1.gets + k1.puts - k0.gets - k0.puts, 4u * 1000);
+  EXPECT_GT(k1.flushes, k0.flushes);
+  EXPECT_GT(k1.compactions, k0.compactions);
+  EXPECT_GT(k1.zone_resets, k0.zone_resets);
+  EXPECT_GT(stack.reads, reads0);
+  EXPECT_EQ(delta, stack.reads - reads0)
+      << "the store allocated beyond the device's tag vectors";
 }
 
 }  // namespace

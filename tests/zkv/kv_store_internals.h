@@ -23,7 +23,7 @@ struct Version {
 struct KvStoreInternals {
   /// The version Get resolves `key` to, without issuing I/O.
   static Version Resolved(const KvStore& kv, std::uint64_t key) {
-    KvStore::TablePtr t;
+    KvStore::SsTable* t = nullptr;
     const KvStore::TableEntry* e = kv.Lookup(key, &t);
     if (e == nullptr) return {};
     return {e->seq, e->bytes, e->tombstone};
@@ -33,7 +33,7 @@ struct KvStoreInternals {
   /// the key resolves to a memtable or to nothing.
   static bool EntryZone(const KvStore& kv, std::uint64_t key,
                         std::uint32_t* zone) {
-    KvStore::TablePtr t;
+    KvStore::SsTable* t = nullptr;
     const KvStore::TableEntry* e = kv.Lookup(key, &t);
     if (e == nullptr || t == nullptr) return false;
     const std::uint32_t first =
@@ -53,7 +53,7 @@ struct KvStoreInternals {
   /// reclaim pass does (the table is claimed meanwhile).
   static sim::Task<> RelocateTableOf(KvStore& kv, std::uint64_t key,
                                      std::uint32_t zone) {
-    KvStore::TablePtr t;
+    KvStore::SsTable* t = nullptr;
     kv.Lookup(key, &t);
     t->compacting = true;
     co_await kv.RelocateTablePart(t, zone);
