@@ -232,6 +232,83 @@ TEST(ZnsResetFold, PowerCutDuringAFoldFailsTheResetAndKeepsTheZone) {
   EXPECT_EQ(f.h.dev.counters().resets, 0u);
 }
 
+// Ties on a slice boundary. A read whose FCP request lands exactly on a
+// boundary is served there only if its event sorts before that
+// boundary's wake: the wake was scheduled one slice earlier, so a read
+// scheduled before that (here: before the reset began) comes first, and
+// one scheduled after it waits for the next boundary. Either way the
+// reset is stretched by exactly the read's FCP service.
+
+TEST(ZnsResetFold, ReadOnABoundarySortedBeforeItsWakeIsServedThere) {
+  FoldFixture f(sim::Microseconds(100));
+  const Time t0 = f.h.sim.now();
+  const Time fcp_read = f.h.dev.profile().fcp.read;
+  const Time boundary = t0 + 20 * kSlice;
+  Completion rc, dc;
+  Time reset_done = 0, read_done = 0;
+  f.h.sim.ScheduleAt(boundary, [&] {
+    sim::Spawn(f.Issue(f.ReadCmd(), &dc, &read_done));
+  });
+  auto reset = f.Issue(f.ResetCmd(kZoneA), &rc, &reset_done);
+  f.h.sim.Run();
+  ASSERT_TRUE(rc.ok());
+  ASSERT_TRUE(dc.ok());
+  EXPECT_EQ(read_done, boundary + f.read_lat);
+  EXPECT_EQ(reset_done, t0 + sim::Microseconds(100) + fcp_read);
+}
+
+TEST(ZnsResetFold, ReadOnABoundarySortedAfterItsWakeWaitsOneSlice) {
+  FoldFixture f(sim::Microseconds(100));
+  const Time t0 = f.h.sim.now();
+  const Time fcp_read = f.h.dev.profile().fcp.read;
+  const Time boundary = t0 + 20 * kSlice;
+  Completion rc, dc;
+  Time reset_done = 0, read_done = 0;
+  auto reset = f.Issue(f.ResetCmd(kZoneA), &rc, &reset_done);
+  // Scheduled mid-slice, after the wake at `boundary` took its place.
+  f.h.sim.ScheduleAt(boundary - kSlice / 2, [&] {
+    f.h.sim.ScheduleAt(boundary, [&] {
+      sim::Spawn(f.Issue(f.ReadCmd(), &dc, &read_done));
+    });
+  });
+  f.h.sim.Run();
+  ASSERT_TRUE(rc.ok());
+  ASSERT_TRUE(dc.ok());
+  EXPECT_EQ(read_done, boundary + kSlice + f.read_lat);
+  EXPECT_EQ(reset_done, t0 + sim::Microseconds(100) + fcp_read);
+}
+
+TEST(ZnsResetFold, IoDrainedMidResetGoesBulkAtTheFirstBoundaryAfterTheQuietMark) {
+  // A read arriving mid-slice takes the FCP at the next boundary; the
+  // reset resumes when the read's FCP service ends, and its boundaries
+  // run on from there. Once the read completes the device drains, and
+  // the rest of the reset goes bulk at the first of those boundaries at
+  // or after 1 ms of silence.
+  FoldFixture f(sim::Milliseconds(5));
+  const Time t0 = f.h.sim.now();
+  const Time fcp_read = f.h.dev.profile().fcp.read;
+  Completion rc, dc;
+  Time reset_done = 0, read_done = 0;
+  auto reset = f.Issue(f.ResetCmd(kZoneA), &rc, &reset_done);
+  f.h.sim.ScheduleAt(t0 + 100 * kSlice + 300, [&] {
+    sim::Spawn(f.Issue(f.ReadCmd(), &dc, &read_done));
+  });
+  f.h.sim.Run();
+  ASSERT_TRUE(rc.ok());
+  ASSERT_TRUE(dc.ok());
+  const Time served = t0 + 101 * kSlice;  // the read's FCP grant
+  EXPECT_EQ(read_done, served + f.read_lat);
+  const Time regrant = served + fcp_read;  // the reset's grid restarts here
+  const Time quiet = read_done + sim::Milliseconds(1);
+  const Time bulk_at =
+      regrant + (quiet - regrant + kSlice - 1) / kSlice * kSlice;
+  std::vector<TraceEvent> bulk = f.Named("reset.bulk");
+  ASSERT_EQ(bulk.size(), 1u);
+  EXPECT_EQ(bulk[0].begin, bulk_at);
+  EXPECT_EQ(reset_done, t0 + sim::Milliseconds(5) + fcp_read);
+  EXPECT_EQ(bulk[0].end, reset_done);
+}
+
 TEST(ZnsResetFold, LongResetBesideAPeriodicReaderCostsEventsPerRead) {
   FoldFixture f(sim::Milliseconds(10));
   Completion rc;
