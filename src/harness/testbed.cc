@@ -268,7 +268,11 @@ telemetry::Snapshot Testbed::TakeSnapshot() {
   // introduced them (the sampler's refresh uses per-lane mode, and mixing
   // per-lane presence across snapshots of one run would be confusing).
   DescribeLayers(layers, m, /*per_lane=*/sampler_ != nullptr);
-  if (psim_ != nullptr) {
+  if (psim_ == nullptr) {
+    // Classic engine shape: events run so far (a slice chain's skipped
+    // wakes are not events).
+    m.GetCounter("sim.events").Set(sim_->events());
+  } else {
     // The describes above covered the coordinator's layers; fold in the
     // device-lane halves that Set-overwrite cleanly (stripe totals and
     // the fault sum). Lane registries themselves merge only at Finish —

@@ -40,7 +40,8 @@ class PriorityResource {
 
   /// Takes the idle server (true), or queues `w` in class `priority`
   /// until a Release() grants it (false). `w.handle` names the coroutine
-  /// whose frame holds `w`.
+  /// whose frame holds `w`. A holder sleeping on the simulator's slice
+  /// chain with this server as owner wakes at its next boundary.
   bool Take(Waiter& w, std::uint32_t priority) {
     ZSTOR_CHECK(priority < waiters_.size());
     if (!busy_) {
@@ -48,6 +49,7 @@ class PriorityResource {
       return true;
     }
     waiters_[priority].Push(w, w.handle);
+    sim_.MaterializeChain(this);
     return false;
   }
 

@@ -33,8 +33,15 @@
 // container held the event. The ready queue is consulted first only when
 // the heap has no event due at the same instant with a smaller seq, so
 // mixing ScheduleAt(now) with ScheduleIn(0) preserves exact FIFO.
+//
+// Virtual slice chain (HoldSlices): one periodic wake per simulator that
+// costs no event while nothing can observe it. Before each real event
+// the chain catches up arithmetically, so its wakes keep their exact
+// (time, seq) places; it becomes a real event only at its end or when
+// its owner's server is contended (DESIGN.md §1.1).
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
@@ -118,55 +125,74 @@ class Simulator {
   }
 
   /// Runs events until none remain. Returns the number processed.
-  std::uint64_t Run() {
-    bound_ = kNever;
-    std::uint64_t n = 0;
-    while (ready_count_ != 0 || heap_size_ != 0) {
-      Step();
-      ++n;
-    }
-    return n;
-  }
+  std::uint64_t Run() { return RunTo(kNever); }
 
   /// Runs events with timestamp <= `until` (boundary inclusive), then
-  /// sets now() = until. Returns the number of events processed.
+  /// sets now() = until. A slice chain has then consumed every boundary
+  /// <= until, so code running before the next call sees the order its
+  /// unfolded wakes would have left. Returns the number of events
+  /// processed.
   std::uint64_t RunUntil(Time until) {
-    bound_ = until;
-    std::uint64_t n = 0;
-    while ((ready_count_ != 0 && now_ <= until) ||
-           (heap_size_ != 0 && KeyTime(keys_[0]) <= until)) {
-      Step();
-      ++n;
-    }
+    const std::uint64_t n = RunTo(until);
     if (now_ < until) now_ = until;
     return n;
   }
 
-  bool idle() const { return ready_count_ == 0 && heap_size_ == 0; }
-  std::size_t pending_events() const { return ready_count_ + heap_size_; }
+  /// Events run so far by Run/RunUntil (each adds its count as it
+  /// returns). A chain's skipped wakes are not events.
+  std::uint64_t events() const { return events_; }
 
-  /// Timestamp of the earliest pending event: now() when a same-time
-  /// ready event exists, the heap minimum otherwise. The conservative
-  /// window planner (parallel_sim.h) uses this as each lane's earliest
-  /// possible send time. Callers must check idle() first.
-  Time next_event_time() const {
-    ZSTOR_CHECK(!idle());
-    return ready_count_ != 0 ? now_ : KeyTime(keys_[0]);
+  /// Awaitable: the caller, which holds the server `owner`, sleeps for
+  /// whole slices of `slice` — at least one, at most `work / slice` —
+  /// on the simulator's slice chain. Its wake lands exactly where the
+  /// wake of an unfolded `Delay(slice)` loop would have landed at the
+  /// first boundary that needs it: the last whole slice, the first
+  /// boundary at or after `wake_by`, or the next boundary after a
+  /// MaterializeChain(owner). `wake_by` is the owner's own mark, which
+  /// its events may move at any time: the chain reads it before each
+  /// boundary it skips. While another owner's chain runs this is a
+  /// plain Delay(slice).
+  auto HoldSlices(const void* owner, Time slice, Time work,
+                  const Time& wake_by) {
+    struct Awaiter {
+      Simulator& s;
+      const void* owner;
+      Time slice;
+      Time work;
+      const Time& wake_by;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        s.StartChain(owner, slice, work, wake_by, h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, owner, slice, work, wake_by};
   }
 
-  /// The latest instant up to which nothing but the caller's own next
-  /// wake can run: now() when a same-time event is pending, otherwise the
-  /// earliest timed event, capped by the bound of the current RunUntil
-  /// (kNever under Run()). Events scheduled from outside the run — by
-  /// code between RunUntil calls, or by the lane mailboxes
-  /// (parallel_sim.h) — land at or after that bound. So an event that
-  /// reschedules itself no later than quiet_until() keeps every other
-  /// event's (time, seq) order, as if it had woken at each instant in
-  /// between (DESIGN.md §1.1).
-  Time quiet_until() const {
+  /// Wakes the chain `owner` holds, if any, at its next boundary: the
+  /// server it holds is wanted. Its wake goes into the heap with the
+  /// key the unfolded wake would have had.
+  void MaterializeChain(const void* owner) {
+    if (owner != nullptr && chain_.owner == owner) PushChainWake();
+  }
+
+  bool idle() const {
+    return ready_count_ == 0 && heap_size_ == 0 && chain_.owner == nullptr;
+  }
+  std::size_t pending_events() const {
+    return ready_count_ + heap_size_ + (chain_.owner != nullptr ? 1 : 0);
+  }
+
+  /// Timestamp of the earliest pending event: now() when a same-time
+  /// ready event exists, otherwise the heap minimum or the chain's next
+  /// boundary, whichever is earlier. The conservative window planner
+  /// (parallel_sim.h) uses this as each lane's earliest possible send
+  /// time. Callers must check idle() first.
+  Time next_event_time() const {
+    ZSTOR_CHECK(!idle());
     if (ready_count_ != 0) return now_;
-    Time next = heap_size_ != 0 ? KeyTime(keys_[0]) : kNever;
-    return next < bound_ ? next : bound_;
+    Time t = heap_size_ != 0 ? KeyTime(keys_[0]) : kNever;
+    return chain_.owner != nullptr ? std::min(t, chain_.next) : t;
   }
 
  private:
@@ -184,6 +210,23 @@ class Simulator {
     std::uint64_t seq;
     EventFn fn;
   };
+
+  /// Runs every event due at or before `until`, advancing the slice
+  /// chain before each; returns how many ran.
+  std::uint64_t RunTo(Time until) {
+    std::uint64_t n = 0;
+    for (;;) {
+      if (chain_.owner != nullptr && ChainDueBefore(until)) continue;
+      if (!((ready_count_ != 0 && now_ <= until) ||
+            (heap_size_ != 0 && KeyTime(keys_[0]) <= until))) {
+        break;
+      }
+      Step();
+      ++n;
+    }
+    events_ += n;
+    return n;
+  }
 
   /// Runs the globally next event: the ready queue's front, unless a
   /// heap event due at the same instant was scheduled earlier.
@@ -215,6 +258,50 @@ class Simulator {
     SiftLastIntoRoot(n);
     (*std::launder(reinterpret_cast<EventFn*>(raw)))();
   }
+
+  // ---- virtual slice chain (DESIGN.md §1.1) ---------------------------
+
+  struct SliceChain {
+    const void* owner = nullptr;  // null while the slot is free
+    Time next = 0;                // the next boundary's wake ...
+    std::uint64_t seq = 0;        // ... and the seq its Delay took
+    Time slice = 0;
+    Time last = 0;                 // the last whole slice's boundary
+    const Time* wake_by = nullptr;  // the owner's mark ...
+    Time seen = 0;                 // ... as `end` last read it
+    Time end = 0;  // the boundary whose wake is real (> next while active)
+    std::coroutine_handle<> h;
+  };
+
+  // The chain's work is out of line (simulator.cc), so the run loop
+  // stays as small as it was without a chain.
+
+  /// Advances the chain if its next wake sorts before both the next
+  /// real event and the bound `until`; true if it did (the chain's end
+  /// may then be the next event).
+  bool ChainDueBefore(Time until);
+
+  void StartChain(const void* owner, Time slice, Time work,
+                  const Time& wake_by, std::coroutine_handle<> h);
+
+  /// Recomputes the chain's real wake from its owner's mark: the last
+  /// whole slice or the first boundary at or after the mark, whichever
+  /// comes first. A next boundary that is now that wake goes into the
+  /// heap.
+  void SetChainEnd();
+
+  /// Consumes the chain's wakes whose keys sort before `limit`: the next
+  /// one, whose key is smaller, then every later boundary whose wake —
+  /// keyed with a seq taken now, newer than any pending event's — still
+  /// sorts before it, up to the chain's real wake. The new next wake's
+  /// seq is taken here, where the last consumed wake's Delay would have
+  /// taken it. The owner's mark is read first: it may have moved since
+  /// the chain last looked, and only events move it.
+  void AdvanceChain(Key limit);
+
+  /// Pushes the chain's next wake into the heap at its as-if key and
+  /// frees the slot.
+  void PushChainWake();
 
   // ---- ready ring (FIFO, power-of-two capacity) -----------------------
   //
@@ -327,7 +414,6 @@ class Simulator {
   }
 
   Time now_ = 0;
-  Time bound_ = kNever;  // of the Run/RunUntil in progress (or last run)
   std::uint64_t next_seq_ = 0;
   std::unique_ptr<unsigned char[]> key_mem_;
   std::unique_ptr<unsigned char[]> fn_mem_;
@@ -340,6 +426,9 @@ class Simulator {
   std::size_t ready_cap_ = 0;  // always a power of two (or zero)
   std::size_t ready_head_ = 0;
   std::size_t ready_count_ = 0;
+  // Colder state after the containers' hot fields.
+  std::uint64_t events_ = 0;
+  SliceChain chain_;
 };
 
 }  // namespace zstor::sim

@@ -228,12 +228,10 @@ void ZnsDevice::MarkPagesProgrammed(std::uint32_t zone, std::uint64_t pages) {
 }
 
 bool ZnsDevice::DeviceIsIoQuiet() const {
-  if (io_inflight_ != 0 || fcp_.busy()) return false;  // waiters imply busy
-  if (!io_seen_) return true;
   // Quiet only if no I/O has touched the device for a full millisecond —
   // QD=1 submission gaps are microseconds, so ongoing workloads always
-  // keep resets on the sliced background path.
-  return sim_.now() >= last_io_time_ + sim::Milliseconds(1);
+  // keep resets on the sliced background path. Waiters imply busy.
+  return !fcp_.busy() && sim_.now() >= quiet_at_;
 }
 
 // --------------------------------------------------------- state machine
@@ -882,36 +880,31 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
         }
         break;
       }
-      Time this_slice = std::min(work, slice);
+      Time held;
       {
         sim::Time b = sim_.now();
         auto g = co_await fcp_.Acquire(kPrioBackground);
-        if (resumed && io_seen_ && !fcp_.has_waiters()) {
-          // Hold whole slices up to the next instant anything else can
-          // run: no boundary before it could hand the FCP over or flip
-          // DeviceIsIoQuiet(), so one wake replays them all exactly
-          // (DESIGN.md §3, item 5). With no I/O in flight, stop at the
-          // first boundary at or after the 1 ms quiet mark.
-          Time until = sim_.quiet_until();
-          if (io_inflight_ == 0) {
-            until = std::min(until,
-                             last_io_time_ + sim::Milliseconds(1) + slice - 1);
-          }
-          Time room = until > sim_.now() ? until - sim_.now() : 0;
-          this_slice =
-              std::max(this_slice, std::min(work, room) / slice * slice);
+        const sim::Time from = sim_.now();
+        if (resumed && work > slice && !fcp_.has_waiters()) {
+          // Hold the FCP on the simulator's slice chain: its wakes cost
+          // no event until a request queues at the FCP or the first
+          // boundary at or after the quiet mark, where the usual check
+          // switches to bulk (DESIGN.md §3, item 5).
+          co_await sim_.HoldSlices(&fcp_, slice, work, quiet_at_);
+        } else {
+          co_await sim_.Delay(std::min(work, slice));
         }
-        co_await sim_.Delay(this_slice);
+        held = sim_.now() - from;
         resumed = true;
         if (tr != nullptr) {
           // Includes the background-priority FCP wait: the stretch that
           // concurrent I/O imposes on the reset (Obs. 13).
           tr->Span(b, sim_.now(), tid, Layer::kZone, "reset.slice",
                    static_cast<std::int64_t>(zone),
-                   static_cast<std::int64_t>(this_slice));
+                   static_cast<std::int64_t>(held));
         }
       }
-      work -= this_slice;
+      work -= held;
     }
   }
   if (power_epoch_ != epoch0) {

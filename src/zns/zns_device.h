@@ -279,10 +279,13 @@ class ZnsDevice : public ControllerCore {
     ZnsDevice& dev;
     explicit InflightGuard(ZnsDevice& d) : dev(d) {
       ++dev.io_inflight_;
-      dev.io_seen_ = true;
-      dev.last_io_time_ = dev.sim_.now();
+      dev.quiet_at_ = sim::kNever;
     }
-    ~InflightGuard() { dev.last_io_time_ = dev.sim_.now(); --dev.io_inflight_; }
+    ~InflightGuard() {
+      if (--dev.io_inflight_ == 0) {
+        dev.quiet_at_ = dev.sim_.now() + sim::Milliseconds(1);
+      }
+    }
     InflightGuard(const InflightGuard&) = delete;
     InflightGuard& operator=(const InflightGuard&) = delete;
   };
@@ -293,8 +296,10 @@ class ZnsDevice : public ControllerCore {
   /// buffered-data loss even when the host never rewrites the zone.
   bool flush_fault_pending_ = false;
   std::uint32_t io_inflight_ = 0;
-  bool io_seen_ = false;
-  sim::Time last_io_time_ = 0;
+  /// When the device turns I/O-quiet: 0 before any I/O, kNever while I/O
+  /// is in flight, else 1 ms after the last I/O ended. A reset holding
+  /// the FCP on the slice chain wakes at its first boundary at or after.
+  sim::Time quiet_at_ = 0;
   std::uint32_t open_count_ = 0;
   std::uint32_t active_count_ = 0;
   std::uint64_t open_seq_ = 0;

@@ -244,6 +244,7 @@ TEST(TestbedParallel, ProxiedReadsActuallyUseTheMailboxes) {
             static_cast<double>(tb.parallel_sim()->messages()));
   EXPECT_EQ(snap.Find("psim.windows")->value,
             static_cast<double>(tb.parallel_sim()->windows()));
+  EXPECT_EQ(snap.Find("sim.events"), nullptr);  // classic engine only
 }
 
 /// Resets beside appends: a reset job walks full zones on every device

@@ -5,7 +5,8 @@
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
 // the mailboxes have grown. Waiting allocates nothing either: not on any
 // sync.h/resource.h/token_bucket.h primitive, not per command through
-// a warm mq-deadline stack and ZNS device, and not per page of a
+// a warm mq-deadline stack and ZNS device, not in a reset holding the
+// FCP on the slice chain beside host reads, and not per page of a
 // conventional FTL's GC migration or host I/O. A warm zkv store adds
 // nothing of its own per operation, flushes and compactions included.
 // Every global allocation in this binary bumps a counter; the tests
@@ -299,6 +300,60 @@ TEST(AllocCount, WarmMqDeadlineZnsCommandsAreAllocationFree) {
   EXPECT_EQ(commands, kRoundLbas + 2 * 64);
   EXPECT_GT(stack.scheduler_stats().merged_writes, 0u);
   EXPECT_EQ(delta, 0u) << "a warm mq-deadline command allocated";
+}
+
+// A warm Tiny ZnsDevice resetting a full zone while a reader keeps
+// asking for the FCP. The reset holds the FCP on the simulator's slice
+// chain; each read materializes it at the next boundary, the reset takes
+// the FCP back after the read's service and chains again, and each read
+// that completes drains the device and caps the chain. None of it —
+// chain start, advance, materialize, cap or re-chain — allocates.
+TEST(AllocCount, WarmResetFoldingBesideHostIoAllocatesNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  zns::ZnsDevice dev(s, zns::TinyProfile());
+  const std::uint64_t cap = dev.profile().zone_cap_bytes;
+  dev.DebugFillZone(0, cap);  // the reader's zone
+  std::uint64_t reads = 0;
+  std::uint64_t failed = 0;
+  Time reset_latency = 0;
+  auto reset = [&](std::uint32_t zone, bool* done) -> Task<> {
+    const Time t0 = s.now();
+    nvme::Completion c = co_await dev.Execute(
+        {.opcode = nvme::Opcode::kZoneMgmtSend,
+         .slba = dev.ZoneStartLba(zone),
+         .zone_action = nvme::ZoneAction::kReset});
+    failed += c.ok() ? 0 : 1;
+    reset_latency = s.now() - t0;
+    *done = true;
+  };
+  auto reader = [&](const bool* done) -> Task<> {
+    while (!*done) {
+      nvme::Completion c = co_await dev.Execute(
+          {.opcode = nvme::Opcode::kRead, .slba = 0, .nlb = 1});
+      failed += c.ok() ? 0 : 1;
+      ++reads;
+      co_await s.Delay(Microseconds(20));
+    }
+  };
+  auto round = [&](std::uint32_t zone) {
+    bool done = false;
+    Spawn(reader(&done));
+    Spawn(reset(zone, &done));
+    return s.Run();
+  };
+  for (std::uint32_t z = 1; z <= 3; ++z) dev.DebugFillZone(z, cap);
+  round(1);
+  round(2);  // warm-up: frame sizes, heap and ready ring
+  reads = 0;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events = round(3);
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_GT(reads, 20u);
+  // Folded: far fewer events than the reset's slices alone.
+  EXPECT_LT(events, reset_latency / dev.profile().reset.slice / 4);
+  EXPECT_EQ(delta, 0u) << "a warm folding reset allocated";
 }
 
 // A warm Tiny ConvDevice under GC pressure: page writes and unit reads

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -219,33 +218,6 @@ TEST(ParallelSimulator, MixedLocalAndRemoteTiesAreThreadCountInvariant) {
   EXPECT_EQ(at20[3].second, 1301);  // ...then lane 3's
   for (unsigned threads : {2u, 4u}) {
     EXPECT_EQ(RunMixedTies(threads), reference) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelSimulator, LaneQuietUntilNeverPassesTheWindowHorizon) {
-  // Lane 0 is spontaneous with events every 50 ns, so window k has the
-  // horizon 150 * k: lane 0's next event plus the 100 ns lookahead.
-  // Lane 1 has one far event and probes quiet_until() every 30 ns; a
-  // mailbox delivery could still land at the horizon, so the value must
-  // stop there rather than run on to lane 1's own far event.
-  for (unsigned threads : {1u, 2u}) {
-    ParallelSimulator ps(2, 100);
-    ps.SetSpontaneous(0, true);
-    for (Time t = 50; t <= 1000; t += 50) ps.lane(0).ScheduleAt(t, [] {});
-    ps.lane(1).ScheduleAt(100000, [] {});
-    std::vector<std::pair<Time, Time>> seen;  // (now, quiet_until)
-    std::function<void()> probe = [&] {
-      Simulator& l1 = ps.lane(1);
-      seen.emplace_back(l1.now(), l1.quiet_until());
-      if (l1.now() < 1000) l1.ScheduleIn(30, probe);
-    };
-    ps.lane(1).ScheduleAt(10, probe);
-    ps.Run(threads);
-    ASSERT_EQ(seen.size(), 34u);  // probes at 10, 40, ..., 1000
-    for (auto [now, quiet] : seen) {
-      EXPECT_EQ(quiet, (now / 150 + 1) * 150)
-          << "now=" << now << " threads=" << threads;
-    }
   }
 }
 

@@ -284,9 +284,14 @@ TEST(TraceIntegration, SnapshotMatchesDeviceCounters) {
     EXPECT_TRUE(r.completion.ok());
   };
   auto t = body();
-  tb.sim().Run();
+  const std::uint64_t events = tb.sim().Run();
 
   telemetry::Snapshot snap = tb.TakeSnapshot();
+  // The classic engine's event count: this testbed ran nothing else.
+  const auto* sim_events = snap.Find("sim.events");
+  ASSERT_NE(sim_events, nullptr);
+  EXPECT_GT(events, 0u);
+  EXPECT_DOUBLE_EQ(sim_events->value, static_cast<double>(events));
   const auto* appends = snap.Find("zns.appends");
   ASSERT_NE(appends, nullptr);
   EXPECT_DOUBLE_EQ(appends->value,

@@ -1,6 +1,6 @@
 // Reset slice folding (DESIGN.md §3, item 5): a sliced reset holds the
-// FCP for several whole slices in one engine event whenever no other
-// event can run before the last of them. These tests pin the slice rule
+// FCP on the simulator's slice chain, whose boundary wakes cost no event
+// until something contends for the FCP. These tests pin the slice rule
 // it must reproduce exactly: boundaries every `reset.slice` from the
 // reset's start, host I/O served at the next boundary, concurrent resets
 // taking turns, and the bulk path taken at the first boundary at or
@@ -108,13 +108,15 @@ TEST(ZnsResetFold, ReadArrivingMidFoldWaitsForTheNextSliceBoundary) {
   ASSERT_TRUE(dc.ok());
   // The read waits only for the boundary at t0 + 51 us (Obs. 12).
   EXPECT_EQ(read_done - arrive, f.read_lat + 500);
-  // The first slice runs inside the caller's event; the next 49 fold
-  // into one hold that ends at the last boundary before the arrival.
+  // The first slice runs inside the caller's event; the next 50 are one
+  // hold on the slice chain, which the read's FCP request wakes at the
+  // first boundary after the arrival. The last 49 are one more hold,
+  // after the read's FCP service.
   std::vector<TraceEvent> slices = f.Named("reset.slice");
-  ASSERT_GE(slices.size(), 4u);
+  ASSERT_EQ(slices.size(), 3u);
   ExpectSpan(slices[0], t0, t0 + kSlice, kSlice);
-  ExpectSpan(slices[1], t0 + kSlice, t0 + 50 * kSlice, 49 * kSlice);
-  ExpectSpan(slices[2], t0 + 50 * kSlice, t0 + 51 * kSlice, kSlice);
+  ExpectSpan(slices[1], t0 + kSlice, t0 + 51 * kSlice, 50 * kSlice);
+  ExpectSpan(slices[2], t0 + 51 * kSlice, reset_done, 49 * kSlice);
   // The reset waited out the read's FCP service and nothing else.
   std::vector<TraceEvent> fcp = f.Named("fcp.service");
   ASSERT_EQ(fcp.size(), 2u);  // the fixture's read, then this one
@@ -215,16 +217,17 @@ TEST(ZnsResetFold, PowerCutDuringAFoldFailsTheResetAndKeepsTheZone) {
   Completion rc;
   Time done = 0;
   auto reset = f.Issue(f.ResetCmd(kZoneA), &rc, &done);
-  // Stop mid-slice: the fold may not run past the RunUntil bound, where
-  // the test can still step in.
+  // Stop mid-slice and cut power there. Nothing the cut does touches
+  // the FCP, so the slice chain holding it is not woken: the reset's
+  // one hold runs on to the end of its work.
   f.h.sim.RunUntil(t0 + 37'500);
   const std::size_t before_cut = f.Named("reset.slice").size();
   auto cut = f.h.dev.CrashNow();
   f.h.sim.Run();
   std::vector<TraceEvent> slices = f.Named("reset.slice");
-  EXPECT_EQ(before_cut, 2u);
-  ASSERT_GE(slices.size(), 2u);
-  ExpectSpan(slices[1], t0 + kSlice, t0 + 37 * kSlice, 36 * kSlice);
+  EXPECT_EQ(before_cut, 1u);
+  ASSERT_EQ(slices.size(), 2u);
+  ExpectSpan(slices[1], t0 + kSlice, t0 + 100 * kSlice, 99 * kSlice);
   EXPECT_EQ(rc.status, nvme::Status::kDeviceReset);
   EXPECT_EQ(done - t0, sim::Microseconds(100));
   EXPECT_EQ(f.h.dev.GetZoneState(kZoneA), ZoneState::kFull);
