@@ -356,6 +356,20 @@ TEST(AllocCount, WarmResetFoldingBesideHostIoAllocatesNothing) {
   EXPECT_EQ(delta, 0u) << "a warm folding reset allocated";
 }
 
+// Building a ZnsDevice allocates its tables, not one object per zone: a
+// ZN540 with 904 zones costs as many allocations as one with 16.
+TEST(AllocCount, ZnsDeviceBuildAllocatesNothingPerZone) {
+  auto build = [](std::uint32_t zones) {
+    Simulator s;
+    zns::ZnsProfile p = zns::Zn540Profile();
+    p.num_zones = zones;
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    { zns::ZnsDevice dev(s, p); }
+    return g_allocs.load(std::memory_order_relaxed) - before;
+  };
+  EXPECT_EQ(build(904), build(16));
+}
+
 // A warm Tiny ConvDevice under GC pressure: page writes and unit reads
 // while GC migrates victims (page reads, page programs, an erase each).
 // NAND ops are records in their callers' frames and a victim's pages are

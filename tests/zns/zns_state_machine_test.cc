@@ -320,6 +320,30 @@ TEST(ZnsStateMachine, DebugFillPartialConsumesActiveSlot) {
   EXPECT_EQ(h.dev.active_zone_count(), 1u);
 }
 
+// A fill that ends inside a NAND page leaves that page's tail in the
+// write-back buffer, like the tail of any write: the appends after it
+// program that page next, and every LBA reads back.
+TEST(ZnsStateMachine, DebugFillWithSubPageTailTakesAppendsUntilFull) {
+  Harness h(QuietTiny());
+  const std::uint32_t zone = 3;
+  const std::uint64_t lba = h.dev.info().format.lba_bytes;
+  h.dev.DebugFillZone(zone, h.dev.profile().nand_geometry.page_bytes + lba);
+  const std::uint64_t cap = h.dev.info().zone_cap_lbas;
+  std::uint64_t wp = (h.dev.profile().nand_geometry.page_bytes + lba) / lba;
+  while (wp < cap) {
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(cap - wp, 4));
+    auto c = h.Append(zone, n);
+    ASSERT_TRUE(c.ok()) << "append at LBA offset " << wp;
+    EXPECT_EQ(c.result_lba, h.dev.ZoneStartLba(zone) + wp);
+    wp += n;
+  }
+  EXPECT_EQ(h.dev.GetZoneState(zone), ZoneState::kFull);
+  for (std::uint64_t off = 0; off < cap; ++off) {
+    ASSERT_TRUE(h.Read(zone, off, 1).ok()) << "read at LBA offset " << off;
+  }
+}
+
 TEST(ZnsStateMachine, NamespaceInfoMatchesProfile) {
   Harness h(QuietTiny());
   const auto& i = h.dev.info();
