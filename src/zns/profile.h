@@ -163,18 +163,6 @@ struct ZnsProfile {
   /// (Empty, Full, Offline) cost only this, active zones additionally
   /// pay a binary-search ProbePage scan on the NAND array.
   sim::Time recovery_per_zone = sim::Microseconds(2.0);
-
-  // ---- derived --------------------------------------------------------
-  std::uint64_t zone_cap_pages() const {
-    return zone_cap_bytes / nand_geometry.page_bytes;
-  }
-  std::uint32_t blocks_per_zone_per_die() const {
-    std::uint64_t per_die = (zone_cap_pages() + nand_geometry.total_dies() - 1) /
-                            nand_geometry.total_dies();
-    return static_cast<std::uint32_t>(
-        (per_die + nand_geometry.pages_per_block - 1) /
-        nand_geometry.pages_per_block);
-  }
 };
 
 /// The calibrated WD Ultrastar DC ZN540 profile (Table II of the paper).

@@ -21,7 +21,8 @@ ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
                      profile.nand_geometry.page_bytes, profile.seed,
                      profile.io_sigma),
       profile_(std::move(profile)),
-      lba_bytes_(lba_bytes) {
+      lba_bytes_(lba_bytes),
+      zones_(profile_.num_zones) {
   ZSTOR_CHECK(lba_bytes_ > 0 && (lba_bytes_ & (lba_bytes_ - 1)) == 0);
   ZSTOR_CHECK(lba_bytes_ <= profile_.nand_geometry.page_bytes);
   ZSTOR_CHECK(profile_.zone_size_bytes % lba_bytes_ == 0);
@@ -33,27 +34,21 @@ ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
   zone_cap_lbas_ = profile_.zone_cap_bytes / lba_bytes_;
 
   if (profile_.use_nand_backend) {
-    ZSTOR_CHECK(profile_.zone_cap_bytes %
-                    profile_.nand_geometry.page_bytes ==
-                0);
+    const nand::Geometry& g = profile_.nand_geometry;
+    ZSTOR_CHECK(profile_.zone_cap_bytes % g.page_bytes == 0);
+    ZoneLayout& l = layout_;
+    l = {.dies = g.total_dies(),
+         .pages_per_block = g.pages_per_block,
+         .zone_cap_pages = profile_.zone_cap_bytes / g.page_bytes};
+    const std::uint64_t per_die = (l.zone_cap_pages + l.dies - 1) / l.dies;
+    l.blocks_per_zone_per_die = static_cast<std::uint32_t>(
+        (per_die + l.pages_per_block - 1) / l.pages_per_block);
     // Every zone owns a fixed run of blocks on every die.
-    ZSTOR_CHECK_MSG(
-        static_cast<std::uint64_t>(profile_.blocks_per_zone_per_die()) *
-                profile_.num_zones <=
-            profile_.nand_geometry.blocks_per_die,
-        "NAND geometry too small for the zone layout");
-    flash_ = std::make_unique<nand::FlashArray>(s, profile_.nand_geometry,
-                                                profile_.nand_timing);
-  }
-
-  zones_.resize(profile_.num_zones);
-  next_program_page_.resize(profile_.num_zones, 0);
-  settled_prefix_pages_.resize(profile_.num_zones, 0);
-  settled_oo_pages_.resize(profile_.num_zones);
-  zone_tags_.resize(profile_.num_zones);
-  program_wg_.reserve(profile_.num_zones);
-  for (std::uint32_t i = 0; i < profile_.num_zones; ++i) {
-    program_wg_.push_back(std::make_unique<sim::WaitGroup>(s));
+    ZSTOR_CHECK_MSG(static_cast<std::uint64_t>(l.blocks_per_zone_per_die) *
+                            profile_.num_zones <=
+                        g.blocks_per_die,
+                    "NAND geometry too small for the zone layout");
+    flash_ = std::make_unique<nand::FlashArray>(s, g, profile_.nand_timing);
   }
 
   info_.format.lba_bytes = lba_bytes_;
@@ -187,35 +182,28 @@ Time ZnsDevice::ResetCost(const Zone& z, sim::Rng& rng) const {
 
 nand::PageAddr ZnsDevice::AddrOfZonePage(std::uint32_t zone,
                                          std::uint64_t page_idx) const {
-  const nand::Geometry& g = profile_.nand_geometry;
-  std::uint32_t dies = g.total_dies();
-  std::uint32_t die = static_cast<std::uint32_t>(page_idx % dies);
-  std::uint64_t on_die = page_idx / dies;
-  std::uint32_t block_in_zone =
-      static_cast<std::uint32_t>(on_die / g.pages_per_block);
-  ZSTOR_CHECK(block_in_zone < profile_.blocks_per_zone_per_die());
+  const ZoneLayout& l = layout_;
+  const std::uint64_t on_die = page_idx / l.dies;
+  const auto block_in_zone =
+      static_cast<std::uint32_t>(on_die / l.pages_per_block);
+  ZSTOR_CHECK(block_in_zone < l.blocks_per_zone_per_die);
   return nand::PageAddr{
-      .die = die,
-      .block = zone * profile_.blocks_per_zone_per_die() + block_in_zone,
-      .page = static_cast<std::uint32_t>(on_die % g.pages_per_block)};
+      .die = static_cast<std::uint32_t>(page_idx % l.dies),
+      .block = zone * l.blocks_per_zone_per_die + block_in_zone,
+      .page = static_cast<std::uint32_t>(on_die % l.pages_per_block)};
 }
 
 template <typename Fn>
 void ZnsDevice::ForEachZoneBlock(std::uint32_t zone, std::uint64_t pages,
                                  Fn fn) const {
-  const nand::Geometry& geo = profile_.nand_geometry;
-  const std::uint32_t dies = geo.total_dies();
-  const std::uint32_t bpz = profile_.blocks_per_zone_per_die();
-  for (std::uint32_t die = 0; die < dies; ++die) {
-    const std::uint64_t on_die = pages / dies + (die < pages % dies ? 1 : 0);
-    for (std::uint32_t b = 0; b < bpz; ++b) {
-      const std::uint64_t lo =
-          static_cast<std::uint64_t>(b) * geo.pages_per_block;
-      fn(die, zone * bpz + b,
-         static_cast<std::uint32_t>(
-             on_die > lo ? std::min<std::uint64_t>(on_die - lo,
-                                                   geo.pages_per_block)
-                         : 0));
+  const ZoneLayout& l = layout_;
+  for (std::uint32_t die = 0; die < l.dies; ++die) {
+    std::uint64_t left = pages / l.dies + (die < pages % l.dies ? 1 : 0);
+    for (std::uint32_t b = 0; b < l.blocks_per_zone_per_die; ++b) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(left, l.pages_per_block));
+      left -= n;
+      fn(die, zone * l.blocks_per_zone_per_die + b, n);
     }
   }
 }
@@ -301,12 +289,7 @@ Status ZnsDevice::EnsureOpenForIo(std::uint32_t zone, bool& first_io) {
       if (active_count_ >= profile_.max_active_zones) {
         return Status::kTooManyActiveZones;
       }
-      if (!TakeOpenSlotWithEviction()) return Status::kTooManyOpenZones;
-      SetZoneState(zone, ZoneState::kImplicitlyOpened);
-      z.opened_at_seq = ++open_seq_;
-      counters_.implicit_opens++;
-      first_io = true;
-      return Status::kSuccess;
+      [[fallthrough]];
     case ZoneState::kClosed:
       if (!TakeOpenSlotWithEviction()) return Status::kTooManyOpenZones;
       SetZoneState(zone, ZoneState::kImplicitlyOpened);
@@ -347,7 +330,6 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
     // The page slot is consumed even on failure (the write pointer already
     // advanced and follow-on pages were admitted behind it); the data loss
     // is reported to the host via kWriteFault, not by shrinking the zone.
-    z.programmed_bytes += profile_.nand_geometry.page_bytes;
     NoteProgramSettled(zone, page_idx);
     if (st == nand::MediaStatus::kProgramFail) {
       HandleProgramFailure(zone, addr);
@@ -358,15 +340,14 @@ sim::Task<> ZnsDevice::ProgramZonePage(std::uint32_t zone,
   // this page's NAND state, so mutating zone accounting here would
   // resurrect rolled-back bytes.
   ZSTOR_CHECK(z.inflight_programs > 0);
-  z.inflight_programs--;
-  program_wg_[zone]->Done();
+  if (--z.inflight_programs == 0) z.quiesce_waiters.WakeAll(sim_);
   programs_.Done();
 }
 
 void ZnsDevice::NoteProgramSettled(std::uint32_t zone,
                                    std::uint64_t page_idx) {
-  std::uint64_t& prefix = settled_prefix_pages_[zone];
-  std::vector<std::uint64_t>& oo = settled_oo_pages_[zone];  // descending
+  std::uint64_t& prefix = zones_[zone].settled_prefix_pages;
+  std::vector<std::uint64_t>& oo = zones_[zone].settled_oo_pages;  // desc.
   if (page_idx == prefix) {
     ++prefix;
     // Drain any out-of-order completions the new prefix now reaches.
@@ -414,16 +395,17 @@ sim::Task<> ZnsDevice::AdmitPrograms(std::uint32_t zone,
                                      std::uint64_t epoch) {
   const std::uint64_t target =
       end_off_bytes / profile_.nand_geometry.page_bytes;
-  while (epoch == power_epoch_ && next_program_page_[zone] < target) {
+  Zone& z = zones_[zone];
+  while (epoch == power_epoch_ && z.next_program_page < target) {
     co_await buffer_slots_.Acquire();  // backpressure when the buffer fills
     if (epoch != power_epoch_) {
       // Power was lost while we waited for a slot: the crash rolled
-      // next_program_page_ back, the buffered data is gone, and the slot
+      // next_program_page back, the buffered data is gone, and the slot
       // we just got must go straight back.
       buffer_slots_.Release();
       break;
     }
-    if (next_program_page_[zone] >= target) {
+    if (z.next_program_page >= target) {
       // While this admitter waited for a slot, a concurrent admitter for
       // the same zone (a later append's admission loop) drove the shared
       // page cursor past our target: our pages are already admitted, and
@@ -431,9 +413,8 @@ sim::Task<> ZnsDevice::AdmitPrograms(std::uint32_t zone,
       buffer_slots_.Release();
       break;
     }
-    std::uint64_t p = next_program_page_[zone]++;
-    zones_[zone].inflight_programs++;
-    program_wg_[zone]->Add();
+    std::uint64_t p = z.next_program_page++;
+    z.inflight_programs++;
     programs_.Add();
     sim::Spawn(ProgramZonePage(zone, p, epoch));
   }
@@ -502,7 +483,9 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
     const Zone& z = zones_[zone];
     const std::uint64_t pb = profile_.nand_geometry.page_bytes;
     std::uint64_t off = ZoneDataOffsetBytes(cmd.slba);
-    std::uint64_t end = std::min(off + bytes, z.programmed_bytes);
+    const std::uint64_t settled =
+        z.settled_prefix_pages + z.settled_oo_pages.size();
+    std::uint64_t end = std::min(off + bytes, settled * pb);
     if (off < end) {
       std::uint64_t first_page = off / pb;
       std::uint64_t last_page = (end - 1) / pb;
@@ -643,12 +626,7 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
     // rolled the zone back; the host must treat the command as not-done.
     co_return Completion{.status = Status::kDeviceReset};
   }
-  if (flash_) {
-    co_await AdmitPrograms(zone, end_off, epoch0);
-  } else {
-    zones_[zone].programmed_bytes =
-        std::max(zones_[zone].programmed_bytes, end_off);
-  }
+  if (flash_) co_await AdmitPrograms(zone, end_off, epoch0);
   if (tr != nullptr) {
     // Non-zero only when the write-back buffer is full and admission has
     // to wait for the NAND drain (the Obs. 9 throttling mechanism).
@@ -775,7 +753,7 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   }
   // Quiesce in-flight NAND programs, then pad the remaining capacity.
   sim::Time quiesce_begin = sim_.now();
-  co_await program_wg_[zone]->Wait();
+  co_await ProgramsSettled(z);
   if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
       st != Status::kSuccess) {
     co_return Completion{.status = st};
@@ -806,13 +784,9 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   if (flash_) {
     // Mark the padded region programmed (the pad time above charged the
     // aggregate NAND cost; see DESIGN.md §6).
-    const std::uint64_t total_pages = profile_.zone_cap_pages();
-    MarkPagesProgrammed(zone, total_pages);
-    next_program_page_[zone] = total_pages;
-    settled_prefix_pages_[zone] = total_pages;
-    settled_oo_pages_[zone].clear();
+    MarkPagesProgrammed(zone, layout_.zone_cap_pages);
+    z.SetSettledPages(layout_.zone_cap_pages);
   }
-  z.programmed_bytes = profile_.zone_cap_bytes;
   TransitionToFullLocked(zone, /*via_finish=*/true);
   counters_.finishes++;
   co_return Completion{.status = Status::kSuccess};
@@ -846,7 +820,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   }
   // Quiesce in-flight NAND programs for this zone first.
   sim::Time quiesce_begin = sim_.now();
-  co_await program_wg_[zone]->Wait();
+  co_await ProgramsSettled(z);
   if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
       st != Status::kSuccess) {
     co_return Completion{.status = st};
@@ -920,13 +894,10 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
     });
   }
   z.wp_bytes = 0;
-  z.programmed_bytes = 0;
   z.finished = false;
   z.data_bytes_at_finish = 0;
-  next_program_page_[zone] = 0;
-  settled_prefix_pages_[zone] = 0;
-  settled_oo_pages_[zone].clear();
-  zone_tags_[zone].clear();
+  z.SetSettledPages(0);
+  z.tags.clear();
   if (ZoneWornOut(zone)) {
     // Endurance exhausted: the zone leaves service instead of returning
     // to Empty (flash P/E limits, §II-A).
@@ -1029,7 +1000,7 @@ sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
 void ZnsDevice::StoreTags(std::uint32_t zone, std::uint64_t off_bytes,
                           std::uint32_t nlb, std::uint64_t first_tag) {
   ZSTOR_CHECK(off_bytes % lba_bytes_ == 0);
-  std::vector<std::uint64_t>& tags = zone_tags_[zone];
+  std::vector<std::uint64_t>& tags = zones_[zone].tags;
   if (tags.empty()) tags.assign(zone_cap_lbas_, 0);
   const std::uint64_t first = off_bytes / lba_bytes_;
   ZSTOR_CHECK(first + nlb <= zone_cap_lbas_);
@@ -1040,7 +1011,7 @@ void ZnsDevice::LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
                          std::uint32_t nlb,
                          std::vector<std::uint64_t>& out) const {
   out.assign(nlb, 0);
-  const std::vector<std::uint64_t>& tags = zone_tags_[zone];
+  const std::vector<std::uint64_t>& tags = zones_[zone].tags;
   if (tags.empty()) return;
   const std::uint64_t first = off_bytes / lba_bytes_;
   for (std::uint32_t i = 0; i < nlb; ++i) {
@@ -1051,20 +1022,17 @@ void ZnsDevice::LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
 std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
   Zone& z = zones_[zone];
   ZSTOR_CHECK(z.inflight_programs == 0);  // caller quiesced the drain
-  if (z.state == ZoneState::kOffline) return 0;  // nothing left to lose
-  const std::uint64_t pb = profile_.nand_geometry.page_bytes;
-  if (!flash_) {
-    // Profiles without a NAND backend (FEMU-like) model instant
-    // durability: acked bytes survive, only the outage itself costs time.
-    return 0;
-  }
+  // An Offline zone has nothing left to lose. Profiles without a NAND
+  // backend (FEMU-like) model instant durability: acked bytes survive,
+  // only the outage itself costs time.
+  if (z.state == ZoneState::kOffline || !flash_) return 0;
   // Everything settled out of order beyond the contiguous prefix is torn:
   // the recovery scan cannot distinguish it from the in-flight programs
   // power interrupted, so the controller discards the lot.
-  const std::uint64_t prefix = settled_prefix_pages_[zone];
-  counters_.torn_pages += settled_oo_pages_[zone].size();
-  settled_oo_pages_[zone].clear();
-  const std::uint64_t durable = prefix * pb;
+  const std::uint64_t prefix = z.settled_prefix_pages;
+  counters_.torn_pages += z.settled_oo_pages.size();
+  z.SetSettledPages(prefix);
+  const std::uint64_t durable = prefix * profile_.nand_geometry.page_bytes;
   const std::uint64_t lost = z.wp_bytes > durable ? z.wp_bytes - durable : 0;
   // Discard the NAND tail of every zone block down to the durable prefix
   // (prefix pages stripe round-robin across the dies).
@@ -1073,30 +1041,22 @@ std::uint64_t ZnsDevice::CrashRollbackZone(std::uint32_t zone) {
     flash_->CrashDiscardTail(die, block, keep);
   });
   z.wp_bytes = durable;
-  z.programmed_bytes = durable;
-  next_program_page_[zone] = prefix;
   z.write_fault_pending = false;
-  if (!zone_tags_[zone].empty()) {
-    std::vector<std::uint64_t>& tags = zone_tags_[zone];
-    for (std::uint64_t i = durable / lba_bytes_; i < tags.size(); ++i) {
-      tags[i] = 0;
-    }
+  for (std::uint64_t i = durable / lba_bytes_; i < z.tags.size(); ++i) {
+    z.tags[i] = 0;
   }
   // Recompute the zone state purely from the recovered write pointer —
   // the open/active sets were volatile controller state. Degraded zones
   // keep their sticky state.
   if (z.state != ZoneState::kReadOnly) {
-    if (z.wp_bytes == 0) {
+    const bool full = z.wp_bytes == profile_.zone_cap_bytes;
+    if (!full) {
       z.finished = false;
       z.data_bytes_at_finish = 0;
-      SetZoneState(zone, ZoneState::kEmpty);
-    } else if (z.wp_bytes == profile_.zone_cap_bytes) {
-      SetZoneState(zone, ZoneState::kFull);
-    } else {
-      z.finished = false;
-      z.data_bytes_at_finish = 0;
-      SetZoneState(zone, ZoneState::kClosed);
     }
+    SetZoneState(zone, full             ? ZoneState::kFull
+                       : z.wp_bytes > 0 ? ZoneState::kClosed
+                                        : ZoneState::kEmpty);
   }
   return lost;
 }
@@ -1108,7 +1068,7 @@ sim::Task<std::uint64_t> ZnsDevice::ScanZoneWritePointer(
   // binary search of ProbePage senses finds the write pointer in
   // O(log cap) die reads — the dominant per-zone recovery cost.
   std::uint64_t lo = 0;
-  std::uint64_t hi = profile_.zone_cap_pages();
+  std::uint64_t hi = layout_.zone_cap_pages;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     const bool programmed =
@@ -1150,7 +1110,7 @@ sim::Task<> ZnsDevice::CrashNow() {
     const Zone& zz = zones_[z];
     if (flash_ && zz.state == ZoneState::kClosed && zz.wp_bytes > 0) {
       const std::uint64_t found = co_await ScanZoneWritePointer(z);
-      ZSTOR_CHECK_MSG(found == settled_prefix_pages_[z],
+      ZSTOR_CHECK_MSG(found == zz.settled_prefix_pages,
                       "recovery scan disagrees with the durable prefix");
       ++scanned;
     }
@@ -1173,12 +1133,13 @@ void ZnsDevice::DebugFillZone(std::uint32_t zone, std::uint64_t bytes) {
   ZSTOR_CHECK(bytes % lba_bytes_ == 0);
   if (bytes == 0) return;
   z.wp_bytes = bytes;
-  z.programmed_bytes = bytes;
-  const std::uint64_t pb = profile_.nand_geometry.page_bytes;
-  std::uint64_t pages = (bytes + pb - 1) / pb;
-  next_program_page_[zone] = bytes / pb;
-  settled_prefix_pages_[zone] = bytes / pb;
-  if (flash_) MarkPagesProgrammed(zone, pages);
+  if (flash_) {
+    // Whole pages land on NAND; a sub-page tail stays buffered, as the
+    // tail of any write does.
+    const std::uint64_t pages = bytes / profile_.nand_geometry.page_bytes;
+    MarkPagesProgrammed(zone, pages);
+    z.SetSettledPages(pages);
+  }
   if (bytes == profile_.zone_cap_bytes) {
     SetZoneState(zone, ZoneState::kFull);
   } else {

@@ -25,8 +25,8 @@
 // coroutine-level (many Execute() calls in flight).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -104,6 +104,17 @@ struct ZnsCounters : DeviceCounters {
 };
 static_assert(telemetry::ListsEveryFieldOnce<ZnsCounters>());
 
+/// Where a zone's pages live on NAND, derived from the profile once when
+/// the device is built. Zone page p sits on die p % dies, in the zone's
+/// block (p / dies) / pages_per_block of that die; each zone owns
+/// `blocks_per_zone_per_die` consecutive blocks on every die.
+struct ZoneLayout {
+  std::uint32_t dies = 0;
+  std::uint32_t pages_per_block = 0;
+  std::uint32_t blocks_per_zone_per_die = 0;
+  std::uint64_t zone_cap_pages = 0;
+};
+
 class ZnsDevice : public ControllerCore {
  public:
   /// `lba_bytes` selects the namespace LBA format (512 or 4096 in the
@@ -121,6 +132,7 @@ class ZnsDevice : public ControllerCore {
 
   // ---- introspection --------------------------------------------------
   const ZnsProfile& profile() const { return profile_; }
+  const ZoneLayout& layout() const { return layout_; }
   const ZnsCounters& counters() const { return counters_; }
   ZoneState GetZoneState(std::uint32_t zone) const;
   /// Write pointer as an absolute LBA (== ZSLBA when the zone is empty).
@@ -174,6 +186,16 @@ class ZnsDevice : public ControllerCore {
   sim::Task<nvme::Completion> DoFinish(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoReset(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoResetAll(std::uint64_t tid);
+  /// Suspends until the zone has no NAND program in flight.
+  struct ProgramsSettled : sim::WaitNode {
+    explicit ProgramsSettled(Zone& zone) : z(zone) {}
+    Zone& z;
+    bool await_ready() const { return z.inflight_programs == 0; }
+    void await_suspend(std::coroutine_handle<> h) {
+      z.quiesce_waiters.Push(*this, h);
+    }
+    void await_resume() const noexcept {}
+  };
   /// Ends a finish's or reset's quiesce of the zone's NAND programs,
   /// begun at `quiesce_begin` (the wait stays in the handler): traces
   /// `zone.quiesce`, then returns kDeviceReset after a power loss,
@@ -226,10 +248,10 @@ class ZnsDevice : public ControllerCore {
   /// tracking: extends the contiguous prefix or records an out-of-order
   /// page that a crash would tear.
   void NoteProgramSettled(std::uint32_t zone, std::uint64_t page_idx);
-  /// Applies power-loss semantics to one zone: rolls wp/programmed bytes
-  /// back to the durable prefix, discards the NAND tail, truncates payload
-  /// tags, and recomputes the zone state from the recovered wp. Returns
-  /// bytes of acked-but-volatile data lost.
+  /// Applies power-loss semantics to one zone: rolls the wp and program
+  /// progress back to the durable prefix, discards the NAND tail,
+  /// truncates payload tags, and recomputes the zone state from the
+  /// recovered wp. Returns bytes of acked-but-volatile data lost.
   std::uint64_t CrashRollbackZone(std::uint32_t zone);
   /// Post-boot write-pointer rediscovery for one active zone: binary-
   /// search ProbePage scan over the zone's page span (costs real die
@@ -238,8 +260,8 @@ class ZnsDevice : public ControllerCore {
   sim::Task<std::uint64_t> ScanZoneWritePointer(std::uint32_t zone);
 
   // Payload-tag store (self-describing data-integrity model; nvme/types.h
-  // Command::payload_tag). Tag vectors are allocated lazily per zone —
-  // only workloads that tag their writes pay the memory.
+  // Command::payload_tag). A zone's tag vector is allocated lazily — only
+  // workloads that tag their writes pay the memory.
   void StoreTags(std::uint32_t zone, std::uint64_t off_bytes,
                  std::uint32_t nlb, std::uint64_t first_tag);
   void LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
@@ -254,22 +276,9 @@ class ZnsDevice : public ControllerCore {
   std::uint64_t zone_size_lbas_;
   std::uint64_t zone_cap_lbas_;
 
+  ZoneLayout layout_;
+  /// Built once at its final size: a Zone stays put (waiters point in).
   std::vector<Zone> zones_;
-  /// Next zone data page (stripe unit) to hand to the NAND drain.
-  std::vector<std::uint64_t> next_program_page_;
-  /// Durable-prefix tracking per zone: the contiguous count of settled
-  /// NAND programs from page 0 (what a power loss preserves), plus the
-  /// pages settled out of order beyond it (torn on a crash — multi-die
-  /// striping completes programs in die-queue order, not page order).
-  /// Those are kept sorted descending, so the prefix drains them off the
-  /// back and a zone's vector keeps its capacity.
-  std::vector<std::uint64_t> settled_prefix_pages_;
-  std::vector<std::vector<std::uint64_t>> settled_oo_pages_;
-  /// Per-zone payload tags, indexed by in-zone LBA; empty until the first
-  /// tagged write touches the zone.
-  std::vector<std::vector<std::uint64_t>> zone_tags_;
-  /// Joins in-flight NAND programs per zone (reset/finish quiesce on it).
-  std::vector<std::unique_ptr<sim::WaitGroup>> program_wg_;
 
   /// RAII tracking of I/O commands currently executing. Reset work only
   /// takes its bulk fast-path when the device has been I/O-quiet for a

@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
-#include "nvme/types.h"
+#include "sim/sync.h"
 
 namespace zstor::zns {
 
@@ -50,13 +51,26 @@ constexpr bool IsActive(ZoneState s) {
 struct Zone {
   ZoneState state = ZoneState::kEmpty;
   /// Write pointer as an offset (in bytes) from the start of the zone's
-  /// data area. Equals zone capacity when the zone is full.
+  /// data area. Equals zone capacity when the zone is full. Bytes past
+  /// the settled pages still sit in the device write-back buffer.
   std::uint64_t wp_bytes = 0;
-  /// Bytes whose NAND programming completed (<= wp_bytes); the rest still
-  /// sits in the device write-back buffer.
-  std::uint64_t programmed_bytes = 0;
-  /// Pages handed to the NAND drain but not yet programmed.
+  /// Next zone data page (stripe unit) to hand to the NAND drain.
+  std::uint64_t next_program_page = 0;
+  /// Durable-prefix tracking: the contiguous count of settled NAND
+  /// programs from page 0 (what a power loss preserves), plus the pages
+  /// settled out of order beyond it (torn on a crash — multi-die striping
+  /// completes programs in die-queue order, not page order). Those are
+  /// kept sorted descending, so the prefix drains them off the back and
+  /// the vector keeps its capacity.
+  std::uint64_t settled_prefix_pages = 0;
+  std::vector<std::uint64_t> settled_oo_pages;
+  /// Pages handed to the NAND drain and not yet settled; reset and finish
+  /// quiesce until it is zero, waiting on `quiesce_waiters`.
   std::uint32_t inflight_programs = 0;
+  sim::WaitList<> quiesce_waiters;
+  /// Payload tags indexed by in-zone LBA; empty until the first tagged
+  /// write touches the zone.
+  std::vector<std::uint64_t> tags;
   /// Set when the zone reached Full via the Finish command; resets of
   /// finished zones must also unmap the finish-marked region (Obs. 10).
   bool finished = false;
@@ -71,6 +85,13 @@ struct Zone {
   bool write_fault_pending = false;
   /// NAND blocks of this zone retired after program failures.
   std::uint32_t retired_blocks = 0;
+
+  /// The zone holds its first `pages` pages, all settled: the one way
+  /// reset, finish, crash rollback and fill set program progress.
+  void SetSettledPages(std::uint64_t pages) {
+    next_program_page = settled_prefix_pages = pages;
+    settled_oo_pages.clear();
+  }
 };
 
 }  // namespace zstor::zns

@@ -155,7 +155,7 @@ TEST(Wear, PeCyclesAreCountedPerBlock) {
   h.FillZone(0);
   ASSERT_TRUE(h.Reset(0).ok());
   // Zone 0's blocks cycled once; zone 1's not at all.
-  std::uint32_t bpz = h.dev.profile().blocks_per_zone_per_die();
+  std::uint32_t bpz = h.dev.layout().blocks_per_zone_per_die;
   EXPECT_EQ(h.dev.flash()->BlockPeCycles(0, 0), 1u);
   EXPECT_EQ(h.dev.flash()->BlockPeCycles(0, bpz), 0u);  // zone 1's block
 }
