@@ -15,9 +15,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
@@ -109,7 +107,7 @@ class [[nodiscard]] SlotGuard {
 };
 
 /// Counting semaphore with FIFO admission. Held through Hold()'s guard,
-/// it is a multi-slot server pool (a NAND die, a channel, a lock).
+/// it is a multi-slot server pool (buffer slots, a lock).
 class Semaphore {
  public:
   using Guard = SlotGuard<Semaphore>;
@@ -249,66 +247,6 @@ class Condition {
  private:
   Simulator& sim_;
   WaitList<> waiters_;
-};
-
-/// Unbounded FIFO channel. Push never blocks; Pop suspends until an item
-/// is available. Items are handed to poppers in FIFO order.
-template <typename T>
-class Queue {
- public:
-  explicit Queue(Simulator& s) : sim_(s) {}
-  Queue(const Queue&) = delete;
-  Queue& operator=(const Queue&) = delete;
-
-  void Push(T item) {
-    if (!poppers_.empty()) {
-      PopAwaiter& p = poppers_.PopFront();
-      p.slot = std::move(item);
-      sim_.ResumeSoon(p.handle);
-      return;
-    }
-    // Before the buffer would grow, drop the popped prefix if it is at
-    // least half of it (amortized O(1) per item).
-    if (items_.size() == items_.capacity() && 2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-    items_.push_back(std::move(item));
-  }
-
-  struct PopAwaiter : WaitNode {
-    explicit PopAwaiter(Queue& queue) : q(queue) {}
-    Queue& q;
-    std::optional<T> slot;
-
-    bool await_ready() {
-      if (q.empty()) return false;
-      slot = std::move(q.items_[q.head_++]);
-      if (q.head_ == q.items_.size()) {
-        q.items_.clear();
-        q.head_ = 0;
-      }
-      return true;
-    }
-    void await_suspend(std::coroutine_handle<> h) { q.poppers_.Push(*this, h); }
-    T await_resume() {
-      ZSTOR_CHECK(slot.has_value());
-      return std::move(*slot);
-    }
-  };
-
-  /// Suspends until an item arrives, then yields it.
-  PopAwaiter Pop() { return PopAwaiter{*this}; }
-
-  std::size_t size() const { return items_.size() - head_; }
-  bool empty() const { return size() == 0; }
-
- private:
-  Simulator& sim_;
-  std::vector<T> items_;  // items_[head_..] are queued
-  std::size_t head_ = 0;
-  WaitList<PopAwaiter> poppers_;
 };
 
 }  // namespace zstor::sim

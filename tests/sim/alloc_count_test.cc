@@ -180,12 +180,11 @@ TEST(AllocCount, LaneHandoffIsAllocationFree) {
 // destroys all of them.
 struct Primitives {
   explicit Primitives(Simulator& s)
-      : sem(s, 0), wg(s), ev(s), cond(s), q(s), pr(s), tb(s, 1e9, 1) {}
+      : sem(s, 0), wg(s), ev(s), cond(s), pr(s), tb(s, 1e9, 1) {}
   Semaphore sem;
   WaitGroup wg;
   OneShotEvent ev;
   Condition cond;
-  Queue<int> q;
   PriorityResource pr;
   TokenBucket tb;
 };
@@ -196,7 +195,6 @@ Task<> WaitOnEach(Simulator& s, std::optional<Primitives>& p, int* passed) {
   co_await p->wg.Wait();
   co_await p->ev.Wait();
   co_await p->cond.Wait();
-  (void)co_await p->q.Pop();
   {
     auto g = co_await p->pr.Acquire(1);
     co_await s.Delay(1);  // hold the slot: the next waiter queues
@@ -216,8 +214,6 @@ Task<> WakeEach(Simulator& s, std::optional<Primitives>& p, int waiters) {
   p->ev.Set();
   co_await s.Delay(10);
   p->cond.NotifyAll();
-  co_await s.Delay(10);
-  for (int i = 0; i < waiters; ++i) p->q.Push(i);
 }
 
 // The coroutine frames are made before the window (so this holds with the

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "sim/task.h"
@@ -155,105 +154,6 @@ TEST(Condition, NotifyAllWakesCurrentWaitersAndRearms) {
   s.Run();
   EXPECT_EQ(woken, (std::vector<std::pair<int, Time>>{
                        {1, 100}, {2, 100}, {0, 100}, {3, 200}}));
-}
-
-TEST(Queue, PopBlocksUntilPush) {
-  Simulator s;
-  Queue<int> q(s);
-  int got = 0;
-  Time got_at = 0;
-  auto consumer = [&]() -> Task<> {
-    got = co_await q.Pop();
-    got_at = s.now();
-  };
-  Spawn(consumer());
-  s.ScheduleIn(500, [&] { q.Push(99); });
-  s.Run();
-  EXPECT_EQ(got, 99);
-  EXPECT_EQ(got_at, 500u);
-}
-
-TEST(Queue, BufferedItemsPopImmediately) {
-  Simulator s;
-  Queue<std::string> q(s);
-  q.Push("a");
-  q.Push("b");
-  std::vector<std::string> got;
-  auto consumer = [&]() -> Task<> {
-    got.push_back(co_await q.Pop());
-    got.push_back(co_await q.Pop());
-  };
-  Spawn(consumer());
-  s.Run();
-  EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(Queue, MultipleConsumersServedFifo) {
-  Simulator s;
-  Queue<int> q(s);
-  std::vector<std::pair<int, int>> got;  // (consumer, item)
-  auto consumer = [&](int id) -> Task<> {
-    co_await s.Delay(static_cast<Time>(id));
-    int item = co_await q.Pop();
-    got.emplace_back(id, item);
-  };
-  for (int c = 0; c < 3; ++c) Spawn(consumer(c));
-  s.ScheduleIn(10, [&] {
-    q.Push(100);
-    q.Push(200);
-    q.Push(300);
-  });
-  s.Run();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], (std::pair<int, int>{0, 100}));
-  EXPECT_EQ(got[1], (std::pair<int, int>{1, 200}));
-  EXPECT_EQ(got[2], (std::pair<int, int>{2, 300}));
-}
-
-TEST(Queue, ProducerConsumerPipelineConservesItems) {
-  Simulator s;
-  Queue<int> q(s);
-  long sum = 0;
-  const int kN = 1000;
-  auto producer = [&]() -> Task<> {
-    for (int i = 1; i <= kN; ++i) {
-      co_await s.Delay(3);
-      q.Push(i);
-    }
-  };
-  auto consumer = [&]() -> Task<> {
-    for (int i = 0; i < kN; ++i) {
-      sum += co_await q.Pop();
-      co_await s.Delay(5);  // slower than producer: queue builds up
-    }
-  };
-  Spawn(producer());
-  Spawn(consumer());
-  s.Run();
-  EXPECT_EQ(sum, static_cast<long>(kN) * (kN + 1) / 2);
-  EXPECT_TRUE(q.empty());
-}
-
-// Pops interleaved with pushes walk the buffer's head forward; the buffer
-// reuses its popped prefix and keeps FIFO order across that compaction.
-TEST(Queue, InterleavedPushPopKeepsFifoOrder) {
-  Simulator s;
-  Queue<int> q(s);
-  std::vector<int> got;
-  int next = 0;
-  auto consumer = [&]() -> Task<> {
-    for (int round = 0; round < 50; ++round) {
-      for (int i = 0; i < 3; ++i) q.Push(next++);
-      for (int i = 0; i < 2; ++i) got.push_back(co_await q.Pop());
-    }
-    while (!q.empty()) got.push_back(co_await q.Pop());
-  };
-  Spawn(consumer());
-  s.Run();
-  std::vector<int> want(150);
-  for (int i = 0; i < 150; ++i) want[i] = i;
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace
