@@ -6,10 +6,13 @@ using telemetry::Layer;
 
 FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
                        const Timing& timing)
-    : sim_(s), geo_(geo), timing_(timing), rng_(timing.noise_seed) {
+    : sim_(s),
+      geo_(geo),
+      timing_(timing),
+      rng_(timing.noise_seed),
+      dies_(geo.total_dies()),
+      channels_(geo.channels) {
   geo_.Validate();
-  dies_.resize(geo_.total_dies());
-  channels_.resize(geo_.channels);
   blocks_.reset(static_cast<BlockState*>(std::calloc(
       geo_.total_blocks(), sizeof(BlockState))));
   ZSTOR_CHECK(blocks_ != nullptr);
@@ -138,19 +141,15 @@ void FlashArray::Acquire(Server& srv, NandOp& op) {
     BeginService(op);
     return;
   }
-  op.next_ = nullptr;
-  (srv.tail != nullptr ? srv.tail->next_ : srv.head) = &op;
-  srv.tail = &op;
+  srv.waiters.Push(op, op.handle);
 }
 
 void FlashArray::Release(Server& srv) {
-  NandOp* op = srv.head;
-  if (op == nullptr) {
+  if (srv.waiters.empty()) {
     srv.busy = false;
     return;
   }
-  srv.head = op->next_;
-  if (srv.head == nullptr) srv.tail = nullptr;
+  NandOp* op = &srv.waiters.PopFront();
   sim_.ScheduleIn(0, [this, op] { BeginService(*op); });
 }
 

@@ -23,6 +23,7 @@
 #include "nand/geometry.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "telemetry/telemetry.h"
 
 namespace zstor::nand {
@@ -75,10 +76,11 @@ static_assert(telemetry::ListsEveryFieldOnce<FlashCounters>());
 /// One cell operation in flight, as a record instead of a coroutine
 /// frame. It lives in the issuer's memory (the awaiting coroutine's frame
 /// for ReadPage & co., a reused array for batched GC pages) and queues on
-/// dies and channels through an intrusive link, so issuing, queueing and
-/// finishing an op allocates, parks and resumes nothing of its own. It
-/// must stay put from FlashArray::Start until `on_done` runs.
-class NandOp {
+/// dies and channels as a sim::WaitNode (`handle` names the awaiting
+/// coroutine, if any), so issuing, queueing and finishing an op
+/// allocates, parks and resumes nothing of its own. It must stay put from
+/// FlashArray::Start until `on_done` runs.
+class NandOp : public sim::WaitNode {
  public:
   enum class Kind : std::uint8_t { kRead, kProgram, kErase, kProbe };
 
@@ -102,7 +104,6 @@ class NandOp {
   std::uint32_t retry_steps_ = 0;
   sim::Time t0_ = 0;         // issue time (trace span start)
   sim::Time svc_begin_ = 0;  // when the current die service began
-  NandOp* next_ = nullptr;   // FIFO link while queued
 };
 
 /// Per-die service accounting, fed by the die-held portion of each cell
@@ -157,14 +158,14 @@ class FlashArray {
       kind = k;
       addr = a;
       bytes = b;
-      on_done = [](NandOp& op) { static_cast<Awaiter&>(op).caller_.resume(); };
+      on_done = [](NandOp& op) { op.handle.resume(); };
     }
     Awaiter(const Awaiter&) = delete;
     Awaiter& operator=(const Awaiter&) = delete;
 
     bool await_ready() const noexcept { return false; }
     bool await_suspend(std::coroutine_handle<> h) {
-      caller_ = h;
+      handle = h;
       return fa_.Start(*this);
     }
     T await_resume() const noexcept {
@@ -177,7 +178,6 @@ class FlashArray {
 
    private:
     FlashArray& fa_;
-    std::coroutine_handle<> caller_;
   };
 
   /// Reads `bytes` (<= page size) from a programmed page: occupies the die
@@ -306,8 +306,7 @@ class FlashArray {
   /// arrival order.
   struct Server {
     bool busy = false;
-    NandOp* head = nullptr;
-    NandOp* tail = nullptr;
+    sim::WaitList<NandOp> waiters;
   };
   /// Serves `op` on `srv` now, or queues it until a Release hands over.
   void Acquire(Server& srv, NandOp& op);

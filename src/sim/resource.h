@@ -1,8 +1,9 @@
 // Served resources with priority: the building block for device-internal
 // contention that is not first come, first served.
 //
-// A FIFO server pool (a NAND die, a channel) is a Semaphore held through
-// a SlotGuard (sync.h). PriorityResource is one server with two strict
+// A FIFO server pool is a Semaphore held through a SlotGuard (sync.h); a
+// NAND die or channel is a busy flag with a WaitList of op records
+// (nand/flash_array.h). PriorityResource is one server with two strict
 // priority classes — the firmware command processor (FCP) of both device
 // models, where host I/O commands always bypass queued background (reset)
 // work: the mechanism behind the paper's Observations 12 and 13.
