@@ -1,7 +1,8 @@
 // StripedStack tests: the zone round-robin address map (exhaustively, as
 // a bijection), single-lane routing with append LBA translation, the
 // host-side zone-boundary reject, broadcast and gather semantics, and
-// per-lane accounting against the backing devices' own counters.
+// per-lane accounting (report legs included) against the backing
+// devices' own counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -236,6 +237,33 @@ TEST(StripedStack, GatherReportInterleavesAndTranslates) {
   ASSERT_TRUE(tail.completion.ok());
   ASSERT_EQ(tail.completion.report.size(), 5u);
   EXPECT_EQ(tail.completion.report.front().zslba, nvme::Lba{3} * zsz);
+}
+
+TEST(StripedStack, ReportLegsCountInFlight) {
+  Rig r(2);
+  for (auto& dev : r.devs) dev->DebugFillZone(0, dev->profile().zone_cap_bytes);
+  // One read per lane, and a zone report issued while both are in flight:
+  // each lane carries a read and a report leg at once.
+  auto read = [&](std::uint32_t lz) -> sim::Task<> {
+    auto tc = co_await r.stack->Submit(
+        {.opcode = nvme::Opcode::kRead, .slba = r.ZoneStart(lz), .nlb = 1});
+    ZSTOR_CHECK(tc.completion.ok());
+  };
+  auto report = [&]() -> sim::Task<> {
+    auto tc = co_await r.stack->Submit({.opcode = nvme::Opcode::kZoneMgmtRecv});
+    ZSTOR_CHECK(tc.completion.ok());
+  };
+  sim::Spawn(read(0));
+  sim::Spawn(read(1));
+  sim::Spawn(report());
+  r.sim.Run();
+  for (std::uint32_t d = 0; d < 2; ++d) {
+    const LaneStats& ls = r.stack->stats().lanes[d];
+    EXPECT_EQ(ls.issued, 2u);
+    EXPECT_EQ(ls.completed, 2u);
+    EXPECT_EQ(ls.in_flight, 0u);
+    EXPECT_EQ(ls.max_in_flight, 2u) << "lane " << d;
+  }
 }
 
 TEST(StripedStack, LaneAccountingMatchesDeviceCounters) {

@@ -5,9 +5,10 @@
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
 // the mailboxes have grown. Waiting allocates nothing either: not on any
 // sync.h/resource.h/token_bucket.h primitive, not per command through
-// a warm mq-deadline stack and ZNS device, not in a reset holding the
-// FCP on the slice chain beside host reads, and not per page of a
-// conventional FTL's GC migration or host I/O. A warm zkv store adds
+// a warm mq-deadline stack and ZNS device, not per attempt of a
+// retrying stack racing each one against its timeout, not in a reset
+// holding the FCP on the slice chain beside host reads, and not per page
+// of a conventional FTL's GC migration or host I/O. A warm zkv store adds
 // nothing of its own per operation, flushes and compactions included.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
@@ -20,6 +21,7 @@
 
 #include "ftl/conv_device.h"
 #include "hostif/host_stack.h"
+#include "hostif/resilient_stack.h"
 #include "sim/parallel_sim.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -296,6 +298,66 @@ TEST(AllocCount, WarmMqDeadlineZnsCommandsAreAllocationFree) {
   EXPECT_EQ(commands, kRoundLbas + 2 * 64);
   EXPECT_GT(stack.scheduler_stats().merged_writes, 0u);
   EXPECT_EQ(delta, 0u) << "a warm mq-deadline command allocated";
+}
+
+// A warm ResilientStack with a 20 us per-attempt timeout over SPDK and a
+// Tiny ZnsDevice. Each attempt races the device against a watchdog event
+// in one spawned frame: 4 KiB writes beat the watchdog, 64 KiB reads lose
+// to it on both attempts (their late completions are dropped). None of
+// it allocates.
+TEST(AllocCount, WarmTimedRetryAttemptsAllocateNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  zns::ZnsProfile p = zns::TinyProfile();
+  // No NAND backend: how reads interleave with programs decides when
+  // the array's settle bookkeeping grows, and this window is about the
+  // retry layer.
+  p.use_nand_backend = false;
+  zns::ZnsDevice dev(s, p);
+  hostif::SpdkStack spdk(s, dev);
+  hostif::ResilientStack stack(s, spdk,
+                               {.max_attempts = 2,
+                                .backoff = Microseconds(5),
+                                .timeout = Microseconds(20)});
+  dev.DebugFillZone(0, dev.profile().zone_cap_bytes);  // the readers' zone
+  constexpr std::uint32_t kReadLbas = 16;
+  std::uint64_t in_time = 0;
+  auto writer = [&](nvme::Lba first, int writes) -> Task<> {
+    for (int i = 0; i < writes; ++i) {
+      auto tc = co_await stack.Submit({.opcode = nvme::Opcode::kWrite,
+                                       .slba = first + i,
+                                       .nlb = 1});
+      in_time += tc.completion.ok() ? 1 : 0;
+    }
+  };
+  auto reader = [&](int reads) -> Task<> {
+    for (int i = 0; i < reads; ++i) {
+      auto tc = co_await stack.Submit(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = (static_cast<nvme::Lba>(i) * kReadLbas) % 512,
+           .nlb = kReadLbas});
+      in_time += tc.completion.ok() ? 1 : 0;
+      co_await s.Delay(Microseconds(500));  // the dropped attempts drain
+    }
+  };
+  // Round r writes the r-th 64 LBAs of zone 1 at QD1 beside one reader.
+  auto round = [&](std::uint32_t r) {
+    Spawn(writer(dev.ZoneStartLba(1) + r * 64, 64));
+    Spawn(reader(16));
+    s.Run();
+  };
+  round(0);
+  round(1);  // warm-up: frame sizes, heap and ready ring
+  const hostif::ResilienceStats st0 = stack.stats();
+  in_time = 0;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(2);
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  const hostif::ResilienceStats& st = stack.stats();
+  EXPECT_EQ(st.commands - st0.commands, 64u + 16);
+  EXPECT_EQ(st.timeouts - st0.timeouts, 2u * 16);
+  EXPECT_EQ(in_time, 64u);
+  EXPECT_EQ(delta, 0u) << "a warm timed attempt allocated";
 }
 
 // A warm Tiny ZnsDevice resetting a full zone while a reader keeps
