@@ -4,7 +4,11 @@
 // references [14], [82]) differ only in a constant per-command host cost
 // and in whether an I/O scheduler sits in front of the queue pair
 // (Obs. 2). So one class implements the path and each kind only picks
-// its calibrated costs and a scheduler:
+// its calibrated costs and a scheduler. The queue pair, the last step,
+// bounds the commands in flight at the device (the experiment variable
+// "queue depth", QD) over §III-B's window: "from the moment a request is
+// submitted on the NVMe submission queue until a request is completed
+// and visible on the completion queue".
 //
 //   * SpdkStack — polled userspace queue pairs, no scheduler, lowest
 //     overhead. Calibrated so a 4 KiB write lands at the paper's
@@ -31,7 +35,8 @@
 
 #include "hostif/stack.h"
 #include "nvme/controller.h"
-#include "nvme/queue_pair.h"
+#include "nvme/types.h"
+#include "sim/check.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 
@@ -99,23 +104,27 @@ class HostStack : public Stack {
 
   const nvme::NamespaceInfo& info() const override { return ctrl_.info(); }
 
-  void AttachTelemetry(telemetry::Telemetry* t) override {
-    telem_ = t;
-    qp_.AttachTelemetry(t);
-  }
+  void AttachTelemetry(telemetry::Telemetry* t) override { telem_ = t; }
 
  protected:
   HostStack(sim::Simulator& s, nvme::Controller& ctrl, Scheduler sched,
             HostCosts costs, const StackOptions& o)
       : sim_(s),
         ctrl_(ctrl),
-        qp_(s, ctrl, o.qp_depth),
+        qp_depth_(o.qp_depth),
+        qp_slots_(s, o.qp_depth),
         sched_(sched),
         costs_(costs),
         scheduler_cost_(o.scheduler_cost),
-        max_merge_bytes_(o.max_merge_bytes) {}
+        max_merge_bytes_(o.max_merge_bytes) {
+    ZSTOR_CHECK(qp_depth_ > 0);
+  }
 
   const SchedulerStats& scheduler_stats() const { return sched_stats_; }
+  /// Commands holding a queue-pair slot right now.
+  std::uint64_t queue_in_flight() const {
+    return qp_depth_ - qp_slots_.available();
+  }
 
  private:
   /// One staged write. Owned by the coroutine frame of the waiter in
@@ -152,7 +161,39 @@ class HostStack : public Stack {
         cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
       return StageZonedWrite(cmd);
     }
-    return qp_.Issue(cmd);
+    return QueueRoundTrip(cmd);
+  }
+
+  /// The queue pair: waits for one of the qp_depth slots (qp.wait is
+  /// zero-length whenever one was free), rings the doorbell and holds the
+  /// slot until the controller posts the completion. Submit stamps the
+  /// host-observed times.
+  sim::Task<nvme::TimedCompletion> QueueRoundTrip(nvme::Command cmd) {
+    telemetry::Tracer* tr = trace();
+    const sim::Time enqueued = sim_.now();
+    co_await qp_slots_.Acquire();
+    if (tr != nullptr) {
+      tr->Span(enqueued, sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
+               "qp.wait");
+      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
+                  "qp.doorbell", static_cast<std::int64_t>(cmd.opcode),
+                  static_cast<std::int64_t>(cmd.nlb));
+      telem_->metrics().GetGauge("qp.inflight").Set(
+          static_cast<double>(queue_in_flight()));
+    }
+    nvme::TimedCompletion out;
+    out.trace_id = cmd.trace_id;
+    out.completion = co_await ctrl_.Execute(cmd);
+    if (tr != nullptr) {
+      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
+                  "qp.cqe",
+                  static_cast<std::int64_t>(out.completion.status));
+      telem_->metrics().GetCounter("qp.completions").Add();
+      telem_->metrics().GetGauge("qp.inflight").Set(
+          static_cast<double>(queue_in_flight()) - 1.0);
+    }
+    qp_slots_.Release();
+    co_return out;
   }
 
   sim::Task<nvme::TimedCompletion> StageZonedWrite(nvme::Command cmd) {
@@ -221,7 +262,7 @@ class HostStack : public Stack {
       tr->Instant(sim_.now(), merged.trace_id, telemetry::Layer::kHost,
                   "sched.dispatch", static_cast<std::int64_t>(zid), requests);
     }
-    nvme::TimedCompletion tc = co_await qp_.Issue(merged);
+    nvme::TimedCompletion tc = co_await QueueRoundTrip(merged);
     for (Request* r = batch; r != nullptr;) {
       Request* next = r->next;  // read before r's waiter can free it
       r->completion = tc.completion;
@@ -234,7 +275,8 @@ class HostStack : public Stack {
 
   sim::Simulator& sim_;
   nvme::Controller& ctrl_;
-  nvme::QueuePair qp_;
+  std::uint32_t qp_depth_;
+  sim::Semaphore qp_slots_;  // one unit per queue-pair slot
   Scheduler sched_;
   HostCosts costs_;
   sim::Time scheduler_cost_;

@@ -19,7 +19,8 @@
 //     cancelled (commands in flight cannot be revoked from a real device
 //     either); its eventual completion is dropped, and the retry can
 //     therefore duplicate device work — exactly the hazard real timeout
-//     handling has.
+//     handling has. Each timed attempt is one spawned frame that races
+//     the completion against a watchdog event (RaceAttempt).
 //   * controller-reset replay (DESIGN.md §11) — kDeviceReset means a
 //     power loss interrupted the command and the device recovered with
 //     some prefix of its effects durable. For zone appends the blind
@@ -40,13 +41,14 @@
 // "hostif." prefix.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "hostif/stack.h"
-#include "nvme/queue_pair.h"
+#include "nvme/types.h"
 #include "sim/check.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -124,45 +126,6 @@ struct ResilienceStats {
 };
 static_assert(telemetry::ListsEveryFieldOnce<ResilienceStats>());
 
-namespace detail {
-
-/// State shared between an attempt, its timeout watchdog, and the waiter.
-/// Heap-held via shared_ptr because the loser of the race outlives the
-/// Submit() frame that started it.
-struct AttemptState {
-  nvme::TimedCompletion tc{};
-  bool settled = false;
-  bool timed_out = false;
-  sim::OneShotEvent done;
-  explicit AttemptState(sim::Simulator& s) : done(s) {}
-};
-
-// Free coroutines (not lambdas): the frames own their parameters, so they
-// stay valid after Submit() has moved on (see DESIGN.md on capture rules).
-
-inline sim::Task<> RunAttempt(Stack* inner, nvme::Command cmd,
-                              std::shared_ptr<AttemptState> st) {
-  nvme::TimedCompletion tc = co_await inner->Submit(cmd);
-  if (!st->settled) {
-    st->settled = true;
-    st->tc = tc;
-    st->done.Set();
-  }
-  // Otherwise the attempt already timed out; the completion is dropped.
-}
-
-inline sim::Task<> ArmTimeout(sim::Simulator* s, sim::Time after,
-                              std::shared_ptr<AttemptState> st) {
-  co_await s->Delay(after);
-  if (!st->settled) {
-    st->settled = true;
-    st->timed_out = true;
-    st->done.Set();
-  }
-}
-
-}  // namespace detail
-
 class ResilientStack : public Stack {
  public:
   ResilientStack(sim::Simulator& s, Stack& inner, RetryPolicy policy = {})
@@ -187,7 +150,22 @@ class ResilientStack : public Stack {
     for (;; ++attempt) {
       stats_.attempts++;
       const sim::Time attempt_begin = sim_.now();
-      tc = co_await IssueOnce(cmd, attempt, tr);
+      if (policy_.timeout == 0) {
+        tc = co_await inner_.Submit(cmd);
+      } else {
+        Outcome out(sim_);
+        sim::Spawn(RaceAttempt(cmd, &out));
+        co_await out.done.Wait();
+        tc = std::move(out.tc);
+        if (out.timed_out) {
+          stats_.timeouts++;
+          if (tr != nullptr) {
+            tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
+                        "host.timeout", static_cast<std::int64_t>(attempt),
+                        static_cast<std::int64_t>(policy_.timeout));
+          }
+        }
+      }
       const ErrorClass cls = Classify(tc.completion.status);
       if (cls == ErrorClass::kSuccess) {
         if (attempt > 1) stats_.recovered++;
@@ -268,27 +246,46 @@ class ResilientStack : public Stack {
   const ResilienceStats& stats() const { return stats_; }
 
  private:
-  sim::Task<nvme::TimedCompletion> IssueOnce(nvme::Command cmd,
-                                             std::uint32_t attempt,
-                                             telemetry::Tracer* tr) {
-    if (policy_.timeout == 0) {
-      co_return co_await inner_.Submit(cmd);
+  /// Where a timed attempt reports its outcome: lives in the waiting
+  /// Submit frame, which the attempt touches only until it settles.
+  struct Outcome {
+    explicit Outcome(sim::Simulator& s) : done(s) {}
+    nvme::TimedCompletion tc;
+    bool timed_out = false;
+    sim::OneShotEvent done;
+  };
+
+  /// The race between the device completion and the watchdog, held in
+  /// this one frame: whichever fires first settles `out`. The frame ends
+  /// only after both have fired, since the watchdog event points into
+  /// it; a completion that lost the race is dropped here.
+  sim::Task<> RaceAttempt(nvme::Command cmd, Outcome* out) {
+    struct Race {
+      Outcome* out;  // the waiter's; null once settled
+      bool watchdog_fired = false;
+      std::coroutine_handle<> parked;  // this frame, once the device is done
+      bool await_ready() const noexcept { return watchdog_fired; }
+      void await_suspend(std::coroutine_handle<> h) noexcept { parked = h; }
+      void await_resume() const noexcept {}
+    } race{out};
+    sim::Task<nvme::TimedCompletion> device = inner_.Submit(cmd);
+    // Armed after the attempt has scheduled its first events, so a tie
+    // at the same instant goes to those.
+    sim_.ScheduleIn(policy_.timeout, [&race] {
+      race.watchdog_fired = true;
+      if (Outcome* o = std::exchange(race.out, nullptr)) {
+        o->timed_out = true;
+        o->tc.completion.status = nvme::Status::kHostTimeout;
+        o->done.Set();
+      }
+      if (race.parked) race.parked.resume();
+    });
+    nvme::TimedCompletion tc = co_await device;
+    if (Outcome* o = std::exchange(race.out, nullptr)) {
+      o->tc = std::move(tc);
+      o->done.Set();
     }
-    auto st = std::make_shared<detail::AttemptState>(sim_);
-    sim::Spawn(detail::RunAttempt(&inner_, cmd, st));
-    sim::Spawn(detail::ArmTimeout(&sim_, policy_.timeout, st));
-    co_await st->done.Wait();
-    if (!st->timed_out) co_return st->tc;
-    stats_.timeouts++;
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
-                  "host.timeout", static_cast<std::int64_t>(attempt),
-                  static_cast<std::int64_t>(policy_.timeout));
-    }
-    nvme::TimedCompletion out;
-    out.completion.status = nvme::Status::kHostTimeout;
-    out.trace_id = cmd.trace_id;
-    co_return out;
+    co_await race;  // until the watchdog has fired
   }
 
   /// Keeps the per-zone expected write pointer current. Appends teach it

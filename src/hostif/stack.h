@@ -1,16 +1,17 @@
 // Host storage stacks: the software between the benchmark and the device.
 //
 // The Stack interface is what every layer above the device speaks: the
-// host stack proper (host_stack.h — one Submit path, whose kinds SPDK,
-// kernel io_uring with or without mq-deadline, and psync differ only in
-// host costs and scheduler; §III-A, Obs. 2) and the proxies stacked on
-// it (ResilientStack, StripedStack, and the parallel engine's lane
-// adapters).
+// host stack proper (host_stack.h — one Submit path ending at the queue
+// pair, whose kinds SPDK, kernel io_uring with or without mq-deadline,
+// and psync differ only in host costs and scheduler; §III-A, Obs. 2) and
+// the proxies stacked on it (ResilientStack, StripedStack, and the
+// parallel engine's lane adapters), which keep no per-command state
+// outside their coroutine frames.
 #pragma once
 
 #include <cstdint>
 
-#include "nvme/queue_pair.h"
+#include "nvme/controller.h"
 #include "nvme/types.h"
 #include "sim/task.h"
 #include "sim/time.h"
@@ -61,7 +62,7 @@ class Stack {
   virtual sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) = 0;
   virtual const nvme::NamespaceInfo& info() const = 0;
   /// Enables host-side tracing/metrics (non-owning; null disables).
-  /// Implementations forward to their queue pair as well.
+  /// Proxies forward it to the stacks they wrap.
   virtual void AttachTelemetry(telemetry::Telemetry* t) { telem_ = t; }
 
  protected:

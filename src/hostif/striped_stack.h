@@ -23,9 +23,12 @@
 //   * Flush and select_all zone management broadcast to every lane and
 //     complete when the slowest lane does; the first non-success status
 //     (in lane order) is surfaced.
-//   * Zone reports are gathered from every lane and re-interleaved in
-//     logical zone order with zslba/write_pointer translated back into
-//     the logical address space.
+//   * Zone reports are gathered from every lane by the same fan-out and
+//     re-interleaved in logical zone order with zslba/write_pointer
+//     translated back into the logical address space.
+//   * Every leg, routed or fanned out, starts in detail::SubmitLeg, the
+//     one place a lane's LaneStats change: broadcast and report legs
+//     count in flight like any I/O.
 //
 // What real zoned RAID would add that this deliberately does not: parity
 // or mirroring (a lane failure here is surfaced, not repaired), write
@@ -34,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -94,21 +98,51 @@ struct StripeStats {
 
 namespace detail {
 
-/// One lane's leg of a broadcast. A free coroutine (not a lambda) so the
-/// frame owns its parameters; `out` and `wg` live in the caller's frame,
-/// which stays suspended on the WaitGroup until every leg calls Done().
-inline sim::Task<> RunBroadcastLane(Stack* lane, nvme::Command cmd,
-                                    nvme::TimedCompletion* out,
-                                    sim::WaitGroup* wg) {
-  *out = co_await lane->Submit(cmd);
-  wg->Done();
-}
-
 /// One device's stack and its traffic counters, as the router sees them.
 struct LaneRef {
   Stack* stack;
   LaneStats* stats;
 };
+
+/// A started leg on one lane. Awaiting it yields the lane's completion
+/// and closes the leg's accounting (see SubmitLeg).
+struct Leg {
+  LaneStats& ls;
+  sim::Task<nvme::TimedCompletion> task;  // the lane's Submit, started
+
+  bool await_ready() const noexcept { return task.await_ready(); }
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    task.await_suspend(h);
+  }
+  nvme::TimedCompletion await_resume() {
+    nvme::TimedCompletion tc = task.await_resume();
+    ls.in_flight--;
+    ls.completed++;
+    if (!tc.completion.ok()) ls.errors++;
+    return tc;
+  }
+};
+
+/// Submits one leg on one lane, counted in that lane's LaneStats from
+/// issue to completion: the one place they change. RouteOne awaits a
+/// leg, and so does each FanOutLeg. An awaiter, not a coroutine, so a
+/// routed command pays no frame for its accounting.
+inline Leg SubmitLeg(LaneRef lane, const nvme::Command& cmd) {
+  LaneStats& ls = *lane.stats;
+  ls.issued++;
+  ls.in_flight++;
+  ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
+  return Leg{ls, lane.stack->Submit(cmd)};
+}
+
+/// One lane's leg of a fan-out, spawned so every lane works at once. A
+/// free coroutine (not a lambda) so the frame owns its parameters; `out`
+/// and `wg` live in the fan-out's frame, which waits on `wg`.
+inline sim::Task<> FanOutLeg(LaneRef lane, nvme::Command cmd,
+                             nvme::TimedCompletion* out, sim::WaitGroup* wg) {
+  *out = co_await SubmitLeg(lane, cmd);
+  wg->Done();
+}
 
 /// The one routing path of the striping layers, shared by StripedStack
 /// and the parallel engine's StripeLaneView: an I/O or per-zone
@@ -144,14 +178,7 @@ sim::Task<nvme::TimedCompletion> RouteOne(sim::Simulator& sim,
   }
   nvme::Command routed = cmd;
   routed.slba = map.ToDeviceLba(cmd.slba);
-  LaneStats& ls = *lane.stats;
-  ls.issued++;
-  ls.in_flight++;
-  ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
-  tc = co_await lane.stack->Submit(routed);
-  ls.in_flight--;
-  ls.completed++;
-  if (!tc.completion.ok()) ls.errors++;
+  tc = co_await SubmitLeg(lane, routed);
   if (cmd.opcode == nvme::Opcode::kAppend && tc.completion.ok()) {
     tc.completion.result_lba = map.ToLogicalLba(d, tc.completion.result_lba);
   }
@@ -223,45 +250,44 @@ class StripedStack : public Stack {
   const StripeMap& map() const { return map_; }
 
  private:
-  sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
-                                            telemetry::Tracer* tr) {
-    return detail::RouteOne(
-        sim_, map_, tr, &stats_.boundary_rejects, cmd,
-        [this](std::uint32_t d) {
-          return detail::LaneRef{lanes_[d].get(), &stats_.lanes[d]};
-        });
+  detail::LaneRef LaneRefOf(std::size_t d) {
+    return detail::LaneRef{lanes_[d].get(), &stats_.lanes[d]};
   }
 
-  /// Fans `cmd` out to every lane, joins on the slowest, surfaces the
-  /// first non-success status in lane order.
-  sim::Task<nvme::TimedCompletion> Broadcast(nvme::Command cmd) {
+  sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
+                                            telemetry::Tracer* tr) {
+    return detail::RouteOne(sim_, map_, tr, &stats_.boundary_rejects, cmd,
+                            [this](std::uint32_t d) { return LaneRefOf(d); });
+  }
+
+  /// Fans `cmd` out to every lane, one leg each into `legs`, and joins
+  /// on the slowest; surfaces the first non-success status in lane order.
+  sim::Task<nvme::TimedCompletion> FanOut(
+      nvme::Command cmd, std::vector<nvme::TimedCompletion>& legs) {
     const sim::Time start = sim_.now();
-    std::vector<nvme::TimedCompletion> legs(lanes_.size());
+    legs.resize(lanes_.size());
     sim::WaitGroup wg(sim_);
     for (std::size_t d = 0; d < lanes_.size(); ++d) {
-      LaneStats& ls = stats_.lanes[d];
-      ls.issued++;
-      ls.in_flight++;
-      ls.max_in_flight = std::max(ls.max_in_flight, ls.in_flight);
       wg.Add();
-      sim::Spawn(
-          detail::RunBroadcastLane(lanes_[d].get(), cmd, &legs[d], &wg));
+      sim::Spawn(detail::FanOutLeg(LaneRefOf(d), cmd, &legs[d], &wg));
     }
     co_await wg.Wait();
     nvme::TimedCompletion tc;
     tc.trace_id = cmd.trace_id;
-    for (std::size_t d = 0; d < lanes_.size(); ++d) {
-      LaneStats& ls = stats_.lanes[d];
-      ls.in_flight--;
-      ls.completed++;
-      if (!legs[d].completion.ok()) {
-        ls.errors++;
-        if (tc.completion.ok()) tc.completion.status = legs[d].completion.status;
+    for (const nvme::TimedCompletion& leg : legs) {
+      if (!leg.completion.ok()) {
+        tc.completion.status = leg.completion.status;
+        break;
       }
     }
     tc.submitted = start;
     tc.completed = sim_.now();
     co_return tc;
+  }
+
+  sim::Task<nvme::TimedCompletion> Broadcast(nvme::Command cmd) {
+    std::vector<nvme::TimedCompletion> legs;
+    co_return co_await FanOut(cmd, legs);
   }
 
   /// Full-report gather: every lane reports all of its zones (so legs are
@@ -270,28 +296,11 @@ class StripedStack : public Stack {
   /// `cmd.slba`'s zone and `report_max` are applied to the logical view,
   /// matching single-device Zone Management Receive semantics.
   sim::Task<nvme::TimedCompletion> GatherReport(nvme::Command cmd) {
-    const sim::Time start = sim_.now();
     nvme::Command full = cmd;
     full.slba = 0;
     full.report_max = 0;
-    std::vector<nvme::TimedCompletion> legs(lanes_.size());
-    sim::WaitGroup wg(sim_);
-    for (std::size_t d = 0; d < lanes_.size(); ++d) {
-      stats_.lanes[d].issued++;
-      wg.Add();
-      sim::Spawn(
-          detail::RunBroadcastLane(lanes_[d].get(), full, &legs[d], &wg));
-    }
-    co_await wg.Wait();
-    nvme::TimedCompletion tc;
-    tc.trace_id = cmd.trace_id;
-    for (std::size_t d = 0; d < lanes_.size(); ++d) {
-      stats_.lanes[d].completed++;
-      if (!legs[d].completion.ok()) {
-        stats_.lanes[d].errors++;
-        if (tc.completion.ok()) tc.completion.status = legs[d].completion.status;
-      }
-    }
+    std::vector<nvme::TimedCompletion> legs;
+    nvme::TimedCompletion tc = co_await FanOut(full, legs);
     if (tc.completion.ok()) {
       const std::uint32_t first_lz = map_.LogicalZoneOf(cmd.slba);
       for (std::uint32_t lz = first_lz; lz < info_.num_zones; ++lz) {
@@ -309,8 +318,6 @@ class StripedStack : public Stack {
         tc.completion.report.push_back(desc);
       }
     }
-    tc.submitted = start;
-    tc.completed = sim_.now();
     co_return tc;
   }
 

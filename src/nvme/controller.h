@@ -26,7 +26,7 @@ struct NamespaceInfo {
 /// A device controller executes one NVMe command and returns its
 /// completion. Execution time is whatever the device model charges in
 /// virtual time; concurrency comes from many Execute() coroutines being in
-/// flight at once (bounded by queue depth at the queue-pair layer).
+/// flight at once (bounded by the host stack's queue depth).
 class Controller {
  public:
   virtual ~Controller() = default;

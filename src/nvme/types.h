@@ -137,8 +137,8 @@ struct Command {
   /// return, 0 = all from `slba`'s zone onward.
   std::uint32_t report_max = 0;
   /// Telemetry correlation id threading the command through every layer's
-  /// trace spans. 0 = unassigned; the queue pair assigns one on issue if
-  /// the host stack hasn't already (telemetry::Tracer::NextId()).
+  /// trace spans. 0 = unassigned; the first traced stack layer assigns
+  /// one on entry (telemetry::Tracer::NextId()).
   std::uint64_t trace_id = 0;
   /// End-to-end data-integrity tag (0 = untagged, the default: zero
   /// overhead). On writes/appends, LBA i of the command stores tag
@@ -173,6 +173,16 @@ struct Completion {
   std::vector<std::uint64_t> payload_tags;
 
   bool ok() const { return status == Status::kSuccess; }
+};
+
+/// A completion as the host observed it: the paper's latency runs from
+/// submission until the completion is visible to the caller (§III-B).
+struct TimedCompletion {
+  Completion completion;
+  sim::Time submitted = 0;
+  sim::Time completed = 0;
+  std::uint64_t trace_id = 0;  // correlates with trace spans (0 = untraced)
+  sim::Time latency() const { return completed - submitted; }
 };
 
 }  // namespace zstor::nvme
