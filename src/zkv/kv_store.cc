@@ -278,7 +278,7 @@ sim::Task<> KvStore::FlushJob() {
     imm_.entries.clear();
     stats_.flushes++;
     if (telem_ != nullptr) {
-      telem_->tracer().Span(t0, sim_.now(), telemetry::Tracer::NextCmdId(),
+      telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
                             telemetry::Layer::kWorkload, "kv.flush",
                             static_cast<std::int64_t>(t->data_bytes), 0);
       if (auto* tl = telem_->timeline()) {
@@ -863,7 +863,7 @@ sim::Task<> KvStore::RunCompaction() {
   levels_stats_[out_level].bytes_compacted += bytes_written;
   levels_stats_[out_level].compactions++;
   if (telem_ != nullptr) {
-    telem_->tracer().Span(t0, sim_.now(), telemetry::Tracer::NextCmdId(),
+    telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
                           telemetry::Layer::kWorkload, "kv.compact",
                           static_cast<std::int64_t>(bytes_read),
                           static_cast<std::int64_t>(bytes_written));
@@ -1238,7 +1238,7 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   wal_.clear();
   wal_segment_ = 0;
   if (telem_ != nullptr) {
-    telem_->tracer().Span(t0, sim_.now(), telemetry::Tracer::NextCmdId(),
+    telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
                           telemetry::Layer::kWorkload, "kv.recover",
                           static_cast<std::int64_t>(rep.lbas_checked),
                           static_cast<std::int64_t>(rep.silent_corruptions));
