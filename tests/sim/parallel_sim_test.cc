@@ -221,6 +221,145 @@ TEST(ParallelSimulator, MixedLocalAndRemoteTiesAreThreadCountInvariant) {
   }
 }
 
+/// One cross-lane delivery as the receiving lane saw it.
+struct Delivery {
+  Time now;
+  Time deliver_at;
+  std::uint32_t src;
+  std::uint64_t seq;  // per (src, dst) pair, in the sender's post order
+  bool operator==(const Delivery&) const = default;
+};
+
+/// Seeded actors whose lanes alternate long local-only stretches with
+/// bursts of kRequest/kReply and one-way mail. Lanes below
+/// `kSpontaneous` initiate; the rest only answer requests, so they join
+/// the window horizon only while they owe a reply. Between two Run
+/// calls the driving thread posts too. Every lane logs each delivery it
+/// receives; only the receiving lane appends to its log.
+class QuietThenMail {
+ public:
+  static constexpr std::uint32_t kSpontaneous = 3;
+  static constexpr Time kHop = 250;
+
+  QuietThenMail(std::uint32_t lanes, std::uint64_t seed, int steps)
+      : ps_(lanes, kHop), logs_(lanes), seq_(lanes * lanes, 0) {
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      ps_.SetSpontaneous(l, l < kSpontaneous);
+      actors_.push_back(Actor{this, l, seed * 0x9E3779B97F4A7C15u + l + 1, 0});
+    }
+    steps_ = steps;
+  }
+
+  /// Two runs with driver posts between them; returns every lane's log.
+  std::vector<std::vector<Delivery>> Run(unsigned threads) {
+    Start();
+    ps_.Run(threads);
+    // Driver-thread mail between runs: a one-way post and a request
+    // from each initiator, delivered only once the next Run drains.
+    for (std::uint32_t src = 0; src < kSpontaneous; ++src) {
+      Actor& a = actors_[src];
+      PostOne(src, Peer(a, a.Next()), a.Next() % 400, MsgKind::kOneWay);
+      PostOne(src, Peer(a, a.Next()), a.Next() % 400, MsgKind::kRequest);
+    }
+    Start();
+    ps_.Run(threads);
+    return logs_;
+  }
+
+  const ParallelSimulator& engine() const { return ps_; }
+
+ private:
+  struct Actor {
+    QuietThenMail* h;
+    std::uint32_t lane;
+    std::uint64_t state;
+    int step;
+    std::uint64_t Next() {  // xorshift64
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return state;
+    }
+    void Fire() { h->Step(*this); }
+  };
+
+  void Start() {
+    for (Actor& a : actors_) {
+      a.step = 0;
+      ps_.lane(a.lane).ScheduleIn(1 + a.Next() % 50, [p = &a] { p->Fire(); });
+    }
+  }
+
+  std::uint32_t Peer(Actor& a, std::uint64_t x) {
+    const std::uint32_t k = ps_.num_lanes();
+    return (a.lane + 1 + static_cast<std::uint32_t>(x % (k - 1))) % k;
+  }
+
+  void Step(Actor& a) {
+    if (a.step++ == steps_) return;
+    const std::uint64_t x = a.Next();
+    // 56 quiet steps, then 8 steps that may mail.
+    const bool burst = a.step % 64 >= 56;
+    if (burst && a.lane < kSpontaneous && x % 3 == 0) {
+      PostOne(a.lane, Peer(a, x >> 8), (x >> 16) % 300,
+              (x >> 4) % 2 == 0 ? MsgKind::kRequest : MsgKind::kOneWay);
+    }
+    ps_.lane(a.lane).ScheduleIn(200 + (x >> 24) % 400, [p = &a] { p->Fire(); });
+  }
+
+  /// Posts from `src` to `dst`, `extra` ns past the hop. A request
+  /// makes `dst` answer with a kReply after some service time.
+  void PostOne(std::uint32_t src, std::uint32_t dst, Time extra,
+               MsgKind kind) {
+    const Time at = ps_.lane(src).now() + kHop + extra;
+    const std::uint64_t seq = seq_[src * ps_.num_lanes() + dst]++;
+    const bool request = kind == MsgKind::kRequest;
+    auto deliver = [this, dst, at, src, seq, request] {
+      logs_[dst].push_back(Delivery{ps_.lane(dst).now(), at, src, seq});
+      if (!request) return;
+      ps_.lane(dst).ScheduleIn(30 + seq % 70, [this, dst, src, seq] {
+        PostOne(dst, src, seq % 50, MsgKind::kReply);
+      });
+    };
+    ps_.Post(src, dst, at, kind, EventFn(deliver));
+  }
+
+  ParallelSimulator ps_;
+  std::vector<Actor> actors_;
+  std::vector<std::vector<Delivery>> logs_;
+  std::vector<std::uint64_t> seq_;  // [src * K + dst]; row src is lane-local
+  int steps_;
+};
+
+TEST(ParallelSimulator, QuietWindowsThenMailIsThreadCountInvariant) {
+  constexpr std::uint32_t kLanes = 5;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    QuietThenMail ref_run(kLanes, seed, 192);
+    const std::vector<std::vector<Delivery>> reference = ref_run.Run(1);
+    std::size_t total = 0;
+    for (const auto& log : reference) {
+      total += log.size();
+      for (const Delivery& d : log) {
+        EXPECT_EQ(d.now, d.deliver_at) << "seed=" << seed;
+      }
+    }
+    EXPECT_GT(total, 50u) << "seed=" << seed;
+    // Each message makes at most one window's drain non-empty, so most
+    // windows here carry no mail: that is the schedule this pins.
+    EXPECT_GT(ref_run.engine().windows(), 4 * ref_run.engine().messages())
+        << "seed=" << seed;
+    for (unsigned threads = 2; threads <= kLanes; ++threads) {
+      QuietThenMail run(kLanes, seed, 192);
+      EXPECT_EQ(run.Run(threads), reference)
+          << "seed=" << seed << " threads=" << threads;
+      EXPECT_EQ(run.engine().windows(), ref_run.engine().windows())
+          << "seed=" << seed << " threads=" << threads;
+      EXPECT_EQ(run.engine().messages(), ref_run.engine().messages())
+          << "seed=" << seed << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelSimulator, SecondRunReusesRealignedClocks) {
   ParallelSimulator ps(2, 100);
   ps.SetSpontaneous(0, true);
