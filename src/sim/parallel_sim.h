@@ -13,16 +13,22 @@
 // can still receive messages, because no peer can affect it earlier
 // than the peer's own clock plus the hop.
 //
-// Execution alternates drain and run phases:
+// Execution alternates one drain-and-plan step with run phases:
 //
-//   1. Drain: each lane moves all pending inbound messages into its
-//      event heap, sorted by (deliver_at, src lane, per-channel seq).
-//   2. Plan (single thread, at a barrier): if every lane is idle the
-//      run is complete. Otherwise the next window horizon is
+//   1. Drain and plan (one thread, at the window barrier): if any
+//      message was posted since the last drain, each lane moves its
+//      pending inbound messages into its event heap, sorted by
+//      (deliver_at, src lane, per-channel seq); a window with no mail
+//      skips the drain. Then, if every lane is idle the run is
+//      complete. Otherwise the next window horizon is
 //      H = min over "may send" lanes of (next_event_time + lookahead);
 //      if no lane may send, the window is unbounded.
-//   3. Run: every lane executes RunUntil(H) — or Run() to completion in
-//      an unbounded window — then waits at a barrier; repeat.
+//   2. Run: every lane executes RunUntil(H) — or Run() to completion in
+//      an unbounded window — then arrives at the barrier; repeat.
+//
+// Threaded runs cross one barrier per window. The last thread to
+// arrive runs step 1 and opens the next window; the others spin for a
+// few microseconds, then park.
 //
 // "May send" is tracked precisely so that fully sharded workloads (no
 // cross-lane traffic) collapse into a single unbounded window and scale
@@ -32,11 +38,11 @@
 // from the horizon once their debts are settled.
 //
 // Mailboxes are single-producer/single-consumer by phase discipline
-// rather than by atomics: producers append only during run phases,
-// consumers drain only during drain phases, and the two phases are
-// separated by a barrier (which establishes happens-before). That keeps
-// the channels plain vectors — no locks, no per-message atomics — and
-// makes the engine ThreadSanitizer-clean by construction.
+// rather than by atomics: producers append only during run phases, the
+// drain runs only in the step between them, and the barrier around that
+// step establishes happens-before. That keeps the channels plain
+// vectors — no locks, no per-message atomics — and makes the engine
+// ThreadSanitizer-clean by construction.
 //
 // Determinism: the drain order (deliver_at, src, seq) is a total order
 // on messages, independent of which worker thread runs which lane and
@@ -126,7 +132,9 @@ class ParallelSimulator {
     return channels_[src * lanes_.size() + dst];
   }
   void DrainInto(std::uint32_t dst);
-  Plan MakePlan();
+  /// The one step between windows, run by a single thread: drains the
+  /// mailboxes if any message moved since the last drain, then plans.
+  Plan DrainAndPlan();
   std::uint64_t RunSerial();
   std::uint64_t RunThreaded(unsigned threads);
 
@@ -145,6 +153,7 @@ class ParallelSimulator {
   std::atomic<bool> unbounded_window_{false};
   std::uint64_t windows_ = 0;
   std::atomic<std::uint64_t> messages_{0};
+  std::uint64_t drained_ = 0;  // messages_ at the last drain
 };
 
 }  // namespace zstor::sim

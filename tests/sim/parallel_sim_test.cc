@@ -360,6 +360,19 @@ TEST(ParallelSimulator, QuietWindowsThenMailIsThreadCountInvariant) {
   }
 }
 
+TEST(ParallelSimulator, MoreWorkersThanCoresParkAndFinish) {
+  // Eight workers, one per lane, outnumber a 4-core machine's cores:
+  // thousands of windows finish only if waiting workers park instead of
+  // spinning the ones with work off the cores.
+  constexpr std::uint32_t kLanes = 8;
+  QuietThenMail serial(kLanes, 7, 1400);
+  const std::vector<std::vector<Delivery>> reference = serial.Run(1);
+  ASSERT_GT(serial.engine().windows(), 2000u);
+  QuietThenMail threaded(kLanes, 7, 1400);
+  EXPECT_EQ(threaded.Run(kLanes), reference);
+  EXPECT_EQ(threaded.engine().windows(), serial.engine().windows());
+}
+
 TEST(ParallelSimulator, SecondRunReusesRealignedClocks) {
   ParallelSimulator ps(2, 100);
   ps.SetSpontaneous(0, true);
