@@ -6,6 +6,9 @@
 #include <cstring>
 #include <limits>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "telemetry/json.h"
 
 namespace zstor::harness {
@@ -67,6 +70,21 @@ bool ParseDuration(const char* s, sim::Time* out) {
   }
   *out = static_cast<sim::Time>(ns);
   return *out > 0;
+}
+
+/// True if `path` names a writable non-directory, or a file that can be
+/// created in a writable directory.
+bool CanWrite(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0) {
+    return !S_ISDIR(st.st_mode) && ::access(path.c_str(), W_OK) == 0;
+  }
+  if (errno != ENOENT) return false;
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  return ::access(dir.c_str(), W_OK | X_OK) == 0;
 }
 
 /// Writes `[{"label": L, "<key>": V}, ...]`, one entry per line: the
@@ -156,8 +174,12 @@ void BenchEnv::Finish() {
   if (!json_path_.empty()) {
     results_.WriteFile(json_path_);
   }
-  if (sink_ != nullptr) sink_->Flush();
-  if (timeline_ != nullptr) timeline_->Flush();
+  // Opened here if no testbed did, so every requested output exists
+  // after a run.
+  if (telemetry::TraceSink* sink = shared_sink()) sink->Flush();
+  if (telemetry::TimelineWriter* timeline = shared_timeline()) {
+    timeline->Flush();
+  }
 }
 
 void FinishBench() { BenchEnv::Get().Finish(); }
@@ -222,20 +244,19 @@ void InitBench(int argc, char** argv, std::initializer_list<CountFlag> own) {
       }
     }
   }
-  // An output that cannot be opened fails like a bad flag value, before
-  // anything is simulated (the files are written again as the run goes
-  // and at exit).
+  // An output that cannot be written fails like a bad flag value, before
+  // anything is simulated. The check opens nothing: each output is
+  // opened once, by its writer, so a FIFO's reader sees one stream and
+  // no early EOF.
   for (const std::string* path :
        {&env.trace_path_, &env.metrics_path_, &env.json_path_,
         &env.logpages_path_, &env.timeline_path_}) {
     if (path->empty()) continue;
-    std::FILE* f = std::fopen(path->c_str(), "w");
-    if (f == nullptr) {
+    if (!CanWrite(*path)) {
       std::fprintf(stderr, "error: cannot open output file %s\n",
                    path->c_str());
       std::exit(2);
     }
-    std::fclose(f);
   }
   // Registered after the checks above, so an exit 2 writes nothing, and
   // after constructing the singleton: local statics are destroyed in

@@ -39,8 +39,9 @@
 //                    threads within each point.
 //
 // plus any flag of the bench's own that it names. Every other argument,
-// a bad value, or an output file that cannot be opened ends the process
-// with exit code 2 before anything is simulated.
+// a bad value, or an output file that cannot be written ends the process
+// with exit code 2 before anything is simulated. Each output is opened
+// once, by its writer, so a FIFO works as an output.
 // Testbeds built without an explicit TelemetryConfig pick these up
 // automatically (see testbed.h), so `bench_fig2_latency --trace=t.jsonl`
 // traces every experiment the bench runs with zero per-bench code.

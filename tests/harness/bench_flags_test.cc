@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "ftl/conv_profile.h"
 #include "harness/testbed.h"
@@ -79,6 +86,51 @@ TEST(BenchFlagsDeathTest, UnwritableOutputsExit2) {
     EXPECT_EXIT(InitWith(arg.c_str()), testing::ExitedWithCode(2),
                 "cannot open output file /nonexistent/out.json");
   }
+}
+
+/// Runs InitBench on `flag` alone, creates the file `ready`, then exits
+/// 0, which makes FinishBench write the outputs.
+void InitThenSignal(const std::string& flag, const std::string& ready) {
+  std::string a0 = "bench_flags_test";
+  std::string a1 = flag;
+  char* argv[] = {a0.data(), a1.data(), nullptr};
+  InitBench(2, argv);
+  std::ofstream(ready).put('1');
+  std::exit(0);
+}
+
+TEST(BenchFlagsDeathTest, JsonIntoFifoCompletes) {
+  // A FIFO's reader reads one stream to EOF, so the output check must
+  // open nothing: it would block until a reader comes, and its close
+  // would end the reader's stream before the document is written. The
+  // reader here opens the FIFO only once start-up is done.
+  const std::string fifo = ::testing::TempDir() + "/bench_flags_json.fifo";
+  const std::string ready = fifo + ".ready";
+  ::unlink(fifo.c_str());
+  ::unlink(ready.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::string got;
+  std::thread reader([&fifo, &ready, &got] {
+    for (int ms = 0; ms < 25000 && !std::filesystem::exists(ready); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!std::filesystem::exists(ready)) return;
+    std::ifstream in(fifo);
+    got.assign(std::istreambuf_iterator<char>(in), {});
+  });
+  const std::string arg = "--json=" + fifo;
+  EXPECT_EXIT(
+      {
+        ::alarm(20);  // a start-up that opens the FIFO blocks forever
+        InitThenSignal(arg, ready);
+      },
+      testing::ExitedWithCode(0), "");
+  reader.join();
+  ::unlink(fifo.c_str());
+  ::unlink(ready.c_str());
+  std::optional<ztrace::JsonValue> doc = ztrace::JsonValue::Parse(got);
+  ASSERT_TRUE(doc.has_value()) << got;
+  EXPECT_EQ(doc->StringOr("bench", ""), "bench_flags_test");
 }
 
 std::optional<ztrace::JsonValue> ParseFile(const std::string& path) {
