@@ -1,6 +1,7 @@
 #include "ftl/conv_device.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace zstor::ftl {
@@ -23,7 +24,8 @@ nvme::SmartLog ConvDevice::GetSmartLog() const {
 
 ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
     : ControllerCore(s, counters_, profile.write_buffer_bytes,
-                     profile.map_unit_bytes, profile.seed, profile.io_sigma),
+                     profile.map_unit_bytes, profile.seed, profile.io_sigma,
+                     /*reset_sigma=*/0.0, /*finish_sigma=*/0.0),
       profile_(std::move(profile)) {
   profile_.nand_geometry.Validate();
   ZSTOR_CHECK_MSG(profile_.lba_bytes == profile_.map_unit_bytes,
@@ -40,11 +42,28 @@ ConvDevice::ConvDevice(sim::Simulator& s, ConvProfile profile)
   ZSTOR_CHECK_MSG(phys_units <= kNoOrigin,
                   "physical units must fit in 31 bits (l2p_ encoding)");
   ZSTOR_CHECK(profile_.units_per_page() <= kMaxUnitsPerPage);
+  // Units per page divide a power-of-two page, so they are one too.
+  ZSTOR_CHECK(std::has_single_bit(profile_.units_per_page()));
+  ZSTOR_CHECK_MSG(
+      std::has_single_bit(profile_.nand_geometry.pages_per_block),
+      "pages per block must be a power of two");
+  unit_shift_ = static_cast<std::uint32_t>(
+      std::countr_zero(profile_.units_per_page()));
+  page_shift_ = static_cast<std::uint32_t>(
+      std::countr_zero(profile_.nand_geometry.pages_per_block));
+  block_shift_ = unit_shift_ + page_shift_;
   l2p_.assign(logical_units, kUnmapped);
   p2l_.assign(phys_units, kUnmapped);
+  valid_bits_.assign((phys_units + 63) / 64, 0);
   blocks_.resize(profile_.nand_geometry.total_blocks());
-  for (auto& b : blocks_) {
-    b.valid_bitmap.assign((units_per_block() + 63) / 64, 0);
+  for (std::uint32_t die = 0; die < profile_.nand_geometry.total_dies();
+       ++die) {
+    for (std::uint32_t blk = 0; blk < profile_.nand_geometry.blocks_per_die;
+         ++blk) {
+      Block& b = blocks_[BlockIdOf(die, blk)];
+      b.die = die;
+      b.block = blk;
+    }
   }
   free_blocks_.assign(profile_.nand_geometry.total_dies(),
                       BlockFifo(profile_.nand_geometry.blocks_per_die));
@@ -100,27 +119,21 @@ void ConvDevice::FinalizeLayout() {
 
 // ----------------------------------------------------------- FTL state
 
-bool ConvDevice::TestValid(const Block& b, std::uint32_t unit) const {
-  return (b.valid_bitmap[unit / 64] >> (unit % 64)) & 1;
-}
-
-void ConvDevice::SetValid(Block& b, std::uint32_t unit, bool v) {
-  std::uint64_t mask = 1ull << (unit % 64);
+void ConvDevice::SetValid(std::uint32_t phys, bool v) {
+  const std::uint64_t mask = 1ull << (phys & 63);
   if (v) {
-    b.valid_bitmap[unit / 64] |= mask;
+    valid_bits_[phys >> 6] |= mask;
   } else {
-    b.valid_bitmap[unit / 64] &= ~mask;
+    valid_bits_[phys >> 6] &= ~mask;
   }
 }
 
 void ConvDevice::InvalidateUnit(std::uint32_t logical_unit) {
   std::uint32_t phys = l2p_[logical_unit];
   if (phys == kUnmapped || IsBuffered(phys)) return;
-  std::uint32_t block_id = phys / units_per_block();
-  std::uint32_t unit = phys % units_per_block();
-  Block& b = blocks_[block_id];
-  ZSTOR_CHECK(TestValid(b, unit));
-  SetValid(b, unit, false);
+  Block& b = blocks_[BlockIdOfPhys(phys)];
+  ZSTOR_CHECK(TestValid(phys));
+  SetValid(phys, false);
   ZSTOR_CHECK(b.valid > 0);
   b.valid--;
   p2l_[phys] = kUnmapped;
@@ -131,9 +144,8 @@ void ConvDevice::MapUnit(std::uint32_t logical_unit,
   InvalidateUnit(logical_unit);
   l2p_[logical_unit] = phys_unit;
   p2l_[phys_unit] = logical_unit;
-  Block& b = blocks_[phys_unit / units_per_block()];
-  SetValid(b, phys_unit % units_per_block(), true);
-  b.valid++;
+  SetValid(phys_unit, true);
+  blocks_[BlockIdOfPhys(phys_unit)].valid++;
 }
 
 sim::Task<std::uint32_t> ConvDevice::AcquireFreeBlock(
@@ -247,7 +259,7 @@ void ConvDevice::FinishGcProgram(GcPageOp& op) {
     w.wg->Done();
     return;
   }
-  const std::uint32_t upp = profile_.units_per_page();
+  const std::uint32_t upp = units_per_page();
   if (op.status != nand::MediaStatus::kOk) {
     // Program failure: retire the output block and restage this batch
     // into a fresh GC block — survivors are still held in controller
@@ -257,14 +269,14 @@ void ConvDevice::FinishGcProgram(GcPageOp& op) {
     counters_.program_retries++;
     op.block_id = TakeGcOpenBlock();
     Block& ob = blocks_[op.block_id];
-    op.addr.page = ob.write_ptr_units / upp;
+    op.addr.page = ob.write_ptr_units >> unit_shift_;
     ob.write_ptr_units += upp;
     ob.inflight++;
     ReturnGcOpenBlock(op.block_id);
     StartGcProgram(op);
     return;
   }
-  const std::uint32_t base = op.addr.page * upp;
+  const std::uint32_t base = op.addr.page << unit_shift_;
   const std::size_t end =
       std::min<std::size_t>(op.first + upp, w.survivors.size());
   for (std::size_t i = op.first; i < end; ++i) {
@@ -333,7 +345,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   Block& vb = blocks_[victim];
   const std::uint32_t die = DieOfBlockId(victim);
   const std::uint32_t blk = BlockOfBlockId(victim);
-  const std::uint32_t upp = profile_.units_per_page();
+  const std::uint32_t upp = units_per_page();
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   sim::Time migrate_begin = sim_.now();
@@ -355,10 +367,9 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   for (std::uint32_t page = 0;
        page < profile_.nand_geometry.pages_per_block; ++page) {
     bool any = false;
-    for (std::uint32_t s = 0; s < upp; ++s) {
-      std::uint32_t unit = page * upp + s;
-      if (!TestValid(vb, unit)) continue;
-      std::uint32_t phys = PhysUnit(victim, unit);
+    const std::uint32_t first = PhysUnit(victim, page << unit_shift_);
+    for (std::uint32_t phys = first; phys < first + upp; ++phys) {
+      if (!TestValid(phys)) continue;
       survivors.emplace_back(p2l_[phys], phys);
       any = true;
     }
@@ -386,7 +397,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
     Block& ob = blocks_[open];
     GcPageOp& op = w.ops[n++];
     op.kind = nand::NandOp::Kind::kProgram;
-    op.addr.page = ob.write_ptr_units / upp;
+    op.addr.page = ob.write_ptr_units >> unit_shift_;
     op.block_id = open;
     op.first = static_cast<std::uint32_t>(i);
     op.on_done = &OnGcProgramDone;
@@ -443,8 +454,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
                telem_->timeline_label(), /*lane=*/0, "gc.erase",
                static_cast<std::int64_t>(victim));
   }
-  ZSTOR_CHECK(vb.valid == 0);
-  std::fill(vb.valid_bitmap.begin(), vb.valid_bitmap.end(), 0);
+  ZSTOR_CHECK(vb.valid == 0);  // so none of its valid bits is set
   vb.write_ptr_units = 0;
   vb.gc_busy = false;
   counters_.gc_blocks_erased++;
@@ -496,7 +506,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
     std::uint32_t phys = l2p_[cmd.slba + i];
     if (phys == kUnmapped || IsBuffered(phys)) continue;
-    std::uint64_t page_id = phys / profile_.units_per_page();
+    const std::uint64_t page_id = phys >> unit_shift_;
     if (std::find(pages.begin(), pages.end(), page_id) == pages.end()) {
       pages.push_back(page_id);
     }
@@ -552,11 +562,9 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
 }
 
 nand::PageAddr ConvDevice::AddrOfPhysPage(std::uint64_t page_id) const {
-  const auto block_id = static_cast<std::uint32_t>(
-      page_id / profile_.nand_geometry.pages_per_block);
-  return {DieOfBlockId(block_id), BlockOfBlockId(block_id),
-          static_cast<std::uint32_t>(
-              page_id % profile_.nand_geometry.pages_per_block)};
+  const Block& b = blocks_[page_id >> page_shift_];
+  return {b.die, b.block,
+          static_cast<std::uint32_t>(page_id & ((1u << page_shift_) - 1))};
 }
 
 sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
@@ -614,7 +622,7 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
     }
     pending_units_.unit[pending_units_.count++] =
         static_cast<std::uint32_t>(cmd.slba + i);
-    if (pending_units_.count == profile_.units_per_page()) {
+    if (pending_units_.count == units_per_page()) {
       programs_.Add();
       sim::Spawn(ProgramHostPage(std::exchange(pending_units_, {}), epoch0));
     }
@@ -726,8 +734,8 @@ sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
         }
         if (!stale) {
           Block& b = blocks_[block_id];
-          page = b.write_ptr_units / profile_.units_per_page();
-          b.write_ptr_units += profile_.units_per_page();
+          page = b.write_ptr_units >> unit_shift_;
+          b.write_ptr_units += units_per_page();
           b.inflight++;
           if (b.write_ptr_units == units_per_block()) {
             b.open = false;
@@ -761,7 +769,7 @@ sim::Task<> ConvDevice::ProgramHostPage(PageUnits units,
     programs_.Done();
     co_return;
   }
-  std::uint32_t base = page * profile_.units_per_page();
+  const std::uint32_t base = page << unit_shift_;
   for (std::uint32_t i = 0; i < units.count; ++i) {
     std::uint32_t u = units.unit[i];
     // Map only if this unit is still waiting on this buffered write (the
@@ -895,9 +903,8 @@ sim::Task<> ConvDevice::CrashNow() {
     } else {
       l2p_[it->unit] = it->old_phys;
       p2l_[it->old_phys] = it->unit;
-      Block& b = blocks_[it->old_phys / units_per_block()];
-      SetValid(b, it->old_phys % units_per_block(), true);
-      b.valid++;
+      SetValid(it->old_phys, true);
+      blocks_[BlockIdOfPhys(it->old_phys)].valid++;
     }
   }
   counters_.journal_reverted_entries += journal_tail_.size();
@@ -921,36 +928,48 @@ void ConvDevice::DebugPrefill() {
   ZSTOR_CHECK_MSG(!layout_done_, "DebugPrefill must precede all I/O");
   // Logical page k (units [k*upp, (k+1)*upp)) lands on die k % dies, as
   // that die's (k / dies)-th page: the host write stream's round-robin.
-  // Walk each die's blocks page by page; every touched block is sealed
-  // full so it is GC-eligible.
+  // Walk the logical pages in order, so l2p_ fills sequentially; a page's
+  // valid bits share one word (upp <= 16 divides 64). Every touched block
+  // is sealed full so it is GC-eligible.
   const nand::Geometry& g = profile_.nand_geometry;
   const std::uint32_t dies = g.total_dies();
-  const std::uint32_t upp = profile_.units_per_page();
+  const std::uint32_t upp = units_per_page();
+  const std::uint32_t page_mask = (1u << page_shift_) - 1;
   const std::uint64_t logical_units = l2p_.size();
   const std::uint64_t logical_pages = (logical_units + upp - 1) / upp;
-  for (std::uint32_t die = 0; die < dies; ++die) {
-    std::uint64_t k = die;  // logical page of the die's next page
-    for (std::uint32_t blk = 0; k < logical_pages; ++blk) {
-      ZSTOR_CHECK(blk < g.blocks_per_die);
-      const std::uint32_t block_id = BlockIdOf(die, blk);
-      Block& b = blocks_[block_id];
-      std::uint32_t page = 0;
-      for (; page < g.pages_per_block && k < logical_pages;
-           ++page, k += dies) {
-        const std::uint64_t u0 = k * upp;
-        const auto n = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(upp, logical_units - u0));
-        for (std::uint32_t s = 0; s < n; ++s) {
-          const std::uint32_t unit = page * upp + s;
-          const std::uint32_t phys = PhysUnit(block_id, unit);
-          l2p_[u0 + s] = phys;
-          p2l_[phys] = static_cast<std::uint32_t>(u0 + s);
-          SetValid(b, unit, true);
-        }
-        b.valid += n;
-      }
-      b.write_ptr_units = units_per_block();
-      flash_->DebugProgramRange(die, blk, page);
+  ZSTOR_CHECK(logical_pages <=
+              static_cast<std::uint64_t>(dies) * g.blocks_per_die
+                  << page_shift_);
+  std::uint32_t die = 0;
+  std::uint32_t row = 0;  // the page's index among its die's pages
+  for (std::uint64_t u0 = 0; u0 < logical_units; u0 += upp) {
+    const std::uint32_t block_id = BlockIdOf(die, row >> page_shift_);
+    const std::uint32_t phys0 =
+        PhysUnit(block_id, (row & page_mask) << unit_shift_);
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(upp, logical_units - u0));
+    for (std::uint32_t s = 0; s < n; ++s) {
+      l2p_[u0 + s] = phys0 + s;
+      p2l_[phys0 + s] = static_cast<std::uint32_t>(u0 + s);
+    }
+    valid_bits_[phys0 >> 6] |= ((1ull << n) - 1) << (phys0 & 63);
+    blocks_[block_id].valid += n;
+    if (++die == dies) {
+      die = 0;
+      ++row;
+    }
+  }
+  // Die d took pages d, d + dies, ...: its last block may be partial.
+  for (die = 0; die < dies; ++die) {
+    const std::uint64_t rows =
+        logical_pages > die ? (logical_pages - die + dies - 1) / dies : 0;
+    for (std::uint64_t first = 0; first < rows; first += page_mask + 1) {
+      const auto blk = static_cast<std::uint32_t>(first >> page_shift_);
+      blocks_[BlockIdOf(die, blk)].write_ptr_units = units_per_block();
+      flash_->DebugProgramRange(
+          die, blk,
+          static_cast<std::uint32_t>(
+              std::min<std::uint64_t>(rows - first, page_mask + 1)));
     }
   }
   FinalizeLayout();

@@ -156,37 +156,45 @@ class ConvDevice : public zns::ControllerCore {
   static constexpr std::uint32_t kMaxUnitsPerPage = 16;
 
   struct Block {
+    std::uint32_t die = 0;            // where the block lives
+    std::uint32_t block = 0;          // its index on that die
     std::uint32_t valid = 0;          // live units in this block
     std::uint32_t write_ptr_units = 0;
     std::uint32_t inflight = 0;       // programs issued, mapping pending
-    std::vector<std::uint64_t> valid_bitmap;  // one bit per unit slot
     bool open = false;                // currently receiving programs
     bool gc_busy = false;             // being migrated/erased
     bool retired = false;             // failed a program; out of service
   };
 
   // ---- unit/address arithmetic ---------------------------------------
-  std::uint32_t units_per_block() const {
-    return profile_.nand_geometry.pages_per_block * profile_.units_per_page();
-  }
+  // Units per page and pages per block are powers of two, so a physical
+  // unit splits into (block id, page, unit) by shift and mask.
+  std::uint32_t units_per_page() const { return 1u << unit_shift_; }
+  std::uint32_t units_per_block() const { return 1u << block_shift_; }
   std::uint32_t BlockIdOf(std::uint32_t die, std::uint32_t block) const {
     return die * profile_.nand_geometry.blocks_per_die + block;
   }
   std::uint32_t DieOfBlockId(std::uint32_t block_id) const {
-    return block_id / profile_.nand_geometry.blocks_per_die;
+    return blocks_[block_id].die;
   }
   std::uint32_t BlockOfBlockId(std::uint32_t block_id) const {
-    return block_id % profile_.nand_geometry.blocks_per_die;
+    return blocks_[block_id].block;
   }
   std::uint32_t PhysUnit(std::uint32_t block_id, std::uint32_t unit) const {
-    return block_id * units_per_block() + unit;
+    return (block_id << block_shift_) + unit;
+  }
+  std::uint32_t BlockIdOfPhys(std::uint32_t phys_unit) const {
+    return phys_unit >> block_shift_;
   }
 
   // ---- FTL state mutation ---------------------------------------------
   void InvalidateUnit(std::uint32_t logical_unit);
   void MapUnit(std::uint32_t logical_unit, std::uint32_t phys_unit);
-  bool TestValid(const Block& b, std::uint32_t unit) const;
-  void SetValid(Block& b, std::uint32_t unit, bool v);
+  /// Whether physical unit `phys` holds live data (valid_bits_).
+  bool TestValid(std::uint32_t phys) const {
+    return (valid_bits_[phys >> 6] >> (phys & 63)) & 1;
+  }
+  void SetValid(std::uint32_t phys, bool v);
 
   /// Builds the layout on first use, then hands `cmd` to its handler.
   std::optional<sim::Task<nvme::Completion>> Dispatch(
@@ -293,6 +301,11 @@ class ConvDevice : public zns::ControllerCore {
   /// buffered unit's rollback origin points back at that logical unit.
   std::vector<std::uint32_t> p2l_;
   std::vector<Block> blocks_;        // by block id
+  /// One valid bit per physical unit, by physical unit number.
+  std::vector<std::uint64_t> valid_bits_;
+  std::uint32_t unit_shift_ = 0;   // log2 units per page
+  std::uint32_t page_shift_ = 0;   // log2 pages per block
+  std::uint32_t block_shift_ = 0;  // log2 units per block
   /// FIFO of block ids on a ring sized once. A block sits in at most one
   /// pool at a time, so a ring as large as its possible members never
   /// fills, and cycling blocks allocates nothing (a std::deque frees and

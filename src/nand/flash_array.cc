@@ -9,7 +9,7 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
     : sim_(s),
       geo_(geo),
       timing_(timing),
-      rng_(timing.noise_seed),
+      noise_(timing.noise_seed, {timing.read_sigma, timing.program_sigma}),
       dies_(geo.total_dies()),
       channels_(geo.channels) {
   geo_.Validate();
@@ -310,14 +310,14 @@ sim::Time FlashArray::NoisyRead() {
   if (timing_.read_sigma == 0) return timing_.read_page;
   return static_cast<sim::Time>(
       static_cast<double>(timing_.read_page) *
-      rng_.LogNormalNoise(timing_.read_sigma));
+      noise_.Multiplier(kReadNoise));
 }
 
 sim::Time FlashArray::NoisyProgram() {
   if (timing_.program_sigma == 0) return timing_.program_page;
   return static_cast<sim::Time>(
       static_cast<double>(timing_.program_page) *
-      rng_.LogNormalNoise(timing_.program_sigma));
+      noise_.Multiplier(kProgramNoise));
 }
 
 void FlashArray::DebugProgramRange(std::uint32_t die, std::uint32_t block,

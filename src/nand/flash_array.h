@@ -21,7 +21,7 @@
 
 #include "fault/fault_plan.h"
 #include "nand/geometry.h"
-#include "sim/rng.h"
+#include "sim/noise.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "telemetry/telemetry.h"
@@ -301,7 +301,10 @@ class FlashArray {
   sim::Simulator& sim_;
   Geometry geo_;
   Timing timing_;
-  sim::Rng rng_;
+  /// Read and program noise (sources kReadNoise and kProgramNoise).
+  static constexpr std::size_t kReadNoise = 0;
+  static constexpr std::size_t kProgramNoise = 1;
+  sim::NoiseStream noise_;
   /// A die or a channel: serves one op at a time, the rest wait in
   /// arrival order.
   struct Server {

@@ -54,18 +54,33 @@ class Rng {
     return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
   }
 
+  /// The two uniforms one Normal() draw consumes, in stream order: u1,
+  /// u2, then u1 again while it is too close to 0 for the log.
+  struct UniformPair {
+    double u1;
+    double u2;
+  };
+  UniformPair NormalUniforms() {
+    UniformPair p{UniformDouble(), UniformDouble()};
+    while (p.u1 <= 1e-300) p.u1 = UniformDouble();
+    return p;
+  }
+
+  /// The Box–Muller transform of one uniform pair: the one formula every
+  /// normal draw computes through (sim::NoiseStream included).
+  static double BoxMuller(UniformPair p) {
+    return std::sqrt(-2.0 * std::log(p.u1)) *
+           std::cos(6.283185307179586 * p.u2);
+  }
+
   /// Standard normal via Box–Muller (one value per call; no caching, to
   /// keep the stream position a pure function of the call count).
-  double Normal() {
-    double u1 = UniformDouble();
-    double u2 = UniformDouble();
-    while (u1 <= 1e-300) u1 = UniformDouble();
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(6.283185307179586 * u2);
-  }
+  double Normal() { return BoxMuller(NormalUniforms()); }
 
   /// Lognormal multiplier with median 1 and shape sigma: useful as
   /// multiplicative service-time noise (sigma ~0.03 gives a few % jitter).
+  /// Devices draw it through sim::NoiseStream, which returns the same
+  /// sequence; this is the reference the tests compare it with.
   double LogNormalNoise(double sigma) { return std::exp(sigma * Normal()); }
 
   /// Exponential with the given mean.

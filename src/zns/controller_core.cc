@@ -13,14 +13,14 @@ using sim::Time;
 ControllerCore::ControllerCore(sim::Simulator& s, DeviceCounters& counters,
                                std::uint64_t buffer_bytes,
                                std::uint64_t slot_bytes, std::uint64_t seed,
-                               double io_sigma)
+                               double io_sigma, double reset_sigma,
+                               double finish_sigma)
     : sim_(s),
       fcp_(s),
       buffer_slots_(s, std::max<std::uint64_t>(1, buffer_bytes / slot_bytes)),
       programs_(s),
-      rng_(seed),
-      shared_(counters),
-      io_sigma_(io_sigma) {}
+      noise_(seed, {io_sigma, reset_sigma, finish_sigma}),
+      shared_(counters) {}
 
 void ControllerCore::AttachTelemetry(telemetry::Telemetry* t,
                                      std::uint32_t lane) {
@@ -48,9 +48,8 @@ sim::Task<> ControllerCore::CrashDriver(std::vector<sim::Time> at) {
 }
 
 Time ControllerCore::Noise(Time t) {
-  if (io_sigma_ == 0.0 || t == 0) return t;
-  return static_cast<Time>(static_cast<double>(t) *
-                           rng_.LogNormalNoise(io_sigma_));
+  if (t == 0) return t;
+  return static_cast<Time>(static_cast<double>(t) * NoiseFactor(kIoNoise));
 }
 
 sim::Task<Completion> ControllerCore::Execute(const Command& cmd) {

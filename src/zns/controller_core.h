@@ -3,7 +3,7 @@
 // The paper's ZN540 and SN640 share one hardware platform (§III-F), and
 // so do the two device models: the core owns the firmware command
 // processor (FCP), the write-back buffer's admission slots, the noise
-// RNG, the NAND array, fault and telemetry attach, and the power-loss
+// stream, the NAND array, fault and telemetry attach, and the power-loss
 // skeleton (scheduled crashes, the power epoch, the kDeviceReset outage).
 // A device adds its mapping policy: Dispatch() hands each opcode to a
 // handler, and CrashNow() applies the device's loss semantics and
@@ -23,7 +23,7 @@
 #include "nvme/log_page.h"
 #include "nvme/types.h"
 #include "sim/resource.h"
-#include "sim/rng.h"
+#include "sim/noise.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -96,12 +96,20 @@ class ControllerCore : public nvme::Controller {
   static constexpr std::uint32_t kPrioIo = 0;
   static constexpr std::uint32_t kPrioBackground = 1;
 
+  /// The noise sources of the core's stream: FCP and post steps, the
+  /// zone reset and the finish pad.
+  static constexpr std::size_t kIoNoise = 0;
+  static constexpr std::size_t kResetNoise = 1;
+  static constexpr std::size_t kFinishNoise = 2;
+
   /// `counters` is the device's counters struct (not yet constructed: the
   /// core only binds it). The write-back buffer holds `buffer_bytes` in
-  /// slots of `slot_bytes` (at least one).
+  /// slots of `slot_bytes` (at least one). The noise stream is seeded
+  /// with `seed` and draws for the three sigmas.
   ControllerCore(sim::Simulator& s, DeviceCounters& counters,
                  std::uint64_t buffer_bytes, std::uint64_t slot_bytes,
-                 std::uint64_t seed, double io_sigma);
+                 std::uint64_t seed, double io_sigma, double reset_sigma,
+                 double finish_sigma);
 
   /// Starts the handler for `cmd` and returns its task unawaited (a
   /// command keeps exactly its handler's frames), or nullopt when the
@@ -112,6 +120,11 @@ class ControllerCore : public nvme::Controller {
   /// `t` scaled by one lognormal draw (io_sigma); 0 and a quiet profile
   /// draw nothing.
   sim::Time Noise(sim::Time t);
+  /// One lognormal multiplier of source `k`; a zero sigma draws nothing
+  /// and gives 1.
+  double NoiseFactor(std::size_t k) {
+    return noise_.sigma(k) == 0.0 ? 1.0 : noise_.Multiplier(k);
+  }
 
   /// What an FCP step traces for command `tid`: `fcp.wait` carrying
   /// `zone`, then the service span `name` on `layer` carrying (a, b).
@@ -213,7 +226,7 @@ class ControllerCore : public nvme::Controller {
   /// Joins every in-flight NAND program of buffered host data; flush and
   /// power loss wait on it for the drain.
   sim::WaitGroup programs_;
-  sim::Rng rng_;
+  sim::NoiseStream noise_;
   telemetry::Telemetry* telem_ = nullptr;
   std::uint32_t lane_ = 0;
   /// True from power loss until recovery completes; Execute fast-fails
@@ -228,7 +241,6 @@ class ControllerCore : public nvme::Controller {
   sim::Task<> CrashDriver(std::vector<sim::Time> at);
 
   DeviceCounters& shared_;
-  double io_sigma_;
   bool crash_driver_armed_ = false;
 };
 

@@ -19,7 +19,8 @@ ZnsDevice::ZnsDevice(sim::Simulator& s, ZnsProfile profile,
                      std::uint32_t lba_bytes)
     : ControllerCore(s, counters_, profile.write_buffer_bytes,
                      profile.nand_geometry.page_bytes, profile.seed,
-                     profile.io_sigma),
+                     profile.io_sigma, profile.reset.sigma,
+                     profile.finish.sigma),
       profile_(std::move(profile)),
       lba_bytes_(lba_bytes),
       zones_(profile_.num_zones) {
@@ -157,10 +158,9 @@ Time ZnsDevice::FcpIoCost(Opcode op, std::uint64_t bytes, std::uint32_t nlb,
   return c;
 }
 
-Time ZnsDevice::ResetCost(const Zone& z, sim::Rng& rng) const {
+Time ZnsDevice::ResetCost(const Zone& z) {
   const ResetModel& m = profile_.reset;
-  double noise =
-      m.sigma == 0.0 ? 1.0 : rng.LogNormalNoise(m.sigma);
+  const double noise = NoiseFactor(kResetNoise);
   if (z.wp_bytes == 0 && !z.finished) {
     return static_cast<Time>(static_cast<double>(m.empty_cost) * noise);
   }
@@ -764,9 +764,7 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
         profile_.finish.base +
         static_cast<Time>(profile_.finish.per_byte_ns *
                           static_cast<double>(remaining));
-    double noise = profile_.finish.sigma == 0.0
-                       ? 1.0
-                       : rng_.LogNormalNoise(profile_.finish.sigma);
+    const double noise = NoiseFactor(kFinishNoise);
     sim::Time pad_begin = sim_.now();
     co_await sim_.Delay(
         static_cast<Time>(static_cast<double>(pad) * noise));
@@ -831,7 +829,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   // reset's elapsed time by ~1/(1-rho) (Obs. 13). With no I/O in flight
   // at all, the remaining work is charged in one step (isolated resets,
   // e.g. the Fig. 5 sweep, stay cheap to simulate).
-  Time work = ResetCost(z, rng_);
+  Time work = ResetCost(z);
   if (profile_.reset.static_cost) {
     // Emulator-style static model (NVMeVirt): a flat charge with no
     // contention — precisely what makes such models miss Obs. 13.

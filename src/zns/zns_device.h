@@ -33,7 +33,6 @@
 #include "nand/flash_array.h"
 #include "nvme/log_page.h"
 #include "nvme/types.h"
-#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -217,7 +216,8 @@ class ZnsDevice : public ControllerCore {
   // Cost model helpers.
   sim::Time FcpIoCost(nvme::Opcode op, std::uint64_t bytes,
                       std::uint32_t nlb, nvme::Lba slba) const;
-  sim::Time ResetCost(const Zone& z, sim::Rng& rng) const;
+  /// The unmap work of resetting `z`; draws the reset noise.
+  sim::Time ResetCost(const Zone& z);
 
   // NAND path. `epoch` is the power epoch the program was admitted under;
   // a program completing after a crash (stale epoch) releases its

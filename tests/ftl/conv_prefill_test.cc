@@ -23,7 +23,7 @@ struct ConvDeviceInternals {
   }
   static bool valid_bit(const ConvDevice& d, std::uint32_t block_id,
                         std::uint32_t unit) {
-    return d.TestValid(d.blocks_[block_id], unit);
+    return d.TestValid(d.PhysUnit(block_id, unit));
   }
   static std::uint32_t write_ptr_units(const ConvDevice& d,
                                        std::uint32_t block_id) {

@@ -414,6 +414,48 @@ TEST(AllocCount, WarmResetFoldingBesideHostIoAllocatesNothing) {
   EXPECT_EQ(delta, 0u) << "a warm folding reset allocated";
 }
 
+// A warm NAND array's noisy reads allocate nothing, though every
+// NoiseStream::kChunkDraws draws its noise stream hands a chunk to the
+// helper thread (the first draw took the stream's storage and started
+// the helper). A rebuilt array takes the storage its predecessor left.
+TEST(AllocCount, WarmNoisyNandReadsAllocateNothing) {
+  Simulator s;
+  const zns::ZnsProfile p = zns::Zn540Profile();
+  ASSERT_GT(p.nand_timing.read_sigma, 0.0);
+  nand::FlashArray fa(s, p.nand_geometry, p.nand_timing);
+  fa.DebugProgramRange(0, 0, 1);
+  struct Chain : nand::NandOp {
+    int left = 0;
+  } op;
+  op.kind = nand::NandOp::Kind::kRead;
+  op.addr = {0, 0, 0};
+  op.bytes = 4096;
+  op.on_done = [](nand::NandOp& o) { --static_cast<Chain&>(o).left; };
+  auto reads = [&](int n) {
+    for (op.left = n; op.left > 0;) {
+      ASSERT_TRUE(fa.Start(op));
+      s.Run();
+    }
+  };
+  reads(4 * static_cast<int>(sim::NoiseStream::kChunkDraws));
+  const std::uint64_t reads0 = fa.counters().page_reads;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  reads(10 * static_cast<int>(sim::NoiseStream::kChunkDraws));
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(fa.counters().page_reads - reads0,
+            10 * sim::NoiseStream::kChunkDraws);
+  EXPECT_EQ(delta, 0u) << "a warm noisy NAND read allocated";
+
+  { sim::NoiseStream gone(1, {0.1}); gone.Multiplier(0); }
+  before = g_allocs.load(std::memory_order_relaxed);
+  {
+    sim::NoiseStream again(2, {0.1, 0.2, 0.3});
+    for (int i = 0; i < 1000; ++i) again.Multiplier(i % 3);
+  }
+  delta = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delta, 0u) << "a rebuilt noise stream allocated";
+}
+
 // Building a ZnsDevice allocates its tables, not one object per zone: a
 // ZN540 with 904 zones costs as many allocations as one with 16.
 TEST(AllocCount, ZnsDeviceBuildAllocatesNothingPerZone) {
