@@ -6,18 +6,17 @@
 //  2. FCP append cost         -> the append saturation plateau (Obs. 6/7)
 //  3. GC watermark hysteresis -> conventional write-throughput CV (Fig. 6a)
 //  4. Reset slice length      -> the Obs. 12 / Obs. 13 tradeoff
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "ftl/conv_device.h"
 #include "harness/bench_flags.h"
 #include "harness/experiments.h"
 #include "harness/gc_experiment.h"
 #include "harness/parallel.h"
 #include "harness/table.h"
-#include "hostif/host_stack.h"
-#include "workload/runner.h"
-#include "zns/zns_device.h"
+#include "harness/testbed.h"
 
 using namespace zstor;
 using nvme::Opcode;
@@ -26,11 +25,13 @@ namespace {
 
 // Read p95 while appends run at full rate, for a given ZNS buffer size.
 double ReadP95UnderLoadMs(std::uint64_t buffer_bytes) {
-  sim::Simulator s;
   zns::ZnsProfile p = zns::Zn540Profile();
   p.write_buffer_bytes = buffer_bytes;
-  zns::ZnsDevice dev(s, p);
-  hostif::SpdkStack stack(s, dev);
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(p)
+                   .WithLabel("buffer=" + std::to_string(buffer_bytes >> 20) +
+                              "MiB")
+                   .Build();
   workload::JobSpec writer;
   writer.op = Opcode::kAppend;
   writer.request_bytes = 128 * 1024;
@@ -46,12 +47,10 @@ double ReadP95UnderLoadMs(std::uint64_t buffer_bytes) {
   reader.queue_depth = 32;
   reader.duration = sim::Seconds(3);
   reader.warmup = sim::Seconds(1);
-  std::uint32_t base = p.num_zones / 2;
-  for (std::uint32_t z = base; z < base + 8; ++z) {
-    dev.DebugFillZone(z, p.zone_cap_bytes);
-    reader.zones.push_back(z);
-  }
-  auto res = workload::RunJobs(s, {{&stack, writer}, {&stack, reader}});
+  const std::uint32_t base = p.num_zones / 2;
+  tb.FillZones(base, 8);
+  reader.zones = tb.ZoneList(base, 8);
+  auto res = tb.RunJobs({writer, reader});
   return res[1].latency.p95_ns() / 1e6;
 }
 
@@ -67,7 +66,6 @@ struct OpResult {
 };
 
 OpResult ConvOpSweep(double op_fraction) {
-  sim::Simulator s;
   ftl::ConvProfile p = ftl::Sn640Profile();
   p.op_fraction = op_fraction;
   // Scale the GC watermarks with the spare area so every OP point leaves
@@ -76,9 +74,11 @@ OpResult ConvOpSweep(double op_fraction) {
       static_cast<double>(p.nand_geometry.total_blocks()) * op_fraction);
   p.gc_low_blocks = std::max(16u, spare / 4);
   p.gc_high_blocks = std::max(32u, spare / 2);
-  ftl::ConvDevice dev(s, p);
-  dev.DebugPrefill();
-  hostif::SpdkStack stack(s, dev);
+  Testbed tb = TestbedBuilder()
+                   .WithConvProfile(p)
+                   .WithLabel("op=" + harness::Fmt(100 * op_fraction, 1) + "%")
+                   .Build();
+  tb.conv()->DebugPrefill();
   workload::JobSpec writer;
   writer.op = Opcode::kWrite;
   writer.random = true;
@@ -87,8 +87,8 @@ OpResult ConvOpSweep(double op_fraction) {
   writer.workers = 4;
   writer.duration = sim::Seconds(8);
   writer.warmup = sim::Seconds(4);
-  auto r = workload::RunJob(s, stack, writer);
-  return {dev.counters().WriteAmplification(), r.MibPerSec()};
+  auto r = tb.RunJob(writer);
+  return {tb.conv()->counters().WriteAmplification(), r.MibPerSec()};
 }
 
 struct SliceResult {

@@ -36,10 +36,12 @@ int main() {
 
   // 2. Applications are coroutines. Issue a few commands and look at
   //    zone state as it changes.
+  std::uint64_t first_write = 0;  // its trace id, for step 3
   auto app = [&]() -> sim::Task<> {
     // A write implicitly opens zone 0 (one full 16 KiB NAND page).
     auto w = co_await tb.stack().Submit(
         {.opcode = nvme::Opcode::kWrite, .slba = 0, .nlb = 4});
+    first_write = w.trace_id;
     std::printf("write:  %s, %.2f us  (zone 0 is now %s)\n",
                 nvme::ToString(w.completion.status).data(),
                 sim::ToMicroseconds(w.latency()),
@@ -105,10 +107,10 @@ int main() {
   // 3. Telemetry: every layer emitted spans into the ring sink — the
   //    per-command breakdown of where virtual time went. Show the first
   //    write's phases (host submit -> queue pair -> FCP -> NAND buffer).
-  std::printf("\ntrace of command 1 (%llu events buffered):\n",
+  std::printf("\ntrace of the first write (%llu events buffered):\n",
               static_cast<unsigned long long>(tb.ring()->total_events()));
   for (const auto& e : tb.ring()->Events()) {
-    if (e.cmd != 1) continue;
+    if (e.cmd != first_write) continue;
     std::printf("  %8llu ns  +%-6llu %-8s %s\n",
                 static_cast<unsigned long long>(e.begin),
                 static_cast<unsigned long long>(e.duration()),

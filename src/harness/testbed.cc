@@ -21,7 +21,7 @@ struct LayerPtrs {
   ftl::ConvDevice* conv = nullptr;
   hostif::KernelStack* kernel = nullptr;
   hostif::StripedStack* striped = nullptr;
-  fault::FaultPlan* faults = nullptr;
+  std::vector<fault::FaultPlan*> faults;
   hostif::ResilientStack* resilient = nullptr;
 };
 
@@ -62,8 +62,39 @@ void DescribeLayers(const LayerPtrs& l, telemetry::MetricsRegistry& m,
   }
   if (l.kernel != nullptr) l.kernel->scheduler_stats().Describe(m);
   if (l.striped != nullptr) l.striped->stats().Describe(m);
-  if (l.faults != nullptr) l.faults->counters().Describe(m);
+  if (!l.faults.empty()) {
+    fault::FaultCounters sum;
+    for (fault::FaultPlan* p : l.faults) {
+      telemetry::AddFields(sum, p->counters());
+    }
+    sum.Describe(m);
+  }
   if (l.resilient != nullptr) l.resilient->stats().Describe(m);
+}
+
+/// `tb`'s layers; `devices` adds devices and fault plans, which live in
+/// other lanes than the coordinator under the parallel engine.
+LayerPtrs LayersOf(Testbed& tb, bool devices) {
+  LayerPtrs l;
+  l.kernel = tb.kernel();
+  l.striped = tb.striped();
+  l.resilient = tb.resilient();
+  if (devices) {
+    for (std::size_t d = 0; d < tb.num_devices(); ++d) {
+      if (tb.zns(d) != nullptr) l.zns.push_back(tb.zns(d));
+      if (tb.faults(d) != nullptr) l.faults.push_back(tb.faults(d));
+    }
+    l.conv = tb.conv();
+  }
+  return l;
+}
+
+/// Exports one device's ZNS, NAND and fault counters (a lane registry).
+void DescribeDevice(zns::ZnsDevice& dev, const fault::FaultPlan* faults,
+                    telemetry::MetricsRegistry& m) {
+  dev.counters().Describe(m);
+  if (dev.flash() != nullptr) dev.flash()->counters().Describe(m);
+  if (faults != nullptr) faults->counters().Describe(m);
 }
 
 /// Decides which lane each worker of `spec` runs in under the parallel
@@ -117,7 +148,13 @@ std::vector<std::vector<std::uint32_t>> PlanShards(
 /// conservative-synchronization lookahead.
 constexpr sim::Time kInterconnectHop = 250;  // ns
 
-std::uint64_t NextParallelEpoch() {
+/// Device d's seed for its noise and fault streams; device 0 keeps `seed`.
+std::uint64_t DeviceSeed(std::uint64_t seed, std::uint32_t d) {
+  return seed + 0x9E3779B97F4A7C15ull * d;
+}
+
+/// The next testbed's trace-id epoch (Tracer::SetIdNamespace).
+std::uint64_t NextIdEpoch() {
   static std::atomic<std::uint64_t> epoch{0};
   return epoch.fetch_add(1, std::memory_order_relaxed) + 1;
 }
@@ -131,13 +168,17 @@ nvme::Controller& Testbed::controller() {
   return *conv_;
 }
 
+hostif::StripeMap Testbed::stripe_map() const {
+  if (striped_ != nullptr) return striped_->map();
+  return {zns_devs_.front()->info().zone_size_lbas};
+}
+
 void Testbed::FillZones(std::uint32_t first, std::uint32_t count) {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "FillZones needs a ZNS testbed");
-  const auto n = static_cast<std::uint32_t>(zns_devs_.size());
+  const hostif::StripeMap map = stripe_map();
   for (std::uint32_t z = first; z < first + count; ++z) {
-    // Same map as the stripe: logical zone z lives on device z % n.
-    zns::ZnsDevice& dev = *zns_devs_[z % n];
-    dev.DebugFillZone(z / n, dev.profile().zone_cap_bytes);
+    zns::ZnsDevice& dev = *zns_devs_[map.DeviceOf(z)];
+    dev.DebugFillZone(map.DeviceZoneOf(z), dev.profile().zone_cap_bytes);
   }
 }
 
@@ -153,18 +194,11 @@ void Testbed::EnsureSamplersRunning() {
   // Lane samplers are (re)scheduled from the driving thread before the
   // engine runs — legal per ParallelSimulator's threading contract.
   if (sampler_ != nullptr) sampler_->EnsureRunning();
-  for (auto& s : lane_samplers_) {
-    if (s != nullptr) s->EnsureRunning();
-  }
+  for (auto& s : lane_samplers_) s->EnsureRunning();
 }
 
 workload::JobResult Testbed::RunJob(const workload::JobSpec& spec) {
-  EnsureSamplersRunning();
-  workload::JobResult r = psim_ != nullptr
-                              ? RunSharded(spec)
-                              : workload::RunJob(*sim_, *stack_, spec);
-  if (telem_ != nullptr) r.Describe(telem_->metrics());
-  return r;
+  return RunJobs({spec}).front();
 }
 
 std::vector<workload::JobResult> Testbed::RunJobs(
@@ -192,12 +226,6 @@ std::vector<workload::JobResult> Testbed::RunJobs(
   return results;
 }
 
-workload::JobResult Testbed::RunSharded(const workload::JobSpec& spec) {
-  std::vector<std::unique_ptr<workload::Job>> parts = StartSharded(spec);
-  psim_->Run(static_cast<unsigned>(sim_threads_));
-  return JoinSharded(parts);
-}
-
 std::vector<std::unique_ptr<workload::Job>> Testbed::StartSharded(
     const workload::JobSpec& spec) {
   ZSTOR_CHECK(psim_ != nullptr && striped_ != nullptr);
@@ -206,18 +234,13 @@ std::vector<std::unique_ptr<workload::Job>> Testbed::StartSharded(
   std::vector<std::unique_ptr<workload::Job>> parts;
   // Coordinator part first, then device lanes in index order; JoinSharded
   // merges in this fixed order so results are layout-deterministic.
-  if (!plan[0].empty()) {
+  for (std::uint32_t lane = 0; lane < plan.size(); ++lane) {
+    if (plan[lane].empty()) continue;
     workload::JobSpec s = spec;
-    s.worker_ids = plan[0];
+    s.worker_ids = plan[lane];
+    hostif::Stack& target = lane == 0 ? *stack_ : *lane_views_[lane - 1];
     parts.push_back(
-        std::make_unique<workload::Job>(psim_->lane(0), *stack_, s));
-  }
-  for (std::uint32_t d = 0; d < lane_views_.size(); ++d) {
-    if (plan[1 + d].empty()) continue;
-    workload::JobSpec s = spec;
-    s.worker_ids = plan[1 + d];
-    parts.push_back(std::make_unique<workload::Job>(
-        psim_->lane(1 + d), *lane_views_[d], s));
+        std::make_unique<workload::Job>(psim_->lane(lane), target, s));
   }
   // All lanes share one clock at Run boundaries (the engine realigns
   // them at quiescence), so every part computes identical start/end
@@ -256,35 +279,20 @@ telemetry::Snapshot Testbed::TakeSnapshot() {
                   "TakeSnapshot requires telemetry (WithTelemetry or "
                   "--trace/--metrics)");
   telemetry::MetricsRegistry& m = telem_->metrics();
-  LayerPtrs layers;
-  layers.zns.reserve(zns_devs_.size());
-  for (const auto& dev : zns_devs_) layers.zns.push_back(dev.get());
-  layers.conv = conv_.get();
-  layers.kernel = kernel_;
-  layers.striped = striped_;
-  layers.faults = faults_.get();
-  layers.resilient = resilient_;
   // Keep lane counters out of snapshots unless a timeline already
   // introduced them (the sampler's refresh uses per-lane mode, and mixing
   // per-lane presence across snapshots of one run would be confusing).
-  DescribeLayers(layers, m, /*per_lane=*/sampler_ != nullptr);
+  DescribeLayers(LayersOf(*this, /*devices=*/true), m,
+                 /*per_lane=*/sampler_ != nullptr);
   if (psim_ == nullptr) {
     // Classic engine shape: events run so far (a slice chain's skipped
     // wakes are not events).
     m.GetCounter("sim.events").Set(sim_->events());
   } else {
-    // The describes above covered the coordinator's layers; fold in the
-    // device-lane halves that Set-overwrite cleanly (stripe totals and
-    // the fault sum). Lane registries themselves merge only at Finish —
-    // merging here would double-count when Finish later re-merges.
+    // The describes above covered every device; fold in the lane views'
+    // half of the stripe stats. Lane registries themselves merge only at
+    // Finish — merging here too would double-count.
     CombinedStripeStats().Describe(m);
-    if (!lane_faults_.empty()) {
-      fault::FaultCounters sum;
-      for (const auto& p : lane_faults_) {
-        telemetry::AddFields(sum, p->counters());
-      }
-      sum.Describe(m);
-    }
     // Engine shape: windows and cross-lane messages are fixed by the
     // window plan, so they are identical for every --sim-threads value.
     m.GetCounter("psim.windows").Set(psim_->windows());
@@ -304,12 +312,9 @@ nvme::SmartLog Testbed::Smart() const {
 
 nvme::ZoneReportLog Testbed::ZoneReport() const {
   ZSTOR_CHECK_MSG(!zns_devs_.empty(), "ZoneReport needs a ZNS testbed");
-  if (zns_devs_.size() == 1) return zns_devs_.front()->GetZoneReportLog();
-  const auto n = static_cast<std::uint32_t>(zns_devs_.size());
-  const std::uint64_t zone_size_lbas =
-      zns_devs_.front()->info().zone_size_lbas;
+  const hostif::StripeMap map = stripe_map();
   std::vector<nvme::ZoneReportLog> per_dev;
-  per_dev.reserve(n);
+  per_dev.reserve(zns_devs_.size());
   nvme::ZoneReportLog agg;
   for (const auto& dev : zns_devs_) {
     per_dev.push_back(dev->GetZoneReportLog());
@@ -324,11 +329,10 @@ nvme::ZoneReportLog Testbed::ZoneReport() const {
   }
   agg.zones.reserve(agg.num_zones);
   for (std::uint32_t lz = 0; lz < agg.num_zones; ++lz) {
-    nvme::ZoneReportEntry e = per_dev[lz % n].zones[lz / n];
-    const std::uint64_t dev_zslba = e.zslba;
+    const std::uint32_t d = map.DeviceOf(lz);
+    nvme::ZoneReportEntry e = per_dev[d].zones[map.DeviceZoneOf(lz)];
     e.zone = lz;
-    e.zslba = static_cast<std::uint64_t>(lz) * zone_size_lbas;
-    e.write_pointer = e.zslba + (e.write_pointer - dev_zslba);
+    map.ToLogicalZone(d, e);
     agg.zones.push_back(std::move(e));
   }
   return agg;
@@ -358,28 +362,6 @@ std::string Testbed::LogPagesJson() const {
   return out;
 }
 
-void Testbed::MergeLaneTelemetry() {
-  if (lanes_merged_ || telem_ == nullptr || psim_ == nullptr) return;
-  lanes_merged_ = true;
-  for (std::size_t d = 0; d < lane_telems_.size(); ++d) {
-    if (lane_telems_[d] == nullptr) continue;
-    telemetry::MetricsRegistry& lm = lane_telems_[d]->metrics();
-    // Final batch export so each lane registry holds end-of-run values
-    // even when no timeline sampler ever refreshed it.
-    zns_devs_[d]->counters().Describe(lm);
-    if (zns_devs_[d]->flash() != nullptr) {
-      zns_devs_[d]->flash()->counters().Describe(lm);
-    }
-    if (d < lane_faults_.size() && lane_faults_[d] != nullptr) {
-      lane_faults_[d]->counters().Describe(lm);
-    }
-    // Counters Add (then TakeSnapshot's Set-based describes overwrite
-    // the sums with the authoritative totals); histograms merge — the
-    // whole point, since per-command latencies live lane-side.
-    telem_->metrics().MergeFrom(lm);
-  }
-}
-
 void Testbed::Finish() {
   if (finished_ || telem_ == nullptr) return;
   finished_ = true;
@@ -391,13 +373,20 @@ void Testbed::Finish() {
       if (dev->flash() != nullptr) dev->flash()->FlushDieWindows();
     }
     if (conv_ != nullptr) conv_->flash().FlushDieWindows();
-    for (auto& s : lane_samplers_) {
-      if (s != nullptr) s->SampleFinal();
-    }
+    for (auto& s : lane_samplers_) s->SampleFinal();
     if (sampler_ != nullptr) sampler_->SampleFinal();
   }
-  MergeLaneTelemetry();
-  if (logpages_to_env_ && (!zns_devs_.empty() || conv_ != nullptr)) {
+  for (std::size_t d = 0; d < lane_telems_.size(); ++d) {
+    telemetry::MetricsRegistry& lm = lane_telems_[d]->metrics();
+    // Final batch export so each lane registry holds end-of-run values
+    // even when no timeline sampler ever refreshed it.
+    DescribeDevice(*zns_devs_[d], faults(d), lm);
+    // Counters Add (then TakeSnapshot's Set-based describes overwrite
+    // the sums with the authoritative totals); histograms merge — the
+    // whole point, since per-command latencies live lane-side.
+    telem_->metrics().MergeFrom(lm);
+  }
+  if (logpages_to_env_) {
     harness::BenchEnv::Get().AddLogPages(label_, LogPagesJson());
   }
   telemetry::Snapshot snap = TakeSnapshot();
@@ -503,6 +492,10 @@ Testbed TestbedBuilder::Build() {
   auto dev_sim = [&tb, parallel](std::uint32_t d) -> sim::Simulator& {
     return parallel ? tb.psim_->lane(1 + d) : *tb.sim_;
   };
+  auto device = [&tb](std::uint32_t d) -> zns::ControllerCore& {
+    if (tb.conv_ != nullptr) return *tb.conv_;
+    return *tb.zns_devs_[d];
+  };
 
   // Devices.
   if (conv_profile_.has_value()) {
@@ -512,77 +505,63 @@ Testbed TestbedBuilder::Build() {
     for (std::uint32_t d = 0; d < num_devices_; ++d) {
       zns::ZnsProfile p = base;
       // Distinct per-device noise streams; devices are otherwise twins.
-      p.seed = base.seed + 0x9E3779B97F4A7C15ull * d;
+      p.seed = DeviceSeed(base.seed, d);
       tb.zns_devs_.push_back(
           std::make_unique<zns::ZnsDevice>(dev_sim(d), p, lba_bytes_));
     }
   }
 
   // Faults: explicit builder spec wins; otherwise the --faults flag
-  // applies to every testbed the bench builds. Classic mode shares one
-  // plan across the device set (its counters then report set-wide fault
-  // activity); the parallel engine gives each device a private plan —
-  // same spec, per-device-decorrelated seed — because a shared plan's
-  // RNG would be pulled from several lanes at once, making fault
-  // placement depend on thread interleaving.
+  // applies to every testbed the bench builds. Every device draws from a
+  // private plan — same spec, per-device seed — so one device's faults
+  // never depend on another's traffic, nor on thread interleaving under
+  // the parallel engine; a one-shot `sched=` fault fires once per device.
   fault::FaultSpec fspec =
       fault_spec_.value_or(env.faults_requested() ? env.fault_spec()
                                                   : fault::FaultSpec{});
   if (fspec.enabled) {
-    if (parallel) {
-      for (std::uint32_t d = 0; d < num_devices_; ++d) {
-        fault::FaultSpec per_dev = fspec;
-        per_dev.seed = fspec.seed + 0x9E3779B97F4A7C15ull * d;
-        tb.lane_faults_.push_back(
-            std::make_unique<fault::FaultPlan>(per_dev));
-        tb.zns_devs_[d]->AttachFaultPlan(tb.lane_faults_.back().get());
-      }
-    } else {
-      tb.faults_ = std::make_unique<fault::FaultPlan>(fspec);
-      for (auto& dev : tb.zns_devs_) dev->AttachFaultPlan(tb.faults_.get());
-      if (tb.conv_ != nullptr) tb.conv_->AttachFaultPlan(tb.faults_.get());
+    for (std::uint32_t d = 0; d < num_devices_; ++d) {
+      fault::FaultSpec per_dev = fspec;
+      per_dev.seed = DeviceSeed(fspec.seed, d);
+      tb.faults_.push_back(std::make_unique<fault::FaultPlan>(per_dev));
+      device(d).AttachFaultPlan(tb.faults_.back().get());
     }
   }
 
-  // Host stack(s): one lane per device via the shared factory; the lanes
-  // of a multi-device set are striped into one logical namespace. Under
-  // the parallel engine each device's real stack lives in that device's
-  // lane and the coordinator's StripedStack routes through MailboxStack
-  // proxies; a StripeLaneView per device serves sharded workers locally.
-  if (parallel) {
-    std::vector<std::unique_ptr<hostif::Stack>> proxies;
-    proxies.reserve(num_devices_);
-    for (std::uint32_t d = 0; d < num_devices_; ++d) {
-      tb.lane_stacks_.push_back(
-          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d]).stack);
-      proxies.push_back(std::make_unique<hostif::MailboxStack>(
-          *tb.psim_, /*host_lane=*/0, /*dev_lane=*/1 + d,
-          *tb.lane_stacks_.back()));
-    }
-    auto striped = std::make_unique<hostif::StripedStack>(
-        tb.psim_->lane(0), std::move(proxies));
-    tb.striped_ = striped.get();
-    tb.stack_ = std::move(striped);
-    for (std::uint32_t d = 0; d < num_devices_; ++d) {
-      tb.lane_views_.push_back(std::make_unique<hostif::StripeLaneView>(
-          dev_sim(d), *tb.lane_stacks_[d], tb.striped_->map(), d,
-          tb.striped_->info()));
-    }
-  } else if (tb.zns_devs_.size() > 1) {
-    std::vector<std::unique_ptr<hostif::Stack>> lanes;
-    lanes.reserve(tb.zns_devs_.size());
-    for (auto& dev : tb.zns_devs_) {
-      lanes.push_back(hostif::MakeStack(stack_, *tb.sim_, *dev).stack);
-    }
-    auto striped =
-        std::make_unique<hostif::StripedStack>(*tb.sim_, std::move(lanes));
-    tb.striped_ = striped.get();
-    tb.stack_ = std::move(striped);
-  } else {
+  // Host stack(s): one per device via the shared factory; a multi-device
+  // set is striped into one logical namespace. Under the parallel engine
+  // each device's stack lives in that device's lane, the coordinator's
+  // StripedStack reaches it through a MailboxStack proxy, and a
+  // StripeLaneView per device serves sharded workers locally.
+  if (num_devices_ == 1) {
     hostif::MadeStack made =
         hostif::MakeStack(stack_, *tb.sim_, tb.controller());
     tb.kernel_ = made.kernel;
     tb.stack_ = std::move(made.stack);
+  } else {
+    std::vector<std::unique_ptr<hostif::Stack>> lanes;
+    lanes.reserve(num_devices_);
+    for (std::uint32_t d = 0; d < num_devices_; ++d) {
+      auto dev_stack =
+          hostif::MakeStack(stack_, dev_sim(d), *tb.zns_devs_[d]).stack;
+      if (!parallel) {
+        lanes.push_back(std::move(dev_stack));
+        continue;
+      }
+      tb.lane_stacks_.push_back(std::move(dev_stack));
+      lanes.push_back(std::make_unique<hostif::MailboxStack>(
+          *tb.psim_, /*host_lane=*/0, /*dev_lane=*/1 + d,
+          *tb.lane_stacks_.back()));
+    }
+    auto striped =
+        std::make_unique<hostif::StripedStack>(host_sim(), std::move(lanes));
+    tb.striped_ = striped.get();
+    tb.stack_ = std::move(striped);
+    for (std::uint32_t d = 0; d < tb.lane_stacks_.size(); ++d) {
+      tb.lane_views_.push_back(std::make_unique<hostif::StripeLaneView>(
+          dev_sim(d), *tb.lane_stacks_[d], tb.striped_->map(), d,
+          tb.striped_->info()));
+    }
   }
 
   // Host resilience: wrap the stack when a policy was given, or by
@@ -633,13 +612,15 @@ Testbed TestbedBuilder::Build() {
     tb.telem_->set_timeline_label(
         telem_cfg_.has_value() ? tb.label_
                                : env.UniqueTimelineLabel(tb.label_));
+    // Trace ids: one epoch per testbed, one id lane per engine lane (the
+    // classic engine's one simulator is lane 0 for every device).
+    const std::uint64_t epoch = NextIdEpoch();
+    tb.telem_->tracer().SetIdNamespace(epoch, 0);
     if (parallel) {
       // Each lane buffers its telemetry privately during the run (a
       // shared sink or writer would interleave nondeterministically and
       // race); Finish replays the buffers into the real outputs in lane
-      // order. Trace ids get per-lane namespaces so ids allocated
-      // concurrently never collide — and never depend on interleaving.
-      const std::uint64_t ns_base = (NextParallelEpoch() & 0xFFFFull) << 48;
+      // order.
       tb.final_sink_ = tb.telem_->tracer().sink();
       tb.final_timeline_ = tb.telem_->timeline();
       auto capture_lane = [&tb](telemetry::Telemetry& t) {
@@ -652,27 +633,24 @@ Testbed TestbedBuilder::Build() {
           t.SetTimeline(&lane->writer);
         }
       };
-      tb.telem_->tracer().SetIdNamespace(ns_base | (1ull << 40));
       capture_lane(*tb.telem_);
       for (std::uint32_t d = 0; d < num_devices_; ++d) {
         auto lt = std::make_unique<telemetry::Telemetry>();
-        lt->tracer().SetIdNamespace(ns_base | ((2ull + d) << 40));
+        lt->tracer().SetIdNamespace(epoch, 1 + d);
         lt->set_timeline_label(tb.telem_->timeline_label() + "/lane" +
                                std::to_string(d));
         capture_lane(*lt);
         tb.lane_telems_.push_back(std::move(lt));
       }
-      for (std::uint32_t d = 0; d < num_devices_; ++d) {
-        tb.zns_devs_[d]->AttachTelemetry(tb.lane_telems_[d].get(), d);
-        tb.lane_stacks_[d]->AttachTelemetry(tb.lane_telems_[d].get());
-        tb.lane_views_[d]->AttachTelemetry(tb.lane_telems_[d].get());
+    }
+    for (std::uint32_t d = 0; d < num_devices_; ++d) {
+      telemetry::Telemetry* t =
+          parallel ? tb.lane_telems_[d].get() : tb.telem_.get();
+      device(d).AttachTelemetry(t, d);
+      if (parallel) {
+        tb.lane_stacks_[d]->AttachTelemetry(t);
+        tb.lane_views_[d]->AttachTelemetry(t);
       }
-    } else {
-      for (std::size_t d = 0; d < tb.zns_devs_.size(); ++d) {
-        tb.zns_devs_[d]->AttachTelemetry(tb.telem_.get(),
-                                         static_cast<std::uint32_t>(d));
-      }
-      if (tb.conv_ != nullptr) tb.conv_->AttachTelemetry(tb.telem_.get());
     }
     tb.stack_->AttachTelemetry(tb.telem_.get());
     if (tb.telem_->timeline() != nullptr) {
@@ -686,37 +664,20 @@ Testbed TestbedBuilder::Build() {
       // coordinator-lane state (stripe proxies, retry layer): device and
       // fault counters mutate concurrently in other lanes and are
       // sampled by the per-lane hooks below instead.
-      LayerPtrs layers;
-      if (!parallel) {
-        layers.zns.reserve(tb.zns_devs_.size());
-        for (const auto& dev : tb.zns_devs_) layers.zns.push_back(dev.get());
-        layers.conv = tb.conv_.get();
-        layers.faults = tb.faults_.get();
-      }
-      layers.kernel = tb.kernel_;
-      layers.striped = tb.striped_;
-      layers.resilient = tb.resilient_;
+      const LayerPtrs layers = LayersOf(tb, /*devices=*/!parallel);
       telemetry::MetricsRegistry* m = &tb.telem_->metrics();
       tb.sampler_->SetRefresh([layers, m] {
         DescribeLayers(layers, *m, /*per_lane=*/true);
       });
-      if (parallel) {
-        for (std::uint32_t d = 0; d < num_devices_; ++d) {
-          telemetry::Telemetry& lt = *tb.lane_telems_[d];
-          auto s = std::make_unique<telemetry::MetricSampler>(
-              dev_sim(d), lt.metrics(), *lt.timeline(), sample_interval,
-              lt.timeline_label());
-          zns::ZnsDevice* dev = tb.zns_devs_[d].get();
-          fault::FaultPlan* fp =
-              d < tb.lane_faults_.size() ? tb.lane_faults_[d].get() : nullptr;
-          telemetry::MetricsRegistry* lm = &lt.metrics();
-          s->SetRefresh([dev, fp, lm] {
-            dev->counters().Describe(*lm);
-            if (dev->flash() != nullptr) dev->flash()->counters().Describe(*lm);
-            if (fp != nullptr) fp->counters().Describe(*lm);
-          });
-          tb.lane_samplers_.push_back(std::move(s));
-        }
+      for (std::uint32_t d = 0; d < tb.lane_telems_.size(); ++d) {
+        telemetry::Telemetry& lt = *tb.lane_telems_[d];
+        auto s = std::make_unique<telemetry::MetricSampler>(
+            dev_sim(d), lt.metrics(), *lt.timeline(), sample_interval,
+            lt.timeline_label());
+        s->SetRefresh([dev = tb.zns(d), fp = tb.faults(d), lm = &lt.metrics()] {
+          DescribeDevice(*dev, fp, *lm);
+        });
+        tb.lane_samplers_.push_back(std::move(s));
       }
     }
   }

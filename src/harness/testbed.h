@@ -13,9 +13,9 @@
 //                                    // the last 4096 trace events
 //
 // Multi-device: .WithDevices(n) builds n identical ZNS devices, each with
-// its own host-stack lane, striped into one logical namespace by
-// hostif::StripedStack (logical zone z -> device z % n). Log pages and
-// FillZones aggregate/route across devices transparently.
+// its own host stack and fault plan, striped into one logical namespace
+// by hostif::StripedStack (hostif/stripe_map.h). Log pages and FillZones
+// aggregate/route across devices transparently, on either engine.
 //
 // When no explicit telemetry config is given, Build() consults the
 // process-wide BenchEnv (see bench_flags.h): a bench invoked with
@@ -105,8 +105,9 @@ class Testbed {
   nvme::Controller& controller();
   /// Concrete device accessors; null when the testbed holds the other
   /// kind. zns() is device 0; zns(d) indexes the striped set.
-  zns::ZnsDevice* zns() { return zns_devs_.empty() ? nullptr : zns_devs_.front().get(); }
-  zns::ZnsDevice* zns(std::size_t d) { return zns_devs_[d].get(); }
+  zns::ZnsDevice* zns(std::size_t d = 0) {
+    return d < zns_devs_.size() ? zns_devs_[d].get() : nullptr;
+  }
   std::size_t num_devices() const {
     return conv_ != nullptr ? 1 : zns_devs_.size();
   }
@@ -121,10 +122,11 @@ class Testbed {
   /// The periodic timeline sampler; null unless a timeline is configured
   /// (TelemetryConfig::timeline_* or the --timeline flag).
   telemetry::MetricSampler* sampler() { return sampler_.get(); }
-  /// The injected fault plan; null when faults are disabled. Under the
-  /// parallel engine faults are per-device plans instead (a shared plan's
-  /// RNG would race across lanes) — this stays null.
-  fault::FaultPlan* faults() { return faults_.get(); }
+  /// Device d's injected fault plan (device 0's by default; one per
+  /// device on either engine, DESIGN.md §8); null without faults.
+  fault::FaultPlan* faults(std::size_t d = 0) {
+    return d < faults_.size() ? faults_[d].get() : nullptr;
+  }
   /// Device d's lane-side view of the logical namespace (parallel mode
   /// only; null otherwise). Sharded workload workers submit here.
   hostif::StripeLaneView* lane_view(std::size_t d) {
@@ -214,9 +216,8 @@ class Testbed {
   std::vector<std::unique_ptr<telemetry::Telemetry>> lane_telems_;
   std::unique_ptr<telemetry::MetricSampler> sampler_;
   std::vector<std::unique_ptr<telemetry::MetricSampler>> lane_samplers_;
-  std::unique_ptr<fault::FaultPlan> faults_;
-  /// Per-device fault plans (parallel mode; faults_ stays null there).
-  std::vector<std::unique_ptr<fault::FaultPlan>> lane_faults_;
+  /// One fault plan per device; empty when faults are disabled.
+  std::vector<std::unique_ptr<fault::FaultPlan>> faults_;
   /// The ZNS device set: exactly one unless built WithDevices(n > 1);
   /// empty for conventional testbeds.
   std::vector<std::unique_ptr<zns::ZnsDevice>> zns_devs_;
@@ -235,18 +236,17 @@ class Testbed {
   hostif::StripedStack* striped_ = nullptr;  // owned via stack_/inner_stack_
   std::string label_;
   int sim_threads_ = 0;
-  bool lanes_merged_ = false;
   bool report_to_env_ = false;
   bool logpages_to_env_ = false;
   bool finished_ = false;
 
-  workload::JobResult RunSharded(const workload::JobSpec& spec);
   std::vector<std::unique_ptr<workload::Job>> StartSharded(
       const workload::JobSpec& spec);
   workload::JobResult JoinSharded(
       std::vector<std::unique_ptr<workload::Job>>& parts);
   hostif::StripeStats CombinedStripeStats() const;
-  void MergeLaneTelemetry();
+  /// The stripe's map, or a single ZNS device's identity map.
+  hostif::StripeMap stripe_map() const;
 };
 
 class TestbedBuilder {
@@ -270,8 +270,9 @@ class TestbedBuilder {
   TestbedBuilder& WithLabel(std::string label);
   /// Injects media faults per `spec` (overrides the BenchEnv --faults
   /// flag, which otherwise applies to every built testbed). The testbed
-  /// owns the FaultPlan. Also enables the host retry layer unless
-  /// WithRetryPolicy set one explicitly.
+  /// owns one FaultPlan per device, each with its own seed, so a one-shot
+  /// `sched=` fault fires once per device. Also enables the host retry
+  /// layer unless WithRetryPolicy set one explicitly.
   TestbedBuilder& WithFaults(const fault::FaultSpec& spec);
   /// Wraps the host stack in a hostif::ResilientStack with this policy
   /// (retries, backoff, per-attempt timeout).

@@ -2,9 +2,10 @@
 //
 // StripedStack and the parallel engine's StripeLaneView route through
 // one router (detail::RouteOne in striped_stack.h) over this map, and the
-// Testbed shards workers and fills zones by it, so all agree on how
-// logical zones land on devices (MailboxStack only forwards commands
-// StripedStack has already routed):
+// Testbed shards workers, fills zones and merges zone reports by it, so
+// all agree on how logical zones land on devices (MailboxStack only
+// forwards commands StripedStack has already routed). This file is the
+// one place that placement is computed:
 //
 //   logical zone z  ->  device z % N, device zone z / N
 #pragma once
@@ -21,6 +22,11 @@ struct StripeMap {
 
   std::uint32_t LogicalZoneOf(nvme::Lba lba) const {
     return static_cast<std::uint32_t>(lba / zone_size_lbas);
+  }
+  /// True when [lba, lba + nlb) runs past the end of lba's logical zone.
+  bool CrossesZone(nvme::Lba lba, std::uint64_t nlb) const {
+    return lba - nvme::Lba{LogicalZoneOf(lba)} * zone_size_lbas + nlb >
+           zone_size_lbas;
   }
   /// Device index serving logical zone `lz`.
   std::uint32_t DeviceOf(std::uint32_t lz) const { return lz % num_devices; }
@@ -42,6 +48,15 @@ struct StripeMap {
     const nvme::Lba offset = device_lba - nvme::Lba{dz} * zone_size_lbas;
     const std::uint32_t lz = dz * num_devices + d;
     return nvme::Lba{lz} * zone_size_lbas + offset;
+  }
+  /// Rewrites device `d`'s descriptor of a zone (any type with `zslba`
+  /// and `write_pointer`) into logical addresses; the write pointer keeps
+  /// its offset, so one just past a full zone stays with that zone.
+  template <typename ZoneDesc>
+  void ToLogicalZone(std::uint32_t d, ZoneDesc& desc) const {
+    const auto wp_offset = desc.write_pointer - desc.zslba;
+    desc.zslba = ToLogicalLba(d, desc.zslba);
+    desc.write_pointer = desc.zslba + wp_offset;
   }
 };
 

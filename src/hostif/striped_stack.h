@@ -158,10 +158,8 @@ sim::Task<nvme::TimedCompletion> RouteOne(sim::Simulator& sim,
                                           telemetry::Tracer* tr,
                                           std::uint64_t* boundary_rejects,
                                           nvme::Command cmd, LaneOf lane_of) {
-  const std::uint32_t lz = map.LogicalZoneOf(cmd.slba);
-  const nvme::Lba offset = cmd.slba - nvme::Lba{lz} * map.zone_size_lbas;
   nvme::TimedCompletion tc;
-  if (offset + cmd.nlb > map.zone_size_lbas) {
+  if (map.CrossesZone(cmd.slba, cmd.nlb)) {
     ++*boundary_rejects;
     tc.completion.status = nvme::Status::kZoneBoundaryError;
     tc.trace_id = cmd.trace_id;
@@ -169,6 +167,7 @@ sim::Task<nvme::TimedCompletion> RouteOne(sim::Simulator& sim,
     tc.completed = sim.now();
     co_return tc;
   }
+  const std::uint32_t lz = map.LogicalZoneOf(cmd.slba);
   const std::uint32_t d = map.DeviceOf(lz);
   const LaneRef lane = lane_of(d);
   if (tr != nullptr) {
@@ -312,9 +311,7 @@ class StripedStack : public Stack {
         const std::uint32_t dz = map_.DeviceZoneOf(lz);
         ZSTOR_CHECK(dz < legs[d].completion.report.size());
         nvme::ZoneDescriptor desc = legs[d].completion.report[dz];
-        const nvme::Lba dev_zslba = desc.zslba;
-        desc.zslba = nvme::Lba{lz} * info_.zone_size_lbas;
-        desc.write_pointer = desc.zslba + (desc.write_pointer - dev_zslba);
+        map_.ToLogicalZone(d, desc);
         tc.completion.report.push_back(desc);
       }
     }

@@ -1,6 +1,5 @@
 #include "telemetry/trace.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -105,11 +104,6 @@ void JsonlFileSink::OnEvent(const TraceEvent& e) {
 
 void JsonlFileSink::Flush() {
   if (file_ != nullptr) std::fflush(file_);
-}
-
-std::uint64_t Tracer::NextCmdId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace zstor::telemetry

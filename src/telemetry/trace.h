@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/check.h"
 #include "sim/time.h"
 
 namespace zstor::telemetry {
@@ -121,25 +122,28 @@ class Tracer {
     if (sink_ != nullptr) sink_->OnEvent({at, at, cmd, layer, name, a, b});
   }
 
-  /// Allocates a command trace id, unique across the whole process (ids
-  /// from concurrent testbeds never collide in a shared sink). Never 0.
-  static std::uint64_t NextCmdId();
+  /// Command trace ids are `[epoch:16 | lane:7 | n:30]` (DESIGN.md §7):
+  /// 53 bits, so every id is exact through a JSON double. `epoch` numbers
+  /// a process's traced testbeds (mod 2^16), `lane` is the engine lane
+  /// that allocates (0 in classic mode), and n counts from 1.
+  static constexpr int kIdCounterBits = 30;
+  static constexpr int kIdLaneBits = 7;
+  static constexpr int kIdEpochShift = kIdCounterBits + kIdLaneBits;
 
-  /// Allocates a command trace id from this tracer. By default delegates
-  /// to the process-wide NextCmdId(); after SetIdNamespace the tracer
-  /// hands out `base + n` from a private counter instead. Never 0.
+  /// Allocates the next id of this tracer's namespace. Never 0; a lane's
+  /// ids depend only on its own event order, never on other threads.
   std::uint64_t NextId() {
-    if (id_base_ == 0) return NextCmdId();
-    return id_base_ + ++id_next_;
+    ZSTOR_CHECK_MSG(id_next_ + 1 < (1ull << kIdCounterBits),
+                    "trace id namespace exhausted");
+    return id_base_ | ++id_next_;
   }
 
-  /// Puts this tracer in namespaced-id mode. The parallel engine gives
-  /// every lane's tracer a disjoint `base` so ids stay unique without a
-  /// shared atomic — the per-lane counters make id assignment (and thus
-  /// trace bytes) deterministic for any thread count, which the global
-  /// atomic could not be.
-  void SetIdNamespace(std::uint64_t base) {
-    id_base_ = base;
+  /// Hands out the ids of (`epoch`, `lane`) from n = 1.
+  void SetIdNamespace(std::uint64_t epoch, std::uint32_t lane) {
+    ZSTOR_CHECK_MSG(lane < (1u << kIdLaneBits),
+                    "too many lanes for trace ids");
+    id_base_ = (epoch << kIdEpochShift) & ((1ull << 53) - 1);
+    id_base_ |= std::uint64_t{lane} << kIdCounterBits;
     id_next_ = 0;
   }
 

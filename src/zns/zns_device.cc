@@ -355,7 +355,14 @@ void ZnsDevice::NoteProgramSettled(std::uint32_t zone,
       oo.pop_back();
       ++prefix;
     }
+    if (oo.empty() && oo.capacity() != 0) {
+      spare_oo_lists_.push_back(std::move(oo));
+    }
   } else if (page_idx > prefix) {
+    if (oo.capacity() == 0 && !spare_oo_lists_.empty()) {
+      oo = std::move(spare_oo_lists_.back());
+      spare_oo_lists_.pop_back();
+    }
     oo.insert(std::upper_bound(oo.begin(), oo.end(), page_idx,
                                std::greater<>()),
               page_idx);

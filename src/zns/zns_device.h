@@ -279,6 +279,9 @@ class ZnsDevice : public ControllerCore {
   ZoneLayout layout_;
   /// Built once at its final size: a Zone stays put (waiters point in).
   std::vector<Zone> zones_;
+  /// Drained Zone::settled_oo_pages lists, kept for the next zone that
+  /// settles a page out of order: a warm device allocates none.
+  std::vector<std::vector<std::uint64_t>> spare_oo_lists_;
 
   /// RAII tracking of I/O commands currently executing. Reset work only
   /// takes its bulk fast-path when the device has been I/O-quiet for a

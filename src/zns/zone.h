@@ -60,8 +60,8 @@ struct Zone {
   /// programs from page 0 (what a power loss preserves), plus the pages
   /// settled out of order beyond it (torn on a crash — multi-die striping
   /// completes programs in die-queue order, not page order). Those are
-  /// kept sorted descending, so the prefix drains them off the back and
-  /// the vector keeps its capacity.
+  /// kept sorted descending, so the prefix drains them off the back; a
+  /// drained list goes back to the device for the next zone to reuse.
   std::uint64_t settled_prefix_pages = 0;
   std::vector<std::uint64_t> settled_oo_pages;
   /// Pages handed to the NAND drain and not yet settled; reset and finish

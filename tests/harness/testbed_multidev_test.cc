@@ -1,12 +1,15 @@
 // Multi-device Testbed tests: WithDevices wiring, FillZones routing
 // through the stripe map, and the aggregated log pages (SMART summed,
-// zone report in logical order, die utilization concatenated), and the
-// summed zns.*/nand.* metrics on both engines.
+// zone report in logical order, die utilization concatenated), the
+// summed zns.*/nand.* metrics and the per-device fault plans on both
+// engines, and disjoint trace ids across testbeds.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
 
+#include "fault/fault_plan.h"
 #include "harness/testbed.h"
 #include "nvme/log_page.h"
 #include "sim/task.h"
@@ -181,12 +184,84 @@ TEST_P(TestbedMultiDevSnapshot, SumsEveryDeviceAndNandCounter) {
       snap, 2, [&](std::size_t d) { return tb.zns(d)->flash()->counters(); });
 }
 
+TEST_P(TestbedMultiDevSnapshot, EveryDeviceDrawsFromItsOwnFaultPlan) {
+  fault::FaultSpec spec;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultSpec(
+      "seed=7,read_c=0.05,sched=0:read_c:*:*", &spec, &error))
+      << error;
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(QuietTiny())
+                   .WithDevices(2)
+                   .WithSimThreads(GetParam())
+                   .WithTelemetry({})
+                   .WithFaults(spec)
+                   .Build();
+  tb.FillZones(0, 4);
+  workload::JobSpec r;
+  r.op = nvme::Opcode::kRead;
+  r.random = true;
+  r.zones = tb.ZoneList(0, 4);
+  r.queue_depth = 4;
+  r.duration = sim::Milliseconds(10);
+  ASSERT_EQ(tb.RunJob(r).errors, 0u);
+
+  // One plan per device, seeded like the devices' noise streams; the
+  // default accessor is device 0's, which keeps the spec's own seed.
+  ASSERT_NE(tb.faults(0), nullptr);
+  ASSERT_NE(tb.faults(1), nullptr);
+  EXPECT_NE(tb.faults(0), tb.faults(1));
+  EXPECT_EQ(tb.faults(), tb.faults(0));
+  EXPECT_EQ(tb.faults(2), nullptr);
+  EXPECT_EQ(tb.faults(0)->spec().seed, 7u);
+  EXPECT_EQ(tb.faults(1)->spec().seed, 7u + 0x9E3779B97F4A7C15ull);
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_GT(tb.zns(d)->counters().reads, 0u) << "d=" << d;
+    // The one-shot schedule entry fires once on every device.
+    EXPECT_EQ(tb.faults(d)->counters().scheduled_fired, 1u) << "d=" << d;
+    EXPECT_GT(tb.faults(d)->counters().correctable_read_errors, 1u)
+        << "d=" << d;
+  }
+  const telemetry::Snapshot snap = tb.TakeSnapshot();
+  EXPECT_EQ(snap.Find("fault.scheduled_fired")->value, 2.0);
+  ExpectSnapshotSums<fault::FaultCounters>(
+      snap, 2, [&](std::size_t d) { return tb.faults(d)->counters(); });
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, TestbedMultiDevSnapshot,
                          ::testing::Values(0, 1),
                          [](const ::testing::TestParamInfo<int>& p) {
                            return p.param == 0 ? std::string("classic")
                                                : std::string("lanes1");
                          });
+
+TEST(TestbedMultiDev, TracedTestbedsSharingASinkGetDisjointIds) {
+  telemetry::RingBufferSink shared(1 << 14);
+  std::set<std::uint64_t> ids[2];
+  for (std::set<std::uint64_t>& mine : ids) {
+    Testbed tb = TestbedBuilder()
+                     .WithZnsProfile(QuietTiny())
+                     .WithDevices(2)
+                     .WithSimThreads(0)
+                     .WithTelemetry({})
+                     .Build();
+    tb.telemetry()->SetSink(&shared);
+    const std::uint64_t seen = shared.total_events();
+    workload::JobSpec w;
+    w.op = nvme::Opcode::kAppend;
+    w.zones = tb.ZoneList(0, 2);
+    w.duration = sim::Milliseconds(1);
+    ASSERT_GT(tb.RunJob(w).ops, 0u);
+    tb.Finish();
+    const std::vector<telemetry::TraceEvent> events = shared.Events();
+    ASSERT_EQ(shared.dropped(), 0u);
+    for (std::size_t i = seen; i < events.size(); ++i) {
+      if (events[i].cmd != 0) mine.insert(events[i].cmd);
+    }
+    EXPECT_FALSE(mine.empty());
+  }
+  for (std::uint64_t id : ids[0]) EXPECT_EQ(ids[1].count(id), 0u) << id;
+}
 
 TEST(TestbedMultiDev, ZoneReportIsInLogicalOrderWithSummedBudgets) {
   Testbed tb = MakeBed(3);
@@ -201,6 +276,9 @@ TEST(TestbedMultiDev, ZoneReportIsInLogicalOrderWithSummedBudgets) {
   for (std::uint32_t lz = 0; lz < report.num_zones; ++lz) {
     EXPECT_EQ(report.zones[lz].zone, lz);
     EXPECT_EQ(report.zones[lz].zslba, lz * zsz_lbas);
+    // A full zone's pointer sits at its capacity, in the same zone.
+    EXPECT_EQ(report.zones[lz].write_pointer,
+              lz * zsz_lbas + (lz < 5 ? tb.stack().info().zone_cap_lbas : 0));
     EXPECT_EQ(report.zones[lz].state, lz < 5 ? "Full" : "Empty");
     EXPECT_EQ(report.zones[lz].written_bytes,
               lz < 5 ? p.zone_cap_bytes : 0u);

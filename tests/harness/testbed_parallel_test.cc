@@ -49,10 +49,11 @@ struct RunOutcome {
 /// Holds every event of the runs below without wrapping.
 constexpr std::size_t kRingEvents = 1 << 16;
 
-/// Command ids carry a per-testbed epoch in their top 16 bits, which
+/// Command ids carry a per-testbed epoch in their top bits, which
 /// differs between two testbeds in one process; the rest of the id is
 /// allocated per lane and must match.
-constexpr std::uint64_t kCmdIdMask = (1ull << 48) - 1;
+constexpr std::uint64_t kCmdIdMask =
+    (1ull << telemetry::Tracer::kIdEpochShift) - 1;
 
 /// Copies the ring's events out of a finished testbed.
 std::vector<telemetry::TraceEvent> HarvestTrace(Testbed& tb) {

@@ -456,6 +456,60 @@ TEST(AllocCount, WarmNoisyNandReadsAllocateNothing) {
   EXPECT_EQ(delta, 0u) << "a rebuilt noise stream allocated";
 }
 
+// A warm Tiny ZnsDevice with its NAND backend: four appenders fill a
+// fresh zone each round while a reader keeps the dies busy with reads of
+// a full zone. Reads queued between a zone's programs make the dies
+// settle them out of page order, so the zone keeps a list of pages
+// settled beyond its durable prefix; the list takes the capacity an
+// earlier zone's drained list left behind, so a round in a zone that
+// never held one allocates nothing.
+TEST(AllocCount, WarmNandAppendsBesideReadsAllocateNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  Simulator s;
+  zns::ZnsDevice dev(s, zns::TinyProfile());
+  ASSERT_NE(dev.flash(), nullptr);
+  const std::uint64_t cap = dev.profile().zone_cap_bytes;
+  dev.DebugFillZone(0, cap);  // the reader's zone
+  constexpr std::uint32_t kAppendLbas = 8;  // 32 KiB: two NAND pages
+  std::uint64_t failed = 0;
+  auto appender = [&](std::uint32_t zone, int appends) -> Task<> {
+    for (int i = 0; i < appends; ++i) {
+      nvme::Completion c = co_await dev.Execute(
+          {.opcode = nvme::Opcode::kAppend,
+           .slba = dev.ZoneStartLba(zone),
+           .nlb = kAppendLbas});
+      failed += c.ok() ? 0 : 1;
+    }
+  };
+  auto reader = [&](int reads) -> Task<> {
+    for (int i = 0; i < reads; ++i) {
+      nvme::Completion c = co_await dev.Execute(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = static_cast<nvme::Lba>(i) * 4 % 512,
+           .nlb = 4});
+      failed += c.ok() ? 0 : 1;
+    }
+  };
+  // Round r appends half of zone 1 + r; the round ends with every
+  // program settled.
+  const int appends = static_cast<int>(cap / 4096 / kAppendLbas / 2 / 4);
+  auto round = [&](std::uint32_t r) {
+    for (int w = 0; w < 4; ++w) Spawn(appender(1 + r, appends));
+    Spawn(reader(4 * appends));
+    s.Run();
+  };
+  round(0);
+  round(1);  // warm-up: frame sizes, heap, ready ring and settle lists
+  const std::uint64_t torn0 = dev.counters().torn_pages;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(2);
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(dev.counters().torn_pages, torn0);
+  EXPECT_EQ(dev.ZoneWrittenBytes(3), cap / 2);
+  EXPECT_EQ(delta, 0u) << "a warm NAND append or read allocated";
+}
+
 // Building a ZnsDevice allocates its tables, not one object per zone: a
 // ZN540 with 904 zones costs as many allocations as one with 16.
 TEST(AllocCount, ZnsDeviceBuildAllocatesNothingPerZone) {

@@ -62,12 +62,29 @@ TEST(Tracer, EmitsToAttachedSinkAndStopsWhenDetached) {
   EXPECT_EQ(ring.Events().size(), 1u);
 }
 
-TEST(Tracer, NextCmdIdIsUniqueAndNonZero) {
-  std::uint64_t a = Tracer::NextCmdId();
-  std::uint64_t b = Tracer::NextCmdId();
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(b, 0u);
+TEST(Tracer, NextIdIsUniqueAndNonZero) {
+  // Two lanes of one testbed epoch, and the same lane of the next epoch.
+  Tracer t;
+  Tracer other_lane;
+  Tracer next_epoch;
+  t.SetIdNamespace(7, 0);
+  other_lane.SetIdNamespace(7, 1);
+  next_epoch.SetIdNamespace(8, 0);
+  std::uint64_t a = t.NextId();
+  std::uint64_t b = t.NextId();
+  std::uint64_t c = other_lane.NextId();
+  std::uint64_t d = next_epoch.NextId();
+  for (std::uint64_t id : {a, b, c, d}) {
+    EXPECT_NE(id, 0u);
+    EXPECT_LT(id, 1ull << 53);  // exact through a JSON double
+  }
   EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(b, c);
+  EXPECT_NE(a, d);
+  EXPECT_NE(b, d);
+  // A tracer that was never namespaced still hands out ids from 1.
+  EXPECT_EQ(Tracer().NextId(), 1u);
 }
 
 TEST(JsonlFileSink, WritesOneJsonObjectPerEvent) {

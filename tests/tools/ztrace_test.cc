@@ -1,8 +1,8 @@
 // ztrace span-analysis tests: the JSON parser, the JSONL loader, and
 // the round-trip property the tool is built on — a traced QD1 run's
 // per-command span sum must reproduce the latency the application saw
-// (the span-tiling invariant of telemetry/trace.h), and the Chrome
-// export must be valid JSON.
+// (the span-tiling invariant of telemetry/trace.h), every command id
+// must come back exact, and the Chrome export must be valid JSON.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -298,6 +298,45 @@ TEST(RoundTrip, Qd1SpanSumsMatchMeasuredLatencies) {
     EXPECT_EQ(found->total_ns, static_cast<std::uint64_t>(d.latency));
     EXPECT_EQ(found->op, nvme::ToString(d.op));
   }
+  std::remove(path.c_str());
+}
+
+TEST(RoundTrip, FortiethParallelTestbedIdsSurviveTheLoader) {
+  // ztrace reads `cmd` through a double. Every traced testbed of a
+  // process takes the next id epoch, so the ids of the 40th (and of its
+  // coordinator and device lanes) must still sit below 2^53 to come back
+  // exactly.
+  std::string path = TempTracePath("ztrace_epochs.jsonl");
+  std::vector<std::uint64_t> written;
+  for (int i = 1; i <= 40; ++i) {
+    Testbed tb = TestbedBuilder()
+                     .WithZnsProfile(zns::TinyProfile())
+                     .WithDevices(2)
+                     .WithSimThreads(1)
+                     .WithTelemetry({.ring_capacity = kRingEvents})
+                     .Build();
+    if (i < 40) continue;
+    workload::JobSpec w;
+    w.op = Opcode::kAppend;
+    w.zones = tb.ZoneList(0, 2);
+    w.duration = sim::Milliseconds(1);
+    ASSERT_GT(tb.RunJob(w).ops, 0u);
+    tb.Finish();
+    ASSERT_NO_FATAL_FAILURE(WriteRingAsJsonl(tb, path));
+    for (const telemetry::TraceEvent& e : tb.ring()->Events()) {
+      if (e.cmd != 0) written.push_back(e.cmd);
+    }
+  }
+  ASSERT_FALSE(written.empty());
+  for (std::uint64_t id : written) ASSERT_LT(id, 1ull << 53) << id;
+
+  LoadResult loaded = LoadJsonlFile(path);
+  EXPECT_EQ(loaded.bad_lines, 0u);
+  std::vector<std::uint64_t> read;
+  for (const TraceRecord& r : loaded.records) {
+    if (r.cmd != 0) read.push_back(r.cmd);
+  }
+  EXPECT_EQ(read, written);
   std::remove(path.c_str());
 }
 
