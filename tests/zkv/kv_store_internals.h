@@ -59,6 +59,24 @@ struct KvStoreInternals {
     co_await kv.RelocateTablePart(t, zone);
     t->compacting = false;
   }
+
+  /// Whether any run of `key`'s SSTable sits in `zone`.
+  static bool TableUsesZone(const KvStore& kv, std::uint64_t key,
+                            std::uint32_t zone) {
+    KvStore::SsTable* t = nullptr;
+    kv.Lookup(key, &t);
+    for (const KvStore::Extent& x : t->extents) {
+      if (x.zone == zone) return true;
+    }
+    return false;
+  }
+
+  /// Whether data zone `zone` is sealed: no allocation target, and
+  /// counted written to capacity.
+  static bool ZoneSealed(const KvStore& kv, std::uint32_t zone) {
+    const KvStore::ZoneInfo& zi = kv.zones_[kv.ZoneIndex(zone)];
+    return !zi.open && zi.written_lbas == kv.zone_cap_lbas();
+  }
 };
 
 }  // namespace zstor::zkv

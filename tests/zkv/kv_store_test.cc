@@ -1,10 +1,12 @@
 // KvStore tests: LSM semantics (put/get/delete, overwrite, tombstones),
 // the flush/compaction pipeline under churn, lifetime placement's effect
-// on write amplification, open-zone discipline, stats invariants, and a
-// read that a relocation overtakes.
+// on write amplification, open-zone discipline, stats invariants, a
+// read that a relocation overtakes, and device failures the store
+// retries or routes around.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 
 #include "hostif/host_stack.h"
 #include "kv_store_internals.h"
@@ -343,6 +345,134 @@ TEST(KvStore, GetSurvivesRelocationOfItsTable) {
   std::uint32_t new_zone = 0;
   ASSERT_TRUE(In::EntryZone(kv, key, &new_zone));
   EXPECT_NE(new_zone, zone);
+}
+
+/// Answers the commands `fail` selects with `status` instead of passing
+/// them on (no device time, nothing written).
+class FailStack final : public hostif::Stack {
+ public:
+  FailStack(sim::Simulator& s, hostif::Stack& inner, Status status)
+      : sim_(s), inner_(inner), status_(status) {}
+  sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
+    if (fail && fail(cmd)) {
+      ++failed;
+      nvme::TimedCompletion tc;
+      tc.completion.status = status_;
+      tc.submitted = tc.completed = sim_.now();
+      co_return tc;
+    }
+    co_return co_await inner_.Submit(cmd);
+  }
+  const nvme::NamespaceInfo& info() const override { return inner_.info(); }
+
+  std::function<bool(const nvme::Command&)> fail;
+  int failed = 0;
+
+ private:
+  sim::Simulator& sim_;
+  hostif::Stack& inner_;
+  Status status_;
+};
+
+std::uint32_t ZoneOf(const hostif::Stack& s, nvme::Lba lba) {
+  return static_cast<std::uint32_t>(lba / s.info().zone_size_lbas);
+}
+
+// A WAL checkpoint whose segment reset fails transiently retries it: the
+// churn loses nothing, and every checkpoint counts one reset.
+TEST(KvStore, TransientWalResetFailuresAreRetried) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  FailStack faulty(sim, inner, Status::kInternalError);
+  int wal_resets_failed[2] = {0, 0};
+  int wal_resets_passed = 0;
+  faulty.fail = [&](const nvme::Command& c) {
+    if (c.opcode != nvme::Opcode::kZoneMgmtSend ||
+        c.zone_action != nvme::ZoneAction::kReset) {
+      return false;
+    }
+    const std::uint32_t z = ZoneOf(inner, c.slba);
+    if (z >= 2) return false;
+    if (wal_resets_failed[z] < 2) {
+      ++wal_resets_failed[z];
+      return true;
+    }
+    ++wal_resets_passed;
+    return false;
+  };
+  KvStore kv(sim, faulty, Fixture::DefaultOptions());
+  auto churn = [&]() -> sim::Task<> {
+    sim::Rng rng(5);
+    for (int round = 0; round < 512; ++round) {
+      ZSTOR_CHECK(co_await kv.Put(rng.UniformU64(64), 16 * 1024) ==
+                  Status::kSuccess);
+    }
+    co_await kv.Drain();
+  };
+  auto c = churn();
+  sim.Run();
+  EXPECT_EQ(faulty.failed, 4);
+  const KvStats& st = kv.stats();
+  EXPECT_GT(st.flushes, 2u);
+  EXPECT_EQ(st.wal_resets, st.flushes);  // one checkpoint per flush
+  EXPECT_EQ(st.wal_resets, static_cast<std::uint64_t>(wal_resets_passed));
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    bool found = false;
+    Status s = Status::kInternalError;
+    auto get = [&]() -> sim::Task<> { s = co_await kv.Get(k, &found); };
+    auto g = get();
+    sim.Run();
+    ASSERT_EQ(s, Status::kSuccess);
+    EXPECT_TRUE(found) << "key " << k;
+  }
+  EXPECT_EQ(st.read_tag_mismatches, 0u);
+}
+
+// A relocation append the zone refuses poisons that zone (sealed, never
+// appended to again) and lands the run in the next free zone.
+TEST(KvStore, RelocationPoisonsAFailedZoneAndMovesOn) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  FailStack faulty(sim, inner, Status::kZoneIsReadOnly);
+  KvStore kv(sim, faulty, Fixture::DefaultOptions());
+  using In = KvStoreInternals;
+  auto setup = [&]() -> sim::Task<> {
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      ZSTOR_CHECK(co_await kv.Put(k, 16 * 1024) == Status::kSuccess);
+    }
+    co_await kv.Drain();
+  };
+  auto s = setup();
+  sim.Run();
+  std::uint64_t key = 0;
+  std::uint32_t victim = 0;
+  while (!In::EntryZone(kv, key, &victim)) ASSERT_LT(++key, 40u);
+
+  std::uint32_t poisoned = 0;
+  faulty.fail = [&](const nvme::Command& c) {
+    if (c.opcode != nvme::Opcode::kAppend || faulty.failed > 0) return false;
+    poisoned = ZoneOf(inner, c.slba);
+    return true;
+  };
+  const std::uint64_t relocated0 = kv.stats().gc_relocated_bytes;
+  auto r = In::RelocateTableOf(kv, key, victim);
+  sim.Run();
+  ASSERT_EQ(faulty.failed, 1);
+  EXPECT_GT(kv.stats().gc_relocated_bytes, relocated0);
+  EXPECT_NE(poisoned, victim);
+  EXPECT_FALSE(In::TableUsesZone(kv, key, victim));
+  EXPECT_FALSE(In::TableUsesZone(kv, key, poisoned));
+  EXPECT_TRUE(In::ZoneSealed(kv, poisoned));
+  bool found = false;
+  Status st = Status::kInternalError;
+  auto get = [&]() -> sim::Task<> { st = co_await kv.Get(key, &found); };
+  auto g = get();
+  sim.Run();
+  EXPECT_EQ(st, Status::kSuccess);
+  EXPECT_TRUE(found);
+  EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
 }
 
 }  // namespace
