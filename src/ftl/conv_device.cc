@@ -428,7 +428,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   }
   if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
     tl->Window(migrate_begin, sim_.now() - migrate_begin,
-               telem_->timeline_label(), /*lane=*/0, "gc.migrate",
+               telem_->timeline_label(), lane_, "gc.migrate",
                static_cast<std::int64_t>(victim),
                static_cast<std::int64_t>(survivors.size()));
   }
@@ -451,7 +451,7 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
   }
   if (telemetry::TimelineWriter* tl = timeline(); tl != nullptr) {
     tl->Window(erase_begin, sim_.now() - erase_begin,
-               telem_->timeline_label(), /*lane=*/0, "gc.erase",
+               telem_->timeline_label(), lane_, "gc.erase",
                static_cast<std::int64_t>(victim));
   }
   ZSTOR_CHECK(vb.valid == 0);  // so none of its valid bits is set

@@ -13,14 +13,13 @@
 namespace zstor::sim {
 
 /// The process's one noise helper: a FIFO of queued chunks (an intrusive
-/// list, so queueing allocates nothing), the thread that computes them
-/// and the pool of stream storage. It is created on the first draw and
-/// never destroyed, so streams owned by static objects can still
-/// withdraw their chunks during static destruction.
+/// list, so queueing allocates nothing) and the thread that computes
+/// them. It is created on the first draw and never destroyed, so streams
+/// owned by static objects can still withdraw their chunks during static
+/// destruction.
 class NoiseHelper {
  public:
   using Chunk = NoiseStream::Chunk;
-  using Storage = NoiseStream::Storage;
 
   static NoiseHelper& Get() {
     static NoiseHelper* const helper = new NoiseHelper;
@@ -43,23 +42,6 @@ class NoiseHelper {
       sleeping_ = false;
       work_.notify_one();
     }
-  }
-
-  /// Storage a destroyed stream left, or new storage.
-  Storage* TakeStorage() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (Storage* s = pool_; s != nullptr) {
-        pool_ = s->next;
-        return s;
-      }
-    }
-    return new Storage;
-  }
-  void GiveStorage(Storage* s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    s->next = pool_;
-    pool_ = s;
   }
 
   /// Takes `c` back from the queue if the helper has not started it.
@@ -152,7 +134,6 @@ class NoiseHelper {
   Chunk* head_ = nullptr;
   Chunk* tail_ = nullptr;
   std::size_t queued_ = 0;
-  Storage* pool_ = nullptr;
   bool started_ = false;
   bool sleeping_ = false;
   bool busy_ = false;
@@ -169,7 +150,7 @@ NoiseStream::NoiseStream(std::uint64_t seed,
 }
 
 NoiseStream::~NoiseStream() {
-  if (storage_ == nullptr) return;
+  if (cur_ == nullptr) return;
   NoiseHelper& helper = NoiseHelper::Get();
   for (Chunk& c : chunks_) helper.Withdraw(c);
   for (Chunk& c : chunks_) {
@@ -177,7 +158,6 @@ NoiseStream::~NoiseStream() {
       std::this_thread::yield();
     }
   }
-  helper.GiveStorage(storage_);
 }
 
 void NoiseStream::Assign(Chunk& c) {
@@ -198,14 +178,11 @@ void NoiseStream::Compute(Chunk& c) const {
 
 void NoiseStream::NextChunk() {
   NoiseHelper& helper = NoiseHelper::Get();
-  if (storage_ == nullptr) {
+  if (cur_ == nullptr) {
     // First draw: the owner computes chunk 0 itself, the rest queue.
-    storage_ = helper.TakeStorage();
-    for (std::size_t j = 0; j < kChunks; ++j) {
-      Chunk& c = chunks_[j];
-      c.mult = &storage_->mult[j * kChunkDraws * n_];
+    for (Chunk& c : chunks_) {
       Assign(c);
-      if (j == 0) {
+      if (&c == chunks_) {
         c.state.store(Chunk::kOwner, std::memory_order_relaxed);
       } else {
         helper.Submit(c);

@@ -27,10 +27,8 @@
 //
 // The helper starts on the first draw in the process and is never joined:
 // it lives in an object that static destruction does not touch, and
-// sleeps when no chunk is queued. A stream takes its chunk storage at its
-// first draw from a process-wide pool, which a destroyed stream returns
-// its storage to; only an empty pool allocates. After that, drawing
-// allocates nothing, and neither does a rebuilt device.
+// sleeps when no chunk is queued. A stream holds its chunks' multipliers
+// inline, so neither drawing nor building a device allocates.
 #pragma once
 
 #include <atomic>
@@ -49,7 +47,7 @@ class NoiseStream {
  public:
   static constexpr std::size_t kMaxSigmas = 3;
   /// Draws per chunk, and chunks per stream: one being read and the rest
-  /// queued or computed ahead. A stream's storage is 15 KiB.
+  /// queued or computed ahead. A stream's multipliers take 15 KiB.
   static constexpr std::size_t kChunkDraws = 128;
   static constexpr std::size_t kChunks = 5;
 
@@ -96,14 +94,11 @@ class NoiseStream {
     Chunk* prev = nullptr;
     Chunk* next = nullptr;
     const NoiseStream* stream = nullptr;
-    Rng rng{0};              // the stream's Rng at the chunk's first draw
-    double* mult = nullptr;  // n_ * kChunkDraws multipliers
-  };
-
-  /// Multipliers for every chunk, sized for kMaxSigmas; pooled (above).
-  struct Storage {
-    Storage* next = nullptr;  // in the pool
-    double mult[kChunks * kChunkDraws * kMaxSigmas];
+    Rng rng{0};  // the stream's Rng at the chunk's first draw
+    /// kChunkDraws rows of n_ multipliers. The helper writes them, so
+    /// they start a cache line of their own, away from the owner's
+    /// cursor fields and the chunk header.
+    alignas(64) double mult[kChunkDraws * kMaxSigmas];
   };
 
   /// Hands the chunk just read back to the helper for the draws after
@@ -121,10 +116,9 @@ class NoiseStream {
   std::size_t n_ = 0;
   std::size_t next_ = kChunkDraws;  // next draw in cur_
   bool ready_ = false;              // cur_ is kDone
-  Chunk* cur_ = nullptr;
+  Chunk* cur_ = nullptr;            // null until the first draw
   std::uint64_t chunks_ahead_ = 0;
   Chunk chunks_[kChunks];
-  Storage* storage_ = nullptr;  // taken at the first draw
 };
 
 }  // namespace zstor::sim

@@ -16,6 +16,13 @@ namespace {
 /// Host-side bytes of a WAL record besides the value (key, seq, length,
 /// CRC in a real engine). Padding rounds the record to whole LBAs.
 constexpr std::uint64_t kWalHeaderBytes = 24;
+/// Pause before the store tries failed device work again: a
+/// must-succeed command, a table whose appends outran their retries.
+constexpr sim::Time kRetryDelay = sim::Microseconds(500);
+/// Attempts a must-succeed command gets before the store aborts.
+constexpr int kMustSucceedAttempts = 50;
+/// Zones one append tries before it reports failure.
+constexpr int kAppendAttempts = 8;
 
 /// The first of `entries` (sorted by key) whose key is not below `key`.
 template <typename Entries>
@@ -103,6 +110,56 @@ KvStore::PaceAwaiter KvStore::Pace(std::uint64_t bytes) const {
   const double ns =
       static_cast<double>(bytes) * 1e9 / (opt_.compact_rate_mibps * 1048576.0);
   return {sim_, true, static_cast<sim::Time>(ns)};
+}
+
+// ---------------------------------------------------------------------------
+// Chores every path shares.
+// ---------------------------------------------------------------------------
+
+template <typename Start>
+void KvStore::Launch(bool& busy, Start start) {
+  ZSTOR_CHECK(!busy);
+  busy = true;
+  workers_.Add();
+  sim::Spawn(Retire(busy, start()));
+}
+
+sim::Task<> KvStore::Retire(bool& busy, sim::Task<> job) {
+  co_await job;
+  busy = false;
+  workers_.Done();
+  idle_.NotifyAll();
+}
+
+sim::Task<nvme::Completion> KvStore::SubmitUntilOk(Command cmd,
+                                                   const char* what) {
+  for (int attempt = 0;; ++attempt) {
+    auto tc = co_await stack_.Submit(cmd);
+    if (tc.completion.ok()) co_return std::move(tc.completion);
+    ZSTOR_CHECK_MSG(attempt + 1 < kMustSucceedAttempts, what);
+    co_await sim_.Delay(kRetryDelay);
+  }
+}
+
+sim::Task<> KvStore::ResetWalSegment(std::uint8_t seg) {
+  co_await SubmitUntilOk({.opcode = Opcode::kZoneMgmtSend,
+                          .slba = ZoneStartLba(seg),
+                          .zone_action = ZoneAction::kReset},
+                         "WAL segment reset kept failing");
+  wal_used_lbas_[seg] = 0;
+  stats_.wal_resets++;
+}
+
+void KvStore::EndPhase(sim::Time t0, const char* name, std::int64_t span_a,
+                       std::int64_t span_b, std::int64_t window_a,
+                       std::int64_t window_b) {
+  if (telem_ == nullptr) return;
+  telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
+                        telemetry::Layer::kWorkload, name, span_a, span_b);
+  if (auto* tl = telem_->timeline()) {
+    tl->Window(t0, sim_.now() - t0, telem_->timeline_label(), 0, name,
+               window_a, window_b);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -225,11 +282,7 @@ void KvStore::DoRotate() {
   // The incoming segment was reset when ITS previous memtable flushed.
   ZSTOR_CHECK(wal_used_lbas_[wal_segment_] == 0);
   stats_.memtable_rotations++;
-  if (!flush_busy_) {
-    flush_busy_ = true;
-    workers_.Add();
-    sim::Spawn(FlushJob());
-  }
+  if (!flush_busy_) Launch(flush_busy_, [this] { return FlushJob(); });
 }
 
 sim::Task<> KvStore::FlushJob() {
@@ -242,7 +295,7 @@ sim::Task<> KvStore::FlushJob() {
       // Drop the partial table and retry: the data is still in imm_ and
       // its WAL segment, so nothing is lost yet.
       DropTable(t);
-      co_await sim_.Delay(sim::Microseconds(500));
+      co_await sim_.Delay(kRetryDelay);
       continue;
     }
     stats_.flush_bytes +=
@@ -259,17 +312,7 @@ sim::Task<> KvStore::FlushJob() {
         wal_[i].durable = true;
       }
       while (wal_pending_[seg] > 0) co_await wal_quiet_.Wait();
-      for (int attempt = 0; attempt < 50; ++attempt) {
-        auto rc = co_await stack_.Submit(
-            {.opcode = Opcode::kZoneMgmtSend,
-             .slba = ZoneStartLba(seg),
-             .zone_action = ZoneAction::kReset});
-        if (rc.completion.ok()) break;
-        ZSTOR_CHECK_MSG(attempt < 49, "WAL segment reset kept failing");
-        co_await sim_.Delay(sim::Microseconds(500));
-      }
-      wal_used_lbas_[seg] = 0;
-      stats_.wal_resets++;
+      co_await ResetWalSegment(seg);
       while (!wal_.empty() && wal_.front().seq < imm_last_seq_) {
         wal_.pop_front();
       }
@@ -277,22 +320,12 @@ sim::Task<> KvStore::FlushJob() {
     InstallTable(t, 0);
     imm_.entries.clear();
     stats_.flushes++;
-    if (telem_ != nullptr) {
-      telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
-                            telemetry::Layer::kWorkload, "kv.flush",
-                            static_cast<std::int64_t>(t->data_bytes), 0);
-      if (auto* tl = telem_->timeline()) {
-        tl->Window(t0, sim_.now() - t0, telem_->timeline_label(), 0,
-                   "kv.flush", static_cast<std::int64_t>(t->data_bytes), 0);
-      }
-    }
+    const auto bytes = static_cast<std::int64_t>(t->data_bytes);
+    EndPhase(t0, "kv.flush", bytes, 0, bytes, 0);
     flush_done_.NotifyAll();
     MaybeScheduleCompaction();
     MaybeScheduleReclaim();
   }
-  flush_busy_ = false;
-  workers_.Done();
-  idle_.NotifyAll();
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +377,9 @@ sim::Task<KvStore::SsTable*> KvStore::BuildTable(const TableEntry* first,
     const std::uint32_t chunk =
         std::min<std::uint32_t>(kMaxAppendLbas, t->data_lbas - off);
     if (paced) co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
-    Extent e = co_await AppendChunk(ClassForLevel(level), chunk, tag0 + off);
+    Extent e = co_await AppendToSlot(
+        open_zone_[static_cast<int>(ClassForLevel(level))], chunk, tag0 + off,
+        /*relocation=*/false);
     if (e.lbas == 0) {
       t->write_failed = true;
       break;
@@ -356,73 +391,63 @@ sim::Task<KvStore::SsTable*> KvStore::BuildTable(const TableEntry* first,
   co_return t;
 }
 
-sim::Task<KvStore::Extent> KvStore::AppendChunk(ZoneClass cls,
-                                                std::uint32_t lbas,
-                                                std::uint64_t tag_base) {
-  const int ci = static_cast<int>(cls);
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    std::uint32_t zone = 0;
-    std::uint32_t take = 0;
-    {
-      // Reserve capacity under the allocator lock; the append itself
-      // runs outside it so appends to one zone overlap (R2).
-      auto g = co_await alloc_lock_.Hold();
-      while (open_zone_[ci] < 0) {
-        open_zone_[ci] = static_cast<std::int64_t>(co_await TakeOpenZone());
+sim::Task<KvStore::Extent> KvStore::AppendToSlot(std::int64_t& slot,
+                                                  std::uint32_t lbas,
+                                                  std::uint64_t tag_base,
+                                                  bool relocation) {
+  for (int attempt = 0; attempt < kAppendAttempts; ++attempt) {
+    // Data writers reserve capacity under the allocator lock, and the
+    // append itself runs outside it so appends to one zone overlap (R2).
+    // Relocation runs under gc_lock_, which the reclaim below waits on:
+    // it takes neither the lock nor that path.
+    sim::Semaphore::Guard g;
+    if (!relocation) {
+      g = co_await alloc_lock_.Hold();
+      if (slot < 0 && free_zones_.empty()) {
+        co_await ReclaimZones(/*need_free=*/true);
       }
-      ZoneInfo& zi = zones_[ZoneIndex(static_cast<std::uint32_t>(
-          open_zone_[ci]))];
-      const std::uint64_t remaining = zone_cap_lbas() - zi.written_lbas;
-      if (remaining == 0) {
-        // Appended to capacity: the zone sealed itself (R3 — no finish).
-        zi.open = false;
-        open_zone_[ci] = -1;
-        continue;
-      }
-      take = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(lbas, remaining));
-      zi.written_lbas += take;
-      zi.live_lbas += take;
-      zone = zi.zone;
     }
-    auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
-                                      .slba = ZoneStartLba(zone),
-                                      .nlb = take,
-                                      .payload_tag = tag_base});
-    const Status st = tc.completion.status;
-    if (tc.completion.ok()) {
-      co_return Extent{zone, tc.completion.result_lba, take, tag_base};
+    if (slot < 0) {
+      ZSTOR_CHECK_MSG(!free_zones_.empty(), "kv store out of zones");
+      slot = free_zones_.front();
+      free_zones_.pop_front();
+      ZoneInfo& fresh = zones_[ZoneIndex(static_cast<std::uint32_t>(slot))];
+      ZSTOR_CHECK(fresh.written_lbas == 0 && fresh.live_lbas == 0);
+      fresh.open = true;
     }
-    ZoneInfo& zi = zones_[ZoneIndex(zone)];
-    zi.live_lbas -= take;
-    if (IsZoneWriteFailure(st)) {
-      // The zone is unusable (degraded or our accounting ran ahead of a
-      // crash rollback): poison it and reroute to a fresh zone.
-      zi.written_lbas = zone_cap_lbas();
+    ZoneInfo& zi = zones_[ZoneIndex(static_cast<std::uint32_t>(slot))];
+    const std::uint64_t remaining = zone_cap_lbas() - zi.written_lbas;
+    if (remaining == 0) {
+      // Appended to capacity: the zone sealed itself (R3 — no finish).
       zi.open = false;
-      if (open_zone_[ci] == static_cast<std::int64_t>(zone)) {
-        open_zone_[ci] = -1;
-      }
+      slot = -1;
       continue;
     }
-    // Retry budget spent (power outage): leave the reservation in place
-    // (the device may have landed the data) and report failure.
-    co_return Extent{zone, 0, 0, tag_base};
+    const auto take =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(lbas, remaining));
+    zi.written_lbas += take;
+    zi.live_lbas += take;
+    g.Release();
+    auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
+                                      .slba = ZoneStartLba(zi.zone),
+                                      .nlb = take,
+                                      .payload_tag = tag_base});
+    if (tc.completion.ok()) {
+      co_return Extent{zi.zone, tc.completion.result_lba, take, tag_base};
+    }
+    zi.live_lbas -= take;
+    if (!relocation && !IsZoneWriteFailure(tc.completion.status)) {
+      // Retry budget spent (power outage): leave the reservation in place
+      // (the device may have landed the data) and report failure.
+      co_return Extent{zi.zone, 0, 0, tag_base};
+    }
+    // The zone is unusable (degraded or our accounting ran ahead of a
+    // crash rollback): poison it and reroute to a fresh zone.
+    zi.written_lbas = zone_cap_lbas();
+    zi.open = false;
+    if (slot == static_cast<std::int64_t>(zi.zone)) slot = -1;
   }
   co_return Extent{0, 0, 0, tag_base};
-}
-
-sim::Task<std::uint32_t> KvStore::TakeOpenZone() {
-  if (free_zones_.empty()) {
-    co_await ReclaimZones(/*need_free=*/true);
-  }
-  ZSTOR_CHECK_MSG(!free_zones_.empty(), "kv store out of zones");
-  const std::uint32_t zone = free_zones_.front();
-  free_zones_.pop_front();
-  ZoneInfo& zi = zones_[ZoneIndex(zone)];
-  ZSTOR_CHECK(zi.written_lbas == 0 && zi.live_lbas == 0);
-  zi.open = true;
-  co_return zone;
 }
 
 sim::Task<> KvStore::ResetZone(std::uint32_t zone) {
@@ -430,16 +455,14 @@ sim::Task<> KvStore::ResetZone(std::uint32_t zone) {
                                     .slba = ZoneStartLba(zone),
                                     .zone_action = ZoneAction::kReset});
   ZoneInfo& zi = zones_[ZoneIndex(zone)];
+  zi.live_lbas = 0;
+  zi.open = false;
   if (!tc.completion.ok()) {
     // Leave the zone sealed-and-dead; a later reclaim pass retries.
     zi.written_lbas = zone_cap_lbas();
-    zi.live_lbas = 0;
-    zi.open = false;
     co_return;
   }
   zi.written_lbas = 0;
-  zi.live_lbas = 0;
-  zi.open = false;
   free_zones_.push_back(zone);
   stats_.zone_resets++;
 }
@@ -456,16 +479,7 @@ void KvStore::MaybeScheduleReclaim() {
   const bool low = free_zones_.size() < opt_.free_zone_low;
   if (!dead_zone && !low) return;
   if (gc_busy_) return;
-  gc_busy_ = true;
-  workers_.Add();
-  sim::Spawn(ReclaimJob(low));
-}
-
-sim::Task<> KvStore::ReclaimJob(bool need_free) {
-  co_await ReclaimZones(need_free);
-  gc_busy_ = false;
-  workers_.Done();
-  idle_.NotifyAll();
+  Launch(gc_busy_, [this, low] { return ReclaimZones(low); });
 }
 
 sim::Task<> KvStore::ReclaimZones(bool need_free) {
@@ -543,8 +557,9 @@ sim::Task<> KvStore::ReclaimZones(bool need_free) {
       // again would spin without a single co_await (starving the very
       // compactor we are waiting on — the scheduler is cooperative), and
       // parking on compact_done_ here would deadlock if the compactor is
-      // itself inside TakeOpenZone waiting for gc_lock_. End the pass:
-      // the compaction's own writes re-trigger reclaim once it finishes.
+      // itself inside AppendToSlot's reclaim waiting for gc_lock_. End
+      // the pass: the compaction's own writes re-trigger reclaim once it
+      // finishes.
       ZSTOR_CHECK_MSG(!free_zones_.empty(),
                       "kv store wedged: no free zones and every GC victim "
                       "is pinned by a running compaction");
@@ -576,21 +591,15 @@ sim::Task<> KvStore::RelocateTablePart(SsTable* t, std::uint32_t victim) {
     }
     // Read the live run, rewrite it into the relocation zone (chunked),
     // and splice the replacement extents in place.
-    std::uint32_t off = 0;
-    while (off < e.lbas) {
-      const std::uint32_t chunk =
-          std::min<std::uint32_t>(kCompactReadLbas, e.lbas - off);
-      co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/false, nullptr);
-      co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
-      off += chunk;
-    }
+    co_await ReadExtent(e, kCompactReadLbas, nullptr);
     std::uint32_t wrote = 0;
     const std::uint64_t tag0 = TakeTags(e.lbas);
     while (wrote < e.lbas) {
       const std::uint32_t chunk =
           std::min<std::uint32_t>(kMaxAppendLbas, e.lbas - wrote);
       co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
-      Extent ne = co_await RelocAppend(chunk, tag0 + wrote);
+      Extent ne = co_await AppendToSlot(reloc_zone_, chunk, tag0 + wrote,
+                                        /*relocation=*/true);
       ZSTOR_CHECK_MSG(ne.lbas > 0, "relocation append failed");
       reloc_extents_.push_back(ne);
       wrote += ne.lbas;
@@ -603,42 +612,6 @@ sim::Task<> KvStore::RelocateTablePart(SsTable* t, std::uint32_t victim) {
   t->extents.swap(reloc_extents_);
 }
 
-sim::Task<KvStore::Extent> KvStore::RelocAppend(std::uint32_t lbas,
-                                                std::uint64_t tag_base) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    if (reloc_zone_ < 0) {
-      ZSTOR_CHECK_MSG(!free_zones_.empty(),
-                      "kv store out of zones for relocation");
-      reloc_zone_ = static_cast<std::int64_t>(free_zones_.front());
-      free_zones_.pop_front();
-      zones_[ZoneIndex(static_cast<std::uint32_t>(reloc_zone_))].open = true;
-    }
-    ZoneInfo& zi = zones_[ZoneIndex(static_cast<std::uint32_t>(reloc_zone_))];
-    const std::uint64_t remaining = zone_cap_lbas() - zi.written_lbas;
-    if (remaining == 0) {
-      zi.open = false;
-      reloc_zone_ = -1;
-      continue;
-    }
-    const std::uint32_t take =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(lbas, remaining));
-    zi.written_lbas += take;
-    zi.live_lbas += take;
-    auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
-                                      .slba = ZoneStartLba(zi.zone),
-                                      .nlb = take,
-                                      .payload_tag = tag_base});
-    if (tc.completion.ok()) {
-      co_return Extent{zi.zone, tc.completion.result_lba, take, tag_base};
-    }
-    zi.live_lbas -= take;
-    zi.written_lbas = zone_cap_lbas();
-    zi.open = false;
-    reloc_zone_ = -1;
-  }
-  co_return Extent{0, 0, 0, tag_base};
-}
-
 // ---------------------------------------------------------------------------
 // Compaction.
 // ---------------------------------------------------------------------------
@@ -646,9 +619,7 @@ sim::Task<KvStore::Extent> KvStore::RelocAppend(std::uint32_t lbas,
 void KvStore::MaybeScheduleCompaction() {
   if (compact_busy_ || stopping_) return;
   if (!PickCompaction(nullptr)) return;
-  compact_busy_ = true;
-  workers_.Add();
-  sim::Spawn(CompactJob());
+  Launch(compact_busy_, [this] { return CompactJob(); });
 }
 
 sim::Task<> KvStore::CompactJob() {
@@ -658,9 +629,6 @@ sim::Task<> KvStore::CompactJob() {
     co_await RunCompaction();
     compact_done_.NotifyAll();
   }
-  compact_busy_ = false;
-  workers_.Done();
-  idle_.NotifyAll();
 }
 
 bool KvStore::OverlapClaimed(std::uint32_t level, std::uint64_t lo,
@@ -798,16 +766,8 @@ sim::Task<> KvStore::RunCompaction() {
     auto io = co_await compact_io_.Hold();
     for (const SsTable* t : job.inputs) {
       for (const Extent& e : t->extents) {
-        std::uint32_t off = 0;
-        while (off < e.lbas) {
-          const std::uint32_t chunk =
-              std::min<std::uint32_t>(kCompactReadLbas, e.lbas - off);
-          co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/false,
-                                   nullptr);
-          co_await Pace(static_cast<std::uint64_t>(chunk) * lba_bytes_);
-          bytes_read += static_cast<std::uint64_t>(chunk) * lba_bytes_;
-          off += chunk;
-        }
+        co_await ReadExtent(e, kCompactReadLbas, nullptr);
+        bytes_read += static_cast<std::uint64_t>(e.lbas) * lba_bytes_;
       }
     }
   }
@@ -816,7 +776,6 @@ sim::Task<> KvStore::RunCompaction() {
   // Cut output tables straight from the merge buffer and write them
   // (paced appends to the out level's lifetime class).
   compact_outputs_.clear();
-  bool failed = false;
   std::uint64_t bytes_written = 0;
   std::size_t i = 0;
   while (i < merged_.size()) {
@@ -831,18 +790,16 @@ sim::Task<> KvStore::RunCompaction() {
                                      /*paced=*/true);
     i = end;
     if (t->write_failed) {
-      failed = true;
+      // Appends outran their retries: drop every output and release the
+      // inputs for a later pick.
       DropTable(t);
-      break;
+      for (SsTable* out : compact_outputs_) DropTable(out);
+      for (SsTable* in : job.inputs) in->compacting = false;
+      co_await sim_.Delay(kRetryDelay);
+      co_return;
     }
     bytes_written += static_cast<std::uint64_t>(t->data_lbas) * lba_bytes_;
     compact_outputs_.push_back(t);
-  }
-  if (failed) {
-    for (SsTable* t : compact_outputs_) DropTable(t);
-    for (SsTable* t : job.inputs) t->compacting = false;
-    co_await sim_.Delay(sim::Microseconds(500));
-    co_return;
   }
   // Durability for the new tables before the inputs go away.
   const std::uint64_t e0 = Epoch();
@@ -862,17 +819,9 @@ sim::Task<> KvStore::RunCompaction() {
   stats_.compact_bytes_written += bytes_written;
   levels_stats_[out_level].bytes_compacted += bytes_written;
   levels_stats_[out_level].compactions++;
-  if (telem_ != nullptr) {
-    telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
-                          telemetry::Layer::kWorkload, "kv.compact",
-                          static_cast<std::int64_t>(bytes_read),
-                          static_cast<std::int64_t>(bytes_written));
-    if (auto* tl = telem_->timeline()) {
-      tl->Window(t0, sim_.now() - t0, telem_->timeline_label(), 0,
-                 "kv.compact", static_cast<std::int64_t>(bytes_written),
-                 static_cast<std::int64_t>(out_level));
-    }
-  }
+  EndPhase(t0, "kv.compact", static_cast<std::int64_t>(bytes_read),
+           static_cast<std::int64_t>(bytes_written),
+           static_cast<std::int64_t>(bytes_written), out_level);
   MaybeScheduleReclaim();
 }
 
@@ -957,6 +906,15 @@ sim::Task<Status> KvStore::ReadExtentRange(
     }
   }
   co_return Status::kSuccess;
+}
+
+sim::Task<> KvStore::ReadExtent(Extent e, std::uint32_t chunk,
+                                workload::IntegrityVerifier::Report* rep) {
+  for (std::uint32_t off = 0; off < e.lbas; off += chunk) {
+    const std::uint32_t n = std::min(chunk, e.lbas - off);
+    co_await ReadExtentRange(e, off, n, /*verify_tags=*/rep != nullptr, rep);
+    if (rep == nullptr) co_await Pace(std::uint64_t{n} * lba_bytes_);
+  }
 }
 
 sim::Task<Status> KvStore::ReadEntry(SsTable* t, std::size_t idx) {
@@ -1062,17 +1020,6 @@ sim::Task<> KvStore::Drain() {
 // Crash recovery.
 // ---------------------------------------------------------------------------
 
-sim::Task<std::vector<nvme::ZoneDescriptor>> KvStore::ReportZones() {
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    auto tc = co_await stack_.Submit(
-        {.opcode = Opcode::kZoneMgmtRecv, .report_max = opt_.zone_count});
-    if (tc.completion.ok()) co_return std::move(tc.completion.report);
-    co_await sim_.Delay(sim::Microseconds(500));
-  }
-  ZSTOR_CHECK_MSG(false, "zone report kept failing after crash");
-  co_return {};
-}
-
 sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   const sim::Time t0 = sim_.now();
   stats_.crash_recoveries++;
@@ -1080,7 +1027,11 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   // Quiesce background work first: jobs in flight will observe failed
   // I/O and retire (their tables stay non-durable and are handled here).
   co_await Drain();
-  auto report = co_await ReportZones();
+  const std::vector<nvme::ZoneDescriptor> report =
+      (co_await SubmitUntilOk(
+           {.opcode = Opcode::kZoneMgmtRecv, .report_max = opt_.zone_count},
+           "zone report kept failing after crash"))
+          .report;
   ZSTOR_CHECK(report.size() >= opt_.zone_count);
   // Recovered write pointer (in-zone LBAs) per store zone.
   std::vector<std::uint64_t> wp(opt_.zone_count, 0);
@@ -1094,39 +1045,28 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < lvl.size(); ++i) {
       SsTable* t = lvl[i];
-      if (!t->durable) {
-        // Un-certified table: the crash may have torn it. Its records
-        // are still WAL-covered (checkpoint only follows durability),
-        // so drop it and let replay resurrect the data.
-        DropTable(t);
-        stats_.tables_dropped++;
-        continue;
-      }
-      bool torn = false;
+      // An un-certified table may be torn by the crash. Its records are
+      // still WAL-covered (checkpoint only follows durability), so drop
+      // it and let replay resurrect the data. A durable table the crash
+      // tore lost data that had to survive.
+      bool drop = !t->durable;
       for (const Extent& e : t->extents) {
-        const nvme::Lba zstart = ZoneStartLba(e.zone);
-        const std::uint64_t in_zone = e.lba - zstart;
-        if (in_zone + e.lbas > wp[e.zone]) {
+        const std::uint64_t in_zone = e.lba - ZoneStartLba(e.zone);
+        if (t->durable && in_zone + e.lbas > wp[e.zone]) {
           const std::uint64_t lost =
               in_zone + e.lbas - std::max(in_zone, wp[e.zone]);
-          rep.silent_corruptions += lost;  // durable data must survive
+          rep.silent_corruptions += lost;
           rep.lbas_checked += lost;
-          torn = true;
+          drop = true;
         }
       }
-      if (torn) {
+      if (drop) {
         DropTable(t);
         stats_.tables_dropped++;
         continue;
       }
       for (const Extent& e : t->extents) {
-        std::uint32_t off = 0;
-        while (off < e.lbas) {
-          const std::uint32_t chunk =
-              std::min<std::uint32_t>(kMaxAppendLbas, e.lbas - off);
-          co_await ReadExtentRange(e, off, chunk, /*verify_tags=*/true, &rep);
-          off += chunk;
-        }
+        co_await ReadExtent(e, kMaxAppendLbas, &rep);
       }
       lvl[kept++] = t;
     }
@@ -1212,8 +1152,9 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
         }
       }
       DropTable(t);  // retry with the same contents
-      ZSTOR_CHECK_MSG(attempt < 50, "post-crash flush kept failing");
-      co_await sim_.Delay(sim::Microseconds(500));
+      ZSTOR_CHECK_MSG(attempt < kMustSucceedAttempts,
+                      "post-crash flush kept failing");
+      co_await sim_.Delay(kRetryDelay);
     }
     mem_.entries.clear();
     mem_bytes_ = 0;
@@ -1223,31 +1164,14 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
       wal_used_lbas_[seg] = 0;
       continue;
     }
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      auto rc = co_await stack_.Submit(
-          {.opcode = Opcode::kZoneMgmtSend,
-           .slba = ZoneStartLba(seg),
-           .zone_action = ZoneAction::kReset});
-      if (rc.completion.ok()) break;
-      ZSTOR_CHECK_MSG(attempt < 49, "post-crash WAL reset kept failing");
-      co_await sim_.Delay(sim::Microseconds(500));
-    }
-    wal_used_lbas_[seg] = 0;
-    stats_.wal_resets++;
+    co_await ResetWalSegment(seg);
   }
   wal_.clear();
   wal_segment_ = 0;
-  if (telem_ != nullptr) {
-    telem_->tracer().Span(t0, sim_.now(), telem_->tracer().NextId(),
-                          telemetry::Layer::kWorkload, "kv.recover",
-                          static_cast<std::int64_t>(rep.lbas_checked),
-                          static_cast<std::int64_t>(rep.silent_corruptions));
-    if (auto* tl = telem_->timeline()) {
-      tl->Window(t0, sim_.now() - t0, telem_->timeline_label(), 0,
-                 "kv.recover", static_cast<std::int64_t>(rep.lbas_checked),
-                 static_cast<std::int64_t>(stats_.wal_replayed));
-    }
-  }
+  EndPhase(t0, "kv.recover", static_cast<std::int64_t>(rep.lbas_checked),
+           static_cast<std::int64_t>(rep.silent_corruptions),
+           static_cast<std::int64_t>(rep.lbas_checked),
+           static_cast<std::int64_t>(stats_.wal_replayed));
   co_return rep;
 }
 

@@ -339,6 +339,28 @@ class KvStore : public workload::KvBackend {
   };
   PaceAwaiter Pace(std::uint64_t bytes) const;
 
+  // ---- chores every path shares ----------------------------------------
+  /// Runs a background job (flush, compaction or reclaim) whose `busy`
+  /// flag is clear. Tasks start eagerly, so the flag is set and the job
+  /// counted in workers_ before `start()` creates it; Retire clears both
+  /// and wakes Drain() when the job ends.
+  template <typename Start>
+  void Launch(bool& busy, Start start);
+  sim::Task<> Retire(bool& busy, sim::Task<> job);
+  /// Submits `cmd` until it succeeds, kRetryDelay apart; aborts with
+  /// `what` once kMustSucceedAttempts attempts failed.
+  sim::Task<nvme::Completion> SubmitUntilOk(nvme::Command cmd,
+                                            const char* what);
+  /// Resets WAL zone `seg` (a checkpoint, or the post-crash restart of
+  /// the log) and marks it empty.
+  sim::Task<> ResetWalSegment(std::uint8_t seg);
+  /// Ends a flush, compaction or recovery begun at t0: a `name` trace
+  /// span carrying (span_a, span_b) and a timeline window carrying
+  /// (window_a, window_b).
+  void EndPhase(sim::Time t0, const char* name, std::int64_t span_a,
+                std::int64_t span_b, std::int64_t window_a,
+                std::int64_t window_b);
+
   // ---- write path ------------------------------------------------------
   sim::Task<nvme::Status> PutInternal(std::uint64_t key, std::uint64_t bytes,
                                       bool tombstone);
@@ -354,18 +376,20 @@ class KvStore : public workload::KvBackend {
   /// before its first suspension, then appends the table's data.
   sim::Task<SsTable*> BuildTable(const TableEntry* first, std::size_t n,
                                  std::uint32_t level, bool paced);
-  /// Reserves room in the class's open zone (rotating or reclaiming if
-  /// needed) and appends one chunk. Returns the extent actually written
-  /// (lbas == 0 reports failure).
-  sim::Task<Extent> AppendChunk(ZoneClass cls, std::uint32_t lbas,
-                                std::uint64_t tag_base);
-  sim::Task<std::uint32_t> TakeOpenZone();  // under alloc lock
+  /// Appends up to `lbas` blocks to the zone in `slot` (an open_zone_
+  /// entry, or reloc_zone_), filling an empty slot from the free list:
+  /// reserves the capacity, seals a zone appended to capacity, poisons a
+  /// zone that refused the append, and returns the extent written
+  /// (lbas == 0 reports failure). Data writers reserve under alloc_lock_,
+  /// reclaim when no zone is free, and keep the reservation of an append
+  /// that failed for another reason. Relocation (under gc_lock_) does
+  /// neither and poisons every zone that fails it.
+  sim::Task<Extent> AppendToSlot(std::int64_t& slot, std::uint32_t lbas,
+                                 std::uint64_t tag_base, bool relocation);
   sim::Task<> ResetZone(std::uint32_t zone);
   void MaybeScheduleReclaim();
-  sim::Task<> ReclaimJob(bool need_free);
   sim::Task<> ReclaimZones(bool need_free);   // GC pass (serialized)
   sim::Task<> RelocateTablePart(SsTable* t, std::uint32_t victim);
-  sim::Task<Extent> RelocAppend(std::uint32_t lbas, std::uint64_t tag_base);
 
   // ---- compaction ------------------------------------------------------
   /// A merge cursor: the head entry of its current table, and the
@@ -403,6 +427,11 @@ class KvStore : public workload::KvBackend {
   sim::Task<nvme::Status> ReadExtentRange(
       Extent e, std::uint32_t lba_off, std::uint32_t lbas, bool verify_tags,
       workload::IntegrityVerifier::Report* rep);
+  /// Reads all of `e`, `chunk` blocks at a time. Without `rep` (compaction
+  /// and relocation) each read is paced and unverified; with it
+  /// (recovery) every block's tag is verified into `rep`.
+  sim::Task<> ReadExtent(Extent e, std::uint32_t chunk,
+                         workload::IntegrityVerifier::Report* rep);
 
   // ---- read path -------------------------------------------------------
   /// The newest version of `key` Get resolves to (null: none). A hit in
@@ -412,9 +441,6 @@ class KvStore : public workload::KvBackend {
   const TableEntry* LookupTables(std::uint64_t key, SsTable** table) const;
   sim::Task<nvme::Status> ReadEntry(SsTable* t, std::size_t idx);
   static const TableEntry* FindInTable(const SsTable* t, std::uint64_t key);
-
-  // ---- recovery --------------------------------------------------------
-  sim::Task<std::vector<nvme::ZoneDescriptor>> ReportZones();
 
   sim::Simulator& sim_;
   hostif::Stack& stack_;
