@@ -333,6 +333,30 @@ TEST(KernelStack, NonContiguousWritesDoNotMerge) {
   for (auto st : results) EXPECT_EQ(st, nvme::Status::kSuccess);
 }
 
+// Writes past the last zone still get a staging queue of their own zone
+// (one write in flight per zone) and fail at the device. An LBA far
+// beyond the namespace costs no more than one just past it.
+TEST(KernelStack, MqDeadlineStagesWritesPastTheLastZonePerZone) {
+  sim::Simulator s;
+  zns::ZnsDevice dev(s, Quiet());
+  KernelStack stack(s, dev, Scheduler::kMqDeadline);
+  const nvme::Lba past = dev.info().num_zones * dev.info().zone_size_lbas;
+  std::vector<nvme::Status> results;
+  auto w = [&](nvme::Lba slba) -> sim::Task<> {
+    auto tc = co_await stack.Submit(
+        {.opcode = nvme::Opcode::kWrite, .slba = slba, .nlb = 1});
+    results.push_back(tc.completion.status);
+  };
+  sim::Spawn(w(past));
+  sim::Spawn(w(past + 1));            // same zone: staged behind the first
+  sim::Spawn(w(nvme::Lba{1} << 50));  // a zone of its own
+  s.Run();
+  EXPECT_EQ(stack.scheduler_stats().dispatched_writes, 3u);
+  EXPECT_EQ(stack.scheduler_stats().merged_writes, 0u);
+  ASSERT_EQ(results.size(), 3u);
+  for (auto st : results) EXPECT_EQ(st, nvme::Status::kLbaOutOfRange);
+}
+
 TEST(KernelStack, MqDeadlineAllowsDeepQueueOnOneZone) {
   // The paper: "Applications can, hence, issue multiple write operations
   // to a single zone" with mq-deadline. QD32 sequential writes all land.

@@ -14,6 +14,7 @@
 // read the delta across a measured window.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -116,6 +117,52 @@ TEST(AllocCount, ZeroDelayReadyRingPathIsAllocationFree) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(count, 32);
   EXPECT_EQ(delta, 0u) << "ready-ring path allocated";
+}
+
+// Timers on a device's fixed costs: four chains per delay, each re-arming
+// itself with its own delay, beside one-off delays. Each round runs one of
+// two disjoint delay sets, so a container one round's delay used passes
+// to another delay in the next. Warm, none of it allocates.
+TEST(AllocCount, WarmFixedDelayTimersAllocateNothing) {
+  struct Timers {
+    Simulator& s;
+    std::array<Time, 6> delays{};
+    int left = 0;
+    int fired = 0;
+  };
+  struct Tick {
+    Timers* t;
+    std::size_t i;
+    void operator()() const {
+      ++t->fired;
+      if (i == 0) t->s.ScheduleIn(1 + t->fired % 613, [] {});  // one-off
+      if (--t->left > 0) t->s.ScheduleIn(t->delays[i], *this);
+    }
+  };
+  Simulator s;
+  Timers timers{s};
+  auto round = [&](const std::array<Time, 6>& delays) {
+    timers.delays = delays;
+    timers.left = 6000;
+    for (std::size_t i = 0; i < delays.size(); ++i) {
+      for (int chain = 0; chain < 4; ++chain) {
+        s.ScheduleIn(delays[i], Tick{&timers, i});
+      }
+    }
+    s.Run();
+  };
+  constexpr std::array<Time, 6> kA = {3050, 1070, 3200, 500, 2000, 750};
+  constexpr std::array<Time, 6> kB = {3060, 1090, 3210, 520, 2030, 760};
+  round(kA);
+  round(kB);  // warm-up: both sets, each after the other
+  timers.fired = 0;
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round(kA);
+  round(kB);
+  std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(timers.fired, 2 * 6000);
+  EXPECT_EQ(delta, 0u) << "a warm fixed-delay timer allocated";
 }
 
 Task<> ShortTask(Simulator& s) { co_await s.Delay(1); }

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -134,6 +137,160 @@ TEST(Simulator, RunUntilFiresEventExactlyAtBoundary) {
   s.RunUntil(20);  // when == until is inclusive
   EXPECT_TRUE(fired);
   EXPECT_EQ(s.now(), 20u);
+}
+
+// ---- timers against a reference queue -------------------------------
+//
+// Every event the simulator runs must be the minimum (time, seq) key of
+// a std::priority_queue fed the same schedule calls, whichever container
+// holds it. The seeded schedules mix a few repeating delays (one of them
+// replaced every 300 events, so a delay's container changes hands),
+// one-off delays, zero-delay events, bursts of one delay, coroutine
+// sleeps, events scheduled from callbacks and, between RunUntil steps
+// that land on event times, from outside the run. Times sit on a 10 ns
+// grid, so most events tie with others.
+
+struct RefEvent {
+  Time when;
+  std::uint64_t seq;
+  int id;
+  bool operator>(const RefEvent& o) const {
+    return when != o.when ? when > o.when : seq > o.seq;
+  }
+};
+
+struct ReferenceRun {
+  explicit ReferenceRun(std::uint64_t seed) : rng(seed) {
+    for (Time& d : fixed) d = 10 * (1 + rng.UniformU64(40));
+  }
+
+  Simulator s;
+  Rng rng;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> ref;
+  std::uint64_t seq = 0;  // the reference's copy of the global seq
+  int next_id = 0;
+  int budget = 3000;
+  std::array<Time, 4> fixed{};
+  int ran = 0;
+  std::string first_error;
+
+  void Fail(const std::string& what) {
+    if (first_error.empty()) first_error = what;
+  }
+
+  /// Schedules event `id` `delay` from now in both worlds.
+  void Add(Time delay) {
+    const int id = next_id++;
+    --budget;
+    ref.push({s.now() + delay, seq++, id});
+    switch (rng.UniformU64(8)) {
+      case 0:
+        Spawn(Sleep(delay, id));
+        break;
+      case 1:
+        s.ScheduleAt(s.now() + delay, [this, id] { Fire(id); });
+        break;
+      default:
+        s.ScheduleIn(delay, [this, id] { Fire(id); });
+        break;
+    }
+  }
+
+  Task<> Sleep(Time delay, int id) {
+    co_await s.Delay(delay);
+    Fire(id);
+  }
+
+  Time PickDelay() {
+    const std::uint64_t kind = rng.UniformU64(20);
+    if (kind < 12) return fixed[rng.UniformU64(fixed.size())];
+    if (kind < 16) return 10 * (1 + rng.UniformU64(60));  // one-off
+    if (kind < 18) return 1 + rng.UniformU64(600);  // off the grid
+    return 0;
+  }
+
+  void Fire(int id) {
+    ++ran;
+    if (ref.empty()) {
+      Fail("event " + std::to_string(id) + " ran with none pending");
+      return;
+    }
+    const RefEvent want = ref.top();
+    ref.pop();
+    if (want.id != id || want.when != s.now()) {
+      Fail("ran event " + std::to_string(id) + " at " +
+           std::to_string(s.now()) + ", want event " +
+           std::to_string(want.id) + " at " + std::to_string(want.when));
+    }
+    if (s.pending_events() != ref.size()) {
+      Fail("pending " + std::to_string(s.pending_events()) + " != " +
+           std::to_string(ref.size()) + " at event " + std::to_string(id));
+    }
+    if (id % 300 == 299) {  // a new phase: one repeating delay changes
+      fixed[rng.UniformU64(fixed.size())] = 10 * (1 + rng.UniformU64(40));
+    }
+    if (budget > 0 && rng.UniformU64(100) == 0) {  // a burst of one delay
+      const Time d = fixed[rng.UniformU64(fixed.size())];
+      for (std::uint64_t n = 50 + rng.UniformU64(250); n > 0; --n) Add(d);
+    }
+    // One child on average, two more while few events are pending.
+    std::uint64_t n = rng.UniformU64(3) + (ref.size() < 32 ? 1 : 0);
+    for (; n > 0 && budget > 0; --n) Add(PickDelay());
+  }
+
+  /// Runs to the end, in RunUntil steps when `stepped`; returns the
+  /// first disagreement with the reference, or "".
+  std::string Go(bool stepped) {
+    for (int i = 0; i < 16; ++i) Add(PickDelay());
+    if (!stepped) {
+      s.Run();
+    } else {
+      while (!s.idle()) {
+        if (ref.empty()) {
+          Fail("the simulator holds events the reference does not");
+          break;
+        }
+        if (s.next_event_time() != ref.top().when) {
+          Fail("next_event_time " + std::to_string(s.next_event_time()) +
+               " != " + std::to_string(ref.top().when));
+        }
+        Time until = ref.top().when;  // lands on an event time ...
+        switch (rng.UniformU64(3)) {
+          case 0:
+            until += 10 * rng.UniformU64(5);  // ... or on the grid past it
+            break;
+          case 1:
+            until = s.now() + rng.UniformU64(40);  // ... or anywhere
+            break;
+          default:
+            break;
+        }
+        const Time was = s.now();
+        s.RunUntil(until);
+        if (s.now() != std::max(was, until)) Fail("RunUntil clock");
+        if (!ref.empty() && ref.top().when <= until) {
+          Fail("RunUntil(" + std::to_string(until) + ") left event " +
+               std::to_string(ref.top().id) + " due at " +
+               std::to_string(ref.top().when));
+        }
+        if (budget > 0) Add(PickDelay());  // from outside the run
+      }
+    }
+    if (!ref.empty()) Fail("reference events never ran");
+    if (ran != next_id) Fail("not every event ran exactly once");
+    return first_error;
+  }
+};
+
+TEST(Simulator, TimersMatchAReferenceQueue) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    for (bool stepped : {false, true}) {
+      ReferenceRun run(seed);
+      EXPECT_EQ(run.Go(stepped), "")
+          << "seed " << seed << (stepped ? " stepped" : "");
+      EXPECT_GE(run.ran, 3000) << "seed " << seed;
+    }
+  }
 }
 
 TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
