@@ -30,8 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "hostif/stack.h"
 #include "nvme/controller.h"
@@ -118,6 +118,9 @@ class HostStack : public Stack {
         scheduler_cost_(o.scheduler_cost),
         max_merge_bytes_(o.max_merge_bytes) {
     ZSTOR_CHECK(qp_depth_ > 0);
+    if (sched_ == Scheduler::kMqDeadline && info().zoned) {
+      zones_.resize(info().num_zones);
+    }
   }
 
   const SchedulerStats& scheduler_stats() const { return sched_stats_; }
@@ -148,6 +151,17 @@ class HostStack : public Stack {
 
   std::uint32_t ZoneOf(nvme::Lba lba) const {
     return static_cast<std::uint32_t>(lba / info().zone_size_lbas);
+  }
+
+  /// Zone `zid`'s staging queue. A zone past the last one (its writes
+  /// fail at the device) takes an entry in a short side list, so a wild
+  /// LBA costs one queue, not a vector reaching it.
+  ZoneQueue& Zone(std::uint32_t zid) {
+    if (zid < zones_.size()) [[likely]] return zones_[zid];
+    for (auto& [id, zq] : stray_zones_) {
+      if (id == zid) return zq;
+    }
+    return stray_zones_.emplace_back(zid, ZoneQueue{}).second;
   }
 
   /// The device round trip: through mq-deadline's staging for zoned
@@ -200,7 +214,7 @@ class HostStack : public Stack {
     std::uint32_t zid = ZoneOf(cmd.slba);
     sim::Time staged_at = sim_.now();
     Request req(sim_, cmd);  // lives in this coroutine frame
-    ZoneQueue& zq = zones_[zid];
+    ZoneQueue& zq = Zone(zid);
     (zq.tail != nullptr ? zq.tail->next : zq.head) = &req;
     zq.tail = &req;
     sched_stats_.staged_writes++;
@@ -217,7 +231,7 @@ class HostStack : public Stack {
   }
 
   void MaybeDispatch(std::uint32_t zid) {
-    ZoneQueue& zq = zones_[zid];
+    ZoneQueue& zq = Zone(zid);
     if (zq.in_flight || zq.head == nullptr) return;
     // Merge the longest contiguous run from the head, bounded by the
     // block layer's maximum request size: the batch is that prefix of
@@ -269,7 +283,7 @@ class HostStack : public Stack {
       r->done.Set();
       r = next;
     }
-    zones_[zid].in_flight = false;
+    Zone(zid).in_flight = false;
     MaybeDispatch(zid);
   }
 
@@ -281,7 +295,8 @@ class HostStack : public Stack {
   HostCosts costs_;
   sim::Time scheduler_cost_;
   std::uint64_t max_merge_bytes_;
-  std::unordered_map<std::uint32_t, ZoneQueue> zones_;
+  std::vector<ZoneQueue> zones_;  // by zone id, for mq-deadline on ZNS
+  std::vector<std::pair<std::uint32_t, ZoneQueue>> stray_zones_;
   SchedulerStats sched_stats_;
 };
 

@@ -7,7 +7,7 @@ namespace zstor::sim {
 // The virtual slice chain (DESIGN.md §1.1).
 
 bool Simulator::ChainDueBefore(Time until) {
-  Key limit = MakeKey(until, ~std::uint64_t{0});
+  Key limit = std::min(MakeKey(until, ~std::uint64_t{0}), fifo_min_key_);
   if (heap_size_ != 0) limit = std::min(limit, keys_[0]);
   if (ready_count_ != 0) {
     limit = std::min(limit, MakeKey(now_, ready_[ready_head_].seq));
@@ -65,8 +65,54 @@ void Simulator::AdvanceChain(Key limit) {
 }
 
 void Simulator::PushChainWake() {
-  HeapPush(chain_.next, chain_.seq, chain_.h);
+  ::new (static_cast<void*>(HeapSlot(MakeKey(chain_.next, chain_.seq))))
+      EventFn(chain_.h);
   chain_.owner = nullptr;
+}
+
+// The delay FIFOs.
+
+EventFn* Simulator::TimerSlot(Time delay, Key key) {
+  const std::uint32_t f = FifoOf(delay);
+  DelayFifo& q = fifos_[f];
+  if ((q.delay != delay && !Claim(q, delay)) || q.count == kFifoCap) {
+    return HeapSlot(key);
+  }
+  const std::size_t i = FifoSlot(f, q.head + q.count);
+  fifo_keys_[i] = key;
+  if (q.count++ == 0) {  // a new front; behind one, the earliest holds
+    q.front = key;
+    fifo_mask_ |= 1u << f;
+    if (key < fifo_min_key_) {
+      fifo_min_key_ = key;
+      fifo_min_ = f;
+    }
+  }
+  return &fifo_fns_[i];
+}
+
+void Simulator::FifoPop() {
+  const std::uint32_t f = fifo_min_;
+  now_ = KeyTime(fifo_min_key_);
+  DelayFifo& q = fifos_[f];
+  EventFn& fn = fifo_fns_[FifoSlot(f, q.head)];
+  if (--q.count == 0) {
+    q.head = 0;
+    q.front = kNoKey;
+    fifo_mask_ &= ~(1u << f);
+  } else {
+    q.head = (q.head + 1) & (kFifoCap - 1);
+    q.front = fifo_keys_[FifoSlot(f, q.head)];
+  }
+  fifo_min_key_ = kNoKey;
+  for (std::uint32_t m = fifo_mask_; m != 0; m &= m - 1) {
+    const std::uint32_t g = static_cast<std::uint32_t>(std::countr_zero(m));
+    if (fifos_[g].front < fifo_min_key_) {
+      fifo_min_key_ = fifos_[g].front;
+      fifo_min_ = g;
+    }
+  }
+  fn();  // consumed in place; a push may reuse the slot from here on
 }
 
 }  // namespace zstor::sim

@@ -1,5 +1,6 @@
 // Discrete-event simulation core: a virtual clock, a same-time ready
-// queue, and a 4-ary timed-event heap.
+// queue, a 4-ary timed-event heap, and FIFOs that take the timers on a
+// repeating delay off a heap that has grown.
 //
 // Everything in the repository — NAND dies, NVMe queues, the ZNS firmware,
 // host stacks and workload generators — runs as coroutines (see task.h)
@@ -15,7 +16,17 @@
 //  * Zero-delay events — ResumeSoon and ScheduleIn(0), the backbone of
 //    sync.h wakeups and resource.h slot hand-offs — go to a plain FIFO
 //    ring buffer and never touch the heap.
-//  * Timed events live in a 4-ary implicit heap, split
+//  * Once the heap holds kHeapFirst timers, a timer on a repeating delay
+//    goes to one of kFifos delay FIFOs, each a fixed ring that holds one
+//    delay: a timer set `d` after now() sorts after every timer already
+//    set `d` after an earlier now(), so a FIFO is sorted by construction
+//    and a push or pop is O(1). A FIFO is picked by a hash of the delay
+//    and keeps its delay, also while empty, until another delay that
+//    hashes there misses it twice in a row, the second time empty; a full
+//    FIFO sends its delay's timers to the heap. One-off delays thus
+//    never take a FIFO, and a small heap, cheaper than any FIFO, takes
+//    every timer.
+//  * Every other timed event lives in a 4-ary implicit heap, split
 //    structure-of-arrays: the (time, seq) ordering keys are packed into
 //    one 128-bit integer each in their own array, so a sift level
 //    compares four neighboring 16-byte keys instead of four 48-byte
@@ -30,9 +41,12 @@
 //
 // Ordering guarantee: every scheduled event gets a global sequence
 // number; execution order is (time, seq) lexicographic no matter which
-// container held the event. The ready queue is consulted first only when
-// the heap has no event due at the same instant with a smaller seq, so
-// mixing ScheduleAt(now) with ScheduleIn(0) preserves exact FIFO.
+// container held the event. The next timer is the smaller key of the
+// heap top and the earliest FIFO front, which the simulator keeps, with
+// its FIFO, through every FIFO push and pop (before any callback runs).
+// The ready queue is consulted first only when no timer is due at the
+// same instant with a smaller seq, so mixing ScheduleAt(now) with
+// ScheduleIn(0) preserves exact FIFO.
 //
 // Virtual slice chain (HoldSlices): one periodic wake per simulator that
 // costs no event while nothing can observe it. Before each real event
@@ -42,6 +56,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
@@ -60,10 +75,15 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator() {
-    // Both containers are raw storage; destroy what is still engaged.
+    // Every container is raw storage; destroy what is still engaged.
     for (std::size_t i = 0; i < heap_size_; ++i) fns_[i].~EventFn();
     for (std::size_t i = 0; i < ready_count_; ++i) {
       ready_[(ready_head_ + i) & (ready_cap_ - 1)].fn.~EventFn();
+    }
+    for (std::size_t f = 0; f < kFifos; ++f) {
+      for (std::size_t i = 0; i < fifos_[f].count; ++i) {
+        fifo_fns_[FifoSlot(f, fifos_[f].head + i)].~EventFn();
+      }
     }
   }
 
@@ -83,7 +103,7 @@ class Simulator {
     if (when == now_) {
       ReadyPush(next_seq_++, std::forward<F>(fn));
     } else {
-      HeapPush(when, next_seq_++, std::forward<F>(fn));
+      TimedPush(when - now_, MakeKey(when, next_seq_++), std::forward<F>(fn));
     }
   }
 
@@ -101,7 +121,7 @@ class Simulator {
     if (delay == 0) {
       ReadyPush(next_seq_++, h);
     } else {
-      HeapPush(when, next_seq_++, h);
+      TimedPush(delay, MakeKey(when, next_seq_++), h);
     }
   }
 
@@ -177,21 +197,25 @@ class Simulator {
   }
 
   bool idle() const {
-    return ready_count_ == 0 && heap_size_ == 0 && chain_.owner == nullptr;
+    return ready_count_ == 0 && heap_size_ == 0 && fifo_mask_ == 0 &&
+           chain_.owner == nullptr;
   }
   std::size_t pending_events() const {
-    return ready_count_ + heap_size_ + (chain_.owner != nullptr ? 1 : 0);
+    std::size_t n = ready_count_ + heap_size_;
+    for (const DelayFifo& q : fifos_) n += q.count;
+    return n + (chain_.owner != nullptr ? 1 : 0);
   }
 
   /// Timestamp of the earliest pending event: now() when a same-time
-  /// ready event exists, otherwise the heap minimum or the chain's next
+  /// ready event exists, otherwise the earliest timer or the chain's next
   /// boundary, whichever is earlier. The conservative window planner
   /// (parallel_sim.h) uses this as each lane's earliest possible send
   /// time. Callers must check idle() first.
   Time next_event_time() const {
     ZSTOR_CHECK(!idle());
     if (ready_count_ != 0) return now_;
-    Time t = heap_size_ != 0 ? KeyTime(keys_[0]) : kNever;
+    Time t = KeyTime(fifo_min_key_);  // kNever while the FIFOs are empty
+    if (heap_size_ != 0) t = std::min(t, KeyTime(keys_[0]));
     return chain_.owner != nullptr ? std::min(t, chain_.next) : t;
   }
 
@@ -205,6 +229,8 @@ class Simulator {
   }
   static Time KeyTime(Key k) { return static_cast<Time>(k >> 64); }
   static std::uint64_t KeySeq(Key k) { return static_cast<std::uint64_t>(k); }
+  // Larger than every event's key (no seq reaches ~0): no FIFO front.
+  static constexpr Key kNoKey = ~Key{0};
 
   struct ReadyEvent {  // due exactly at now_ by construction
     std::uint64_t seq;
@@ -214,11 +240,13 @@ class Simulator {
   /// Runs every event due at or before `until`, advancing the slice
   /// chain before each; returns how many ran.
   std::uint64_t RunTo(Time until) {
+    const Key limit = MakeKey(until, ~std::uint64_t{0});  // above any seq
     std::uint64_t n = 0;
     for (;;) {
       if (chain_.owner != nullptr && ChainDueBefore(until)) continue;
       if (!((ready_count_ != 0 && now_ <= until) ||
-            (heap_size_ != 0 && KeyTime(keys_[0]) <= until))) {
+            (heap_size_ != 0 && KeyTime(keys_[0]) <= until) ||
+            fifo_min_key_ < limit)) {
         break;
       }
       Step();
@@ -229,23 +257,30 @@ class Simulator {
   }
 
   /// Runs the globally next event: the ready queue's front, unless a
-  /// heap event due at the same instant was scheduled earlier.
+  /// timer due at the same instant was scheduled earlier.
   ///
   /// Invocation consumes the event in place (EventFn's protocol: thunks
   /// copy their state before user code runs), so the only case that
   /// copies the event out first is a heap pop that must sift — the
   /// repair relocates another event into slot 0 before the callback can
-  /// run.
+  /// run. A FIFO slot stays put until a later push reuses it. While the
+  /// FIFOs are empty this is the heap-only path: a FIFO costs it two
+  /// predictable compares.
   void Step() {
     if (ready_count_ != 0) {
       ReadyEvent& front = ready_[ready_head_];
-      // Heap min is always >= now_, so a different time means later.
-      if (heap_size_ == 0 || keys_[0] > MakeKey(now_, front.seq)) {
+      // Timers are always >= now_, so a different time means later.
+      const Key key = MakeKey(now_, front.seq);
+      if ((heap_size_ == 0 || keys_[0] > key) && fifo_min_key_ > key) {
         ready_head_ = (ready_head_ + 1) & (ready_cap_ - 1);
         --ready_count_;
         front.fn();  // consumed; the slot is dead storage from here on
         return;
       }
+    }
+    if (fifo_mask_ != 0 && (heap_size_ == 0 || keys_[0] > fifo_min_key_)) {
+      FifoPop();
+      return;
     }
     now_ = KeyTime(keys_[0]);
     std::size_t n = --heap_size_;
@@ -303,6 +338,70 @@ class Simulator {
   /// frees the slot.
   void PushChainWake();
 
+  // ---- timers: the heap while it is small, else the delay's FIFO ------
+
+  /// Files a timer keyed `key`, set `delay` after now(): in the heap while
+  /// it holds fewer than kHeapFirst (a sift that short costs no more than
+  /// a FIFO's bookkeeping), else in the FIFO that holds the delay if it
+  /// has room, else in the heap.
+  template <typename F>
+  void TimedPush(Time delay, Key key, F&& fn) {
+    EventFn* slot =
+        heap_size_ < kHeapFirst ? HeapSlot(key) : TimerSlot(delay, key);
+    ::new (static_cast<void*>(slot)) EventFn(std::forward<F>(fn));
+  }
+
+  /// TimedPush's filing once the heap is not small: the back of the FIFO
+  /// that holds `delay` if it has room, else the heap. Out of line
+  /// (simulator.cc), so each scheduling call site inlines only the
+  /// small-heap path.
+  EventFn* TimerSlot(Time delay, Key key);
+
+  // ---- delay FIFOs (fixed rings of kFifoCap slots) ----------------------
+  //
+  // FIFO f's keys and events live at [f * kFifoCap, (f + 1) * kFifoCap)
+  // of the block that also holds the heap's first storage; slots between
+  // head and head+count are engaged. A FIFO that empties restarts at
+  // slot 0, so a short FIFO stays in the same few cache lines.
+
+  static constexpr std::uint32_t kFifos = 8;
+  static constexpr std::uint32_t kFifoCap = 64;  // a power of two
+  static constexpr std::size_t kHeapFirst = 8;  // timers the heap takes first
+  static constexpr std::size_t kFirstHeapCap = 64;
+
+  struct DelayFifo {
+    Key front = kNoKey;   // the head's key while count > 0
+    Time delay = 0;       // the delay it holds (0: none yet)
+    Time missed = 0;      // the last other delay that missed it
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+  };
+
+  static std::uint32_t FifoOf(Time delay) {  // Fibonacci hash, top bits
+    return static_cast<std::uint32_t>((delay * 0x9E3779B97F4A7C15ull) >>
+                                      (64 - std::bit_width(kFifos - 1)));
+  }
+  static std::size_t FifoSlot(std::size_t f, std::size_t i) {
+    return f * kFifoCap + (i & (kFifoCap - 1));
+  }
+
+  /// A delay that misses its FIFO takes it when it is empty and the
+  /// previous miss there was the same delay.
+  static bool Claim(DelayFifo& q, Time delay) {
+    if (q.count == 0 && q.missed == delay) {
+      q.delay = delay;
+      return true;
+    }
+    q.missed = delay;
+    return false;
+  }
+
+  /// Runs the earliest FIFO front at its time, after moving that FIFO's
+  /// front and the earliest front on. Out of line (simulator.cc), so the
+  /// run loop stays small: lanes call RunUntil many times per op, and an
+  /// inlined copy measurably slowed the parallel engine.
+  void FifoPop();
+
   // ---- ready ring (FIFO, power-of-two capacity) -----------------------
   //
   // Same raw-storage discipline as the heap: slots between head and
@@ -349,10 +448,10 @@ class Simulator {
                 sizeof(EventFn));
   }
 
-  template <typename F>
-  void HeapPush(Time when, std::uint64_t seq, F&& fn) {
+  /// Sifts a hole up to where `key` belongs and keys it; returns the raw
+  /// slot for its event.
+  EventFn* HeapSlot(Key key) {
     if (heap_size_ == heap_cap_) [[unlikely]] GrowHeap();
-    Key key = MakeKey(when, seq);
     std::size_t i = heap_size_++;
     while (i > 0) {
       std::size_t parent = (i - 1) >> 2;
@@ -362,7 +461,7 @@ class Simulator {
       i = parent;
     }
     keys_[i] = key;
-    ::new (static_cast<void*>(&fns_[i])) EventFn(std::forward<F>(fn));
+    return &fns_[i];
   }
 
   /// Repairs the heap after slot 0 was copied out and heap_size_ already
@@ -397,15 +496,26 @@ class Simulator {
   }
 
   void GrowHeap() {
-    std::size_t cap = heap_cap_ == 0 ? 64 : heap_cap_ * 2;
+    if (heap_cap_ == 0) {
+      // The first storage is one block for the simulator's life: the
+      // delay FIFOs' keys, the heap's first keys, then the same for events.
+      constexpr std::size_t kSlots = kFifos * kFifoCap + kFirstHeapCap;
+      first_mem_ = std::make_unique_for_overwrite<unsigned char[]>(
+          kSlots * (sizeof(Key) + sizeof(EventFn)));
+      fifo_keys_ = reinterpret_cast<Key*>(first_mem_.get());
+      fifo_fns_ = reinterpret_cast<EventFn*>(fifo_keys_ + kSlots);
+      keys_ = fifo_keys_ + kFifos * kFifoCap;
+      fns_ = fifo_fns_ + kFifos * kFifoCap;
+      heap_cap_ = kFirstHeapCap;
+      return;
+    }
+    const std::size_t cap = heap_cap_ * 2;
     auto keys = std::make_unique_for_overwrite<unsigned char[]>(
         cap * sizeof(Key));
     auto fns = std::make_unique_for_overwrite<unsigned char[]>(
         cap * sizeof(EventFn));
-    if (heap_size_ != 0) {
-      std::memcpy(keys.get(), key_mem_.get(), heap_size_ * sizeof(Key));
-      std::memcpy(fns.get(), fn_mem_.get(), heap_size_ * sizeof(EventFn));
-    }
+    std::memcpy(keys.get(), keys_, heap_size_ * sizeof(Key));
+    std::memcpy(fns.get(), fns_, heap_size_ * sizeof(EventFn));
     key_mem_ = std::move(keys);
     fn_mem_ = std::move(fns);
     keys_ = reinterpret_cast<Key*>(key_mem_.get());
@@ -415,6 +525,9 @@ class Simulator {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  Key fifo_min_key_ = kNoKey;  // the earliest FIFO front (kNoKey: none) ...
+  std::uint32_t fifo_min_ = 0;   // ... and its FIFO
+  std::uint32_t fifo_mask_ = 0;  // bit f: FIFO f is not empty
   std::unique_ptr<unsigned char[]> key_mem_;
   std::unique_ptr<unsigned char[]> fn_mem_;
   Key* keys_ = nullptr;
@@ -426,6 +539,10 @@ class Simulator {
   std::size_t ready_cap_ = 0;  // always a power of two (or zero)
   std::size_t ready_head_ = 0;
   std::size_t ready_count_ = 0;
+  DelayFifo fifos_[kFifos];
+  std::unique_ptr<unsigned char[]> first_mem_;  // FIFOs + the first heap
+  Key* fifo_keys_ = nullptr;
+  EventFn* fifo_fns_ = nullptr;
   // Colder state after the containers' hot fields.
   std::uint64_t events_ = 0;
   SliceChain chain_;

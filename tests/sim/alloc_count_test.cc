@@ -1,6 +1,7 @@
 // Runtime half of EventFn's performance contract (event_fn.h): once the
-// simulator's containers are warm, the coroutine-resume path and the
-// small-lambda scheduling path perform ZERO heap allocations per event,
+// simulator's containers are warm, the coroutine-resume path, the
+// small-lambda scheduling path and timers on fixed delays (the delay
+// FIFOs) perform ZERO heap allocations per event,
 // (task.h) neither does spawning a task once its frame size has been
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
 // the mailboxes have grown. Waiting allocates nothing either: not on any
