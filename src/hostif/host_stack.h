@@ -137,10 +137,10 @@ class HostStack : public Stack {
   struct Request {
     nvme::Command cmd;
     nvme::Completion completion;
-    sim::OneShotEvent done;
+    sim::WaitGroup done;
     Request* next = nullptr;
     explicit Request(sim::Simulator& s, nvme::Command c)
-        : cmd(c), done(s) {}
+        : cmd(c), done(s) { done.Add(); }
   };
 
   struct ZoneQueue {
@@ -280,7 +280,7 @@ class HostStack : public Stack {
     for (Request* r = batch; r != nullptr;) {
       Request* next = r->next;  // read before r's waiter can free it
       r->completion = tc.completion;
-      r->done.Set();
+      r->done.Done();
       r = next;
     }
     Zone(zid).in_flight = false;

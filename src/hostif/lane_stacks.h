@@ -48,9 +48,9 @@ namespace detail {
 
 /// One proxied command, owned by the coordinator-side Submit frame.
 struct RemoteOp {
-  explicit RemoteOp(sim::Simulator& host_sim) : done(host_sim) {}
+  explicit RemoteOp(sim::Simulator& host_sim) : done(host_sim) { done.Add(); }
   nvme::TimedCompletion tc;
-  sim::OneShotEvent done;
+  sim::WaitGroup done;
 };
 
 }  // namespace detail
@@ -97,7 +97,7 @@ class MailboxStack : public Stack {
              sim::MsgKind::kReply,
              sim::EventFn([op, tc = std::move(tc)]() mutable {
                op->tc = std::move(tc);
-               op->done.Set();
+               op->done.Done();
              }));
   }
 

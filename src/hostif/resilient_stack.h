@@ -249,10 +249,10 @@ class ResilientStack : public Stack {
   /// Where a timed attempt reports its outcome: lives in the waiting
   /// Submit frame, which the attempt touches only until it settles.
   struct Outcome {
-    explicit Outcome(sim::Simulator& s) : done(s) {}
+    explicit Outcome(sim::Simulator& s) : done(s) { done.Add(); }
     nvme::TimedCompletion tc;
     bool timed_out = false;
-    sim::OneShotEvent done;
+    sim::WaitGroup done;
   };
 
   /// The race between the device completion and the watchdog, held in
@@ -276,14 +276,14 @@ class ResilientStack : public Stack {
       if (Outcome* o = std::exchange(race.out, nullptr)) {
         o->timed_out = true;
         o->tc.completion.status = nvme::Status::kHostTimeout;
-        o->done.Set();
+        o->done.Done();
       }
       if (race.parked) race.parked.resume();
     });
     nvme::TimedCompletion tc = co_await device;
     if (Outcome* o = std::exchange(race.out, nullptr)) {
       o->tc = std::move(tc);
-      o->done.Set();
+      o->done.Done();
     }
     co_await race;  // until the watchdog has fired
   }

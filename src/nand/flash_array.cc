@@ -9,10 +9,14 @@ FlashArray::FlashArray(sim::Simulator& s, const Geometry& geo,
     : sim_(s),
       geo_(geo),
       timing_(timing),
-      noise_(timing.noise_seed, {timing.read_sigma, timing.program_sigma}),
-      dies_(geo.total_dies()),
-      channels_(geo.channels) {
+      noise_(timing.noise_seed, {timing.read_sigma, timing.program_sigma}) {
   geo_.Validate();
+  for (std::uint32_t d = 0; d < geo_.total_dies(); ++d) {
+    dies_.emplace_back(s, 1);
+  }
+  for (std::uint32_t c = 0; c < geo_.channels; ++c) {
+    channels_.emplace_back(s, 1);
+  }
   blocks_.reset(static_cast<BlockState*>(std::calloc(
       geo_.total_blocks(), sizeof(BlockState))));
   ZSTOR_CHECK(blocks_ != nullptr);
@@ -77,14 +81,20 @@ void FlashArray::CheckAddr(std::uint32_t die, std::uint32_t block) const {
 
 // Each op is a small state machine: read = die (tR) then channel (data
 // out), program = channel (data in) then die (tPROG), erase and probe =
-// die only. A grant is a zero-delay event and a service end a timer,
-// pushed where a coroutine holding a sim::Semaphore would push them, and
-// the hook runs inline; the goldens depend on that (time, seq) order.
+// die only. A grant is the server's zero-delay release event and a
+// service end a timer, pushed where a coroutine holding the server would
+// push them, and the hooks run inline; the goldens depend on that
+// (time, seq) order.
 
 bool FlashArray::Start(NandOp& op) {
   const PageAddr addr = op.addr;
+  op.on_grant = [](sim::Semaphore::Waiter& w) {
+    auto& granted = static_cast<NandOp&>(w);
+    granted.array_->BeginService(granted);
+  };
+  op.array_ = this;
   op.t0_ = sim_.now();
-  op.fault_ = false;
+  op.status = MediaStatus::kOk;  // an injected fault sets it below
   op.retry_steps_ = 0;
   op.stage_ = NandOp::Stage::kDie;
   switch (op.kind) {
@@ -97,7 +107,7 @@ bool FlashArray::Start(NandOp& op) {
         const fault::ReadVerdict v =
             faults_->OnRead(sim_.now(), addr.die, addr.block, blk.pe_cycles);
         op.retry_steps_ = v.retry_steps;
-        op.fault_ = v.uncorrectable;
+        if (v.uncorrectable) op.status = MediaStatus::kReadError;
       }
       break;
     }
@@ -114,10 +124,10 @@ bool FlashArray::Start(NandOp& op) {
         op.status = MediaStatus::kProgramFail;
         return false;
       }
-      if (faults_ != nullptr) {
-        op.fault_ =
-            faults_->OnProgram(sim_.now(), addr.die, addr.block, blk.pe_cycles)
-                .fail;
+      if (faults_ != nullptr &&
+          faults_->OnProgram(sim_.now(), addr.die, addr.block, blk.pe_cycles)
+              .fail) {
+        op.status = MediaStatus::kProgramFail;
       }
       op.stage_ = NandOp::Stage::kChannel;
       break;
@@ -131,26 +141,8 @@ bool FlashArray::Start(NandOp& op) {
       CheckAddr(addr.die, addr.block);
       break;
   }
-  Acquire(ServerOf(op), op);
+  Serve(op);
   return true;
-}
-
-void FlashArray::Acquire(Server& srv, NandOp& op) {
-  if (!srv.busy) {
-    srv.busy = true;
-    BeginService(op);
-    return;
-  }
-  srv.waiters.Push(op, op.handle);
-}
-
-void FlashArray::Release(Server& srv) {
-  if (srv.waiters.empty()) {
-    srv.busy = false;
-    return;
-  }
-  NandOp* op = &srv.waiters.PopFront();
-  sim_.ScheduleIn(0, [this, op] { BeginService(*op); });
 }
 
 void FlashArray::BeginService(NandOp& op) {
@@ -199,10 +191,10 @@ void FlashArray::EndService(NandOp& op) {
     EndDieService(op);
     return;
   }
-  Release(ServerOf(op));
+  ServerOf(op).Release();
   if (op.kind == NandOp::Kind::kProgram) {
     op.stage_ = NandOp::Stage::kDie;  // data is in: tPROG next
-    Acquire(ServerOf(op), op);
+    Serve(op);
     return;
   }
   if (telemetry::Tracer* tr = trace(); tr != nullptr) {
@@ -213,7 +205,6 @@ void FlashArray::EndService(NandOp& op) {
   counters_.page_reads++;
   counters_.bytes_read += op.bytes;
   if (op.retry_steps_ > 0) counters_.read_retries++;
-  op.status = MediaStatus::kOk;
   op.on_done(op);
 }
 
@@ -234,9 +225,9 @@ void FlashArray::EndDieService(NandOp& op) {
   }
   ds.busy_ns += sim_.now() - op.svc_begin_;
   NoteDieService(addr.die, op.svc_begin_, sim_.now());
-  Release(dies_[addr.die]);
+  dies_[addr.die].Release();
   telemetry::Tracer* tr = trace();
-  if (op.fault_) {
+  if (op.status != MediaStatus::kOk) {
     // ECC exhausted (nothing to transfer) or the program-verify pass
     // failed after the full tPROG was spent.
     if (tr != nullptr) {
@@ -248,11 +239,9 @@ void FlashArray::EndDieService(NandOp& op) {
     if (op.kind == NandOp::Kind::kRead) {
       counters_.page_reads++;
       counters_.read_errors++;
-      op.status = MediaStatus::kReadError;
     } else {
       counters_.page_programs++;
       counters_.program_failures++;
-      op.status = MediaStatus::kProgramFail;
     }
     op.on_done(op);
     return;
@@ -260,7 +249,7 @@ void FlashArray::EndDieService(NandOp& op) {
   switch (op.kind) {
     case NandOp::Kind::kRead:
       op.stage_ = NandOp::Stage::kChannel;  // sensed: data out next
-      Acquire(ServerOf(op), op);
+      Serve(op);
       return;
     case NandOp::Kind::kProgram:
       if (tr != nullptr) {
@@ -270,7 +259,6 @@ void FlashArray::EndDieService(NandOp& op) {
       }
       counters_.page_programs++;
       counters_.bytes_programmed += geo_.page_bytes;
-      op.status = MediaStatus::kOk;
       break;
     case NandOp::Kind::kErase: {
       if (tr != nullptr) {

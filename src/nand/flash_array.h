@@ -15,6 +15,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -73,24 +74,27 @@ struct FlashCounters {
 };
 static_assert(telemetry::ListsEveryFieldOnce<FlashCounters>());
 
+class FlashArray;
+
 /// One cell operation in flight, as a record instead of a coroutine
 /// frame. It lives in the issuer's memory (the awaiting coroutine's frame
 /// for ReadPage & co., a reused array for batched GC pages) and queues on
-/// dies and channels as a sim::WaitNode (`handle` names the awaiting
-/// coroutine, if any), so issuing, queueing and finishing an op
-/// allocates, parks and resumes nothing of its own. It must stay put from
-/// FlashArray::Start until `on_done` runs.
-class NandOp : public sim::WaitNode {
+/// dies and channels as a sim::Semaphore::Waiter whose grant hook starts
+/// its service (`handle` names the awaiting coroutine, if any), so
+/// issuing, queueing and finishing an op allocates, parks and resumes
+/// nothing of its own. It must stay put from FlashArray::Start until
+/// `on_done` runs.
+class NandOp : public sim::Semaphore::Waiter {
  public:
   enum class Kind : std::uint8_t { kRead, kProgram, kErase, kProbe };
 
   // Set by the issuer before Start.
-  Kind kind = Kind::kRead;
-  PageAddr addr;            // kErase ignores addr.page
-  std::uint32_t bytes = 0;  // kRead: bytes transferred (<= page size)
   /// Runs once the op finishes, inline in the event that finished it
   /// (not from Start). It may restart or discard the record.
   void (*on_done)(NandOp&) = nullptr;
+  PageAddr addr;            // kErase ignores addr.page
+  std::uint32_t bytes = 0;  // kRead: bytes transferred (<= page size)
+  Kind kind = Kind::kRead;
 
   // The outcome, valid from on_done on.
   MediaStatus status = MediaStatus::kOk;  // kRead, kProgram
@@ -100,8 +104,8 @@ class NandOp : public sim::WaitNode {
   friend class FlashArray;
   enum class Stage : std::uint8_t { kDie, kChannel };
   Stage stage_ = Stage::kDie;  // the server the op waits on or holds
-  bool fault_ = false;         // uncorrectable read / failed program
   std::uint32_t retry_steps_ = 0;
+  FlashArray* array_ = nullptr;  // the array serving it, from Start
   sim::Time t0_ = 0;         // issue time (trace span start)
   sim::Time svc_begin_ = 0;  // when the current die service began
 };
@@ -143,9 +147,10 @@ class FlashArray {
   void AttachFaultPlan(fault::FaultPlan* p) { faults_ = p; }
 
   /// Starts `op` (kind, addr, bytes and on_done set). Every grant of a
-  /// busy die or channel is a zero-delay event and every service end a
-  /// timer (DESIGN.md §1.1). Returns false when the op finished on the
-  /// spot (a program to a retired block); on_done is then not called.
+  /// busy die or channel is the release's zero-delay event and every
+  /// service end a timer (DESIGN.md §1.1). Returns false when the op
+  /// finished on the spot (a program to a retired block); on_done is then
+  /// not called.
   bool Start(NandOp& op);
 
   /// The awaitable form of one op: the record sits in the awaiting
@@ -305,21 +310,16 @@ class FlashArray {
   static constexpr std::size_t kReadNoise = 0;
   static constexpr std::size_t kProgramNoise = 1;
   sim::NoiseStream noise_;
-  /// A die or a channel: serves one op at a time, the rest wait in
-  /// arrival order.
-  struct Server {
-    bool busy = false;
-    sim::WaitList<NandOp> waiters;
-  };
-  /// Serves `op` on `srv` now, or queues it until a Release hands over.
-  void Acquire(Server& srv, NandOp& op);
-  /// Frees `srv`, handing it to the longest waiter through a zero-delay
-  /// event (the grant a semaphore wake would have been).
-  void Release(Server& srv);
-  Server& ServerOf(const NandOp& op) {
+  /// A die or a channel: a one-unit server, the rest wait in arrival
+  /// order.
+  sim::Semaphore& ServerOf(const NandOp& op) {
     return op.stage_ == NandOp::Stage::kDie
                ? dies_[op.addr.die]
                : channels_[geo_.channel_of({op.addr.die})];
+  }
+  /// Serves `op` on its server now, or queues it for a release's grant.
+  void Serve(NandOp& op) {
+    if (ServerOf(op).Take(op)) BeginService(op);
   }
   /// The op holds its server: start the service timer.
   void BeginService(NandOp& op);
@@ -327,8 +327,9 @@ class FlashArray {
   void EndService(NandOp& op);
   void EndDieService(NandOp& op);
 
-  std::vector<Server> dies_;
-  std::vector<Server> channels_;
+  /// Deques: a Semaphore stays where it is built.
+  std::deque<sim::Semaphore> dies_;
+  std::deque<sim::Semaphore> channels_;
   /// [die * blocks_per_die + block], calloc'ed: a large table is
   /// demand-zero memory, so no page of it costs a fault until a block on
   /// it is touched (a ZN540's is 3 MiB, mostly never written).

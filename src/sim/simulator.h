@@ -14,8 +14,8 @@
 //    relocation, zero allocations for coroutine resumes and small
 //    lambdas.
 //  * Zero-delay events — ResumeSoon and ScheduleIn(0), the backbone of
-//    sync.h wakeups and resource.h slot hand-offs — go to a plain FIFO
-//    ring buffer and never touch the heap.
+//    sync.h wakeups and Semaphore hand-offs — go to a plain FIFO ring
+//    buffer and never touch the heap.
 //  * Once the heap holds kHeapFirst timers, a timer on a repeating delay
 //    goes to one of kFifos delay FIFOs, each a fixed ring that holds one
 //    delay: a timer set `d` after now() sorts after every timer already

@@ -3,15 +3,26 @@
 // All primitives are single-threaded (the simulator owns one logical
 // thread of control); "blocking" means suspending the calling coroutine
 // until another coroutine releases/pushes/signals. Waiters are resumed
-// through the event loop (ResumeSoon) so native stacks stay shallow and
-// wakeup order is deterministic FIFO.
+// through the event loop (one zero-delay event each) so native stacks
+// stay shallow and wakeup order is deterministic FIFO.
 //
-// Every primitive keeps its waiters on one intrusive WaitList whose
-// nodes live inside the awaiters, and an awaiter lives in the suspended
-// coroutine's frame: constructing, waiting on, waking and destroying a
-// primitive allocates nothing (DESIGN.md §1.1).
+// Served resources are one class, Semaphore: a counted server with two
+// strict priority classes. A FIFO server pool is a Semaphore held
+// through its Guard (buffer slots, a lock). A NAND die or channel is a
+// one-unit Semaphore whose waiters are op records (nand/flash_array.h).
+// The firmware command processor (FCP) of both device models is a
+// one-unit Semaphore whose host I/O commands always bypass queued
+// background (reset) work: the mechanism behind the paper's
+// Observations 12 and 13. All of them pass a released unit on through
+// the one Semaphore::Release.
+//
+// Every primitive keeps its waiters on intrusive WaitLists whose nodes
+// live inside the awaiters (or records), and an awaiter lives in the
+// suspended coroutine's frame: constructing, waiting on, waking and
+// destroying a primitive allocates nothing (DESIGN.md §1.1).
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -82,83 +93,134 @@ class WaitList {
   WaitNode* tail_ = nullptr;
 };
 
-/// RAII slot ownership for resources. Releases on destruction.
-template <typename R>
-class [[nodiscard]] SlotGuard {
- public:
-  SlotGuard() = default;
-  explicit SlotGuard(R* r) : res_(r) {}
-  SlotGuard(SlotGuard&& o) noexcept : res_(std::exchange(o.res_, nullptr)) {}
-  SlotGuard& operator=(SlotGuard&& o) noexcept {
-    Release();
-    res_ = std::exchange(o.res_, nullptr);
-    return *this;
-  }
-  SlotGuard(const SlotGuard&) = delete;
-  SlotGuard& operator=(const SlotGuard&) = delete;
-  ~SlotGuard() { Release(); }
-
-  void Release() {
-    if (res_ != nullptr) std::exchange(res_, nullptr)->Release();
-  }
-
- private:
-  R* res_ = nullptr;
-};
-
-/// Counting semaphore with FIFO admission. Held through Hold()'s guard,
-/// it is a multi-slot server pool (buffer slots, a lock).
+/// A counted server: `initial` units handed out in two strict priority
+/// classes (0 = high), FIFO within each class. A released unit always
+/// goes to the high class's longest waiter first; nothing in service is
+/// preempted. The header lists what it serves.
 class Semaphore {
  public:
-  using Guard = SlotGuard<Semaphore>;
+  /// A queued request, living in the waiter's memory: an awaiter in the
+  /// waiting coroutine's frame, an FCP step or a NAND op. The release
+  /// that hands it a unit posts one zero-delay event that runs
+  /// `on_grant`: a plain awaiter's resumes its coroutine, a record's
+  /// starts its service.
+  struct Waiter : WaitNode {
+    void (*on_grant)(Waiter&) = nullptr;
+  };
 
+  /// One held unit, returned when the guard is destroyed or released.
+  class [[nodiscard]] Guard {
+   public:
+    Guard() = default;
+    explicit Guard(Semaphore* s) : sem_(s) {}
+    Guard(Guard&& o) noexcept : sem_(std::exchange(o.sem_, nullptr)) {}
+    Guard& operator=(Guard&& o) noexcept {
+      Release();
+      sem_ = std::exchange(o.sem_, nullptr);
+      return *this;
+    }
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+    ~Guard() { Release(); }
+
+    void Release() {
+      if (sem_ != nullptr) std::exchange(sem_, nullptr)->Release();
+    }
+
+   private:
+    Semaphore* sem_ = nullptr;
+  };
+
+ private:
+  /// One priority class's queue and its way back to the semaphore, so a
+  /// parked awaiter names both with one reference.
+  struct Class {
+    Semaphore& sem;
+    WaitList<Waiter> waiters;
+  };
+
+ public:
   Semaphore(Simulator& s, std::uint64_t initial)
       : sim_(s), count_(initial) {}
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  struct Awaiter : WaitNode {
-    explicit Awaiter(Semaphore& s) : sem(s) {}
-    Semaphore& sem;
-    bool await_ready() {
-      if (sem.count_ == 0) return false;
-      --sem.count_;
-      return true;
+  /// Takes a unit (true), or queues `w` in class `prio` until a Release()
+  /// grants it one (false). `w.handle` names the coroutine, if any, whose
+  /// frame holds `w`. A holder sleeping on the simulator's slice chain
+  /// with this semaphore as owner wakes at its next boundary.
+  bool Take(Waiter& w, std::uint32_t prio = 0) { return Take(w, Of(prio)); }
+
+  struct Awaiter : Waiter {
+    explicit Awaiter(Class& c) : cls(c) {
+      on_grant = [](Waiter& w) { w.handle.resume(); };
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      sem.waiters_.Push(*this, h);
+    Class& cls;
+    bool await_ready() const { return cls.sem.TakeIdle(); }
+    bool await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      return !cls.sem.Take(*this, cls);
     }
     void await_resume() const noexcept {}
   };
 
-  /// Suspends until one unit is available, then takes it.
-  Awaiter Acquire() { return Awaiter{*this}; }
+  /// Suspends until a unit is granted to class `prio`, then holds it.
+  Awaiter Acquire(std::uint32_t prio = 0) { return Awaiter{Of(prio)}; }
 
   struct GuardAwaiter : Awaiter {
     using Awaiter::Awaiter;
-    Guard await_resume() { return Guard{&sem}; }
+    Guard await_resume() const { return Guard{&cls.sem}; }
   };
   /// Acquire(), with the unit held by the returned guard.
-  GuardAwaiter Hold() { return GuardAwaiter{*this}; }
+  GuardAwaiter Hold(std::uint32_t prio = 0) { return GuardAwaiter{Of(prio)}; }
 
-  /// Returns one unit, waking the longest-waiting acquirer if any.
+  /// Returns one unit: the one place a unit passes to a waiter. The
+  /// oldest waiter of the highest class gets it through one zero-delay
+  /// event that runs its hook, never inline (DESIGN.md §1.1); with no
+  /// waiter the count goes up.
   void Release() {
-    if (!waiters_.empty()) {
-      waiters_.WakeOne(sim_);  // the released unit transfers to this waiter
-    } else {
-      ++count_;
+    for (Class& c : classes_) {
+      if (!c.waiters.empty()) {
+        Waiter* w = &c.waiters.PopFront();
+        sim_.ScheduleIn(0, [w] { w->on_grant(*w); });
+        return;
+      }
     }
+    ++count_;
   }
 
   std::uint64_t available() const { return count_; }
-  /// O(1); waiting() walks the list.
-  bool has_waiters() const { return !waiters_.empty(); }
-  std::size_t waiting() const { return waiters_.size(); }
+  /// O(1); waiting() walks the lists.
+  bool has_waiters() const {
+    return !classes_[0].waiters.empty() || !classes_[1].waiters.empty();
+  }
+  std::size_t waiting() const {
+    return classes_[0].waiters.size() + classes_[1].waiters.size();
+  }
 
  private:
+  Class& Of(std::uint32_t prio) {
+    ZSTOR_CHECK(prio < classes_.size());
+    return classes_[prio];
+  }
+
+  /// Takes a unit if one is idle.
+  bool TakeIdle() {
+    if (count_ == 0) return false;
+    --count_;
+    return true;
+  }
+
+  bool Take(Waiter& w, Class& c) {
+    if (TakeIdle()) return true;
+    c.waiters.Push(w, w.handle);
+    sim_.MaterializeChain(this);
+    return false;
+  }
+
   Simulator& sim_;
   std::uint64_t count_;
-  WaitList<> waiters_;
+  std::array<Class, 2> classes_{Class{*this, {}}, Class{*this, {}}};
 };
 
 /// Wait for a group of processes to finish: Add() before spawning each,
@@ -192,35 +254,6 @@ class WaitGroup {
  private:
   Simulator& sim_;
   std::uint64_t count_ = 0;
-  WaitList<> waiters_;
-};
-
-/// One-shot event: waiters suspend until Set() is called once. Waiting on
-/// an already-set event does not suspend.
-class OneShotEvent {
- public:
-  explicit OneShotEvent(Simulator& s) : sim_(s) {}
-  OneShotEvent(const OneShotEvent&) = delete;
-  OneShotEvent& operator=(const OneShotEvent&) = delete;
-
-  void Set() {
-    if (set_) return;
-    set_ = true;
-    waiters_.WakeAll(sim_);
-  }
-
-  struct Awaiter : WaitNode {
-    explicit Awaiter(OneShotEvent& ev) : e(ev) {}
-    OneShotEvent& e;
-    bool await_ready() const { return e.set_; }
-    void await_suspend(std::coroutine_handle<> h) { e.waiters_.Push(*this, h); }
-    void await_resume() const noexcept {}
-  };
-  Awaiter Wait() { return Awaiter{*this}; }
-
- private:
-  Simulator& sim_;
-  bool set_ = false;
   WaitList<> waiters_;
 };
 

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/check.h"
@@ -134,18 +135,27 @@ struct PromiseBase {
   }
 };
 
+/// The promise of a Task<T>: the value, if any, waits here for the
+/// awaiter (a Task<void>'s frame holds none).
+template <typename T>
+struct Promise : PromiseBase {
+  std::optional<T> value;
+  Task<T> get_return_object();
+  void return_value(T v) { value = std::move(v); }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  Task<void> get_return_object();
+  void return_void() {}
+};
+
 }  // namespace detail
 
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_value(T v) { value = std::move(v); }
-  };
+  using promise_type = detail::Promise<T>;
 
   Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
   Task(const Task&) = delete;
@@ -181,62 +191,26 @@ class [[nodiscard]] Task {
     h_.promise().continuation = caller;
   }
   T await_resume() {
-    ZSTOR_CHECK(h_.promise().value.has_value());
-    return std::move(*h_.promise().value);
+    if constexpr (!std::is_void_v<T>) {
+      ZSTOR_CHECK(h_.promise().value.has_value());
+      return std::move(*h_.promise().value);
+    }
   }
 
  private:
+  friend promise_type;
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
   std::coroutine_handle<promise_type> h_;
 };
 
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() {}
-  };
+template <typename T>
+Task<T> detail::Promise<T>::get_return_object() {
+  return Task<T>{std::coroutine_handle<Promise>::from_promise(*this)};
+}
 
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  Task& operator=(Task&& o) noexcept {
-    ZSTOR_CHECK(h_ == nullptr);
-    h_ = std::exchange(o.h_, nullptr);
-    return *this;
-  }
-  ~Task() {
-    if (!h_) return;
-    ZSTOR_CHECK_MSG(h_.promise().done,
-                    "Task destroyed while still running (detach it?)");
-    h_.destroy();
-  }
-
-  bool Done() const { return !h_ || h_.promise().done; }
-
-  void Detach() && {
-    ZSTOR_CHECK(h_ != nullptr);
-    if (h_.promise().done) {
-      h_.destroy();
-    } else {
-      h_.promise().detached = true;
-    }
-    h_ = nullptr;
-  }
-
-  bool await_ready() const noexcept { return h_.promise().done; }
-  void await_suspend(std::coroutine_handle<> caller) noexcept {
-    h_.promise().continuation = caller;
-  }
-  void await_resume() const noexcept {}
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
-};
+inline Task<void> detail::Promise<void>::get_return_object() {
+  return Task<void>{std::coroutine_handle<Promise>::from_promise(*this)};
+}
 
 /// Starts a free-running process (the idiomatic way to launch workers).
 inline void Spawn(Task<> t) { std::move(t).Detach(); }

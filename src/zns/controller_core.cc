@@ -16,7 +16,7 @@ ControllerCore::ControllerCore(sim::Simulator& s, DeviceCounters& counters,
                                double io_sigma, double reset_sigma,
                                double finish_sigma)
     : sim_(s),
-      fcp_(s),
+      fcp_(s, 1),
       buffer_slots_(s, std::max<std::uint64_t>(1, buffer_bytes / slot_bytes)),
       programs_(s),
       noise_(seed, {io_sigma, reset_sigma, finish_sigma}),

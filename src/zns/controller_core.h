@@ -22,7 +22,6 @@
 #include "nvme/controller.h"
 #include "nvme/log_page.h"
 #include "nvme/types.h"
-#include "sim/resource.h"
 #include "sim/noise.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -144,7 +143,7 @@ class ControllerCore : public nvme::Controller {
   /// starts the service timer. The handler resumes when the service
   /// ends, traces the service span and gets the guard, still holding the
   /// FCP.
-  class [[nodiscard]] FcpStep : public sim::PriorityResource::Waiter {
+  class [[nodiscard]] FcpStep : public sim::Semaphore::Waiter {
    public:
     FcpStep(ControllerCore& core, sim::Time cost, FcpTrace span)
         : core_(core), cost_(cost), span_(span), t0_(core.sim_.now()) {
@@ -158,13 +157,13 @@ class ControllerCore : public nvme::Controller {
       handle = h;
       if (core_.fcp_.Take(*this, kPrioIo)) Grant(*this);
     }
-    sim::PriorityResource::Guard await_resume() {
+    sim::Semaphore::Guard await_resume() {
       if (telemetry::Tracer* tr = core_.trace(); tr != nullptr) {
         tr->Span(t1_, core_.sim_.now(), span_.tid, span_.layer, span_.name,
                  static_cast<std::int64_t>(span_.a),
                  static_cast<std::int64_t>(span_.b));
       }
-      return sim::PriorityResource::Guard{&core_.fcp_};
+      return sim::Semaphore::Guard{&core_.fcp_};
     }
 
    private:
@@ -221,7 +220,7 @@ class ControllerCore : public nvme::Controller {
   sim::Simulator& sim_;
   nvme::NamespaceInfo info_;
   std::unique_ptr<nand::FlashArray> flash_;  // null without a NAND backend
-  sim::PriorityResource fcp_;
+  sim::Semaphore fcp_;
   sim::Semaphore buffer_slots_;
   /// Joins every in-flight NAND program of buffered host data; flush and
   /// power loss wait on it for the drain.

@@ -219,7 +219,7 @@ bool ZnsDevice::DeviceIsIoQuiet() const {
   // Quiet only if no I/O has touched the device for a full millisecond —
   // QD=1 submission gaps are microseconds, so ongoing workloads always
   // keep resets on the sliced background path. Waiters imply busy.
-  return !fcp_.busy() && sim_.now() >= quiet_at_;
+  return fcp_.available() != 0 && sim_.now() >= quiet_at_;
 }
 
 // --------------------------------------------------------- state machine
@@ -862,7 +862,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
       Time held;
       {
         sim::Time b = sim_.now();
-        auto g = co_await fcp_.Acquire(kPrioBackground);
+        auto g = co_await fcp_.Hold(kPrioBackground);
         const sim::Time from = sim_.now();
         if (resumed && work > slice && !fcp_.has_waiters()) {
           // Hold the FCP on the simulator's slice chain: its wakes cost

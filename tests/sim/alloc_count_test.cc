@@ -5,7 +5,7 @@
 // (task.h) neither does spawning a task once its frame size has been
 // recycled, and (parallel_sim.h) neither does a cross-lane message once
 // the mailboxes have grown. Waiting allocates nothing either: not on any
-// sync.h/resource.h/token_bucket.h primitive, not per command through
+// sync.h/token_bucket.h primitive, not per command through
 // a warm mq-deadline stack and ZNS device, not per attempt of a
 // retrying stack racing each one against its timeout, not in a reset
 // holding the FCP on the slice chain beside host reads, and not per page
@@ -25,7 +25,6 @@
 #include "hostif/host_stack.h"
 #include "hostif/resilient_stack.h"
 #include "sim/parallel_sim.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -230,12 +229,11 @@ TEST(AllocCount, LaneHandoffIsAllocationFree) {
 // destroys all of them.
 struct Primitives {
   explicit Primitives(Simulator& s)
-      : sem(s, 0), wg(s), ev(s), cond(s), pr(s), tb(s, 1e9, 1) {}
+      : sem(s, 0), wg(s), cond(s), server(s, 1), tb(s, 1e9, 1) {}
   Semaphore sem;
   WaitGroup wg;
-  OneShotEvent ev;
   Condition cond;
-  PriorityResource pr;
+  Semaphore server;  // one unit, held in the background class
   TokenBucket tb;
 };
 
@@ -243,10 +241,9 @@ Task<> WaitOnEach(Simulator& s, std::optional<Primitives>& p, int* passed) {
   co_await s.Delay(1);  // the primitives are built meanwhile
   co_await p->sem.Acquire();
   co_await p->wg.Wait();
-  co_await p->ev.Wait();
   co_await p->cond.Wait();
   {
-    auto g = co_await p->pr.Acquire(1);
+    auto g = co_await p->server.Hold(1);
     co_await s.Delay(1);  // hold the slot: the next waiter queues
   }
   co_await p->tb.Take(2);  // over the burst: queues for the pump
@@ -260,8 +257,6 @@ Task<> WakeEach(Simulator& s, std::optional<Primitives>& p, int waiters) {
   for (int i = 0; i < waiters; ++i) p->sem.Release();
   co_await s.Delay(10);
   p->wg.Done();
-  co_await s.Delay(10);
-  p->ev.Set();
   co_await s.Delay(10);
   p->cond.NotifyAll();
 }

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "sim/parallel_sim.h"
-#include "sim/resource.h"
 #include "sim/rng.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace zstor::sim {
@@ -312,7 +312,7 @@ TEST(TimeHelpers, ConversionsRoundTrip) {
 
 // ---- the virtual slice chain (DESIGN.md §1.1) -----------------------
 //
-// A holder owns a PriorityResource and works in slices: at every slice
+// A holder owns a one-unit Semaphore and works in slices: at every slice
 // boundary it releases the server (queued requests take it first),
 // checks its quiet mark and takes the server back. The unfolded
 // reference wakes at every boundary with Delay(slice); the chained
@@ -333,23 +333,22 @@ struct SliceWorld {
 
   Simulator& s;
   bool chained;
-  std::array<PriorityResource, 2> res{PriorityResource{s},
-                                      PriorityResource{s}};
+  std::array<Semaphore, 2> res{Semaphore{s, 1}, Semaphore{s, 1}};
   std::array<Time, 2> quiet_at{kNever, kNever};
   Log log;
 
   void Mark(int tag) { log.emplace_back(s.now(), tag); }
 
   Task<> Holder(int i, Time slice, Time work) {
-    PriorityResource& r = res[i];
+    Semaphore& r = res[i];
     const int tag = -3 * i;
     while (work > 0) {
-      if (!r.busy() && s.now() >= quiet_at[i]) {
+      if (r.available() != 0 && s.now() >= quiet_at[i]) {
         Mark(tag + kBulk);
         co_await s.Delay(work);
         break;
       }
-      auto g = co_await r.Acquire(1);
+      auto g = co_await r.Hold(1);
       const Time from = s.now();
       if (chained && work > slice && !r.has_waiters()) {
         co_await s.HoldSlices(&r, slice, work, quiet_at[i]);
@@ -363,7 +362,7 @@ struct SliceWorld {
   }
 
   Task<> Client(int i, int id, Time hold) {
-    auto g = co_await res[i].Acquire(0);
+    auto g = co_await res[i].Hold(0);
     Mark(id);
     co_await s.Delay(hold);
   }

@@ -71,6 +71,12 @@ struct KvStoreInternals {
     return false;
   }
 
+  /// LBAs the store counts as written to data zone `zone`, its
+  /// reservations included.
+  static std::uint64_t ZoneWrittenLbas(const KvStore& kv, std::uint32_t zone) {
+    return kv.zones_[kv.ZoneIndex(zone)].written_lbas;
+  }
+
   /// Whether data zone `zone` is sealed: no allocation target, and
   /// counted written to capacity.
   static bool ZoneSealed(const KvStore& kv, std::uint32_t zone) {

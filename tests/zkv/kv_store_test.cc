@@ -281,7 +281,7 @@ TEST(KvStore, ReadsVerifyPayloadTags) {
 class GateStack final : public hostif::Stack {
  public:
   GateStack(sim::Simulator& s, hostif::Stack& inner)
-      : inner_(inner), open_(s) {}
+      : inner_(inner), open_(s) { open_.Add(); }
   sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
     if (armed_ && cmd.opcode == nvme::Opcode::kRead) {
       armed_ = false;
@@ -293,12 +293,12 @@ class GateStack final : public hostif::Stack {
   }
   const nvme::NamespaceInfo& info() const override { return inner_.info(); }
   void Arm() { armed_ = true; }
-  void Release() { open_.Set(); }
+  void Release() { open_.Done(); }
   bool held() const { return held_; }
 
  private:
   hostif::Stack& inner_;
-  sim::OneShotEvent open_;
+  sim::WaitGroup open_;
   bool armed_ = false;
   bool held_ = false;
 };
@@ -473,6 +473,105 @@ TEST(KvStore, RelocationPoisonsAFailedZoneAndMovesOn) {
   EXPECT_EQ(st, Status::kSuccess);
   EXPECT_TRUE(found);
   EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
+}
+
+/// Fails the first append of a data writer (a flush or a compaction
+/// building a table; zones 0 and 1 hold the WAL), and notes where the
+/// next one goes.
+struct FirstDataAppendFails {
+  const hostif::Stack& device;
+  const KvStore* kv = nullptr;
+  int data_appends = 0;
+  std::uint32_t zone = 0;  // the failed append's zone and size
+  std::uint32_t lbas = 0;
+  std::uint32_t next_zone = 0;  // the next data append's zone, and
+  bool sealed_at_next = false;  // whether `zone` was sealed by then
+  bool operator()(const nvme::Command& c) {
+    if (c.opcode != nvme::Opcode::kAppend) return false;
+    const std::uint32_t z = ZoneOf(device, c.slba);
+    if (z < 2) return false;
+    if (++data_appends == 1) {
+      zone = z;
+      lbas = c.nlb;
+      return true;
+    }
+    if (data_appends == 2) {
+      next_zone = z;
+      sealed_at_next = KvStoreInternals::ZoneSealed(*kv, zone);
+    }
+    return false;
+  }
+};
+
+/// Puts keys 0..39 (16 KiB each: two flushes, no compaction), drains,
+/// and reads every key back.
+void FillDrainAndReadBack(sim::Simulator& sim, KvStore& kv) {
+  auto fill = [&]() -> sim::Task<> {
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      ZSTOR_CHECK(co_await kv.Put(k, 16 * 1024) == Status::kSuccess);
+    }
+    co_await kv.Drain();
+  };
+  auto f = fill();
+  sim.Run();
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    bool found = false;
+    Status s = Status::kInternalError;
+    auto get = [&]() -> sim::Task<> { s = co_await kv.Get(k, &found); };
+    auto g = get();
+    sim.Run();
+    ASSERT_EQ(s, Status::kSuccess);
+    EXPECT_TRUE(found) << "key " << k;
+  }
+  EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
+  EXPECT_EQ(kv.stats().compactions, 0u);
+}
+
+// A data writer's append that its zone refuses (read-only) poisons that
+// zone and goes on in a fresh one, within the same table build. Reclaim
+// then resets the poisoned zone, which holds nothing live.
+TEST(KvStore, DataAppendToAFailedZonePoisonsItAndMovesOn) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  FailStack faulty(sim, inner, Status::kZoneIsReadOnly);
+  FirstDataAppendFails first{inner};
+  faulty.fail = std::ref(first);
+  KvStore kv(sim, faulty, Fixture::DefaultOptions());
+  first.kv = &kv;
+  FillDrainAndReadBack(sim, kv);
+  ASSERT_EQ(faulty.failed, 1);
+  EXPECT_TRUE(first.sealed_at_next);
+  EXPECT_NE(first.next_zone, first.zone);
+  const KvStats& st = kv.stats();
+  EXPECT_EQ(st.tables_written, st.flushes);  // no table was built twice
+  EXPECT_EQ(st.zone_resets, 1u);
+}
+
+// A data writer's append that fails for another reason (an internal
+// error, as when a power outage outlasts the retries) keeps its
+// reservation, since the device may have landed the data, and reports
+// the failure: the flush drops its table and builds it again in the same
+// zone, whose count then runs ahead of the device by the failed append.
+TEST(KvStore, DataAppendFailureKeepsItsReservationAndRebuildsTheTable) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  FailStack faulty(sim, inner, Status::kInternalError);
+  FirstDataAppendFails first{inner};
+  faulty.fail = std::ref(first);
+  KvStore kv(sim, faulty, Fixture::DefaultOptions());
+  first.kv = &kv;
+  FillDrainAndReadBack(sim, kv);
+  ASSERT_EQ(faulty.failed, 1);
+  EXPECT_FALSE(first.sealed_at_next);
+  EXPECT_EQ(first.next_zone, first.zone);
+  const KvStats& st = kv.stats();
+  EXPECT_EQ(st.tables_written, st.flushes + 1);  // the dropped build
+  const nvme::Lba start =
+      static_cast<nvme::Lba>(first.zone) * inner.info().zone_size_lbas;
+  EXPECT_EQ(KvStoreInternals::ZoneWrittenLbas(kv, first.zone),
+            dev.ZoneWritePointerLba(first.zone) - start + first.lbas);
 }
 
 }  // namespace
