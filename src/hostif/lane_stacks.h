@@ -14,7 +14,9 @@
 //    charges one interconnect hop (the engine lookahead), so proxied
 //    commands observe 2×hop extra latency relative to the classic
 //    direct call — the price of the conservative window protocol, paid
-//    only by traffic that actually crosses lanes.
+//    only by traffic that actually crosses lanes. The command and its
+//    completion travel in a detail::RemoteOp in the coordinator's
+//    Submit frame, and each message carries only a pointer to it.
 //
 //  * StripeLaneView — the device-side view for sharded workload
 //    workers. A worker whose zones all live on one device runs inside
@@ -46,9 +48,20 @@ class MailboxStack;
 
 namespace detail {
 
-/// One proxied command, owned by the coordinator-side Submit frame.
+/// One proxied command, owned by the coordinator-side Submit frame,
+/// which stays suspended from the request's post until the reply lands.
+/// The coordinator lane writes `cmd` before it posts the request; the
+/// device lane reads it, then writes `tc` before it posts the reply,
+/// and the coordinator reads `tc` once the reply has run. A message is
+/// drained into its destination only at a window barrier, after the
+/// window in which it was posted, so the barrier orders each write
+/// before the other lane's read.
 struct RemoteOp {
-  explicit RemoteOp(sim::Simulator& host_sim) : done(host_sim) { done.Add(); }
+  RemoteOp(sim::Simulator& host_sim, const nvme::Command& c)
+      : cmd(c), done(host_sim) {
+    done.Add();
+  }
+  nvme::Command cmd;
   nvme::TimedCompletion tc;
   sim::WaitGroup done;
 };
@@ -70,11 +83,10 @@ class MailboxStack : public Stack {
     telemetry::Tracer* tr = trace();
     if (tr != nullptr && cmd.trace_id == 0) cmd.trace_id = tr->NextId();
     const sim::Time start = ps_.lane(host_lane_).now();
-    detail::RemoteOp op(ps_.lane(host_lane_));
+    detail::RemoteOp op(ps_.lane(host_lane_), cmd);
     ps_.Post(host_lane_, dev_lane_, start + ps_.lookahead(),
-             sim::MsgKind::kRequest, sim::EventFn([this, cmd, &op] {
-               sim::Spawn(Serve(cmd, &op));
-             }));
+             sim::MsgKind::kRequest,
+             [this, op = &op] { sim::Spawn(Serve(op)); });
     co_await op.done.Wait();
     // Timestamps are rebased onto the coordinator's clock: submitted at
     // departure, completed when the reply lands (device service plus
@@ -90,15 +102,11 @@ class MailboxStack : public Stack {
  private:
   /// Runs inside the device lane; `op` lives in the coordinator-side
   /// Submit frame, which stays suspended until the reply sets `done`.
-  sim::Task<> Serve(nvme::Command cmd, detail::RemoteOp* op) {
-    nvme::TimedCompletion tc = co_await target_.Submit(cmd);
+  sim::Task<> Serve(detail::RemoteOp* op) {
+    op->tc = co_await target_.Submit(op->cmd);
     ps_.Post(dev_lane_, host_lane_,
              ps_.lane(dev_lane_).now() + ps_.lookahead(),
-             sim::MsgKind::kReply,
-             sim::EventFn([op, tc = std::move(tc)]() mutable {
-               op->tc = std::move(tc);
-               op->done.Done();
-             }));
+             sim::MsgKind::kReply, [op] { op->done.Done(); });
   }
 
   sim::ParallelSimulator& ps_;

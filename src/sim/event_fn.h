@@ -4,44 +4,45 @@
 // path (resuming a coroutine) then paid the std::function machinery —
 // manager-dispatched moves during heap sifts and, for captures past the
 // implementation's tiny SBO, a heap allocation per event. EventFn is a
-// move-only callable with
+// trivially copyable callable of 32 bytes: one thunk pointer and
 //
-//  * inline storage for any trivially-copyable callable of up to
-//    kInlineBytes (a coroutine handle, a lambda capturing `this` plus a
-//    word, a function pointer) — no allocation, ever, for these;
-//  * trivial relocation: moving an EventFn is two pointer copies and a
-//    fixed-size memcpy, no indirect calls — heap sifts in
-//    Simulator move events around constantly, so this is what makes the
-//    4-ary event heap cheap;
+//  * inline storage for a trivially copyable callable of up to
+//    kInlineBytes (a coroutine handle, a lambda capturing `this` plus
+//    two words, a function pointer). Nothing else constructs one: a
+//    larger callable, or one that owns something (a std::string, a
+//    shared_ptr capture), fails to compile, so no event ever allocates;
+//  * trivial copies: moving an event between container slots is a
+//    fixed-size copy, no indirect calls, and no event needs destroying
+//    — heap sifts in Simulator move events around constantly, so this
+//    is what makes the 4-ary event heap cheap;
 //  * a dedicated coroutine-handle constructor (the ResumeIn/ResumeSoon
-//    fast path) that stores just the frame address;
-//  * a heap fallback for large or non-trivially-copyable callables
-//    (rare: nothing in the tree needs it today), so the API stays as
-//    general as std::function.
+//    fast path) that stores just the frame address.
+//
+// A caller with more state than fits keeps it somewhere that outlives
+// the event (a coroutine frame, an owning object) and captures a
+// pointer to it: hostif::MailboxStack's RemoteOp is the example.
 //
 // The performance contract is enforced at compile time below
 // (static_assert) and at runtime by tests/sim/alloc_count_test.cc, which
-// counts global operator new calls on the resume path.
+// counts every global allocation on the resume path.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstring>
-#include <new>
 #include <type_traits>
-#include <utility>
 
 namespace zstor::sim {
 
 class EventFn {
  public:
-  /// Inline storage size. Two pointers: enough for every callback the
-  /// simulator schedules internally (coroutine handles, `this` + a word).
-  static constexpr std::size_t kInlineBytes = 2 * sizeof(void*);
+  /// Inline storage size: three pointer-words, enough for every callback
+  /// the tree schedules (coroutine handles, `this` plus up to two words).
+  static constexpr std::size_t kInlineBytes = 3 * sizeof(void*);
 
-  /// True when callables of type F are stored inline (no allocation).
-  /// Inline storage also requires trivial copyability so moves can be a
-  /// raw memcpy (see the relocation note above).
+  /// True when an EventFn can hold callables of type F.
   template <typename F>
   static constexpr bool kStoredInline =
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(void*) &&
@@ -49,115 +50,59 @@ class EventFn {
 
   EventFn() noexcept = default;
 
-  /// Fast path: an event that resumes `h`. Never allocates.
+  /// Fast path: an event that resumes `h`.
   EventFn(std::coroutine_handle<> h) noexcept : invoke_(&ResumeHandle) {
-    void* addr = h.address();
-    std::memcpy(buf_, &addr, sizeof addr);
+    buf_[0] = h.address();
   }
 
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
              !std::is_same_v<std::remove_cvref_t<F>,
                              std::coroutine_handle<>> &&
-             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): callable wrapper
-    using D = std::remove_cvref_t<F>;
-    if constexpr (kStoredInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = &InvokeInline<D>;
-    } else {
-      D* p = new D(std::forward<F>(f));
-      std::memcpy(buf_, &p, sizeof p);
-      invoke_ = &InvokeHeap<D>;
-      destroy_ = &DestroyHeap<D>;
-    }
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&> &&
+             kStoredInline<std::remove_cvref_t<F>>)
+  EventFn(F&& f) noexcept  // NOLINT(google-explicit-constructor)
+      : invoke_(&Invoke<std::remove_cvref_t<F>>) {
+    std::memcpy(buf_, &f, sizeof(std::remove_cvref_t<F>));
   }
 
-  EventFn(EventFn&& o) noexcept { StealFrom(o); }
-  EventFn& operator=(EventFn&& o) noexcept {
-    if (this != &o) {
-      if (destroy_ != nullptr) destroy_(buf_);
-      StealFrom(o);
-    }
-    return *this;
-  }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() {
-    if (destroy_ != nullptr) destroy_(buf_);
-  }
-
-  /// Invokes and thereby CONSUMES the callable. Must be engaged.
+  /// Runs the callable. Must be engaged.
   ///
-  /// Invocation protocol: every thunk copies whatever it needs out of
-  /// the storage before it runs user code, and frees any owned heap
-  /// payload itself. Consequences the simulator relies on:
-  ///  * the instant user code starts running, this EventFn's storage is
-  ///    dead and may be overwritten — Step() invokes events directly in
-  ///    their container slot when no heap repair will clobber it, and a
-  ///    callback scheduling a new event may reuse the slot immediately;
-  ///  * the object is disengaged BEFORE the thunk runs, so destroying
-  ///    an invoked EventFn is a no-op (the payload died with the call);
-  ///    the destructor only releases events that never ran, e.g. ones
-  ///    still pending at simulator teardown.
-  void operator()() {
-    Thunk inv = invoke_;
-    invoke_ = nullptr;
-    destroy_ = nullptr;
-    inv(buf_);
-  }
+  /// Every thunk copies the callable out of the storage before user code
+  /// runs, so the instant user code starts, this EventFn's storage may be
+  /// overwritten: Step() invokes events directly in their container slot
+  /// when no heap repair will clobber it, and a callback scheduling a
+  /// fresh event may reuse the slot immediately.
+  void operator()() const { invoke_(buf_); }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
  private:
-  using Thunk = void (*)(void*);
+  using Thunk = void (*)(void* const*);
 
-  void StealFrom(EventFn& o) noexcept {
-    invoke_ = o.invoke_;
-    destroy_ = o.destroy_;
-    std::memcpy(buf_, o.buf_, kInlineBytes);
-    o.invoke_ = nullptr;
-    o.destroy_ = nullptr;
-  }
-
-  // All invoke thunks copy their state out of `buf` before running user
-  // code (see operator()'s protocol note).
-  static void ResumeHandle(void* buf) {
-    void* addr;
-    std::memcpy(&addr, buf, sizeof addr);
-    std::coroutine_handle<>::from_address(addr).resume();
+  static void ResumeHandle(void* const* buf) {
+    std::coroutine_handle<>::from_address(buf[0]).resume();
   }
   template <typename D>
-  static void InvokeInline(void* buf) {
-    D d(*std::launder(reinterpret_cast<D*>(buf)));  // trivial copy
+  static void Invoke(void* const* buf) {
+    std::array<unsigned char, sizeof(D)> bytes;
+    std::memcpy(bytes.data(), buf, sizeof(D));
+    D d = std::bit_cast<D>(bytes);
     d();
-  }
-  template <typename D>
-  static void InvokeHeap(void* buf) {
-    D* p;
-    std::memcpy(&p, buf, sizeof p);
-    (*p)();
-    delete p;  // invocation consumes: the owned payload dies with it
-  }
-  template <typename D>
-  static void DestroyHeap(void* buf) {
-    D* p;
-    std::memcpy(&p, buf, sizeof p);
-    delete p;
   }
 
   Thunk invoke_ = nullptr;
-  Thunk destroy_ = nullptr;  // null: trivially destructible (inline case)
-  // Zero-initialized so relocating a disengaged EventFn (e.g. the hole
-  // slot during a heap grow) never copies indeterminate bytes.
-  alignas(void*) unsigned char buf_[kInlineBytes] = {};
+  // Words, not bytes: GCC keeps a temporary EventFn in registers and
+  // stores it straight into its slot (a byte array went through the
+  // stack). Zeroed so a copy never reads indeterminate words.
+  void* buf_[kInlineBytes / sizeof(void*)] = {};
 };
 
-// The coroutine-resume path must never allocate: a frame address always
-// fits inline, and coroutine handles are trivially copyable.
 static_assert(EventFn::kStoredInline<std::coroutine_handle<>>,
-              "coroutine resume events must be allocation-free");
-static_assert(sizeof(EventFn) == 4 * sizeof(void*),
-              "EventFn layout grew; heap sift cost depends on this");
+              "coroutine resume events must fit inline");
+static_assert(std::is_trivially_copyable_v<EventFn>,
+              "containers copy events as plain values");
+static_assert(sizeof(EventFn) == 32,
+              "EventFn layout changed; heap sift cost depends on this");
 
 }  // namespace zstor::sim

@@ -65,9 +65,43 @@ void Simulator::AdvanceChain(Key limit) {
 }
 
 void Simulator::PushChainWake() {
-  ::new (static_cast<void*>(HeapSlot(MakeKey(chain_.next, chain_.seq))))
-      EventFn(chain_.h);
+  *HeapSlot(MakeKey(chain_.next, chain_.seq)) = chain_.h;
   chain_.owner = nullptr;
+}
+
+// Container growth.
+
+void Simulator::GrowReady() {
+  std::size_t cap = ready_cap_ == 0 ? 16 : ready_cap_ * 2;
+  auto bigger = std::make_unique_for_overwrite<ReadyEvent[]>(cap);
+  for (std::size_t i = 0; i < ready_count_; ++i) {
+    bigger[i] = ready_[(ready_head_ + i) & (ready_cap_ - 1)];
+  }
+  ready_ = std::move(bigger);
+  ready_cap_ = cap;
+  ready_head_ = 0;
+}
+
+void Simulator::GrowHeap() {
+  if (heap_cap_ == 0) {
+    first_ = std::make_unique_for_overwrite<FirstBlock>();
+    fifo_keys_ = first_->keys;
+    fifo_fns_ = first_->fns;
+    keys_ = fifo_keys_ + kFifos * kFifoCap;
+    fns_ = fifo_fns_ + kFifos * kFifoCap;
+    heap_cap_ = kFirstHeapCap;
+    return;
+  }
+  const std::size_t cap = heap_cap_ * 2;
+  auto keys = std::make_unique_for_overwrite<Key[]>(cap);
+  auto fns = std::make_unique_for_overwrite<EventFn[]>(cap);
+  std::copy_n(keys_, heap_size_, keys.get());
+  std::copy_n(fns_, heap_size_, fns.get());
+  key_mem_ = std::move(keys);
+  fn_mem_ = std::move(fns);
+  keys_ = key_mem_.get();
+  fns_ = fn_mem_.get();
+  heap_cap_ = cap;
 }
 
 // The delay FIFOs.
@@ -112,7 +146,7 @@ void Simulator::FifoPop() {
       fifo_min_ = g;
     }
   }
-  fn();  // consumed in place; a push may reuse the slot from here on
+  fn();  // runs in place; a push may reuse the slot from here on
 }
 
 }  // namespace zstor::sim

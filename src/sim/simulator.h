@@ -10,9 +10,9 @@
 // Performance model (DESIGN.md §1, "performance of the simulator
 // itself"):
 //
-//  * Events carry an EventFn (event_fn.h): small-buffer storage, trivial
-//    relocation, zero allocations for coroutine resumes and small
-//    lambdas.
+//  * Events carry an EventFn (event_fn.h): a trivially copyable 32-byte
+//    value, so every container holds plain EventFn slots and no event
+//    ever allocates or needs destroying.
 //  * Zero-delay events — ResumeSoon and ScheduleIn(0), the backbone of
 //    sync.h wakeups and Semaphore hand-offs — go to a plain FIFO ring
 //    buffer and never touch the heap.
@@ -30,14 +30,13 @@
 //    structure-of-arrays: the (time, seq) ordering keys are packed into
 //    one 128-bit integer each in their own array, so a sift level
 //    compares four neighboring 16-byte keys instead of four 48-byte
-//    structs — most sift work stays in one or two cache lines. The heap
-//    owns raw storage and relocates events with memcpy (EventFn is
-//    trivially relocatable by contract), so sifts and growth never run
-//    move constructors or destroy checks per element. Pops extract by
-//    move (no const_cast out of a priority_queue top, which was
-//    UB-prone) and repair the heap bottom-up: the hole walks to a leaf
-//    on min-child comparisons alone, then the former last element
-//    bubbles up, saving one comparison per level on the common path.
+//    structs — most sift work stays in one or two cache lines. A sift
+//    moves an event by plain assignment (EventFn is trivially
+//    copyable). Pops copy the top out (no const_cast out of a
+//    priority_queue top, which was UB-prone) and repair the heap
+//    bottom-up: the hole walks to a leaf on min-child comparisons alone,
+//    then the former last element bubbles up, saving one comparison per
+//    level on the common path.
 //
 // Ordering guarantee: every scheduled event gets a global sequence
 // number; execution order is (time, seq) lexicographic no matter which
@@ -59,9 +58,7 @@
 #include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <new>
 
 #include "sim/check.h"
 #include "sim/event_fn.h"
@@ -74,26 +71,14 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator() {
-    // Every container is raw storage; destroy what is still engaged.
-    for (std::size_t i = 0; i < heap_size_; ++i) fns_[i].~EventFn();
-    for (std::size_t i = 0; i < ready_count_; ++i) {
-      ready_[(ready_head_ + i) & (ready_cap_ - 1)].fn.~EventFn();
-    }
-    for (std::size_t f = 0; f < kFifos; ++f) {
-      for (std::size_t i = 0; i < fifos_[f].count; ++i) {
-        fifo_fns_[FifoSlot(f, fifos_[f].head + i)].~EventFn();
-      }
-    }
-  }
 
   /// Current virtual time.
   Time now() const { return now_; }
 
   /// Schedules `fn` (anything an EventFn can wrap: a lambda, a coroutine
-  /// handle, an EventFn rvalue) to run at absolute virtual time `when`
-  /// (>= now()). Templated so the EventFn is constructed directly in its
-  /// container slot — no temporary materialized and block-copied.
+  /// handle, an EventFn) to run at absolute virtual time `when`
+  /// (>= now()). Templated so the EventFn is built straight into its
+  /// container slot.
   /// The check is always on (also in release benches): continuing past a
   /// backwards schedule would silently corrupt every later timestamp,
   /// and one predictable branch per event is noise next to the sift.
@@ -114,21 +99,12 @@ class Simulator {
   }
 
   /// Resumes `h` at now() + delay. The common way coroutines sleep.
-  /// EventFn's coroutine-handle constructor makes this allocation-free.
-  void ResumeIn(Time delay, std::coroutine_handle<> h) {
-    Time when = now_ + delay;
-    ZSTOR_CHECK_MSG(when >= now_, "scheduling into the past");
-    if (delay == 0) {
-      ReadyPush(next_seq_++, h);
-    } else {
-      TimedPush(delay, MakeKey(when, next_seq_++), h);
-    }
-  }
+  void ResumeIn(Time delay, std::coroutine_handle<> h) { ScheduleIn(delay, h); }
 
   /// Resumes `h` as a fresh event at the current time (trampolines resume
-  /// through the event loop, keeping native stacks shallow). Fast path:
-  /// straight into the ready ring, bypassing the heap.
-  void ResumeSoon(std::coroutine_handle<> h) { ReadyPush(next_seq_++, h); }
+  /// through the event loop, keeping native stacks shallow): straight
+  /// into the ready ring, bypassing the heap.
+  void ResumeSoon(std::coroutine_handle<> h) { ScheduleIn(0, h); }
 
   /// Awaitable that suspends the calling coroutine for `delay` ns.
   /// Always suspends (even for delay 0) so same-time events keep FIFO
@@ -259,13 +235,12 @@ class Simulator {
   /// Runs the globally next event: the ready queue's front, unless a
   /// timer due at the same instant was scheduled earlier.
   ///
-  /// Invocation consumes the event in place (EventFn's protocol: thunks
-  /// copy their state before user code runs), so the only case that
-  /// copies the event out first is a heap pop that must sift — the
-  /// repair relocates another event into slot 0 before the callback can
-  /// run. A FIFO slot stays put until a later push reuses it. While the
-  /// FIFOs are empty this is the heap-only path: a FIFO costs it two
-  /// predictable compares.
+  /// An event runs in place (EventFn's thunks copy the callable out
+  /// before user code runs), so the only case that copies the event out
+  /// first is a heap pop that must sift — the repair moves another event
+  /// into slot 0 before the callback can run. A FIFO slot stays put until
+  /// a later push reuses it. While the FIFOs are empty this is the
+  /// heap-only path: a FIFO costs it two predictable compares.
   void Step() {
     if (ready_count_ != 0) {
       ReadyEvent& front = ready_[ready_head_];
@@ -274,7 +249,7 @@ class Simulator {
       if ((heap_size_ == 0 || keys_[0] > key) && fifo_min_key_ > key) {
         ready_head_ = (ready_head_ + 1) & (ready_cap_ - 1);
         --ready_count_;
-        front.fn();  // consumed; the slot is dead storage from here on
+        front.fn();  // the slot is free from here on
         return;
       }
     }
@@ -285,13 +260,12 @@ class Simulator {
     now_ = KeyTime(keys_[0]);
     std::size_t n = --heap_size_;
     if (n == 0) {
-      fns_[0]();  // nothing to repair; consume straight from the slot
+      fns_[0]();  // nothing to repair; run straight from the slot
       return;
     }
-    alignas(EventFn) unsigned char raw[sizeof(EventFn)];
-    std::memcpy(raw, &fns_[0], sizeof(EventFn));  // slot 0 becomes the hole
+    const EventFn top = fns_[0];  // slot 0 becomes the hole
     SiftLastIntoRoot(n);
-    (*std::launder(reinterpret_cast<EventFn*>(raw)))();
+    top();
   }
 
   // ---- virtual slice chain (DESIGN.md §1.1) ---------------------------
@@ -348,7 +322,7 @@ class Simulator {
   void TimedPush(Time delay, Key key, F&& fn) {
     EventFn* slot =
         heap_size_ < kHeapFirst ? HeapSlot(key) : TimerSlot(delay, key);
-    ::new (static_cast<void*>(slot)) EventFn(std::forward<F>(fn));
+    *slot = EventFn(std::forward<F>(fn));
   }
 
   /// TimedPush's filing once the heap is not small: the back of the FIFO
@@ -361,7 +335,7 @@ class Simulator {
   //
   // FIFO f's keys and events live at [f * kFifoCap, (f + 1) * kFifoCap)
   // of the block that also holds the heap's first storage; slots between
-  // head and head+count are engaged. A FIFO that empties restarts at
+  // head and head+count are pending. A FIFO that empties restarts at
   // slot 0, so a short FIFO stays in the same few cache lines.
 
   static constexpr std::uint32_t kFifos = 8;
@@ -404,51 +378,26 @@ class Simulator {
 
   // ---- ready ring (FIFO, power-of-two capacity) -----------------------
   //
-  // Same raw-storage discipline as the heap: slots between head and
-  // head+count are engaged, everything else is dead bytes; relocation is
-  // memcpy.
+  // Slots between head and head+count are pending; the rest are free.
 
   template <typename F>
   void ReadyPush(std::uint64_t seq, F&& fn) {
     if (ready_count_ == ready_cap_) [[unlikely]] GrowReady();
     std::size_t i = (ready_head_ + ready_count_) & (ready_cap_ - 1);
-    ready_[i].seq = seq;
-    ::new (static_cast<void*>(&ready_[i].fn)) EventFn(std::forward<F>(fn));
+    ready_[i] = {seq, EventFn(std::forward<F>(fn))};
     ++ready_count_;
   }
 
-  void GrowReady() {
-    std::size_t cap = ready_cap_ == 0 ? 16 : ready_cap_ * 2;
-    auto mem = std::make_unique_for_overwrite<unsigned char[]>(
-        cap * sizeof(ReadyEvent));
-    auto* bigger = reinterpret_cast<ReadyEvent*>(mem.get());
-    for (std::size_t i = 0; i < ready_count_; ++i) {
-      std::memcpy(static_cast<void*>(&bigger[i]),
-                  &ready_[(ready_head_ + i) & (ready_cap_ - 1)],
-                  sizeof(ReadyEvent));
-    }
-    ready_mem_ = std::move(mem);
-    ready_ = bigger;
-    ready_cap_ = cap;
-    ready_head_ = 0;
-  }
+  // Out of line (simulator.cc): call sites inline only the push.
+  void GrowReady();
 
   // ---- 4-ary timed-event heap ----------------------------------------
   //
-  // keys_ and fns_ are parallel arrays over manually managed raw storage
-  // (heap_size_ engaged slots, heap_cap_ allocated). Sift relocations
-  // and growth use memcpy: EventFn guarantees trivial relocatability
-  // (pointers plus an inline byte buffer, nothing self-referential), so
-  // copying its bytes into a hole slot and abandoning the source IS the
-  // move. Holes are always filled before control leaves the heap
-  // routines, and only engaged slots are ever destroyed.
+  // keys_ and fns_ are parallel arrays (heap_size_ pending slots,
+  // heap_cap_ allocated). A sift moves an event by assignment; holes are
+  // always filled before control leaves the heap routines.
 
-  static void Relocate(EventFn* dst, const EventFn* src) {
-    std::memcpy(static_cast<void*>(dst), static_cast<const void*>(src),
-                sizeof(EventFn));
-  }
-
-  /// Sifts a hole up to where `key` belongs and keys it; returns the raw
+  /// Sifts a hole up to where `key` belongs and keys it; returns the
   /// slot for its event.
   EventFn* HeapSlot(Key key) {
     if (heap_size_ == heap_cap_) [[unlikely]] GrowHeap();
@@ -457,7 +406,7 @@ class Simulator {
       std::size_t parent = (i - 1) >> 2;
       if (keys_[parent] < key) break;
       keys_[i] = keys_[parent];
-      Relocate(&fns_[i], &fns_[parent]);
+      fns_[i] = fns_[parent];
       i = parent;
     }
     keys_[i] = key;
@@ -481,66 +430,48 @@ class Simulator {
         if (keys_[c] < keys_[best]) best = c;
       }
       keys_[i] = keys_[best];
-      Relocate(&fns_[i], &fns_[best]);
+      fns_[i] = fns_[best];
       i = best;
     }
     while (i > 0) {
       std::size_t parent = (i - 1) >> 2;
       if (keys_[parent] <= key) break;
       keys_[i] = keys_[parent];
-      Relocate(&fns_[i], &fns_[parent]);
+      fns_[i] = fns_[parent];
       i = parent;
     }
     keys_[i] = key;
-    Relocate(&fns_[i], &fns_[n]);  // former last slot becomes dead storage
+    fns_[i] = fns_[n];  // the former last slot is free from here on
   }
 
-  void GrowHeap() {
-    if (heap_cap_ == 0) {
-      // The first storage is one block for the simulator's life: the
-      // delay FIFOs' keys, the heap's first keys, then the same for events.
-      constexpr std::size_t kSlots = kFifos * kFifoCap + kFirstHeapCap;
-      first_mem_ = std::make_unique_for_overwrite<unsigned char[]>(
-          kSlots * (sizeof(Key) + sizeof(EventFn)));
-      fifo_keys_ = reinterpret_cast<Key*>(first_mem_.get());
-      fifo_fns_ = reinterpret_cast<EventFn*>(fifo_keys_ + kSlots);
-      keys_ = fifo_keys_ + kFifos * kFifoCap;
-      fns_ = fifo_fns_ + kFifos * kFifoCap;
-      heap_cap_ = kFirstHeapCap;
-      return;
-    }
-    const std::size_t cap = heap_cap_ * 2;
-    auto keys = std::make_unique_for_overwrite<unsigned char[]>(
-        cap * sizeof(Key));
-    auto fns = std::make_unique_for_overwrite<unsigned char[]>(
-        cap * sizeof(EventFn));
-    std::memcpy(keys.get(), keys_, heap_size_ * sizeof(Key));
-    std::memcpy(fns.get(), fns_, heap_size_ * sizeof(EventFn));
-    key_mem_ = std::move(keys);
-    fn_mem_ = std::move(fns);
-    keys_ = reinterpret_cast<Key*>(key_mem_.get());
-    fns_ = reinterpret_cast<EventFn*>(fn_mem_.get());
-    heap_cap_ = cap;
-  }
+  void GrowHeap();
+
+
+  /// The first storage, one block for the simulator's life: the delay
+  /// FIFOs' keys and the heap's first keys, then the same for events.
+  struct FirstBlock {
+    static constexpr std::size_t kSlots = kFifos * kFifoCap + kFirstHeapCap;
+    Key keys[kSlots];
+    EventFn fns[kSlots];
+  };
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   Key fifo_min_key_ = kNoKey;  // the earliest FIFO front (kNoKey: none) ...
   std::uint32_t fifo_min_ = 0;   // ... and its FIFO
   std::uint32_t fifo_mask_ = 0;  // bit f: FIFO f is not empty
-  std::unique_ptr<unsigned char[]> key_mem_;
-  std::unique_ptr<unsigned char[]> fn_mem_;
+  std::unique_ptr<Key[]> key_mem_;
+  std::unique_ptr<EventFn[]> fn_mem_;
   Key* keys_ = nullptr;
   EventFn* fns_ = nullptr;
   std::size_t heap_size_ = 0;
   std::size_t heap_cap_ = 0;
-  std::unique_ptr<unsigned char[]> ready_mem_;
-  ReadyEvent* ready_ = nullptr;
+  std::unique_ptr<ReadyEvent[]> ready_;
   std::size_t ready_cap_ = 0;  // always a power of two (or zero)
   std::size_t ready_head_ = 0;
   std::size_t ready_count_ = 0;
   DelayFifo fifos_[kFifos];
-  std::unique_ptr<unsigned char[]> first_mem_;  // FIFOs + the first heap
+  std::unique_ptr<FirstBlock> first_;  // FIFOs + the first heap
   Key* fifo_keys_ = nullptr;
   EventFn* fifo_fns_ = nullptr;
   // Colder state after the containers' hot fields.

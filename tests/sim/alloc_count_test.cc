@@ -1,10 +1,12 @@
 // Runtime half of EventFn's performance contract (event_fn.h): once the
 // simulator's containers are warm, the coroutine-resume path, the
 // small-lambda scheduling path and timers on fixed delays (the delay
-// FIFOs) perform ZERO heap allocations per event,
-// (task.h) neither does spawning a task once its frame size has been
-// recycled, and (parallel_sim.h) neither does a cross-lane message once
-// the mailboxes have grown. Waiting allocates nothing either: not on any
+// FIFOs) perform ZERO heap allocations per event (an EventFn holds its
+// callable inline or does not compile), (task.h) neither does spawning a
+// task once its frame size has been recycled, and (parallel_sim.h)
+// neither does a cross-lane message once the mailboxes have grown, nor a
+// command a coordinator proxies to a device lane through
+// lane_stacks.h's MailboxStack. Waiting allocates nothing either: not on any
 // sync.h/token_bucket.h primitive, not per command through
 // a warm mq-deadline stack and ZNS device, not per attempt of a
 // retrying stack racing each one against its timeout, not in a reset
@@ -22,6 +24,7 @@
 #include <optional>
 
 #include "ftl/conv_device.h"
+#include "harness/testbed.h"
 #include "hostif/host_stack.h"
 #include "hostif/resilient_stack.h"
 #include "sim/parallel_sim.h"
@@ -223,6 +226,56 @@ TEST(AllocCount, LaneHandoffIsAllocationFree) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(ps.messages(), 2u * (1 + 500));  // every round trip ran
   EXPECT_EQ(delta, 0u) << "cross-lane handoff allocated";
+}
+
+// A warm 2-device testbed on the lane engine: coordinator readers on
+// lane 0 read both devices' zones through the StripedStack, whose
+// MailboxStack proxies post each command to its device lane and its
+// completion back. Each message carries a pointer to the command's
+// RemoteOp, so none of it allocates.
+TEST(AllocCount, WarmProxiedLaneCommandsAllocateNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  zns::ZnsProfile p = zns::TinyProfile();
+  p.use_nand_backend = false;  // the window is about the proxies
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(p)
+                   .WithDevices(2)
+                   .WithSimThreads(1)
+                   .Build();
+  tb.FillZones(0, 2);
+  ParallelSimulator& ps = *tb.parallel_sim();
+  hostif::Stack& stack = tb.stack();
+  const nvme::Lba zone_lbas = stack.info().zone_size_lbas;
+  std::uint64_t commands = 0;
+  std::uint64_t failed = 0;
+  auto reader = [&](nvme::Lba first, int reads) -> Task<> {
+    for (int i = 0; i < reads; ++i) {
+      auto tc = co_await stack.Submit(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = first + static_cast<nvme::Lba>(i) * 8 % zone_lbas,
+           .nlb = 1});
+      ++commands;
+      failed += tc.completion.ok() ? 0 : 1;
+    }
+  };
+  // Two readers per logical zone; zones 0 and 1 live on devices 0 and 1.
+  auto round = [&] {
+    for (nvme::Lba z = 0; z < 2; ++z) {
+      for (int i = 0; i < 2; ++i) Spawn(reader(z * zone_lbas + i, 64));
+    }
+    ps.Run(1);
+  };
+  round();
+  round();  // warm-up: frame sizes, mailboxes, drain staging and heaps
+  commands = 0;
+  const std::uint64_t messages0 = ps.messages();
+  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round();
+  std::uint64_t delta = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(commands, 4u * 64);
+  EXPECT_EQ(ps.messages() - messages0, 2 * commands);  // all proxied
+  EXPECT_EQ(delta, 0u) << "a warm proxied lane command allocated";
 }
 
 // Every waiting primitive; one round builds, waits on, wakes and

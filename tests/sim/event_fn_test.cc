@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 namespace zstor::sim {
 namespace {
@@ -18,7 +18,7 @@ TEST(EventFn, DefaultConstructedIsDisengaged) {
 
 TEST(EventFn, SmallCallableIsStoredInline) {
   // The shapes the simulator actually schedules: captureless, one
-  // pointer, pointer + word. All must take the no-allocation path.
+  // pointer, pointer + word, pointer + two words.
   static_assert(EventFn::kStoredInline<void (*)()>);
   int x = 0;
   auto one_ptr = [&x] { ++x; };
@@ -26,69 +26,55 @@ TEST(EventFn, SmallCallableIsStoredInline) {
   std::uint64_t w = 7;
   auto ptr_and_word = [&x, w] { x += static_cast<int>(w); };
   static_assert(EventFn::kStoredInline<decltype(ptr_and_word)>);
+  auto ptr_and_two_words = [&x, w, v = w] { x += static_cast<int>(w + v); };
+  static_assert(EventFn::kStoredInline<decltype(ptr_and_two_words)>);
 
   EventFn fn(one_ptr);
   EXPECT_TRUE(static_cast<bool>(fn));
   fn();
   EXPECT_EQ(x, 1);
+  EventFn three(ptr_and_two_words);
+  three();
+  EXPECT_EQ(x, 15);
 }
 
-TEST(EventFn, LargeCallableFallsBackToHeapAndStillRuns) {
-  std::string s = "payload that certainly does not fit in two pointers";
-  std::string seen;
-  auto big = [s, &seen] { seen = s; };
-  static_assert(!EventFn::kStoredInline<decltype(big)>);
-  EventFn fn(big);
-  fn();  // consumes: frees the owned copy itself
-  EXPECT_EQ(seen, s);
+TEST(EventFn, LargeOrOwningCallablesDoNotConstruct) {
+  // Past three words, or owning what a byte copy cannot duplicate, a
+  // callable is rejected at compile time instead of being allocated.
+  struct FourWords {
+    std::uint64_t w[4];
+    void operator()() const {}
+  };
+  struct SharedCapture {
+    std::shared_ptr<int> token;
+    void operator()() const {}
+  };
+  struct StringCapture {
+    std::string s;
+    void operator()() const {}
+  };
+  static_assert(!EventFn::kStoredInline<FourWords>);
+  static_assert(!std::is_constructible_v<EventFn, FourWords>);
+  static_assert(sizeof(SharedCapture) <= EventFn::kInlineBytes);
+  static_assert(!std::is_constructible_v<EventFn, SharedCapture>);
+  static_assert(!std::is_constructible_v<EventFn, StringCapture>);
+  static_assert(std::is_constructible_v<EventFn, void (*)()>);
 }
 
-TEST(EventFn, NonTriviallyCopyableCallableUsesHeapAndDestructs) {
-  // A shared_ptr capture is pointer-sized but not trivially copyable,
-  // so it must go to the heap — and an EventFn that is destroyed
-  // without ever running must still release the payload.
-  auto token = std::make_shared<int>(42);
-  std::weak_ptr<int> weak = token;
-  {
-    auto cb = [token] { (void)*token; };
-    static_assert(!EventFn::kStoredInline<decltype(cb)>);
-    EventFn fn(cb);
-    token.reset();
-    EXPECT_FALSE(weak.expired());  // alive inside the pending event
-  }
-  EXPECT_TRUE(weak.expired());  // destructor released it
-}
-
-TEST(EventFn, InvocationConsumesHeapPayload) {
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> weak = token;
-  EventFn fn([token] {});
-  token.reset();
-  EXPECT_FALSE(weak.expired());
-  fn();  // the thunk deletes the payload after the call
-  EXPECT_TRUE(weak.expired());
-}
-
-TEST(EventFn, MoveTransfersTheCallable) {
+TEST(EventFn, CopiesAreTrivialAndRunTheSameCallable) {
+  static_assert(std::is_trivially_copyable_v<EventFn>);
+  static_assert(sizeof(EventFn) == 32);
   int runs = 0;
   EventFn a([&runs] { ++runs; });
-  EventFn b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));
+  EventFn b = a;
+  EXPECT_TRUE(static_cast<bool>(a));
   EXPECT_TRUE(static_cast<bool>(b));
   b();
   EXPECT_EQ(runs, 1);
-}
-
-TEST(EventFn, MoveAssignmentReleasesThePreviousPayload) {
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> weak = token;
-  EventFn a([token] {});
-  token.reset();
-  int runs = 0;
-  a = EventFn([&runs] { ++runs; });
-  EXPECT_TRUE(weak.expired());  // old heap payload freed by assignment
+  a = EventFn([&runs] { runs += 10; });
   a();
-  EXPECT_EQ(runs, 1);
+  b();  // a copy keeps its own callable, and runs it again
+  EXPECT_EQ(runs, 12);
 }
 
 std::coroutine_handle<> g_handle;

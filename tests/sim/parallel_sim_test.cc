@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -188,12 +189,12 @@ std::vector<LaneLog> RunMixedTies(unsigned threads) {
     for (int k = 1; k <= 3; ++k) {
       ps.lane(l).ScheduleIn(10 * k, [&ps, &logs, l, k] {
         logs[l].emplace_back(ps.lane(l).now(), 100 * int(l) + k);
+        const int tag = 1000 + 100 * int(l) + k;
         for (std::uint32_t dst = 0; dst < 4; ++dst) {
           if (dst == l) continue;
           ps.Post(l, dst, ps.lane(l).now() + 10, MsgKind::kOneWay,
-                  EventFn([&ps, &logs, dst, l, k] {
-                    logs[dst].emplace_back(ps.lane(dst).now(),
-                                           1000 + 100 * int(l) + k);
+                  EventFn([&ps, &logs, dst, tag] {
+                    logs[dst].emplace_back(ps.lane(dst).now(), tag);
                   }));
         }
       });
@@ -242,7 +243,10 @@ class QuietThenMail {
   static constexpr Time kHop = 250;
 
   QuietThenMail(std::uint32_t lanes, std::uint64_t seed, int steps)
-      : ps_(lanes, kHop), logs_(lanes), seq_(lanes * lanes, 0) {
+      : ps_(lanes, kHop),
+        logs_(lanes),
+        seq_(lanes * lanes, 0),
+        sent_(lanes) {
     for (std::uint32_t l = 0; l < lanes; ++l) {
       ps_.SetSpontaneous(l, l < kSpontaneous);
       actors_.push_back(Actor{this, l, seed * 0x9E3779B97F4A7C15u + l + 1, 0});
@@ -307,18 +311,31 @@ class QuietThenMail {
     ps_.lane(a.lane).ScheduleIn(200 + (x >> 24) % 400, [p = &a] { p->Fire(); });
   }
 
+  /// One posted message. Row `src` of sent_ is appended to only by
+  /// lane `src`; the receiver reads a record after the barrier that
+  /// drains it, and a deque never moves what it holds.
+  struct Sent {
+    Time at;
+    std::uint32_t src;
+    std::uint32_t dst;
+    std::uint64_t seq;
+    bool request;
+  };
+
   /// Posts from `src` to `dst`, `extra` ns past the hop. A request
   /// makes `dst` answer with a kReply after some service time.
   void PostOne(std::uint32_t src, std::uint32_t dst, Time extra,
                MsgKind kind) {
     const Time at = ps_.lane(src).now() + kHop + extra;
     const std::uint64_t seq = seq_[src * ps_.num_lanes() + dst]++;
-    const bool request = kind == MsgKind::kRequest;
-    auto deliver = [this, dst, at, src, seq, request] {
-      logs_[dst].push_back(Delivery{ps_.lane(dst).now(), at, src, seq});
-      if (!request) return;
-      ps_.lane(dst).ScheduleIn(30 + seq % 70, [this, dst, src, seq] {
-        PostOne(dst, src, seq % 50, MsgKind::kReply);
+    const Sent* m = &sent_[src].emplace_back(
+        Sent{at, src, dst, seq, kind == MsgKind::kRequest});
+    auto deliver = [this, m] {
+      logs_[m->dst].push_back(
+          Delivery{ps_.lane(m->dst).now(), m->at, m->src, m->seq});
+      if (!m->request) return;
+      ps_.lane(m->dst).ScheduleIn(30 + m->seq % 70, [this, m] {
+        PostOne(m->dst, m->src, m->seq % 50, MsgKind::kReply);
       });
     };
     ps_.Post(src, dst, at, kind, EventFn(deliver));
@@ -328,6 +345,7 @@ class QuietThenMail {
   std::vector<Actor> actors_;
   std::vector<std::vector<Delivery>> logs_;
   std::vector<std::uint64_t> seq_;  // [src * K + dst]; row src is lane-local
+  std::vector<std::deque<Sent>> sent_;  // [src]
   int steps_;
 };
 

@@ -268,11 +268,10 @@ TEST(ZnsResetFold, ReadOnABoundarySortedAfterItsWakeWaitsOneSlice) {
   Completion rc, dc;
   Time reset_done = 0, read_done = 0;
   auto reset = f.Issue(f.ResetCmd(kZoneA), &rc, &reset_done);
+  auto read = [&] { sim::Spawn(f.Issue(f.ReadCmd(), &dc, &read_done)); };
   // Scheduled mid-slice, after the wake at `boundary` took its place.
-  f.h.sim.ScheduleAt(boundary - kSlice / 2, [&] {
-    f.h.sim.ScheduleAt(boundary, [&] {
-      sim::Spawn(f.Issue(f.ReadCmd(), &dc, &read_done));
-    });
+  f.h.sim.ScheduleAt(boundary - kSlice / 2, [&f, boundary, &read] {
+    f.h.sim.ScheduleAt(boundary, read);
   });
   f.h.sim.Run();
   ASSERT_TRUE(rc.ok());
