@@ -14,9 +14,7 @@
 //  * trivial copies: moving an event between container slots is a
 //    fixed-size copy, no indirect calls, and no event needs destroying
 //    — heap sifts in Simulator move events around constantly, so this
-//    is what makes the 4-ary event heap cheap;
-//  * a dedicated coroutine-handle constructor (the ResumeIn/ResumeSoon
-//    fast path) that stores just the frame address.
+//    is what makes the 4-ary event heap cheap.
 //
 // A caller with more state than fits keeps it somewhere that outlives
 // the event (a coroutine frame, an owning object) and captures a
@@ -27,6 +25,7 @@
 // counts every global allocation on the resume path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <coroutine>
@@ -50,21 +49,15 @@ class EventFn {
 
   EventFn() noexcept = default;
 
-  /// Fast path: an event that resumes `h`.
-  EventFn(std::coroutine_handle<> h) noexcept : invoke_(&ResumeHandle) {
-    buf_[0] = h.address();
-  }
-
+  /// Any small trivially copyable callable; a coroutine handle is one
+  /// (its call resumes the coroutine).
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
-             !std::is_same_v<std::remove_cvref_t<F>,
-                             std::coroutine_handle<>> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&> &&
              kStoredInline<std::remove_cvref_t<F>>)
   EventFn(F&& f) noexcept  // NOLINT(google-explicit-constructor)
-      : invoke_(&Invoke<std::remove_cvref_t<F>>) {
-    std::memcpy(buf_, &f, sizeof(std::remove_cvref_t<F>));
-  }
+      : invoke_(&Invoke<std::remove_cvref_t<F>>),
+        buf_{Word(f, 0), Word(f, 1), Word(f, 2)} {}
 
   /// Runs the callable. Must be engaged.
   ///
@@ -80,8 +73,16 @@ class EventFn {
  private:
   using Thunk = void (*)(void* const*);
 
-  static void ResumeHandle(void* const* buf) {
-    std::coroutine_handle<>::from_address(buf[0]).resume();
+  /// Word `i` of `f`'s bytes, zero past its end.
+  template <typename D>
+  static void* Word(const D& f, std::size_t i) {
+    void* w = nullptr;
+    const std::size_t at = i * sizeof(void*);
+    if (at < sizeof(D)) {
+      std::memcpy(&w, reinterpret_cast<const unsigned char*>(&f) + at,
+                  std::min(sizeof(void*), sizeof(D) - at));
+    }
+    return w;
   }
   template <typename D>
   static void Invoke(void* const* buf) {
@@ -92,9 +93,11 @@ class EventFn {
   }
 
   Thunk invoke_ = nullptr;
-  // Words, not bytes: GCC keeps a temporary EventFn in registers and
-  // stores it straight into its slot (a byte array went through the
-  // stack). Zeroed so a copy never reads indeterminate words.
+  // Words, not bytes, and filled a word at a time: GCC then keeps a
+  // temporary EventFn in registers and stores it straight into its
+  // container slot (a byte array, or one memcpy of the whole callable,
+  // went through the stack and reloaded it: a store-forwarding stall per
+  // scheduled event). Zeroed so a copy never reads indeterminate words.
   void* buf_[kInlineBytes / sizeof(void*)] = {};
 };
 

@@ -21,7 +21,7 @@ void Simulator::StartChain(const void* owner, Time slice, Time work,
                            const Time& wake_by, std::coroutine_handle<> h) {
   ZSTOR_CHECK(owner != nullptr && slice > 0 && work >= slice);
   if (chain_.owner != nullptr) {  // the slot is taken: one plain slice
-    ResumeIn(slice, h);
+    ScheduleIn(slice, h);
     return;
   }
   chain_ = SliceChain{.owner = owner,

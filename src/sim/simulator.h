@@ -98,13 +98,12 @@ class Simulator {
     ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Resumes `h` at now() + delay. The common way coroutines sleep.
-  void ResumeIn(Time delay, std::coroutine_handle<> h) { ScheduleIn(delay, h); }
-
   /// Resumes `h` as a fresh event at the current time (trampolines resume
   /// through the event loop, keeping native stacks shallow): straight
-  /// into the ready ring, bypassing the heap.
-  void ResumeSoon(std::coroutine_handle<> h) { ScheduleIn(0, h); }
+  /// into the ready ring, bypassing the heap. Its time is now(), so it
+  /// needs no check; pushing directly also spares every zero-delay wake
+  /// the call GCC emits into an out-of-line ScheduleAt.
+  void ResumeSoon(std::coroutine_handle<> h) { ReadyPush(next_seq_++, h); }
 
   /// Awaitable that suspends the calling coroutine for `delay` ns.
   /// Always suspends (even for delay 0) so same-time events keep FIFO
@@ -114,7 +113,7 @@ class Simulator {
       Simulator& s;
       Time d;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { s.ResumeIn(d, h); }
+      void await_suspend(std::coroutine_handle<> h) { s.ScheduleIn(d, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this, delay};
@@ -445,7 +444,6 @@ class Simulator {
   }
 
   void GrowHeap();
-
 
   /// The first storage, one block for the simulator's life: the delay
   /// FIFOs' keys and the heap's first keys, then the same for events.

@@ -334,7 +334,7 @@ class KvStore : public workload::KvBackend {
     bool paced;
     sim::Time delay;
     bool await_ready() const noexcept { return !paced; }
-    void await_suspend(std::coroutine_handle<> h) { sim.ResumeIn(delay, h); }
+    void await_suspend(std::coroutine_handle<> h) { sim.ScheduleIn(delay, h); }
     void await_resume() const noexcept {}
   };
   PaceAwaiter Pace(std::uint64_t bytes) const;

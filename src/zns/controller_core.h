@@ -175,7 +175,7 @@ class ControllerCore : public nvme::Controller {
         tr->Span(step.t0_, step.t1_, step.span_.tid, telemetry::Layer::kFcp,
                  "fcp.wait", static_cast<std::int64_t>(step.span_.zone));
       }
-      core.sim_.ResumeIn(core.Noise(step.cost_), step.handle);
+      core.sim_.ScheduleIn(core.Noise(step.cost_), step.handle);
     }
 
     ControllerCore& core_;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace zstor::sim {
 namespace {
@@ -59,6 +60,16 @@ TEST(EventFn, LargeOrOwningCallablesDoNotConstruct) {
   static_assert(!std::is_constructible_v<EventFn, SharedCapture>);
   static_assert(!std::is_constructible_v<EventFn, StringCapture>);
   static_assert(std::is_constructible_v<EventFn, void (*)()>);
+}
+
+TEST(EventFn, MoveTransfersTheCallable) {
+  // A move is a copy: the source keeps its callable.
+  int runs = 0;
+  EventFn a([&runs] { ++runs; });
+  EventFn b(std::move(a));
+  EXPECT_TRUE(static_cast<bool>(b));
+  b();
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventFn, CopiesAreTrivialAndRunTheSameCallable) {
