@@ -39,13 +39,33 @@ TEST(EventFn, SmallCallableIsStoredInline) {
   EXPECT_EQ(x, 15);
 }
 
-TEST(EventFn, LargeOrOwningCallablesDoNotConstruct) {
-  // Past three words, or owning what a byte copy cannot duplicate, a
-  // callable is rejected at compile time instead of being allocated.
+TEST(EventFn, LargeCallableDoesNotConstruct) {
+  // Past three words a callable is rejected at compile time instead of
+  // being allocated; at three words it is stored and runs.
   struct FourWords {
     std::uint64_t w[4];
     void operator()() const {}
   };
+  static_assert(!EventFn::kStoredInline<FourWords>);
+  static_assert(!std::is_constructible_v<EventFn, FourWords>);
+
+  struct ThreeWords {
+    std::uint64_t* out;
+    std::uint64_t a;
+    std::uint64_t b;
+    void operator()() const { *out = a + b; }
+  };
+  static_assert(sizeof(ThreeWords) <= EventFn::kInlineBytes);
+  std::uint64_t out = 0;
+  EventFn fn(ThreeWords{&out, 3, 4});
+  fn();
+  EXPECT_EQ(out, 7u);
+}
+
+TEST(EventFn, NonTriviallyCopyableCallableDoesNotConstruct) {
+  // A callable owning what a byte copy cannot duplicate is rejected at
+  // compile time even when it fits; a raw-pointer capture of the same
+  // size is accepted.
   struct SharedCapture {
     std::shared_ptr<int> token;
     void operator()() const {}
@@ -54,12 +74,18 @@ TEST(EventFn, LargeOrOwningCallablesDoNotConstruct) {
     std::string s;
     void operator()() const {}
   };
-  static_assert(!EventFn::kStoredInline<FourWords>);
-  static_assert(!std::is_constructible_v<EventFn, FourWords>);
   static_assert(sizeof(SharedCapture) <= EventFn::kInlineBytes);
   static_assert(!std::is_constructible_v<EventFn, SharedCapture>);
   static_assert(!std::is_constructible_v<EventFn, StringCapture>);
   static_assert(std::is_constructible_v<EventFn, void (*)()>);
+
+  int value = 0;
+  int* raw = &value;
+  auto raw_capture = [raw] { ++*raw; };
+  static_assert(sizeof(raw_capture) <= sizeof(SharedCapture));
+  EventFn fn(raw_capture);
+  fn();
+  EXPECT_EQ(value, 1);
 }
 
 TEST(EventFn, MoveTransfersTheCallable) {
