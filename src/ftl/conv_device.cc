@@ -487,6 +487,9 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
     co_return Completion{.status = st};
   }
+  if (cmd.payload_tag != 0 && cmd.data == nullptr) {
+    co_return Completion{.status = Status::kInvalidField};  // no buffer
+  }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * profile_.lba_bytes;
   const std::uint64_t epoch0 = power_epoch_;
@@ -548,17 +551,14 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   }
   counters_.reads++;
   counters_.bytes_read += bytes;
-  Completion done{.status = Status::kSuccess};
-  if (cmd.payload_tag != 0) {
-    // Integrity-check readback: what the mapping resolves to at
-    // completion time (unmapped/trimmed units read as tag 0).
-    done.payload_tags.resize(cmd.nlb);
-    for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
-      done.payload_tags[i] =
-          TagOfLogical(static_cast<std::uint32_t>(cmd.slba + i));
-    }
+  if (cmd.payload_tag == 0) co_return Completion{.status = Status::kSuccess};
+  // Integrity-check readback: what the mapping resolves to at completion
+  // time (unmapped/trimmed units read as tag 0).
+  auto* out = static_cast<std::uint64_t*>(cmd.data);
+  for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
+    out[i] = TagOfLogical(static_cast<std::uint32_t>(cmd.slba + i));
   }
-  co_return done;
+  co_return Completion{.status = Status::kSuccess, .count = cmd.nlb};
 }
 
 nand::PageAddr ConvDevice::AddrOfPhysPage(std::uint64_t page_id) const {

@@ -226,7 +226,7 @@ class HostStack : public Stack {
       tr->Span(staged_at, sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
                "sched.wait", static_cast<std::int64_t>(zid));
     }
-    co_return nvme::TimedCompletion{.completion = std::move(req.completion),
+    co_return nvme::TimedCompletion{.completion = req.completion,
                                     .trace_id = cmd.trace_id};
   }
 

@@ -16,7 +16,8 @@
 //    direct call — the price of the conservative window protocol, paid
 //    only by traffic that actually crosses lanes. The command and its
 //    completion travel in a detail::RemoteOp in the coordinator's
-//    Submit frame, and each message carries only a pointer to it.
+//    Submit frame, and each message carries only a pointer to it; a
+//    read-back or report lands straight in the coordinator's buffer.
 //
 //  * StripeLaneView — the device-side view for sharded workload
 //    workers. A worker whose zones all live on one device runs inside
@@ -51,11 +52,12 @@ namespace detail {
 /// One proxied command, owned by the coordinator-side Submit frame,
 /// which stays suspended from the request's post until the reply lands.
 /// The coordinator lane writes `cmd` before it posts the request; the
-/// device lane reads it, then writes `tc` before it posts the reply,
-/// and the coordinator reads `tc` once the reply has run. A message is
-/// drained into its destination only at a window barrier, after the
-/// window in which it was posted, so the barrier orders each write
-/// before the other lane's read.
+/// device lane reads it, then writes `tc` (and any returned data into
+/// the coordinator's buffer that `cmd.data` names) before it posts the
+/// reply, and the coordinator reads both once the reply has run. A
+/// message is drained into its destination only at a window barrier,
+/// after the window in which it was posted, so the barrier orders each
+/// write before the other lane's read.
 struct RemoteOp {
   RemoteOp(sim::Simulator& host_sim, const nvme::Command& c)
       : cmd(c), done(host_sim) {
@@ -94,7 +96,7 @@ class MailboxStack : public Stack {
     op.tc.trace_id = cmd.trace_id;
     op.tc.submitted = start;
     op.tc.completed = ps_.lane(host_lane_).now();
-    co_return std::move(op.tc);
+    co_return op.tc;
   }
 
   const nvme::NamespaceInfo& info() const override { return info_; }

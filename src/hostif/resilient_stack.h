@@ -41,11 +41,13 @@
 // "hostif." prefix.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "hostif/stack.h"
 #include "nvme/types.h"
@@ -156,7 +158,7 @@ class ResilientStack : public Stack {
         Outcome out(sim_);
         sim::Spawn(RaceAttempt(cmd, &out));
         co_await out.done.Wait();
-        tc = std::move(out.tc);
+        tc = out.tc;
         if (out.timed_out) {
           stats_.timeouts++;
           if (tr != nullptr) {
@@ -258,8 +260,23 @@ class ResilientStack : public Stack {
   /// The race between the device completion and the watchdog, held in
   /// this one frame: whichever fires first settles `out`. The frame ends
   /// only after both have fired, since the watchdog event points into
-  /// it; a completion that lost the race is dropped here.
+  /// it; a completion that lost the race is dropped here. So is its data:
+  /// a read-back or report lands in a buffer of this frame and is copied
+  /// into the caller's only when the device wins, since the caller may
+  /// have retried or returned by the time a timed-out attempt completes.
   sim::Task<> RaceAttempt(nvme::Command cmd, Outcome* out) {
+    void* const dest = cmd.data;
+    std::vector<std::uint64_t> tags;
+    std::vector<nvme::ZoneDescriptor> zones;
+    if (dest != nullptr && cmd.opcode == nvme::Opcode::kRead &&
+        cmd.payload_tag != 0) {
+      tags.resize(cmd.nlb);
+      cmd.data = tags.data();
+    } else if (dest != nullptr &&
+               cmd.opcode == nvme::Opcode::kZoneMgmtRecv) {
+      zones.resize(inner_.info().num_zones);
+      cmd.data = zones.data();
+    }
     struct Race {
       Outcome* out;  // the waiter's; null once settled
       bool watchdog_fired = false;
@@ -282,7 +299,13 @@ class ResilientStack : public Stack {
     });
     nvme::TimedCompletion tc = co_await device;
     if (Outcome* o = std::exchange(race.out, nullptr)) {
-      o->tc = std::move(tc);
+      const std::uint32_t n = tc.completion.ok() ? tc.completion.count : 0;
+      if (!tags.empty()) {
+        std::copy_n(tags.data(), n, static_cast<std::uint64_t*>(dest));
+      } else if (!zones.empty()) {
+        std::copy_n(zones.data(), n, static_cast<nvme::ZoneDescriptor*>(dest));
+      }
+      o->tc = tc;
       o->done.Done();
     }
     co_await race;  // until the watchdog has fired
@@ -319,15 +342,17 @@ class ResilientStack : public Stack {
     auto it = zone_wp_cache_.find(cmd.slba / ni.zone_size_lbas);
     if (it == zone_wp_cache_.end()) co_return std::nullopt;
     const nvme::Lba expect = it->second;
+    nvme::ZoneDescriptor zone;
     nvme::Command q;
     q.opcode = nvme::Opcode::kZoneMgmtRecv;
     q.slba = cmd.slba;
     q.report_max = 1;
     q.trace_id = cmd.trace_id;
+    q.data = &zone;
     for (std::uint32_t i = 0; i < policy_.max_attempts; ++i) {
       nvme::TimedCompletion rtc = co_await inner_.Submit(q);
-      if (rtc.completion.ok() && !rtc.completion.report.empty()) {
-        const nvme::Lba wp = rtc.completion.report[0].write_pointer;
+      if (rtc.completion.ok() && rtc.completion.count != 0) {
+        const nvme::Lba wp = zone.write_pointer;
         it->second = wp;  // resync to the recovered truth
         if (wp == expect + cmd.nlb) co_return expect;
         co_return std::nullopt;  // lost (or torn): safe to re-drive

@@ -261,14 +261,23 @@ class StripedStack : public Stack {
 
   /// Fans `cmd` out to every lane, one leg each into `legs`, and joins
   /// on the slowest; surfaces the first non-success status in lane order.
+  /// With `reports`, lane d's leg transfers its zone report into
+  /// `reports[d]` (sized to the lane's zone count).
   sim::Task<nvme::TimedCompletion> FanOut(
-      nvme::Command cmd, std::vector<nvme::TimedCompletion>& legs) {
+      nvme::Command cmd, std::vector<nvme::TimedCompletion>& legs,
+      std::vector<std::vector<nvme::ZoneDescriptor>>* reports = nullptr) {
     const sim::Time start = sim_.now();
     legs.resize(lanes_.size());
+    if (reports != nullptr) reports->resize(lanes_.size());
     sim::WaitGroup wg(sim_);
     for (std::size_t d = 0; d < lanes_.size(); ++d) {
+      nvme::Command leg = cmd;
+      if (reports != nullptr) {
+        (*reports)[d].resize(lanes_[d]->info().num_zones);
+        leg.data = (*reports)[d].data();
+      }
       wg.Add();
-      sim::Spawn(detail::FanOutLeg(LaneRefOf(d), cmd, &legs[d], &wg));
+      sim::Spawn(detail::FanOutLeg(LaneRefOf(d), leg, &legs[d], &wg));
     }
     co_await wg.Wait();
     nvme::TimedCompletion tc;
@@ -289,30 +298,32 @@ class StripedStack : public Stack {
     co_return co_await FanOut(cmd, legs);
   }
 
-  /// Full-report gather: every lane reports all of its zones (so legs are
-  /// issued concurrently and join on the slowest), then descriptors are
-  /// re-interleaved in logical zone order with addresses translated back.
+  /// Full-report gather: every lane reports all of its zones into a
+  /// buffer of its own (so legs are issued concurrently and join on the
+  /// slowest), then descriptors are re-interleaved into the caller's
+  /// buffer in logical zone order with addresses translated back.
   /// `cmd.slba`'s zone and `report_max` are applied to the logical view,
-  /// matching single-device Zone Management Receive semantics.
+  /// matching single-device Zone Management Receive semantics. A
+  /// management command, so the per-lane buffers may allocate.
   sim::Task<nvme::TimedCompletion> GatherReport(nvme::Command cmd) {
     nvme::Command full = cmd;
     full.slba = 0;
     full.report_max = 0;
     std::vector<nvme::TimedCompletion> legs;
-    nvme::TimedCompletion tc = co_await FanOut(full, legs);
+    std::vector<std::vector<nvme::ZoneDescriptor>> reports;
+    nvme::TimedCompletion tc = co_await FanOut(full, legs, &reports);
     if (tc.completion.ok()) {
+      auto* out = static_cast<nvme::ZoneDescriptor*>(cmd.data);
+      std::uint32_t& n = tc.completion.count;
       const std::uint32_t first_lz = map_.LogicalZoneOf(cmd.slba);
       for (std::uint32_t lz = first_lz; lz < info_.num_zones; ++lz) {
-        if (cmd.report_max != 0 &&
-            tc.completion.report.size() >= cmd.report_max) {
-          break;
-        }
+        if (cmd.report_max != 0 && n >= cmd.report_max) break;
         const std::uint32_t d = map_.DeviceOf(lz);
         const std::uint32_t dz = map_.DeviceZoneOf(lz);
-        ZSTOR_CHECK(dz < legs[d].completion.report.size());
-        nvme::ZoneDescriptor desc = legs[d].completion.report[dz];
+        ZSTOR_CHECK(dz < legs[d].completion.count);
+        nvme::ZoneDescriptor desc = reports[d][dz];
         map_.ToLogicalZone(d, desc);
-        tc.completion.report.push_back(desc);
+        out[n++] = desc;
       }
     }
     co_return tc;

@@ -3,11 +3,20 @@
 // Mirrors the structure (not the binary layout) of the NVMe 2.0 base and
 // Zoned Namespace command sets: I/O commands, zone management send/receive,
 // status codes, and LBA formats.
+//
+// As in NVMe, a completion is only the completion queue entry (CQE):
+// status, an entry count and one result word. Anything larger —
+// read-back payload tags, a zone report — is transferred into a host
+// buffer the command names through its data pointer (Command::data, the
+// PRP), which the caller owns and keeps alive until the command
+// completes. Both completion types are trivially copyable, so passing
+// one up through a stack of coroutines copies a few words and frees
+// nothing.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 #include "sim/time.h"
 
@@ -134,7 +143,8 @@ struct Command {
   ZoneAction zone_action = ZoneAction::kNone;
   bool select_all = false;  // zone mgmt: apply to all zones
   /// Zone Management Receive (report zones): maximum descriptors to
-  /// return, 0 = all from `slba`'s zone onward.
+  /// return, 0 = all from `slba`'s zone onward. `data` must hold that
+  /// many ZoneDescriptors.
   std::uint32_t report_max = 0;
   /// Telemetry correlation id threading the command through every layer's
   /// trace spans. 0 = unassigned; the first traced stack layer assigns
@@ -144,12 +154,22 @@ struct Command {
   /// overhead). On writes/appends, LBA i of the command stores tag
   /// `payload_tag + i` — self-describing, so append callers that learn
   /// their LBA only from the completion can still reconstruct what each
-  /// block must hold. On reads, any nonzero value requests tag readback
-  /// via Completion::payload_tags. The tag stands in for the payload the
-  /// simulator does not carry; crash/recovery tests verify that recovered
-  /// devices return exactly the tags that were durably written.
+  /// block must hold. On reads, any nonzero value requests tag readback:
+  /// the device writes the stored tag of every LBA in the range into
+  /// `data` (`nlb` entries; 0 for never-written or discarded blocks). The
+  /// tag stands in for the payload the simulator does not carry;
+  /// crash/recovery tests verify that recovered devices return exactly
+  /// the tags that were durably written.
   std::uint64_t payload_tag = 0;
+  /// The host buffer the device transfers returned data into, standing in
+  /// for NVMe's data pointer (PRP): `std::uint64_t[nlb]` for a read with a
+  /// nonzero `payload_tag`, `ZoneDescriptor[]` for a Zone Management
+  /// Receive. Owned by the caller and written only on success, when the
+  /// device completes; unused (may be null) for every other command.
+  void* data = nullptr;
 };
+static_assert(std::is_trivially_copyable_v<Command>);
+static_assert(sizeof(Command) <= 56);
 
 /// One entry of a zone report (Zone Management Receive).
 struct ZoneDescriptor {
@@ -159,21 +179,18 @@ struct ZoneDescriptor {
   std::uint8_t state_raw = 0;  // zns::ZoneState numeric value
 };
 
-/// The completion queue entry.
+/// The completion queue entry (CQE).
 struct Completion {
   Status status = Status::kSuccess;
+  /// Entries the device wrote into Command::data: the descriptors of a
+  /// zone report, `nlb` for a tag readback, 0 otherwise.
+  std::uint32_t count = 0;
   /// For append: the LBA the data landed on (returned by the device).
   Lba result_lba = 0;
-  /// For zone management receive: the returned zone descriptors (stands
-  /// in for the report buffer DMA'd to the host).
-  std::vector<ZoneDescriptor> report;
-  /// For reads issued with a nonzero Command::payload_tag: the stored tag
-  /// of every LBA in the range (0 for never-written/discarded blocks).
-  /// Empty unless tag readback was requested.
-  std::vector<std::uint64_t> payload_tags;
 
   bool ok() const { return status == Status::kSuccess; }
 };
+static_assert(std::is_trivially_copyable_v<Completion>);
 
 /// A completion as the host observed it: the paper's latency runs from
 /// submission until the completion is visible to the caller (§III-B).
@@ -184,5 +201,6 @@ struct TimedCompletion {
   std::uint64_t trace_id = 0;  // correlates with trace spans (0 = untraced)
   sim::Time latency() const { return completed - submitted; }
 };
+static_assert(std::is_trivially_copyable_v<TimedCompletion>);
 
 }  // namespace zstor::nvme

@@ -1,7 +1,7 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/check.h"
 #include "workload/zipf.h"
@@ -159,8 +159,10 @@ sim::Task<> Job::IoWorker(std::uint32_t wid) {
 
   std::size_t zi = 0;           // current zone index (sequential modes)
   std::uint64_t next_off = 0;   // sequential offset within current zone
-  // Host-side estimate of zone fill for writers (bytes issued so far).
-  std::unordered_map<std::uint32_t, std::uint64_t> fill;
+  // Host-side estimate of zone fill for writers (bytes issued so far),
+  // by zone id.
+  std::vector<std::uint64_t> fill(
+      *std::max_element(zones.begin(), zones.end()) + 1);
 
   // Skewed offset distribution (over request-aligned slots).
   const std::uint64_t slots_per_region = (cap_bytes - req) / req + 1;

@@ -182,6 +182,9 @@ sim::Task<bool> IntegrityVerifier::Flush() {
 }
 
 sim::Task<IntegrityVerifier::Report> IntegrityVerifier::VerifyAll() {
+  // Contiguous ledger entries are read back in runs of at most this many
+  // LBAs, into a tag buffer in this frame.
+  constexpr std::size_t kMaxRunLbas = 64;
   Report rep;
   auto it = ledger_.begin();
   while (it != ledger_.end()) {
@@ -190,7 +193,7 @@ sim::Task<IntegrityVerifier::Report> IntegrityVerifier::VerifyAll() {
     std::vector<const Entry*> run;
     nvme::Lba next = start;
     while (it != ledger_.end() && it->first == next &&
-           run.size() < 64) {
+           run.size() < kMaxRunLbas) {
       run.push_back(&it->second);
       ++next;
       ++it;
@@ -200,15 +203,16 @@ sim::Task<IntegrityVerifier::Report> IntegrityVerifier::VerifyAll() {
     cmd.slba = start;
     cmd.nlb = static_cast<std::uint32_t>(run.size());
     cmd.payload_tag = 1;  // any nonzero value requests tag readback
+    std::uint64_t tags[kMaxRunLbas];
+    cmd.data = tags;
     auto tc = co_await stack_.Submit(cmd);
-    if (!tc.completion.ok() ||
-        tc.completion.payload_tags.size() != run.size()) {
+    if (!tc.completion.ok() || tc.completion.count != run.size()) {
       rep.read_errors++;
       continue;
     }
     for (std::size_t i = 0; i < run.size(); ++i) {
       const Entry& e = *run[i];
-      const std::uint64_t got = tc.completion.payload_tags[i];
+      const std::uint64_t got = tags[i];
       rep.lbas_checked++;
       rep.bytes_verified += lba_bytes_;
       if (got == e.expected) {

@@ -135,7 +135,7 @@ sim::Task<nvme::Completion> KvStore::SubmitUntilOk(Command cmd,
                                                    const char* what) {
   for (int attempt = 0;; ++attempt) {
     auto tc = co_await stack_.Submit(cmd);
-    if (tc.completion.ok()) co_return std::move(tc.completion);
+    if (tc.completion.ok()) co_return tc.completion;
     ZSTOR_CHECK_MSG(attempt + 1 < kMustSucceedAttempts, what);
     co_await sim_.Delay(kRetryDelay);
   }
@@ -427,18 +427,21 @@ sim::Task<KvStore::Extent> KvStore::AppendToSlot(std::int64_t& slot,
         static_cast<std::uint32_t>(std::min<std::uint64_t>(lbas, remaining));
     zi.written_lbas += take;
     zi.live_lbas += take;
+    zi.inflight_lbas += take;
     g.Release();
     auto tc = co_await stack_.Submit({.opcode = Opcode::kAppend,
                                       .slba = ZoneStartLba(zi.zone),
                                       .nlb = take,
                                       .payload_tag = tag_base});
+    zi.inflight_lbas -= take;
     if (tc.completion.ok()) {
       co_return Extent{zi.zone, tc.completion.result_lba, take, tag_base};
     }
     zi.live_lbas -= take;
     if (!relocation && !IsZoneWriteFailure(tc.completion.status)) {
-      // Retry budget spent (power outage): leave the reservation in place
-      // (the device may have landed the data) and report failure.
+      // Retry budget spent (power outage): the device may or may not have
+      // landed the data, so ask it, and report failure.
+      co_await SettleZone(zi.zone);
       co_return Extent{zi.zone, 0, 0, tag_base};
     }
     // The zone is unusable (degraded or our accounting ran ahead of a
@@ -448,6 +451,28 @@ sim::Task<KvStore::Extent> KvStore::AppendToSlot(std::int64_t& slot,
     if (slot == static_cast<std::int64_t>(zi.zone)) slot = -1;
   }
   co_return Extent{0, 0, 0, tag_base};
+}
+
+sim::Task<> KvStore::SettleZone(std::uint32_t zone) {
+  ZoneInfo& zi = zones_[ZoneIndex(zone)];
+  const std::uint64_t reserved0 = zi.written_lbas;
+  const std::uint64_t inflight0 = zi.inflight_lbas;
+  nvme::ZoneDescriptor d;
+  auto tc = co_await stack_.Submit({.opcode = Opcode::kZoneMgmtRecv,
+                                    .slba = ZoneStartLba(zone),
+                                    .report_max = 1,
+                                    .data = &d});
+  // A reset, a poisoning or another settle that ran meanwhile already
+  // rewrote the count; a sealed zone takes no more appends either way.
+  if (!tc.completion.ok() || tc.completion.count == 0 || !zi.open ||
+      zi.written_lbas < reserved0 || zi.written_lbas >= zone_cap_lbas()) {
+    co_return;
+  }
+  // Whatever had not landed when the device read its write pointer was
+  // in flight at the report's issue or reserved after it.
+  const std::uint64_t held = d.write_pointer - d.zslba + inflight0 +
+                             (zi.written_lbas - reserved0);
+  zi.written_lbas = std::min(zi.written_lbas, held);
 }
 
 sim::Task<> KvStore::ResetZone(std::uint32_t zone) {
@@ -876,11 +901,22 @@ const KvStore::TableEntry* KvStore::FindInTable(const SsTable* t,
 sim::Task<Status> KvStore::ReadExtentRange(
     Extent e, std::uint32_t lba_off, std::uint32_t lbas, bool verify_tags,
     workload::IntegrityVerifier::Report* rep) {
+  // The read-back lands in this frame, so concurrent reads never share a
+  // buffer. Only a WAL record replayed after a crash can outgrow one
+  // append; it takes a buffer of its own.
+  std::uint64_t frame_tags[kMaxAppendLbas];
+  std::vector<std::uint64_t> long_tags;
+  std::uint64_t* tags = frame_tags;
+  if (verify_tags && lbas > kMaxAppendLbas) {
+    long_tags.resize(lbas);
+    tags = long_tags.data();
+  }
   auto tc = co_await stack_.Submit(
       {.opcode = Opcode::kRead,
        .slba = e.lba + lba_off,
        .nlb = lbas,
-       .payload_tag = verify_tags ? e.tag_base + lba_off : 0});
+       .payload_tag = verify_tags ? e.tag_base + lba_off : 0,
+       .data = tags});
   stats_.read_ios++;
   if (!tc.completion.ok()) {
     if (rep != nullptr) rep->read_errors += lbas;
@@ -889,9 +925,7 @@ sim::Task<Status> KvStore::ReadExtentRange(
   if (verify_tags) {
     for (std::uint32_t j = 0; j < lbas; ++j) {
       const std::uint64_t want = e.tag_base + lba_off + j;
-      const std::uint64_t got = j < tc.completion.payload_tags.size()
-                                    ? tc.completion.payload_tags[j]
-                                    : 0;
+      const std::uint64_t got = j < tc.completion.count ? tags[j] : 0;
       if (rep != nullptr) {
         rep->lbas_checked++;
         rep->bytes_verified += lba_bytes_;
@@ -1027,12 +1061,14 @@ sim::Task<workload::IntegrityVerifier::Report> KvStore::RecoverAfterCrash() {
   // Quiesce background work first: jobs in flight will observe failed
   // I/O and retire (their tables stay non-durable and are handled here).
   co_await Drain();
-  const std::vector<nvme::ZoneDescriptor> report =
-      (co_await SubmitUntilOk(
-           {.opcode = Opcode::kZoneMgmtRecv, .report_max = opt_.zone_count},
-           "zone report kept failing after crash"))
-          .report;
-  ZSTOR_CHECK(report.size() >= opt_.zone_count);
+  std::vector<nvme::ZoneDescriptor> report(opt_.zone_count);
+  const std::uint32_t reported =
+      (co_await SubmitUntilOk({.opcode = Opcode::kZoneMgmtRecv,
+                               .report_max = opt_.zone_count,
+                               .data = report.data()},
+                              "zone report kept failing after crash"))
+          .count;
+  ZSTOR_CHECK(reported == opt_.zone_count);
   // Recovered write pointer (in-zone LBAs) per store zone.
   std::vector<std::uint64_t> wp(opt_.zone_count, 0);
   for (std::uint32_t i = 0; i < opt_.zone_count; ++i) {

@@ -300,8 +300,9 @@ class KvStore : public workload::KvBackend {
   enum class ZoneClass : std::uint8_t { kHot = 0, kCold = 1 };
   struct ZoneInfo {
     std::uint32_t zone = 0;       // logical zone number
-    std::uint64_t written_lbas = 0;
+    std::uint64_t written_lbas = 0;  // reserved, landed or in flight
     std::uint64_t live_lbas = 0;
+    std::uint64_t inflight_lbas = 0;  // reserved by appends not yet done
     bool open = false;            // currently an allocation target
   };
 
@@ -381,11 +382,15 @@ class KvStore : public workload::KvBackend {
   /// reserves the capacity, seals a zone appended to capacity, poisons a
   /// zone that refused the append, and returns the extent written
   /// (lbas == 0 reports failure). Data writers reserve under alloc_lock_,
-  /// reclaim when no zone is free, and keep the reservation of an append
-  /// that failed for another reason. Relocation (under gc_lock_) does
-  /// neither and poisons every zone that fails it.
+  /// reclaim when no zone is free, and settle the zone's count from the
+  /// device after an append that failed for another reason. Relocation
+  /// (under gc_lock_) does neither and poisons every zone that fails it.
   sim::Task<Extent> AppendToSlot(std::int64_t& slot, std::uint32_t lbas,
                                  std::uint64_t tag_base, bool relocation);
+  /// Lowers an open zone's reservation count to what the device holds:
+  /// its write pointer (a one-zone report) plus every reservation still
+  /// in flight when the report was issued or made since. Never raises it.
+  sim::Task<> SettleZone(std::uint32_t zone);
   sim::Task<> ResetZone(std::uint32_t zone);
   void MaybeScheduleReclaim();
   sim::Task<> ReclaimZones(bool need_free);   // GC pass (serialized)

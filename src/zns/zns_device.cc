@@ -466,6 +466,9 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
       st != Status::kSuccess) {
     co_return Completion{.status = st};
   }
+  if (cmd.payload_tag != 0 && cmd.data == nullptr) {
+    co_return Completion{.status = Status::kInvalidField};  // no buffer
+  }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
   const std::uint32_t zone = ZoneOfLba(cmd.slba);
@@ -542,14 +545,13 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   }
   counters_.reads++;
   counters_.bytes_read += bytes;
-  Completion c{.status = Status::kSuccess};
-  if (cmd.payload_tag != 0) {
-    // Integrity-check readback: report what the medium actually holds at
-    // completion time (LBAs never written — or rolled back by a crash —
-    // read as tag 0).
-    LoadTags(zone, ZoneDataOffsetBytes(cmd.slba), cmd.nlb, c.payload_tags);
-  }
-  co_return c;
+  if (cmd.payload_tag == 0) co_return Completion{.status = Status::kSuccess};
+  // Integrity-check readback: report what the medium actually holds at
+  // completion time (LBAs never written — or rolled back by a crash —
+  // read as tag 0).
+  LoadTags(zone, ZoneDataOffsetBytes(cmd.slba), cmd.nlb,
+           static_cast<std::uint64_t*>(cmd.data));
+  co_return Completion{.status = Status::kSuccess, .count = cmd.nlb};
 }
 
 sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
@@ -949,6 +951,9 @@ sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
   if (cmd.slba >= info_.capacity_lbas) {
     co_return Completion{.status = Status::kLbaOutOfRange};
   }
+  if (cmd.data == nullptr) {
+    co_return Completion{.status = Status::kInvalidField};  // no buffer
+  }
   std::uint32_t first = ZoneOfLba(cmd.slba);
   std::uint32_t count = profile_.num_zones - first;
   if (cmd.report_max != 0) {
@@ -961,17 +966,17 @@ sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
   if (power_epoch_ != epoch0) {
     co_return Completion{.status = Status::kDeviceReset};
   }
-  Completion c;
-  c.report.reserve(count);
-  for (std::uint32_t z = first; z < first + count; ++z) {
-    c.report.push_back(nvme::ZoneDescriptor{
+  auto* out = static_cast<nvme::ZoneDescriptor*>(cmd.data);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t z = first + i;
+    out[i] = nvme::ZoneDescriptor{
         .zslba = ZoneStartLba(z),
         .write_pointer = ZoneWritePointerLba(z),
         .zone_cap_lbas = zone_cap_lbas_,
-        .state_raw = static_cast<std::uint8_t>(zones_[z].state)});
+        .state_raw = static_cast<std::uint8_t>(zones_[z].state)};
   }
   counters_.zone_reports++;
-  co_return c;
+  co_return Completion{.status = Status::kSuccess, .count = count};
 }
 
 sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
@@ -1013,14 +1018,11 @@ void ZnsDevice::StoreTags(std::uint32_t zone, std::uint64_t off_bytes,
 }
 
 void ZnsDevice::LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
-                         std::uint32_t nlb,
-                         std::vector<std::uint64_t>& out) const {
-  out.assign(nlb, 0);
+                         std::uint32_t nlb, std::uint64_t* out) const {
   const std::vector<std::uint64_t>& tags = zones_[zone].tags;
-  if (tags.empty()) return;
   const std::uint64_t first = off_bytes / lba_bytes_;
   for (std::uint32_t i = 0; i < nlb; ++i) {
-    if (first + i < tags.size()) out[i] = tags[first + i];
+    out[i] = first + i < tags.size() ? tags[first + i] : 0;
   }
 }
 

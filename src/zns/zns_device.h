@@ -264,8 +264,10 @@ class ZnsDevice : public ControllerCore {
   // workloads that tag their writes pay the memory.
   void StoreTags(std::uint32_t zone, std::uint64_t off_bytes,
                  std::uint32_t nlb, std::uint64_t first_tag);
+  /// Writes the `nlb` tags from `off_bytes` into `out` (the command's
+  /// data buffer).
   void LoadTags(std::uint32_t zone, std::uint64_t off_bytes,
-                std::uint32_t nlb, std::vector<std::uint64_t>& out) const;
+                std::uint32_t nlb, std::uint64_t* out) const;
 
   // Validation.
   nvme::Status ValidateIoRange(const nvme::Command& cmd, bool is_write) const;

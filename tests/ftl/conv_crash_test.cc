@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "ftl/conv_device.h"
 #include "hostif/host_stack.h"
@@ -19,6 +20,14 @@ using nvme::Status;
 constexpr std::uint64_t kTagA = 0x0A00;
 constexpr std::uint64_t kTagB = 0x0B00;
 constexpr std::uint64_t kTagC = 0x0C00;
+
+/// A tag read-back: the completion and the tags the device wrote into the
+/// read's buffer, cut to the count it reported.
+struct TagRead {
+  nvme::Completion completion;
+  std::vector<std::uint64_t> payload_tags;
+  bool ok() const { return completion.ok(); }
+};
 
 struct Fixture {
   explicit Fixture(ConvProfile p = TinyConvProfile())
@@ -42,11 +51,16 @@ struct Fixture {
                 .nlb = nlb,
                 .payload_tag = tag});
   }
-  nvme::Completion ReadTags(nvme::Lba lba, std::uint32_t nlb) {
-    return Run({.opcode = Opcode::kRead,
-                .slba = lba,
-                .nlb = nlb,
-                .payload_tag = 1});
+  TagRead ReadTags(nvme::Lba lba, std::uint32_t nlb) {
+    TagRead rd;
+    rd.payload_tags.assign(nlb, ~std::uint64_t{0});
+    rd.completion = Run({.opcode = Opcode::kRead,
+                         .slba = lba,
+                         .nlb = nlb,
+                         .payload_tag = 1,
+                         .data = rd.payload_tags.data()});
+    rd.payload_tags.resize(rd.completion.count);
+    return rd;
   }
   void Crash() {
     auto body = [&]() -> sim::Task<> { co_await dev.CrashNow(); };
@@ -73,7 +87,7 @@ TEST(ConvCrash, FlushedDataSurvivesByteExact) {
   EXPECT_EQ(f.dev.counters().recoveries, 1u);
   EXPECT_EQ(f.dev.counters().crash_lost_units, 0u);
   EXPECT_EQ(f.dev.counters().journal_reverted_entries, 0u);
-  nvme::Completion rd = f.ReadTags(0, n);
+  TagRead rd = f.ReadTags(0, n);
   ASSERT_TRUE(rd.ok());
   ASSERT_EQ(rd.payload_tags.size(), n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -93,7 +107,7 @@ TEST(ConvCrash, UnsyncedJournalTailRevertsToNothing) {
 
   EXPECT_EQ(f.dev.counters().journal_reverted_entries, n);
   EXPECT_EQ(f.dev.counters().recovery_replay_entries, 0u);
-  nvme::Completion rd = f.ReadTags(0, n);
+  TagRead rd = f.ReadTags(0, n);
   ASSERT_TRUE(rd.ok());
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_EQ(rd.payload_tags[i], 0u) << "LBA " << i;  // unmapped again
@@ -112,7 +126,7 @@ TEST(ConvCrash, UnflushedOverwriteRollsBackToTheFlushedVersion) {
 
   // The journal revert re-validated version A's physical copy.
   EXPECT_EQ(f.dev.counters().journal_reverted_entries, n);
-  nvme::Completion rd = f.ReadTags(0, n);
+  TagRead rd = f.ReadTags(0, n);
   ASSERT_TRUE(rd.ok());
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_EQ(rd.payload_tags[i], kTagA + i) << "LBA " << i;
@@ -139,7 +153,7 @@ TEST(ConvCrash, BufferedWritesThatNeverProgrammedAreLost) {
   f.Crash();
 
   EXPECT_EQ(f.dev.counters().crash_lost_units, half);
-  nvme::Completion rd = f.ReadTags(0, n);
+  TagRead rd = f.ReadTags(0, n);
   ASSERT_TRUE(rd.ok());
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_EQ(rd.payload_tags[i], kTagA + i)
@@ -155,7 +169,7 @@ TEST(ConvCrash, BufferedWritesThatNeverProgrammedAreLost) {
 /// the free-block acquisition for B's page crosses the GC watermark, and
 /// GC erases A's block before the crash. Returns the tags of LBAs 0-1.
 ConvCounters CrashWithBufferedOverwrite(bool gc_erases_a,
-                                        nvme::Completion* lbas) {
+                                        TagRead* lbas) {
   ConvProfile p = TinyConvProfile();
   const std::uint32_t reserve = 2 * p.gc_workers + 2;
   // Writing 2 x 64 pages fills 8 blocks, four streams x 16 pages each.
@@ -192,7 +206,7 @@ ConvCounters CrashWithBufferedOverwrite(bool gc_erases_a,
 }
 
 TEST(ConvCrash, BufferedOverwriteOfAnErasedBlockIsLost) {
-  nvme::Completion rd;
+  TagRead rd;
   const ConvCounters c = CrashWithBufferedOverwrite(true, &rd);
   EXPECT_GE(c.gc_invocations, 1u);
   // B's page (B plus two fresh units) never reached flash, and GC erased
@@ -206,7 +220,7 @@ TEST(ConvCrash, BufferedOverwriteOfAnErasedBlockIsLost) {
 }
 
 TEST(ConvCrash, BufferedOverwriteWithoutGcRollsBackToTheFlushedVersion) {
-  nvme::Completion rd;
+  TagRead rd;
   const ConvCounters c = CrashWithBufferedOverwrite(false, &rd);
   EXPECT_EQ(c.gc_invocations, 0u);
   EXPECT_EQ(c.crash_lost_units, 4u);
@@ -238,7 +252,7 @@ TEST(ConvCrash, CheckpointBoundsTheReplayTail) {
             f.dev.profile().recovery_boot_cost +
                 4 * f.dev.profile().recovery_per_entry);
   // Synced-and-replayed mappings survive.
-  nvme::Completion rd = f.ReadTags(0, 5 * upp);
+  TagRead rd = f.ReadTags(0, 5 * upp);
   ASSERT_TRUE(rd.ok());
   for (std::uint32_t i = 0; i < 5 * upp; ++i) {
     EXPECT_EQ(rd.payload_tags[i], kTagA + i) << "LBA " << i;

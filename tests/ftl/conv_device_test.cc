@@ -83,6 +83,20 @@ TEST(ConvDevice, ZoneCommandsAreInvalid) {
             Status::kInvalidOpcode);
 }
 
+// A tag read-back without a host buffer to land in is refused.
+TEST(ConvDevice, TagReadBackWithoutABufferIsAnInvalidField) {
+  Fixture f;
+  ASSERT_TRUE(f.Run({.opcode = Opcode::kWrite, .slba = 0, .nlb = 4}).ok());
+  EXPECT_EQ(f.Run({.opcode = Opcode::kRead,
+                   .slba = 0,
+                   .nlb = 4,
+                   .payload_tag = 1})
+                .status,
+            Status::kInvalidField);
+  EXPECT_EQ(f.dev.counters().reads, 0u);
+  EXPECT_TRUE(f.Run({.opcode = Opcode::kRead, .slba = 0, .nlb = 4}).ok());
+}
+
 TEST(ConvDevice, PrefillMapsTheWholeLogicalSpace) {
   Fixture f;
   f.dev.DebugPrefill();

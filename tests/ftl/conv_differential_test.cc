@@ -105,17 +105,19 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
       const auto nlb = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(kReadChunk, lbas - lba));
       Completion c;
+      std::uint64_t tags[kReadChunk];
       auto body = [&]() -> sim::Task<> {
         c = co_await dev_.Execute({.opcode = Opcode::kRead,
                                    .slba = lba,
                                    .nlb = nlb,
-                                   .payload_tag = 1});
+                                   .payload_tag = 1,
+                                   .data = tags});
       };
       auto t = body();
       sim_.Run();
       ASSERT_TRUE(c.ok()) << Where(round) << ": read-back failed";
-      ASSERT_EQ(c.payload_tags.size(), nlb);
-      for (std::uint32_t i = 0; i < nlb; ++i) on_tag(lba + i, c.payload_tags[i]);
+      ASSERT_EQ(c.count, nlb);
+      for (std::uint32_t i = 0; i < nlb; ++i) on_tag(lba + i, tags[i]);
     }
   }
 
@@ -149,6 +151,7 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
     struct Issued {
       Command cmd;
       Completion done;
+      std::vector<std::uint64_t> tags;  // a read's read-back buffer
     };
     std::vector<Issued> cmds;
     const std::uint64_t lbas = dev_.info().capacity_lbas;
@@ -184,6 +187,10 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
         static_cast<double>(rng_.UniformU64(2000)));
 
     auto issue = [&](Issued* io) -> sim::Task<> {
+      if (io->cmd.opcode == Opcode::kRead) {
+        io->tags.assign(io->cmd.nlb, ~std::uint64_t{0});
+        io->cmd.data = io->tags.data();
+      }
       io->done = co_await dev_.Execute(io->cmd);
     };
     auto power_loss = [&]() -> sim::Task<> {
@@ -210,9 +217,9 @@ class ConvDifferential : public ::testing::TestWithParam<int> {
             break;
           case Opcode::kRead:
             if (crash) break;  // raced the outage: checked by the read-back
-            ASSERT_EQ(io.done.payload_tags.size(), c.nlb) << Where(round);
+            ASSERT_EQ(io.done.count, c.nlb) << Where(round);
             for (std::uint32_t i = 0; i < c.nlb; ++i) {
-              EXPECT_EQ(io.done.payload_tags[i], model_.current(c.slba + i))
+              EXPECT_EQ(io.tags[i], model_.current(c.slba + i))
                   << Where(round) << ": read of LBA " << c.slba + i;
             }
             break;

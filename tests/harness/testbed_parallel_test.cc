@@ -390,5 +390,105 @@ TEST(TestbedParallel, LaneTelemetryMergesIntoFinalSnapshot) {
   EXPECT_NE(timeline.find("merge/lane1"), std::string::npos);
 }
 
+/// What a coordinator flow got back through the stripe: the tags of one
+/// read per device and a report of every logical zone, each transferred
+/// into a buffer the flow owns.
+struct CoordinatorReadBack {
+  std::vector<std::uint64_t> tags;
+  std::vector<nvme::ZoneDescriptor> report;
+  std::uint64_t messages = 0;  // lane messages (parallel engine only)
+};
+
+constexpr std::uint32_t kReadBackLbas = 8;
+constexpr std::uint64_t kReadBackTag = 0x5A00;  // + 0x100 per logical zone
+
+/// Appends tagged data to logical zones 0 and 1 (devices 0 and 1), reads
+/// both back with tags and reports every zone, all from the coordinator
+/// (lane 0 on the parallel engine, so every command crosses to a device
+/// lane through a MailboxStack and its data comes back across it).
+CoordinatorReadBack ReadBackAt(int sim_threads) {
+  Testbed tb = TestbedBuilder()
+                   .WithZnsProfile(QuietTiny())
+                   .WithDevices(2)
+                   .WithStack(StackChoice::kSpdk)
+                   .WithSimThreads(sim_threads)
+                   .Build();
+  hostif::Stack& st = tb.stack();
+  const std::uint64_t zsz = st.info().zone_size_lbas;
+  CoordinatorReadBack out;
+  out.tags.assign(2 * kReadBackLbas, ~std::uint64_t{0});
+  out.report.resize(st.info().num_zones);
+  bool done = false;
+  auto flow = [&]() -> sim::Task<> {
+    for (std::uint32_t lz = 0; lz < 2; ++lz) {
+      auto tc = co_await st.Submit({.opcode = nvme::Opcode::kAppend,
+                                    .slba = lz * zsz,
+                                    .nlb = kReadBackLbas,
+                                    .payload_tag = kReadBackTag + 0x100 * lz});
+      ZSTOR_CHECK(tc.completion.ok());
+    }
+    for (std::uint32_t lz = 0; lz < 2; ++lz) {
+      auto tc = co_await st.Submit(
+          {.opcode = nvme::Opcode::kRead,
+           .slba = lz * zsz,
+           .nlb = kReadBackLbas,
+           .payload_tag = 1,
+           .data = out.tags.data() + lz * kReadBackLbas});
+      ZSTOR_CHECK(tc.completion.ok() && tc.completion.count == kReadBackLbas);
+    }
+    auto tc = co_await st.Submit(
+        {.opcode = nvme::Opcode::kZoneMgmtRecv, .data = out.report.data()});
+    ZSTOR_CHECK(tc.completion.ok() &&
+                tc.completion.count == out.report.size());
+    done = true;
+  };
+  auto t = flow();
+  if (sim::ParallelSimulator* ps = tb.parallel_sim()) {
+    ps->Run(static_cast<unsigned>(sim_threads));
+    out.messages = ps->messages();
+  } else {
+    tb.sim().Run();
+  }
+  EXPECT_TRUE(done) << "threads=" << sim_threads;
+  return out;
+}
+
+// A tag read-back and a zone report issued on the coordinator land in
+// the coordinator's buffers, written by the device lanes: the window
+// barrier orders each lane's write before the coordinator reads it (run
+// under TSan in CI). The buffers hold the classic engine's values.
+TEST(TestbedParallel, CrossLaneReadBackAndReportFillTheCoordinatorsBuffers) {
+  const CoordinatorReadBack classic = ReadBackAt(0);
+  EXPECT_EQ(classic.messages, 0u);
+  for (std::uint32_t lz = 0; lz < 2; ++lz) {
+    for (std::uint32_t i = 0; i < kReadBackLbas; ++i) {
+      EXPECT_EQ(classic.tags[lz * kReadBackLbas + i],
+                kReadBackTag + 0x100 * lz + i)
+          << "lz=" << lz << " i=" << i;
+    }
+  }
+  ASSERT_GE(classic.report.size(), 3u);
+  EXPECT_EQ(classic.report[1].write_pointer,
+            classic.report[1].zslba + kReadBackLbas);
+  EXPECT_EQ(classic.report[2].write_pointer, classic.report[2].zslba);
+  for (int threads : {1, 2}) {
+    const CoordinatorReadBack lanes = ReadBackAt(threads);
+    EXPECT_GT(lanes.messages, 0u) << "threads=" << threads;
+    EXPECT_EQ(lanes.tags, classic.tags) << "threads=" << threads;
+    ASSERT_EQ(lanes.report.size(), classic.report.size());
+    for (std::size_t z = 0; z < classic.report.size(); ++z) {
+      const nvme::ZoneDescriptor& a = classic.report[z];
+      const nvme::ZoneDescriptor& b = lanes.report[z];
+      EXPECT_EQ(b.zslba, a.zslba) << "threads=" << threads << " z=" << z;
+      EXPECT_EQ(b.write_pointer, a.write_pointer)
+          << "threads=" << threads << " z=" << z;
+      EXPECT_EQ(b.zone_cap_lbas, a.zone_cap_lbas)
+          << "threads=" << threads << " z=" << z;
+      EXPECT_EQ(b.state_raw, a.state_raw)
+          << "threads=" << threads << " z=" << z;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace zstor

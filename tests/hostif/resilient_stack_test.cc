@@ -197,6 +197,58 @@ TEST(ResilientStack, FastAttemptBeatsTheTimeout) {
   EXPECT_EQ(tc.latency(), Microseconds(10));
 }
 
+/// Inner stack whose first attempt takes 1ms and every later one 10us;
+/// attempt n of a tag read-back writes `1000 * n + i` for LBA i.
+class SlowFirstReadBackStack : public Stack {
+ public:
+  explicit SlowFirstReadBackStack(sim::Simulator& s) : sim_(s) {
+    info_.capacity_lbas = 1 << 20;
+  }
+
+  sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
+    const std::uint64_t n = ++submits_;
+    nvme::TimedCompletion tc;
+    tc.submitted = sim_.now();
+    co_await sim_.Delay(n == 1 ? sim::Milliseconds(1) : Microseconds(10));
+    tc.completed = sim_.now();
+    auto* tags = static_cast<std::uint64_t*>(cmd.data);
+    for (std::uint32_t i = 0; i < cmd.nlb; ++i) tags[i] = 1000 * n + i;
+    tc.completion.count = cmd.nlb;
+    co_return tc;
+  }
+
+  const nvme::NamespaceInfo& info() const override { return info_; }
+
+ private:
+  sim::Simulator& sim_;
+  nvme::NamespaceInfo info_;
+  std::uint64_t submits_ = 0;
+};
+
+// A timed-out attempt keeps running on the device. Its read-back lands
+// in the attempt's own buffer, never in the caller's, which by then
+// holds the retry's tags (and might be gone).
+TEST(ResilientStack, LateReadBackOfATimedOutAttemptNeverReachesTheCaller) {
+  sim::Simulator s;
+  SlowFirstReadBackStack inner(s);
+  ResilientStack stack(s, inner,
+                       {.max_attempts = 2, .timeout = Microseconds(100)});
+  std::uint64_t tags[4] = {};
+  nvme::TimedCompletion tc;
+  auto body = [&]() -> sim::Task<> {
+    tc = co_await stack.Submit({.opcode = nvme::Opcode::kRead,
+                                .nlb = 4,
+                                .payload_tag = 1,
+                                .data = tags});
+  };
+  auto t = body();
+  s.Run();  // past the first attempt's late completion
+  ASSERT_TRUE(tc.completion.ok());
+  EXPECT_EQ(stack.stats().timeouts, 1u);
+  EXPECT_EQ(tc.completion.count, 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(tags[i], 2000 + i);
+}
+
 TEST(ResilientStack, DeviceResetIsAbsorbedByRetry) {
   sim::Simulator s;
   ScriptedStack inner(s);
@@ -235,8 +287,9 @@ class ZonedScriptedStack : public Stack {
     if (cmd.opcode == nvme::Opcode::kZoneMgmtRecv) {
       reports_++;
       tc.completion.status = nvme::Status::kSuccess;
-      tc.completion.report.push_back(
-          {.zslba = cmd.slba, .write_pointer = recovered_wp});
+      *static_cast<nvme::ZoneDescriptor*>(cmd.data) = {
+          .zslba = cmd.slba, .write_pointer = recovered_wp};
+      tc.completion.count = 1;
       co_return tc;
     }
     if (cmd.opcode == nvme::Opcode::kZoneMgmtSend) {

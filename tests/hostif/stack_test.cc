@@ -111,7 +111,7 @@ TEST(QueuePair, QueueDepthBoundsInFlight) {
   QueueOnlyStack qp(s, ctrl, 2);
   std::vector<sim::Time> finish;
   auto body = [&]() -> sim::Task<> {
-    auto tc = co_await qp.Submit({.opcode = nvme::Opcode::kRead});
+    co_await qp.Submit({.opcode = nvme::Opcode::kRead});
     finish.push_back(s.now());
   };
   for (int i = 0; i < 4; ++i) sim::Spawn(body());

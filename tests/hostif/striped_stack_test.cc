@@ -218,10 +218,11 @@ TEST(StripedStack, GatherReportInterleavesAndTranslates) {
   r.devs[0]->DebugFillZone(0, cap_bytes);
   r.devs[1]->DebugFillZone(0, cap_bytes / 2);
 
-  auto tc = r.Run({.opcode = nvme::Opcode::kZoneMgmtRecv});
+  std::vector<nvme::ZoneDescriptor> report(r.stack->info().num_zones);
+  auto tc = r.Run(
+      {.opcode = nvme::Opcode::kZoneMgmtRecv, .data = report.data()});
   ASSERT_TRUE(tc.completion.ok());
-  const auto& report = tc.completion.report;
-  ASSERT_EQ(report.size(), r.stack->info().num_zones);
+  ASSERT_EQ(tc.completion.count, r.stack->info().num_zones);
   for (std::uint32_t lz = 0; lz < report.size(); ++lz) {
     EXPECT_EQ(report[lz].zslba, nvme::Lba{lz} * zsz) << "lz=" << lz;
   }
@@ -231,12 +232,14 @@ TEST(StripedStack, GatherReportInterleavesAndTranslates) {
   EXPECT_EQ(report[2].write_pointer, report[2].zslba);
 
   // Start zone and report_max apply to the logical view.
+  nvme::ZoneDescriptor first5[5];
   auto tail = r.Run({.opcode = nvme::Opcode::kZoneMgmtRecv,
                      .slba = nvme::Lba{3} * zsz,
-                     .report_max = 5});
+                     .report_max = 5,
+                     .data = first5});
   ASSERT_TRUE(tail.completion.ok());
-  ASSERT_EQ(tail.completion.report.size(), 5u);
-  EXPECT_EQ(tail.completion.report.front().zslba, nvme::Lba{3} * zsz);
+  ASSERT_EQ(tail.completion.count, 5u);
+  EXPECT_EQ(first5[0].zslba, nvme::Lba{3} * zsz);
 }
 
 TEST(StripedStack, ReportLegsCountInFlight) {
@@ -249,8 +252,10 @@ TEST(StripedStack, ReportLegsCountInFlight) {
         {.opcode = nvme::Opcode::kRead, .slba = r.ZoneStart(lz), .nlb = 1});
     ZSTOR_CHECK(tc.completion.ok());
   };
+  std::vector<nvme::ZoneDescriptor> zones(r.stack->info().num_zones);
   auto report = [&]() -> sim::Task<> {
-    auto tc = co_await r.stack->Submit({.opcode = nvme::Opcode::kZoneMgmtRecv});
+    auto tc = co_await r.stack->Submit(
+        {.opcode = nvme::Opcode::kZoneMgmtRecv, .data = zones.data()});
     ZSTOR_CHECK(tc.completion.ok());
   };
   sim::Spawn(read(0));

@@ -11,8 +11,9 @@
 // a warm mq-deadline stack and ZNS device, not per attempt of a
 // retrying stack racing each one against its timeout, not in a reset
 // holding the FCP on the slice chain beside host reads, and not per page
-// of a conventional FTL's GC migration or host I/O. A warm zkv store adds
-// nothing of its own per operation, flushes and compactions included.
+// of a conventional FTL's GC migration or host I/O, nor per tag-verified
+// read on either device. A warm zkv store allocates nothing per
+// operation, flushes, compactions and tag-verified reads included.
 // Every global allocation in this binary bumps a counter; the tests
 // read the delta across a measured window.
 #include <gtest/gtest.h>
@@ -696,9 +697,86 @@ TEST(AllocCount, WarmConvGcMigrationAndHostIoAllocateNothingPerPage) {
   }
 }
 
-// Counts the reads that ask for payload-tag readback: the ZNS device
-// returns those tags in a fresh Completion::payload_tags vector, one
-// allocation per read that belongs to the device, not to the store.
+// Tag-verified reads of data written with tags, four readers at once:
+// the device writes each LBA's tag into the reader's buffer (an array in
+// the reading frame), so a warm read allocates nothing, and the tags
+// match what was written.
+template <typename Device>
+void ExpectWarmTagVerifiedReadsAllocateNothing(Simulator& s, Device& dev) {
+  hostif::SpdkStack stack(s, dev);
+  constexpr std::uint64_t kTag0 = 0x7A90000;  // LBA i holds kTag0 + i
+  constexpr std::uint32_t kNlb = 16;
+  constexpr nvme::Lba kSpan = 256;
+  std::uint64_t reads = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t mismatches = 0;
+  auto fill = [&]() -> Task<> {
+    for (nvme::Lba lba = 0; lba < kSpan; lba += kNlb) {
+      auto tc = co_await stack.Submit({.opcode = nvme::Opcode::kWrite,
+                                       .slba = lba,
+                                       .nlb = kNlb,
+                                       .payload_tag = kTag0 + lba});
+      failed += tc.completion.ok() ? 0 : 1;
+    }
+  };
+  auto reader = [&](nvme::Lba first, int n) -> Task<> {
+    std::uint64_t tags[kNlb];
+    for (int i = 0; i < n; ++i) {
+      const nvme::Lba slba = (first + static_cast<nvme::Lba>(i) * kNlb) % kSpan;
+      auto tc = co_await stack.Submit({.opcode = nvme::Opcode::kRead,
+                                       .slba = slba,
+                                       .nlb = kNlb,
+                                       .payload_tag = 1,
+                                       .data = tags});
+      ++reads;
+      if (!tc.completion.ok() || tc.completion.count != kNlb) {
+        ++failed;
+        continue;
+      }
+      for (std::uint32_t j = 0; j < kNlb; ++j) {
+        mismatches += tags[j] == kTag0 + slba + j ? 0 : 1;
+      }
+    }
+  };
+  auto round = [&] {
+    std::optional<Task<>> t[4];
+    for (int i = 0; i < 4; ++i) t[i].emplace(reader(i * 4 * kNlb, 64));
+    s.Run();
+  };
+  {
+    Task<> t = fill();
+    s.Run();
+  }
+  round();  // warm-up: frame sizes and device state
+  reads = 0;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  round();
+  const std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(reads, 4u * 64);
+  EXPECT_EQ(delta, 0u) << "a warm tag-verified read allocated";
+}
+
+TEST(AllocCount, WarmTagVerifiedReadsAllocateNothing) {
+  if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
+  {
+    SCOPED_TRACE("ZNS device");
+    Simulator s;
+    zns::ZnsDevice dev(s, zns::TinyProfile());
+    ExpectWarmTagVerifiedReadsAllocateNothing(s, dev);
+  }
+  {
+    SCOPED_TRACE("conventional device");
+    Simulator s;
+    ftl::ConvDevice dev(s, ftl::TinyConvProfile());
+    ExpectWarmTagVerifiedReadsAllocateNothing(s, dev);
+  }
+}
+
+// Counts the reads that ask for payload-tag readback, so the measured
+// window below is known to include them.
 class TagReadCounter final : public hostif::Stack {
  public:
   explicit TagReadCounter(hostif::Stack& inner) : inner_(inner) {}
@@ -716,9 +794,10 @@ class TagReadCounter final : public hostif::Stack {
 // YCSB-A (half zipfian gets, half 4 KiB puts, four workers) through a
 // warm zkv store on a ZNS device. The memtables swap reused sorted
 // arrays, the WAL ledger and free-zone list are rings, tables come from
-// the store's pool and compaction merges into a store-owned buffer, so
-// the measured window (many flushes and compactions, zone resets too)
-// allocates exactly the device's tag vectors and nothing else.
+// the store's pool, compaction merges into a store-owned buffer and tag
+// read-backs land in the reading frame, so the measured window (many
+// flushes and compactions, zone resets and tag-verified reads too)
+// allocates nothing.
 TEST(AllocCount, WarmKvStoreOpsFlushesAndCompactionsAllocateNothing) {
   if (!kFramePoolEnabled) GTEST_SKIP() << "frame pool compiled out (ASan)";
   Simulator s;
@@ -783,8 +862,7 @@ TEST(AllocCount, WarmKvStoreOpsFlushesAndCompactionsAllocateNothing) {
   EXPECT_GT(k1.compactions, k0.compactions);
   EXPECT_GT(k1.zone_resets, k0.zone_resets);
   EXPECT_GT(stack.reads, reads0);
-  EXPECT_EQ(delta, stack.reads - reads0)
-      << "the store allocated beyond the device's tag vectors";
+  EXPECT_EQ(delta, 0u) << "a warm store operation allocated";
 }
 
 }  // namespace

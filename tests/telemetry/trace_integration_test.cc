@@ -138,13 +138,16 @@ TEST(TraceIntegration, Qd1SpansTileEveryZnsCommand) {
   };
   nvme::Command reset_all = mgmt(0, nvme::ZoneAction::kReset);
   reset_all.select_all = true;
+  std::vector<nvme::ZoneDescriptor> report(dev.info().num_zones);
   // 16 LBAs fill four NAND pages, so the read and flush reach the dies.
   std::vector<Issued> cmds = {
       Issue(tb, "write", {.opcode = Opcode::kWrite, .slba = 0, .nlb = 16}),
       Issue(tb, "append", {.opcode = Opcode::kAppend, .slba = 0, .nlb = 16}),
       Issue(tb, "flush", {.opcode = Opcode::kFlush}),
       Issue(tb, "read", {.opcode = Opcode::kRead, .slba = 0, .nlb = 32}),
-      Issue(tb, "report", {.opcode = Opcode::kZoneMgmtRecv, .slba = 0}),
+      Issue(tb, "report", {.opcode = Opcode::kZoneMgmtRecv,
+                           .slba = 0,
+                           .data = report.data()}),
       Issue(tb, "open", mgmt(1, nvme::ZoneAction::kOpen)),
       Issue(tb, "close", mgmt(1, nvme::ZoneAction::kClose)),
       Issue(tb, "finish", mgmt(0, nvme::ZoneAction::kFinish)),
@@ -234,6 +237,8 @@ TEST(TraceIntegration, ContendedFcpSerializesEveryZnsCommand) {
                          .slba = dev.ZoneStartLba(zone),
                          .zone_action = action};
   };
+  // The reports' contents go unchecked, so they share one buffer.
+  std::vector<nvme::ZoneDescriptor> report(dev.info().num_zones);
   std::vector<nvme::Command> cmds;
   for (std::uint32_t i = 0; i < 8; ++i) {
     cmds.push_back({.opcode = Opcode::kRead,
@@ -246,7 +251,8 @@ TEST(TraceIntegration, ContendedFcpSerializesEveryZnsCommand) {
     cmds.push_back(mgmt(2, nvme::ZoneAction::kOpen));
     cmds.push_back(mgmt(2, nvme::ZoneAction::kClose));
     cmds.push_back(mgmt(1, nvme::ZoneAction::kFinish));
-    cmds.push_back({.opcode = Opcode::kZoneMgmtRecv, .slba = 0});
+    cmds.push_back(
+        {.opcode = Opcode::kZoneMgmtRecv, .slba = 0, .data = report.data()});
     cmds.push_back({.opcode = Opcode::kFlush});
   }
   ExpectSerializedFcp(tb, cmds);

@@ -37,12 +37,15 @@ nvme::Command TaggedAppend(Harness& h, std::uint32_t zone, std::uint32_t nlb,
           .payload_tag = tag};
 }
 
+/// A read-back of `nlb` tags into `tags`, resized to hold them.
 nvme::Command TaggedRead(Harness& h, std::uint32_t zone, std::uint64_t off,
-                         std::uint32_t nlb) {
+                         std::uint32_t nlb, std::vector<std::uint64_t>& tags) {
+  tags.assign(nlb, ~std::uint64_t{0});
   return {.opcode = Opcode::kRead,
           .slba = h.dev.ZoneStartLba(zone) + off,
           .nlb = nlb,
-          .payload_tag = 1};  // any nonzero value requests tag readback
+          .payload_tag = 1,  // any nonzero value requests tag readback
+          .data = tags.data()};
 }
 
 TEST(ZnsCrash, IdleDeviceRecoversCleanly) {
@@ -80,11 +83,12 @@ TEST(ZnsCrash, FlushedDataSurvivesByteExact) {
   // pointer holds.
   EXPECT_EQ(h.dev.counters().crash_lost_bytes, 0u);
   EXPECT_EQ(h.dev.ZoneWritePointerLba(0), h.dev.ZoneStartLba(0) + nlb);
-  nvme::Completion rd = h.Run(TaggedRead(h, 0, 0, nlb));
+  std::vector<std::uint64_t> tags;
+  nvme::Completion rd = h.Run(TaggedRead(h, 0, 0, nlb, tags));
   ASSERT_TRUE(rd.ok());
-  ASSERT_EQ(rd.payload_tags.size(), nlb);
+  ASSERT_EQ(rd.count, nlb);
   for (std::uint32_t i = 0; i < nlb; ++i) {
-    EXPECT_EQ(rd.payload_tags[i], kTag + i) << "LBA " << i;
+    EXPECT_EQ(tags[i], kTag + i) << "LBA " << i;
   }
 }
 
@@ -120,12 +124,13 @@ TEST(ZnsCrash, UnflushedTailIsDroppedAtPageGranularity) {
   EXPECT_GE(h.dev.flash()->counters().recovery_probes, 1u);
   // Whatever survived reads back byte-exact.
   if (wp_lbas > 0) {
+    std::vector<std::uint64_t> tags;
     nvme::Completion rd = h.Run(
-        TaggedRead(h, 0, 0, static_cast<std::uint32_t>(wp_lbas)));
+        TaggedRead(h, 0, 0, static_cast<std::uint32_t>(wp_lbas), tags));
     ASSERT_TRUE(rd.ok());
-    ASSERT_EQ(rd.payload_tags.size(), wp_lbas);
+    ASSERT_EQ(rd.count, wp_lbas);
     for (std::uint64_t i = 0; i < wp_lbas; ++i) {
-      EXPECT_EQ(rd.payload_tags[i], kTag + i) << "LBA " << i;
+      EXPECT_EQ(tags[i], kTag + i) << "LBA " << i;
     }
   }
   // The zone state was recomputed from the recovered write pointer.
@@ -180,12 +185,13 @@ TEST(ZnsCrash, PostRecoveryAppendsLandAtTheRecoveredWp) {
   nvme::Completion ap = h.Run(TaggedAppend(h, 0, upp, 0x9000));
   ASSERT_TRUE(ap.ok());
   EXPECT_EQ(ap.result_lba, recovered_wp);
+  std::vector<std::uint64_t> tags;
   nvme::Completion rd = h.Run(TaggedRead(
-      h, 0, recovered_wp - h.dev.ZoneStartLba(0), upp));
+      h, 0, recovered_wp - h.dev.ZoneStartLba(0), upp, tags));
   ASSERT_TRUE(rd.ok());
-  ASSERT_EQ(rd.payload_tags.size(), upp);
+  ASSERT_EQ(rd.count, upp);
   for (std::uint32_t i = 0; i < upp; ++i) {
-    EXPECT_EQ(rd.payload_tags[i], 0x9000u + i);
+    EXPECT_EQ(tags[i], 0x9000u + i);
   }
 }
 

@@ -3,6 +3,8 @@
 // endurance / wear-out model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "zns_test_util.h"
 
 namespace zstor::zns {
@@ -13,16 +15,31 @@ using nvme::ZoneAction;
 using zstor::zns::testing::Harness;
 using zstor::zns::testing::QuietTiny;
 
-nvme::Command Report(nvme::Lba slba, std::uint32_t max = 0) {
-  return {.opcode = nvme::Opcode::kZoneMgmtRecv,
-          .slba = slba,
-          .nlb = 0,
-          .report_max = max};
+/// A zone report's completion and the descriptors the device wrote into
+/// the command's buffer, cut to the count it reported.
+struct Report {
+  nvme::Completion completion;
+  std::vector<nvme::ZoneDescriptor> report;
+  bool ok() const { return completion.ok(); }
+};
+
+Report RunReport(Harness& h, nvme::Lba slba, std::uint32_t max = 0,
+                 sim::Time* latency = nullptr) {
+  Report r;
+  r.report.resize(h.dev.info().num_zones);
+  r.completion = h.Run({.opcode = nvme::Opcode::kZoneMgmtRecv,
+                        .slba = slba,
+                        .nlb = 0,
+                        .report_max = max,
+                        .data = r.report.data()},
+                       latency);
+  r.report.resize(r.completion.count);
+  return r;
 }
 
 TEST(ZoneReport, ReportsAllZonesFromStart) {
   Harness h(QuietTiny());
-  auto c = h.Run(Report(0));
+  auto c = RunReport(h, 0);
   ASSERT_TRUE(c.ok());
   ASSERT_EQ(c.report.size(), h.dev.info().num_zones);
   for (std::uint32_t z = 0; z < c.report.size(); ++z) {
@@ -40,7 +57,7 @@ TEST(ZoneReport, ReflectsStateAndWritePointer) {
   ASSERT_TRUE(h.Write(1, 0, 2).ok());
   ASSERT_TRUE(h.Close(1).ok());
   h.dev.DebugFillZone(2, h.dev.profile().zone_cap_bytes);
-  auto c = h.Run(Report(0, 3));
+  auto c = RunReport(h, 0, 3);
   ASSERT_TRUE(c.ok());
   ASSERT_EQ(c.report.size(), 3u);
   EXPECT_EQ(static_cast<ZoneState>(c.report[0].state_raw),
@@ -54,12 +71,12 @@ TEST(ZoneReport, ReflectsStateAndWritePointer) {
 
 TEST(ZoneReport, PartialReportFromMiddle) {
   Harness h(QuietTiny());
-  auto c = h.Run(Report(h.dev.ZoneStartLba(10), 4));
+  auto c = RunReport(h, h.dev.ZoneStartLba(10), 4);
   ASSERT_TRUE(c.ok());
   ASSERT_EQ(c.report.size(), 4u);
   EXPECT_EQ(c.report[0].zslba, h.dev.ZoneStartLba(10));
   // Clamped at the end of the namespace.
-  auto tail = h.Run(Report(h.dev.ZoneStartLba(14), 100));
+  auto tail = RunReport(h, h.dev.ZoneStartLba(14), 100);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail.report.size(), 2u);
 }
@@ -67,9 +84,27 @@ TEST(ZoneReport, PartialReportFromMiddle) {
 TEST(ZoneReport, CostScalesWithDescriptorCount) {
   Harness h(QuietTiny());
   sim::Time small = 0, large = 0;
-  ASSERT_TRUE(h.Run(Report(0, 1), &small).ok());
-  ASSERT_TRUE(h.Run(Report(0, 16), &large).ok());
+  ASSERT_TRUE(RunReport(h, 0, 1, &small).ok());
+  ASSERT_TRUE(RunReport(h, 0, 16, &large).ok());
   EXPECT_GT(large, small);
+}
+
+// Returned data needs a host buffer: a report or a tag read-back
+// without one is refused, and the read transfers nothing.
+TEST(ZoneReport, ReportOrTagReadBackWithoutABufferIsAnInvalidField) {
+  Harness h(QuietTiny());
+  ASSERT_TRUE(h.Write(0, 0, 4).ok());
+  EXPECT_EQ(h.Run({.opcode = nvme::Opcode::kZoneMgmtRecv}).status,
+            Status::kInvalidField);
+  EXPECT_EQ(h.Run({.opcode = nvme::Opcode::kRead,
+                   .slba = 0,
+                   .nlb = 4,
+                   .payload_tag = 1})
+                .status,
+            Status::kInvalidField);
+  EXPECT_EQ(h.dev.counters().reads, 0u);
+  // Without a tag request a read needs no buffer.
+  EXPECT_TRUE(h.Run({.opcode = nvme::Opcode::kRead, .slba = 0, .nlb = 4}).ok());
 }
 
 TEST(ResetAll, ResetsEveryNonEmptyZone) {
