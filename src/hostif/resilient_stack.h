@@ -43,7 +43,9 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -266,17 +268,9 @@ class ResilientStack : public Stack {
   /// have retried or returned by the time a timed-out attempt completes.
   sim::Task<> RaceAttempt(nvme::Command cmd, Outcome* out) {
     void* const dest = cmd.data;
-    std::vector<std::uint64_t> tags;
-    std::vector<nvme::ZoneDescriptor> zones;
-    if (dest != nullptr && cmd.opcode == nvme::Opcode::kRead &&
-        cmd.payload_tag != 0) {
-      tags.resize(cmd.nlb);
-      cmd.data = tags.data();
-    } else if (dest != nullptr &&
-               cmd.opcode == nvme::Opcode::kZoneMgmtRecv) {
-      zones.resize(inner_.info().num_zones);
-      cmd.data = zones.data();
-    }
+    const DataShape shape = dest != nullptr ? ShapeOf(cmd) : DataShape{};
+    std::vector<std::byte> bounce(shape.entry_bytes * shape.max_entries);
+    if (!bounce.empty()) cmd.data = bounce.data();
     struct Race {
       Outcome* out;  // the waiter's; null once settled
       bool watchdog_fired = false;
@@ -299,16 +293,33 @@ class ResilientStack : public Stack {
     });
     nvme::TimedCompletion tc = co_await device;
     if (Outcome* o = std::exchange(race.out, nullptr)) {
-      const std::uint32_t n = tc.completion.ok() ? tc.completion.count : 0;
-      if (!tags.empty()) {
-        std::copy_n(tags.data(), n, static_cast<std::uint64_t*>(dest));
-      } else if (!zones.empty()) {
-        std::copy_n(zones.data(), n, static_cast<nvme::ZoneDescriptor*>(dest));
+      if (!bounce.empty() && tc.completion.ok()) {
+        std::memcpy(dest, bounce.data(),
+                    std::size_t{tc.completion.count} * shape.entry_bytes);
       }
       o->tc = tc;
       o->done.Done();
     }
     co_await race;  // until the watchdog has fired
+  }
+
+  /// What a device may write into `cmd.data`: `nlb` tags for a tag
+  /// read-back, up to `report_max` (0 = all) zone descriptors for a
+  /// report, nothing for any other command.
+  struct DataShape {
+    std::size_t entry_bytes = 0;
+    std::size_t max_entries = 0;
+  };
+  DataShape ShapeOf(const nvme::Command& cmd) const {
+    if (cmd.opcode == nvme::Opcode::kRead && cmd.payload_tag != 0) {
+      return {sizeof(std::uint64_t), cmd.nlb};
+    }
+    if (cmd.opcode == nvme::Opcode::kZoneMgmtRecv) {
+      const std::uint32_t zones = inner_.info().num_zones;
+      return {sizeof(nvme::ZoneDescriptor),
+              cmd.report_max == 0 ? zones : std::min(cmd.report_max, zones)};
+    }
+    return {};
   }
 
   /// Keeps the per-zone expected write pointer current. Appends teach it

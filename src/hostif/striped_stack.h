@@ -303,9 +303,17 @@ class StripedStack : public Stack {
   /// slowest), then descriptors are re-interleaved into the caller's
   /// buffer in logical zone order with addresses translated back.
   /// `cmd.slba`'s zone and `report_max` are applied to the logical view,
-  /// matching single-device Zone Management Receive semantics. A
-  /// management command, so the per-lane buffers may allocate.
+  /// matching single-device Zone Management Receive semantics, down to
+  /// refusing a report without a buffer. A management command, so the
+  /// per-lane buffers may allocate.
   sim::Task<nvme::TimedCompletion> GatherReport(nvme::Command cmd) {
+    if (cmd.data == nullptr) {
+      nvme::TimedCompletion tc;
+      tc.completion.status = nvme::Status::kInvalidField;
+      tc.trace_id = cmd.trace_id;
+      tc.submitted = tc.completed = sim_.now();
+      co_return tc;
+    }
     nvme::Command full = cmd;
     full.slba = 0;
     full.report_max = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nvme/tag_buffer.h"
 #include "sim/check.h"
 #include "sim/rng.h"
 #include "sim/sync.h"
@@ -182,9 +183,9 @@ sim::Task<bool> IntegrityVerifier::Flush() {
 }
 
 sim::Task<IntegrityVerifier::Report> IntegrityVerifier::VerifyAll() {
-  // Contiguous ledger entries are read back in runs of at most this many
-  // LBAs, into a tag buffer in this frame.
-  constexpr std::size_t kMaxRunLbas = 64;
+  // Contiguous ledger entries are read back in runs of at most one tag
+  // block's worth of LBAs, each into a block of its own.
+  constexpr std::size_t kMaxRunLbas = nvme::TagBuffer::kTags;
   Report rep;
   auto it = ledger_.begin();
   while (it != ledger_.end()) {
@@ -203,8 +204,8 @@ sim::Task<IntegrityVerifier::Report> IntegrityVerifier::VerifyAll() {
     cmd.slba = start;
     cmd.nlb = static_cast<std::uint32_t>(run.size());
     cmd.payload_tag = 1;  // any nonzero value requests tag readback
-    std::uint64_t tags[kMaxRunLbas];
-    cmd.data = tags;
+    nvme::TagBuffer tags;
+    cmd.data = tags.data();
     auto tc = co_await stack_.Submit(cmd);
     if (!tc.completion.ok() || tc.completion.count != run.size()) {
       rep.read_errors++;

@@ -1,8 +1,10 @@
 #include "zkv/kv_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "nvme/tag_buffer.h"
 #include "sim/check.h"
 
 namespace zstor::zkv {
@@ -462,10 +464,12 @@ sim::Task<> KvStore::SettleZone(std::uint32_t zone) {
                                     .slba = ZoneStartLba(zone),
                                     .report_max = 1,
                                     .data = &d});
-  // A reset, a poisoning or another settle that ran meanwhile already
-  // rewrote the count; a sealed zone takes no more appends either way.
+  // A reset, a poisoning or a seal that ran meanwhile closed the zone,
+  // and another settle lowered the count; either way this report is
+  // stale. A count at capacity is settled too: the failed append may be
+  // the one that reserved the zone's last LBAs.
   if (!tc.completion.ok() || tc.completion.count == 0 || !zi.open ||
-      zi.written_lbas < reserved0 || zi.written_lbas >= zone_cap_lbas()) {
+      zi.written_lbas < reserved0) {
     co_return;
   }
   // Whatever had not landed when the device read its write pointer was
@@ -901,13 +905,16 @@ const KvStore::TableEntry* KvStore::FindInTable(const SsTable* t,
 sim::Task<Status> KvStore::ReadExtentRange(
     Extent e, std::uint32_t lba_off, std::uint32_t lbas, bool verify_tags,
     workload::IntegrityVerifier::Report* rep) {
-  // The read-back lands in this frame, so concurrent reads never share a
-  // buffer. Only a WAL record replayed after a crash can outgrow one
-  // append; it takes a buffer of its own.
-  std::uint64_t frame_tags[kMaxAppendLbas];
+  // Each verified read leases a tag block of its own, so concurrent
+  // reads never share a buffer. Only a WAL record replayed after a crash
+  // can outgrow one append; it takes a buffer of its own.
+  static_assert(kMaxAppendLbas <= nvme::TagBuffer::kTags);
+  std::optional<nvme::TagBuffer> lease;
   std::vector<std::uint64_t> long_tags;
-  std::uint64_t* tags = frame_tags;
-  if (verify_tags && lbas > kMaxAppendLbas) {
+  std::uint64_t* tags = nullptr;
+  if (verify_tags && lbas <= kMaxAppendLbas) {
+    tags = lease.emplace().data();
+  } else if (verify_tags) {
     long_tags.resize(lbas);
     tags = long_tags.data();
   }

@@ -240,6 +240,11 @@ TEST(StripedStack, GatherReportInterleavesAndTranslates) {
   ASSERT_TRUE(tail.completion.ok());
   ASSERT_EQ(tail.completion.count, 5u);
   EXPECT_EQ(first5[0].zslba, nvme::Lba{3} * zsz);
+
+  // A report without a buffer is refused, as a single device refuses it.
+  auto bare = r.Run({.opcode = nvme::Opcode::kZoneMgmtRecv});
+  EXPECT_EQ(bare.completion.status, nvme::Status::kInvalidField);
+  EXPECT_EQ(bare.completion.count, 0u);
 }
 
 TEST(StripedStack, ReportLegsCountInFlight) {

@@ -28,6 +28,7 @@
 #include "harness/testbed.h"
 #include "hostif/host_stack.h"
 #include "hostif/resilient_stack.h"
+#include "nvme/tag_buffer.h"
 #include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -698,9 +699,9 @@ TEST(AllocCount, WarmConvGcMigrationAndHostIoAllocateNothingPerPage) {
 }
 
 // Tag-verified reads of data written with tags, four readers at once:
-// the device writes each LBA's tag into the reader's buffer (an array in
-// the reading frame), so a warm read allocates nothing, and the tags
-// match what was written.
+// each read leases a tag block (as zkv and the verifier do) and the
+// device writes each LBA's tag into it, so a warm read allocates
+// nothing, lease included, and the tags match what was written.
 template <typename Device>
 void ExpectWarmTagVerifiedReadsAllocateNothing(Simulator& s, Device& dev) {
   hostif::SpdkStack stack(s, dev);
@@ -720,14 +721,14 @@ void ExpectWarmTagVerifiedReadsAllocateNothing(Simulator& s, Device& dev) {
     }
   };
   auto reader = [&](nvme::Lba first, int n) -> Task<> {
-    std::uint64_t tags[kNlb];
     for (int i = 0; i < n; ++i) {
       const nvme::Lba slba = (first + static_cast<nvme::Lba>(i) * kNlb) % kSpan;
+      nvme::TagBuffer tags;
       auto tc = co_await stack.Submit({.opcode = nvme::Opcode::kRead,
                                        .slba = slba,
                                        .nlb = kNlb,
                                        .payload_tag = 1,
-                                       .data = tags});
+                                       .data = tags.data()});
       ++reads;
       if (!tc.completion.ok() || tc.completion.count != kNlb) {
         ++failed;

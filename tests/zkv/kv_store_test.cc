@@ -1,12 +1,14 @@
 // KvStore tests: LSM semantics (put/get/delete, overwrite, tombstones),
 // the flush/compaction pipeline under churn, lifetime placement's effect
 // on write amplification, open-zone discipline, stats invariants, a
-// read that a relocation overtakes, and device failures the store
-// retries or routes around.
+// read that a relocation overtakes, device failures the store retries
+// or routes around, and tag read-backs re-issued after the store is gone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "hostif/host_stack.h"
 #include "kv_store_internals.h"
@@ -572,6 +574,119 @@ TEST(KvStore, DataAppendFailureSettlesItsZoneAndRebuildsTheTable) {
       static_cast<nvme::Lba>(first.zone) * inner.info().zone_size_lbas;
   EXPECT_EQ(KvStoreInternals::ZoneWrittenLbas(kv, first.zone),
             dev.ZoneWritePointerLba(first.zone) - start);
+}
+
+// The same failure on the append that reserved a zone's last LBAs: the
+// count sits at capacity when the settle's report returns, and must
+// still drop to the write pointer, or the next append seals the zone
+// short of it.
+TEST(KvStore, DataAppendFailureAtCapacitySettlesItsZone) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  FailStack faulty(sim, inner, Status::kInternalError);
+  KvStore kv(sim, faulty, Fixture::DefaultOptions());
+  using In = KvStoreInternals;
+  const std::uint64_t cap = inner.info().zone_cap_lbas;
+  std::uint32_t zone = 0;
+  int appends_after = 0;
+  std::uint32_t next_zone = 0;
+  std::uint64_t count_at_next = 0, wp_at_next = 0;
+  bool sealed_at_next = false;
+  faulty.fail = [&](const nvme::Command& c) {
+    if (c.opcode != nvme::Opcode::kAppend) return false;
+    const std::uint32_t z = ZoneOf(inner, c.slba);
+    if (z < 2) return false;
+    if (faulty.failed == 0) {
+      if (In::ZoneWrittenLbas(kv, z) != cap) return false;
+      zone = z;
+      return true;
+    }
+    if (++appends_after == 1) {
+      // The count holds this append's reservation on top of what landed.
+      next_zone = z;
+      sealed_at_next = In::ZoneSealed(kv, zone);
+      count_at_next = In::ZoneWrittenLbas(kv, zone) - (z == zone ? c.nlb : 0);
+      wp_at_next = dev.ZoneWritePointerLba(zone) -
+                   static_cast<nvme::Lba>(zone) * inner.info().zone_size_lbas;
+    }
+    return false;
+  };
+  auto fill = [&]() -> sim::Task<> {
+    for (std::uint64_t k = 0; k < 400 && faulty.failed == 0; ++k) {
+      ZSTOR_CHECK(co_await kv.Put(k % 40, 16 * 1024) == Status::kSuccess);
+    }
+    co_await kv.Drain();
+  };
+  auto f = fill();
+  sim.Run();
+  ASSERT_EQ(faulty.failed, 1);
+  ASSERT_GE(appends_after, 1);
+  EXPECT_EQ(kv.stats().gc_relocated_bytes, 0u);  // a data writer's append
+  EXPECT_FALSE(sealed_at_next);
+  EXPECT_EQ(next_zone, zone);
+  EXPECT_LT(wp_at_next, cap);
+  EXPECT_EQ(count_at_next, wp_at_next);
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    bool found = false;
+    Status st = Status::kInternalError;
+    auto get = [&]() -> sim::Task<> { st = co_await kv.Get(k, &found); };
+    auto g = get();
+    sim.Run();
+    ASSERT_EQ(st, Status::kSuccess);
+    EXPECT_TRUE(found) << "key " << k;
+  }
+  EXPECT_EQ(kv.stats().read_tag_mismatches, 0u);
+}
+
+/// Records every command it forwards, as a benchmark that replays a
+/// run's command stream does.
+class RecordingStack final : public hostif::Stack {
+ public:
+  explicit RecordingStack(hostif::Stack& inner) : inner_(inner) {}
+  sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
+    commands.push_back(cmd);
+    co_return co_await inner_.Submit(cmd);
+  }
+  const nvme::NamespaceInfo& info() const override { return inner_.info(); }
+
+  std::vector<nvme::Command> commands;
+
+ private:
+  hostif::Stack& inner_;
+};
+
+// A store's tag read-backs, recorded and re-issued once the store and
+// every read frame are gone, write into buffers that still exist: the
+// device returns each read's tags into the buffer the command named.
+// (Under AddressSanitizer a buffer in a read's frame would fail here as
+// a use after free.)
+TEST(KvStore, RecordedTagReadBacksReplayAfterTheStoreIsGone) {
+  sim::Simulator sim;
+  zns::ZnsDevice dev(sim, Fixture::Profile());
+  hostif::SpdkStack inner(sim, dev);
+  RecordingStack rec(inner);
+  {
+    auto kv = std::make_unique<KvStore>(sim, rec, Fixture::DefaultOptions());
+    FillDrainAndReadBack(sim, *kv);
+  }
+  std::size_t replayed = 0;
+  for (const nvme::Command& c : rec.commands) {
+    if (c.opcode != nvme::Opcode::kRead || c.payload_tag == 0) continue;
+    ASSERT_NE(c.data, nullptr);
+    nvme::TimedCompletion tc;
+    auto replay = [&]() -> sim::Task<> { tc = co_await inner.Submit(c); };
+    auto r = replay();
+    sim.Run();
+    ASSERT_TRUE(tc.completion.ok());
+    ASSERT_EQ(tc.completion.count, c.nlb);
+    const auto* tags = static_cast<const std::uint64_t*>(c.data);
+    for (std::uint32_t i = 0; i < c.nlb; ++i) {
+      EXPECT_EQ(tags[i], c.payload_tag + i) << "read " << replayed;
+    }
+    ++replayed;
+  }
+  EXPECT_GT(replayed, 0u);
 }
 
 }  // namespace
