@@ -4,8 +4,10 @@
 // it falls in the device's own recovery, not at all if it falls in an
 // outage a direct CrashNow opened) and a plan arms once; a command during
 // an outage and an unsupported opcode are each counted once in the right
-// bucket; and the SMART and Die Utilization log pages agree with the
-// NAND array's own accounting.
+// bucket; every failed completion a host sees, over a seeded mix of
+// valid and invalid commands with media faults and a power loss, is
+// counted once in the bucket its status names; and the SMART and Die
+// Utilization log pages agree with the NAND array's own accounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +15,7 @@
 
 #include "fault/fault_plan.h"
 #include "ftl/conv_device.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "zns/zns_device.h"
@@ -34,6 +37,33 @@ struct ZnsModel {
   static nvme::Command Write(Device& d, std::uint32_t nlb) {
     return {.opcode = Opcode::kWrite, .slba = d.ZoneStartLba(0), .nlb = nlb};
   }
+  /// Worker `w`'s zone: a write at its write pointer, a reset once the
+  /// zone is nearly full, or a read of what it holds.
+  static nvme::Command Valid(Device& d, sim::Rng& rng, std::uint32_t w) {
+    const nvme::Lba start = d.ZoneStartLba(w);
+    const nvme::Lba wp = d.ZoneWritePointerLba(w);
+    const std::uint32_t nlb = 1 + static_cast<std::uint32_t>(rng.UniformU64(8));
+    if (wp > start && rng.UniformU64(3) == 0) {
+      const nvme::Lba off = rng.UniformU64(wp - start);
+      return {.opcode = Opcode::kRead, .slba = start + off,
+              .nlb = static_cast<std::uint32_t>(
+                  std::min<nvme::Lba>(nlb, wp - start - off))};
+    }
+    if (wp + nlb > start + d.info().zone_cap_lbas) {
+      return {.opcode = Opcode::kZoneMgmtSend, .slba = start,
+              .zone_action = nvme::ZoneAction::kReset};
+    }
+    return {.opcode = Opcode::kWrite, .slba = wp, .nlb = nlb};
+  }
+  /// A write past the write pointer, or a finish of an empty zone.
+  static nvme::Command WrongState(Device& d, std::uint32_t w) {
+    const nvme::Lba start = d.ZoneStartLba(w);
+    if (d.ZoneWritePointerLba(w) == start) {
+      return {.opcode = Opcode::kZoneMgmtSend, .slba = start,
+              .zone_action = nvme::ZoneAction::kFinish};
+    }
+    return {.opcode = Opcode::kWrite, .slba = start, .nlb = 1};
+  }
 };
 
 struct ConvModel {
@@ -46,6 +76,18 @@ struct ConvModel {
   static constexpr Opcode kUnsupported = Opcode::kAppend;
   static nvme::Command Write(Device&, std::uint32_t nlb) {
     return {.opcode = Opcode::kWrite, .slba = 0, .nlb = nlb};
+  }
+  /// A write or a read of up to 8 LBAs anywhere in the namespace.
+  static nvme::Command Valid(Device& d, sim::Rng& rng, std::uint32_t) {
+    const std::uint32_t nlb = 1 + static_cast<std::uint32_t>(rng.UniformU64(8));
+    const nvme::Lba slba = rng.UniformU64(d.info().capacity_lbas - nlb);
+    return {.opcode = rng.UniformU64(3) == 0 ? Opcode::kRead : Opcode::kWrite,
+            .slba = slba, .nlb = nlb};
+  }
+  /// No zone state to violate: a trim that runs past the namespace.
+  static nvme::Command WrongState(Device& d, std::uint32_t) {
+    return {.opcode = Opcode::kDeallocate,
+            .slba = d.info().capacity_lbas - 1, .nlb = 2};
   }
 };
 
@@ -139,6 +181,78 @@ TYPED_TEST(DeviceContract, UnsupportedOpcodeIsOneHostReject) {
   EXPECT_EQ(this->dev->counters().host_rejects, 1u);
   EXPECT_EQ(this->dev->counters().reset_drops, 0u);
   EXPECT_EQ(this->dev->counters().media_errors, 0u);
+}
+
+TYPED_TEST(DeviceContract, EveryFailureTheHostSeesIsCountedOnceInItsClass) {
+  // Four workers at QD 1 issue a seeded mix: valid commands, and each
+  // kind of invalid one (bad range, zero length, wrong zone state, a tag
+  // read without a buffer, an unsupported opcode), under read and
+  // program faults and one power loss. The host classes each failed
+  // completion by its status; the device's three failure counters must
+  // match those tallies exactly.
+  constexpr std::uint32_t kWorkers = 4;
+  constexpr int kCommands = 400;
+  fault::FaultPlan plan{
+      this->Spec("seed=11,read_uc=0.03,prog=0.005,crash=1500")};
+  auto& d = *this->dev;
+  d.AttachFaultPlan(&plan);
+  std::uint64_t resets = 0, media = 0, host = 0, ok = 0;
+  auto tally = [&](const nvme::Completion& c) {
+    if (c.ok()) {
+      ++ok;
+    } else if (c.status == Status::kDeviceReset) {
+      ++resets;
+    } else if (nvme::IsMediaError(c.status)) {
+      ++media;
+    } else {
+      ++host;
+    }
+  };
+  auto worker = [&](std::uint32_t w) -> sim::Task<> {
+    sim::Rng rng(0x5EED0000u + w);
+    std::uint64_t tags[8];
+    for (int i = 0; i < kCommands; ++i) {
+      nvme::Command cmd = TypeParam::Valid(d, rng, w);
+      switch (rng.UniformU64(16)) {
+        case 0: cmd.slba = d.info().capacity_lbas; break;  // bad range
+        case 1: cmd.nlb = 0; break;
+        case 2: cmd = TypeParam::WrongState(d, w); break;
+        case 3:  // a tag read-back with nowhere to land
+          cmd.opcode = Opcode::kRead;
+          cmd.payload_tag = 1;
+          break;
+        case 4: cmd.opcode = TypeParam::kUnsupported; break;
+        case 5:
+          if (cmd.opcode == Opcode::kRead) {
+            cmd.payload_tag = 1;
+            cmd.data = tags;
+          }
+          break;
+        default: break;
+      }
+      const nvme::Completion c = co_await d.Execute(cmd);
+      tally(c);
+      // Back off through an outage rather than spin through it.
+      if (c.status == Status::kDeviceReset) {
+        co_await this->sim.Delay(sim::Microseconds(200));
+      }
+    }
+  };
+  auto w0 = worker(0);
+  auto w1 = worker(1);
+  auto w2 = worker(2);
+  auto w3 = worker(3);
+  this->sim.Run();
+  static_assert(kWorkers == 4);
+  ASSERT_EQ(ok + resets + media + host, kWorkers * kCommands);
+  EXPECT_EQ(d.counters().crashes, 1u);
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(resets, 0u);
+  EXPECT_GT(media, 0u);
+  EXPECT_GT(host, 0u);
+  EXPECT_EQ(d.counters().reset_drops, resets);
+  EXPECT_EQ(d.counters().media_errors, media);
+  EXPECT_EQ(d.counters().host_rejects, host);
 }
 
 TYPED_TEST(DeviceContract, LogPagesAgreeWithTheFlashArray) {
