@@ -26,10 +26,15 @@
 // thread joins that thread's list; each thread's cached frames go back
 // to the heap when it exits. Under AddressSanitizer the pool compiles
 // out so use-after-free of a frame is still caught.
+//
+// FRAME COUNT: FramesCreated() counts the frames this thread has
+// created, on every build, pooled or not (DESIGN.md §1.1 gives the
+// frames a command costs per layer).
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <optional>
 #include <type_traits>
@@ -72,6 +77,7 @@ struct FrameCache {
   enum : unsigned char { kCold, kLive, kClosed } state;
 };
 inline thread_local constinit FrameCache t_frame_cache{};
+inline thread_local constinit std::uint64_t t_frames_created = 0;
 
 /// Registers this thread's exit drain (the cache goes kLive); false once
 /// the thread is exiting and its cache is closed.
@@ -101,13 +107,21 @@ inline void DeallocateFrame(void* p, std::size_t n) noexcept {
 }
 
 struct PromiseBase {
+  static void* operator new(std::size_t n) {
+    ++t_frames_created;
 #if ZSTOR_FRAME_POOL
-  static void* operator new(std::size_t n) { return AllocateFrame(n); }
-  static void operator delete(void* p, std::size_t n) noexcept {
-    DeallocateFrame(p, n);
-  }
+    return AllocateFrame(n);
+#else
+    return ::operator new(n);
 #endif
-
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+#if ZSTOR_FRAME_POOL
+    DeallocateFrame(p, n);
+#else
+    ::operator delete(p, n);
+#endif
+  }
 
   std::coroutine_handle<> continuation{};
   bool detached = false;
@@ -211,6 +225,9 @@ Task<T> detail::Promise<T>::get_return_object() {
 inline Task<void> detail::Promise<void>::get_return_object() {
   return Task<void>{std::coroutine_handle<Promise>::from_promise(*this)};
 }
+
+/// Coroutine frames created on this thread so far.
+inline std::uint64_t FramesCreated() { return detail::t_frames_created; }
 
 /// Starts a free-running process (the idiomatic way to launch workers).
 inline void Spawn(Task<> t) { std::move(t).Detach(); }
