@@ -528,6 +528,9 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
     }
     co_await wg.Wait();
   }
+  if (power_epoch_ != epoch0) {
+    co_return Completion{.status = Status::kDeviceReset};
+  }
   sim::Time post_begin = sim_.now();
   if (tr != nullptr) {
     tr->Span(nand_begin, post_begin, cmd.trace_id, Layer::kNand,

@@ -983,6 +983,9 @@ sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   (co_await Fcp(profile_.fcp.write, {tid})).Release();
+  if (power_epoch_ != epoch0) {
+    co_return Completion{.status = Status::kDeviceReset};
+  }
   // Quiesce the NAND drain. Partial (sub-page) buffer contents stay in
   // the capacitor-backed buffer — they are already durable.
   sim::Time drain_begin = sim_.now();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ftl/conv_device.h"
@@ -302,6 +303,46 @@ TEST(ConvCrash, CommandsDuringTheOutageFailWithDeviceReset) {
   EXPECT_EQ(during.status, Status::kDeviceReset);
   EXPECT_TRUE(after.ok());
   EXPECT_GE(f.dev.counters().reset_drops, 1u);
+}
+
+TEST(ConvCrash, ReadCutInItsNandPhaseFailsWhenThePhaseEnds) {
+  // A power cut while a read waits on NAND fails the read as soon as the
+  // NAND phase ends, as on the ZNS device: no post/DMA step runs for it.
+  ConvProfile p = TinyConvProfile();
+  p.io_sigma = 0;  // exact step times
+  p.nand_timing.read_sigma = 0;
+  // The read's completion time and status with a power cut at `cut`
+  // (none when sim::kNever).
+  auto read = [&](sim::Time cut, sim::Time* done) {
+    Fixture f(p);
+    f.dev.DebugPrefill();
+    nvme::Completion out;
+    auto crash = [&]() -> sim::Task<> {
+      co_await f.sim.Delay(cut);
+      co_await f.dev.CrashNow();
+    };
+    auto body = [&]() -> sim::Task<> {
+      out = co_await f.dev.Execute({.opcode = Opcode::kRead, .slba = 0});
+      *done = f.sim.now();
+    };
+    std::optional<sim::Task<>> c;
+    if (cut != sim::kNever) c.emplace(crash());
+    auto t = body();
+    f.sim.Run();
+    EXPECT_EQ(f.dev.counters().reads, out.ok() ? 1u : 0u);
+    return out;
+  };
+  sim::Time uncut = 0;
+  ASSERT_TRUE(read(sim::kNever, &uncut).ok());
+  const sim::Time fcp_end = p.fcp.read;
+  const sim::Time nand_end =
+      uncut - (p.post.read_fixed +
+               static_cast<sim::Time>(p.post.dma_ns_per_byte * p.lba_bytes));
+  ASSERT_GT(nand_end, fcp_end + 2);
+  sim::Time done = 0;
+  EXPECT_EQ(read((fcp_end + nand_end) / 2, &done).status,
+            Status::kDeviceReset);
+  EXPECT_EQ(done, nand_end);
 }
 
 TEST(ConvCrash, CrashRecoveryIsDeterministic) {

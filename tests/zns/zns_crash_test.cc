@@ -222,6 +222,38 @@ TEST(ZnsCrash, InFlightAndOutageCommandsFailWithDeviceReset) {
   EXPECT_GE(h.dev.counters().reset_drops, 2u);
 }
 
+TEST(ZnsCrash, FlushCutInItsFcpStepFailsWhenTheStepEnds) {
+  // A power cut during a flush's FCP step fails the flush as soon as the
+  // step ends, as on the conventional device: it does not wait out the
+  // drain of the programs in flight first.
+  Harness h(QuietTiny());
+  const std::uint32_t upp = LbasPerPage(h);
+  const sim::Time fcp = h.dev.profile().fcp.write;
+  nvme::Completion flush;
+  sim::Time flushed_at = 0, step_end = 0;
+  auto body = [&]() -> sim::Task<> {
+    // Sixteen pages, acked from the write-back buffer: their programs
+    // are still in flight when the flush starts.
+    nvme::Completion w = co_await h.dev.Execute(
+        {.opcode = Opcode::kWrite, .slba = 0, .nlb = 16 * upp});
+    EXPECT_TRUE(w.ok());
+    auto crash = [&]() -> sim::Task<> {
+      co_await h.sim.Delay(fcp / 2);
+      co_await h.dev.CrashNow();
+    };
+    sim::Spawn(crash());
+    step_end = h.sim.now() + fcp;
+    flush = co_await h.dev.Execute({.opcode = Opcode::kFlush});
+    flushed_at = h.sim.now();
+  };
+  auto t = body();
+  h.sim.Run();
+  ASSERT_GT(fcp, 2);
+  EXPECT_EQ(flush.status, Status::kDeviceReset);
+  EXPECT_EQ(flushed_at, step_end);
+  EXPECT_EQ(h.dev.counters().flushes, 0u);
+}
+
 TEST(ZnsCrash, ScheduledCrashFiresFromTheFaultPlan) {
   fault::FaultSpec spec;
   std::string err;
