@@ -466,14 +466,14 @@ sim::Task<> ConvDevice::MigrateAndErase(std::uint32_t victim) {
 
 // ------------------------------------------------------------ I/O paths
 
-std::optional<sim::Task<Completion>> ConvDevice::Dispatch(const Command& cmd) {
+sim::Task<Completion> ConvDevice::Dispatch(const Command& cmd) {
   FinalizeLayout();
   switch (cmd.opcode) {
     case Opcode::kRead: return DoRead(cmd);
     case Opcode::kWrite: return DoWrite(cmd);
     case Opcode::kDeallocate: return DoDeallocate(cmd);
     case Opcode::kFlush: return DoFlush(cmd);
-    default: return std::nullopt;
+    default: return Failed(Status::kInvalidOpcode);
   }
 }
 
@@ -485,10 +485,10 @@ Status ConvDevice::ValidateIoRange(const Command& cmd) const {
 
 sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   if (cmd.payload_tag != 0 && cmd.data == nullptr) {
-    co_return Completion{.status = Status::kInvalidField};  // no buffer
+    co_return Fail(Status::kInvalidField);  // no buffer
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * profile_.lba_bytes;
@@ -498,9 +498,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
        profile_.fcp.read + profile_.fcp.per_extra_unit * (cmd.nlb - 1),
        {cmd.trace_id, 0, bytes}))
       .Release();
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   sim::Time nand_begin = sim_.now();
   // Fetch each mapped unit's physical page; distinct pages in parallel.
   // Every page id is copied into its read before this frame suspends.
@@ -528,9 +526,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
     }
     co_await wg.Wait();
   }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   sim::Time post_begin = sim_.now();
   if (tr != nullptr) {
     tr->Span(nand_begin, post_begin, cmd.trace_id, Layer::kNand,
@@ -538,7 +534,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   }
   if (media == nand::MediaStatus::kReadError) {
     counters_.read_faults++;
-    co_return Completion{.status = Status::kMediaReadError};
+    co_return Fail(Status::kMediaReadError);
   }
   co_await sim_.Delay(
       Noise(profile_.post.read_fixed +
@@ -550,7 +546,7 @@ sim::Task<Completion> ConvDevice::DoRead(Command cmd) {
   }
   if (power_epoch_ != epoch0) {
     // Power cut during the host DMA: the transfer is torn.
-    co_return Completion{.status = Status::kDeviceReset};
+    co_return Fail(Status::kDeviceReset);
   }
   counters_.reads++;
   counters_.bytes_read += bytes;
@@ -572,7 +568,7 @@ nand::PageAddr ConvDevice::AddrOfPhysPage(std::uint64_t page_id) const {
 
 sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
   if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * profile_.lba_bytes;
@@ -584,7 +580,7 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
         {cmd.trace_id, 0, bytes});
     if (power_epoch_ != epoch0) {
       // Crashed before any state mutation: fail clean, nothing admitted.
-      co_return Completion{.status = Status::kDeviceReset};
+      co_return Fail(Status::kDeviceReset);
     }
     // Overwrites invalidate the previous physical locations now. Each
     // unit's last durable copy rides in its l2p_ entry as the rollback
@@ -636,9 +632,7 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
     tr->Span(admit_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
              "buffer.admit");
   }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   counters_.writes++;
   counters_.bytes_written += bytes;
   co_return Completion{.status = Status::kSuccess};
@@ -646,16 +640,14 @@ sim::Task<Completion> ConvDevice::DoWrite(Command cmd) {
 
 sim::Task<Completion> ConvDevice::DoDeallocate(Command cmd) {
   if (Status st = ValidateIoRange(cmd); st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   const std::uint64_t epoch0 = power_epoch_;
   {
     auto g =
         co_await Fcp(profile_.trim_fixed + profile_.trim_per_unit * cmd.nlb,
                      {cmd.trace_id, 0, cmd.nlb});
-    if (power_epoch_ != epoch0) {
-      co_return Completion{.status = Status::kDeviceReset};
-    }
+    if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
     for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
       std::uint32_t u = static_cast<std::uint32_t>(cmd.slba + i);
       if (l2p_[u] == kUnmapped) continue;
@@ -685,9 +677,7 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   (co_await Fcp(profile_.fcp.write, {cmd.trace_id})).Release();
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   sim::Time drain_begin = sim_.now();
   if (pending_units_.count != 0) {
     programs_.Add();
@@ -698,9 +688,7 @@ sim::Task<Completion> ConvDevice::DoFlush(Command cmd) {
     tr->Span(drain_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
              "buffer.drain");
   }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   SyncJournal();
   counters_.flushes++;
   co_return Completion{.status = Status::kSuccess};

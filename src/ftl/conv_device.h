@@ -16,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -197,8 +196,7 @@ class ConvDevice : public zns::ControllerCore {
   void SetValid(std::uint32_t phys, bool v);
 
   /// Builds the layout on first use, then hands `cmd` to its handler.
-  std::optional<sim::Task<nvme::Completion>> Dispatch(
-      const nvme::Command& cmd) override;
+  sim::Task<nvme::Completion> Dispatch(const nvme::Command& cmd) override;
 
   /// Builds the free-block pool and GC reserve once the (optional)
   /// prefill has claimed its blocks. Runs lazily before the first I/O.

@@ -20,6 +20,11 @@
 //     operation pays a full syscall round trip and the kernel block
 //     layer, so concurrency needs more workers.
 //
+// One frame per host command, Submit's: the host costs, then the queue
+// pair (RingDoorbell, the controller's task, PostCqe) or, for a zoned
+// write under mq-deadline, its staged Request; a merged batch crosses
+// the queue pair in DispatchBatch's frame (DESIGN.md §1.1).
+//
 // mq-deadline semantics for zoned writes (as in the Linux block layer):
 // writes to a zone are staged per zone, contiguous staged writes are
 // merged into one larger request, and a zone has at most one write in
@@ -88,7 +93,33 @@ class HostStack : public Stack {
                "host.submit", static_cast<std::int64_t>(cmd.opcode),
                static_cast<std::int64_t>(cmd.nlb));
     }
-    nvme::TimedCompletion tc = co_await Issue(cmd);
+    nvme::TimedCompletion tc{.trace_id = cmd.trace_id};
+    if (sched_ == Scheduler::kMqDeadline &&
+        cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
+      const std::uint32_t zid = ZoneOf(cmd.slba);
+      const sim::Time staged_at = sim_.now();
+      Request req(sim_, cmd);
+      ZoneQueue& zq = Zone(zid);
+      (zq.tail != nullptr ? zq.tail->next : zq.head) = &req;
+      zq.tail = &req;
+      sched_stats_.staged_writes++;
+      MaybeDispatch(zid);
+      co_await req.done.Wait();
+      if (tr != nullptr) {
+        // The whole scheduler round trip: staging, possibly merging into
+        // a neighbor's request, device service of the dispatched batch.
+        tr->Span(staged_at, sim_.now(), cmd.trace_id,
+                 telemetry::Layer::kHost, "sched.wait",
+                 static_cast<std::int64_t>(zid));
+      }
+      tc.completion = req.completion;
+    } else {
+      const sim::Time enqueued = sim_.now();
+      co_await qp_slots_.Acquire();
+      RingDoorbell(cmd, enqueued);
+      tc.completion = co_await ctrl_.Execute(cmd);
+      PostCqe(cmd.trace_id, tc.completion.status);
+    }
     // ...and the completion path (interrupt or poll) on the way up.
     sim::Time device_done = sim_.now();
     co_await sim_.Delay(costs_.complete);
@@ -130,10 +161,10 @@ class HostStack : public Stack {
   }
 
  private:
-  /// One staged write. Owned by the coroutine frame of the waiter in
-  /// StageZonedWrite — it outlives every queue/batch reference because the
-  /// waiter only returns after `done` fires. `next` chains it first into
-  /// its zone's staged queue, then into the batch it was merged into.
+  /// One staged write. Owned by the frame of its Submit, which returns
+  /// only after `done` fires, so it outlives every queue and batch
+  /// reference. `next` chains it first into its zone's staged queue,
+  /// then into the batch it was merged into.
   struct Request {
     nvme::Command cmd;
     nvme::Completion completion;
@@ -164,29 +195,11 @@ class HostStack : public Stack {
     return stray_zones_.emplace_back(zid, ZoneQueue{}).second;
   }
 
-  /// The device round trip: through mq-deadline's staging for zoned
-  /// writes, straight to the queue pair otherwise. Returning the started
-  /// task lets Submit initialise its completion in place (the per-command
-  /// move-assignment measurably slowed SPDK-only runs); writing the choice
-  /// as ?: between two co_awaits instead makes GCC destroy the awaited
-  /// temporaries twice.
-  sim::Task<nvme::TimedCompletion> Issue(const nvme::Command& cmd) {
-    if (sched_ == Scheduler::kMqDeadline &&
-        cmd.opcode == nvme::Opcode::kWrite && info().zoned) {
-      return StageZonedWrite(cmd);
-    }
-    return QueueRoundTrip(cmd);
-  }
-
-  /// The queue pair: waits for one of the qp_depth slots (qp.wait is
-  /// zero-length whenever one was free), rings the doorbell and holds the
-  /// slot until the controller posts the completion. Submit stamps the
-  /// host-observed times.
-  sim::Task<nvme::TimedCompletion> QueueRoundTrip(nvme::Command cmd) {
-    telemetry::Tracer* tr = trace();
-    const sim::Time enqueued = sim_.now();
-    co_await qp_slots_.Acquire();
-    if (tr != nullptr) {
+  /// The queue pair's doorbell, once the caller holds one of its
+  /// qp_depth slots: traces qp.wait since `enqueued` (zero-length when a
+  /// slot was free) and qp.doorbell, and sets qp.inflight.
+  void RingDoorbell(const nvme::Command& cmd, sim::Time enqueued) {
+    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
       tr->Span(enqueued, sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
                "qp.wait");
       tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
@@ -195,39 +208,19 @@ class HostStack : public Stack {
       telem_->metrics().GetGauge("qp.inflight").Set(
           static_cast<double>(queue_in_flight()));
     }
-    nvme::TimedCompletion out;
-    out.trace_id = cmd.trace_id;
-    out.completion = co_await ctrl_.Execute(cmd);
-    if (tr != nullptr) {
-      tr->Instant(sim_.now(), cmd.trace_id, telemetry::Layer::kQueue,
-                  "qp.cqe",
-                  static_cast<std::int64_t>(out.completion.status));
+  }
+
+  /// The queue pair's CQE: traces qp.cqe for command `tid`, counts the
+  /// completion and frees the slot.
+  void PostCqe(std::uint64_t tid, nvme::Status status) {
+    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
+      tr->Instant(sim_.now(), tid, telemetry::Layer::kQueue, "qp.cqe",
+                  static_cast<std::int64_t>(status));
       telem_->metrics().GetCounter("qp.completions").Add();
       telem_->metrics().GetGauge("qp.inflight").Set(
           static_cast<double>(queue_in_flight()) - 1.0);
     }
     qp_slots_.Release();
-    co_return out;
-  }
-
-  sim::Task<nvme::TimedCompletion> StageZonedWrite(nvme::Command cmd) {
-    std::uint32_t zid = ZoneOf(cmd.slba);
-    sim::Time staged_at = sim_.now();
-    Request req(sim_, cmd);  // lives in this coroutine frame
-    ZoneQueue& zq = Zone(zid);
-    (zq.tail != nullptr ? zq.tail->next : zq.head) = &req;
-    zq.tail = &req;
-    sched_stats_.staged_writes++;
-    MaybeDispatch(zid);
-    co_await req.done.Wait();
-    if (telemetry::Tracer* tr = trace(); tr != nullptr) {
-      // The whole scheduler round trip: staging, possibly merging into a
-      // neighbor's request, device service of the dispatched batch.
-      tr->Span(staged_at, sim_.now(), cmd.trace_id, telemetry::Layer::kHost,
-               "sched.wait", static_cast<std::int64_t>(zid));
-    }
-    co_return nvme::TimedCompletion{.completion = req.completion,
-                                    .trace_id = cmd.trace_id};
   }
 
   void MaybeDispatch(std::uint32_t zid) {
@@ -276,10 +269,14 @@ class HostStack : public Stack {
       tr->Instant(sim_.now(), merged.trace_id, telemetry::Layer::kHost,
                   "sched.dispatch", static_cast<std::int64_t>(zid), requests);
     }
-    nvme::TimedCompletion tc = co_await QueueRoundTrip(merged);
+    const sim::Time enqueued = sim_.now();
+    co_await qp_slots_.Acquire();
+    RingDoorbell(merged, enqueued);
+    const nvme::Completion c = co_await ctrl_.Execute(merged);
+    PostCqe(merged.trace_id, c.status);
     for (Request* r = batch; r != nullptr;) {
       Request* next = r->next;  // read before r's waiter can free it
-      r->completion = tc.completion;
+      r->completion = c;
       r->done.Done();
       r = next;
     }

@@ -215,6 +215,8 @@ class StripedStack : public Stack {
     stats_.lanes.resize(lanes_.size());
   }
 
+  /// Returns the task of the path `cmd` takes: not a coroutine, as
+  /// StripeLaneView::Submit is not.
   sim::Task<nvme::TimedCompletion> Submit(nvme::Command cmd) override {
     telemetry::Tracer* tr = trace();
     if (tr != nullptr && cmd.trace_id == 0) {
@@ -222,15 +224,17 @@ class StripedStack : public Stack {
     }
     switch (cmd.opcode) {
       case nvme::Opcode::kFlush:
-        co_return co_await Broadcast(cmd);
+        return Broadcast(cmd);
       case nvme::Opcode::kZoneMgmtSend:
-        if (cmd.select_all) co_return co_await Broadcast(cmd);
-        co_return co_await RouteOne(cmd, tr);
+        if (cmd.select_all) return Broadcast(cmd);
+        break;
       case nvme::Opcode::kZoneMgmtRecv:
-        co_return co_await GatherReport(cmd);
+        return GatherReport(cmd);
       default:
-        co_return co_await RouteOne(cmd, tr);
+        break;
     }
+    return detail::RouteOne(sim_, map_, tr, &stats_.boundary_rejects, cmd,
+                            [this](std::uint32_t d) { return LaneRefOf(d); });
   }
 
   const nvme::NamespaceInfo& info() const override { return info_; }
@@ -251,12 +255,6 @@ class StripedStack : public Stack {
  private:
   detail::LaneRef LaneRefOf(std::size_t d) {
     return detail::LaneRef{lanes_[d].get(), &stats_.lanes[d]};
-  }
-
-  sim::Task<nvme::TimedCompletion> RouteOne(nvme::Command cmd,
-                                            telemetry::Tracer* tr) {
-    return detail::RouteOne(sim_, map_, tr, &stats_.boundary_rejects, cmd,
-                            [this](std::uint32_t d) { return LaneRefOf(d); });
   }
 
   /// Fans `cmd` out to every lane, one leg each into `legs`, and joins

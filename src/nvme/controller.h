@@ -25,7 +25,7 @@ struct NamespaceInfo {
 
 /// A device controller executes one NVMe command and returns its
 /// completion. Execution time is whatever the device model charges in
-/// virtual time; concurrency comes from many Execute() coroutines being in
+/// virtual time; concurrency comes from many Execute() tasks being in
 /// flight at once (bounded by the host stack's queue depth).
 class Controller {
  public:

@@ -26,10 +26,6 @@
 // thread joins that thread's list; each thread's cached frames go back
 // to the heap when it exits. Under AddressSanitizer the pool compiles
 // out so use-after-free of a frame is still caught.
-//
-// FRAME COUNT: FramesCreated() counts the frames this thread has
-// created, on every build, pooled or not (DESIGN.md §1.1 gives the
-// frames a command costs per layer).
 #pragma once
 
 #include <coroutine>
@@ -109,18 +105,11 @@ inline void DeallocateFrame(void* p, std::size_t n) noexcept {
 struct PromiseBase {
   static void* operator new(std::size_t n) {
     ++t_frames_created;
-#if ZSTOR_FRAME_POOL
-    return AllocateFrame(n);
-#else
-    return ::operator new(n);
-#endif
+    return kFramePoolEnabled ? AllocateFrame(n) : ::operator new(n);
   }
   static void operator delete(void* p, std::size_t n) noexcept {
-#if ZSTOR_FRAME_POOL
-    DeallocateFrame(p, n);
-#else
+    if (kFramePoolEnabled) return DeallocateFrame(p, n);
     ::operator delete(p, n);
-#endif
   }
 
   std::coroutine_handle<> continuation{};
@@ -226,7 +215,8 @@ inline Task<void> detail::Promise<void>::get_return_object() {
   return Task<void>{std::coroutine_handle<Promise>::from_promise(*this)};
 }
 
-/// Coroutine frames created on this thread so far.
+/// Coroutine frames created on this thread so far, on every build
+/// (pooled or not); DESIGN.md §1.1 gives the frames per command.
 inline std::uint64_t FramesCreated() { return detail::t_frames_created; }
 
 /// Starts a free-running process (the idiomatic way to launch workers).

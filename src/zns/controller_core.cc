@@ -53,30 +53,26 @@ Time ControllerCore::Noise(Time t) {
 }
 
 sim::Task<Completion> ControllerCore::Execute(const Command& cmd) {
-  Completion c;
-  if (crashed_) {
-    // Power is out (or recovery is still running): fail fast. The host
-    // sees the controller disappear and — via ResilientStack — re-drives
-    // once it answers again.
-    shared_.reset_drops++;
-    c.status = Status::kDeviceReset;
-    co_return c;
-  }
-  if (std::optional<sim::Task<Completion>> handler = Dispatch(cmd)) {
-    c = co_await std::move(*handler);
+  // Power is out (or recovery is still running): fail fast. The host
+  // sees the controller disappear and — via ResilientStack — re-drives
+  // once it answers again.
+  if (crashed_) return Failed(Status::kDeviceReset);
+  return Dispatch(cmd);
+}
+
+Completion ControllerCore::Fail(Status status) {
+  if (status == Status::kDeviceReset) {
+    shared_.reset_drops++;  // lost to a power cut, before or mid-flight
+  } else if (nvme::IsMediaError(status)) {
+    shared_.media_errors++;
   } else {
-    c.status = Status::kInvalidOpcode;
+    shared_.host_rejects++;
   }
-  if (!c.ok()) {
-    if (c.status == Status::kDeviceReset) {
-      shared_.reset_drops++;  // lost to a power cut mid-flight
-    } else if (nvme::IsMediaError(c.status)) {
-      shared_.media_errors++;
-    } else {
-      shared_.host_rejects++;
-    }
-  }
-  co_return c;
+  return Completion{.status = status};
+}
+
+sim::Task<Completion> ControllerCore::Failed(Status status) {
+  co_return Fail(status);
 }
 
 sim::Task<> ControllerCore::FanOutRead(nand::PageAddr addr,

@@ -15,7 +15,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "nand/flash_array.h"
@@ -59,10 +58,10 @@ struct DeviceCounters {
 class ControllerCore : public nvme::Controller {
  public:
   const nvme::NamespaceInfo& info() const final { return info_; }
-  /// Fails the command with kDeviceReset while power is out; otherwise
-  /// runs the device's handler for it (kInvalidOpcode when it has none).
-  /// Every failure is counted once: reset drop, media error or host
-  /// reject.
+  /// Returns the task of the device's handler for `cmd`, started: a
+  /// command runs in its handler's frames and no frame of the core's.
+  /// While power is out the task has already finished with
+  /// kDeviceReset. Not a coroutine.
   sim::Task<nvme::Completion> Execute(const nvme::Command& cmd) final;
 
   /// Enables device-side tracing/metrics (non-owning; null disables),
@@ -110,11 +109,18 @@ class ControllerCore : public nvme::Controller {
                  std::uint64_t seed, double io_sigma, double reset_sigma,
                  double finish_sigma);
 
-  /// Starts the handler for `cmd` and returns its task unawaited (a
-  /// command keeps exactly its handler's frames), or nullopt when the
-  /// device's command set lacks the opcode.
-  virtual std::optional<sim::Task<nvme::Completion>> Dispatch(
-      const nvme::Command& cmd) = 0;
+  /// Starts the handler for `cmd` and returns its task unawaited, or
+  /// Failed(kInvalidOpcode) when the device's command set lacks the
+  /// opcode.
+  virtual sim::Task<nvme::Completion> Dispatch(const nvme::Command& cmd) = 0;
+
+  /// The failed completion `status`, counted once in its class: reset
+  /// drop, media error or host reject. Every failure a handler makes
+  /// comes from here; one passed on from a child is not counted again.
+  nvme::Completion Fail(nvme::Status status);
+  /// A task already finished with Fail(status), for a command that fails
+  /// before any handler runs.
+  sim::Task<nvme::Completion> Failed(nvme::Status status);
 
   /// `t` scaled by one lognormal draw (io_sigma); 0 and a quiet profile
   /// draw nothing.

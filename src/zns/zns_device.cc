@@ -449,7 +449,7 @@ nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
   return Status::kSuccess;
 }
 
-std::optional<sim::Task<Completion>> ZnsDevice::Dispatch(const Command& cmd) {
+sim::Task<Completion> ZnsDevice::Dispatch(const Command& cmd) {
   switch (cmd.opcode) {
     case Opcode::kRead: return DoRead(cmd);
     case Opcode::kWrite:
@@ -457,24 +457,24 @@ std::optional<sim::Task<Completion>> ZnsDevice::Dispatch(const Command& cmd) {
     case Opcode::kZoneMgmtSend: return DoZoneMgmt(cmd);
     case Opcode::kZoneMgmtRecv: return DoReportZones(cmd);
     case Opcode::kFlush: return DoFlush(cmd.trace_id);
-    default: return std::nullopt;
+    default: return Failed(Status::kInvalidOpcode);
   }
 }
 
 sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   if (Status st = ValidateIoRange(cmd, /*is_write=*/false);
       st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   if (cmd.payload_tag != 0 && cmd.data == nullptr) {
-    co_return Completion{.status = Status::kInvalidField};  // no buffer
+    co_return Fail(Status::kInvalidField);  // no buffer
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
   const std::uint32_t zone = ZoneOfLba(cmd.slba);
   // Offline zones lost their data; ReadOnly zones still serve reads.
   if (zones_[zone].state == ZoneState::kOffline) {
-    co_return Completion{.status = Status::kZoneIsOffline};
+    co_return Fail(Status::kZoneIsOffline);
   }
   InflightGuard io_guard(*this);
   const std::uint64_t epoch0 = power_epoch_;
@@ -482,9 +482,7 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   (co_await Fcp(FcpIoCost(Opcode::kRead, bytes, cmd.nlb, cmd.slba),
                 {cmd.trace_id, zone, zone, bytes}))
       .Release();
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   sim::Time nand_begin = sim_.now();
   // NAND phase: fetch the pages that have actually been programmed; the
   // rest is served from the write-back buffer or as deallocated zeroes.
@@ -517,9 +515,7 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
       }
     }
   }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   sim::Time post_begin = sim_.now();
   if (tr != nullptr && flash_) {
     // Zero-length when everything was served from the write-back buffer.
@@ -529,7 +525,7 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   if (media == nand::MediaStatus::kReadError) {
     // ECC gave up on at least one page: the command fails; no host DMA.
     counters_.read_faults++;
-    co_return Completion{.status = Status::kMediaReadError};
+    co_return Fail(Status::kMediaReadError);
   }
   co_await sim_.Delay(
       Noise(profile_.post.read_fixed +
@@ -541,7 +537,7 @@ sim::Task<Completion> ZnsDevice::DoRead(Command cmd) {
   }
   if (power_epoch_ != epoch0) {
     // Power cut during the host DMA: the transfer is torn; fail the read.
-    co_return Completion{.status = Status::kDeviceReset};
+    co_return Fail(Status::kDeviceReset);
   }
   counters_.reads++;
   counters_.bytes_read += bytes;
@@ -562,10 +558,10 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   const bool append = cmd.opcode == Opcode::kAppend;
   if (Status st = ValidateIoRange(cmd, /*is_write=*/!append);
       st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   if (append && cmd.slba != ZoneStartLba(ZoneOfLba(cmd.slba))) {
-    co_return Completion{.status = Status::kInvalidField};  // needs ZSLBA
+    co_return Fail(Status::kInvalidField);  // needs ZSLBA
   }
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cmd.nlb) * lba_bytes_;
@@ -582,26 +578,26 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
     if (power_epoch_ != epoch0) {
       // Power cut before the command reached the zone state machine:
       // nothing of it survives, not even buffered bytes.
-      co_return Completion{.status = Status::kDeviceReset};
+      co_return Fail(Status::kDeviceReset);
     }
     Zone& z = zones_[zone];
     if (z.write_fault_pending) {
       // Report the earlier program failure once; subsequent writes see
       // the zone's degraded state instead.
       z.write_fault_pending = false;
-      co_return Completion{.status = Status::kWriteFault};
+      co_return Fail(Status::kWriteFault);
     }
     if (z.state != ZoneState::kFull) {
       if (append && z.wp_bytes + bytes > profile_.zone_cap_bytes) {
-        co_return Completion{.status = Status::kZoneBoundaryError};
+        co_return Fail(Status::kZoneBoundaryError);
       }
       if (!append && ZoneDataOffsetBytes(cmd.slba) != z.wp_bytes) {
-        co_return Completion{.status = Status::kZoneInvalidWrite};
+        co_return Fail(Status::kZoneInvalidWrite);
       }
     }
     if (Status st = EnsureOpenForIo(zone, first_io);
         st != Status::kSuccess) {
-      co_return Completion{.status = st};
+      co_return Fail(st);
     }
     assigned_off = z.wp_bytes;
     z.wp_bytes += bytes;
@@ -633,7 +629,7 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   if (power_epoch_ != epoch0) {
     // Power cut after the wp advanced but before the ack: the crash
     // rolled the zone back; the host must treat the command as not-done.
-    co_return Completion{.status = Status::kDeviceReset};
+    co_return Fail(Status::kDeviceReset);
   }
   if (flash_) co_await AdmitPrograms(zone, end_off, epoch0);
   if (tr != nullptr) {
@@ -642,9 +638,7 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
     tr->Span(admit_begin, sim_.now(), cmd.trace_id, Layer::kBuffer,
              "buffer.admit", static_cast<std::int64_t>(zone));
   }
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   (append ? counters_.appends : counters_.writes)++;
   counters_.bytes_written += bytes;
   Completion c{.status = Status::kSuccess};
@@ -652,25 +646,25 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
   co_return c;
 }
 
-sim::Task<Completion> ZnsDevice::DoZoneMgmt(Command cmd) {
+sim::Task<Completion> ZnsDevice::DoZoneMgmt(const Command& cmd) {
   if (cmd.select_all) {
     if (cmd.zone_action != ZoneAction::kReset) {
-      co_return Completion{.status = Status::kInvalidField};
+      return Failed(Status::kInvalidField);
     }
-    co_return co_await DoResetAll(cmd.trace_id);
+    return DoResetAll(cmd.trace_id);
   }
   if (cmd.slba >= info_.capacity_lbas) {
-    co_return Completion{.status = Status::kLbaOutOfRange};
+    return Failed(Status::kLbaOutOfRange);
   }
   const std::uint32_t zone = ZoneOfLba(cmd.slba);
   switch (cmd.zone_action) {
-    case ZoneAction::kOpen: co_return co_await DoOpen(zone, cmd.trace_id);
-    case ZoneAction::kClose: co_return co_await DoClose(zone, cmd.trace_id);
-    case ZoneAction::kFinish: co_return co_await DoFinish(zone, cmd.trace_id);
-    case ZoneAction::kReset: co_return co_await DoReset(zone, cmd.trace_id);
+    case ZoneAction::kOpen: return DoOpen(zone, cmd.trace_id);
+    case ZoneAction::kClose: return DoClose(zone, cmd.trace_id);
+    case ZoneAction::kFinish: return DoFinish(zone, cmd.trace_id);
+    case ZoneAction::kReset: return DoReset(zone, cmd.trace_id);
     case ZoneAction::kNone: break;
   }
-  co_return Completion{.status = Status::kInvalidField};
+  return Failed(Status::kInvalidField);
 }
 
 sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
@@ -678,9 +672,7 @@ sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
   const std::uint64_t epoch0 = power_epoch_;
   auto g = co_await Fcp(profile_.open_close.explicit_open,
                         {tid, zone, zone, 0, "zone.open", Layer::kZone});
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   Zone& z = zones_[zone];
   switch (z.state) {
     case ZoneState::kExplicitlyOpened:
@@ -691,24 +683,24 @@ sim::Task<Completion> ZnsDevice::DoOpen(std::uint32_t zone,
       co_return Completion{.status = Status::kSuccess};
     case ZoneState::kEmpty:
       if (active_count_ >= profile_.max_active_zones) {
-        co_return Completion{.status = Status::kTooManyActiveZones};
+        co_return Fail(Status::kTooManyActiveZones);
       }
       [[fallthrough]];
     case ZoneState::kClosed:
       if (!TakeOpenSlotWithEviction()) {
-        co_return Completion{.status = Status::kTooManyOpenZones};
+        co_return Fail(Status::kTooManyOpenZones);
       }
       SetZoneState(zone, ZoneState::kExplicitlyOpened);
       z.opened_at_seq = ++open_seq_;
       counters_.explicit_opens++;
       co_return Completion{.status = Status::kSuccess};
     case ZoneState::kFull:
-      co_return Completion{.status = Status::kZoneIsFull};
+      co_return Fail(Status::kZoneIsFull);
     case ZoneState::kReadOnly:
     case ZoneState::kOffline:
-      co_return Completion{.status = Status::kZoneInvalidStateTransition};
+      co_return Fail(Status::kZoneInvalidStateTransition);
   }
-  co_return Completion{.status = Status::kInvalidField};
+  co_return Fail(Status::kInvalidField);
 }
 
 sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
@@ -716,9 +708,7 @@ sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
   const std::uint64_t epoch0 = power_epoch_;
   auto g = co_await Fcp(profile_.open_close.close,
                         {tid, zone, zone, 0, "zone.close", Layer::kZone});
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   Zone& z = zones_[zone];
   switch (z.state) {
     case ZoneState::kClosed:
@@ -732,7 +722,7 @@ sim::Task<Completion> ZnsDevice::DoClose(std::uint32_t zone,
       counters_.closes++;
       co_return Completion{.status = Status::kSuccess};
     default:
-      co_return Completion{.status = Status::kZoneInvalidStateTransition};
+      co_return Fail(Status::kZoneInvalidStateTransition);
   }
 }
 
@@ -743,17 +733,15 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   Zone& z = zones_[zone];
   {
     auto g = co_await Fcp(profile_.fcp.write, {tid, zone, zone});  // admission
-    if (power_epoch_ != epoch0) {
-      co_return Completion{.status = Status::kDeviceReset};
-    }
+    if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
     switch (z.state) {
       case ZoneState::kEmpty:
-        co_return Completion{.status = Status::kZoneIsEmpty};
+        co_return Fail(Status::kZoneIsEmpty);
       case ZoneState::kFull:
-        co_return Completion{.status = Status::kZoneIsFull};
+        co_return Fail(Status::kZoneIsFull);
       case ZoneState::kReadOnly:
       case ZoneState::kOffline:
-        co_return Completion{.status = Status::kZoneInvalidStateTransition};
+        co_return Fail(Status::kZoneInvalidStateTransition);
       case ZoneState::kImplicitlyOpened:
       case ZoneState::kExplicitlyOpened:
       case ZoneState::kClosed:
@@ -765,7 +753,7 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
   co_await ProgramsSettled(z);
   if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
       st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   std::uint64_t remaining = profile_.zone_cap_bytes - z.wp_bytes;
   if (!profile_.finish.zero_cost) {
@@ -785,7 +773,7 @@ sim::Task<Completion> ZnsDevice::DoFinish(std::uint32_t zone,
     if (power_epoch_ != epoch0) {
       // Power cut mid-pad: nothing was marked programmed yet, so the
       // crash rollback saw the zone as it stood; just fail the command.
-      co_return Completion{.status = Status::kDeviceReset};
+      co_return Fail(Status::kDeviceReset);
     }
   }
   if (flash_) {
@@ -823,14 +811,14 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   telemetry::Tracer* tr = trace();
   Zone& z = zones_[zone];
   if (z.state == ZoneState::kReadOnly || z.state == ZoneState::kOffline) {
-    co_return Completion{.status = Status::kZoneInvalidStateTransition};
+    co_return Fail(Status::kZoneInvalidStateTransition);
   }
   // Quiesce in-flight NAND programs for this zone first.
   sim::Time quiesce_begin = sim_.now();
   co_await ProgramsSettled(z);
   if (Status st = Quiesced(zone, tid, quiesce_begin, epoch0);
       st != Status::kSuccess) {
-    co_return Completion{.status = st};
+    co_return Fail(st);
   }
   // The unmap work runs on the FCP at background priority, in slices so
   // small that host I/O never noticeably waits behind one (Obs. 12),
@@ -891,7 +879,7 @@ sim::Task<Completion> ZnsDevice::DoReset(std::uint32_t zone,
   if (power_epoch_ != epoch0) {
     // Power cut mid-unmap: the metadata wipe never committed — the crash
     // rollback left the zone's pre-reset state in place.
-    co_return Completion{.status = Status::kDeviceReset};
+    co_return Fail(Status::kDeviceReset);
   }
   // Metadata wiped; physical erases happen off the critical path.
   if (flash_) {
@@ -948,12 +936,8 @@ sim::Task<Completion> ZnsDevice::DoResetAll(std::uint64_t tid) {
 }
 
 sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
-  if (cmd.slba >= info_.capacity_lbas) {
-    co_return Completion{.status = Status::kLbaOutOfRange};
-  }
-  if (cmd.data == nullptr) {
-    co_return Completion{.status = Status::kInvalidField};  // no buffer
-  }
+  if (cmd.slba >= info_.capacity_lbas) co_return Fail(Status::kLbaOutOfRange);
+  if (cmd.data == nullptr) co_return Fail(Status::kInvalidField);  // no buffer
   std::uint32_t first = ZoneOfLba(cmd.slba);
   std::uint32_t count = profile_.num_zones - first;
   if (cmd.report_max != 0) {
@@ -963,9 +947,7 @@ sim::Task<Completion> ZnsDevice::DoReportZones(Command cmd) {
   (co_await Fcp(profile_.report_fixed + profile_.report_per_zone * count,
                 {cmd.trace_id, 0, count}))
       .Release();
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   auto* out = static_cast<nvme::ZoneDescriptor*>(cmd.data);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t z = first + i;
@@ -983,9 +965,7 @@ sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
   const std::uint64_t epoch0 = power_epoch_;
   telemetry::Tracer* tr = trace();
   (co_await Fcp(profile_.fcp.write, {tid})).Release();
-  if (power_epoch_ != epoch0) {
-    co_return Completion{.status = Status::kDeviceReset};
-  }
+  if (power_epoch_ != epoch0) co_return Fail(Status::kDeviceReset);
   // Quiesce the NAND drain. Partial (sub-page) buffer contents stay in
   // the capacitor-backed buffer — they are already durable.
   sim::Time drain_begin = sim_.now();
@@ -996,14 +976,14 @@ sim::Task<Completion> ZnsDevice::DoFlush(std::uint64_t tid) {
   if (power_epoch_ != epoch0) {
     // Power cut before the drain finished: the barrier cannot certify
     // durability for anything — the host must not trust this flush.
-    co_return Completion{.status = Status::kDeviceReset};
+    co_return Fail(Status::kDeviceReset);
   }
   counters_.flushes++;
   if (flush_fault_pending_) {
     // Some buffered data never reached NAND since the last flush: the
     // durability barrier cannot be honored in full.
     flush_fault_pending_ = false;
-    co_return Completion{.status = Status::kWriteFault};
+    co_return Fail(Status::kWriteFault);
   }
   co_return Completion{.status = Status::kSuccess};
 }

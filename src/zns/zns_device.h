@@ -22,12 +22,11 @@
 //     background-priority slices on the FCP.
 //
 // Thread model: everything runs on one Simulator; concurrency is
-// coroutine-level (many Execute() calls in flight).
+// coroutine-level (many commands in flight).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "nand/flash_array.h"
@@ -171,15 +170,15 @@ class ZnsDevice : public ControllerCore {
   void DebugSetZoneState(std::uint32_t zone, ZoneState state);
 
  private:
-  std::optional<sim::Task<nvme::Completion>> Dispatch(
-      const nvme::Command& cmd) override;
+  sim::Task<nvme::Completion> Dispatch(const nvme::Command& cmd) override;
 
   // Command handlers. `tid` is the command's telemetry trace id (0 when
   // tracing is off or the caller didn't thread one through).
   sim::Task<nvme::Completion> DoRead(nvme::Command cmd);
   /// Write and Zone Append (one path; they branch only where they differ).
   sim::Task<nvme::Completion> DoWrite(nvme::Command cmd);
-  sim::Task<nvme::Completion> DoZoneMgmt(nvme::Command cmd);
+  /// Returns the task of the zone action's handler (not a coroutine).
+  sim::Task<nvme::Completion> DoZoneMgmt(const nvme::Command& cmd);
   sim::Task<nvme::Completion> DoOpen(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoClose(std::uint32_t zone, std::uint64_t tid);
   sim::Task<nvme::Completion> DoFinish(std::uint32_t zone, std::uint64_t tid);

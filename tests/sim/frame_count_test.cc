@@ -1,8 +1,12 @@
 // Coroutine frames per command (task.h's FramesCreated): each layer a
 // command crosses costs at most one frame, and only a layer that does
-// work of its own has one. Each case pins the exact count of one command
-// kind from the host stack's Submit down to the NAND page programs it
-// starts. The counter runs on every build, so these hold under ASan too.
+// work of its own has one (DESIGN.md §1.1). Each case pins the exact
+// count of one command kind from the host stack's Submit down to the
+// NAND page programs it starts, and names the frames it had while the
+// controller's Execute, the host stack's queue-pair round trip and
+// mq-deadline staging, DoZoneMgmt and StripedStack::Submit were
+// coroutines of their own. The counter runs on every build, so these
+// hold under ASan too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -50,8 +54,9 @@ TEST(FrameCount, SpdkZnsRead) {
   const std::uint64_t reads0 = dev.flash()->counters().page_reads;
   const std::uint64_t frames = io(Opcode::kRead, 1);
   EXPECT_EQ(dev.flash()->counters().page_reads, reads0 + 1);
-  // Submit, QueueRoundTrip, Execute and DoRead; the page read is a record.
-  EXPECT_EQ(frames, 4u);
+  // Submit and DoRead; the page read is a record. Was 4, with
+  // QueueRoundTrip and Execute.
+  EXPECT_EQ(frames, 2u);
 }
 
 TEST(FrameCount, SpdkZnsWrite) {
@@ -64,12 +69,13 @@ TEST(FrameCount, SpdkZnsWrite) {
       return stack.Submit({.opcode = Opcode::kWrite, .slba = slba, .nlb = 1});
     });
   };
-  // Submit, QueueRoundTrip, Execute, DoWrite and AdmitPrograms...
+  // Submit, DoWrite and AdmitPrograms (was 5, with QueueRoundTrip and
+  // Execute)...
   for (nvme::Lba lba = 0; lba + 1 < lbas_per_page; ++lba) {
-    EXPECT_EQ(write(lba), 5u) << "lba " << lba;
+    EXPECT_EQ(write(lba), 3u) << "lba " << lba;
   }
-  // ...and the ProgramZonePage of the page the write completes.
-  EXPECT_EQ(write(lbas_per_page - 1), 6u);
+  // ...and the ProgramZonePage of the page the write completes (was 6).
+  EXPECT_EQ(write(lbas_per_page - 1), 4u);
 }
 
 TEST(FrameCount, KernelMqDeadlineMergedBatch) {
@@ -89,10 +95,11 @@ TEST(FrameCount, KernelMqDeadlineMergedBatch) {
   const std::uint64_t frames = FramesCreated() - before;
   EXPECT_EQ(stack.scheduler_stats().dispatched_writes, 2u);
   EXPECT_EQ(stack.scheduler_stats().merged_writes, 6u);
-  // Per write: Submit and StageZonedWrite (16). Per batch:
-  // DispatchBatch, QueueRoundTrip, Execute, DoWrite and AdmitPrograms
-  // (10). The merged batch completes both NAND pages (2).
-  EXPECT_EQ(frames, 28u);
+  // Per write, Submit (8). Per batch, DispatchBatch, DoWrite and
+  // AdmitPrograms (6). The merged batch completes both NAND pages (2).
+  // Was 28: each write's StageZonedWrite (8) and each batch's
+  // QueueRoundTrip and Execute (4).
+  EXPECT_EQ(frames, 16u);
 }
 
 TEST(FrameCount, SpdkZoneReset) {
@@ -104,8 +111,9 @@ TEST(FrameCount, SpdkZoneReset) {
     return stack.Submit({.opcode = Opcode::kZoneMgmtSend, .slba = 0,
                          .zone_action = nvme::ZoneAction::kReset});
   });
-  // Submit, QueueRoundTrip, Execute, DoZoneMgmt and DoReset.
-  EXPECT_EQ(frames, 5u);
+  // Submit and DoReset. Was 5, with QueueRoundTrip, Execute and
+  // DoZoneMgmt.
+  EXPECT_EQ(frames, 2u);
 }
 
 TEST(FrameCount, SpdkConvRead) {
@@ -117,8 +125,8 @@ TEST(FrameCount, SpdkConvRead) {
     return stack.Submit({.opcode = Opcode::kRead, .slba = 0, .nlb = 1});
   });
   EXPECT_GT(dev.flash().counters().page_reads, 0u);
-  // Submit, QueueRoundTrip, Execute and DoRead.
-  EXPECT_EQ(frames, 4u);
+  // Submit and DoRead. Was 4, with QueueRoundTrip and Execute.
+  EXPECT_EQ(frames, 2u);
 }
 
 /// A 4 KiB append to logical zone 0 (device 0) of two striped ZN540
@@ -149,15 +157,16 @@ std::uint64_t StripedAppendFrames(int sim_threads) {
 }
 
 TEST(FrameCount, StripedAppendOnTheClassicEngine) {
-  // StripedStack::Submit and RouteOne, then the device's SPDK command:
-  // Submit, QueueRoundTrip, Execute, DoWrite and AdmitPrograms.
-  EXPECT_EQ(StripedAppendFrames(0), 7u);
+  // RouteOne, then the device's SPDK command: Submit, DoWrite and
+  // AdmitPrograms. Was 7, with StripedStack::Submit, QueueRoundTrip and
+  // Execute.
+  EXPECT_EQ(StripedAppendFrames(0), 4u);
 }
 
 TEST(FrameCount, StripedAppendOnTheLaneEngine) {
   // As on the classic engine, plus the proxy's MailboxStack::Submit on
-  // the coordinator and its Serve in the device lane.
-  EXPECT_EQ(StripedAppendFrames(1), 9u);
+  // the coordinator and its Serve in the device lane. Was 9.
+  EXPECT_EQ(StripedAppendFrames(1), 6u);
 }
 
 }  // namespace
