@@ -397,36 +397,6 @@ void ZnsDevice::HandleProgramFailure(std::uint32_t zone,
   }
 }
 
-sim::Task<> ZnsDevice::AdmitPrograms(std::uint32_t zone,
-                                     std::uint64_t end_off_bytes,
-                                     std::uint64_t epoch) {
-  const std::uint64_t target =
-      end_off_bytes / profile_.nand_geometry.page_bytes;
-  Zone& z = zones_[zone];
-  while (epoch == power_epoch_ && z.next_program_page < target) {
-    co_await buffer_slots_.Acquire();  // backpressure when the buffer fills
-    if (epoch != power_epoch_) {
-      // Power was lost while we waited for a slot: the crash rolled
-      // next_program_page back, the buffered data is gone, and the slot
-      // we just got must go straight back.
-      buffer_slots_.Release();
-      break;
-    }
-    if (z.next_program_page >= target) {
-      // While this admitter waited for a slot, a concurrent admitter for
-      // the same zone (a later append's admission loop) drove the shared
-      // page cursor past our target: our pages are already admitted, and
-      // taking one more would program past the zone's write pointer.
-      buffer_slots_.Release();
-      break;
-    }
-    std::uint64_t p = z.next_program_page++;
-    z.inflight_programs++;
-    programs_.Add();
-    sim::Spawn(ProgramZonePage(zone, p, epoch));
-  }
-}
-
 // --------------------------------------------------------------- command
 
 nvme::Status ZnsDevice::ValidateIoRange(const Command& cmd,
@@ -631,7 +601,35 @@ sim::Task<Completion> ZnsDevice::DoWrite(Command cmd) {
     // rolled the zone back; the host must treat the command as not-done.
     co_return Fail(Status::kDeviceReset);
   }
-  if (flash_) co_await AdmitPrograms(zone, end_off, epoch0);
+  if (flash_) {
+    // Admit the NAND programs of every page the write completed, waiting
+    // for buffer slots (backpressure). A power loss while it waits stops
+    // it: the crash already rolled the zone back.
+    const std::uint64_t target = end_off / profile_.nand_geometry.page_bytes;
+    Zone& z = zones_[zone];
+    while (epoch0 == power_epoch_ && z.next_program_page < target) {
+      co_await buffer_slots_.Acquire();  // backpressure when the buffer fills
+      if (epoch0 != power_epoch_) {
+        // Power was lost while we waited for a slot: the crash rolled
+        // next_program_page back, the buffered data is gone, and the slot
+        // we just got must go straight back.
+        buffer_slots_.Release();
+        break;
+      }
+      if (z.next_program_page >= target) {
+        // While this write waited for a slot, a concurrent one to the
+        // same zone (a later append's admission) drove the shared page
+        // cursor past our target: our pages are already admitted, and
+        // taking one more would program past the zone's write pointer.
+        buffer_slots_.Release();
+        break;
+      }
+      std::uint64_t p = z.next_program_page++;
+      z.inflight_programs++;
+      programs_.Add();
+      sim::Spawn(ProgramZonePage(zone, p, epoch0));
+    }
+  }
   if (tr != nullptr) {
     // Non-zero only when the write-back buffer is full and admission has
     // to wait for the NAND drain (the Obs. 9 throttling mechanism).

@@ -235,12 +235,6 @@ class ZnsDevice : public ControllerCore {
   /// Retires the failed block, charges spare accounting, and degrades the
   /// owning zone (ReadOnly; Offline once spares are exhausted).
   void HandleProgramFailure(std::uint32_t zone, nand::PageAddr addr);
-  /// Dispatches NAND programs for all fully-covered pages up to
-  /// `end_off_bytes`, waiting on buffer-slot admission (backpressure).
-  /// Stops early (without dispatching) if a power loss lands while it
-  /// waits for a slot — the crash already rolled the zone back.
-  sim::Task<> AdmitPrograms(std::uint32_t zone, std::uint64_t end_off_bytes,
-                            std::uint64_t epoch);
 
   // Crash/recovery path (DESIGN.md §11).
   /// Marks a settled (completed, pass or fail) program for durable-prefix

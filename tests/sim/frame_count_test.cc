@@ -4,8 +4,8 @@
 // count of one command kind from the host stack's Submit down to the
 // NAND page programs it starts, and names the frames it had while the
 // controller's Execute, the host stack's queue-pair round trip and
-// mq-deadline staging, DoZoneMgmt and StripedStack::Submit were
-// coroutines of their own. The counter runs on every build, so these
+// mq-deadline staging, DoZoneMgmt, the ZNS write's program admission
+// and StripedStack::Submit were coroutines of their own. The counter runs on every build, so these
 // hold under ASan too.
 #include <gtest/gtest.h>
 
@@ -69,13 +69,13 @@ TEST(FrameCount, SpdkZnsWrite) {
       return stack.Submit({.opcode = Opcode::kWrite, .slba = slba, .nlb = 1});
     });
   };
-  // Submit, DoWrite and AdmitPrograms (was 5, with QueueRoundTrip and
-  // Execute)...
+  // Submit and DoWrite (was 5, with QueueRoundTrip, Execute and
+  // AdmitPrograms)...
   for (nvme::Lba lba = 0; lba + 1 < lbas_per_page; ++lba) {
-    EXPECT_EQ(write(lba), 3u) << "lba " << lba;
+    EXPECT_EQ(write(lba), 2u) << "lba " << lba;
   }
   // ...and the ProgramZonePage of the page the write completes (was 6).
-  EXPECT_EQ(write(lbas_per_page - 1), 4u);
+  EXPECT_EQ(write(lbas_per_page - 1), 3u);
 }
 
 TEST(FrameCount, KernelMqDeadlineMergedBatch) {
@@ -95,11 +95,11 @@ TEST(FrameCount, KernelMqDeadlineMergedBatch) {
   const std::uint64_t frames = FramesCreated() - before;
   EXPECT_EQ(stack.scheduler_stats().dispatched_writes, 2u);
   EXPECT_EQ(stack.scheduler_stats().merged_writes, 6u);
-  // Per write, Submit (8). Per batch, DispatchBatch, DoWrite and
-  // AdmitPrograms (6). The merged batch completes both NAND pages (2).
-  // Was 28: each write's StageZonedWrite (8) and each batch's
-  // QueueRoundTrip and Execute (4).
-  EXPECT_EQ(frames, 16u);
+  // Per write, Submit (8). Per batch, DispatchBatch and DoWrite (4).
+  // The merged batch completes both NAND pages (2). Was 28: each
+  // write's StageZonedWrite (8) and each batch's QueueRoundTrip, Execute
+  // and AdmitPrograms (6).
+  EXPECT_EQ(frames, 14u);
 }
 
 TEST(FrameCount, SpdkZoneReset) {
@@ -157,16 +157,16 @@ std::uint64_t StripedAppendFrames(int sim_threads) {
 }
 
 TEST(FrameCount, StripedAppendOnTheClassicEngine) {
-  // RouteOne, then the device's SPDK command: Submit, DoWrite and
-  // AdmitPrograms. Was 7, with StripedStack::Submit, QueueRoundTrip and
-  // Execute.
-  EXPECT_EQ(StripedAppendFrames(0), 4u);
+  // RouteOne, then the device's SPDK command: Submit and DoWrite. Was
+  // 7, with StripedStack::Submit, QueueRoundTrip, Execute and
+  // AdmitPrograms.
+  EXPECT_EQ(StripedAppendFrames(0), 3u);
 }
 
 TEST(FrameCount, StripedAppendOnTheLaneEngine) {
   // As on the classic engine, plus the proxy's MailboxStack::Submit on
   // the coordinator and its Serve in the device lane. Was 9.
-  EXPECT_EQ(StripedAppendFrames(1), 6u);
+  EXPECT_EQ(StripedAppendFrames(1), 5u);
 }
 
 }  // namespace
