@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fault/fault_plan.h"
@@ -238,12 +239,9 @@ TYPED_TEST(DeviceContract, EveryFailureTheHostSeesIsCountedOnceInItsClass) {
       }
     }
   };
-  auto w0 = worker(0);
-  auto w1 = worker(1);
-  auto w2 = worker(2);
-  auto w3 = worker(3);
+  std::optional<sim::Task<>> workers[kWorkers];
+  for (std::uint32_t w = 0; w < kWorkers; ++w) workers[w].emplace(worker(w));
   this->sim.Run();
-  static_assert(kWorkers == 4);
   ASSERT_EQ(ok + resets + media + host, kWorkers * kCommands);
   EXPECT_EQ(d.counters().crashes, 1u);
   EXPECT_GT(ok, 0u);
